@@ -51,7 +51,6 @@ from .training import (
     AdaptiveEstimated,
     AdaptiveOracle,
     AggregationPolicy,
-    EstimatorState,
     FixedWeight,
     InverseDecay,
     TrainingTrace,
@@ -74,7 +73,6 @@ __all__ = [
     "BoundInputs",
     "ComparisonResult",
     "DeviceData",
-    "EstimatorState",
     "ExperimentConfig",
     "FederatedDataset",
     "FixedWeight",

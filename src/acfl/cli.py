@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import BoundInputs, comm_overhead, tradeoff_curve
 from .coding import NoiseParams
 from .errors import NumericError, ParameterError
-from .harness import compare_baselines, load_config, run_experiment
+from .harness import coerce, compare_baselines, load_config, run_experiment
 from .privacy import epsilon_of, sigma_for_epsilon
 
 DEFAULT_SIGMA_GRID = tuple(np.geomspace(1e-2, 1e4, 49))
@@ -94,36 +94,42 @@ def _cmd_tradeoff(args) -> None:
             raw = json.load(f)
         except json.JSONDecodeError as e:
             raise ParameterError(f"config: invalid JSON in {args.config}: {e}") from None
+    raw = coerce(raw, dict, "config")
     for key in ("p", "n_devices", "beta_sq", "c_sq", "d", "o", "lambda", "steps", "out_dir"):
         if key not in raw:
             raise ParameterError(f"{key}: missing")
-    grid = [float(x) for x in raw.get("sigma_grid", DEFAULT_SIGMA_GRID)]
-    policies = raw.get("policies", [{"kind": "adaptive"}])
+    grid = [
+        coerce(x, float, f"sigma_grid[{i}]")
+        for i, x in enumerate(coerce(raw.get("sigma_grid", DEFAULT_SIGMA_GRID), list, "sigma_grid"))
+    ]
+    if not grid:
+        raise ParameterError("sigma_grid: need at least one value")
+    policies = coerce(raw.get("policies", [{"kind": "adaptive"}]), list, "policies")
     out_dir = Path(raw["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     base = BoundInputs(
-        p=float(raw["p"]),
-        n_devices=int(raw["n_devices"]),
-        beta_sq=float(raw["beta_sq"]),
-        c_sq=float(raw["c_sq"]),
-        d=int(raw["d"]),
-        o=int(raw["o"]),
+        p=coerce(raw["p"], float, "p"),
+        n_devices=coerce(raw["n_devices"], int, "n_devices"),
+        beta_sq=coerce(raw["beta_sq"], float, "beta_sq"),
+        c_sq=coerce(raw["c_sq"], float, "c_sq"),
+        d=coerce(raw["d"], int, "d"),
+        o=coerce(raw["o"], int, "o"),
         sigma1_sq=grid[0],
         sigma2_sq=grid[0],
-        lam=float(raw["lambda"]),
-        steps=int(raw["steps"]),
+        lam=coerce(raw["lambda"], float, "lambda"),
+        steps=coerce(raw["steps"], int, "steps"),
     )
-    for spec in policies:
-        kind = spec.get("kind")
+    for i, spec in enumerate(policies):
+        kind = coerce(spec, dict, f"policies[{i}]").get("kind")
         if kind == "adaptive":
             alpha, name = None, "adaptive"
         elif kind == "fixed":
             if "alpha" not in spec:
-                raise ParameterError("policies[].alpha: missing for fixed policy")
-            alpha = float(spec["alpha"])
+                raise ParameterError(f"policies[{i}].alpha: missing for fixed policy")
+            alpha = coerce(spec["alpha"], float, f"policies[{i}].alpha")
             name = f"fixed_{alpha:g}"
         else:
-            raise ParameterError(f"policies[].kind: unknown kind {kind!r}")
+            raise ParameterError(f"policies[{i}].kind: unknown kind {kind!r}")
         points = tradeoff_curve(base, grid, alpha)
         path = out_dir / f"tradeoff_{name}.csv"
         with open(path, "w", newline="") as f:

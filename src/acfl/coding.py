@@ -15,21 +15,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .dataset import DeviceData
 from .errors import ParameterError
-from .numerics import RngStream, as_matrix, borrow_generator
+from .numerics import RngStream, as_matrix
 
 __all__ = [
     "GlobalCodedData",
     "LocalCodedData",
     "NoiseParams",
     "aggregate_coded",
-    "dump_global_csv",
     "encode_local",
     "payload_size",
 ]
@@ -93,9 +91,9 @@ def encode_local(dev: DeviceData, noise: NoiseParams, stream: RngStream) -> Loca
     wanting independent noise across devices pass distinct streams.
     """
     d, o = dev.d, dev.o
-    with borrow_generator(stream) as rng:
-        n1 = rng.normal(0.0, math.sqrt(noise.sigma1_sq), size=(d, d))
-        n2 = rng.normal(0.0, math.sqrt(noise.sigma2_sq), size=(d, o))
+    rng = stream.generator()
+    n1 = rng.normal(0.0, math.sqrt(noise.sigma1_sq), size=(d, d))
+    n2 = rng.normal(0.0, math.sqrt(noise.sigma2_sq), size=(d, o))
     return LocalCodedData(dev.gram_x + n1, dev.gram_xy + n2)
 
 
@@ -124,16 +122,3 @@ def payload_size(d: int, o: int) -> int:
         raise ParameterError(f"dimensions must be positive, got d={d}, o={o}")
     return d * d + o * d
 
-
-def dump_global_csv(gc: GlobalCodedData, directory) -> list[Path]:
-    """Debug dump of the server's coded sums as two CSV files."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, mat in (("h_x_sum.csv", gc.h_x_sum), ("h_y_sum.csv", gc.h_y_sum)):
-        path = directory / name
-        with open(path, "w", newline="") as f:
-            for row in mat:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
-        paths.append(path)
-    return paths

@@ -121,6 +121,24 @@ class ExperimentConfig:
         return sigma_for_epsilon(self.epsilon, self.d, self.o)
 
 
+def coerce(value, kind: type, path: str):
+    """``value`` as ``kind``, or a :class:`ParameterError` naming the field ``path``.
+
+    ``int`` and ``float`` convert; ``dict`` and ``list`` (a JSON object or
+    array, which may also be given as a tuple) only check the type.
+    """
+    if kind is dict or kind is list:
+        if isinstance(value, dict if kind is dict else (list, tuple)):
+            return value
+        raise ParameterError(
+            f"{path}: expected {'an object' if kind is dict else 'a list'}, got {value!r}"
+        )
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{path}: expected {kind.__name__}, got {value!r}") from None
+
+
 def _policy_from_dict(spec, path: str) -> AggregationPolicy | OracleAuto:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParameterError(f"{path}: expected an object with a 'kind' field")
@@ -128,15 +146,20 @@ def _policy_from_dict(spec, path: str) -> AggregationPolicy | OracleAuto:
     if kind == "fixed":
         if "alpha" not in spec:
             raise ParameterError(f"{path}.alpha: missing")
-        return FixedWeight(float(spec["alpha"]))
+        return FixedWeight(coerce(spec["alpha"], float, f"{path}.alpha"))
     if kind == "adaptive-estimated":
-        return AdaptiveEstimated(float(spec.get("fallback_alpha", 1.0)))
+        return AdaptiveEstimated(
+            coerce(spec.get("fallback_alpha", 1.0), float, f"{path}.fallback_alpha")
+        )
     if kind == "adaptive-oracle":
         if "beta_sq" in spec and "c_sq" in spec:
-            return AdaptiveOracle(float(spec["beta_sq"]), float(spec["c_sq"]))
+            return AdaptiveOracle(
+                coerce(spec["beta_sq"], float, f"{path}.beta_sq"),
+                coerce(spec["c_sq"], float, f"{path}.c_sq"),
+            )
         if "beta_sq" in spec or "c_sq" in spec:
             raise ParameterError(f"{path}: give both beta_sq and c_sq, or neither")
-        return OracleAuto(float(spec.get("margin", 2.0)))
+        return OracleAuto(coerce(spec.get("margin", 2.0), float, f"{path}.margin"))
     raise ParameterError(f"{path}.kind: unknown policy kind {kind!r}")
 
 
@@ -159,10 +182,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """
     if not isinstance(raw, dict):
         raise ParameterError("config: expected a JSON object at top level")
-    try:
-        dataset = raw["dataset"]
-    except KeyError:
-        raise ParameterError("dataset: missing") from None
+    if "dataset" not in raw:
+        raise ParameterError("dataset: missing")
+    dataset = coerce(raw["dataset"], dict, "dataset")
     for key in ("n_devices", "m", "d", "o"):
         if key not in dataset:
             raise ParameterError(f"dataset.{key}: missing")
@@ -170,9 +192,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(noise_spec, dict):
         raise ParameterError("noise: missing or not an object")
     if "epsilon" in noise_spec:
-        noise, epsilon = None, float(noise_spec["epsilon"])
+        noise, epsilon = None, coerce(noise_spec["epsilon"], float, "noise.epsilon")
     elif "sigma1_sq" in noise_spec and "sigma2_sq" in noise_spec:
-        noise = NoiseParams(float(noise_spec["sigma1_sq"]), float(noise_spec["sigma2_sq"]))
+        noise = NoiseParams(
+            coerce(noise_spec["sigma1_sq"], float, "noise.sigma1_sq"),
+            coerce(noise_spec["sigma2_sq"], float, "noise.sigma2_sq"),
+        )
         epsilon = None
     else:
         raise ParameterError("noise: give sigma1_sq and sigma2_sq, or epsilon")
@@ -182,7 +207,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if schedule_spec["kind"] == "inverse":
         if "c" not in schedule_spec:
             raise ParameterError("schedule.c: missing")
-        schedule = InverseDecay(float(schedule_spec["c"]))
+        schedule = InverseDecay(coerce(schedule_spec["c"], float, "schedule.c"))
     elif schedule_spec["kind"] == "strong-convexity":
         schedule = None
     else:
@@ -192,22 +217,25 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ParameterError(f"{key}: missing")
     kwargs = {}
     if "noise_levels" in raw:
-        kwargs["noise_levels"] = tuple(float(x) for x in raw["noise_levels"])
+        kwargs["noise_levels"] = tuple(
+            coerce(x, float, f"noise_levels[{i}]")
+            for i, x in enumerate(coerce(raw["noise_levels"], list, "noise_levels"))
+        )
     if "baseline" in raw:
         kwargs["baseline"] = _policy_from_dict(raw["baseline"], "baseline")
     return ExperimentConfig(
-        n_devices=int(dataset["n_devices"]),
-        m=int(dataset["m"]),
-        d=int(dataset["d"]),
-        o=int(dataset["o"]),
-        straggler_p=float(raw["straggler_p"]),
+        n_devices=coerce(dataset["n_devices"], int, "dataset.n_devices"),
+        m=coerce(dataset["m"], int, "dataset.m"),
+        d=coerce(dataset["d"], int, "dataset.d"),
+        o=coerce(dataset["o"], int, "dataset.o"),
+        straggler_p=coerce(raw["straggler_p"], float, "straggler_p"),
         noise=noise,
         epsilon=epsilon,
         policy=_policy_from_dict(raw["policy"], "policy"),
         schedule=schedule,
-        steps=int(raw["steps"]),
-        master_seed=int(raw["master_seed"]),
-        replicates=int(raw["replicates"]),
+        steps=coerce(raw["steps"], int, "steps"),
+        master_seed=coerce(raw["master_seed"], int, "master_seed"),
+        replicates=coerce(raw["replicates"], int, "replicates"),
         out_dir=str(raw["out_dir"]),
         **kwargs,
     )

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from scipy.linalg import lapack
@@ -25,7 +22,6 @@ from .errors import NumericError, ParameterError
 __all__ = [
     "RngStream",
     "as_matrix",
-    "borrow_generator",
     "eig_min_sym",
     "gaussian_matrix",
     "spd_solve",
@@ -80,37 +76,6 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-_pool = threading.local()
-
-
-@contextmanager
-def borrow_generator(stream: RngStream) -> Iterator[np.random.Generator]:
-    """Generator at the start of ``stream``, recycling a per-thread Philox.
-
-    Yields the same draws as ``stream.generator()`` but skips bit-generator
-    construction, which dominates the cost of small draws in tight loops.
-    The underlying instance is reused after the ``with`` block exits, so do
-    not stash the yielded generator.
-    """
-    try:
-        spares = _pool.spares
-    except AttributeError:
-        spares = _pool.spares = []
-    bit_gen = spares.pop() if spares else np.random.Philox(key=0)
-    state = bit_gen.state
-    # "<u8" pins the byte order so the key matches generator() on any platform
-    state["state"]["key"][:] = np.frombuffer(stream.key_bytes(), dtype="<u8")
-    state["state"]["counter"][:] = 0
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
-    bit_gen.state = state
-    try:
-        yield np.random.Generator(bit_gen)
-    finally:
-        spares.append(bit_gen)
-
-
 def gaussian_matrix(stream: RngStream, rows: int, cols: int, variance: float) -> np.ndarray:
     """``rows x cols`` matrix of i.i.d. N(0, variance) entries.
 
@@ -120,8 +85,7 @@ def gaussian_matrix(stream: RngStream, rows: int, cols: int, variance: float) ->
         raise ParameterError(f"matrix dimensions must be positive, got ({rows}, {cols})")
     if variance < 0:
         raise ParameterError(f"variance must be nonnegative, got {variance}")
-    with borrow_generator(stream) as rng:
-        return rng.normal(0.0, math.sqrt(variance), size=(rows, cols))
+    return stream.generator().normal(0.0, math.sqrt(variance), size=(rows, cols))
 
 
 def uniform_matrix(stream: RngStream, rows: int, cols: int, low: float, high: float) -> np.ndarray:
@@ -130,8 +94,7 @@ def uniform_matrix(stream: RngStream, rows: int, cols: int, low: float, high: fl
         raise ParameterError(f"matrix dimensions must be positive, got ({rows}, {cols})")
     if not high >= low:
         raise ParameterError(f"need high >= low, got [{low}, {high})")
-    with borrow_generator(stream) as rng:
-        return rng.uniform(low, high, size=(rows, cols))
+    return stream.generator().uniform(low, high, size=(rows, cols))
 
 
 def _require_symmetric(a: np.ndarray, name: str) -> None:

@@ -23,6 +23,7 @@ the server actually observes (:class:`AdaptiveEstimated`).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,14 +31,13 @@ import numpy as np
 
 from .coding import GlobalCodedData, NoiseParams
 from .dataset import DeviceData, FederatedDataset, ProblemFacts
-from .errors import ParameterError
-from .numerics import RngStream, as_matrix, borrow_generator, uniform_matrix
+from .errors import NumericError, ParameterError
+from .numerics import RngStream, as_matrix, uniform_matrix
 
 __all__ = [
     "AdaptiveEstimated",
     "AdaptiveOracle",
     "AggregationPolicy",
-    "EstimatorState",
     "FixedWeight",
     "InverseDecay",
     "TrainingTrace",
@@ -134,13 +134,16 @@ def schedule_for_strong_convexity(lam: float) -> InverseDecay:
     return InverseDecay(1.0 / lam)
 
 
-def sample_stragglers(p: float, n: int, stream: RngStream) -> np.ndarray:
-    """Boolean presence mask: each device independently present w.p. ``1 - p``."""
+def sample_stragglers(p: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Boolean presence mask: each device independently present w.p. ``1 - p``.
+
+    Consumes ``n`` uniform draws from ``rng``, so successive calls on one
+    generator give the rows of one ``(T, n)`` block in order.
+    """
     _check_p(p)
     if n < 1:
         raise ParameterError(f"need at least one device, got n={n}")
-    with borrow_generator(stream) as rng:
-        return rng.random(n) >= p
+    return rng.random(n) >= p
 
 
 def local_gradient(dev: DeviceData, w) -> np.ndarray:
@@ -174,26 +177,15 @@ def alpha_oracle(
 
         alpha* = (p N b^2 / (1-p)) / (p N b^2 / (1-p) + N d s1 C^2 + N s2 o d)
 
+    ``N`` cancels, so this is :func:`alpha_estimated` at ``(beta_sq, c_sq)``.
     Returns 0 when ``p = 0`` (no stragglers, trust the devices fully) and 1
     when both encoding variances vanish; strictly below 1 otherwise.
     """
-    _check_p(p)
     if n_devices < 1 or d < 1 or o < 1:
         raise ParameterError("n_devices, d, o must be positive")
     if not (beta_sq > 0 and c_sq > 0):
         raise ParameterError("beta_sq and c_sq must be positive")
-    if p == 0.0:
-        return 0.0
-    num = p * n_devices * beta_sq / (1.0 - p)
-    den = num + n_devices * d * noise.sigma1_sq * c_sq + n_devices * noise.sigma2_sq * o * d
-    return num / den
-
-
-@dataclass
-class EstimatorState:
-    """Carries the most recent gradient-norm estimate across iterations."""
-
-    beta_sq: float | None = None
+    return alpha_estimated(p, d, o, noise, beta_sq, c_sq)
 
 
 def alpha_estimated(
@@ -201,40 +193,24 @@ def alpha_estimated(
     d: int,
     o: int,
     noise: NoiseParams,
-    received: Sequence[np.ndarray] | np.ndarray,
-    w,
-    state: EstimatorState | None = None,
-    fallback_alpha: float = 1.0,
+    beta_sq: float,
+    c_sq: float,
 ) -> float:
-    """Adaptive weight from the norms the server observes this iteration.
+    """Adaptive weight from norm estimates.
 
-    ``beta_hat^2`` is the mean squared Frobenius norm of the gradients in
-    ``received`` (the present devices' reports); when nobody reported it
-    falls back to the last estimate carried in ``state``, and before any
-    estimate exists the weight is ``fallback_alpha``.  With
-    ``c_hat^2 = ||W||_F^2`` the weight is
+    ``beta_sq`` estimates the squared Frobenius norm of a device gradient
+    (during training: the mean over the most recent reports) and ``c_sq``
+    the squared norm of the iterate.  The weight is
 
         alpha = p b^2 / (p b^2 + d s1 c^2 (1-p) + s2 o d (1-p)) ,
 
     which equals :func:`alpha_oracle` at the same estimates.
     """
     _check_p(p)
-    _check_alpha(fallback_alpha, "fallback_alpha")
-    if state is None:
-        state = EstimatorState()
-    if len(received) > 0:
-        if isinstance(received, np.ndarray):
-            state.beta_sq = float(np.einsum("ijk,ijk->i", received, received).mean())
-        else:
-            state.beta_sq = float(np.mean([np.sum(g * g) for g in received]))
-    if state.beta_sq is None:
-        return fallback_alpha
     if p == 0.0:
         return 0.0
-    w = as_matrix(w, "w")
-    c_sq_hat = float(np.sum(w * w))
-    num = p * state.beta_sq
-    den = num + d * noise.sigma1_sq * c_sq_hat * (1.0 - p) + noise.sigma2_sq * o * d * (1.0 - p)
+    num = p * beta_sq
+    den = num + d * noise.sigma1_sq * c_sq * (1.0 - p) + noise.sigma2_sq * o * d * (1.0 - p)
     if den <= 0.0:
         # Every observed norm is zero and so is the noise: the gradient is
         # zero regardless of the weight.
@@ -251,23 +227,30 @@ def aggregate(
 ) -> np.ndarray:
     """Blend the coded gradient with the received device gradients.
 
-    ``G_all = alpha * G_s + (1 - alpha)/(1 - p) * sum_i G_i * mask_i``; the
-    device sum is folded in device-index order for bit reproducibility.
+    ``G_all = alpha * G_s + (1 - alpha)/(1 - p) * sum_i G_i * mask_i``;
+    ``local_grads`` is an ``(n, d, o)`` stack or a list of ``n`` gradients.
     """
     _check_alpha(alpha)
     _check_p(p)
     g_s = as_matrix(g_s, "g_s")
-    if len(local_grads) != len(mask):
+    mask = np.asarray(mask, dtype=bool)
+    try:
+        grads = np.asarray(local_grads, dtype=np.float64)
+    except ValueError:
+        raise ParameterError("local gradients must all have the same shape") from None
+    if mask.ndim != 1 or grads.shape != (len(mask), *g_s.shape):
         raise ParameterError(
-            f"{len(local_grads)} gradients vs mask of length {len(mask)}"
+            f"gradients of shape {grads.shape} do not match a mask of shape {mask.shape} "
+            f"and g_s of shape {g_s.shape}"
         )
-    total = np.zeros_like(g_s)
-    for i, (g, present) in enumerate(zip(local_grads, mask)):
-        if g.shape != g_s.shape:
-            raise ParameterError(f"gradient {i} has shape {g.shape}, expected {g_s.shape}")
-        if present:
-            total += g
-    return alpha * g_s + ((1.0 - alpha) / (1.0 - p)) * total
+    return alpha * g_s + ((1.0 - alpha) / (1.0 - p)) * grads[mask].sum(axis=0)
+
+
+def _diverged(t: int, last_loss: float | None) -> NumericError:
+    return NumericError(
+        f"training diverged at iteration {t}: a non-finite loss, weight or gradient "
+        f"norm (last finite loss: {last_loss!r})"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,12 +300,18 @@ def train(
     the coded gradient, pick ``alpha_t`` per ``policy``, aggregate, record
     the trace row, then step ``W <- W - eta_t * G_all`` (``eta_1`` applies
     to the first update).  Deterministic given ``stream``: the mask for
-    iteration ``t`` comes from ``stream.child("mask", t)`` and, when ``w0``
-    is omitted, the initial iterate is uniform on ``[0, 1/30]`` drawn from
-    ``stream.child("init")``.
+    iteration ``t`` is row ``t`` drawn from one generator on
+    ``stream.child("mask")`` (so it does not depend on ``steps``) and, when
+    ``w0`` is omitted, the initial iterate is uniform on ``[0, 1/30]`` drawn
+    from ``stream.child("init")``.
 
     Adaptive policies need ``noise`` (the encoding variances) to weigh the
-    coded gradient's noise contribution.
+    coded gradient's noise contribution.  :class:`AdaptiveEstimated` uses
+    the mean squared norm of the latest reports, kept across iterations in
+    which no device reports, and ``fallback_alpha`` before the first report.
+
+    Raises :class:`NumericError` naming the iteration when the loss, the
+    weight or the aggregated gradient norm stops being finite.
     """
     _check_p(straggler_p)
     if steps < 0:
@@ -350,11 +339,8 @@ def train(
     # A_i @ W - B_i, and the total loss follows from the same Grams.
     a_stack = np.stack([dev.gram_x for dev in ds.devices])
     b_stack = np.stack([dev.gram_xy for dev in ds.devices])
-    a_sum = a_stack[0].copy()
-    b_sum = b_stack[0].copy()
-    for i in range(1, n):
-        a_sum += a_stack[i]
-        b_sum += b_stack[i]
+    a_sum = a_stack.sum(axis=0)
+    b_sum = b_stack.sum(axis=0)
     y_sq = sum(float(np.sum(dev.y * dev.y)) for dev in ds.devices)
 
     if isinstance(policy, FixedWeight):
@@ -365,7 +351,7 @@ def train(
         )
     else:
         alpha_const = None
-    estimator = EstimatorState()
+    beta_sq = None  # mean squared device-gradient norm of the latest report
 
     cols = {
         name: np.zeros(steps)
@@ -379,28 +365,13 @@ def train(
         )
     }
     n_present = np.zeros(steps, dtype=np.int64)
+    mask_rng = stream.child("mask").generator()
     mask_hash = hashlib.sha256()
 
     w = w0.copy()
+    last_loss = None
     for t in range(steps):
-        mask = sample_stragglers(straggler_p, n, stream.child("mask", t))
-        mask_hash.update(mask.tobytes())
-        grads = a_stack @ w - b_stack  # (n, d, o)
-        g_s = gc.h_x_sum @ w - gc.h_y_sum
-        if alpha_const is not None:
-            alpha_t = alpha_const
-        else:
-            alpha_t = alpha_estimated(
-                straggler_p, d, o, noise, grads[mask], w, estimator, policy.fallback_alpha
-            )
-        assert 0.0 <= alpha_t <= 1.0
-        g_all = aggregate(g_s, grads, mask, alpha_t, straggler_p)
-
-        sq_norms = np.einsum("ijk,ijk->i", grads, grads)
-        diff = w - facts.w_star
-        cols["alpha"][t] = alpha_t
-        n_present[t] = int(mask.sum())
-        cols["loss"][t] = max(
+        loss_t = max(
             0.5
             * (
                 float(np.einsum("ij,ij->", w, a_sum @ w))
@@ -409,9 +380,37 @@ def train(
             ),
             0.0,
         )
+        if math.isfinite(loss_t):
+            last_loss = loss_t
+        mask = sample_stragglers(straggler_p, n, mask_rng)
+        mask_hash.update(mask.tobytes())
+        grads = a_stack @ w - b_stack  # (n, d, o)
+        sq_norms = np.einsum("ijk,ijk->i", grads, grads)
+        w_norm_sq = float(np.sum(w * w))
+        if alpha_const is not None:
+            alpha_t = alpha_const
+        else:
+            if mask.any():
+                beta_sq = float(sq_norms[mask].mean())
+            if beta_sq is None:
+                alpha_t = policy.fallback_alpha
+            else:
+                alpha_t = alpha_estimated(straggler_p, d, o, noise, beta_sq, w_norm_sq)
+        # Checked before the coded gradient, which rejects a non-finite W.
+        if not (math.isfinite(loss_t) and 0.0 <= alpha_t <= 1.0):
+            raise _diverged(t, last_loss)
+        g_all = aggregate(coded_gradient(gc, w), grads, mask, alpha_t, straggler_p)
+        grad_norm_sq = float(np.sum(g_all * g_all))
+        if not math.isfinite(grad_norm_sq):
+            raise _diverged(t, last_loss)
+
+        diff = w - facts.w_star
+        cols["alpha"][t] = alpha_t
+        n_present[t] = int(mask.sum())
+        cols["loss"][t] = loss_t
         cols["dist_sq"][t] = float(np.sum(diff * diff))
-        cols["grad_norm_sq"][t] = float(np.sum(g_all * g_all))
-        cols["w_norm_sq"][t] = float(np.sum(w * w))
+        cols["grad_norm_sq"][t] = grad_norm_sq
+        cols["w_norm_sq"][t] = w_norm_sq
         cols["max_device_grad_sq"][t] = float(sq_norms.max())
 
         w = w - schedule.rate(t + 1) * g_all

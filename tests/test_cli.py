@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,26 @@ def write_run_config(tmp_path, **overrides):
     }
     raw.update(overrides)
     path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def write_tradeoff_config(tmp_path, **overrides):
+    raw = {
+        "p": 0.1,
+        "n_devices": 5,
+        "beta_sq": 100.0,
+        "c_sq": 1.0,
+        "d": 100,
+        "o": 10,
+        "lambda": 1.0,
+        "steps": 1000,
+        "sigma_grid": [0.5, 1.0, 2.0],
+        "policies": [{"kind": "adaptive"}, {"kind": "fixed", "alpha": 0.5}],
+        "out_dir": str(tmp_path / "curves"),
+    }
+    raw.update(overrides)
+    path = tmp_path / "tradeoff.json"
     path.write_text(json.dumps(raw))
     return path
 
@@ -89,21 +113,7 @@ def test_run_invalid_config_is_runtime_error(tmp_path, capsys):
 
 
 def test_tradeoff_subcommand(tmp_path, capsys):
-    config = {
-        "p": 0.1,
-        "n_devices": 5,
-        "beta_sq": 100.0,
-        "c_sq": 1.0,
-        "d": 100,
-        "o": 10,
-        "lambda": 1.0,
-        "steps": 1000,
-        "sigma_grid": [0.5, 1.0, 2.0],
-        "policies": [{"kind": "adaptive"}, {"kind": "fixed", "alpha": 0.5}],
-        "out_dir": str(tmp_path / "curves"),
-    }
-    path = tmp_path / "tradeoff.json"
-    path.write_text(json.dumps(config))
+    path = write_tradeoff_config(tmp_path)
     assert cli_main(["tradeoff", str(path)]) == 0
     adaptive = (tmp_path / "curves" / "tradeoff_adaptive.csv").read_text().splitlines()
     fixed = (tmp_path / "curves" / "tradeoff_fixed_0.5.csv").read_text().splitlines()
@@ -119,3 +129,27 @@ def test_tradeoff_missing_field(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"p": 0.1}))
     assert cli_main(["tradeoff", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,writer,override,field",
+    [
+        ("run", write_run_config, {"steps": "abc"}, "steps"),
+        ("run", write_run_config, {"noise_levels": 3}, "noise_levels"),
+        ("run", write_run_config, {"dataset": 7}, "dataset"),
+        ("tradeoff", write_tradeoff_config, {"policies": [3]}, "policies[0]"),
+        ("tradeoff", write_tradeoff_config, {"sigma_grid": []}, "sigma_grid"),
+    ],
+    ids=["run-steps", "run-noise_levels", "run-dataset", "tradeoff-policies", "tradeoff-sigma_grid"],
+)
+def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, override, field):
+    path = writer(tmp_path, **override)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "acfl.cli", command, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"acfl: error: {field}" in proc.stderr

@@ -5,7 +5,6 @@ from acfl.coding import (
     LocalCodedData,
     NoiseParams,
     aggregate_coded,
-    dump_global_csv,
     encode_local,
     payload_size,
 )
@@ -102,18 +101,6 @@ def test_aggregate_rejects_empty_and_mismatched():
     b = LocalCodedData(rng.normal(size=(4, 4)), rng.normal(size=(4, 2)))
     with pytest.raises(ParameterError):
         aggregate_coded([a, b])
-
-
-def test_dump_global_csv(tmp_path):
-    ds = generate(2, 8, 3, 2, RngStream(8).child("data"))
-    gc = aggregate_coded(
-        [encode_local(dev, NoiseParams(1.0, 1.0), RngStream(8).child("enc", i)) for i, dev in enumerate(ds.devices)]
-    )
-    paths = dump_global_csv(gc, tmp_path)
-    rows = paths[0].read_text().splitlines()
-    assert len(rows) == 3
-    back = np.array([[float(v) for v in row.split(",")] for row in rows])
-    assert np.array_equal(back, gc.h_x_sum)
 
 
 def test_coded_sum_unbiased():

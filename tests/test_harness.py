@@ -89,6 +89,9 @@ def test_config_parses_policy_kinds(tmp_path):
         (lambda raw: raw["policy"].__setitem__("kind", "nope"), "policy.kind"),
         (lambda raw: raw.__setitem__("schedule", {"kind": "inverse"}), "schedule.c"),
         (lambda raw: raw.__setitem__("replicates", 0), "replicates"),
+        (lambda raw: raw.__setitem__("steps", "abc"), "steps"),
+        (lambda raw: raw.__setitem__("noise_levels", 3), "noise_levels"),
+        (lambda raw: raw.__setitem__("dataset", 7), "dataset"),
     ],
 )
 def test_config_errors_name_field_paths(tmp_path, mutate, needle):

@@ -4,12 +4,11 @@ import pytest
 from acfl import DeviceData
 from acfl.coding import NoiseParams, aggregate_coded, encode_local
 from acfl.dataset import generate, loss, optimum
-from acfl.errors import ParameterError
+from acfl.errors import NumericError, ParameterError
 from acfl.numerics import RngStream
 from acfl.training import (
     AdaptiveEstimated,
     AdaptiveOracle,
-    EstimatorState,
     FixedWeight,
     InverseDecay,
     aggregate,
@@ -36,31 +35,32 @@ def _coded(ds, sigma_sq, stream):
 
 
 def test_no_stragglers_at_p_zero():
-    mask = sample_stragglers(0.0, 50, RngStream(1).child("m"))
+    mask = sample_stragglers(0.0, 50, RngStream(1).child("m").generator())
     assert mask.all()
 
 
 def test_straggler_frequency():
-    root = RngStream(2)
+    rng = RngStream(2).child("m").generator()
     present = 0
     iters, n = 10_000, 100
-    for t in range(iters):
-        present += int(sample_stragglers(0.2, n, root.child("m", t)).sum())
+    for _ in range(iters):
+        present += int(sample_stragglers(0.2, n, rng).sum())
     frac = present / (iters * n)
     se = np.sqrt(0.8 * 0.2 / (iters * n))
     assert abs(frac - 0.8) < 4 * se
 
 
 def test_extreme_but_legal_p():
-    mask = sample_stragglers(0.999, 3, RngStream(3).child("m"))
+    mask = sample_stragglers(0.999, 3, RngStream(3).child("m").generator())
     assert mask.shape == (3,)
 
 
 def test_straggler_rejects_bad_p():
+    rng = RngStream(0).generator()
     with pytest.raises(ParameterError):
-        sample_stragglers(1.0, 5, RngStream(0))
+        sample_stragglers(1.0, 5, rng)
     with pytest.raises(ParameterError):
-        sample_stragglers(-0.1, 5, RngStream(0))
+        sample_stragglers(-0.1, 5, rng)
 
 
 # ----------------------------------------------------------------- gradients
@@ -162,31 +162,18 @@ def test_alpha_estimated_matches_oracle_when_all_present(random_instance):
     grads = [local_gradient(dev, w) for dev in ds.devices]
     noise = NoiseParams(0.7, 1.3)
     p = 0.25
-    est = alpha_estimated(p, 4, 3, noise, grads, w)
     beta_sq_hat = float(np.mean([np.sum(g * g) for g in grads]))
     c_sq_hat = float(np.sum(w * w))
+    est = alpha_estimated(p, 4, 3, noise, beta_sq_hat, c_sq_hat)
     orc = alpha_oracle(p, 6, beta_sq_hat, c_sq_hat, 4, 3, noise)
-    assert est == pytest.approx(orc, rel=1e-12)
+    expect = p * beta_sq_hat / (
+        p * beta_sq_hat + 4 * 0.7 * c_sq_hat * (1 - p) + 1.3 * 3 * 4 * (1 - p)
+    )
+    assert est == orc == pytest.approx(expect, rel=1e-12)
 
 
-def test_alpha_estimated_no_stragglers(random_instance):
-    ds = random_instance(11, n=2, m=8, d=3, o=2)
-    w = np.ones((3, 2))
-    grads = [local_gradient(dev, w) for dev in ds.devices]
-    assert alpha_estimated(0.0, 3, 2, NoiseParams(1.0, 1.0), grads, w) == 0.0
-
-
-def test_alpha_estimated_fallback_and_reuse():
-    noise = NoiseParams(1.0, 1.0)
-    w = np.ones((3, 2))
-    assert alpha_estimated(0.5, 3, 2, noise, [], w, fallback_alpha=1.0) == 1.0
-    assert alpha_estimated(0.5, 3, 2, noise, [], w, fallback_alpha=0.25) == 0.25
-    state = EstimatorState()
-    g = [np.full((3, 2), 0.5)]
-    with_obs = alpha_estimated(0.5, 3, 2, noise, g, w, state)
-    assert state.beta_sq == pytest.approx(6 * 0.25)
-    reused = alpha_estimated(0.5, 3, 2, noise, [], w, state)
-    assert reused == with_obs
+def test_alpha_estimated_no_stragglers():
+    assert alpha_estimated(0.0, 3, 2, NoiseParams(1.0, 1.0), 4.0, 6.0) == 0.0
 
 
 # ---------------------------------------------------------------- aggregate
@@ -224,6 +211,8 @@ def test_aggregate_validation():
     with pytest.raises(ParameterError):
         aggregate(g, [np.zeros((3, 2))], np.array([True]), 0.5, 0.0)
     with pytest.raises(ParameterError):
+        aggregate(g, [g, np.zeros((2, 3))], np.array([True, True]), 0.5, 0.0)
+    with pytest.raises(ParameterError):
         aggregate(g, [g], np.array([True]), 1.5, 0.0)
 
 
@@ -256,25 +245,132 @@ def test_train_zero_steps(random_instance):
     assert np.array_equal(tr.final_w, tr.w0)
 
 
-def test_train_matches_plain_gradient_descent(random_instance):
-    # p = 0 and zero noise with alpha = 0 is exact full-batch descent
-    ds = random_instance(13, n=3, m=10, d=4, o=2)
+def _naive_train(ds, gc, policy, p, steps, c, stream, facts, noise, w0):
+    """Reference loop: per-device gradients, sums folded in device order."""
+    d, o = w0.shape
+    rng = stream.child("mask").generator()
+    w = w0.copy()
+    beta_sq = None
+    rows = []
+    for t in range(steps):
+        mask = rng.random(len(ds.devices)) >= p
+        grads = [local_gradient(dev, w) for dev in ds.devices]
+        total = np.zeros((d, o))
+        for g, present in zip(grads, mask):
+            if present:
+                total = total + g
+        sq = [float(np.sum(g * g)) for g in grads]
+        c_sq = float(np.sum(w * w))
+        if isinstance(policy, FixedWeight):
+            alpha = policy.alpha
+        else:
+            if isinstance(policy, AdaptiveOracle):
+                b_sq, w_sq = policy.beta_sq, policy.c_sq
+            else:
+                if mask.any():
+                    beta_sq = sum(s for s, m in zip(sq, mask) if m) / int(mask.sum())
+                b_sq, w_sq = beta_sq, c_sq
+            if b_sq is None:
+                alpha = policy.fallback_alpha
+            elif p == 0.0:
+                alpha = 0.0
+            else:
+                var = d * noise.sigma1_sq * w_sq + noise.sigma2_sq * o * d
+                alpha = p * b_sq / (p * b_sq + (1 - p) * var)
+        g_all = alpha * (gc.h_x_sum @ w - gc.h_y_sum) + (1 - alpha) / (1 - p) * total
+        rows.append(
+            (
+                alpha,
+                int(mask.sum()),
+                loss(w, ds),
+                float(np.sum((w - facts.w_star) ** 2)),
+                float(np.sum(g_all * g_all)),
+                c_sq,
+                max(sq),
+            )
+        )
+        w = w - (c / (t + 1)) * g_all
+    return np.array(rows), w
+
+
+TRACE_COLUMNS = (
+    "alpha", "n_present", "loss", "dist_sq", "grad_norm_sq", "w_norm_sq", "max_device_grad_sq",
+)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.4])
+@pytest.mark.parametrize(
+    "policy",
+    [FixedWeight(0.3), AdaptiveOracle(5.0, 2.0), AdaptiveEstimated(0.6)],
+    ids=["fixed", "oracle", "estimated"],
+)
+def test_train_matches_plain_gradient_descent(random_instance, policy, p):
+    # The batched step against a per-device loop, within rtol 1e-10: the
+    # summation order differs, so equality is not required.
+    ds = random_instance(13, n=5, m=10, d=4, o=2)
     facts = optimum(ds)
-    gc = _coded(ds, 0.0, RngStream(13))
+    noise = NoiseParams(0.3, 0.3)
+    gc = _coded(ds, 0.3, RngStream(13))
     w0 = np.full((4, 2), 0.01)
     steps, c = 300, 1e-3
-    tr = train(
-        ds, gc, FixedWeight(0.0), 0.0, steps, InverseDecay(c),
-        RngStream(13).child("t"), facts, w0=w0,
+    stream = RngStream(13).child("t")
+    tr = train(ds, gc, policy, p, steps, InverseDecay(c), stream, facts, noise=noise, w0=w0)
+    rows, w = _naive_train(ds, gc, policy, p, steps, c, stream, facts, noise, w0)
+    for j, name in enumerate(TRACE_COLUMNS):
+        assert np.allclose(getattr(tr, name), rows[:, j], rtol=1e-10, atol=0.0), name
+    assert np.allclose(tr.final_w, w, rtol=1e-10, atol=0.0)
+
+
+def test_train_estimated_weight_falls_back_then_reuses_last_estimate(random_instance):
+    # With p = 0.9 and two devices many iterations have nobody present: the
+    # weight is fallback_alpha until the first report, then reuses the
+    # latest report's norm estimate.
+    ds = random_instance(19, n=2, m=8, d=3, o=2)
+    facts = optimum(ds)
+    noise = NoiseParams(1.0, 1.0)
+    gc = _coded(ds, 1.0, RngStream(19))
+    p, steps, stream = 0.9, 40, RngStream(19).child("t")
+
+    def run(steps):
+        return train(
+            ds, gc, AdaptiveEstimated(0.25), p, steps, InverseDecay(1e-3),
+            stream, facts, noise=noise,
+        )
+
+    tr = run(steps)
+    rng = stream.child("mask").generator()
+    masks = [sample_stragglers(p, 2, rng) for _ in range(steps)]
+    assert [int(m.sum()) for m in masks] == list(tr.n_present)
+    first = int(np.flatnonzero(tr.n_present)[0])
+    assert first > 0
+    assert np.all(tr.alpha[:first] == 0.25)
+    reused = [
+        t for t in range(first + 1, steps) if tr.n_present[t] == 0 and tr.n_present[t - 1] > 0
+    ]
+    assert reused
+    for t in reused:
+        w_prev = run(t - 1).final_w
+        grads = [local_gradient(dev, w_prev) for dev, m in zip(ds.devices, masks[t - 1]) if m]
+        beta_sq = float(np.mean([np.sum(g * g) for g in grads]))
+        expect = alpha_estimated(p, 3, 2, noise, beta_sq, tr.w_norm_sq[t])
+        assert tr.alpha[t] == pytest.approx(expect, rel=1e-12)
+        assert tr.alpha[t] != tr.alpha[t - 1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("policy", [FixedWeight(0.5), AdaptiveEstimated()], ids=["fixed", "estimated"])
+def test_train_divergence_names_the_iteration(policy):
+    root = RngStream(20)
+    ds = generate(100, 100, 10, 10, root.child("data"))
+    noise = NoiseParams(0.1, 0.1)
+    gc = aggregate_coded(
+        [encode_local(dev, noise, root.child("enc", i)) for i, dev in enumerate(ds.devices)]
     )
-    w = w0.copy()
-    oracle_losses = []
-    for t in range(steps):
-        oracle_losses.append(loss(w, ds))
-        g = sum(dev.x.T @ (dev.x @ w - dev.y) for dev in ds.devices)
-        w = w - (c / (t + 1)) * g
-    assert np.allclose(tr.final_w, w, rtol=1e-12, atol=1e-12)
-    assert np.allclose(tr.loss, oracle_losses, rtol=1e-8, atol=1e-12)
+    with pytest.raises(NumericError, match=r"iteration \d+.*last finite loss: \d"):
+        train(
+            ds, gc, policy, 0.2, 300, InverseDecay(1.0), root.child("train"),
+            optimum(ds), noise=noise,
+        )
 
 
 def test_train_reference_setup_loss_drops():
