@@ -11,6 +11,7 @@ import numpy as np
 
 from acfl import (
     AdaptiveEstimated,
+    Arm,
     FixedWeight,
     InverseDecay,
     NoiseParams,
@@ -43,22 +44,23 @@ print()
 print("=" * 64)
 print("2. one-time encoding at two noise levels")
 print("=" * 64)
-results = {}
+arms, labels = [], []
 for sigma_sq in (0.1, 10.0):
     noise = NoiseParams(sigma_sq, sigma_sq)
     coded = aggregate_coded(
         [encode_local(dev, noise, root.child("encode", i)) for i, dev in enumerate(ds.devices)]
     )
     for label, policy in (("adaptive", AdaptiveEstimated()), ("fixed 0.5", FixedWeight(0.5))):
-        trace = train(
-            ds, coded, policy, P, STEPS, InverseDecay(1e-3),
-            root.child("train"), facts, noise=noise,
-        )
-        results[(sigma_sq, label)] = trace
-        print(
-            f"sigma^2={sigma_sq:<5g} {label:<9} loss {trace.loss[0]:8.3f} -> "
-            f"{loss(trace.final_w, ds):10.6f}   mean alpha {trace.alpha.mean():.4f}"
-        )
+        arms.append(Arm(coded, policy, noise))
+        labels.append((sigma_sq, label))
+# One loop advances all four runs on the same straggler masks.
+traces = train(ds, arms, P, STEPS, InverseDecay(1e-3), root.child("train"), facts)
+results = dict(zip(labels, traces))
+for (sigma_sq, label), trace in results.items():
+    print(
+        f"sigma^2={sigma_sq:<5g} {label:<9} loss {trace.loss[0]:8.3f} -> "
+        f"{loss(trace.final_w, ds):10.6f}   mean alpha {trace.alpha.mean():.4f}"
+    )
 print()
 print("Both policies see identical data, coding noise, and straggler draws")
 print("(same streams). At low noise the coded gradient is nearly exact and")

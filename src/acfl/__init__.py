@@ -51,6 +51,7 @@ from .training import (
     AdaptiveEstimated,
     AdaptiveOracle,
     AggregationPolicy,
+    Arm,
     FixedWeight,
     InverseDecay,
     TrainingTrace,
@@ -70,6 +71,7 @@ __all__ = [
     "AdaptiveEstimated",
     "AdaptiveOracle",
     "AggregationPolicy",
+    "Arm",
     "BoundInputs",
     "ComparisonResult",
     "DeviceData",

@@ -28,6 +28,7 @@ from .training import (
     AdaptiveEstimated,
     AdaptiveOracle,
     AggregationPolicy,
+    Arm,
     FixedWeight,
     InverseDecay,
     TrainingTrace,
@@ -110,7 +111,12 @@ class ExperimentConfig:
             raise ParameterError(f"replicates: must be positive, got {self.replicates}")
         if not self.out_dir:
             raise ParameterError("out_dir: must be a nonempty path")
-        object.__setattr__(self, "noise_levels", tuple(float(x) for x in self.noise_levels))
+        levels = coerce(self.noise_levels, list, "noise_levels")
+        object.__setattr__(
+            self,
+            "noise_levels",
+            tuple(coerce(x, float, f"noise_levels[{i}]") for i, x in enumerate(levels)),
+        )
         for x in self.noise_levels:
             if x < 0:
                 raise ParameterError(f"noise_levels: must be nonnegative, got {x}")
@@ -217,10 +223,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ParameterError(f"{key}: missing")
     kwargs = {}
     if "noise_levels" in raw:
-        kwargs["noise_levels"] = tuple(
-            coerce(x, float, f"noise_levels[{i}]")
-            for i, x in enumerate(coerce(raw["noise_levels"], list, "noise_levels"))
-        )
+        kwargs["noise_levels"] = raw["noise_levels"]
     if "baseline" in raw:
         kwargs["baseline"] = _policy_from_dict(raw["baseline"], "baseline")
     return ExperimentConfig(
@@ -335,46 +338,58 @@ def _coded_digest(gc: GlobalCodedData) -> str:
     return h.hexdigest()
 
 
-def _run_replicate(cfg: ExperimentConfig, policy: AggregationPolicy, r: int) -> ReplicateRecord:
+def _run_replicate(cfg: ExperimentConfig, arms, r: int) -> tuple[ReplicateRecord, ...]:
+    """Replicate ``r`` of every ``(noise, policy)`` arm, trained in one loop.
+
+    The arms share the dataset, the straggler masks and the initial iterate;
+    arms with equal noise share the coded sums.  One record per arm, in order.
+    """
     root = RngStream(cfg.master_seed)
     ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
     facts = optimum(ds)
-    noise = cfg.resolved_noise()
-    encoded = [
-        encode_local(dev, noise, root.child("encode", r, i)) for i, dev in enumerate(ds.devices)
-    ]
-    gc = aggregate_coded(encoded)
+    coded: dict[NoiseParams, GlobalCodedData] = {}
+    for noise, _ in arms:
+        if noise not in coded:
+            coded[noise] = aggregate_coded(
+                [
+                    encode_local(dev, noise, root.child("encode", r, i))
+                    for i, dev in enumerate(ds.devices)
+                ]
+            )
     schedule = cfg.schedule or schedule_for_strong_convexity(facts.lam)
-    trace = train(
+    traces = train(
         ds,
-        gc,
-        policy,
+        [Arm(coded[noise], policy, noise) for noise, policy in arms],
         cfg.straggler_p,
         cfg.steps,
         schedule,
         root.child("train", r),
         facts,
-        noise=noise,
     )
-    return ReplicateRecord(
-        replicate=r,
-        trace=trace,
-        final_loss=loss(trace.final_w, ds),
-        dataset_digest=_dataset_digest(ds),
-        coded_digest=_coded_digest(gc),
+    dataset_digest = _dataset_digest(ds)
+    return tuple(
+        ReplicateRecord(
+            replicate=r,
+            trace=trace,
+            final_loss=loss(trace.final_w, ds),
+            dataset_digest=dataset_digest,
+            coded_digest=_coded_digest(coded[noise]),
+        )
+        for (noise, _), trace in zip(arms, traces)
     )
 
 
 def _run_replicates(
-    cfg: ExperimentConfig, policy: AggregationPolicy, workers: int
-) -> tuple[ReplicateRecord, ...]:
+    cfg: ExperimentConfig, arms, workers: int
+) -> tuple[tuple[ReplicateRecord, ...], ...]:
+    """Every replicate of every arm: one tuple of records per arm, by replicate."""
     indices = range(cfg.replicates)
     if workers <= 1:
-        records = [_run_replicate(cfg, policy, r) for r in indices]
+        per_replicate = [_run_replicate(cfg, arms, r) for r in indices]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda r: _run_replicate(cfg, policy, r), indices))
-    return tuple(sorted(records, key=lambda rec: rec.replicate))
+            per_replicate = list(pool.map(lambda r: _run_replicate(cfg, arms, r), indices))
+    return tuple(zip(*per_replicate))
 
 
 def resolve_policy(cfg: ExperimentConfig) -> AggregationPolicy:
@@ -384,7 +399,7 @@ def resolve_policy(cfg: ExperimentConfig) -> AggregationPolicy:
         return policy
     if cfg.steps < 1:
         raise ParameterError("policy: auto oracle constants need steps >= 1 to probe")
-    probe = _run_replicate(cfg, AdaptiveEstimated(1.0), 0)
+    (probe,) = _run_replicate(cfg, [(cfg.resolved_noise(), AdaptiveEstimated(1.0))], 0)
     beta_sq = float(probe.trace.max_device_grad_sq.max()) * policy.margin
     c_sq = float(probe.trace.w_norm_sq.max()) * policy.margin
     if not (beta_sq > 0 and c_sq > 0):
@@ -446,7 +461,7 @@ def run_experiment(cfg: ExperimentConfig, *, workers: int = 1) -> RunResult:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     policy = resolve_policy(cfg)
-    records = _run_replicates(cfg, policy, workers)
+    (records,) = _run_replicates(cfg, [(cfg.resolved_noise(), policy)], workers)
     trace_path = out_dir / "trace.csv"
     summary_path = out_dir / "summary.csv"
     _write_trace(trace_path, records)
@@ -464,24 +479,29 @@ def compare_baselines(
 
     For each common variance in ``noise_levels`` both methods run on the
     same replicate streams, so they see bit-identical datasets, coding
-    noise, and straggler masks; only the aggregation weights differ.
+    noise, and straggler masks; only the aggregation weights differ.  Both
+    ``cfg.policy`` and ``cfg.baseline`` run as given, except that an
+    :class:`OracleAuto` one is resolved by a probe at each level.  Every
+    arm of a replicate (both methods at every level) trains in one loop.
     Writes ``comparison.csv`` and reports, per level, the fraction of seeds
     where the adaptive final loss does not exceed the baseline's.
     """
-    levels = tuple(float(x) for x in (noise_levels if noise_levels is not None else cfg.noise_levels))
+    if noise_levels is not None:
+        cfg = replace(cfg, noise_levels=noise_levels)
+    levels = cfg.noise_levels
     if len(levels) == 0:
         raise ParameterError("noise_levels: need at least one level")
-    adaptive = cfg.policy if isinstance(cfg.policy, AdaptiveEstimated) else AdaptiveEstimated(1.0)
+    arms = []
+    for level in levels:
+        cfg_level = replace(cfg, noise=NoiseParams(level, level), epsilon=None)
+        arms.append((cfg_level.noise, resolve_policy(cfg_level)))
+        arms.append((cfg_level.noise, resolve_policy(replace(cfg_level, policy=cfg.baseline))))
+    per_arm = _run_replicates(cfg, arms, workers)
     rows = []
     records: dict[tuple[float, str], tuple[ReplicateRecord, ...]] = {}
     win_rates: dict[float, float] = {}
-    for level in levels:
-        cfg_level = replace(cfg, noise=NoiseParams(level, level), epsilon=None)
-        baseline = cfg_level.baseline
-        if isinstance(baseline, OracleAuto):
-            baseline = resolve_policy(replace(cfg_level, policy=baseline))
-        recs_a = _run_replicates(cfg_level, adaptive, workers)
-        recs_b = _run_replicates(cfg_level, baseline, workers)
+    for i, level in enumerate(levels):
+        recs_a, recs_b = per_arm[2 * i], per_arm[2 * i + 1]
         records[(level, METHOD_ADAPTIVE)] = recs_a
         records[(level, METHOD_BASELINE)] = recs_b
         for rec in recs_a:

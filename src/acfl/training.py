@@ -23,7 +23,6 @@ the server actually observes (:class:`AdaptiveEstimated`).
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,6 +37,7 @@ __all__ = [
     "AdaptiveEstimated",
     "AdaptiveOracle",
     "AggregationPolicy",
+    "Arm",
     "FixedWeight",
     "InverseDecay",
     "TrainingTrace",
@@ -246,10 +246,35 @@ def aggregate(
     return alpha * g_s + ((1.0 - alpha) / (1.0 - p)) * grads[mask].sum(axis=0)
 
 
-def _diverged(t: int, last_loss: float | None) -> NumericError:
+@dataclass(frozen=True, eq=False)
+class Arm:
+    """One of the runs :func:`train` advances together on one dataset.
+
+    An arm is the server's coded sums, the policy that weighs them against
+    the device gradients, and the encoding variances behind those sums;
+    the adaptive policies need ``noise`` to weigh the coded gradient's noise.
+    """
+
+    coded: GlobalCodedData
+    policy: AggregationPolicy
+    noise: NoiseParams | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.policy, (FixedWeight, AdaptiveOracle, AdaptiveEstimated)):
+            raise ParameterError(f"unsupported policy: {self.policy!r}")
+        if not isinstance(self.policy, FixedWeight) and self.noise is None:
+            raise ParameterError("adaptive policies need the encoding noise parameters")
+
+
+def _diverged(t: int, arms, record: np.ndarray) -> NumericError:
+    """The error naming iteration ``t`` and the first arm whose row ``t`` is not finite."""
+    j = int(np.flatnonzero(~np.isfinite(record[t]).all(axis=0))[0])
+    losses = record[: t + 1, _TRACE_COLUMNS.index("loss"), j]
+    finite = losses[np.isfinite(losses)]
+    last_loss = float(finite[-1]) if len(finite) else None
     return NumericError(
-        f"training diverged at iteration {t}: a non-finite loss, weight or gradient "
-        f"norm (last finite loss: {last_loss!r})"
+        f"training diverged at iteration {t} in arm {j} ({arms[j].policy!r}): a non-finite "
+        f"loss, weight or norm (last finite loss: {last_loss!r})"
     )
 
 
@@ -281,50 +306,56 @@ class TrainingTrace:
         return len(self.t)
 
 
+_TRACE_COLUMNS = ("alpha", "loss", "dist_sq", "grad_norm_sq", "w_norm_sq", "max_device_grad_sq")
+
+
 def train(
     ds: FederatedDataset,
-    gc: GlobalCodedData,
-    policy: AggregationPolicy,
+    arms: Sequence[Arm],
     straggler_p: float,
     steps: int,
     schedule: InverseDecay,
     stream: RngStream,
     facts: ProblemFacts,
     *,
-    noise: NoiseParams | None = None,
     w0: np.ndarray | None = None,
-) -> TrainingTrace:
-    """Run the two-source training loop for ``steps`` iterations.
+) -> tuple[TrainingTrace, ...]:
+    """Run the two-source training loop for ``steps`` iterations on every arm.
 
-    Per iteration: draw the presence mask, compute all device gradients and
-    the coded gradient, pick ``alpha_t`` per ``policy``, aggregate, record
-    the trace row, then step ``W <- W - eta_t * G_all`` (``eta_1`` applies
-    to the first update).  Deterministic given ``stream``: the mask for
-    iteration ``t`` is row ``t`` drawn from one generator on
-    ``stream.child("mask")`` (so it does not depend on ``steps``) and, when
-    ``w0`` is omitted, the initial iterate is uniform on ``[0, 1/30]`` drawn
-    from ``stream.child("init")``.
+    The arms share the dataset, the straggler masks and ``w0``; each has its
+    own coded sums, policy and iterate, and gets its own trace, in order.
+    Per iteration: draw one presence mask, compute every device gradient of
+    every arm in one product ``[A_1; ..; A_n] [W_1 .. W_K] - [B_i .. B_i]``
+    and every coded gradient ``H_X W - H_Y``, pick each arm's ``alpha_t`` per
+    its policy, aggregate, record the trace rows, then step
+    ``W <- W - eta_t * G_all`` (``eta_1`` applies to the first update).
+    Deterministic given ``stream``: the mask for iteration ``t`` is row ``t``
+    drawn from one generator on ``stream.child("mask")`` (so it does not
+    depend on ``steps`` or on the arms) and, when ``w0`` is omitted, the
+    initial iterate is uniform on ``[0, 1/30]`` drawn from
+    ``stream.child("init")``.
 
-    Adaptive policies need ``noise`` (the encoding variances) to weigh the
-    coded gradient's noise contribution.  :class:`AdaptiveEstimated` uses
-    the mean squared norm of the latest reports, kept across iterations in
-    which no device reports, and ``fallback_alpha`` before the first report.
+    :class:`AdaptiveEstimated` uses the mean squared norm of the latest
+    reports, kept across iterations in which no device reports, and
+    ``fallback_alpha`` before the first report.  The recorded loss is
+    ``loss_at_optimum + <D, (sum_i A_i) D> / 2`` with ``D = W - W*``, which
+    stays accurate near the optimum.
 
-    Raises :class:`NumericError` naming the iteration when the loss, the
-    weight or the aggregated gradient norm stops being finite.
+    Raises :class:`NumericError` naming the iteration and the arm when a
+    value of that arm's trace row (loss, weight or a norm) is not finite.
     """
     _check_p(straggler_p)
     if steps < 0:
         raise ParameterError(f"steps must be nonnegative, got {steps}")
     if not isinstance(schedule, InverseDecay):
         raise ParameterError(f"unsupported schedule: {schedule!r}")
-    if not isinstance(policy, (FixedWeight, AdaptiveOracle, AdaptiveEstimated)):
-        raise ParameterError(f"unsupported policy: {policy!r}")
-    if isinstance(policy, (AdaptiveOracle, AdaptiveEstimated)) and noise is None:
-        raise ParameterError("adaptive policies need the encoding noise parameters")
-    n, d, o = ds.n_devices, ds.d, ds.o
-    if gc.h_x_sum.shape != (d, d) or gc.h_y_sum.shape != (d, o):
-        raise ParameterError("coded data shapes do not match the dataset dimensions")
+    arms = tuple(arms)
+    if not arms:
+        raise ParameterError("need at least one arm to train")
+    n, d, o, k = ds.n_devices, ds.d, ds.o, len(arms)
+    for j, arm in enumerate(arms):
+        if arm.coded.h_x_sum.shape != (d, d) or arm.coded.h_y_sum.shape != (d, o):
+            raise ParameterError(f"arm {j}: coded data shapes do not match the dataset dimensions")
     if facts.w_star.shape != (d, o):
         raise ParameterError("facts.w_star shape does not match the dataset")
 
@@ -335,96 +366,85 @@ def train(
         if w0.shape != (d, o):
             raise ParameterError(f"w0 must be ({d}, {o}), got {w0.shape}")
 
-    # Device-side quantities, stacked once: batched gradients are
-    # A_i @ W - B_i, and the total loss follows from the same Grams.
+    # Device-side quantities, stacked once.  Row block i of a_flat is A_i and
+    # column block j of the iterate matrix is W_j, so one product gives every
+    # A_i W_j; b_tiled repeats each B_i once per arm.
     a_stack = np.stack([dev.gram_x for dev in ds.devices])
-    b_stack = np.stack([dev.gram_xy for dev in ds.devices])
     a_sum = a_stack.sum(axis=0)
-    b_sum = b_stack.sum(axis=0)
-    y_sq = sum(float(np.sum(dev.y * dev.y)) for dev in ds.devices)
+    a_flat = a_stack.reshape(n * d, d)
+    b_tiled = np.tile(np.stack([dev.gram_xy for dev in ds.devices]).reshape(n * d, o), k)
+    # Sums a (d, K, o)-ordered row of squares into one entry per arm.
+    arm_of_entry = np.tile(np.repeat(np.eye(k), o, axis=0), (d, 1))
+    h_x = np.stack([arm.coded.h_x_sum for arm in arms])
+    h_y = np.stack([arm.coded.h_y_sum for arm in arms])
 
-    if isinstance(policy, FixedWeight):
-        alpha_const = policy.alpha
-    elif isinstance(policy, AdaptiveOracle):
-        alpha_const = alpha_oracle(
-            straggler_p, n, policy.beta_sq, policy.c_sq, d, o, noise
-        )
-    else:
-        alpha_const = None
-    beta_sq = None  # mean squared device-gradient norm of the latest report
+    alpha = np.empty(k)  # constant entries, except the estimated arms'
+    estimated = []
+    for j, arm in enumerate(arms):
+        if isinstance(arm.policy, FixedWeight):
+            alpha[j] = arm.policy.alpha
+        elif isinstance(arm.policy, AdaptiveOracle):
+            alpha[j] = alpha_oracle(
+                straggler_p, n, arm.policy.beta_sq, arm.policy.c_sq, d, o, arm.noise
+            )
+        else:
+            alpha[j] = arm.policy.fallback_alpha
+            estimated.append(j)
+    beta_sq = None  # per arm: mean squared device-gradient norm of the latest report
 
-    cols = {
-        name: np.zeros(steps)
-        for name in (
-            "alpha",
-            "loss",
-            "dist_sq",
-            "grad_norm_sq",
-            "w_norm_sq",
-            "max_device_grad_sq",
-        )
-    }
+    # Row t holds iteration t's trace columns, one entry per arm.
+    record = np.zeros((steps, len(_TRACE_COLUMNS), k))
     n_present = np.zeros(steps, dtype=np.int64)
     mask_rng = stream.child("mask").generator()
     mask_hash = hashlib.sha256()
 
-    w = w0.copy()
-    last_loss = None
+    w = np.repeat(w0[None], k, axis=0)  # (K, d, o)
     for t in range(steps):
-        loss_t = max(
-            0.5
-            * (
-                float(np.einsum("ij,ij->", w, a_sum @ w))
-                - 2.0 * float(np.einsum("ij,ij->", w, b_sum))
-                + y_sq
-            ),
-            0.0,
-        )
-        if math.isfinite(loss_t):
-            last_loss = loss_t
+        diff = w - facts.w_star
+        loss_t = facts.loss_at_optimum + 0.5 * np.einsum("kij,kij->k", diff, a_sum @ diff)
         mask = sample_stragglers(straggler_p, n, mask_rng)
         mask_hash.update(mask.tobytes())
-        grads = a_stack @ w - b_stack  # (n, d, o)
-        sq_norms = np.einsum("ijk,ijk->i", grads, grads)
-        w_norm_sq = float(np.sum(w * w))
-        if alpha_const is not None:
-            alpha_t = alpha_const
-        else:
-            if mask.any():
-                beta_sq = float(sq_norms[mask].mean())
-            if beta_sq is None:
-                alpha_t = policy.fallback_alpha
-            else:
-                alpha_t = alpha_estimated(straggler_p, d, o, noise, beta_sq, w_norm_sq)
-        # Checked before the coded gradient, which rejects a non-finite W.
-        if not (math.isfinite(loss_t) and 0.0 <= alpha_t <= 1.0):
-            raise _diverged(t, last_loss)
-        g_all = aggregate(coded_gradient(gc, w), grads, mask, alpha_t, straggler_p)
-        grad_norm_sq = float(np.sum(g_all * g_all))
-        if not math.isfinite(grad_norm_sq):
-            raise _diverged(t, last_loss)
-
-        diff = w - facts.w_star
-        cols["alpha"][t] = alpha_t
-        n_present[t] = int(mask.sum())
-        cols["loss"][t] = loss_t
-        cols["dist_sq"][t] = float(np.sum(diff * diff))
-        cols["grad_norm_sq"][t] = grad_norm_sq
-        cols["w_norm_sq"][t] = w_norm_sq
-        cols["max_device_grad_sq"][t] = float(sq_norms.max())
-
+        present = mask.astype(np.float64)
+        n_present[t] = count = np.count_nonzero(mask)
+        grads = (a_flat @ w.transpose(1, 0, 2).reshape(d, k * o) - b_tiled).reshape(n, -1)
+        sq_norms = (grads * grads) @ arm_of_entry  # (n, K)
+        w_norm_sq = np.einsum("kij,kij->k", w, w)
+        if estimated:
+            if count:
+                beta_sq = (present @ sq_norms) / count
+            if beta_sq is not None:
+                for j in estimated:
+                    alpha[j] = alpha_estimated(
+                        straggler_p, d, o, arms[j].noise, float(beta_sq[j]), float(w_norm_sq[j])
+                    )
+        received = (present @ grads).reshape(d, k, o).transpose(1, 0, 2)
+        g_all = alpha[:, None, None] * (h_x @ w - h_y) + (
+            (1.0 - alpha) / (1.0 - straggler_p)
+        )[:, None, None] * received
+        record[t] = (
+            alpha,
+            loss_t,
+            np.einsum("kij,kij->k", diff, diff),
+            np.einsum("kij,kij->k", g_all, g_all),
+            w_norm_sq,
+            sq_norms.max(axis=0),
+        )
+        # Every weight a policy yields lies in [0, 1] unless it is NaN.
+        if not np.isfinite(record[t]).all():
+            raise _diverged(t, arms, record)
         w = w - schedule.rate(t + 1) * g_all
 
-    return TrainingTrace(
-        t=np.arange(steps, dtype=np.int64),
-        alpha=cols["alpha"],
-        n_present=n_present,
-        loss=cols["loss"],
-        dist_sq=cols["dist_sq"],
-        grad_norm_sq=cols["grad_norm_sq"],
-        w_norm_sq=cols["w_norm_sq"],
-        max_device_grad_sq=cols["max_device_grad_sq"],
-        w0=w0,
-        final_w=w,
-        mask_digest=mask_hash.hexdigest(),
+    t_index = np.arange(steps, dtype=np.int64)
+    digest = mask_hash.hexdigest()
+    columns = record.transpose(1, 2, 0)  # (column, arm, t)
+    return tuple(
+        TrainingTrace(
+            t=t_index,
+            n_present=n_present,
+            w0=w0,
+            final_w=w[j],
+            mask_digest=digest,
+            **{name: columns[c, j].copy() for c, name in enumerate(_TRACE_COLUMNS)},
+        )
+        for j in range(k)
     )

@@ -20,6 +20,7 @@ from acfl.privacy import epsilon_of, sigma_for_epsilon
 from acfl.training import (
     AdaptiveEstimated,
     AdaptiveOracle,
+    Arm,
     InverseDecay,
     aggregate,
     alpha_oracle,
@@ -215,9 +216,10 @@ def test_c07_distance_bound_after_t_steps():
         coded = aggregate_coded(
             [encode_local(dev, noise, root.child("enc", s, i)) for i, dev in enumerate(ds.devices)]
         )
-        return train(
-            ds, coded, policy, p, 1000, schedule, root.child("train", s), facts, noise=noise
+        (trace,) = train(
+            ds, [Arm(coded, policy, noise)], p, 1000, schedule, root.child("train", s), facts
         )
+        return trace
 
     probe = run(AdaptiveEstimated(), 0)
     beta_sq = float(probe.max_device_grad_sq.max()) * 2.0

@@ -1,9 +1,11 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from acfl.coding import NoiseParams
+from acfl.coding import NoiseParams, aggregate_coded, encode_local
+from acfl.dataset import generate, loss, optimum
 from acfl.errors import ParameterError
 from acfl.harness import (
     ExperimentConfig,
@@ -16,7 +18,16 @@ from acfl.harness import (
     run_experiment,
     save_config,
 )
-from acfl.training import AdaptiveEstimated, AdaptiveOracle, FixedWeight, InverseDecay
+from acfl.numerics import RngStream
+from acfl.training import (
+    AdaptiveEstimated,
+    AdaptiveOracle,
+    Arm,
+    FixedWeight,
+    InverseDecay,
+    alpha_oracle,
+    train,
+)
 
 
 def small_config(out_dir, **overrides) -> ExperimentConfig:
@@ -104,6 +115,14 @@ def test_config_errors_name_field_paths(tmp_path, mutate, needle):
 def test_config_rejects_noise_and_epsilon_together(tmp_path):
     with pytest.raises(ParameterError, match="noise"):
         small_config(tmp_path, epsilon=1.0)
+
+
+def test_config_noise_levels_errors_name_the_entry(tmp_path):
+    with pytest.raises(ParameterError, match=r"noise_levels\[1\]: expected float, got 'a'"):
+        small_config(tmp_path, noise_levels=(0.5, "a"))
+    with pytest.raises(ParameterError, match="noise_levels: expected a list"):
+        small_config(tmp_path, noise_levels=0.5)
+    assert small_config(tmp_path, noise_levels=["1", 2]).noise_levels == (1.0, 2.0)
 
 
 def test_config_invalid_json(tmp_path):
@@ -208,6 +227,48 @@ def test_compare_rows_and_pairing(tmp_path):
             assert ra.mask_digest == rb.mask_digest
             assert np.array_equal(ra.trace.w0, rb.trace.w0)
         assert 0.0 <= result.win_rates[level] <= 1.0
+    # Every arm of a replicate trains in one loop; each row must equal a
+    # single-arm run on the same streams.
+    root = RngStream(cfg.master_seed)
+    for level, method, r, final_loss in result.rows:
+        ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
+        noise = NoiseParams(level, level)
+        gc = aggregate_coded(
+            [
+                encode_local(dev, noise, root.child("encode", r, i))
+                for i, dev in enumerate(ds.devices)
+            ]
+        )
+        policy = cfg.policy if method == "acfl" else cfg.baseline
+        (tr,) = train(
+            ds, [Arm(gc, policy, noise)], cfg.straggler_p, cfg.steps, cfg.schedule,
+            root.child("train", r), optimum(ds),
+        )
+        assert final_loss == pytest.approx(loss(tr.final_w, ds), rel=1e-10, abs=0.0)
+    again = compare_baselines(
+        replace(cfg, out_dir=str(tmp_path / "again")), noise_levels=(0.5, 2.0)
+    )
+    assert again.path.read_bytes() == result.path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "policy", [AdaptiveOracle(4.0, 2.0), OracleAuto(2.0)], ids=["given", "auto"]
+)
+def test_compare_runs_the_configured_policy(tmp_path, policy):
+    # An oracle policy is not swapped for estimated weights: the acfl arm's
+    # weight is constant, from the given constants or a per-level probe.
+    cfg = small_config(tmp_path / "orc", policy=policy, replicates=2, steps=6)
+    result = compare_baselines(cfg, noise_levels=(0.5, 2.0))
+    for level in (0.5, 2.0):
+        noise = NoiseParams(level, level)
+        oracle = resolve_policy(replace(cfg, noise=noise))
+        expect = alpha_oracle(
+            cfg.straggler_p, cfg.n_devices, oracle.beta_sq, oracle.c_sq, cfg.d, cfg.o, noise
+        )
+        for rec in result.records[(level, "acfl")]:
+            assert np.all(rec.trace.alpha == expect)
+        for rec in result.records[(level, "na")]:
+            assert np.all(rec.trace.alpha == 0.5)
 
 
 def test_compare_single_level_single_replicate(tmp_path):

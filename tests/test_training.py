@@ -1,14 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
 from acfl import DeviceData
-from acfl.coding import NoiseParams, aggregate_coded, encode_local
+from acfl.coding import GlobalCodedData, NoiseParams, aggregate_coded, encode_local
 from acfl.dataset import generate, loss, optimum
 from acfl.errors import NumericError, ParameterError
 from acfl.numerics import RngStream
+from acfl.privacy import sigma_for_epsilon
 from acfl.training import (
     AdaptiveEstimated,
     AdaptiveOracle,
+    Arm,
     FixedWeight,
     InverseDecay,
     aggregate,
@@ -236,13 +240,17 @@ def test_schedule_values_and_validation():
 def test_train_zero_steps(random_instance):
     ds = random_instance(12, n=3, m=9, d=3, o=2)
     facts = optimum(ds)
+    noise = NoiseParams(0.5, 0.5)
     gc = _coded(ds, 0.5, RngStream(12))
-    tr = train(
-        ds, gc, FixedWeight(0.5), 0.2, 0, InverseDecay(1e-3), RngStream(12).child("t"), facts,
-    )
-    assert tr.steps == 0
-    assert tr.loss.shape == (0,)
-    assert np.array_equal(tr.final_w, tr.w0)
+    arms = [
+        Arm(gc, FixedWeight(0.5)), Arm(gc, AdaptiveEstimated(), noise), Arm(gc, FixedWeight(0.1)),
+    ]
+    traces = train(ds, arms, 0.2, 0, InverseDecay(1e-3), RngStream(12).child("t"), facts)
+    assert len(traces) == len(arms)
+    for tr in traces:
+        assert tr.steps == 0
+        assert tr.loss.shape == (0,)
+        assert np.array_equal(tr.final_w, tr.w0)
 
 
 def _naive_train(ds, gc, policy, p, steps, c, stream, facts, noise, w0):
@@ -296,29 +304,72 @@ def _naive_train(ds, gc, policy, p, steps, c, stream, facts, noise, w0):
 TRACE_COLUMNS = (
     "alpha", "n_present", "loss", "dist_sq", "grad_norm_sq", "w_norm_sq", "max_device_grad_sq",
 )
+POLICIES = {
+    "fixed": FixedWeight(0.3),
+    "oracle": AdaptiveOracle(5.0, 2.0),
+    "estimated": AdaptiveEstimated(0.6),
+}
 
 
 @pytest.mark.parametrize("p", [0.0, 0.4])
 @pytest.mark.parametrize(
-    "policy",
-    [FixedWeight(0.3), AdaptiveOracle(5.0, 2.0), AdaptiveEstimated(0.6)],
-    ids=["fixed", "oracle", "estimated"],
+    "names, levels",
+    [
+        (("fixed",), (0.3,)),
+        (("oracle",), (0.3,)),
+        (("estimated",), (0.3,)),
+        (("fixed", "oracle", "estimated"), (0.3, 3.0)),
+    ],
+    ids=["fixed", "oracle", "estimated", "six-arms"],
 )
-def test_train_matches_plain_gradient_descent(random_instance, policy, p):
-    # The batched step against a per-device loop, within rtol 1e-10: the
-    # summation order differs, so equality is not required.
+def test_train_matches_plain_gradient_descent(random_instance, names, levels, p):
+    # The batched step against a per-device loop run once per arm, within
+    # rtol 1e-10: the summation order differs, so equality is not required.
     ds = random_instance(13, n=5, m=10, d=4, o=2)
     facts = optimum(ds)
-    noise = NoiseParams(0.3, 0.3)
-    gc = _coded(ds, 0.3, RngStream(13))
+    arms = []
+    for level in levels:
+        gc = _coded(ds, level, RngStream(13))
+        arms += [Arm(gc, POLICIES[name], NoiseParams(level, level)) for name in names]
     w0 = np.full((4, 2), 0.01)
     steps, c = 300, 1e-3
     stream = RngStream(13).child("t")
-    tr = train(ds, gc, policy, p, steps, InverseDecay(c), stream, facts, noise=noise, w0=w0)
-    rows, w = _naive_train(ds, gc, policy, p, steps, c, stream, facts, noise, w0)
-    for j, name in enumerate(TRACE_COLUMNS):
-        assert np.allclose(getattr(tr, name), rows[:, j], rtol=1e-10, atol=0.0), name
-    assert np.allclose(tr.final_w, w, rtol=1e-10, atol=0.0)
+    traces = train(ds, arms, p, steps, InverseDecay(c), stream, facts, w0=w0)
+    assert len(traces) == len(arms)
+    for arm, tr in zip(arms, traces):
+        rows, w = _naive_train(
+            ds, arm.coded, arm.policy, p, steps, c, stream, facts, arm.noise, w0
+        )
+        for j, name in enumerate(TRACE_COLUMNS):
+            assert np.allclose(getattr(tr, name), rows[:, j], rtol=1e-10, atol=0.0), name
+        assert np.allclose(tr.final_w, w, rtol=1e-10, atol=0.0)
+        assert tr.mask_digest == traces[0].mask_digest
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_train_loss_is_accurate_near_the_optimum(seed):
+    # Row T of a (T+1)-step run is the loss at the final iterate of the
+    # T-step run; near the optimum the expanded Gram form of the loss
+    # cancels, and the recorded value must still match the direct residuals.
+    root = RngStream(seed)
+    ds = generate(10, 20, 3, 3, root.child("dataset", 0))
+    facts = optimum(ds)
+    noise = sigma_for_epsilon(5.0, 3, 3)
+    gc = aggregate_coded(
+        [encode_local(dev, noise, root.child("encode", 0, i)) for i, dev in enumerate(ds.devices)]
+    )
+
+    def run(steps):
+        (tr,) = train(
+            ds, [Arm(gc, AdaptiveEstimated(), noise)], 0.4, steps,
+            schedule_for_strong_convexity(facts.lam), root.child("train", 0), facts,
+        )
+        return tr
+
+    steps = 4000
+    assert run(steps + 1).loss[steps] == pytest.approx(
+        loss(run(steps).final_w, ds), rel=1e-9, abs=0.0
+    )
 
 
 def test_train_estimated_weight_falls_back_then_reuses_last_estimate(random_instance):
@@ -332,10 +383,11 @@ def test_train_estimated_weight_falls_back_then_reuses_last_estimate(random_inst
     p, steps, stream = 0.9, 40, RngStream(19).child("t")
 
     def run(steps):
-        return train(
-            ds, gc, AdaptiveEstimated(0.25), p, steps, InverseDecay(1e-3),
-            stream, facts, noise=noise,
+        (tr,) = train(
+            ds, [Arm(gc, AdaptiveEstimated(0.25), noise)], p, steps, InverseDecay(1e-3),
+            stream, facts,
         )
+        return tr
 
     tr = run(steps)
     rng = stream.child("mask").generator()
@@ -358,19 +410,32 @@ def test_train_estimated_weight_falls_back_then_reuses_last_estimate(random_inst
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("policy", [FixedWeight(0.5), AdaptiveEstimated()], ids=["fixed", "estimated"])
-def test_train_divergence_names_the_iteration(policy):
+@pytest.mark.parametrize(
+    "policy, with_still_arm",
+    [
+        pytest.param(FixedWeight(0.5), False, id="fixed"),
+        pytest.param(AdaptiveEstimated(), False, id="estimated"),
+        pytest.param(AdaptiveEstimated(), True, id="two-arms"),
+    ],
+)
+def test_train_divergence_names_the_iteration(policy, with_still_arm):
     root = RngStream(20)
     ds = generate(100, 100, 10, 10, root.child("data"))
     noise = NoiseParams(0.1, 0.1)
     gc = aggregate_coded(
         [encode_local(dev, noise, root.child("enc", i)) for i, dev in enumerate(ds.devices)]
     )
-    with pytest.raises(NumericError, match=r"iteration \d+.*last finite loss: \d"):
-        train(
-            ds, gc, policy, 0.2, 300, InverseDecay(1.0), root.child("train"),
-            optimum(ds), noise=noise,
-        )
+    arms = [Arm(gc, policy, noise)]
+    if with_still_arm:
+        # The pure coded gradient of all-zero coded sums: this arm never moves.
+        zeros = GlobalCodedData(np.zeros((10, 10)), np.zeros((10, 10)))
+        arms.insert(0, Arm(zeros, FixedWeight(1.0)))
+    arm = len(arms) - 1
+    with pytest.raises(
+        NumericError,
+        match=rf"iteration \d+ in arm {arm} \({re.escape(repr(policy))}\).*last finite loss: \d",
+    ):
+        train(ds, arms, 0.2, 300, InverseDecay(1.0), root.child("train"), optimum(ds))
 
 
 def test_train_reference_setup_loss_drops():
@@ -381,9 +446,9 @@ def test_train_reference_setup_loss_drops():
     gc = aggregate_coded(
         [encode_local(dev, noise, root.child("enc", i)) for i, dev in enumerate(ds.devices)]
     )
-    tr = train(
-        ds, gc, AdaptiveEstimated(), 0.2, 2000, InverseDecay(1e-4),
-        root.child("train"), facts, noise=noise,
+    (tr,) = train(
+        ds, [Arm(gc, AdaptiveEstimated(), noise)], 0.2, 2000, InverseDecay(1e-4),
+        root.child("train"), facts,
     )
     assert tr.loss[-1] < tr.loss[0] / 10.0
     assert np.all((tr.alpha >= 0.0) & (tr.alpha <= 1.0))
@@ -396,10 +461,11 @@ def test_train_trace_is_deterministic(random_instance):
     noise = NoiseParams(1.0, 1.0)
 
     def run():
-        return train(
-            ds, gc, AdaptiveEstimated(), 0.3, 60, InverseDecay(1e-3),
-            RngStream(15).child("t"), facts, noise=noise,
+        (tr,) = train(
+            ds, [Arm(gc, AdaptiveEstimated(), noise)], 0.3, 60, InverseDecay(1e-3),
+            RngStream(15).child("t"), facts,
         )
+        return tr
 
     a, b = run(), run()
     for name in ("alpha", "n_present", "loss", "dist_sq", "grad_norm_sq"):
@@ -418,11 +484,11 @@ def test_train_alpha_in_unit_interval_for_all_policies(random_instance):
         AdaptiveOracle(5.0, 5.0),
         AdaptiveEstimated(0.7),
     ]
-    for policy in policies:
-        tr = train(
-            ds, gc, policy, 0.4, 40, InverseDecay(1e-3),
-            RngStream(16).child("t"), facts, noise=noise,
-        )
+    traces = train(
+        ds, [Arm(gc, policy, noise) for policy in policies], 0.4, 40, InverseDecay(1e-3),
+        RngStream(16).child("t"), facts,
+    )
+    for tr in traces:
         assert np.all((tr.alpha >= 0.0) & (tr.alpha <= 1.0))
 
 
@@ -431,14 +497,16 @@ def test_train_requires_noise_for_adaptive(random_instance):
     facts = optimum(ds)
     gc = _coded(ds, 1.0, RngStream(17))
     with pytest.raises(ParameterError):
-        train(
-            ds, gc, AdaptiveEstimated(), 0.2, 5, InverseDecay(1e-3),
-            RngStream(17).child("t"), facts,
-        )
+        Arm(gc, AdaptiveEstimated())
     with pytest.raises(ParameterError, match="policy"):
+        Arm(gc, "adaptive")
+    with pytest.raises(ParameterError, match="arm"):
+        train(ds, [], 0.2, 5, InverseDecay(1e-3), RngStream(17).child("t"), facts)
+    with pytest.raises(ParameterError, match="arm 1"):
+        wrong = GlobalCodedData(np.zeros((2, 2)), np.zeros((2, 2)))
         train(
-            ds, gc, "adaptive", 0.2, 5, InverseDecay(1e-3),
-            RngStream(17).child("t"), facts,
+            ds, [Arm(gc, FixedWeight(0.5)), Arm(wrong, FixedWeight(0.5))], 0.2, 5,
+            InverseDecay(1e-3), RngStream(17).child("t"), facts,
         )
 
 
@@ -448,9 +516,9 @@ def test_train_oracle_policy_uses_constant_alpha(random_instance):
     noise = NoiseParams(1.5, 0.5)
     gc = _coded(ds, 1.5, RngStream(18))
     policy = AdaptiveOracle(2.0, 3.0)
-    tr = train(
-        ds, gc, policy, 0.25, 30, InverseDecay(1e-3),
-        RngStream(18).child("t"), facts, noise=noise,
+    (tr,) = train(
+        ds, [Arm(gc, policy, noise)], 0.25, 30, InverseDecay(1e-3),
+        RngStream(18).child("t"), facts,
     )
     expect = alpha_oracle(0.25, 3, 2.0, 3.0, 3, 2, noise)
     assert np.all(tr.alpha == expect)
