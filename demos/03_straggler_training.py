@@ -16,8 +16,7 @@ from acfl import (
     InverseDecay,
     NoiseParams,
     RngStream,
-    aggregate_coded,
-    encode_local,
+    encode_dataset,
     generate,
     loss,
     optimum,
@@ -47,9 +46,7 @@ print("=" * 64)
 arms, labels = [], []
 for sigma_sq in (0.1, 10.0):
     noise = NoiseParams(sigma_sq, sigma_sq)
-    coded = aggregate_coded(
-        [encode_local(dev, noise, root.child("encode", i)) for i, dev in enumerate(ds.devices)]
-    )
+    coded = encode_dataset(ds, noise, root.child("encode"))
     for label, policy in (("adaptive", AdaptiveEstimated()), ("fixed 0.5", FixedWeight(0.5))):
         arms.append(Arm(coded, policy, noise))
         labels.append((sigma_sq, label))

@@ -22,6 +22,7 @@ from .coding import (
     LocalCodedData,
     NoiseParams,
     aggregate_coded,
+    encode_dataset,
     encode_local,
     payload_size,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "convergence_bound",
     "eig_min_sum",
     "eig_min_sym",
+    "encode_dataset",
     "encode_local",
     "epsilon_of",
     "gaussian_matrix",

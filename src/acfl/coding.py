@@ -9,6 +9,10 @@ and the server keeps only the elementwise sums of everything it received.
 The encoded payload is ``d^2 + o*d`` reals regardless of how many samples a
 device holds, and the sums carry exactly the information needed to form a
 full-batch gradient on the server side.
+
+:func:`encode_dataset` simulates every device's upload and the server's sum
+at once, over the dataset's Gram stacks; :func:`encode_local` is its
+one-device case.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import DeviceData
+from .dataset import DeviceData, FederatedDataset
 from .errors import ParameterError
 from .numerics import RngStream, as_matrix
 
@@ -28,6 +32,7 @@ __all__ = [
     "LocalCodedData",
     "NoiseParams",
     "aggregate_coded",
+    "encode_dataset",
     "encode_local",
     "payload_size",
 ]
@@ -83,18 +88,27 @@ class GlobalCodedData:
         object.__setattr__(self, "h_y_sum", h_y)
 
 
-def encode_local(dev: DeviceData, noise: NoiseParams, stream: RngStream) -> LocalCodedData:
-    """Encode one device's dataset with fresh noise from ``stream``.
+def encode_dataset(ds: FederatedDataset, noise: NoiseParams, stream: RngStream) -> GlobalCodedData:
+    """Encode every device with fresh noise from ``stream`` and sum the uploads.
 
-    Both noise blocks come from the one stream, drawn in a fixed order
-    (N1 first), so the result is deterministic per ``stream``.  Callers
-    wanting independent noise across devices pass distinct streams.
+    The noise is one standard-normal ``(n, d, d + o)`` block drawn row-major
+    from one generator on ``stream``: device ``i``'s ``N1`` is
+    ``sqrt(sigma1_sq)`` times the first ``d`` columns of row ``i`` and its
+    ``N2`` is ``sqrt(sigma2_sq)`` times the last ``o``, so a device's noise
+    does not depend on how many devices there are.  The sums over devices
+    fold in device order, bit-equal to :func:`aggregate_coded` of the uploads.
     """
-    d, o = dev.d, dev.o
-    rng = stream.generator()
-    n1 = rng.normal(0.0, math.sqrt(noise.sigma1_sq), size=(d, d))
-    n2 = rng.normal(0.0, math.sqrt(noise.sigma2_sq), size=(d, o))
-    return LocalCodedData(dev.gram_x + n1, dev.gram_xy + n2)
+    d = ds.d
+    z = stream.generator().standard_normal((ds.n_devices, d, d + ds.o))
+    h_x = ds.gram_x + math.sqrt(noise.sigma1_sq) * z[:, :, :d]
+    h_y = ds.gram_xy + math.sqrt(noise.sigma2_sq) * z[:, :, d:]
+    return GlobalCodedData(h_x.sum(axis=0), h_y.sum(axis=0))
+
+
+def encode_local(dev: DeviceData, noise: NoiseParams, stream: RngStream) -> LocalCodedData:
+    """One device's upload: :func:`encode_dataset` of a one-device dataset."""
+    coded = encode_dataset(FederatedDataset(dev.x[None], dev.y[None]), noise, stream)
+    return LocalCodedData(coded.h_x_sum, coded.h_y_sum)
 
 
 def aggregate_coded(local_data: Sequence[LocalCodedData]) -> GlobalCodedData:

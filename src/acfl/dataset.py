@@ -1,7 +1,7 @@
 """Synthetic federated linear-regression instances and their exact optima.
 
 An instance is ``N`` devices, device ``i`` holding features ``X_i``
-(``m_i x d``) and labels ``Y_i`` (``m_i x o``), with the global objective
+(``m x d``) and labels ``Y_i`` (``m x o``), with the global objective
 
     f(W) = sum_i 0.5 * ||X_i W - Y_i||_F^2 .
 
@@ -24,7 +24,6 @@ from .numerics import (
     RngStream,
     as_matrix,
     eig_min_sym,
-    gaussian_matrix,
     spd_solve,
     uniform_matrix,
 )
@@ -96,40 +95,85 @@ class DeviceData:
         return self.x.T @ self.y
 
 
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``A_i^T B_i`` for every matrix of two ``(n, m, .)`` stacks, one batched product."""
+    return np.matmul(a.transpose(0, 2, 1), b)
+
+
+def _eig_min(gram_x: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of every matrix of a symmetric ``(n, d, d)`` stack."""
+    return np.linalg.eigvalsh(gram_x)[:, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class FederatedDataset:
-    """All device datasets plus, when known, the true weight matrix."""
+    """All devices' features and labels as stacks, plus the true weights when known.
 
-    devices: tuple[DeviceData, ...]
+    Device ``i`` holds ``x[i]`` (``m x d``) and ``y[i]`` (``m x o``), so
+    every device has the same sample count.  The stack is checked once, as
+    :class:`DeviceData` checks one device: finite entries within ``[-1, 1]``,
+    ``m > d``, and every ``X_i^T X_i`` of full rank (one batched eigensolve;
+    the error names the first failing device).
+    """
+
+    x: np.ndarray
+    y: np.ndarray
     w_true: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "devices", tuple(self.devices))
-        if len(self.devices) < 1:
-            raise ParameterError("need at least one device")
-        d, o = self.devices[0].d, self.devices[0].o
-        for i, dev in enumerate(self.devices):
-            if dev.d != d or dev.o != o:
-                raise ParameterError(
-                    f"device {i} has dimensions ({dev.d}, {dev.o}), expected ({d}, {o})"
-                )
+        x = as_matrix(self.x, "x", ndim=3)
+        y = as_matrix(self.y, "y", ndim=3)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        n, m, d = x.shape
+        if y.shape[:2] != (n, m):
+            raise ParameterError(
+                f"x and y disagree on device or sample count: {x.shape[:2]} vs {y.shape[:2]}"
+            )
+        if m <= d:
+            raise ParameterError(
+                f"full column rank unattainable: need more samples than features (m={m}, d={d})"
+            )
+        if float(np.abs(x).max()) > 1.0 or float(np.abs(y).max()) > 1.0:
+            raise ParameterError("all entries of x and y must lie in [-1, 1]")
+        deficient = np.flatnonzero(_eig_min(self.gram_x) <= _RANK_TOL)
+        if deficient.size:
+            raise ParameterError(
+                f"device {deficient[0]}: x is rank deficient "
+                f"(eig_min of X'X below {_RANK_TOL:.0e})"
+            )
         if self.w_true is not None:
             w = as_matrix(self.w_true, "w_true")
-            if w.shape != (d, o):
-                raise ParameterError(f"w_true must be ({d}, {o}), got {w.shape}")
+            if w.shape != (d, self.o):
+                raise ParameterError(f"w_true must be ({d}, {self.o}), got {w.shape}")
             object.__setattr__(self, "w_true", w)
 
     @property
     def n_devices(self) -> int:
-        return len(self.devices)
+        return self.x.shape[0]
 
     @property
     def d(self) -> int:
-        return self.devices[0].d
+        return self.x.shape[2]
 
     @property
     def o(self) -> int:
-        return self.devices[0].o
+        return self.y.shape[2]
+
+    @cached_property
+    def gram_x(self) -> np.ndarray:
+        """Every ``X_i^T X_i``, an ``(n, d, d)`` stack computed once."""
+        return _gram(self.x, self.x)
+
+    @cached_property
+    def gram_xy(self) -> np.ndarray:
+        """Every ``X_i^T Y_i``, an ``(n, d, o)`` stack computed once."""
+        return _gram(self.x, self.y)
+
+    @cached_property
+    def devices(self) -> tuple[DeviceData, ...]:
+        """One :class:`DeviceData` view per device, for per-device callers."""
+        return tuple(DeviceData(x, y) for x, y in zip(self.x, self.y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +211,14 @@ def generate(
 
     ``X_i ~ U[-1, 1]``, ``W_true ~ U[0, 1/30]``, ``Y_i = X_i @ W_true``
     (plus optional Gaussian label noise of standard deviation
-    ``label_noise_sd``).  Feature matrices that fail the rank check (a
-    measure-zero event) are redrawn, at most three times.  Label entries
-    stay within ``[-1, 1]`` as long as ``d <= 30`` given the ``1/30``
-    weight scale and the noise is small enough.
+    ``label_noise_sd``).  All features come as one ``(n, m, d)`` block from
+    one generator on ``stream.child("x")``, filled row-major, so device
+    ``i``'s features do not depend on ``n_devices``; label noise is one
+    ``(n, m, o)`` block from ``stream.child("y")`` likewise.  The block is
+    rank-checked with one batched eigensolve; a device whose features fail
+    (a measure-zero event) is redrawn from ``stream.child("x", i, attempt)``,
+    at most three times.  Label entries stay within ``[-1, 1]`` as long as
+    ``d <= 30`` given the ``1/30`` weight scale and the noise is small enough.
     """
     if d < 1 or o < 1:
         raise ParameterError(f"dimensions must be positive, got d={d}, o={o}")
@@ -181,31 +229,30 @@ def generate(
     if label_noise_sd < 0:
         raise ParameterError(f"label_noise_sd must be nonnegative, got {label_noise_sd}")
     w_true = uniform_matrix(stream.child("w_true"), d, o, 0.0, 1.0 / 30.0)
-    devices = []
-    for i in range(n_devices):
-        for attempt in range(4):
-            x = uniform_matrix(stream.child("x", i, attempt), m, d, -1.0, 1.0)
-            if eig_min_sym(x.T @ x) > _RANK_TOL:
-                break
-        else:
-            raise NumericError(f"device {i}: no full-rank feature draw after 3 retries")
-        y = x @ w_true
-        if label_noise_sd > 0.0:
-            y = y + gaussian_matrix(stream.child("y", i), m, o, label_noise_sd**2)
-        devices.append(DeviceData(x, y))
-    return FederatedDataset(tuple(devices), w_true)
+    x = stream.child("x").generator().uniform(-1.0, 1.0, size=(n_devices, m, d))
+    failing = np.flatnonzero(_eig_min(_gram(x, x)) <= _RANK_TOL)
+    for attempt in range(1, 4):
+        if not failing.size:
+            break
+        for i in failing:
+            x[i] = uniform_matrix(stream.child("x", int(i), attempt), m, d, -1.0, 1.0)
+        redrawn = x[failing]
+        failing = failing[_eig_min(_gram(redrawn, redrawn)) <= _RANK_TOL]
+    if failing.size:
+        raise NumericError(f"device {failing[0]}: no full-rank feature draw after 3 retries")
+    y = x @ w_true
+    if label_noise_sd > 0.0:
+        y = y + stream.child("y").generator().normal(0.0, label_noise_sd, size=y.shape)
+    return FederatedDataset(x, y, w_true)
 
 
 def loss(w, ds: FederatedDataset) -> float:
-    """Total objective ``sum_i 0.5 * ||X_i W - Y_i||_F^2``."""
+    """Total objective ``sum_i 0.5 * ||X_i W - Y_i||_F^2``, from one batched residual."""
     w = as_matrix(w, "w")
     if w.shape != (ds.d, ds.o):
         raise ParameterError(f"w must be ({ds.d}, {ds.o}), got {w.shape}")
-    total = 0.0
-    for dev in ds.devices:
-        r = dev.x @ w - dev.y
-        total += 0.5 * float(np.sum(r * r))
-    return total
+    r = ds.x @ w - ds.y
+    return 0.5 * float(np.sum(r * r))
 
 
 def optimum(ds: FederatedDataset) -> ProblemFacts:
@@ -214,12 +261,8 @@ def optimum(ds: FederatedDataset) -> ProblemFacts:
     ``w_star`` solves ``(sum_i X_i^T X_i) W = sum_i X_i^T Y_i``; ``lam`` is
     the smallest eigenvalue of the Gram sum.
     """
-    gram = ds.devices[0].gram_x.copy()
-    rhs = ds.devices[0].gram_xy.copy()
-    for dev in ds.devices[1:]:
-        gram += dev.gram_x
-        rhs += dev.gram_xy
-    w_star = spd_solve(gram, rhs)
+    gram = ds.gram_x.sum(axis=0)
+    w_star = spd_solve(gram, ds.gram_xy.sum(axis=0))
     return ProblemFacts(w_star, eig_min_sym(gram), loss(w_star, ds))
 
 
@@ -229,7 +272,7 @@ def eig_min_sum(ds: FederatedDataset) -> float:
     Never exceeds ``optimum(ds).lam``; reported alongside it as the more
     conservative strong-convexity figure.
     """
-    return float(sum(eig_min_sym(dev.gram_x) for dev in ds.devices))
+    return float(_eig_min(ds.gram_x).sum())
 
 
 def _fmt(x: float) -> str:
@@ -247,11 +290,11 @@ def save_csv(ds: FederatedDataset, directory) -> list[Path]:
     paths = []
     d, o = ds.d, ds.o
     header = ",".join([f"x_{j + 1}" for j in range(d)] + [f"y_{k + 1}" for k in range(o)])
-    for i, dev in enumerate(ds.devices):
+    for i, (x, y) in enumerate(zip(ds.x, ds.y)):
         path = directory / f"device_{i:04d}.csv"
         with open(path, "w", newline="") as f:
             f.write(header + "\n")
-            for row_x, row_y in zip(dev.x, dev.y):
+            for row_x, row_y in zip(x, y):
                 f.write(",".join(_fmt(v) for v in (*row_x, *row_y)) + "\n")
         paths.append(path)
     if ds.w_true is not None:
@@ -265,19 +308,31 @@ def save_csv(ds: FederatedDataset, directory) -> list[Path]:
 
 
 def load_csv(directory) -> FederatedDataset:
-    """Rebuild a dataset saved by :func:`save_csv`."""
+    """Rebuild a dataset saved by :func:`save_csv`.
+
+    Every device file must have the same shape, since the dataset stores
+    stacks; a file that differs from the first raises a
+    :class:`ParameterError` naming it.
+    """
     directory = Path(directory)
     device_paths = sorted(directory.glob("device_*.csv"))
     if not device_paths:
         raise ParameterError(f"no device_*.csv files under {directory}")
-    devices = []
+    blocks = []
     for path in device_paths:
         with open(path, newline="") as f:
             names = f.readline().strip().split(",")
             d = sum(1 for n in names if n.startswith("x_"))
             rows = [[float(v) for v in line.strip().split(",")] for line in f if line.strip()]
         data = np.asarray(rows, dtype=np.float64)
-        devices.append(DeviceData(data[:, :d], data[:, d:]))
+        if blocks and data.shape != blocks[0].shape:
+            raise ParameterError(
+                f"{path}: {data.shape[0]} rows of {data.shape[1]} values, "
+                f"expected {blocks[0].shape[0]} rows of {blocks[0].shape[1]} as in "
+                f"{device_paths[0]}"
+            )
+        blocks.append(data)
+    stack = np.stack(blocks)
     w_true = None
     w_path = directory / "w_true.csv"
     if w_path.exists():
@@ -287,4 +342,4 @@ def load_csv(directory) -> FederatedDataset:
                 [[float(v) for v in line.strip().split(",")] for line in f if line.strip()],
                 dtype=np.float64,
             )
-    return FederatedDataset(tuple(devices), w_true)
+    return FederatedDataset(stack[:, :, :d], stack[:, :, d:], w_true)

@@ -2,8 +2,8 @@
 and deterministic CSV artifacts.
 
 Every replicate ``r`` derives its randomness from the master seed alone
-(dataset from ``("dataset", r)``, per-device encoding noise from
-``("encode", r, i)``, training masks and the initial iterate from
+(dataset from ``("dataset", r)``, the encoding noise of all devices as one
+block from ``("encode", r)``, training masks and the initial iterate from
 ``("train", r)``), so two runs of the same config produce byte-identical
 files, replicates can execute in parallel, and two methods run on the same
 seed consume bit-identical datasets, coding noise, and straggler draws.
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coding import GlobalCodedData, NoiseParams, aggregate_coded, encode_local
+from .coding import GlobalCodedData, NoiseParams, encode_dataset
 from .dataset import FederatedDataset, generate, loss, optimum
 from .errors import NumericError, ParameterError
 from .numerics import RngStream
@@ -117,9 +117,11 @@ class ExperimentConfig:
             "noise_levels",
             tuple(coerce(x, float, f"noise_levels[{i}]") for i, x in enumerate(levels)),
         )
-        for x in self.noise_levels:
+        for i, x in enumerate(self.noise_levels):
             if x < 0:
-                raise ParameterError(f"noise_levels: must be nonnegative, got {x}")
+                raise ParameterError(f"noise_levels[{i}]: must be nonnegative, got {x}")
+            if x in self.noise_levels[:i]:
+                raise ParameterError(f"noise_levels[{i}]: repeats the level {x}")
 
     def resolved_noise(self) -> NoiseParams:
         if self.noise is not None:
@@ -323,9 +325,8 @@ class ComparisonResult:
 
 def _dataset_digest(ds: FederatedDataset) -> str:
     h = hashlib.sha256()
-    for dev in ds.devices:
-        h.update(dev.x.tobytes())
-        h.update(dev.y.tobytes())
+    h.update(ds.x.tobytes())
+    h.update(ds.y.tobytes())
     if ds.w_true is not None:
         h.update(ds.w_true.tobytes())
     return h.hexdigest()
@@ -350,12 +351,7 @@ def _run_replicate(cfg: ExperimentConfig, arms, r: int) -> tuple[ReplicateRecord
     coded: dict[NoiseParams, GlobalCodedData] = {}
     for noise, _ in arms:
         if noise not in coded:
-            coded[noise] = aggregate_coded(
-                [
-                    encode_local(dev, noise, root.child("encode", r, i))
-                    for i, dev in enumerate(ds.devices)
-                ]
-            )
+            coded[noise] = encode_dataset(ds, noise, root.child("encode", r))
     schedule = cfg.schedule or schedule_for_strong_convexity(facts.lam)
     traces = train(
         ds,
@@ -392,19 +388,30 @@ def _run_replicates(
     return tuple(zip(*per_replicate))
 
 
-def resolve_policy(cfg: ExperimentConfig) -> AggregationPolicy:
-    """Concrete policy for a config, probing for oracle constants if needed."""
-    policy = cfg.policy
-    if not isinstance(policy, OracleAuto):
-        return policy
+def _probe(cfg: ExperimentConfig, noises) -> tuple[ReplicateRecord, ...]:
+    """Replicate 0 with norm-estimating weights at every noise, trained in one call."""
     if cfg.steps < 1:
         raise ParameterError("policy: auto oracle constants need steps >= 1 to probe")
-    (probe,) = _run_replicate(cfg, [(cfg.resolved_noise(), AdaptiveEstimated(1.0))], 0)
+    return _run_replicate(cfg, [(noise, AdaptiveEstimated(1.0)) for noise in noises], 0)
+
+
+def _concrete(policy, probe: ReplicateRecord | None) -> AggregationPolicy:
+    """``policy`` itself, or an :class:`OracleAuto` one resolved from a probe record."""
+    if not isinstance(policy, OracleAuto):
+        return policy
     beta_sq = float(probe.trace.max_device_grad_sq.max()) * policy.margin
     c_sq = float(probe.trace.w_norm_sq.max()) * policy.margin
     if not (beta_sq > 0 and c_sq > 0):
         raise NumericError("probe run observed zero norms; supply oracle constants explicitly")
     return AdaptiveOracle(beta_sq, c_sq)
+
+
+def resolve_policy(cfg: ExperimentConfig) -> AggregationPolicy:
+    """Concrete policy for a config, probing for oracle constants if needed."""
+    if not isinstance(cfg.policy, OracleAuto):
+        return cfg.policy
+    (probe,) = _probe(cfg, [cfg.resolved_noise()])
+    return _concrete(cfg.policy, probe)
 
 
 def _fmt(x: float) -> str:
@@ -481,8 +488,9 @@ def compare_baselines(
     same replicate streams, so they see bit-identical datasets, coding
     noise, and straggler masks; only the aggregation weights differ.  Both
     ``cfg.policy`` and ``cfg.baseline`` run as given, except that an
-    :class:`OracleAuto` one is resolved by a probe at each level.  Every
-    arm of a replicate (both methods at every level) trains in one loop.
+    :class:`OracleAuto` one takes its constants, at each level and with its
+    own margin, from one probe call that trains replicate 0 at every level.
+    Every arm of a replicate (both methods at every level) trains in one loop.
     Writes ``comparison.csv`` and reports, per level, the fraction of seeds
     where the adaptive final loss does not exceed the baseline's.
     """
@@ -491,11 +499,14 @@ def compare_baselines(
     levels = cfg.noise_levels
     if len(levels) == 0:
         raise ParameterError("noise_levels: need at least one level")
+    noises = [NoiseParams(level, level) for level in levels]
+    probes = [None] * len(noises)
+    if isinstance(cfg.policy, OracleAuto) or isinstance(cfg.baseline, OracleAuto):
+        probes = _probe(cfg, noises)
     arms = []
-    for level in levels:
-        cfg_level = replace(cfg, noise=NoiseParams(level, level), epsilon=None)
-        arms.append((cfg_level.noise, resolve_policy(cfg_level)))
-        arms.append((cfg_level.noise, resolve_policy(replace(cfg_level, policy=cfg.baseline))))
+    for noise, probe in zip(noises, probes):
+        arms.append((noise, _concrete(cfg.policy, probe)))
+        arms.append((noise, _concrete(cfg.baseline, probe)))
     per_arm = _run_replicates(cfg, arms, workers)
     rows = []
     records: dict[tuple[float, str], tuple[ReplicateRecord, ...]] = {}

@@ -31,12 +31,15 @@ __all__ = [
 _SYM_TOL = 1e-10
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a finite float64 2-D array with at least one row/column."""
+def as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """Coerce ``a`` to a finite float64 array of ``ndim`` positive dimensions.
+
+    ``ndim=3`` takes a stack of matrices, one per leading index.
+    """
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ParameterError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
+    if arr.ndim != ndim:
+        raise ParameterError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if min(arr.shape) < 1:
         raise ParameterError(f"{name} must have positive dimensions, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ParameterError(f"{name} contains non-finite entries")

@@ -366,13 +366,12 @@ def train(
         if w0.shape != (d, o):
             raise ParameterError(f"w0 must be ({d}, {o}), got {w0.shape}")
 
-    # Device-side quantities, stacked once.  Row block i of a_flat is A_i and
-    # column block j of the iterate matrix is W_j, so one product gives every
-    # A_i W_j; b_tiled repeats each B_i once per arm.
-    a_stack = np.stack([dev.gram_x for dev in ds.devices])
-    a_sum = a_stack.sum(axis=0)
-    a_flat = a_stack.reshape(n * d, d)
-    b_tiled = np.tile(np.stack([dev.gram_xy for dev in ds.devices]).reshape(n * d, o), k)
+    # Row block i of a_flat is A_i and column block j of the iterate matrix
+    # is W_j, so one product gives every A_i W_j; b_tiled repeats each B_i
+    # once per arm.
+    a_sum = ds.gram_x.sum(axis=0)
+    a_flat = ds.gram_x.reshape(n * d, d)
+    b_tiled = np.tile(ds.gram_xy.reshape(n * d, o), k)
     # Sums a (d, K, o)-ordered row of squares into one entry per arm.
     arm_of_entry = np.tile(np.repeat(np.eye(k), o, axis=0), (d, 1))
     h_x = np.stack([arm.coded.h_x_sum for arm in arms])

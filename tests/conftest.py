@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acfl import DeviceData, FederatedDataset
+from acfl import FederatedDataset
 
 
 @pytest.fixture
@@ -10,11 +10,11 @@ def random_instance():
 
     def make(seed: int, n: int = 3, m: int = 10, d: int = 4, o: int = 2) -> FederatedDataset:
         rng = np.random.default_rng(seed)
-        devices = []
-        for _ in range(n):
-            x = rng.uniform(-1.0, 1.0, (m, d))
-            y = rng.uniform(-1.0, 1.0, (m, o))
-            devices.append(DeviceData(x, y))
-        return FederatedDataset(tuple(devices))
+        x = np.empty((n, m, d))
+        y = np.empty((n, m, o))
+        for i in range(n):  # per device: x_i, then y_i
+            x[i] = rng.uniform(-1.0, 1.0, (m, d))
+            y[i] = rng.uniform(-1.0, 1.0, (m, o))
+        return FederatedDataset(x, y)
 
     return make

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from acfl.analysis import BoundInputs, comm_overhead, convergence_bound, tradeoff_curve, u_of, u_tilde
-from acfl.coding import NoiseParams, aggregate_coded, encode_local
+from acfl.coding import NoiseParams, encode_dataset
 from acfl.dataset import DeviceData, generate, optimum
 from acfl.harness import ExperimentConfig, compare_baselines, run_experiment
 from acfl.numerics import RngStream, uniform_matrix
@@ -102,8 +102,9 @@ def test_c03_privacy_accountant():
 def joint_redraws():
     """2e5 joint redraws of coding noise and straggler masks at a fixed W.
 
-    Runs the real pipeline per redraw: encode every device, sum the
-    uploads, form the coded gradient, and aggregate with the drawn mask.
+    Runs the real pipeline per redraw: encode every device and sum the
+    uploads (one batched encoding), form the coded gradient, and aggregate
+    with the drawn mask.
     """
     n, d, o, m, p = 5, 4, 2, 8, 0.3
     alpha = 0.5
@@ -121,9 +122,7 @@ def joint_redraws():
     acc_sq = np.zeros((d, o))
     norm_acc = 0.0
     for r in range(k):
-        coded = aggregate_coded(
-            [encode_local(dev, noise, root.child("enc", r, i)) for i, dev in enumerate(ds.devices)]
-        )
+        coded = encode_dataset(ds, noise, root.child("enc", r))
         g_all = aggregate(coded_gradient(coded, w), grads, masks[r], alpha, p)
         acc += g_all
         acc_sq += g_all * g_all
@@ -213,9 +212,7 @@ def test_c07_distance_bound_after_t_steps():
     schedule = schedule_for_strong_convexity(facts.lam)
 
     def run(policy, s):
-        coded = aggregate_coded(
-            [encode_local(dev, noise, root.child("enc", s, i)) for i, dev in enumerate(ds.devices)]
-        )
+        coded = encode_dataset(ds, noise, root.child("enc", s))
         (trace,) = train(
             ds, [Arm(coded, policy, noise)], p, 1000, schedule, root.child("train", s), facts
         )

@@ -137,10 +137,18 @@ def test_tradeoff_missing_field(tmp_path, capsys):
         ("run", write_run_config, {"steps": "abc"}, "steps"),
         ("run", write_run_config, {"noise_levels": 3}, "noise_levels"),
         ("run", write_run_config, {"dataset": 7}, "dataset"),
+        ("compare", write_run_config, {"noise_levels": [1.0, 1.0]}, "noise_levels[1]"),
         ("tradeoff", write_tradeoff_config, {"policies": [3]}, "policies[0]"),
         ("tradeoff", write_tradeoff_config, {"sigma_grid": []}, "sigma_grid"),
     ],
-    ids=["run-steps", "run-noise_levels", "run-dataset", "tradeoff-policies", "tradeoff-sigma_grid"],
+    ids=[
+        "run-steps",
+        "run-noise_levels",
+        "run-dataset",
+        "compare-repeated-level",
+        "tradeoff-policies",
+        "tradeoff-sigma_grid",
+    ],
 )
 def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, override, field):
     path = writer(tmp_path, **override)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from acfl.coding import (
     LocalCodedData,
     NoiseParams,
     aggregate_coded,
+    encode_dataset,
     encode_local,
     payload_size,
 )
@@ -111,11 +114,52 @@ def test_coded_sum_unbiased():
     acc = np.zeros((2, 2))
     acc_sq = np.zeros((2, 2))
     for r in range(k):
-        coded = aggregate_coded(
-            [encode_local(dev, NoiseParams(1.0, 1.0), root.child("mc", r, i)) for i, dev in enumerate(ds.devices)]
-        )
+        coded = encode_dataset(ds, NoiseParams(1.0, 1.0), root.child("mc", r))
         acc += coded.h_x_sum
         acc_sq += coded.h_x_sum**2
     mean = acc / k
     se = np.sqrt((acc_sq / k - mean**2) / k)
     assert np.all(np.abs(mean - gram_sum) <= 4.0 * se)
+
+
+def _fold_of_noise_rows(ds, noise, stream):
+    """Per-device uploads ``gram + noise row i``, summed in device order."""
+    d = ds.d
+    z = stream.generator().standard_normal((ds.n_devices, d, d + ds.o))
+    uploads = [
+        LocalCodedData(
+            ds.gram_x[i] + math.sqrt(noise.sigma1_sq) * z[i, :, :d],
+            ds.gram_xy[i] + math.sqrt(noise.sigma2_sq) * z[i, :, d:],
+        )
+        for i in range(ds.n_devices)
+    ]
+    return aggregate_coded(uploads)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 40])
+def test_encode_dataset_equals_a_per_device_fold(n):
+    ds = generate(n, 8, 3, 2, RngStream(8).child("data"))
+    noise = NoiseParams(2.0, 0.5)
+    stream = RngStream(8).child("encode", 0)
+    coded = encode_dataset(ds, noise, stream)
+    fold = _fold_of_noise_rows(ds, noise, stream)
+    assert np.array_equal(coded.h_x_sum, fold.h_x_sum)
+    assert np.array_equal(coded.h_y_sum, fold.h_y_sum)
+
+
+def test_noise_rows_do_not_depend_on_device_count():
+    # The block the encoder draws fills row-major, so with the fold test above
+    # device i's noise is the same for any number of devices.
+    stream = RngStream(9).child("encode", 0)
+    three = stream.generator().standard_normal((3, 3, 5))
+    five = stream.generator().standard_normal((5, 3, 5))
+    assert three.tobytes() == five[:3].tobytes()
+
+
+def test_encode_local_is_the_one_device_case():
+    ds = generate(2, 8, 3, 2, RngStream(10).child("data"))
+    stream = RngStream(10).child("enc")
+    local = encode_local(ds.devices[1], NoiseParams(1.5, 0.25), stream)
+    z = stream.generator().standard_normal((1, 3, 5))[0]
+    assert np.array_equal(local.h_x, ds.gram_x[1] + math.sqrt(1.5) * z[:, :3])
+    assert np.array_equal(local.h_y, ds.gram_xy[1] + math.sqrt(0.25) * z[:, 3:])

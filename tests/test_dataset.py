@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from acfl import DeviceData, FederatedDataset
+from acfl import DeviceData, FederatedDataset, dataset
 from acfl.dataset import eig_min_sum, generate, load_csv, loss, optimum, save_csv
-from acfl.errors import ParameterError
-from acfl.numerics import RngStream
+from acfl.errors import NumericError, ParameterError
+from acfl.numerics import RngStream, uniform_matrix
 
 # m > d is required, so the identity-feature examples pad a zero row.
 X_ID2 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -60,7 +60,7 @@ def test_loss_zero_at_true_weights():
 
 
 def test_loss_identity_features():
-    ds = FederatedDataset((DeviceData(X_ID2, np.zeros((3, 2))),))
+    ds = FederatedDataset(X_ID2[None], np.zeros((1, 3, 2)))
     assert loss(np.eye(2), ds) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -87,7 +87,7 @@ def test_optimum_diagonal_gram():
     # stacked identities give X'X = 2 I, so every eigenvalue is 2
     x = np.vstack([np.eye(3), np.eye(3)])
     y = np.zeros((6, 2))
-    ds = FederatedDataset((DeviceData(x, y),))
+    ds = FederatedDataset(x[None], y[None])
     facts = optimum(ds)
     assert facts.lam == pytest.approx(2.0, abs=1e-12)
     assert eig_min_sum(ds) == pytest.approx(2.0, abs=1e-12)
@@ -155,3 +155,90 @@ def test_device_data_invariants():
         x[:, 0] = rng.uniform(-1, 1, 5)
         x[:, 1] = x[:, 0]
         DeviceData(x, np.zeros((5, 1)))
+
+
+# ------------------------------------------------------------ stacked layout
+
+
+def test_gram_stacks_match_per_device_products(random_instance):
+    ds = random_instance(3, n=5, m=9, d=4, o=3)
+    assert ds.gram_x.shape == (5, 4, 4) and ds.gram_xy.shape == (5, 4, 3)
+    for i in range(ds.n_devices):
+        assert np.array_equal(ds.gram_x[i], ds.x[i].T @ ds.x[i])
+        assert np.array_equal(ds.gram_xy[i], ds.x[i].T @ ds.y[i])
+        assert np.array_equal(ds.devices[i].gram_x, ds.gram_x[i])
+
+
+def test_generate_devices_do_not_depend_on_device_count():
+    three = generate(3, 9, 3, 2, RngStream(31).child("data"))
+    five = generate(5, 9, 3, 2, RngStream(31).child("data"))
+    assert three.x.tobytes() == five.x[:3].tobytes()
+    assert three.y.tobytes() == five.y[:3].tobytes()
+    for i in range(5):  # one batched product, bit-equal to the per-device one
+        assert np.array_equal(five.y[i], five.x[i] @ five.w_true)
+
+
+def _fail_device_1(monkeypatch, times):
+    """Make the first ``times`` rank checks report device 1 as deficient."""
+    real = dataset._eig_min
+    calls = []
+
+    def forced(gram_x):
+        eig = real(gram_x)
+        if len(calls) < times:
+            eig[min(1, len(eig) - 1)] = 0.0
+        calls.append(len(gram_x))
+        return eig
+
+    monkeypatch.setattr(dataset, "_eig_min", forced)
+    return calls
+
+
+def test_generate_redraws_only_the_failing_device(monkeypatch):
+    stream = RngStream(23).child("data")
+    clean = generate(3, 6, 2, 1, stream)
+    calls = _fail_device_1(monkeypatch, times=1)
+    ds = generate(3, 6, 2, 1, stream)
+    # one pass over the block, one over the redrawn device, the dataset's own
+    assert calls == [3, 1, 3]
+    assert np.array_equal(ds.x[1], uniform_matrix(stream.child("x", 1, 1), 6, 2, -1.0, 1.0))
+    assert not np.array_equal(ds.x[1], clean.x[1])
+    assert np.array_equal(ds.x[[0, 2]], clean.x[[0, 2]])
+    assert np.array_equal(ds.y, ds.x @ ds.w_true)
+
+
+def test_generate_gives_up_after_three_redraws(monkeypatch):
+    calls = _fail_device_1(monkeypatch, times=4)
+    with pytest.raises(NumericError, match="device 1: no full-rank feature draw after 3 retries"):
+        generate(3, 6, 2, 1, RngStream(23).child("data"))
+    assert calls == [3, 1, 1, 1]
+
+
+def test_rank_deficient_stack_names_its_device():
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1.0, 1.0, (4, 6, 2))
+    x[2, :, 1] = x[2, :, 0]
+    with pytest.raises(ParameterError, match="device 2: x is rank deficient"):
+        FederatedDataset(x, np.zeros((4, 6, 1)))
+
+
+def test_dataset_stack_invariants():
+    rng = np.random.default_rng(5)
+    with pytest.raises(ParameterError, match="3-D"):
+        FederatedDataset(rng.uniform(-1, 1, (6, 2)), np.zeros((6, 1)))
+    with pytest.raises(ParameterError, match="sample count"):
+        FederatedDataset(rng.uniform(-1, 1, (2, 6, 2)), np.zeros((2, 5, 1)))
+    with pytest.raises(ParameterError, match="more samples than features"):
+        FederatedDataset(rng.uniform(-1, 1, (2, 2, 2)), np.zeros((2, 2, 1)))
+    with pytest.raises(ParameterError, match=r"\[-1, 1\]"):
+        FederatedDataset(rng.uniform(-1, 1, (2, 6, 2)), np.full((2, 6, 1), 1.5))
+    with pytest.raises(ParameterError, match="non-finite"):
+        FederatedDataset(np.full((2, 6, 2), np.nan), np.zeros((2, 6, 1)))
+
+
+def test_load_csv_rejects_unequal_row_counts(tmp_path, random_instance):
+    save_csv(random_instance(12, n=3, m=7, d=3, o=2), tmp_path)
+    path = tmp_path / "device_0001.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(ParameterError, match="device_0001.csv: 6 rows"):
+        load_csv(tmp_path)

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from acfl.coding import NoiseParams, aggregate_coded, encode_local
+from acfl import harness
+from acfl.coding import NoiseParams, encode_dataset
 from acfl.dataset import generate, loss, optimum
 from acfl.errors import ParameterError
 from acfl.harness import (
@@ -125,6 +126,16 @@ def test_config_noise_levels_errors_name_the_entry(tmp_path):
     assert small_config(tmp_path, noise_levels=["1", 2]).noise_levels == (1.0, 2.0)
 
 
+def test_config_rejects_repeated_noise_levels(tmp_path):
+    # A repeated level used to write its comparison rows twice while the
+    # records and win rates kept one entry for it.
+    with pytest.raises(ParameterError, match=r"noise_levels\[2\]: repeats the level 1.0"):
+        small_config(tmp_path, noise_levels=(1.0, 0.5, 1.0))
+    with pytest.raises(ParameterError, match=r"noise_levels\[1\]"):
+        compare_baselines(small_config(tmp_path), noise_levels=(2.0, 2.0))
+    assert not (tmp_path / "comparison.csv").exists()
+
+
 def test_config_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -233,12 +244,7 @@ def test_compare_rows_and_pairing(tmp_path):
     for level, method, r, final_loss in result.rows:
         ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
         noise = NoiseParams(level, level)
-        gc = aggregate_coded(
-            [
-                encode_local(dev, noise, root.child("encode", r, i))
-                for i, dev in enumerate(ds.devices)
-            ]
-        )
+        gc = encode_dataset(ds, noise, root.child("encode", r))
         policy = cfg.policy if method == "acfl" else cfg.baseline
         (tr,) = train(
             ds, [Arm(gc, policy, noise)], cfg.straggler_p, cfg.steps, cfg.schedule,
@@ -269,6 +275,38 @@ def test_compare_runs_the_configured_policy(tmp_path, policy):
             assert np.all(rec.trace.alpha == expect)
         for rec in result.records[(level, "na")]:
             assert np.all(rec.trace.alpha == 0.5)
+
+
+def test_compare_probes_every_level_in_one_call(tmp_path, monkeypatch):
+    # With both methods auto-oracle, one probe call trains replicate 0 at
+    # every level; each method takes its constants from it with its own margin.
+    calls = []
+    real_train = harness.train
+
+    def counting_train(ds, arms, *args, **kwargs):
+        traces = real_train(ds, arms, *args, **kwargs)
+        calls.append((len(arms), traces))
+        return traces
+
+    monkeypatch.setattr(harness, "train", counting_train)
+    cfg = small_config(
+        tmp_path / "probe", policy=OracleAuto(2.0), baseline=OracleAuto(3.0), replicates=2, steps=6
+    )
+    levels = (0.5, 2.0)
+    result = compare_baselines(cfg, noise_levels=levels)
+    assert [k for k, _ in calls] == [2, 4, 4]
+    probe = calls[0][1]
+    for level, trace in zip(levels, probe):
+        noise = NoiseParams(level, level)
+        for method, margin in (("acfl", 2.0), ("na", 3.0)):
+            expect = alpha_oracle(
+                cfg.straggler_p, cfg.n_devices,
+                float(trace.max_device_grad_sq.max()) * margin,
+                float(trace.w_norm_sq.max()) * margin,
+                cfg.d, cfg.o, noise,
+            )
+            for rec in result.records[(level, method)]:
+                assert np.all(rec.trace.alpha == expect)
 
 
 def test_compare_single_level_single_replicate(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acfl import DeviceData
-from acfl.coding import GlobalCodedData, NoiseParams, aggregate_coded, encode_local
+from acfl.coding import GlobalCodedData, NoiseParams, encode_dataset
 from acfl.dataset import generate, loss, optimum
 from acfl.errors import NumericError, ParameterError
 from acfl.numerics import RngStream
@@ -29,10 +29,7 @@ X_ID2 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
 def _coded(ds, sigma_sq, stream):
-    noise = NoiseParams(sigma_sq, sigma_sq)
-    return aggregate_coded(
-        [encode_local(dev, noise, stream.child("enc", i)) for i, dev in enumerate(ds.devices)]
-    )
+    return encode_dataset(ds, NoiseParams(sigma_sq, sigma_sq), stream.child("enc"))
 
 
 # ---------------------------------------------------------------- stragglers
@@ -355,9 +352,7 @@ def test_train_loss_is_accurate_near_the_optimum(seed):
     ds = generate(10, 20, 3, 3, root.child("dataset", 0))
     facts = optimum(ds)
     noise = sigma_for_epsilon(5.0, 3, 3)
-    gc = aggregate_coded(
-        [encode_local(dev, noise, root.child("encode", 0, i)) for i, dev in enumerate(ds.devices)]
-    )
+    gc = encode_dataset(ds, noise, root.child("encode", 0))
 
     def run(steps):
         (tr,) = train(
@@ -422,9 +417,7 @@ def test_train_divergence_names_the_iteration(policy, with_still_arm):
     root = RngStream(20)
     ds = generate(100, 100, 10, 10, root.child("data"))
     noise = NoiseParams(0.1, 0.1)
-    gc = aggregate_coded(
-        [encode_local(dev, noise, root.child("enc", i)) for i, dev in enumerate(ds.devices)]
-    )
+    gc = encode_dataset(ds, noise, root.child("enc"))
     arms = [Arm(gc, policy, noise)]
     if with_still_arm:
         # The pure coded gradient of all-zero coded sums: this arm never moves.
@@ -443,9 +436,7 @@ def test_train_reference_setup_loss_drops():
     ds = generate(100, 100, 10, 10, root.child("data"))
     facts = optimum(ds)
     noise = NoiseParams(0.01, 0.01)
-    gc = aggregate_coded(
-        [encode_local(dev, noise, root.child("enc", i)) for i, dev in enumerate(ds.devices)]
-    )
+    gc = encode_dataset(ds, noise, root.child("enc"))
     (tr,) = train(
         ds, [Arm(gc, AdaptiveEstimated(), noise)], 0.2, 2000, InverseDecay(1e-4),
         root.child("train"), facts,
