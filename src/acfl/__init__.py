@@ -23,6 +23,7 @@ from .coding import (
     NoiseParams,
     aggregate_coded,
     encode_dataset,
+    encode_levels,
     encode_local,
     payload_size,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "eig_min_sum",
     "eig_min_sym",
     "encode_dataset",
+    "encode_levels",
     "encode_local",
     "epsilon_of",
     "gaussian_matrix",

@@ -35,17 +35,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+WORKERS_HELP = "accepted for compatibility; no effect (replicates train together in groups)"
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="acfl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
 
     p_run = sub.add_parser("run", help="run a config-file experiment")
     p_run.add_argument("config", help="JSON config file")
-    p_run.add_argument("--workers", type=int, default=1, help="parallel replicates")
+    p_run.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
 
     p_cmp = sub.add_parser("compare", help="paired adaptive-vs-baseline comparison")
     p_cmp.add_argument("config", help="JSON config file")
-    p_cmp.add_argument("--workers", type=int, default=1, help="parallel replicates")
+    p_cmp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
 
     p_priv = sub.add_parser("privacy", help="noise variance <-> epsilon (nats)")
     p_priv.add_argument("--d", type=int, required=True, help="feature dimension")

@@ -11,7 +11,8 @@ device holds, and the sums carry exactly the information needed to form a
 full-batch gradient on the server side.
 
 :func:`encode_dataset` simulates every device's upload and the server's sum
-at once, over the dataset's Gram stacks; :func:`encode_local` is its
+at once, over the dataset's Gram stacks; :func:`encode_levels` does so at
+several noise levels from one noise draw, and :func:`encode_local` is the
 one-device case.
 """
 
@@ -33,6 +34,7 @@ __all__ = [
     "NoiseParams",
     "aggregate_coded",
     "encode_dataset",
+    "encode_levels",
     "encode_local",
     "payload_size",
 ]
@@ -98,11 +100,27 @@ def encode_dataset(ds: FederatedDataset, noise: NoiseParams, stream: RngStream) 
     does not depend on how many devices there are.  The sums over devices
     fold in device order, bit-equal to :func:`aggregate_coded` of the uploads.
     """
+    (coded,) = encode_levels(ds, [noise], stream)
+    return coded
+
+
+def encode_levels(
+    ds: FederatedDataset, noises: Sequence[NoiseParams], stream: RngStream
+) -> tuple[GlobalCodedData, ...]:
+    """:func:`encode_dataset` at every noise in ``noises``, from one draw.
+
+    The standard-normal block is drawn once and scaled per noise, so entry
+    ``i`` is bit-equal to ``encode_dataset(ds, noises[i], stream)``.
+    """
     d = ds.d
     z = stream.generator().standard_normal((ds.n_devices, d, d + ds.o))
-    h_x = ds.gram_x + math.sqrt(noise.sigma1_sq) * z[:, :, :d]
-    h_y = ds.gram_xy + math.sqrt(noise.sigma2_sq) * z[:, :, d:]
-    return GlobalCodedData(h_x.sum(axis=0), h_y.sum(axis=0))
+    return tuple(
+        GlobalCodedData(
+            (ds.gram_x + math.sqrt(noise.sigma1_sq) * z[:, :, :d]).sum(axis=0),
+            (ds.gram_xy + math.sqrt(noise.sigma2_sq) * z[:, :, d:]).sum(axis=0),
+        )
+        for noise in noises
+    )
 
 
 def encode_local(dev: DeviceData, noise: NoiseParams, stream: RngStream) -> LocalCodedData:

@@ -311,8 +311,9 @@ def load_csv(directory) -> FederatedDataset:
     """Rebuild a dataset saved by :func:`save_csv`.
 
     Every device file must have the same shape, since the dataset stores
-    stacks; a file that differs from the first raises a
-    :class:`ParameterError` naming it.
+    stacks; a file that differs from the first, has no rows, has a row
+    whose length differs from its header or a value that is not a number
+    raises a :class:`ParameterError` naming it.
     """
     directory = Path(directory)
     device_paths = sorted(directory.glob("device_*.csv"))
@@ -323,8 +324,18 @@ def load_csv(directory) -> FederatedDataset:
         with open(path, newline="") as f:
             names = f.readline().strip().split(",")
             d = sum(1 for n in names if n.startswith("x_"))
-            rows = [[float(v) for v in line.strip().split(",")] for line in f if line.strip()]
-        data = np.asarray(rows, dtype=np.float64)
+            rows = [line.strip().split(",") for line in f if line.strip()]
+        if not rows:
+            raise ParameterError(f"{path}: no data rows under the header")
+        for i, row in enumerate(rows, start=2):
+            if len(row) != len(names):
+                raise ParameterError(
+                    f"{path}: line {i} has {len(row)} values, the header names {len(names)}"
+                )
+        try:
+            data = np.asarray(rows, dtype=np.float64)
+        except ValueError as e:
+            raise ParameterError(f"{path}: {e}") from None
         if blocks and data.shape != blocks[0].shape:
             raise ParameterError(
                 f"{path}: {data.shape[0]} rows of {data.shape[1]} values, "

@@ -3,23 +3,26 @@ and deterministic CSV artifacts.
 
 Every replicate ``r`` derives its randomness from the master seed alone
 (dataset from ``("dataset", r)``, the encoding noise of all devices as one
-block from ``("encode", r)``, training masks and the initial iterate from
-``("train", r)``), so two runs of the same config produce byte-identical
-files, replicates can execute in parallel, and two methods run on the same
-seed consume bit-identical datasets, coding noise, and straggler draws.
+block from ``("encode", r)``, drawn once and scaled per noise level,
+training masks and the initial iterate from ``("train", r)``), so two runs
+of the same config produce byte-identical files however the replicates are
+grouped, and two methods run on the same seed consume bit-identical
+datasets, coding noise, and straggler draws.  Replicates train in groups,
+one :func:`~acfl.training.train` call per group, in index order; a group
+holds as many replicates as fit their summed Gram stacks in
+:data:`GROUP_GRAM_BYTES`, and at least one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .coding import GlobalCodedData, NoiseParams, encode_dataset
+from .coding import GlobalCodedData, NoiseParams, encode_levels
 from .dataset import FederatedDataset, generate, loss, optimum
 from .errors import NumericError, ParameterError
 from .numerics import RngStream
@@ -53,6 +56,10 @@ SUMMARY_HEADER = "t,mean_loss,stderr_loss,mean_dist_sq,stderr_dist_sq"
 COMPARISON_HEADER = "noise_sigma_sq,method,seed,final_loss"
 METHOD_ADAPTIVE = "acfl"
 METHOD_BASELINE = "na"
+# Per train call: the summed (n, d, d + o) Gram stacks of the replicates it
+# advances together stay within this many bytes, unless one replicate alone
+# exceeds it.
+GROUP_GRAM_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -339,52 +346,57 @@ def _coded_digest(gc: GlobalCodedData) -> str:
     return h.hexdigest()
 
 
-def _run_replicate(cfg: ExperimentConfig, arms, r: int) -> tuple[ReplicateRecord, ...]:
-    """Replicate ``r`` of every ``(noise, policy)`` arm, trained in one loop.
+def _run_group(cfg: ExperimentConfig, arms, replicates: range) -> list[tuple[ReplicateRecord, ...]]:
+    """Replicates ``replicates`` of every ``(noise, policy)`` arm, trained in one loop.
 
-    The arms share the dataset, the straggler masks and the initial iterate;
-    arms with equal noise share the coded sums.  One record per arm, in order.
+    Within a replicate the arms share the dataset, the straggler masks and
+    the initial iterate; arms with equal noise share the coded sums.  One
+    tuple of records per replicate, one record per arm, in order.
     """
     root = RngStream(cfg.master_seed)
-    ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
-    facts = optimum(ds)
-    coded: dict[NoiseParams, GlobalCodedData] = {}
-    for noise, _ in arms:
-        if noise not in coded:
-            coded[noise] = encode_dataset(ds, noise, root.child("encode", r))
-    schedule = cfg.schedule or schedule_for_strong_convexity(facts.lam)
+    noises = list(dict.fromkeys(noise for noise, _ in arms))
+    datasets, facts, coded = [], [], []
+    for r in replicates:
+        ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
+        datasets.append(ds)
+        facts.append(optimum(ds))
+        coded.append(dict(zip(noises, encode_levels(ds, noises, root.child("encode", r)))))
     traces = train(
-        ds,
-        [Arm(coded[noise], policy, noise) for noise, policy in arms],
+        datasets,
+        [[Arm(by_noise[noise], policy, noise) for noise, policy in arms] for by_noise in coded],
         cfg.straggler_p,
         cfg.steps,
-        schedule,
-        root.child("train", r),
+        [cfg.schedule or schedule_for_strong_convexity(f.lam) for f in facts],
+        [root.child("train", r) for r in replicates],
         facts,
     )
-    dataset_digest = _dataset_digest(ds)
-    return tuple(
-        ReplicateRecord(
-            replicate=r,
-            trace=trace,
-            final_loss=loss(trace.final_w, ds),
-            dataset_digest=dataset_digest,
-            coded_digest=_coded_digest(coded[noise]),
+    records = []
+    for r, ds, by_noise, replicate_traces in zip(replicates, datasets, coded, traces):
+        dataset_digest = _dataset_digest(ds)
+        records.append(
+            tuple(
+                ReplicateRecord(
+                    replicate=r,
+                    trace=trace,
+                    final_loss=loss(trace.final_w, ds),
+                    dataset_digest=dataset_digest,
+                    coded_digest=_coded_digest(by_noise[noise]),
+                )
+                for (noise, _), trace in zip(arms, replicate_traces)
+            )
         )
-        for (noise, _), trace in zip(arms, traces)
-    )
+    return records
 
 
-def _run_replicates(
-    cfg: ExperimentConfig, arms, workers: int
-) -> tuple[tuple[ReplicateRecord, ...], ...]:
+def _run_replicates(cfg: ExperimentConfig, arms) -> tuple[tuple[ReplicateRecord, ...], ...]:
     """Every replicate of every arm: one tuple of records per arm, by replicate."""
-    indices = range(cfg.replicates)
-    if workers <= 1:
-        per_replicate = [_run_replicate(cfg, arms, r) for r in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_replicate = list(pool.map(lambda r: _run_replicate(cfg, arms, r), indices))
+    gram_bytes = cfg.n_devices * cfg.d * (cfg.d + cfg.o) * 8
+    size = max(1, GROUP_GRAM_BYTES // gram_bytes)
+    per_replicate = [
+        records
+        for start in range(0, cfg.replicates, size)
+        for records in _run_group(cfg, arms, range(start, min(start + size, cfg.replicates)))
+    ]
     return tuple(zip(*per_replicate))
 
 
@@ -392,7 +404,8 @@ def _probe(cfg: ExperimentConfig, noises) -> tuple[ReplicateRecord, ...]:
     """Replicate 0 with norm-estimating weights at every noise, trained in one call."""
     if cfg.steps < 1:
         raise ParameterError("policy: auto oracle constants need steps >= 1 to probe")
-    return _run_replicate(cfg, [(noise, AdaptiveEstimated(1.0)) for noise in noises], 0)
+    (records,) = _run_group(cfg, [(noise, AdaptiveEstimated(1.0)) for noise in noises], range(1))
+    return records
 
 
 def _concrete(policy, probe: ReplicateRecord | None) -> AggregationPolicy:
@@ -414,8 +427,16 @@ def resolve_policy(cfg: ExperimentConfig) -> AggregationPolicy:
     return _concrete(cfg.policy, probe)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# Floats are written as ``repr`` of Python floats (``.tolist()`` values): the
+# shortest string that reads back to the same double.  Rows are converted in
+# blocks of this many, so the Python objects of one block are alive at a time.
+CSV_BLOCK_ROWS = 1024
+
+
+def _blocks(columns):
+    """The rows of equal-length array ``columns`` as tuples of Python scalars, in blocks."""
+    for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        yield zip(*(column[lo : lo + CSV_BLOCK_ROWS].tolist() for column in columns))
 
 
 def _write_trace(path: Path, records) -> None:
@@ -423,10 +444,11 @@ def _write_trace(path: Path, records) -> None:
         f.write(TRACE_HEADER + "\n")
         for rec in records:
             tr = rec.trace
-            for i in range(tr.steps):
-                f.write(
-                    f"{rec.replicate},{tr.t[i]},{_fmt(tr.alpha[i])},{tr.n_present[i]},"
-                    f"{_fmt(tr.loss[i])},{_fmt(tr.dist_sq[i])},{_fmt(tr.grad_norm_sq[i])}\n"
+            columns = (tr.t, tr.alpha, tr.n_present, tr.loss, tr.dist_sq, tr.grad_norm_sq)
+            for rows in _blocks(columns):
+                f.writelines(
+                    f"{rec.replicate},{t},{alpha!r},{n},{loss_t!r},{dist_sq!r},{grad_sq!r}\n"
+                    for t, alpha, n, loss_t, dist_sq, grad_sq in rows
                 )
 
 
@@ -451,24 +473,27 @@ def summarize(records) -> np.ndarray:
 
 
 def _write_summary(path: Path, records) -> None:
-    rows = summarize(records)
+    summary = summarize(records)
     with open(path, "w", newline="") as f:
         f.write(SUMMARY_HEADER + "\n")
-        for row in rows:
-            f.write(
-                f"{int(row[0])},{_fmt(row[1])},{_fmt(row[2])},{_fmt(row[3])},{_fmt(row[4])}\n"
+        for rows in _blocks(summary.T):
+            f.writelines(
+                f"{int(t)},{mean_loss!r},{se_loss!r},{mean_dist!r},{se_dist!r}\n"
+                for t, mean_loss, se_loss, mean_dist, se_dist in rows
             )
 
 
 def run_experiment(cfg: ExperimentConfig, *, workers: int = 1) -> RunResult:
     """Run all replicates and write ``trace.csv`` and ``summary.csv``.
 
-    Identical configs produce byte-identical files regardless of ``workers``.
+    Identical configs produce byte-identical files.  ``workers`` is accepted
+    for compatibility and has no effect: replicates advance together in
+    groups instead (see the module docstring).
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     policy = resolve_policy(cfg)
-    (records,) = _run_replicates(cfg, [(cfg.resolved_noise(), policy)], workers)
+    (records,) = _run_replicates(cfg, [(cfg.resolved_noise(), policy)])
     trace_path = out_dir / "trace.csv"
     summary_path = out_dir / "summary.csv"
     _write_trace(trace_path, records)
@@ -490,7 +515,9 @@ def compare_baselines(
     ``cfg.policy`` and ``cfg.baseline`` run as given, except that an
     :class:`OracleAuto` one takes its constants, at each level and with its
     own margin, from one probe call that trains replicate 0 at every level.
-    Every arm of a replicate (both methods at every level) trains in one loop.
+    Every arm of a replicate (both methods at every level) trains in one loop,
+    together with the other replicates of its group.  ``workers`` has no
+    effect, as in :func:`run_experiment`.
     Writes ``comparison.csv`` and reports, per level, the fraction of seeds
     where the adaptive final loss does not exceed the baseline's.
     """
@@ -507,7 +534,7 @@ def compare_baselines(
     for noise, probe in zip(noises, probes):
         arms.append((noise, _concrete(cfg.policy, probe)))
         arms.append((noise, _concrete(cfg.baseline, probe)))
-    per_arm = _run_replicates(cfg, arms, workers)
+    per_arm = _run_replicates(cfg, arms)
     rows = []
     records: dict[tuple[float, str], tuple[ReplicateRecord, ...]] = {}
     win_rates: dict[float, float] = {}
@@ -529,5 +556,5 @@ def compare_baselines(
     with open(path, "w", newline="") as f:
         f.write(COMPARISON_HEADER + "\n")
         for level, method, seed, final_loss in rows:
-            f.write(f"{_fmt(level)},{method},{seed},{_fmt(final_loss)}\n")
+            f.write(f"{level!r},{method},{seed},{final_loss!r}\n")
     return ComparisonResult(tuple(rows), win_rates, records, path)

@@ -15,6 +15,7 @@ target level can be met by calibrating the noise.
 from __future__ import annotations
 
 import math
+import sys
 
 from .coding import NoiseParams
 from .errors import ParameterError
@@ -43,11 +44,17 @@ def sigma_for_epsilon(epsilon: float, d: int, o: int) -> NoiseParams:
     Closed-form inverse of :func:`epsilon_of` under the equal-variance
     convention: ``sigma_sq = 1 / (exp(eps / (d - 1/2 + o/2)) - 1)``.  Large
     targets give vanishing variance (clamped to exactly 0 once the exponent
-    would overflow doubles); tiny targets give huge variance.
+    would overflow doubles); tiny targets give huge variance, and a target
+    whose exponent is below the smallest normal double, where the variance
+    would overflow, is refused with :class:`ParameterError`.
     """
     _check_dims(d, o)
     if not epsilon > 0:
         raise ParameterError(f"target epsilon must be positive, got {epsilon}")
     ratio = epsilon / (d - 0.5 + o / 2.0)
+    if ratio < sys.float_info.min:
+        raise ParameterError(
+            f"target epsilon {epsilon!r} is too small: its noise variance overflows doubles"
+        )
     sigma_sq = 0.0 if ratio > 700.0 else 1.0 / math.expm1(ratio)
     return NoiseParams(sigma_sq, sigma_sq)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from acfl import FederatedDataset
+
+# Property tests draw the same examples on every run (derandomize) and take
+# no per-example deadline: the suite runs on small shared hosts.
+settings.register_profile("acfl", derandomize=True, deadline=None)
+settings.load_profile("acfl")
 
 
 @pytest.fixture

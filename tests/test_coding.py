@@ -8,6 +8,7 @@ from acfl.coding import (
     NoiseParams,
     aggregate_coded,
     encode_dataset,
+    encode_levels,
     encode_local,
     payload_size,
 )
@@ -163,3 +164,14 @@ def test_encode_local_is_the_one_device_case():
     z = stream.generator().standard_normal((1, 3, 5))[0]
     assert np.array_equal(local.h_x, ds.gram_x[1] + math.sqrt(1.5) * z[:, :3])
     assert np.array_equal(local.h_y, ds.gram_xy[1] + math.sqrt(0.25) * z[:, 3:])
+
+
+def test_encode_levels_equals_one_encode_per_level():
+    # One noise draw scaled per level gives the bits of a fresh draw per level.
+    ds = generate(6, 8, 3, 2, RngStream(11).child("data"))
+    stream = RngStream(11).child("encode", 0)
+    noises = [NoiseParams(0.1, 0.1), NoiseParams(10.0, 10.0), NoiseParams(2.0, 0.5)]
+    for coded, noise in zip(encode_levels(ds, noises, stream), noises, strict=True):
+        alone = encode_dataset(ds, noise, stream)
+        assert np.array_equal(coded.h_x_sum, alone.h_x_sum)
+        assert np.array_equal(coded.h_y_sum, alone.h_y_sum)

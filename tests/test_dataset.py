@@ -242,3 +242,21 @@ def test_load_csv_rejects_unequal_row_counts(tmp_path, random_instance):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
     with pytest.raises(ParameterError, match="device_0001.csv: 6 rows"):
         load_csv(tmp_path)
+
+
+def test_load_csv_rejects_a_header_only_file(tmp_path, random_instance):
+    save_csv(random_instance(13, n=2, m=7, d=3, o=2), tmp_path)
+    path = tmp_path / "device_0000.csv"
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    with pytest.raises(ParameterError, match="device_0000.csv: no data rows"):
+        load_csv(tmp_path)
+
+
+def test_load_csv_rejects_a_short_row(tmp_path, random_instance):
+    save_csv(random_instance(14, n=2, m=7, d=3, o=2), tmp_path)
+    path = tmp_path / "device_0001.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = ",".join(lines[3].split(",")[:-1]) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ParameterError, match="device_0001.csv: line 4 has 4 values, the header names"):
+        load_csv(tmp_path)

@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,12 +281,13 @@ def test_compare_runs_the_configured_policy(tmp_path, policy):
 def test_compare_probes_every_level_in_one_call(tmp_path, monkeypatch):
     # With both methods auto-oracle, one probe call trains replicate 0 at
     # every level; each method takes its constants from it with its own margin.
+    # Then one call trains both replicates, four arms each.
     calls = []
     real_train = harness.train
 
     def counting_train(ds, arms, *args, **kwargs):
         traces = real_train(ds, arms, *args, **kwargs)
-        calls.append((len(arms), traces))
+        calls.append(([len(row) for row in arms], traces))
         return traces
 
     monkeypatch.setattr(harness, "train", counting_train)
@@ -294,8 +296,8 @@ def test_compare_probes_every_level_in_one_call(tmp_path, monkeypatch):
     )
     levels = (0.5, 2.0)
     result = compare_baselines(cfg, noise_levels=levels)
-    assert [k for k, _ in calls] == [2, 4, 4]
-    probe = calls[0][1]
+    assert [shape for shape, _ in calls] == [[2], [4, 4]]
+    (probe,) = calls[0][1]
     for level, trace in zip(levels, probe):
         noise = NoiseParams(level, level)
         for method, margin in (("acfl", 2.0), ("na", 3.0)):
@@ -307,6 +309,77 @@ def test_compare_probes_every_level_in_one_call(tmp_path, monkeypatch):
             )
             for rec in result.records[(level, method)]:
                 assert np.all(rec.trace.alpha == expect)
+
+
+def _artifacts(out_dir) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(Path(out_dir).glob("*.csv"))}
+
+
+@pytest.mark.parametrize("per_group", [1, 2])
+def test_replicate_groups_do_not_change_artifacts(tmp_path, monkeypatch, per_group):
+    # A smaller Gram budget splits the replicates into more train calls
+    # (groups of 1, or of 2 with a shorter last group); the files stay the same.
+    calls = []
+    real_train = harness.train
+
+    def counting_train(ds, arms, *args, **kwargs):
+        calls.append(len(ds))
+        return real_train(ds, arms, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", counting_train)
+    cfg = small_config(tmp_path / "whole", replicates=3, steps=30, policy=OracleAuto())
+    run_experiment(cfg)
+    compare_baselines(cfg)
+    assert calls == [1, 3, 1, 3]  # probe, replicates; per command
+    gram_bytes = cfg.n_devices * cfg.d * (cfg.d + cfg.o) * 8
+    monkeypatch.setattr(harness, "GROUP_GRAM_BYTES", per_group * gram_bytes + gram_bytes - 1)
+    calls.clear()
+    split = replace(cfg, out_dir=str(tmp_path / "split"))
+    run_experiment(split)
+    compare_baselines(split)
+    groups = [1, 1, 1] if per_group == 1 else [2, 1]
+    assert calls == [1, *groups, 1, *groups]
+    assert _artifacts(tmp_path / "split") == _artifacts(tmp_path / "whole")
+    assert len(_artifacts(tmp_path / "whole")) == 3
+
+
+def test_compare_encodes_each_replicate_once(tmp_path):
+    # Both levels scale one noise draw per replicate; the coded sums equal
+    # per-level encode_dataset calls on the same stream.
+    cfg = small_config(tmp_path / "enc", replicates=2)
+    result = compare_baselines(cfg, noise_levels=(0.5, 2.0))
+    root = RngStream(cfg.master_seed)
+    for r in range(cfg.replicates):
+        ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
+        for level in (0.5, 2.0):
+            gc = encode_dataset(ds, NoiseParams(level, level), root.child("encode", r))
+            for method in ("acfl", "na"):
+                assert result.records[(level, method)][r].coded_digest == harness._coded_digest(gc)
+
+
+def test_csv_rows_use_the_shortest_round_trip_repr(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path / "fmt", replicates=2, steps=4)
+    result = run_experiment(cfg)
+    # Rows converted in blocks of 3 (a short last block) give the same files.
+    monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 3)
+    run_experiment(replace(cfg, out_dir=str(tmp_path / "blocks")))
+    assert _artifacts(tmp_path / "blocks") == _artifacts(tmp_path / "fmt")
+    rec = result.records[1]
+    tr = rec.trace
+    lines = result.trace_path.read_text().splitlines()
+    assert lines[1 + cfg.steps + 2] == (
+        f"1,2,{repr(float(tr.alpha[2]))},{int(tr.n_present[2])},{repr(float(tr.loss[2]))},"
+        f"{repr(float(tr.dist_sq[2]))},{repr(float(tr.grad_norm_sq[2]))}"
+    )
+    summary = harness.summarize(result.records)
+    assert result.summary_path.read_text().splitlines()[3] == "2," + ",".join(
+        repr(float(x)) for x in summary[2, 1:]
+    )
+    compared = compare_baselines(cfg, noise_levels=(0.5,))
+    level, method, seed, final_loss = compared.rows[0]
+    assert compared.path.read_text().splitlines()[1] == (
+        f"{repr(float(level))},{method},{seed},{repr(float(final_loss))}"
+    )
 
 
 def test_compare_single_level_single_replicate(tmp_path):

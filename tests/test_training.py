@@ -431,6 +431,95 @@ def test_train_divergence_names_the_iteration(policy, with_still_arm):
         train(ds, arms, 0.2, 300, InverseDecay(1.0), root.child("train"), optimum(ds))
 
 
+def _replicate(seed, n=4, m=9, d=3, o=2, levels=(0.5, 4.0)):
+    """One replicate's dataset, facts, strong-convexity schedule, stream and arms.
+
+    The arms are a fixed, an oracle and two estimated ones (one per level)."""
+    root = RngStream(seed)
+    ds = generate(n, m, d, o, root.child("dataset"))
+    facts = optimum(ds)
+    arms = []
+    for level in levels:
+        noise = NoiseParams(level, level)
+        gc = encode_dataset(ds, noise, root.child("encode"))
+        arms.append(Arm(gc, AdaptiveEstimated(0.3), noise))
+    arms[1:1] = [
+        Arm(arms[0].coded, FixedWeight(0.4)),
+        Arm(arms[0].coded, AdaptiveOracle(3.0, 2.0), arms[0].noise),
+    ]
+    return ds, facts, schedule_for_strong_convexity(facts.lam), root.child("train"), arms
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("n_rep", [1, 3])
+def test_batched_train_equals_one_replicate_calls(n_rep, k):
+    # Replicates advanced together on a leading axis give, bit for bit, the
+    # traces each gets trained alone: distinct datasets, schedules (one
+    # strong-convexity constant each) and streams; p = 0.9 on 4 devices
+    # leaves some steps with no report for the estimated arms; 600 steps
+    # cross the mask block boundaries.
+    p, steps = 0.9, 600
+    reps = [_replicate(40 + r) for r in range(n_rep)]
+    arms = [rep[4][:1] if k == 1 else rep[4] for rep in reps]
+    batched = train(
+        [rep[0] for rep in reps], arms, p, steps, [rep[2] for rep in reps],
+        [rep[3] for rep in reps], [rep[1] for rep in reps],
+    )
+    assert len(batched) == n_rep
+    for (ds, facts, schedule, stream, _), arms_r, traces in zip(reps, arms, batched):
+        alone = train(ds, arms_r, p, steps, schedule, stream, facts)
+        assert len(traces) == len(alone) == k
+        assert (alone[0].n_present == 0).any()
+        for a, b in zip(traces, alone):
+            for name in ("t", "n_present", *TRACE_COLUMNS[1:], "alpha", "w0", "final_w"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert a.mask_digest == b.mask_digest
+
+
+def test_batched_train_checks_each_replicate():
+    reps = [_replicate(50), _replicate(51)]
+    args = dict(
+        straggler_p=0.3, steps=5, schedule=[rep[2] for rep in reps],
+        stream=[rep[3] for rep in reps], facts=[rep[1] for rep in reps],
+    )
+    datasets = [rep[0] for rep in reps]
+    with pytest.raises(ParameterError, match="replicate 1: 3 arms"):
+        train(datasets, [reps[0][4], reps[1][4][:3]], **args)
+    with pytest.raises(ParameterError, match="per replicate"):
+        train(datasets[:1], [rep[4] for rep in reps], **args)
+    other = _replicate(52, n=5)
+    with pytest.raises(ParameterError, match="replicate 1: dataset shape"):
+        train([datasets[0], other[0]], [rep[4] for rep in reps], **args)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_batched_train_divergence_names_the_replicate():
+    # Replicate 0 takes small steps and stays finite; replicate 1 takes
+    # InverseDecay(1.0) steps and diverges at the iteration it does alone.
+    root = RngStream(20)
+    datasets, arm_lists, facts = [], [], []
+    for r in range(2):
+        ds = generate(100, 100, 10, 10, root.child("data", r))
+        noise = NoiseParams(0.1, 0.1)
+        gc = encode_dataset(ds, noise, root.child("enc", r))
+        datasets.append(ds)
+        arm_lists.append([Arm(gc, FixedWeight(0.5)), Arm(gc, AdaptiveEstimated(), noise)])
+        facts.append(optimum(ds))
+    streams = [root.child("train", r) for r in range(2)]
+    with pytest.raises(NumericError) as alone:
+        train(datasets[1], arm_lists[1], 0.2, 300, InverseDecay(1.0), streams[1], facts[1])
+    t, j = re.search(r"iteration (\d+) in arm (\d+)", str(alone.value)).groups()
+    policy = arm_lists[1][int(j)].policy
+    with pytest.raises(
+        NumericError,
+        match=rf"training diverged at iteration {t} in arm {j} "
+        rf"\({re.escape(repr(policy))}\) of replicate 1: .*last finite loss: \d",
+    ):
+        train(
+            datasets, arm_lists, 0.2, 300, [InverseDecay(1e-4), InverseDecay(1.0)], streams, facts
+        )
+
+
 def test_train_reference_setup_loss_drops():
     root = RngStream(14)
     ds = generate(100, 100, 10, 10, root.child("data"))
