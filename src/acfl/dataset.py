@@ -246,13 +246,23 @@ def generate(
     return FederatedDataset(x, y, w_true)
 
 
-def loss(w, ds: FederatedDataset) -> float:
-    """Total objective ``sum_i 0.5 * ||X_i W - Y_i||_F^2``, from one batched residual."""
+def loss(w, ds: FederatedDataset, facts: ProblemFacts | None = None) -> float:
+    """Total objective ``sum_i 0.5 * ||X_i W - Y_i||_F^2``, from one batched residual
+    (and no second temporary for its squares).
+
+    Given the instance's ``facts``, the Gram form ``loss_at_optimum + <D,
+    (sum_i X_i^T X_i) D> / 2`` with ``D = W - W*`` instead: it forms no
+    residuals and stays accurate near the optimum, where the residual form
+    is dominated by rounding.
+    """
     w = as_matrix(w, "w")
     if w.shape != (ds.d, ds.o):
         raise ParameterError(f"w must be ({ds.d}, {ds.o}), got {w.shape}")
+    if facts is not None:
+        dev = w - facts.w_star
+        return facts.loss_at_optimum + 0.5 * float(np.sum(dev * (ds.gram_x.sum(axis=0) @ dev)))
     r = ds.x @ w - ds.y
-    return 0.5 * float(np.sum(r * r))
+    return 0.5 * float(np.vdot(r, r))
 
 
 def optimum(ds: FederatedDataset) -> ProblemFacts:

@@ -331,9 +331,10 @@ class ComparisonResult:
 
 
 def _dataset_digest(ds: FederatedDataset) -> str:
+    """SHA-256 of the Gram stacks (all that training reads) and the true weights."""
     h = hashlib.sha256()
-    h.update(ds.x.tobytes())
-    h.update(ds.y.tobytes())
+    h.update(ds.gram_x.tobytes())
+    h.update(ds.gram_xy.tobytes())
     if ds.w_true is not None:
         h.update(ds.w_true.tobytes())
     return h.hexdigest()
@@ -371,14 +372,16 @@ def _run_group(cfg: ExperimentConfig, arms, replicates: range) -> list[tuple[Rep
         facts,
     )
     records = []
-    for r, ds, by_noise, replicate_traces in zip(replicates, datasets, coded, traces):
+    for r, ds, fact, by_noise, replicate_traces in zip(
+        replicates, datasets, facts, coded, traces
+    ):
         dataset_digest = _dataset_digest(ds)
         records.append(
             tuple(
                 ReplicateRecord(
                     replicate=r,
                     trace=trace,
-                    final_loss=loss(trace.final_w, ds),
+                    final_loss=loss(trace.final_w, ds, fact),
                     dataset_digest=dataset_digest,
                     coded_digest=_coded_digest(by_noise[noise]),
                 )

@@ -22,6 +22,7 @@ the server actually observes (:class:`AdaptiveEstimated`).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Sequence
@@ -361,9 +362,126 @@ _TRACE_COLUMNS = ("alpha", "loss", "dist_sq", "grad_norm_sq", "w_norm_sq", "max_
 MASK_CHUNK_ROWS = 64
 
 
-def _stacked(arrays) -> np.ndarray:
-    """``arrays`` on a leading replicate axis; a single array is viewed, not copied."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+# Devices per product when the per-device statistics are built or scanned,
+# which bounds the (devices, .) temporaries at fleet scale.
+DEVICE_CHUNK_ROWS = 512
+
+
+@functools.cache
+def _triangle(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices of the upper triangle of a ``d x d`` matrix, and
+    the weight (1 on the diagonal, 2 off it) that turns the triangle of a
+    symmetric matrix into its Frobenius inner product with another.  Cached,
+    so the arrays are read-only."""
+    rows, cols = np.triu_indices(d)
+    arrays = rows, cols, np.where(rows == cols, 1.0, 2.0)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of every matrix of a stack."""
+    return np.einsum("...ij,...ij->...", x, x)
+
+
+def _centred_statistics(ds: FederatedDataset, w_star: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with every device's statistics centred at the optimum ``w_star``.
+
+    With ``R_i = A_i W* - B_i``, device ``i``'s gradient at ``W = W* + D`` is
+    ``A_i D + R_i``, and (``A_i`` symmetric)
+
+        ||A_i D + R_i||^2 = <A_i^2, D D'> + 2 <A_i R_i, D> + ||R_i||^2 .
+
+    Row ``i`` of the ``(n, F)`` array ``out`` is ``[upper triangle of A_i^2 |
+    A_i R_i | ||R_i||^2 | R_i]``, each block row-major; its first three
+    blocks dotted with :func:`_norm_terms` of ``D`` give that squared norm.
+    With noise-free labels every ``R_i`` is near zero, so the terms shrink
+    together as ``D`` does instead of cancelling near the optimum.
+    """
+    n, d, o = ds.n_devices, ds.d, ds.o
+    rows, cols, _ = _triangle(d)
+    n_tri = len(rows)
+    for lo in range(0, n, DEVICE_CHUNK_ROWS):
+        gram = ds.gram_x[lo : lo + DEVICE_CHUNK_ROWS]
+        res = gram @ w_star - ds.gram_xy[lo : lo + DEVICE_CHUNK_ROWS]
+        block = out[lo : lo + DEVICE_CHUNK_ROWS]
+        block[:, :n_tri] = (gram @ gram)[:, rows, cols]
+        block[:, n_tri : n_tri + d * o] = (gram @ res).reshape(len(gram), d * o)
+        block[:, n_tri + d * o] = _sq_norms(res)
+        block[:, n_tri + d * o + 1 :] = res.reshape(len(gram), d * o)
+    return out
+
+
+def _norm_terms(dev: np.ndarray) -> np.ndarray:
+    """``[weighted upper triangle of D D' | 2 D | 1]`` for every ``D`` of a ``(..., d, o)`` stack.
+
+    The dot product of a row of :func:`_centred_statistics` with these terms
+    is that device's squared gradient norm at ``W* + D``.
+    """
+    *lead, d, o = dev.shape
+    rows, cols, weight = _triangle(d)
+    n_tri = len(rows)
+    terms = np.empty((*lead, n_tri + d * o + 1))
+    outer = (dev @ dev.swapaxes(-1, -2)).reshape(*lead, d * d)
+    np.take(outer, rows * d + cols, axis=-1, out=terms[..., :n_tri], mode="clip")
+    terms[..., :n_tri] *= weight
+    np.multiply(dev, 2.0, out=terms[..., n_tri:-1].reshape(*lead, d, o))
+    terms[..., -1] = 1.0
+    return terms
+
+
+def _max_device_sq(stats: np.ndarray, dev: np.ndarray) -> np.ndarray:
+    """The largest squared device-gradient norm at every ``W* + D`` of a
+    ``(rows, R, K, d, o)`` block, clamped at 0, as an ``(R, K, rows)`` array.
+
+    ``stats`` holds the replicates' :func:`_centred_statistics`; devices are
+    scanned in chunks of :data:`DEVICE_CHUNK_ROWS`.  A NaN stays NaN.
+    """
+    rows, n_rep, k = dev.shape[:3]
+    terms = _norm_terms(dev)
+    best = np.full((n_rep, rows * k), -np.inf)
+    for r in range(n_rep):
+        terms_r = terms[:, r].reshape(rows * k, -1).T
+        for lo in range(0, stats.shape[1], DEVICE_CHUNK_ROWS):
+            chunk = stats[r, lo : lo + DEVICE_CHUNK_ROWS, : len(terms_r)] @ terms_r
+            np.maximum(best[r], chunk.max(axis=0), out=best[r])
+    return np.maximum(best, 0.0).reshape(n_rep, rows, k).transpose(0, 2, 1)
+
+
+def _masked_operators(
+    presence: np.ndarray, grams, stats: np.ndarray, d: int, o: int, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """A block of masks' sums of the statistics, as operators on ``[D; I]``.
+
+    ``presence`` is a ``(rows, R, n)`` block of 0/1 masks, ``grams`` the
+    replicates' Gram stacks as ``(n, d * d)`` arrays and ``stats`` their
+    ``(R, n, F)`` :func:`_centred_statistics`.  Returns ``side`` of shape
+    ``(rows, R, 1, 2d, d + o)`` and ``norm_at_opt`` of shape ``(rows, R,
+    1)``.  ``side @ [D; I]`` stacks the received sum over ``1 - p``,
+    ``(M_t D + sum_i b_i R_i) / (1 - p)``, on ``sum_i b_i A_i^2 D + 2 sum_i
+    b_i A_i R_i``, whose inner product with ``D``, plus ``norm_at_opt =
+    sum_i b_i ||R_i||^2``, is the present devices' summed squared gradient
+    norm.  One product per replicate gives every row's sums.
+    """
+    rows, n_rep, _ = presence.shape
+    tri_rows, tri_cols, _ = _triangle(d)
+    n_tri = len(tri_rows)
+    sums = np.empty((rows, n_rep, 1, d * d + stats.shape[2]))  # [M_t | masked statistics]
+    for r in range(n_rep):
+        np.matmul(presence[:, r], grams[r], out=sums[:, r, 0, : d * d])
+        np.matmul(presence[:, r], stats[r], out=sums[:, r, 0, d * d :])
+    sq, ar, rr, res = np.split(
+        sums[..., d * d :], [n_tri, n_tri + d * o, n_tri + d * o + 1], axis=-1
+    )
+    side = np.empty((rows, n_rep, 1, 2 * d, d + o))
+    side[..., :d, :d] = sums[..., : d * d].reshape(rows, n_rep, 1, d, d)
+    side[..., :d, d:] = res.reshape(rows, n_rep, 1, d, o)
+    side[..., :d, :] /= 1.0 - p
+    fold = side[..., d:, :d]
+    fold[..., tri_rows, tri_cols] = fold[..., tri_cols, tri_rows] = sq
+    side[..., d:, d:] = 2.0 * ar.reshape(rows, n_rep, 1, d, o)
+    return side, rr[..., 0].copy()
 
 
 def train(
@@ -389,27 +507,42 @@ def train(
     and the number of arms, and the result is one tuple of traces per
     replicate.  Each replicate's traces are those it gets trained alone.
 
-    Per iteration: take each replicate's presence mask, compute every device
-    gradient of every arm in one product ``[A_1; ..; A_n] [W_1 .. W_K] -
-    [B_i .. B_i]`` per replicate and every coded gradient ``H_X W - H_Y``,
-    pick each arm's ``alpha_t`` per its policy, aggregate, record the trace
-    rows, then step ``W <- W - eta_t * G_all`` (``eta_1`` applies to the
-    first update).  Deterministic given the streams: a replicate's mask for
-    iteration ``t`` is row ``t`` of the masks drawn, in blocks of rows, from
-    one generator on its ``stream.child("mask")`` (so it does not depend on
-    ``steps``, on the arms or on the other replicates) and, when ``w0`` is
-    omitted, its initial iterate is uniform on ``[0, 1/30]`` drawn from
+    Per iteration: take each replicate's presence mask ``b``, pick each
+    arm's ``alpha_t`` per its policy, blend the coded gradient ``H_X W -
+    H_Y`` with the received sum ``sum_i b_i (A_i W - B_i)``, then step ``W
+    <- W - eta_t * G_all`` (``eta_1`` applies to the first update).
+
+    The loop never touches a device: it iterates ``D = W - W*`` on ``(R, K,
+    d, o)`` arrays, so a step costs the same for any number of devices.
+    Once per call, every device's statistics are centred at the optimum
+    (:func:`_centred_statistics`, with ``R_i = A_i W* - B_i``).  Once per
+    block of :data:`MASK_CHUNK_ROWS` masks, one product of the block's masks
+    with them gives every step's masked sums: ``M_t = sum_i b_i A_i`` and
+    ``sum_i b_i R_i``, so the received sum is ``M_t D + sum_i b_i R_i``, and
+    the sums of ``A_i^2``, ``A_i R_i`` and ``||R_i||^2``, which give the
+    present devices' summed squared gradient norms.  Fixed and oracle
+    weights fold a whole step into one ``(d, d + o)`` operator per arm.
+    The trace columns are computed after each block from its iterates; the
+    largest device-gradient norm scans every device through the same
+    centred identity, clamped at 0.
+
+    Deterministic given the streams: a replicate's mask for iteration ``t``
+    is row ``t`` of the masks drawn, in blocks of rows, from one generator
+    on its ``stream.child("mask")`` (so it does not depend on ``steps``, on
+    the arms or on the other replicates) and, when ``w0`` is omitted, its
+    initial iterate is uniform on ``[0, 1/30]`` drawn from
     ``stream.child("init")``.
 
     :class:`AdaptiveEstimated` uses the mean squared norm of the latest
     reports, kept across iterations in which no device reports, and
     ``fallback_alpha`` before the first report.  The recorded loss is
-    ``loss_at_optimum + <D, (sum_i A_i) D> / 2`` with ``D = W - W*``, which
-    stays accurate near the optimum.
+    ``loss_at_optimum + <D, (sum_i A_i) D> / 2``, which stays accurate near
+    the optimum.
 
-    Raises :class:`NumericError` naming the iteration, the arm and the
-    replicate (its position in the call) when a value of that arm's trace
-    row (loss, weight or a norm) is not finite.
+    Raises :class:`NumericError` naming the first iteration, arm and
+    replicate (its position in the call) at which a value of that arm's
+    trace row (loss, weight or a norm) is not finite; rows are checked a
+    block at a time, and the first bad row is named.
     """
     single = isinstance(ds, FederatedDataset)
     if single:
@@ -451,19 +584,20 @@ def train(
             if inits[r].shape != (d, o):
                 raise ParameterError(f"w0 must be ({d}, {o}), got {inits[r].shape}")
 
-    # Row block i of a replicate's a_flat is A_i and column block j of its
-    # iterate matrix is W_j, so one product gives every A_i W_j; b_tiled
-    # repeats each B_i once per arm.
+    # Per replicate, one row per device: the centred statistics; a block of
+    # masks times them (and times the Gram stack) gives every masked sum.
+    stats = np.empty((n_rep, n, d * (d + 1) // 2 + 2 * d * o + 1))
+    for r, (x, f) in enumerate(zip(datasets, facts)):
+        _centred_statistics(x, f.w_star, stats[r])
+    grams = [x.gram_x.reshape(n, d * d) for x in datasets]
     a_sum = np.stack([x.gram_x.sum(axis=0) for x in datasets])[:, None]  # (R, 1, d, d)
-    a_flat = _stacked([x.gram_x.reshape(n * d, d) for x in datasets])
-    b_tiled = _stacked([np.tile(x.gram_xy.reshape(n * d, o), k) for x in datasets])
-    # Sums a (d, K, o)-ordered row of squares into one entry per arm.
-    arm_of_entry = np.tile(np.repeat(np.eye(k), o, axis=0), (d, 1))
+    w_star = np.stack([f.w_star for f in facts])[:, None]  # (R, 1, d, o)
+    loss_at_optimum = np.array([[f.loss_at_optimum] for f in facts])
+    rates = np.stack([s.rates(steps) for s in schedules], axis=1)  # (T, R)
+    # [H_X | H_X W* - H_Y] times [D; I] is the coded gradient H_X W - H_Y.
     h_x = np.array([[arm.coded.h_x_sum for arm in row] for row in arms])  # (R, K, d, d)
     h_y = np.array([[arm.coded.h_y_sum for arm in row] for row in arms])
-    w_star = np.stack([f.w_star for f in facts])[:, None]
-    loss_at_optimum = np.array([[f.loss_at_optimum] for f in facts])
-    rates = np.stack([s.rates(steps) for s in schedules], axis=1)[:, :, None, None, None]
+    coded_op = np.concatenate([h_x, h_x @ w_star - h_y], axis=-1)
 
     # Every arm's constant weight (an estimated arm's fallback) and, for the
     # estimated arms, the encoding variances their weight formula reads (the
@@ -486,8 +620,8 @@ def train(
                 sigma1_sq[r, j], sigma2_sq[r, j] = arm.noise.sigma1_sq, arm.noise.sigma2_sq
     any_estimated = bool(estimated.any())
     estimated_weights = _estimated_weights(straggler_p, d, o, sigma1_sq, sigma2_sq)
-    beta_sq = np.zeros((n_rep, 1, k))  # mean squared device-gradient norm of the latest report
-    reported = np.zeros((1, n_rep, 1, 1), dtype=bool)  # per row: has any device reported yet
+    beta_sq = np.zeros((n_rep, k))  # mean squared device-gradient norm of the latest report
+    reported = np.zeros((1, n_rep, 1), dtype=bool)  # per row: has any device reported yet
 
     # Every trace column of every replicate and arm, by iteration: the
     # traces keep views of it, so each column is stored once.
@@ -496,57 +630,82 @@ def train(
     mask_rngs = [s.child("mask").generator() for s in streams]
     mask_hashes = [hashlib.sha256() for _ in streams]
 
-    # Refilled every step: every device gradient of every arm, and their squares.
-    grads = np.empty((n_rep, n * d, k * o))
-    squares = np.empty((n_rep, n, d * k * o))
-    w = np.repeat(np.stack(inits)[:, None], k, axis=1)  # (R, K, d, o)
-    for t in range(steps):
-        row = t % MASK_CHUNK_ROWS
-        if row == 0:
-            rows = min(MASK_CHUNK_ROWS, steps - t)
+    # The iterates of a block, augmented as [D; I]: entry i is D at the
+    # block's iteration i, entry 0 carries over from the last block.
+    iterates = np.zeros((min(steps, MASK_CHUNK_ROWS) + 1, n_rep, k, d + o, o))
+    iterates[..., d:, :] = np.eye(o)
+    iterates[0, ..., :d, :] = np.stack(inits)[:, None] - w_star
+    keep = np.eye(d, d + o)  # [I | 0]
+    rows = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
+        for start in range(0, steps, MASK_CHUNK_ROWS):
+            iterates[0] = iterates[rows]
+            rows = min(MASK_CHUNK_ROWS, steps - start)
+            stop = start + rows
             masks = np.empty((rows, n_rep, n), dtype=bool)
             for r, (rng, mask_hash) in enumerate(zip(mask_rngs, mask_hashes)):
                 masks[:, r] = block = sample_stragglers(straggler_p, n, rng, rows)
                 mask_hash.update(block.tobytes())
-            presence = masks.astype(np.float64)[:, :, None, :]  # (rows, R, 1, n)
             counts = np.count_nonzero(masks, axis=2)
-            n_present[:, t : t + rows] = counts.T
-            # Per row: which replicates hear a report, what their norm sums
-            # are divided by, and which arms use the estimated weight.
-            reports = (counts > 0)[:, :, None, None]
-            divisors = np.maximum(counts, 1)[:, :, None, None]
-            reported = np.logical_or.accumulate(reports, axis=0) | reported[-1]
-            live = estimated & reported[..., 0]
-        present = presence[row]
-        diff = w - w_star
-        loss_t = loss_at_optimum + 0.5 * np.einsum("rkij,rkij->rk", diff, a_sum @ diff)
-        w_cat = w.transpose(0, 2, 1, 3).reshape(n_rep, d, k * o)
-        np.matmul(a_flat, w_cat, out=grads)
-        grads -= b_tiled
-        by_device = grads.reshape(n_rep, n, -1)
-        sq_norms = np.multiply(by_device, by_device, out=squares) @ arm_of_entry  # (R, n, K)
-        w_norm_sq = np.einsum("rkij,rkij->rk", w, w)
-        alpha = base_alpha
-        if any_estimated:
-            np.divide(present @ sq_norms, divisors[row], out=beta_sq, where=reports[row])
-            alpha = np.where(live[row], estimated_weights(beta_sq[:, 0], w_norm_sq), base_alpha)
-        received = (present @ by_device).reshape(n_rep, d, k, o).transpose(0, 2, 1, 3)
-        g_all = alpha[..., None, None] * (h_x @ w - h_y) + (
-            (1.0 - alpha) / (1.0 - straggler_p)
-        )[..., None, None] * received
-        record[..., t] = (
-            alpha,
-            loss_t,
-            np.einsum("rkij,rkij->rk", diff, diff),
-            np.einsum("rkij,rkij->rk", g_all, g_all),
-            w_norm_sq,
-            sq_norms.max(axis=1),
-        )
-        # Every weight a policy yields lies in [0, 1] unless it is NaN.
-        if not np.isfinite(record[..., t]).all():
-            raise _diverged(t, arms, record)
-        w = w - rates[t] * g_all
+            n_present[:, start:stop] = counts.T
+            side_op, norm_at_opt = _masked_operators(
+                masks.astype(np.float64), grams, stats, d, o, straggler_p
+            )
+            eta = rates[start:stop, :, None, None, None]
+            if any_estimated:
+                # Per row: which replicates hear a report, what their norm
+                # sums are divided by, and which arms use the estimated weight.
+                reports = (counts > 0)[:, :, None]
+                divisors = np.maximum(counts, 1)[:, :, None]
+                reported = np.logical_or.accumulate(reports, axis=0) | reported[-1]
+                live = estimated & reported
+                alphas = np.empty((rows, n_rep, k))
+                grads = np.empty((rows, n_rep, k, d, o))
+                for i in range(rows):
+                    augmented = iterates[i]
+                    dev = augmented[..., :d, :]
+                    coded = coded_op @ augmented
+                    side = side_op[i] @ augmented
+                    received = side[..., :d, :]
+                    report = np.einsum("rkij,rkij->rk", dev, side[..., d:, :]) + norm_at_opt[i]
+                    np.divide(report, divisors[i], out=beta_sq, where=reports[i])
+                    alphas[i] = alpha = np.where(
+                        live[i], estimated_weights(beta_sq, _sq_norms(dev + w_star)), base_alpha
+                    )
+                    g = np.add(received, alpha[..., None, None] * (coded - received), out=grads[i])
+                    np.subtract(dev, eta[i] * g, out=iterates[i + 1, ..., :d, :])
+            else:
+                # The whole step is linear in [D; I]: G_t = [P_t | Q_t] [D; I]
+                # and D <- [I - eta_t P_t | -eta_t Q_t] [D; I].
+                alpha = base_alpha[..., None, None]
+                step_op = alpha * coded_op + (1.0 - alpha) * side_op[..., :d, :]
+                update = keep - eta * step_op
+                for i in range(rows):
+                    np.matmul(update[i], iterates[i], out=iterates[i + 1, ..., :d, :])
+                alphas = np.broadcast_to(base_alpha, (rows, n_rep, k))
+                grads = step_op @ iterates[:rows]
+            del side_op  # the block's columns follow; free what they do not read
+            dev = iterates[:rows, ..., :d, :]
+            columns = (
+                alphas,
+                loss_at_optimum + 0.5 * np.einsum("...ij,...ij->...", dev, a_sum @ dev),
+                _sq_norms(dev),
+                _sq_norms(grads),
+                _sq_norms(dev + w_star),
+            )
+            for c, column in enumerate(columns):
+                record[c, ..., start:stop] = column.transpose(1, 2, 0)
+            del grads
+            record[-1, ..., start:stop] = _max_device_sq(stats, dev)
+            # Every weight a policy yields lies in [0, 1] unless it is NaN.
+            bad = ~np.isfinite(record[..., start:stop]).all(axis=(0, 1, 2))
+            if bad.any():
+                raise _diverged(start + int(np.argmax(bad)), arms, record)
 
+    if steps:
+        w = w_star + iterates[rows, ..., :d, :]
+    else:
+        w = np.repeat(np.stack(inits)[:, None], k, axis=1)
     t_index = np.arange(steps, dtype=np.int64)
     traces = tuple(
         tuple(

@@ -77,6 +77,22 @@ def test_loss_matches_bruteforce(random_instance):
     assert loss(w, ds) == pytest.approx(total, abs=1e-10)
 
 
+@pytest.mark.parametrize("noise_sd", [0.0, 0.05])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_loss_gram_form_matches_residuals_away_from_the_optimum(seed, noise_sd):
+    # Final losses are reported in the Gram form loss_at_optimum +
+    # <D, (sum_i A_i) D> / 2, which needs no (n, m, o) residuals.  Away from
+    # the optimum, at |W - W*| from 1% to 10x |W*|, the residual form is
+    # accurate too, and the two agree within rtol 1e-10.
+    ds = generate(20, 30, 5, 3, RngStream(seed).child("data"), label_noise_sd=noise_sd)
+    facts = optimum(ds)
+    direction = np.random.default_rng(seed).standard_normal((5, 3))
+    direction *= np.linalg.norm(facts.w_star) / np.linalg.norm(direction)
+    for scale in (1e-2, 1e-1, 1.0, 10.0):
+        w = facts.w_star + scale * direction
+        assert loss(w, ds, facts) == pytest.approx(loss(w, ds), rel=1e-10, abs=0.0)
+
+
 def test_loss_rejects_shape_mismatch(random_instance):
     ds = random_instance(3)
     with pytest.raises(ParameterError):

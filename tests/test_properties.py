@@ -1,7 +1,9 @@
-"""Property tests: the batched weight formula and the privacy calibration."""
+"""Property tests: the batched weight formula, the centred statistics of the
+training kernel, and the privacy calibration."""
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,9 +12,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from acfl.coding import NoiseParams
+from acfl.dataset import generate, optimum
 from acfl.errors import ParameterError
+from acfl.numerics import RngStream
 from acfl.privacy import epsilon_of, sigma_for_epsilon
-from acfl.training import _estimated_weights, alpha_estimated
+from acfl.training import (
+    _centred_statistics,
+    _estimated_weights,
+    _masked_operators,
+    _norm_terms,
+    alpha_estimated,
+)
 
 MAX = sys.float_info.max
 EXTREME_P = st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0 - 2**-53, 0.999999])
@@ -80,3 +90,74 @@ def test_sigma_for_epsilon_round_trips_or_refuses(epsilon, d, o):
         return
     assert math.isfinite(noise.sigma1_sq)
     assert epsilon_of(noise, d, o) == pytest.approx(epsilon, rel=1e-12, abs=0.0)
+
+
+def _exact_sq_norms(ds, w_star, dev):
+    """``||A_i (W* + D) - B_i||^2`` for every device, in exact rational arithmetic
+    on the float inputs, rounded once at the end."""
+    w = [[Fraction(a) + Fraction(b) for a, b in zip(ra, rb)] for ra, rb in zip(w_star, dev)]
+    d, o = dev.shape
+    out = []
+    for a, b in zip(ds.gram_x, ds.gram_xy):
+        total = Fraction(0)
+        for i in range(d):
+            for c in range(o):
+                g = sum(Fraction(a[i, j]) * w[j][c] for j in range(d)) - Fraction(b[i, c])
+                total += g * g
+        out.append(float(total))
+    return np.array(out)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 4),
+    d=st.integers(1, 3),
+    o=st.integers(1, 3),
+    extra=st.integers(1, 5),
+    case=st.sampled_from(["noise-free", "label-noise", "local-optimum"]),
+    exponent=st.integers(0, 14),
+    present=st.integers(0, 15),
+)
+def test_centred_statistics_match_direct_norms(seed, n, d, o, extra, case, exponent, present):
+    # The kernel never forms a device gradient: it reads every squared norm
+    # ||A_i W - B_i||^2 off the statistics centred at W* (R_i = A_i W* - B_i)
+    # as <A_i^2, D D'> + 2 <A_i R_i, D> + ||R_i||^2 with D = W - W*.  Per
+    # device and as the masked report sum, it must match the direct norm
+    # (exact on the float inputs) within
+    #
+    #   atol_i = c eps [(|A_i| |D| + |R_i|)^2 + (|A_i| |W*| + |B_i|) (|A_i| |D| + |R_i|)]
+    #            + (c eps (|A_i| |W*| + |B_i|))^2 ,   c = 4 (d o + d^2 + n) ,
+    #
+    # Frobenius norms throughout.  The first term is the rounding of the
+    # centred sum itself, relative to its terms; the others carry the
+    # rounding of R_i, computed from A_i W* and B_i, which the direct form
+    # A_i W - B_i suffers alike.  Three cases: noise-free labels near W*,
+    # noisy labels, and W at one device's local optimum, where that
+    # device's centred terms cancel to about zero.
+    root = RngStream(seed)
+    noise_sd = 0.05 if case == "label-noise" else 0.0
+    ds = generate(n, d + extra, d, o, root.child("dataset"), label_noise_sd=noise_sd)
+    w_star = optimum(ds).w_star
+    if case == "local-optimum":
+        j = seed % n
+        dev = np.linalg.solve(ds.gram_x[j], ds.gram_xy[j]) - w_star
+    else:
+        dev = 10.0**-exponent * root.child("dev").generator().standard_normal((d, o))
+    stats = _centred_statistics(ds, w_star, np.empty((n, d * (d + 1) // 2 + 2 * d * o + 1)))
+    per_device = stats[:, : -d * o] @ _norm_terms(dev)
+    mask = np.array([(present >> i) & 1 for i in range(n)], dtype=np.float64)
+    side, norm_at_opt = _masked_operators(
+        mask[None, None], [ds.gram_x.reshape(n, d * d)], stats[None], d, o, 0.0
+    )
+    report = float(np.sum(dev * (side[0, 0, 0] @ np.vstack([dev, np.eye(o)]))[d:]))
+    report += float(norm_at_opt[0, 0, 0])
+
+    exact = _exact_sq_norms(ds, w_star, dev)
+    a_norm = np.linalg.norm(ds.gram_x, axis=(1, 2))
+    res_norm = np.linalg.norm(ds.gram_x @ w_star - ds.gram_xy, axis=(1, 2))
+    scale = a_norm * np.linalg.norm(dev) + res_norm
+    offset = a_norm * np.linalg.norm(w_star) + np.linalg.norm(ds.gram_xy, axis=(1, 2))
+    c_eps = 4 * (d * o + d * d + n) * np.finfo(float).eps
+    atol = c_eps * (scale**2 + offset * scale) + (c_eps * offset) ** 2
+    assert np.all(np.abs(per_device - exact) <= atol)
+    assert abs(report - mask @ exact) <= mask @ atol

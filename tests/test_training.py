@@ -10,6 +10,7 @@ from acfl.errors import NumericError, ParameterError
 from acfl.numerics import RngStream
 from acfl.privacy import sigma_for_epsilon
 from acfl.training import (
+    MASK_CHUNK_ROWS,
     AdaptiveEstimated,
     AdaptiveOracle,
     Arm,
@@ -294,6 +295,8 @@ def _naive_train(ds, gc, policy, p, steps, c, stream, facts, noise, w0):
                 max(sq),
             )
         )
+        if not np.isfinite(rows[-1]).all():
+            break  # the first non-finite row, as the kernel reports it
         w = w - (c / (t + 1)) * g_all
     return np.array(rows), w
 
@@ -518,6 +521,55 @@ def test_batched_train_divergence_names_the_replicate():
         train(
             datasets, arm_lists, 0.2, 300, [InverseDecay(1e-4), InverseDecay(1.0)], streams, facts
         )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_inside_a_mask_block_names_the_first_bad_row():
+    # The trace columns are computed a block of MASK_CHUNK_ROWS iterations
+    # at a time, and non-finite rows are found after each block; the error
+    # must still name the first non-finite iteration, arm and replicate and
+    # the last finite loss, as a check after every step would.  Replicate 1
+    # of 2 diverges inside its second block; the per-step reference loop
+    # says where.
+    root = RngStream(21)
+    noise = NoiseParams(0.1, 0.1)
+    w0 = np.full((3, 2), 0.01)
+    datasets, arm_lists, facts = [], [], []
+    for r in range(2):
+        ds = generate(6, 12, 3, 2, root.child("data", r))
+        gc = encode_dataset(ds, noise, root.child("enc", r))
+        datasets.append(ds)
+        arm_lists.append([Arm(gc, FixedWeight(0.5)), Arm(gc, AdaptiveEstimated(), noise)])
+        facts.append(optimum(ds))
+    streams = [root.child("train", r) for r in range(2)]
+    p, c, steps = 0.2, 40.0, 300
+
+    first_bad = []
+    for arm in arm_lists[1]:
+        rows, _ = _naive_train(
+            datasets[1], arm.coded, arm.policy, p, steps, c, streams[1], facts[1], noise, w0
+        )
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        losses = rows[: bad[0] + 1, 2]
+        first_bad.append((int(bad[0]), losses[np.isfinite(losses)][-1]))
+    t = min(tb for tb, _ in first_bad)
+    j = next(j for j, (tb, _) in enumerate(first_bad) if tb == t)
+    last_loss = first_bad[j][1]
+    assert MASK_CHUNK_ROWS < t < 2 * MASK_CHUNK_ROWS
+
+    with pytest.raises(NumericError) as err:
+        train(
+            datasets, arm_lists, p, steps, [InverseDecay(1e-3), InverseDecay(c)], streams, facts,
+            w0=[w0, w0],
+        )
+    policy = arm_lists[1][j].policy
+    match = re.fullmatch(
+        rf"training diverged at iteration {t} in arm {j} \({re.escape(repr(policy))}\) of "
+        r"replicate 1: a non-finite loss, weight or norm \(last finite loss: (.+)\)",
+        str(err.value),
+    )
+    assert match, str(err.value)
+    assert float(match.group(1)) == pytest.approx(last_loss, rel=1e-9)
 
 
 def test_train_reference_setup_loss_drops():
