@@ -19,19 +19,14 @@ from .analysis import (
 )
 from .coding import (
     GlobalCodedData,
-    LocalCodedData,
     NoiseParams,
-    aggregate_coded,
     encode_dataset,
     encode_levels,
-    encode_local,
     payload_size,
 )
 from .dataset import (
-    DeviceData,
     FederatedDataset,
     ProblemFacts,
-    eig_min_sum,
     generate,
     loss,
     optimum,
@@ -47,7 +42,7 @@ from .harness import (
     run_experiment,
     save_config,
 )
-from .numerics import RngStream, eig_min_sym, gaussian_matrix, spd_solve, uniform_matrix
+from .numerics import RngStream, eig_min_sym, spd_solve, uniform_matrix
 from .privacy import epsilon_of, sigma_for_epsilon
 from .training import (
     AdaptiveEstimated,
@@ -57,11 +52,8 @@ from .training import (
     FixedWeight,
     InverseDecay,
     TrainingTrace,
-    aggregate,
     alpha_estimated,
     alpha_oracle,
-    coded_gradient,
-    local_gradient,
     sample_stragglers,
     schedule_for_strong_convexity,
     train,
@@ -76,13 +68,11 @@ __all__ = [
     "Arm",
     "BoundInputs",
     "ComparisonResult",
-    "DeviceData",
     "ExperimentConfig",
     "FederatedDataset",
     "FixedWeight",
     "GlobalCodedData",
     "InverseDecay",
-    "LocalCodedData",
     "NoiseParams",
     "NumericError",
     "OracleAuto",
@@ -92,24 +82,17 @@ __all__ = [
     "RunResult",
     "TradeoffPoint",
     "TrainingTrace",
-    "aggregate",
-    "aggregate_coded",
     "alpha_estimated",
     "alpha_oracle",
-    "coded_gradient",
     "comm_overhead",
     "compare_baselines",
     "convergence_bound",
-    "eig_min_sum",
     "eig_min_sym",
     "encode_dataset",
     "encode_levels",
-    "encode_local",
     "epsilon_of",
-    "gaussian_matrix",
     "generate",
     "load_config",
-    "local_gradient",
     "loss",
     "optimum",
     "payload_size",

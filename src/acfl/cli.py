@@ -10,19 +10,13 @@ Subcommands: ``run`` and ``compare`` drive config-file experiments,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
-import numpy as np
-
-from .analysis import BoundInputs, comm_overhead, tradeoff_curve
+from .analysis import comm_overhead, tradeoff_curve
 from .coding import NoiseParams
 from .errors import NumericError, ParameterError
-from .harness import coerce, compare_baselines, load_config, run_experiment
+from .harness import compare_baselines, load_config, load_tradeoff_config, run_experiment
 from .privacy import epsilon_of, sigma_for_epsilon
-
-DEFAULT_SIGMA_GRID = tuple(np.geomspace(1e-2, 1e4, 49))
 
 
 class _UsageError(Exception):
@@ -92,52 +86,13 @@ def _cmd_privacy(args) -> None:
 
 
 def _cmd_tradeoff(args) -> None:
-    with open(args.config) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParameterError(f"config: invalid JSON in {args.config}: {e}") from None
-    raw = coerce(raw, dict, "config")
-    for key in ("p", "n_devices", "beta_sq", "c_sq", "d", "o", "lambda", "steps", "out_dir"):
-        if key not in raw:
-            raise ParameterError(f"{key}: missing")
-    grid = [
-        coerce(x, float, f"sigma_grid[{i}]")
-        for i, x in enumerate(coerce(raw.get("sigma_grid", DEFAULT_SIGMA_GRID), list, "sigma_grid"))
-    ]
-    if not grid:
-        raise ParameterError("sigma_grid: need at least one value")
-    policies = coerce(raw.get("policies", [{"kind": "adaptive"}]), list, "policies")
-    out_dir = Path(raw["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    base = BoundInputs(
-        p=coerce(raw["p"], float, "p"),
-        n_devices=coerce(raw["n_devices"], int, "n_devices"),
-        beta_sq=coerce(raw["beta_sq"], float, "beta_sq"),
-        c_sq=coerce(raw["c_sq"], float, "c_sq"),
-        d=coerce(raw["d"], int, "d"),
-        o=coerce(raw["o"], int, "o"),
-        sigma1_sq=grid[0],
-        sigma2_sq=grid[0],
-        lam=coerce(raw["lambda"], float, "lambda"),
-        steps=coerce(raw["steps"], int, "steps"),
-    )
-    for i, spec in enumerate(policies):
-        kind = coerce(spec, dict, f"policies[{i}]").get("kind")
-        if kind == "adaptive":
-            alpha, name = None, "adaptive"
-        elif kind == "fixed":
-            if "alpha" not in spec:
-                raise ParameterError(f"policies[{i}].alpha: missing for fixed policy")
-            alpha = coerce(spec["alpha"], float, f"policies[{i}].alpha")
-            name = f"fixed_{alpha:g}"
-        else:
-            raise ParameterError(f"policies[{i}].kind: unknown kind {kind!r}")
-        points = tradeoff_curve(base, grid, alpha)
-        path = out_dir / f"tradeoff_{name}.csv"
+    cfg = load_tradeoff_config(args.config)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    for name, alpha in cfg.curves:
+        path = cfg.out_dir / f"tradeoff_{name}.csv"
         with open(path, "w", newline="") as f:
             f.write("sigma_sq,epsilon_nats,alpha,u,bound\n")
-            for pt in points:
+            for pt in tradeoff_curve(cfg.base, cfg.sigma_grid, alpha):
                 f.write(
                     f"{pt.sigma_sq!r},{pt.epsilon!r},{pt.alpha!r},{pt.u!r},{pt.bound!r}\n"
                 )

@@ -11,9 +11,9 @@ device holds, and the sums carry exactly the information needed to form a
 full-batch gradient on the server side.
 
 :func:`encode_dataset` simulates every device's upload and the server's sum
-at once, over the dataset's Gram stacks; :func:`encode_levels` does so at
-several noise levels from one noise draw, and :func:`encode_local` is the
-one-device case.
+at once, over the dataset's Gram stacks (one device's upload is the sum of a
+one-device dataset); :func:`encode_levels` does so at several noise levels
+from one noise draw.
 """
 
 from __future__ import annotations
@@ -24,18 +24,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import DeviceData, FederatedDataset
+from .dataset import FederatedDataset
 from .errors import ParameterError
 from .numerics import RngStream, as_matrix
 
 __all__ = [
     "GlobalCodedData",
-    "LocalCodedData",
     "NoiseParams",
-    "aggregate_coded",
     "encode_dataset",
     "encode_levels",
-    "encode_local",
     "payload_size",
 ]
 
@@ -48,28 +45,11 @@ class NoiseParams:
     sigma2_sq: float
 
     def __post_init__(self):
-        if self.sigma1_sq < 0 or self.sigma2_sq < 0:
+        if not (0.0 <= self.sigma1_sq < math.inf and 0.0 <= self.sigma2_sq < math.inf):
             raise ParameterError(
-                f"noise variances must be nonnegative, got ({self.sigma1_sq}, {self.sigma2_sq})"
+                f"noise variances must be finite and nonnegative, got "
+                f"({self.sigma1_sq}, {self.sigma2_sq})"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class LocalCodedData:
-    """One device's upload: ``(X^T X + N1, X^T Y + N2)``."""
-
-    h_x: np.ndarray
-    h_y: np.ndarray
-
-    def __post_init__(self):
-        h_x = as_matrix(self.h_x, "h_x")
-        h_y = as_matrix(self.h_y, "h_y")
-        if h_x.shape[0] != h_x.shape[1]:
-            raise ParameterError(f"h_x must be square, got {h_x.shape}")
-        if h_y.shape[0] != h_x.shape[0]:
-            raise ParameterError(f"h_y rows must match h_x, got {h_y.shape} vs {h_x.shape}")
-        object.__setattr__(self, "h_x", h_x)
-        object.__setattr__(self, "h_y", h_y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +78,7 @@ def encode_dataset(ds: FederatedDataset, noise: NoiseParams, stream: RngStream) 
     ``sqrt(sigma1_sq)`` times the first ``d`` columns of row ``i`` and its
     ``N2`` is ``sqrt(sigma2_sq)`` times the last ``o``, so a device's noise
     does not depend on how many devices there are.  The sums over devices
-    fold in device order, bit-equal to :func:`aggregate_coded` of the uploads.
+    fold in device order, bit-equal to adding the uploads one by one.
     """
     (coded,) = encode_levels(ds, [noise], stream)
     return coded
@@ -121,31 +101,6 @@ def encode_levels(
         )
         for noise in noises
     )
-
-
-def encode_local(dev: DeviceData, noise: NoiseParams, stream: RngStream) -> LocalCodedData:
-    """One device's upload: :func:`encode_dataset` of a one-device dataset."""
-    coded = encode_dataset(FederatedDataset(dev.x[None], dev.y[None]), noise, stream)
-    return LocalCodedData(coded.h_x_sum, coded.h_y_sum)
-
-
-def aggregate_coded(local_data: Sequence[LocalCodedData]) -> GlobalCodedData:
-    """Elementwise sums over the uploads, folded in list order.
-
-    The fixed fold order keeps the result bit-reproducible and equal to a
-    naive per-entry loop.
-    """
-    if len(local_data) == 0:
-        raise ParameterError("need at least one local coded dataset")
-    shape = local_data[0].h_x.shape, local_data[0].h_y.shape
-    h_x = local_data[0].h_x.copy()
-    h_y = local_data[0].h_y.copy()
-    for i, lc in enumerate(local_data[1:], start=1):
-        if (lc.h_x.shape, lc.h_y.shape) != shape:
-            raise ParameterError(f"upload {i} has mismatched shapes")
-        h_x += lc.h_x
-        h_y += lc.h_y
-    return GlobalCodedData(h_x, h_y)
 
 
 def payload_size(d: int, o: int) -> int:

@@ -29,10 +29,8 @@ from .numerics import (
 )
 
 __all__ = [
-    "DeviceData",
     "FederatedDataset",
     "ProblemFacts",
-    "eig_min_sum",
     "generate",
     "load_csv",
     "loss",
@@ -41,58 +39,6 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class DeviceData:
-    """One device's features and labels.
-
-    Requires more samples than feature dimensions, full column rank of the
-    features, and all entries within ``[-1, 1]`` (the range the privacy
-    analysis assumes).
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = as_matrix(self.x, "x")
-        y = as_matrix(self.y, "y")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        m, d = x.shape
-        if y.shape[0] != m:
-            raise ParameterError(f"x and y disagree on sample count: {m} vs {y.shape[0]}")
-        if m <= d:
-            raise ParameterError(
-                f"full column rank unattainable: need more samples than features (m={m}, d={d})"
-            )
-        if float(np.abs(x).max()) > 1.0 or float(np.abs(y).max()) > 1.0:
-            raise ParameterError("all entries of x and y must lie in [-1, 1]")
-        if eig_min_sym(self.gram_x) <= _RANK_TOL:
-            raise ParameterError(f"x is rank deficient (eig_min of X'X below {_RANK_TOL:.0e})")
-
-    @property
-    def m(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def o(self) -> int:
-        return self.y.shape[1]
-
-    @cached_property
-    def gram_x(self) -> np.ndarray:
-        """``X^T X`` (d x d), computed once."""
-        return self.x.T @ self.x
-
-    @cached_property
-    def gram_xy(self) -> np.ndarray:
-        """``X^T Y`` (d x o), computed once."""
-        return self.x.T @ self.y
 
 
 def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,10 +56,10 @@ class FederatedDataset:
     """All devices' features and labels as stacks, plus the true weights when known.
 
     Device ``i`` holds ``x[i]`` (``m x d``) and ``y[i]`` (``m x o``), so
-    every device has the same sample count.  The stack is checked once, as
-    :class:`DeviceData` checks one device: finite entries within ``[-1, 1]``,
-    ``m > d``, and every ``X_i^T X_i`` of full rank (one batched eigensolve;
-    the error names the first failing device).
+    every device has the same sample count.  The stack is checked once:
+    finite entries within ``[-1, 1]``, ``m > d``, and every ``X_i^T X_i`` of
+    full rank (one batched eigensolve; the error names the first failing
+    device).  A one-device dataset checks a single device.
     """
 
     x: np.ndarray
@@ -170,11 +116,6 @@ class FederatedDataset:
         """Every ``X_i^T Y_i``, an ``(n, d, o)`` stack computed once."""
         return _gram(self.x, self.y)
 
-    @cached_property
-    def devices(self) -> tuple[DeviceData, ...]:
-        """One :class:`DeviceData` view per device, for per-device callers."""
-        return tuple(DeviceData(x, y) for x, y in zip(self.x, self.y))
-
 
 @dataclass(frozen=True, eq=False)
 class ProblemFacts:
@@ -182,8 +123,7 @@ class ProblemFacts:
 
     ``lam`` is the smallest eigenvalue of ``sum_i X_i^T X_i`` -- the sharpest
     constant with ``sum_i X_i^T X_i >= lam * I``, which is what the
-    ``1/(lam t)`` step size wants.  See :func:`eig_min_sum` for the more
-    conservative per-device figure.
+    ``1/(lam t)`` step size wants.
     """
 
     w_star: np.ndarray
@@ -274,15 +214,6 @@ def optimum(ds: FederatedDataset) -> ProblemFacts:
     gram = ds.gram_x.sum(axis=0)
     w_star = spd_solve(gram, ds.gram_xy.sum(axis=0))
     return ProblemFacts(w_star, eig_min_sym(gram), loss(w_star, ds))
-
-
-def eig_min_sum(ds: FederatedDataset) -> float:
-    """Sum over devices of the smallest eigenvalue of ``X_i^T X_i``.
-
-    Never exceeds ``optimum(ds).lam``; reported alongside it as the more
-    conservative strong-convexity figure.
-    """
-    return float(_eig_min(ds.gram_x).sum())
 
 
 def _fmt(x: float) -> str:

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .analysis import BoundInputs
 from .coding import GlobalCodedData, NoiseParams, encode_levels
 from .dataset import FederatedDataset, generate, loss, optimum
 from .errors import NumericError, ParameterError
@@ -45,8 +47,10 @@ __all__ = [
     "OracleAuto",
     "ReplicateRecord",
     "RunResult",
+    "TradeoffConfig",
     "compare_baselines",
     "load_config",
+    "load_tradeoff_config",
     "run_experiment",
     "save_config",
 ]
@@ -60,6 +64,8 @@ METHOD_BASELINE = "na"
 # advances together stay within this many bytes, unless one replicate alone
 # exceeds it.
 GROUP_GRAM_BYTES = 4 << 20
+# The variances of a trade-off config that gives no ``sigma_grid``.
+DEFAULT_SIGMA_GRID = tuple(np.geomspace(1e-2, 1e4, 49))
 
 
 @dataclass(frozen=True)
@@ -139,8 +145,9 @@ class ExperimentConfig:
 def coerce(value, kind: type, path: str):
     """``value`` as ``kind``, or a :class:`ParameterError` naming the field ``path``.
 
-    ``int`` and ``float`` convert; ``dict`` and ``list`` (a JSON object or
-    array, which may also be given as a tuple) only check the type.
+    ``int`` and ``float`` convert, and a ``float`` must be finite (JSON
+    configs may spell ``NaN`` and ``Infinity``); ``dict`` and ``list`` (a JSON
+    object or array, which may also be given as a tuple) only check the type.
     """
     if kind is dict or kind is list:
         if isinstance(value, dict if kind is dict else (list, tuple)):
@@ -149,9 +156,12 @@ def coerce(value, kind: type, path: str):
             f"{path}: expected {'an object' if kind is dict else 'a list'}, got {value!r}"
         )
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"{path}: expected {kind.__name__}, got {value!r}") from None
+    if kind is float and not math.isfinite(out):
+        raise ParameterError(f"{path}: must be a finite number, got {value!r}")
+    return out
 
 
 def _policy_from_dict(spec, path: str) -> AggregationPolicy | OracleAuto:
@@ -278,14 +288,72 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read a JSON config file (schema documented in the README)."""
+def _read_json(path):
     with open(path) as f:
         try:
-            raw = json.load(f)
+            return json.load(f)
         except json.JSONDecodeError as e:
             raise ParameterError(f"config: invalid JSON in {path}: {e}") from None
-    return config_from_dict(raw)
+
+
+def load_config(path) -> ExperimentConfig:
+    """Read a JSON config file (schema documented in the README)."""
+    return config_from_dict(_read_json(path))
+
+
+@dataclass(frozen=True)
+class TradeoffConfig:
+    """A parsed ``tradeoff`` config.
+
+    ``base`` holds the bound inputs at the first grid variance; ``curves``
+    holds one ``(name, alpha)`` per curve, ``alpha`` None for the adaptive
+    weight.
+    """
+
+    base: BoundInputs
+    sigma_grid: list[float]
+    curves: list[tuple[str, float | None]]
+    out_dir: Path
+
+
+def load_tradeoff_config(path) -> TradeoffConfig:
+    """Read a ``tradeoff`` JSON config file (schema documented in the README)."""
+    raw = coerce(_read_json(path), dict, "config")
+    for key in ("p", "n_devices", "beta_sq", "c_sq", "d", "o", "lambda", "steps", "out_dir"):
+        if key not in raw:
+            raise ParameterError(f"{key}: missing")
+    grid = [
+        coerce(x, float, f"sigma_grid[{i}]")
+        for i, x in enumerate(coerce(raw.get("sigma_grid", DEFAULT_SIGMA_GRID), list, "sigma_grid"))
+    ]
+    if not grid:
+        raise ParameterError("sigma_grid: need at least one value")
+    policies = coerce(raw.get("policies", [{"kind": "adaptive"}]), list, "policies")
+    base = BoundInputs(
+        p=coerce(raw["p"], float, "p"),
+        n_devices=coerce(raw["n_devices"], int, "n_devices"),
+        beta_sq=coerce(raw["beta_sq"], float, "beta_sq"),
+        c_sq=coerce(raw["c_sq"], float, "c_sq"),
+        d=coerce(raw["d"], int, "d"),
+        o=coerce(raw["o"], int, "o"),
+        sigma1_sq=grid[0],
+        sigma2_sq=grid[0],
+        lam=coerce(raw["lambda"], float, "lambda"),
+        steps=coerce(raw["steps"], int, "steps"),
+    )
+    curves = []
+    for i, spec in enumerate(policies):
+        kind = coerce(spec, dict, f"policies[{i}]").get("kind")
+        if kind == "adaptive":
+            curves.append(("adaptive", None))
+        elif kind == "fixed":
+            if "alpha" not in spec:
+                raise ParameterError(f"policies[{i}].alpha: missing for fixed policy")
+            alpha = coerce(spec["alpha"], float, f"policies[{i}].alpha")
+            curves.append((f"fixed_{alpha:g}", alpha))
+        else:
+            raise ParameterError(f"policies[{i}].kind: unknown kind {kind!r}")
+    return TradeoffConfig(base, grid, curves, Path(raw["out_dir"]))
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:

@@ -11,7 +11,6 @@ stay byte-reproducible.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "RngStream",
     "as_matrix",
     "eig_min_sym",
-    "gaussian_matrix",
     "spd_solve",
     "uniform_matrix",
 ]
@@ -77,18 +75,6 @@ class RngStream:
         """Fresh generator positioned at the start of this stream."""
         key = int.from_bytes(self.key_bytes(), "little")
         return np.random.Generator(np.random.Philox(key=key))
-
-
-def gaussian_matrix(stream: RngStream, rows: int, cols: int, variance: float) -> np.ndarray:
-    """``rows x cols`` matrix of i.i.d. N(0, variance) entries.
-
-    Deterministic given ``stream``; ``variance == 0`` yields the zero matrix.
-    """
-    if rows < 1 or cols < 1:
-        raise ParameterError(f"matrix dimensions must be positive, got ({rows}, {cols})")
-    if variance < 0:
-        raise ParameterError(f"variance must be nonnegative, got {variance}")
-    return stream.generator().normal(0.0, math.sqrt(variance), size=(rows, cols))
 
 
 def uniform_matrix(stream: RngStream, rows: int, cols: int, low: float, high: float) -> np.ndarray:

@@ -18,19 +18,24 @@ For any fixed ``alpha`` this is an unbiased estimate of the full gradient
 can be held fixed, computed once from known norm bounds
 (:class:`AdaptiveOracle`), or re-estimated every iteration from the norms
 the server actually observes (:class:`AdaptiveEstimated`).
+
+:func:`train` never forms a device gradient: every quantity above is a
+product of the Gram stacks ``A_i = X_i^T X_i`` and ``B_i = X_i^T Y_i`` with
+the iterate, so one step costs the same for any number of devices.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .coding import GlobalCodedData, NoiseParams
-from .dataset import DeviceData, FederatedDataset, ProblemFacts
+from .dataset import FederatedDataset, ProblemFacts
 from .errors import NumericError, ParameterError
 from .numerics import RngStream, as_matrix, uniform_matrix
 
@@ -42,11 +47,8 @@ __all__ = [
     "FixedWeight",
     "InverseDecay",
     "TrainingTrace",
-    "aggregate",
     "alpha_estimated",
     "alpha_oracle",
-    "coded_gradient",
-    "local_gradient",
     "sample_stragglers",
     "schedule_for_strong_convexity",
     "train",
@@ -119,16 +121,11 @@ class InverseDecay:
     c: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ParameterError(f"schedule constant must be positive, got {self.c}")
-
-    def rate(self, t: int) -> float:
-        if t < 1:
-            raise ParameterError(f"schedule is 1-indexed, got t={t}")
-        return self.c / t
+        if not 0.0 < self.c < math.inf:
+            raise ParameterError(f"schedule constant must be finite and positive, got {self.c}")
 
     def rates(self, steps: int) -> np.ndarray:
-        """``rate(t)`` for ``t = 1 .. steps``, one division per entry as in :meth:`rate`."""
+        """``eta_t`` for ``t = 1 .. steps``."""
         return self.c / np.arange(1, steps + 1)
 
 
@@ -153,24 +150,6 @@ def sample_stragglers(
     if n < 1:
         raise ParameterError(f"need at least one device, got n={n}")
     return rng.random(n if rows is None else (rows, n)) >= p
-
-
-def local_gradient(dev: DeviceData, w) -> np.ndarray:
-    """One device's full-batch gradient ``X^T (X W - Y)``."""
-    w = as_matrix(w, "w")
-    if w.shape != (dev.d, dev.o):
-        raise ParameterError(f"w must be ({dev.d}, {dev.o}), got {w.shape}")
-    return dev.x.T @ (dev.x @ w - dev.y)
-
-
-def coded_gradient(gc: GlobalCodedData, w) -> np.ndarray:
-    """Server-side gradient from the coded sums: ``H_X W - H_Y``."""
-    w = as_matrix(w, "w")
-    d = gc.h_x_sum.shape[0]
-    o = gc.h_y_sum.shape[1]
-    if w.shape != (d, o):
-        raise ParameterError(f"w must be ({d}, {o}), got {w.shape}")
-    return gc.h_x_sum @ w - gc.h_y_sum
 
 
 def alpha_oracle(
@@ -265,34 +244,6 @@ def _estimated_weights(p: float, d: int, o: int, sigma1_sq, sigma2_sq):
         return num / den
 
     return weights
-
-
-def aggregate(
-    g_s: np.ndarray,
-    local_grads: Sequence[np.ndarray] | np.ndarray,
-    mask: np.ndarray,
-    alpha: float,
-    p: float,
-) -> np.ndarray:
-    """Blend the coded gradient with the received device gradients.
-
-    ``G_all = alpha * G_s + (1 - alpha)/(1 - p) * sum_i G_i * mask_i``;
-    ``local_grads`` is an ``(n, d, o)`` stack or a list of ``n`` gradients.
-    """
-    _check_alpha(alpha)
-    _check_p(p)
-    g_s = as_matrix(g_s, "g_s")
-    mask = np.asarray(mask, dtype=bool)
-    try:
-        grads = np.asarray(local_grads, dtype=np.float64)
-    except ValueError:
-        raise ParameterError("local gradients must all have the same shape") from None
-    if mask.ndim != 1 or grads.shape != (len(mask), *g_s.shape):
-        raise ParameterError(
-            f"gradients of shape {grads.shape} do not match a mask of shape {mask.shape} "
-            f"and g_s of shape {g_s.shape}"
-        )
-    return alpha * g_s + ((1.0 - alpha) / (1.0 - p)) * grads[mask].sum(axis=0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ import pytest
 
 from acfl.analysis import BoundInputs, comm_overhead, convergence_bound, tradeoff_curve, u_of, u_tilde
 from acfl.coding import NoiseParams, encode_dataset
-from acfl.dataset import DeviceData, generate, optimum
+from acfl.dataset import generate, optimum
 from acfl.harness import ExperimentConfig, compare_baselines, run_experiment
 from acfl.numerics import RngStream, uniform_matrix
 from acfl.privacy import epsilon_of, sigma_for_epsilon
@@ -22,13 +22,11 @@ from acfl.training import (
     AdaptiveOracle,
     Arm,
     InverseDecay,
-    aggregate,
     alpha_oracle,
-    coded_gradient,
-    local_gradient,
     schedule_for_strong_convexity,
     train,
 )
+from reference import blend, coded_gradient, device_gradient
 
 REF_INPUTS = BoundInputs(
     p=0.1, n_devices=5, beta_sq=100.0, c_sq=1.0, d=100, o=10,
@@ -48,8 +46,7 @@ def test_c01_local_gradient_matches_finite_differences():
         x = rng.uniform(-1.0, 1.0, (m, d))
         y = rng.uniform(-1.0, 1.0, (m, o))
         w = rng.normal(size=(d, o))
-        dev = DeviceData(x, y)
-        g = local_gradient(dev, w)
+        g = device_gradient(x, y, w)
         fd = np.zeros_like(g)
         for j in range(d):
             for k in range(o):
@@ -102,9 +99,9 @@ def test_c03_privacy_accountant():
 def joint_redraws():
     """2e5 joint redraws of coding noise and straggler masks at a fixed W.
 
-    Runs the real pipeline per redraw: encode every device and sum the
-    uploads (one batched encoding), form the coded gradient, and aggregate
-    with the drawn mask.
+    Per redraw, the real encoder sums every device's upload (one batched
+    encoding); the coded gradient and its blend with the drawn mask's device
+    gradients, stacked once, are the naive formulas of ``reference``.
     """
     n, d, o, m, p = 5, 4, 2, 8, 0.3
     alpha = 0.5
@@ -112,7 +109,7 @@ def joint_redraws():
     root = RngStream(202)
     ds = generate(n, m, d, o, root.child("data"))
     w = uniform_matrix(root.child("w"), d, o, 0.0, 1.0 / 30.0)
-    grads = [local_gradient(dev, w) for dev in ds.devices]
+    grads = np.stack([device_gradient(x, y, w) for x, y in zip(ds.x, ds.y)])
     g_true = grads[0].copy()
     for g in grads[1:]:
         g_true += g
@@ -123,10 +120,11 @@ def joint_redraws():
     norm_acc = 0.0
     for r in range(k):
         coded = encode_dataset(ds, noise, root.child("enc", r))
-        g_all = aggregate(coded_gradient(coded, w), grads, masks[r], alpha, p)
+        g_all = blend(coded_gradient(coded.h_x_sum, coded.h_y_sum, w), grads, masks[r], alpha, p)
+        sq = g_all * g_all
         acc += g_all
-        acc_sq += g_all * g_all
-        norm_acc += float(np.sum(g_all * g_all))
+        acc_sq += sq
+        norm_acc += float(np.sum(sq))
     mean = acc / k
     se = np.sqrt((acc_sq / k - mean**2) / k)
     return {

@@ -140,6 +140,21 @@ def test_tradeoff_missing_field(tmp_path, capsys):
         ("compare", write_run_config, {"noise_levels": [1.0, 1.0]}, "noise_levels[1]"),
         ("tradeoff", write_tradeoff_config, {"policies": [3]}, "policies[0]"),
         ("tradeoff", write_tradeoff_config, {"sigma_grid": []}, "sigma_grid"),
+        # JSON configs may spell NaN and Infinity; each is refused where it is read.
+        ("compare", write_run_config, {"noise_levels": [0.5, math.nan]}, "noise_levels[1]"),
+        ("run", write_run_config, {"schedule": {"kind": "inverse", "c": math.inf}}, "schedule.c"),
+        (
+            "run",
+            write_run_config,
+            {"noise": {"sigma1_sq": math.nan, "sigma2_sq": 0.5}},
+            "noise.sigma1_sq",
+        ),
+        (
+            "run",
+            write_run_config,
+            {"policy": {"kind": "adaptive-oracle", "beta_sq": math.inf, "c_sq": 1.0}},
+            "policy.beta_sq",
+        ),
     ],
     ids=[
         "run-steps",
@@ -148,6 +163,10 @@ def test_tradeoff_missing_field(tmp_path, capsys):
         "compare-repeated-level",
         "tradeoff-policies",
         "tradeoff-sigma_grid",
+        "compare-nan-level",
+        "run-inf-schedule-c",
+        "run-nan-sigma1_sq",
+        "run-inf-beta_sq",
     ],
 )
 def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, override, field):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from acfl import DeviceData, FederatedDataset, dataset
-from acfl.dataset import eig_min_sum, generate, load_csv, loss, optimum, save_csv
+from acfl import FederatedDataset, dataset
+from acfl.dataset import generate, load_csv, loss, optimum, save_csv
 from acfl.errors import NumericError, ParameterError
 from acfl.numerics import RngStream, uniform_matrix
+from reference import device_gradient
 
 # m > d is required, so the identity-feature examples pad a zero row.
 X_ID2 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -13,16 +14,16 @@ X_ID2 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 def test_generate_reference_dimensions():
     ds = generate(100, 100, 10, 10, RngStream(42).child("data"))
     assert ds.n_devices == 100 and ds.d == 10 and ds.o == 10
-    for dev in ds.devices:
-        assert dev.x.shape == (100, 10)
-        assert np.abs(dev.x).max() <= 1.0
-        assert np.array_equal(dev.y, dev.x @ ds.w_true)
+    for x, y in zip(ds.x, ds.y):
+        assert x.shape == (100, 10)
+        assert np.abs(x).max() <= 1.0
+        assert np.array_equal(y, x @ ds.w_true)
     assert ds.w_true.min() >= 0.0 and ds.w_true.max() <= 1.0 / 30.0
 
 
 def test_generate_minimal_instance():
     ds = generate(1, 2, 1, 1, RngStream(0))
-    assert ds.devices[0].x.shape == (2, 1)
+    assert ds.x[0].shape == (2, 1)
 
 
 def test_generate_rejects_m_le_d():
@@ -34,16 +35,16 @@ def test_generate_deterministic():
     a = generate(4, 9, 3, 2, RngStream(13).child("data"))
     b = generate(4, 9, 3, 2, RngStream(13).child("data"))
     assert a.w_true.tobytes() == b.w_true.tobytes()
-    for da, db in zip(a.devices, b.devices):
-        assert da.x.tobytes() == db.x.tobytes()
-        assert da.y.tobytes() == db.y.tobytes()
+    for i in range(a.n_devices):
+        assert a.x[i].tobytes() == b.x[i].tobytes()
+        assert a.y[i].tobytes() == b.y[i].tobytes()
 
 
 def test_generate_label_noise_changes_labels():
     clean = generate(2, 8, 3, 2, RngStream(5).child("data"))
     noisy = generate(2, 8, 3, 2, RngStream(5).child("data"), label_noise_sd=1e-3)
-    assert np.array_equal(clean.devices[0].x, noisy.devices[0].x)
-    assert not np.array_equal(clean.devices[0].y, noisy.devices[0].y)
+    assert np.array_equal(clean.x[0], noisy.x[0])
+    assert not np.array_equal(clean.y[0], noisy.y[0])
 
 
 def test_optimum_recovers_true_weights():
@@ -69,10 +70,10 @@ def test_loss_matches_bruteforce(random_instance):
     rng = np.random.default_rng(9)
     w = rng.normal(size=(ds.d, ds.o))
     total = 0.0
-    for dev in ds.devices:
-        for i in range(dev.m):
-            for k in range(dev.o):
-                r = sum(dev.x[i, j] * w[j, k] for j in range(dev.d)) - dev.y[i, k]
+    for x, y in zip(ds.x, ds.y):
+        for i in range(x.shape[0]):
+            for k in range(ds.o):
+                r = sum(x[i, j] * w[j, k] for j in range(ds.d)) - y[i, k]
                 total += 0.5 * r * r
     assert loss(w, ds) == pytest.approx(total, abs=1e-10)
 
@@ -106,19 +107,13 @@ def test_optimum_diagonal_gram():
     ds = FederatedDataset(x[None], y[None])
     facts = optimum(ds)
     assert facts.lam == pytest.approx(2.0, abs=1e-12)
-    assert eig_min_sum(ds) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_optimum_stationarity(random_instance):
     ds = random_instance(7, n=4, m=14, d=5, o=3)
     facts = optimum(ds)
-    grad = sum(dev.x.T @ (dev.x @ facts.w_star - dev.y) for dev in ds.devices)
+    grad = sum(device_gradient(x, y, facts.w_star) for x, y in zip(ds.x, ds.y))
     assert np.linalg.norm(grad) < 1e-7 * (1.0 + np.linalg.norm(facts.w_star))
-
-
-def test_eig_min_sum_no_larger_than_lam(random_instance):
-    ds = random_instance(11, n=5, m=12, d=4, o=2)
-    assert eig_min_sum(ds) <= optimum(ds).lam + 1e-12
 
 
 def test_strong_convexity_certificate(random_instance):
@@ -148,9 +143,9 @@ def test_csv_roundtrip(tmp_path, random_instance):
     save_csv(ds, tmp_path)
     back = load_csv(tmp_path)
     assert back.n_devices == ds.n_devices
-    for da, db in zip(ds.devices, back.devices):
-        assert np.array_equal(da.x, db.x)
-        assert np.array_equal(da.y, db.y)
+    for i in range(ds.n_devices):
+        assert np.array_equal(ds.x[i], back.x[i])
+        assert np.array_equal(ds.y[i], back.y[i])
 
 
 def test_csv_roundtrip_with_w_true(tmp_path):
@@ -158,19 +153,6 @@ def test_csv_roundtrip_with_w_true(tmp_path):
     save_csv(ds, tmp_path)
     back = load_csv(tmp_path)
     assert np.array_equal(back.w_true, ds.w_true)
-
-
-def test_device_data_invariants():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ParameterError):  # m <= d
-        DeviceData(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 1)))
-    with pytest.raises(ParameterError):  # entries out of range
-        DeviceData(2.0 * np.vstack([np.eye(2), np.eye(2)]), np.zeros((4, 1)))
-    with pytest.raises(ParameterError):  # rank deficient
-        x = np.zeros((5, 2))
-        x[:, 0] = rng.uniform(-1, 1, 5)
-        x[:, 1] = x[:, 0]
-        DeviceData(x, np.zeros((5, 1)))
 
 
 # ------------------------------------------------------------ stacked layout
@@ -182,7 +164,6 @@ def test_gram_stacks_match_per_device_products(random_instance):
     for i in range(ds.n_devices):
         assert np.array_equal(ds.gram_x[i], ds.x[i].T @ ds.x[i])
         assert np.array_equal(ds.gram_xy[i], ds.x[i].T @ ds.y[i])
-        assert np.array_equal(ds.devices[i].gram_x, ds.gram_x[i])
 
 
 def test_generate_devices_do_not_depend_on_device_count():
@@ -250,6 +231,20 @@ def test_dataset_stack_invariants():
         FederatedDataset(rng.uniform(-1, 1, (2, 6, 2)), np.full((2, 6, 1), 1.5))
     with pytest.raises(ParameterError, match="non-finite"):
         FederatedDataset(np.full((2, 6, 2), np.nan), np.zeros((2, 6, 1)))
+
+
+def test_device_data_invariants():
+    # The same checks on a one-device stack.
+    rng = np.random.default_rng(0)
+    with pytest.raises(ParameterError, match="more samples than features"):
+        FederatedDataset(rng.uniform(-1, 1, (1, 3, 3)), rng.uniform(-1, 1, (1, 3, 1)))
+    with pytest.raises(ParameterError, match=r"\[-1, 1\]"):  # an x entry above 1
+        FederatedDataset(2.0 * np.vstack([np.eye(2), np.eye(2)])[None], np.zeros((1, 4, 1)))
+    x = np.zeros((1, 5, 2))
+    x[0, :, 0] = rng.uniform(-1, 1, 5)
+    x[0, :, 1] = x[0, :, 0]
+    with pytest.raises(ParameterError, match="device 0: x is rank deficient"):
+        FederatedDataset(x, np.zeros((1, 5, 1)))
 
 
 def test_load_csv_rejects_unequal_row_counts(tmp_path, random_instance):

@@ -1,25 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from acfl import *  # noqa: F403 -- fails at import if __all__ names a missing attribute
 from acfl.errors import NumericError, ParameterError
-from acfl.numerics import (
-    RngStream,
-    as_matrix,
-    eig_min_sym,
-    gaussian_matrix,
-    spd_solve,
-    uniform_matrix,
-)
-
-
-def test_zero_variance_gives_zero_matrix():
-    m = gaussian_matrix(RngStream(3).child("z"), 3, 2, 0.0)
-    assert m.shape == (3, 2)
-    assert np.all(m == 0.0)
+from acfl.numerics import RngStream, as_matrix, eig_min_sym, spd_solve, uniform_matrix
 
 
 def test_gaussian_moments():
-    m = gaussian_matrix(RngStream(7).child("mc"), 100, 100, 4.0)
+    m = RngStream(7).child("mc").generator().normal(0.0, 2.0, (100, 100))
     # 10^4 draws of std 2: the standard error of the sample mean is 2/100
     assert abs(m.mean()) < 4 * (2 / 100)
     assert abs(m.var() - 4.0) < 0.1 * 4.0
@@ -27,18 +17,20 @@ def test_gaussian_moments():
 
 def test_gaussian_determinism():
     s = RngStream(11, "noise", (4, 2))
-    assert np.array_equal(gaussian_matrix(s, 5, 5, 2.5), gaussian_matrix(s, 5, 5, 2.5))
+    sd = math.sqrt(2.5)
+    a = s.generator().normal(0.0, sd, (5, 5))
+    assert np.array_equal(a, s.generator().normal(0.0, sd, (5, 5)))
 
 
 def test_generator_matches_sampling_ops():
     s = RngStream(9).child("x", 1)
-    direct = s.generator().normal(0.0, 1.0, (4, 3))
-    assert np.array_equal(direct, gaussian_matrix(s, 4, 3, 1.0))
+    direct = s.generator().uniform(-1.0, 1.0, (4, 3))
+    assert np.array_equal(direct, uniform_matrix(s, 4, 3, -1.0, 1.0))
 
 
 def test_distinct_streams_differ():
-    draws = [gaussian_matrix(RngStream(5).child("dev", i), 4, 4, 1.0) for i in range(8)]
-    tags = [gaussian_matrix(RngStream(5).child(t), 4, 4, 1.0) for t in ("a", "b")]
+    draws = [RngStream(5).child("dev", i).generator().normal(0.0, 1.0, (4, 4)) for i in range(8)]
+    tags = [RngStream(5).child(t).generator().normal(0.0, 1.0, (4, 4)) for t in ("a", "b")]
     draws.extend(tags)
     for i in range(len(draws)):
         for j in range(i + 1, len(draws)):
@@ -47,14 +39,9 @@ def test_distinct_streams_differ():
 
 
 def test_swapped_indices_differ():
-    a = gaussian_matrix(RngStream(5, "t", (1, 2)), 4, 4, 1.0)
-    b = gaussian_matrix(RngStream(5, "t", (2, 1)), 4, 4, 1.0)
+    a = RngStream(5, "t", (1, 2)).generator().normal(0.0, 1.0, (4, 4))
+    b = RngStream(5, "t", (2, 1)).generator().normal(0.0, 1.0, (4, 4))
     assert not np.array_equal(a, b)
-
-
-def test_gaussian_rejects_negative_variance():
-    with pytest.raises(ParameterError):
-        gaussian_matrix(RngStream(1), 2, 2, -0.5)
 
 
 def test_uniform_range_and_determinism():

@@ -1,9 +1,9 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
-from acfl import DeviceData
 from acfl.coding import GlobalCodedData, NoiseParams, encode_dataset
 from acfl.dataset import generate, loss, optimum
 from acfl.errors import NumericError, ParameterError
@@ -16,15 +16,13 @@ from acfl.training import (
     Arm,
     FixedWeight,
     InverseDecay,
-    aggregate,
     alpha_estimated,
     alpha_oracle,
-    coded_gradient,
-    local_gradient,
     sample_stragglers,
     schedule_for_strong_convexity,
     train,
 )
+from reference import blend, coded_gradient, device_gradient
 
 X_ID2 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
@@ -69,23 +67,22 @@ def test_straggler_rejects_bad_p():
 
 
 def test_local_gradient_identity_features():
-    dev = DeviceData(X_ID2, np.zeros((3, 2)))
-    assert np.array_equal(local_gradient(dev, np.eye(2)), np.eye(2))
+    assert np.array_equal(device_gradient(X_ID2, np.zeros((3, 2)), np.eye(2)), np.eye(2))
 
 
 def test_local_gradient_zero_at_optimum(random_instance):
     ds = random_instance(4, n=3, m=12, d=4, o=2)
     facts = optimum(ds)
-    total = sum(local_gradient(dev, facts.w_star) for dev in ds.devices)
+    total = sum(device_gradient(x, y, facts.w_star) for x, y in zip(ds.x, ds.y))
     assert np.linalg.norm(total) < 1e-9 * (1 + np.linalg.norm(facts.w_star))
 
 
 def test_local_gradient_matches_finite_differences(random_instance):
     ds = random_instance(5, n=1, m=12, d=5, o=3)
-    dev = ds.devices[0]
+    x, y = ds.x[0], ds.y[0]
     rng = np.random.default_rng(0)
     w = rng.normal(size=(5, 3))
-    g = local_gradient(dev, w)
+    g = device_gradient(x, y, w)
     step = 1e-6
     fd = np.zeros_like(g)
     for j in range(5):
@@ -93,16 +90,10 @@ def test_local_gradient_matches_finite_differences(random_instance):
             wp, wm = w.copy(), w.copy()
             wp[j, k] += step
             wm[j, k] -= step
-            fp = 0.5 * np.sum((dev.x @ wp - dev.y) ** 2)
-            fm = 0.5 * np.sum((dev.x @ wm - dev.y) ** 2)
+            fp = 0.5 * np.sum((x @ wp - y) ** 2)
+            fm = 0.5 * np.sum((x @ wm - y) ** 2)
             fd[j, k] = (fp - fm) / (2 * step)
     assert np.allclose(fd, g, rtol=1e-4, atol=1e-8)
-
-
-def test_local_gradient_rejects_shape_mismatch(random_instance):
-    dev = random_instance(6).devices[0]
-    with pytest.raises(ParameterError):
-        local_gradient(dev, np.zeros((dev.d + 1, dev.o)))
 
 
 def test_coded_gradient_zero_noise_collapse(random_instance):
@@ -110,28 +101,28 @@ def test_coded_gradient_zero_noise_collapse(random_instance):
     gc = _coded(ds, 0.0, RngStream(7))
     rng = np.random.default_rng(1)
     w = rng.normal(size=(3, 2))
-    direct = sum(local_gradient(dev, w) for dev in ds.devices)
-    assert np.allclose(coded_gradient(gc, w), direct, rtol=1e-12, atol=1e-12)
+    direct = sum(device_gradient(x, y, w) for x, y in zip(ds.x, ds.y))
+    assert np.allclose(coded_gradient(gc.h_x_sum, gc.h_y_sum, w), direct, rtol=1e-12, atol=1e-12)
 
 
 def test_coded_gradient_at_zero_weights(random_instance):
     ds = random_instance(8, n=2, m=8, d=3, o=2)
     gc = _coded(ds, 1.0, RngStream(8))
-    assert np.array_equal(coded_gradient(gc, np.zeros((3, 2))), -gc.h_y_sum)
+    assert np.array_equal(coded_gradient(gc.h_x_sum, gc.h_y_sum, np.zeros((3, 2))), -gc.h_y_sum)
 
 
 def test_coded_gradient_unbiased_over_redraws(random_instance):
     ds = random_instance(9, n=2, m=6, d=2, o=1)
     rng = np.random.default_rng(2)
     w = rng.normal(size=(2, 1))
-    g_true = sum(local_gradient(dev, w) for dev in ds.devices)
+    g_true = sum(device_gradient(x, y, w) for x, y in zip(ds.x, ds.y))
     root = RngStream(9)
     k = 100_000
     acc = np.zeros((2, 1))
     acc_sq = np.zeros((2, 1))
     for r in range(k):
         gc = _coded(ds, 1.0, root.child("mc", r))
-        g = coded_gradient(gc, w)
+        g = coded_gradient(gc.h_x_sum, gc.h_y_sum, w)
         acc += g
         acc_sq += g * g
     mean = acc / k
@@ -161,7 +152,7 @@ def test_alpha_estimated_matches_oracle_when_all_present(random_instance):
     ds = random_instance(10, n=6, m=10, d=4, o=3)
     rng = np.random.default_rng(3)
     w = rng.normal(size=(4, 3))
-    grads = [local_gradient(dev, w) for dev in ds.devices]
+    grads = [device_gradient(x, y, w) for x, y in zip(ds.x, ds.y)]
     noise = NoiseParams(0.7, 1.3)
     p = 0.25
     beta_sq_hat = float(np.mean([np.sum(g * g) for g in grads]))
@@ -179,43 +170,30 @@ def test_alpha_estimated_no_stragglers():
 
 
 # ---------------------------------------------------------------- aggregate
+# The blend the kernel is held against, at its edge weights.
 
 
 def test_aggregate_pure_coded():
     rng = np.random.default_rng(4)
     g_s = rng.normal(size=(3, 2))
-    grads = [rng.normal(size=(3, 2)) for _ in range(4)]
+    grads = np.array([rng.normal(size=(3, 2)) for _ in range(4)])
     mask = np.array([True, False, True, True])
-    out = aggregate(g_s, grads, mask, 1.0, 0.4)
+    out = blend(g_s, grads, mask, 1.0, 0.4)
     assert np.array_equal(out, g_s)
 
 
 def test_aggregate_pure_devices_is_true_gradient():
     rng = np.random.default_rng(5)
-    grads = [rng.normal(size=(2, 2)) for _ in range(3)]
+    grads = np.array([rng.normal(size=(2, 2)) for _ in range(3)])
     mask = np.ones(3, dtype=bool)
-    out = aggregate(np.zeros((2, 2)), grads, mask, 0.0, 0.0)
+    out = blend(np.zeros((2, 2)), grads, mask, 0.0, 0.0)
     expect = grads[0] + grads[1] + grads[2]
     assert np.array_equal(out, expect)
 
 
 def test_aggregate_scalar_case():
-    out = aggregate(
-        np.array([[4.0]]), [np.array([[2.0]])], np.array([True]), 0.5, 0.5
-    )
+    out = blend(np.array([[4.0]]), np.array([[[2.0]]]), np.array([True]), 0.5, 0.5)
     assert out[0, 0] == pytest.approx(4.0, abs=1e-15)
-
-
-def test_aggregate_validation():
-    g = np.zeros((2, 2))
-    with pytest.raises(ParameterError):
-        aggregate(g, [g], np.array([True, False]), 0.5, 0.0)
-    with pytest.raises(ParameterError):
-        aggregate(g, [np.zeros((3, 2))], np.array([True]), 0.5, 0.0)
-    with pytest.raises(ParameterError):
-        aggregate(g, [g, np.zeros((2, 3))], np.array([True, True]), 0.5, 0.0)
-    with pytest.raises(ParameterError):
-        aggregate(g, [g], np.array([True]), 1.5, 0.0)
 
 
 # ------------------------------------------------------------------ schedule
@@ -223,13 +201,15 @@ def test_aggregate_validation():
 
 def test_schedule_values_and_validation():
     sched = InverseDecay(0.01)
-    assert sched.rate(1) == 0.01
-    assert sched.rate(4) == 0.0025
+    assert sched.rates(4)[0] == 0.01
+    assert sched.rates(4)[3] == 0.0025
     with pytest.raises(ParameterError):
         InverseDecay(0.0)
-    with pytest.raises(ParameterError):
-        sched.rate(0)
-    assert schedule_for_strong_convexity(4.0).rate(1) == 0.25
+    for c in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            InverseDecay(c)
+    assert sched.rates(0).shape == (0,)
+    assert schedule_for_strong_convexity(4.0).rates(1)[0] == 0.25
 
 
 # --------------------------------------------------------------------- train
@@ -259,8 +239,8 @@ def _naive_train(ds, gc, policy, p, steps, c, stream, facts, noise, w0):
     beta_sq = None
     rows = []
     for t in range(steps):
-        mask = rng.random(len(ds.devices)) >= p
-        grads = [local_gradient(dev, w) for dev in ds.devices]
+        mask = rng.random(ds.n_devices) >= p
+        grads = [device_gradient(x, y, w) for x, y in zip(ds.x, ds.y)]
         total = np.zeros((d, o))
         for g, present in zip(grads, mask):
             if present:
@@ -400,7 +380,7 @@ def test_train_estimated_weight_falls_back_then_reuses_last_estimate(random_inst
     assert reused
     for t in reused:
         w_prev = run(t - 1).final_w
-        grads = [local_gradient(dev, w_prev) for dev, m in zip(ds.devices, masks[t - 1]) if m]
+        grads = [device_gradient(x, y, w_prev) for x, y, m in zip(ds.x, ds.y, masks[t - 1]) if m]
         beta_sq = float(np.mean([np.sum(g * g) for g in grads]))
         expect = alpha_estimated(p, 3, 2, noise, beta_sq, tr.w_norm_sq[t])
         assert tr.alpha[t] == pytest.approx(expect, rel=1e-12)
