@@ -128,7 +128,7 @@ def cli_main(argv=None) -> int:
         return 1
     try:
         _COMMANDS[args.command](args)
-    except (ParameterError, NumericError, OSError) as e:
+    except (ParameterError, NumericError, OSError, MemoryError) as e:
         print(f"acfl: error: {e}", file=sys.stderr)
         return 2
     return 0

@@ -46,9 +46,23 @@ def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a.transpose(0, 2, 1), b)
 
 
-def _eig_min(gram_x: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of every matrix of a symmetric ``(n, d, d)`` stack."""
-    return np.linalg.eigvalsh(gram_x)[:, 0]
+def _deficient(gram_x: np.ndarray) -> np.ndarray:
+    """Indices of the matrices of a symmetric ``(n, d, d)`` stack whose smallest
+    eigenvalue is at most ``_RANK_TOL``.
+
+    One batched Cholesky of ``A_i - _RANK_TOL * I`` decides the whole stack:
+    it succeeds exactly when every ``lambda_min(A_i) > _RANK_TOL``, up to
+    rounding, so it agrees with the eigenvalue criterion unless some
+    ``lambda_min(A_i)`` lies within ``4 * d * eps * ||A_i||_2`` of the
+    threshold.  Only when it fails (a measure-zero event for drawn features)
+    does a batched eigensolve name the failing matrices by the eigenvalue
+    criterion itself.
+    """
+    try:
+        np.linalg.cholesky(gram_x - _RANK_TOL * np.eye(gram_x.shape[-1]))
+    except np.linalg.LinAlgError:
+        return np.flatnonzero(np.linalg.eigvalsh(gram_x)[:, 0] <= _RANK_TOL)
+    return np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +72,11 @@ class FederatedDataset:
     Device ``i`` holds ``x[i]`` (``m x d``) and ``y[i]`` (``m x o``), so
     every device has the same sample count.  The stack is checked once:
     finite entries within ``[-1, 1]``, ``m > d``, and every ``X_i^T X_i`` of
-    full rank (one batched eigensolve; the error names the first failing
-    device).  A one-device dataset checks a single device.
+    full rank (one batched Cholesky of ``X_i^T X_i - 1e-10 I``; only if it
+    fails does an eigensolve run, to name the first device whose smallest
+    eigenvalue is at most ``1e-10``; the two agree outside the rounding band
+    that :func:`_deficient` states).  A one-device dataset checks a single
+    device.
     """
 
     x: np.ndarray
@@ -82,7 +99,7 @@ class FederatedDataset:
             )
         if float(np.abs(x).max()) > 1.0 or float(np.abs(y).max()) > 1.0:
             raise ParameterError("all entries of x and y must lie in [-1, 1]")
-        deficient = np.flatnonzero(_eig_min(self.gram_x) <= _RANK_TOL)
+        deficient = _deficient(self.gram_x)
         if deficient.size:
             raise ParameterError(
                 f"device {deficient[0]}: x is rank deficient "
@@ -155,10 +172,13 @@ def generate(
     one generator on ``stream.child("x")``, filled row-major, so device
     ``i``'s features do not depend on ``n_devices``; label noise is one
     ``(n, m, o)`` block from ``stream.child("y")`` likewise.  The block is
-    rank-checked with one batched eigensolve; a device whose features fail
-    (a measure-zero event) is redrawn from ``stream.child("x", i, attempt)``,
-    at most three times.  Label entries stay within ``[-1, 1]`` as long as
-    ``d <= 30`` given the ``1/30`` weight scale and the noise is small enough.
+    rank-checked by one batched Cholesky of ``X_i^T X_i - 1e-10 I`` (an
+    eigensolve runs only to name failing devices, and agrees with it outside
+    the rounding band :func:`_deficient` states); a device whose features
+    fail (a measure-zero event) is redrawn from ``stream.child("x", i,
+    attempt)``, at most three times.  Label entries stay within ``[-1, 1]``
+    as long as ``d <= 30`` given the ``1/30`` weight scale and the noise is
+    small enough.
     """
     if d < 1 or o < 1:
         raise ParameterError(f"dimensions must be positive, got d={d}, o={o}")
@@ -170,14 +190,14 @@ def generate(
         raise ParameterError(f"label_noise_sd must be nonnegative, got {label_noise_sd}")
     w_true = uniform_matrix(stream.child("w_true"), d, o, 0.0, 1.0 / 30.0)
     x = stream.child("x").generator().uniform(-1.0, 1.0, size=(n_devices, m, d))
-    failing = np.flatnonzero(_eig_min(_gram(x, x)) <= _RANK_TOL)
+    failing = _deficient(_gram(x, x))
     for attempt in range(1, 4):
         if not failing.size:
             break
         for i in failing:
             x[i] = uniform_matrix(stream.child("x", int(i), attempt), m, d, -1.0, 1.0)
         redrawn = x[failing]
-        failing = failing[_eig_min(_gram(redrawn, redrawn)) <= _RANK_TOL]
+        failing = failing[_deficient(_gram(redrawn, redrawn))]
     if failing.size:
         raise NumericError(f"device {failing[0]}: no full-rank feature draw after 3 retries")
     y = x @ w_true

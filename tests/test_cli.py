@@ -49,6 +49,15 @@ def write_tradeoff_config(tmp_path, **overrides):
     return path
 
 
+def _run_cli_process(command, path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "acfl.cli", command, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def test_no_arguments_is_usage_error(capsys):
     assert cli_main([]) == 1
     assert "usage" in capsys.readouterr().err.lower()
@@ -170,13 +179,24 @@ def test_tradeoff_missing_field(tmp_path, capsys):
     ],
 )
 def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, override, field):
-    path = writer(tmp_path, **override)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "acfl.cli", command, str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_cli_process(command, writer(tmp_path, **override))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"acfl: error: {field}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"dataset": {"n_devices": 10**12, "m": 8, "d": 3, "o": 2}},
+        {"steps": 10**14},
+    ],
+    ids=["n_devices", "steps"],
+)
+def test_config_too_large_for_memory_exits_2_without_traceback(tmp_path, override):
+    # Both arrays exceed the 128 TiB virtual address space, so numpy refuses
+    # them without allocating anything.
+    proc = _run_cli_process("run", write_run_config(tmp_path, **override))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "acfl: error: Unable to allocate" in proc.stderr

@@ -177,17 +177,17 @@ def test_generate_devices_do_not_depend_on_device_count():
 
 def _fail_device_1(monkeypatch, times):
     """Make the first ``times`` rank checks report device 1 as deficient."""
-    real = dataset._eig_min
+    real = dataset._deficient
     calls = []
 
     def forced(gram_x):
-        eig = real(gram_x)
+        failing = real(gram_x)
         if len(calls) < times:
-            eig[min(1, len(eig) - 1)] = 0.0
+            failing = np.union1d(failing, [min(1, len(gram_x) - 1)])
         calls.append(len(gram_x))
-        return eig
+        return failing
 
-    monkeypatch.setattr(dataset, "_eig_min", forced)
+    monkeypatch.setattr(dataset, "_deficient", forced)
     return calls
 
 
@@ -217,6 +217,28 @@ def test_rank_deficient_stack_names_its_device():
     x[2, :, 1] = x[2, :, 0]
     with pytest.raises(ParameterError, match="device 2: x is rank deficient"):
         FederatedDataset(x, np.zeros((4, 6, 1)))
+
+
+def test_rank_check_falls_back_to_naming_devices_by_eigenvalue():
+    # Devices 1 and 3 repeat a column, so the batched Cholesky fails and the
+    # eigensolve names them; device 2's smallest eigenvalue is 5e-10, a few
+    # tolerances above it, and passes either way.
+    rng = np.random.default_rng(6)
+    n, m, d = 5, 8, 3
+    x = rng.uniform(-1.0, 1.0, (n, m, d))
+    x[[1, 3], :, 2] = x[[1, 3], :, 0]
+    u = np.linalg.qr(rng.normal(size=(m, d)))[0]
+    v = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    s = np.array([1.0, 0.5, np.sqrt(5 * dataset._RANK_TOL)])
+    x[2] = (u * s) @ v.T
+    y = np.zeros((n, m, 1))
+    gram = dataset._gram(x, x)
+    assert np.linalg.eigvalsh(gram[2])[0] == pytest.approx(5e-10, rel=1e-3)
+    assert dataset._deficient(gram).tolist() == [1, 3]
+    with pytest.raises(ParameterError, match="device 1: x is rank deficient"):
+        FederatedDataset(x, y)
+    ds = FederatedDataset(x[[0, 2, 4]], y[[0, 2, 4]])
+    assert ds.n_devices == 3
 
 
 def test_dataset_stack_invariants():
