@@ -289,11 +289,17 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def _read_json(path):
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             return json.load(f)
         except json.JSONDecodeError as e:
             raise ParameterError(f"config: invalid JSON in {path}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise ParameterError(f"config: {path} is not UTF-8 text: {e}") from None
+        except ValueError as e:  # an integer literal past the int-from-string digit limit
+            raise ParameterError(f"config: invalid number in {path}: {e}") from None
+        except RecursionError:
+            raise ParameterError(f"config: JSON in {path} is nested too deeply") from None
 
 
 def load_config(path) -> ExperimentConfig:

@@ -1,6 +1,10 @@
 """Deterministic dense linear algebra and seeded sampling for all other modules.
 
-Values are plain float64 numpy arrays.  Randomness goes through
+Values are plain float64 numpy arrays, and numpy is the only third-party
+import: the Cholesky solve factors with ``np.linalg.cholesky`` and
+substitutes row by row itself, since importing ``scipy.linalg`` for its
+triangular solver took longer than the reference experiment runs.
+Randomness goes through
 :class:`RngStream`, a counter-based scheme keyed by
 ``(master_seed, purpose_tag, indices)``: equal key triples reproduce the
 exact same draws on any machine, distinct tags or indices give independent
@@ -14,7 +18,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NumericError, ParameterError
 
@@ -97,8 +100,11 @@ def _require_symmetric(a: np.ndarray, name: str) -> None:
 def spd_solve(a, b) -> np.ndarray:
     """Solve ``A Z = B`` for symmetric positive-definite ``A`` via Cholesky.
 
-    Raises :class:`NumericError` carrying the 1-based failing pivot index
-    when the factorization breaks down (``A`` not positive definite).
+    ``A = L L^T`` is factored by ``np.linalg.cholesky``; ``Z`` then follows by
+    forward substitution with ``L`` and back substitution with ``L^T``, one
+    row of ``Z`` per step, all columns of ``B`` at once.  Raises
+    :class:`NumericError` carrying the 1-based failing pivot index when the
+    factorization breaks down (``A`` not positive definite).
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
@@ -107,18 +113,33 @@ def spd_solve(a, b) -> np.ndarray:
     if b.shape[0] != a.shape[0]:
         raise ParameterError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
     _require_symmetric(a, "a")
-    chol, info = lapack.dpotrf(a, lower=1)
-    if info > 0:
-        raise NumericError(
-            f"matrix is not positive definite: leading minor of order {info} failed",
-            pivot_index=int(info),
-        )
-    if info < 0:
-        raise NumericError(f"Cholesky factorization rejected argument {-info}")
-    z, info = lapack.dpotrs(chol, b, lower=1)
-    if info != 0:
-        raise NumericError(f"triangular solve failed with status {info}")
+    chol = _cholesky(a)
+    z = np.empty_like(b)
+    for i in range(a.shape[0]):
+        z[i] = (b[i] - chol[i, :i] @ z[:i]) / chol[i, i]
+    for i in reversed(range(a.shape[0])):
+        z[i] = (z[i] - chol[i + 1 :, i] @ z[i + 1 :]) / chol[i, i]
     return z
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``a``, or :class:`NumericError` naming the
+    order of the smallest leading minor that is not positive definite."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        pass
+    order = a.shape[0]
+    for k in range(1, order):
+        try:
+            np.linalg.cholesky(a[:k, :k])
+        except np.linalg.LinAlgError:
+            order = k
+            break
+    raise NumericError(
+        f"matrix is not positive definite: leading minor of order {order} failed",
+        pivot_index=order,
+    )
 
 
 def eig_min_sym(a) -> float:

@@ -49,13 +49,27 @@ def write_tradeoff_config(tmp_path, **overrides):
     return path
 
 
-def _run_cli_process(command, path):
+def _run_python(*args):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "acfl.cli", command, str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def _run_cli_process(command, path):
+    return _run_python("-m", "acfl.cli", command, str(path))
+
+
+def test_import_loads_no_scipy():
+    # scipy.linalg alone once took longer to import than the reference experiment ran.
+    proc = _run_python(
+        "-c",
+        "import sys, acfl, acfl.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -183,6 +197,26 @@ def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, o
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"acfl: error: {field}" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "tradeoff"])
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (b"\xff\xfe{}", "is not UTF-8 text"),
+        (b"[" * 200_000, "is nested too deeply"),
+        (b'{"steps": ' + b"9" * 5000 + b"}", "invalid number"),
+    ],
+    ids=["not-utf8", "nested-200000", "int-5000-digits"],
+)
+def test_unreadable_config_file_exits_2_without_traceback(tmp_path, command, content, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    proc = _run_cli_process(command, path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("acfl: error: config: ")
+    assert str(path) in proc.stderr and message in proc.stderr
 
 
 @pytest.mark.parametrize(

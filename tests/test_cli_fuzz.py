@@ -8,8 +8,9 @@ at most 12 (devices, samples, dimensions, replicates) and ``steps`` at most
 100, so no config allocates more than a few MB or trains long; the other
 numbers (probabilities, variances, weights, seeds, schedule constants) may
 be any JSON number, including NaN and the infinities that Python's ``json``
-reads.  The command line itself is always well formed, so the usage-error
-exit code 1 cannot arise.
+reads.  One file in four also carries bytes that are not UTF-8.  The
+command line itself is always well formed, so the usage-error exit code 1
+cannot arise.
 """
 
 import contextlib
@@ -165,9 +166,9 @@ def _inside(directory: str):
         os.chdir(before)
 
 
-def _exit_code(command: str, config) -> int:
+def _exit_code(command: str, content: bytes) -> int:
     with tempfile.TemporaryDirectory() as work, _inside(work):
-        Path("config.json").write_text(json.dumps(config))
+        Path("config.json").write_bytes(content)
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             return cli_main([command, "config.json"])
@@ -176,18 +177,35 @@ def _exit_code(command: str, config) -> int:
 FUZZ = settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow])
 
 
+# Byte sequences that are not UTF-8: a UTF-16 byte-order mark, a lone
+# continuation byte, a truncated sequence, an encoded surrogate, a lead byte
+# beyond U+10FFFF.
+NOT_UTF8 = st.sampled_from([b"\xff\xfe", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf5\x80\x80\x80"])
+
+
+@st.composite
+def config_files(draw, configs):
+    """A config file's bytes: the config as UTF-8 JSON, in one draw of four
+    with a sequence that is not UTF-8 spliced in anywhere."""
+    content = json.dumps(draw(configs)).encode()
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(content)))
+        content = content[:at] + draw(NOT_UTF8) + content[at:]
+    return content
+
+
 @FUZZ
 @given(command=st.sampled_from(["run", "compare"]), data=st.data())
 def test_experiment_commands_exit_cleanly_on_any_config(command, data):
-    config = data.draw(st.one_of(experiment_configs(), JSON))
-    assert _exit_code(command, config) in (0, 2)
+    content = data.draw(config_files(st.one_of(experiment_configs(), JSON)))
+    assert _exit_code(command, content) in (0, 2)
 
 
 @FUZZ
 @given(data=st.data())
 def test_tradeoff_exits_cleanly_on_any_config(data):
-    config = data.draw(st.one_of(tradeoff_configs(), JSON))
-    assert _exit_code("tradeoff", config) in (0, 2)
+    content = data.draw(config_files(st.one_of(tradeoff_configs(), JSON)))
+    assert _exit_code("tradeoff", content) in (0, 2)
 
 
 TINY_RUN = {
