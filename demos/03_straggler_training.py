@@ -16,7 +16,7 @@ from acfl import (
     InverseDecay,
     NoiseParams,
     RngStream,
-    encode_dataset,
+    encode_levels,
     generate,
     loss,
     optimum,
@@ -46,7 +46,7 @@ print("=" * 64)
 arms, labels = [], []
 for sigma_sq in (0.1, 10.0):
     noise = NoiseParams(sigma_sq, sigma_sq)
-    coded = encode_dataset(ds, noise, root.child("encode"))
+    (coded,) = encode_levels(ds, [noise], root.child("encode"))
     for label, policy in (("adaptive", AdaptiveEstimated()), ("fixed 0.5", FixedWeight(0.5))):
         arms.append(Arm(coded, policy, noise))
         labels.append((sigma_sq, label))

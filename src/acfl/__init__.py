@@ -20,7 +20,6 @@ from .analysis import (
 from .coding import (
     GlobalCodedData,
     NoiseParams,
-    encode_dataset,
     encode_levels,
     payload_size,
 )
@@ -42,7 +41,7 @@ from .harness import (
     run_experiment,
     save_config,
 )
-from .numerics import RngStream, eig_min_sym, spd_solve, uniform_matrix
+from .numerics import RngStream, eig_min_sym, spd_solve
 from .privacy import epsilon_of, sigma_for_epsilon
 from .training import (
     AdaptiveEstimated,
@@ -88,7 +87,6 @@ __all__ = [
     "compare_baselines",
     "convergence_bound",
     "eig_min_sym",
-    "encode_dataset",
     "encode_levels",
     "epsilon_of",
     "generate",
@@ -106,5 +104,4 @@ __all__ = [
     "train",
     "u_of",
     "u_tilde",
-    "uniform_matrix",
 ]

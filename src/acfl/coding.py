@@ -10,10 +10,9 @@ The encoded payload is ``d^2 + o*d`` reals regardless of how many samples a
 device holds, and the sums carry exactly the information needed to form a
 full-batch gradient on the server side.
 
-:func:`encode_dataset` simulates every device's upload and the server's sum
-at once, over the dataset's Gram stacks (one device's upload is the sum of a
-one-device dataset); :func:`encode_levels` does so at several noise levels
-from one noise draw.
+:func:`encode_levels` simulates every device's upload and the server's sum
+at once, over the dataset's Gram stacks, at one or more noise levels from one
+noise draw; one device's upload is the sum of a one-device dataset.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .numerics import RngStream, as_matrix
 __all__ = [
     "GlobalCodedData",
     "NoiseParams",
-    "encode_dataset",
     "encode_levels",
     "payload_size",
 ]
@@ -70,27 +68,21 @@ class GlobalCodedData:
         object.__setattr__(self, "h_y_sum", h_y)
 
 
-def encode_dataset(ds: FederatedDataset, noise: NoiseParams, stream: RngStream) -> GlobalCodedData:
-    """Encode every device with fresh noise from ``stream`` and sum the uploads.
+def encode_levels(
+    ds: FederatedDataset, noises: Sequence[NoiseParams], stream: RngStream
+) -> tuple[GlobalCodedData, ...]:
+    """Encode every device with fresh noise from ``stream`` and sum the uploads,
+    once per noise in ``noises``.
 
     The noise is one standard-normal ``(n, d, d + o)`` block drawn row-major
     from one generator on ``stream``: device ``i``'s ``N1`` is
     ``sqrt(sigma1_sq)`` times the first ``d`` columns of row ``i`` and its
     ``N2`` is ``sqrt(sigma2_sq)`` times the last ``o``, so a device's noise
-    does not depend on how many devices there are.  The sums over devices
-    fold in device order, bit-equal to adding the uploads one by one.
-    """
-    (coded,) = encode_levels(ds, [noise], stream)
-    return coded
-
-
-def encode_levels(
-    ds: FederatedDataset, noises: Sequence[NoiseParams], stream: RngStream
-) -> tuple[GlobalCodedData, ...]:
-    """:func:`encode_dataset` at every noise in ``noises``, from one draw.
-
-    The standard-normal block is drawn once and scaled per noise, so entry
-    ``i`` is bit-equal to ``encode_dataset(ds, noises[i], stream)``.
+    does not depend on how many devices there are.  The block is drawn once
+    and scaled per noise, so entry ``j`` is bit-equal to encoding with
+    ``noises[j]`` alone on the same stream.  The sums over devices fold in
+    device order, bit-equal to adding the uploads one by one.  One level
+    reads ``(coded,) = encode_levels(ds, [noise], stream)``.
     """
     d = ds.d
     z = stream.generator().standard_normal((ds.n_devices, d, d + ds.o))

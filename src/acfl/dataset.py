@@ -19,14 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
-from .numerics import (
-    RngStream,
-    as_matrix,
-    eig_min_sym,
-    spd_solve,
-    uniform_matrix,
-)
+from .errors import ParameterError
+from .numerics import RngStream, as_matrix, eig_min_sym, spd_solve
 
 __all__ = [
     "FederatedDataset",
@@ -72,11 +66,9 @@ class FederatedDataset:
     Device ``i`` holds ``x[i]`` (``m x d``) and ``y[i]`` (``m x o``), so
     every device has the same sample count.  The stack is checked once:
     finite entries within ``[-1, 1]``, ``m > d``, and every ``X_i^T X_i`` of
-    full rank (one batched Cholesky of ``X_i^T X_i - 1e-10 I``; only if it
-    fails does an eigensolve run, to name the first device whose smallest
-    eigenvalue is at most ``1e-10``; the two agree outside the rounding band
-    that :func:`_deficient` states).  A one-device dataset checks a single
-    device.
+    full rank by :func:`_deficient`, which names the first device whose
+    smallest eigenvalue is at most ``1e-10``.  This is the only rank check
+    of a drawn or loaded dataset.
     """
 
     x: np.ndarray
@@ -168,17 +160,16 @@ def generate(
 
     ``X_i ~ U[-1, 1]``, ``W_true ~ U[0, 1/30]``, ``Y_i = X_i @ W_true``
     (plus optional Gaussian label noise of standard deviation
-    ``label_noise_sd``).  All features come as one ``(n, m, d)`` block from
-    one generator on ``stream.child("x")``, filled row-major, so device
-    ``i``'s features do not depend on ``n_devices``; label noise is one
-    ``(n, m, o)`` block from ``stream.child("y")`` likewise.  The block is
-    rank-checked by one batched Cholesky of ``X_i^T X_i - 1e-10 I`` (an
-    eigensolve runs only to name failing devices, and agrees with it outside
-    the rounding band :func:`_deficient` states); a device whose features
-    fail (a measure-zero event) is redrawn from ``stream.child("x", i,
-    attempt)``, at most three times.  Label entries stay within ``[-1, 1]``
-    as long as ``d <= 30`` given the ``1/30`` weight scale and the noise is
-    small enough.
+    ``label_noise_sd``).  Every draw is one block from one generator on a
+    child of ``stream``: ``W_true`` from ``"w_true"``, all features as one
+    ``(n, m, d)`` block from ``"x"`` and label noise as one ``(n, m, o)``
+    block from ``"y"``, each filled row-major, so device ``i``'s data do not
+    depend on ``n_devices``.  The returned :class:`FederatedDataset` runs
+    the only rank check, and a device whose features fail it raises its
+    :class:`ParameterError`: ``lambda_min(X_i^T X_i) <= 1e-10`` has
+    probability about ``1.4 d 1e-10`` per device at ``m = d + 1`` and far
+    less for larger ``m``.  Label entries stay within ``[-1, 1]`` as long as
+    ``d <= 30`` given the ``1/30`` weight scale and the noise is small enough.
     """
     if d < 1 or o < 1:
         raise ParameterError(f"dimensions must be positive, got d={d}, o={o}")
@@ -188,18 +179,8 @@ def generate(
         raise ParameterError(f"n_devices must be positive, got {n_devices}")
     if label_noise_sd < 0:
         raise ParameterError(f"label_noise_sd must be nonnegative, got {label_noise_sd}")
-    w_true = uniform_matrix(stream.child("w_true"), d, o, 0.0, 1.0 / 30.0)
+    w_true = stream.child("w_true").generator().uniform(0.0, 1.0 / 30.0, size=(d, o))
     x = stream.child("x").generator().uniform(-1.0, 1.0, size=(n_devices, m, d))
-    failing = _deficient(_gram(x, x))
-    for attempt in range(1, 4):
-        if not failing.size:
-            break
-        for i in failing:
-            x[i] = uniform_matrix(stream.child("x", int(i), attempt), m, d, -1.0, 1.0)
-        redrawn = x[failing]
-        failing = failing[_deficient(_gram(redrawn, redrawn))]
-    if failing.size:
-        raise NumericError(f"device {failing[0]}: no full-rank feature draw after 3 retries")
     y = x @ w_true
     if label_noise_sd > 0.0:
         y = y + stream.child("y").generator().normal(0.0, label_noise_sd, size=y.shape)
@@ -268,13 +249,34 @@ def save_csv(ds: FederatedDataset, directory) -> list[Path]:
     return paths
 
 
+def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
+    """Header names and float rows of one CSV file, or a :class:`ParameterError`
+    naming it when it has no rows, a row whose length differs from its
+    header, or a value that is not a number."""
+    with open(path, newline="") as f:
+        names = f.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in f if line.strip()]
+    if not rows:
+        raise ParameterError(f"{path}: no data rows under the header")
+    for i, row in enumerate(rows, start=2):
+        if len(row) != len(names):
+            raise ParameterError(
+                f"{path}: line {i} has {len(row)} values, the header names {len(names)}"
+            )
+    try:
+        return names, np.asarray(rows, dtype=np.float64)
+    except ValueError as e:
+        raise ParameterError(f"{path}: {e}") from None
+
+
 def load_csv(directory) -> FederatedDataset:
     """Rebuild a dataset saved by :func:`save_csv`.
 
     Every device file must have the same shape, since the dataset stores
-    stacks; a file that differs from the first, has no rows, has a row
-    whose length differs from its header or a value that is not a number
-    raises a :class:`ParameterError` naming it.
+    stacks.  A file (``w_true.csv`` included) that differs from the first
+    device file, has no rows, has a row whose length differs from its header
+    or a value that is not a number raises a :class:`ParameterError` naming
+    it.
     """
     directory = Path(directory)
     device_paths = sorted(directory.glob("device_*.csv"))
@@ -282,21 +284,7 @@ def load_csv(directory) -> FederatedDataset:
         raise ParameterError(f"no device_*.csv files under {directory}")
     blocks = []
     for path in device_paths:
-        with open(path, newline="") as f:
-            names = f.readline().strip().split(",")
-            d = sum(1 for n in names if n.startswith("x_"))
-            rows = [line.strip().split(",") for line in f if line.strip()]
-        if not rows:
-            raise ParameterError(f"{path}: no data rows under the header")
-        for i, row in enumerate(rows, start=2):
-            if len(row) != len(names):
-                raise ParameterError(
-                    f"{path}: line {i} has {len(row)} values, the header names {len(names)}"
-                )
-        try:
-            data = np.asarray(rows, dtype=np.float64)
-        except ValueError as e:
-            raise ParameterError(f"{path}: {e}") from None
+        names, data = _read_csv(path)
         if blocks and data.shape != blocks[0].shape:
             raise ParameterError(
                 f"{path}: {data.shape[0]} rows of {data.shape[1]} values, "
@@ -304,14 +292,8 @@ def load_csv(directory) -> FederatedDataset:
                 f"{device_paths[0]}"
             )
         blocks.append(data)
+    d = sum(1 for n in names if n.startswith("x_"))
     stack = np.stack(blocks)
-    w_true = None
     w_path = directory / "w_true.csv"
-    if w_path.exists():
-        with open(w_path, newline="") as f:
-            f.readline()
-            w_true = np.asarray(
-                [[float(v) for v in line.strip().split(",")] for line in f if line.strip()],
-                dtype=np.float64,
-            )
+    w_true = _read_csv(w_path)[1] if w_path.exists() else None
     return FederatedDataset(stack[:, :, :d], stack[:, :, d:], w_true)

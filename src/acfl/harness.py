@@ -145,9 +145,11 @@ class ExperimentConfig:
 def coerce(value, kind: type, path: str):
     """``value`` as ``kind``, or a :class:`ParameterError` naming the field ``path``.
 
-    ``int`` and ``float`` convert, and a ``float`` must be finite (JSON
-    configs may spell ``NaN`` and ``Infinity``); ``dict`` and ``list`` (a JSON
-    object or array, which may also be given as a tuple) only check the type.
+    ``int`` and ``float`` convert, but refuse a boolean, and ``int`` refuses
+    a number with a fractional part rather than truncating it (``1000.0``
+    passes); a ``float`` must be finite (JSON configs may spell ``NaN`` and
+    ``Infinity``).  ``dict`` and ``list`` (a JSON object or array, which may
+    also be given as a tuple) only check the type.
     """
     if kind is dict or kind is list:
         if isinstance(value, dict if kind is dict else (list, tuple)):
@@ -156,6 +158,10 @@ def coerce(value, kind: type, path: str):
             f"{path}: expected {'an object' if kind is dict else 'a list'}, got {value!r}"
         )
     try:
+        if isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()
+        ):
+            raise TypeError
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"{path}: expected {kind.__name__}, got {value!r}") from None

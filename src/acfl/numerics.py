@@ -1,15 +1,15 @@
-"""Deterministic dense linear algebra and seeded sampling for all other modules.
+"""Deterministic dense linear algebra and the random-stream keys of all other modules.
 
 Values are plain float64 numpy arrays, and numpy is the only third-party
 import: the Cholesky solve factors with ``np.linalg.cholesky`` and
 substitutes row by row itself, since importing ``scipy.linalg`` for its
 triangular solver took longer than the reference experiment runs.
-Randomness goes through
-:class:`RngStream`, a counter-based scheme keyed by
+Randomness goes through :class:`RngStream`, a counter-based scheme keyed by
 ``(master_seed, purpose_tag, indices)``: equal key triples reproduce the
 exact same draws on any machine, distinct tags or indices give independent
 sequences, and derivation is pure (no shared state), so parallel replicas
-stay byte-reproducible.
+stay byte-reproducible.  Every draw is one call on a fresh generator,
+``stream.child(tag).generator().<distribution>(..., size=...)``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "as_matrix",
     "eig_min_sym",
     "spd_solve",
-    "uniform_matrix",
 ]
 
 _SYM_TOL = 1e-10
@@ -78,15 +77,6 @@ class RngStream:
         """Fresh generator positioned at the start of this stream."""
         key = int.from_bytes(self.key_bytes(), "little")
         return np.random.Generator(np.random.Philox(key=key))
-
-
-def uniform_matrix(stream: RngStream, rows: int, cols: int, low: float, high: float) -> np.ndarray:
-    """``rows x cols`` matrix of i.i.d. uniform draws on ``[low, high)``."""
-    if rows < 1 or cols < 1:
-        raise ParameterError(f"matrix dimensions must be positive, got ({rows}, {cols})")
-    if not high >= low:
-        raise ParameterError(f"need high >= low, got [{low}, {high})")
-    return stream.generator().uniform(low, high, size=(rows, cols))
 
 
 def _require_symmetric(a: np.ndarray, name: str) -> None:

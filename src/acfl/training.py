@@ -37,7 +37,7 @@ import numpy as np
 from .coding import GlobalCodedData, NoiseParams
 from .dataset import FederatedDataset, ProblemFacts
 from .errors import NumericError, ParameterError
-from .numerics import RngStream, as_matrix, uniform_matrix
+from .numerics import RngStream, as_matrix
 
 __all__ = [
     "AdaptiveEstimated",
@@ -529,7 +529,8 @@ def train(
         if facts[r].w_star.shape != (d, o):
             raise ParameterError(f"replicate {r}: facts.w_star shape does not match the dataset")
         if w0s[r] is None:
-            inits.append(uniform_matrix(streams[r].child("init"), d, o, 0.0, W0_SCALE))
+            init = streams[r].child("init").generator()
+            inits.append(init.uniform(0.0, W0_SCALE, size=(d, o)))
         else:
             inits.append(as_matrix(w0s[r], "w0").copy())
             if inits[r].shape != (d, o):

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from acfl.analysis import BoundInputs, comm_overhead, convergence_bound, tradeoff_curve, u_of, u_tilde
-from acfl.coding import NoiseParams, encode_dataset
+from acfl.coding import NoiseParams, encode_levels
 from acfl.dataset import generate, optimum
 from acfl.harness import ExperimentConfig, compare_baselines, run_experiment
-from acfl.numerics import RngStream, uniform_matrix
+from acfl.numerics import RngStream
 from acfl.privacy import epsilon_of, sigma_for_epsilon
 from acfl.training import (
     AdaptiveEstimated,
@@ -108,7 +108,7 @@ def joint_redraws():
     noise = NoiseParams(1.0, 1.0)
     root = RngStream(202)
     ds = generate(n, m, d, o, root.child("data"))
-    w = uniform_matrix(root.child("w"), d, o, 0.0, 1.0 / 30.0)
+    w = root.child("w").generator().uniform(0.0, 1.0 / 30.0, size=(d, o))
     grads = np.stack([device_gradient(x, y, w) for x, y in zip(ds.x, ds.y)])
     g_true = grads[0].copy()
     for g in grads[1:]:
@@ -119,7 +119,7 @@ def joint_redraws():
     acc_sq = np.zeros((d, o))
     norm_acc = 0.0
     for r in range(k):
-        coded = encode_dataset(ds, noise, root.child("enc", r))
+        (coded,) = encode_levels(ds, [noise], root.child("enc", r))
         g_all = blend(coded_gradient(coded.h_x_sum, coded.h_y_sum, w), grads, masks[r], alpha, p)
         sq = g_all * g_all
         acc += g_all
@@ -210,7 +210,7 @@ def test_c07_distance_bound_after_t_steps():
     schedule = schedule_for_strong_convexity(facts.lam)
 
     def run(policy, s):
-        coded = encode_dataset(ds, noise, root.child("enc", s))
+        (coded,) = encode_levels(ds, [noise], root.child("enc", s))
         (trace,) = train(
             ds, [Arm(coded, policy, noise)], p, 1000, schedule, root.child("train", s), facts
         )

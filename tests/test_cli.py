@@ -125,6 +125,19 @@ def test_compare_subcommand(tmp_path, capsys):
     assert "win_rate[sigma_sq=2]=" in out
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_workers_flag_is_accepted_and_changes_no_byte(tmp_path, capsys, command):
+    # The bench passes --workers 1 to every run; the flag must keep parsing.
+    written = {}
+    for name, extra in (("plain", []), ("workers", ["--workers", "1"])):
+        (tmp_path / name).mkdir()
+        path = write_run_config(tmp_path / name)
+        assert cli_main([command, str(path), *extra]) == 0
+        out = tmp_path / name / "out"
+        written[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert written["plain"] and written["plain"] == written["workers"]
+
+
 def test_run_missing_config_is_runtime_error(tmp_path, capsys):
     assert cli_main(["run", str(tmp_path / "nope.json")]) == 2
 
@@ -178,6 +191,17 @@ def test_tradeoff_missing_field(tmp_path, capsys):
             {"policy": {"kind": "adaptive-oracle", "beta_sq": math.inf, "c_sq": 1.0}},
             "policy.beta_sq",
         ),
+        # Integer fields refuse a fractional part rather than truncate it.
+        ("run", write_run_config, {"steps": 2.5}, "steps: expected int, got 2.5"),
+        ("compare", write_run_config, {"replicates": 1.9}, "replicates: expected int, got 1.9"),
+        (
+            "run",
+            write_run_config,
+            {"dataset": {"n_devices": 100.5, "m": 8, "d": 3, "o": 2}},
+            "dataset.n_devices: expected int, got 100.5",
+        ),
+        ("run", write_run_config, {"steps": True}, "steps: expected int, got True"),
+        ("tradeoff", write_tradeoff_config, {"steps": 2.5}, "steps: expected int, got 2.5"),
     ],
     ids=[
         "run-steps",
@@ -190,6 +214,11 @@ def test_tradeoff_missing_field(tmp_path, capsys):
         "run-inf-schedule-c",
         "run-nan-sigma1_sq",
         "run-inf-beta_sq",
+        "run-fractional-steps",
+        "compare-fractional-replicates",
+        "run-fractional-n_devices",
+        "run-boolean-steps",
+        "tradeoff-fractional-steps",
     ],
 )
 def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, override, field):

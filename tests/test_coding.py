@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from acfl.coding import NoiseParams, encode_dataset, encode_levels, payload_size
+from acfl.coding import NoiseParams, encode_levels, payload_size
 from acfl.dataset import generate
 from acfl.errors import ParameterError
 from acfl.numerics import RngStream
@@ -22,14 +22,14 @@ def test_noise_params_validation():
 
 def test_zero_noise_encodes_exactly():
     ds = generate(1, 8, 3, 2, RngStream(1).child("data"))
-    coded = encode_dataset(ds, NoiseParams(0.0, 0.0), RngStream(1).child("enc"))
+    (coded,) = encode_levels(ds, [NoiseParams(0.0, 0.0)], RngStream(1).child("enc"))
     assert np.array_equal(coded.h_x_sum, ds.gram_x[0])
     assert np.array_equal(coded.h_y_sum, ds.gram_xy[0])
 
 
 def test_encoded_shapes_independent_of_sample_count():
     ds = generate(1, 50, 10, 10, RngStream(2).child("data"))
-    coded = encode_dataset(ds, NoiseParams(1.0, 1.0), RngStream(2).child("enc"))
+    (coded,) = encode_levels(ds, [NoiseParams(1.0, 1.0)], RngStream(2).child("enc"))
     assert coded.h_x_sum.shape == (10, 10)
     assert coded.h_y_sum.shape == (10, 10)
     assert payload_size(10, 10) == 10 * 10 + 10 * 10
@@ -38,10 +38,10 @@ def test_encoded_shapes_independent_of_sample_count():
 def test_encoding_deterministic_per_stream():
     ds = generate(1, 8, 3, 2, RngStream(3).child("data"))
     s = RngStream(3).child("enc", 0)
-    a = encode_dataset(ds, NoiseParams(2.0, 0.5), s)
-    b = encode_dataset(ds, NoiseParams(2.0, 0.5), s)
+    (a,) = encode_levels(ds, [NoiseParams(2.0, 0.5)], s)
+    (b,) = encode_levels(ds, [NoiseParams(2.0, 0.5)], s)
     assert np.array_equal(a.h_x_sum, b.h_x_sum) and np.array_equal(a.h_y_sum, b.h_y_sum)
-    c = encode_dataset(ds, NoiseParams(2.0, 0.5), RngStream(3).child("enc", 1))
+    (c,) = encode_levels(ds, [NoiseParams(2.0, 0.5)], RngStream(3).child("enc", 1))
     assert not np.array_equal(a.h_x_sum, c.h_x_sum)
 
 
@@ -51,7 +51,7 @@ def test_noise_moments_over_reencodings():
     k = 10_000
     devs1 = np.empty((k, 3, 3))
     for r in range(k):
-        coded = encode_dataset(ds, NoiseParams(4.0, 1.0), root.child("mc", r))
+        (coded,) = encode_levels(ds, [NoiseParams(4.0, 1.0)], root.child("mc", r))
         devs1[r] = coded.h_x_sum - ds.gram_x[0]
     # per entry: 10^4 draws of std 2, so the mean's standard error is 2/100
     assert np.abs(devs1.mean(axis=0)).max() < 4 * (2 / 100)
@@ -63,7 +63,7 @@ def test_aggregate_matches_bruteforce_entry_loop():
     ds = generate(5, 8, 3, 2, RngStream(6).child("data"))
     noise = NoiseParams(1.0, 1.0)
     stream = RngStream(6).child("enc")
-    total = encode_dataset(ds, noise, stream)
+    (total,) = encode_levels(ds, [noise], stream)
     z = stream.generator().standard_normal((5, 3, 5))
     uploads = [(ds.gram_x[i] + z[i, :, :3], ds.gram_xy[i] + z[i, :, 3:]) for i in range(5)]
     for idx in np.ndindex(3, 3):
@@ -86,7 +86,7 @@ def test_coded_sum_unbiased():
     acc = np.zeros((2, 2))
     acc_sq = np.zeros((2, 2))
     for r in range(k):
-        coded = encode_dataset(ds, NoiseParams(1.0, 1.0), root.child("mc", r))
+        (coded,) = encode_levels(ds, [NoiseParams(1.0, 1.0)], root.child("mc", r))
         acc += coded.h_x_sum
         acc_sq += coded.h_x_sum**2
     mean = acc / k
@@ -111,7 +111,7 @@ def test_encode_dataset_equals_a_per_device_fold(n):
     ds = generate(n, 8, 3, 2, RngStream(8).child("data"))
     noise = NoiseParams(2.0, 0.5)
     stream = RngStream(8).child("encode", 0)
-    coded = encode_dataset(ds, noise, stream)
+    (coded,) = encode_levels(ds, [noise], stream)
     h_x, h_y = _fold_of_noise_rows(ds, noise, stream)
     assert np.array_equal(coded.h_x_sum, h_x)
     assert np.array_equal(coded.h_y_sum, h_y)
@@ -132,6 +132,6 @@ def test_encode_levels_equals_one_encode_per_level():
     stream = RngStream(11).child("encode", 0)
     noises = [NoiseParams(0.1, 0.1), NoiseParams(10.0, 10.0), NoiseParams(2.0, 0.5)]
     for coded, noise in zip(encode_levels(ds, noises, stream), noises, strict=True):
-        alone = encode_dataset(ds, noise, stream)
+        (alone,) = encode_levels(ds, [noise], stream)
         assert np.array_equal(coded.h_x_sum, alone.h_x_sum)
         assert np.array_equal(coded.h_y_sum, alone.h_y_sum)

@@ -3,8 +3,8 @@ import pytest
 
 from acfl import FederatedDataset, dataset
 from acfl.dataset import generate, load_csv, loss, optimum, save_csv
-from acfl.errors import NumericError, ParameterError
-from acfl.numerics import RngStream, uniform_matrix
+from acfl.errors import ParameterError
+from acfl.numerics import RngStream
 from reference import device_gradient
 
 # m > d is required, so the identity-feature examples pad a zero row.
@@ -175,40 +175,26 @@ def test_generate_devices_do_not_depend_on_device_count():
         assert np.array_equal(five.y[i], five.x[i] @ five.w_true)
 
 
-def _fail_device_1(monkeypatch, times):
-    """Make the first ``times`` rank checks report device 1 as deficient."""
+def test_generate_forms_and_checks_the_gram_stack_once(monkeypatch):
+    # The dataset's own batched Cholesky is the only rank check of a draw.
+    calls = {"_gram": 0, "_deficient": 0}
+    for name in calls:
+        real = getattr(dataset, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(dataset, name, counted)
+    generate(3, 6, 2, 1, RngStream(23).child("data"))
+    assert calls == {"_gram": 1, "_deficient": 1}
+
+
+def test_generate_names_a_rank_deficient_device(monkeypatch):
     real = dataset._deficient
-    calls = []
-
-    def forced(gram_x):
-        failing = real(gram_x)
-        if len(calls) < times:
-            failing = np.union1d(failing, [min(1, len(gram_x) - 1)])
-        calls.append(len(gram_x))
-        return failing
-
-    monkeypatch.setattr(dataset, "_deficient", forced)
-    return calls
-
-
-def test_generate_redraws_only_the_failing_device(monkeypatch):
-    stream = RngStream(23).child("data")
-    clean = generate(3, 6, 2, 1, stream)
-    calls = _fail_device_1(monkeypatch, times=1)
-    ds = generate(3, 6, 2, 1, stream)
-    # one pass over the block, one over the redrawn device, the dataset's own
-    assert calls == [3, 1, 3]
-    assert np.array_equal(ds.x[1], uniform_matrix(stream.child("x", 1, 1), 6, 2, -1.0, 1.0))
-    assert not np.array_equal(ds.x[1], clean.x[1])
-    assert np.array_equal(ds.x[[0, 2]], clean.x[[0, 2]])
-    assert np.array_equal(ds.y, ds.x @ ds.w_true)
-
-
-def test_generate_gives_up_after_three_redraws(monkeypatch):
-    calls = _fail_device_1(monkeypatch, times=4)
-    with pytest.raises(NumericError, match="device 1: no full-rank feature draw after 3 retries"):
+    monkeypatch.setattr(dataset, "_deficient", lambda gram_x: np.union1d(real(gram_x), [1]))
+    with pytest.raises(ParameterError, match="device 1: x is rank deficient"):
         generate(3, 6, 2, 1, RngStream(23).child("data"))
-    assert calls == [3, 1, 1, 1]
 
 
 def test_rank_deficient_stack_names_its_device():
@@ -292,4 +278,20 @@ def test_load_csv_rejects_a_short_row(tmp_path, random_instance):
     lines[3] = ",".join(lines[3].split(",")[:-1]) + "\n"
     path.write_text("".join(lines))
     with pytest.raises(ParameterError, match="device_0001.csv: line 4 has 4 values, the header names"):
+        load_csv(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [("abc,0.5\n", "could not convert"), ("0.5\n", "line 3 has 1 values, the header names 2")],
+    ids=["not-a-number", "short-row"],
+)
+def test_load_csv_names_a_malformed_w_true(tmp_path, row, message):
+    ds = generate(2, 8, 3, 2, RngStream(15).child("data"))
+    save_csv(ds, tmp_path)
+    path = tmp_path / "w_true.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = row
+    path.write_text("".join(lines))
+    with pytest.raises(ParameterError, match=f"w_true.csv: {message}"):
         load_csv(tmp_path)

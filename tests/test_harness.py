@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from acfl import harness
-from acfl.coding import NoiseParams, encode_dataset
+from acfl.coding import NoiseParams, encode_levels
 from acfl.dataset import generate, loss, optimum
 from acfl.errors import ParameterError
 from acfl.harness import (
@@ -105,6 +105,16 @@ def test_config_parses_policy_kinds(tmp_path):
         (lambda raw: raw.__setitem__("steps", "abc"), "steps"),
         (lambda raw: raw.__setitem__("noise_levels", 3), "noise_levels"),
         (lambda raw: raw.__setitem__("dataset", 7), "dataset"),
+        # An integer field refuses a fractional part instead of truncating it,
+        # and no number field reads a boolean.
+        (lambda raw: raw.__setitem__("steps", 2.5), "steps: expected int, got 2.5"),
+        (lambda raw: raw.__setitem__("replicates", 1.9), "replicates: expected int, got 1.9"),
+        (
+            lambda raw: raw["dataset"].__setitem__("n_devices", 100.5),
+            "dataset.n_devices: expected int, got 100.5",
+        ),
+        (lambda raw: raw.__setitem__("steps", True), "steps: expected int, got True"),
+        (lambda raw: raw.__setitem__("straggler_p", False), "straggler_p: expected float, got False"),
     ],
 )
 def test_config_errors_name_field_paths(tmp_path, mutate, needle):
@@ -112,6 +122,15 @@ def test_config_errors_name_field_paths(tmp_path, mutate, needle):
     mutate(raw)
     with pytest.raises(ParameterError, match=needle.replace(".", r"\.")):
         config_from_dict(raw)
+
+
+def test_config_accepts_integral_floats_for_int_fields(tmp_path):
+    raw = raw_config_dict(tmp_path)
+    raw["steps"] = 1000.0
+    raw["dataset"]["n_devices"] = 3.0
+    cfg = config_from_dict(raw)
+    assert cfg.steps == 1000 and type(cfg.steps) is int
+    assert cfg.n_devices == 3 and type(cfg.n_devices) is int
 
 
 def test_config_rejects_noise_and_epsilon_together(tmp_path):
@@ -245,7 +264,7 @@ def test_compare_rows_and_pairing(tmp_path):
     for level, method, r, final_loss in result.rows:
         ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
         noise = NoiseParams(level, level)
-        gc = encode_dataset(ds, noise, root.child("encode", r))
+        (gc,) = encode_levels(ds, [noise], root.child("encode", r))
         policy = cfg.policy if method == "acfl" else cfg.baseline
         (tr,) = train(
             ds, [Arm(gc, policy, noise)], cfg.straggler_p, cfg.steps, cfg.schedule,
@@ -345,14 +364,14 @@ def test_replicate_groups_do_not_change_artifacts(tmp_path, monkeypatch, per_gro
 
 def test_compare_encodes_each_replicate_once(tmp_path):
     # Both levels scale one noise draw per replicate; the coded sums equal
-    # per-level encode_dataset calls on the same stream.
+    # one-level encode_levels calls on the same stream.
     cfg = small_config(tmp_path / "enc", replicates=2)
     result = compare_baselines(cfg, noise_levels=(0.5, 2.0))
     root = RngStream(cfg.master_seed)
     for r in range(cfg.replicates):
         ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
         for level in (0.5, 2.0):
-            gc = encode_dataset(ds, NoiseParams(level, level), root.child("encode", r))
+            (gc,) = encode_levels(ds, [NoiseParams(level, level)], root.child("encode", r))
             for method in ("acfl", "na"):
                 assert result.records[(level, method)][r].coded_digest == harness._coded_digest(gc)
 

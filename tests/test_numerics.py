@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from acfl import *  # noqa: F403 -- fails at import if __all__ names a missing attribute
 from acfl.errors import NumericError, ParameterError
-from acfl.numerics import RngStream, _cholesky, as_matrix, eig_min_sym, spd_solve, uniform_matrix
+from acfl.numerics import RngStream, _cholesky, as_matrix, eig_min_sym, spd_solve
 from reference import linear_solve
 
 
@@ -23,12 +23,6 @@ def test_gaussian_determinism():
     sd = math.sqrt(2.5)
     a = s.generator().normal(0.0, sd, (5, 5))
     assert np.array_equal(a, s.generator().normal(0.0, sd, (5, 5)))
-
-
-def test_generator_matches_sampling_ops():
-    s = RngStream(9).child("x", 1)
-    direct = s.generator().uniform(-1.0, 1.0, (4, 3))
-    assert np.array_equal(direct, uniform_matrix(s, 4, 3, -1.0, 1.0))
 
 
 def test_distinct_streams_differ():
@@ -49,11 +43,9 @@ def test_swapped_indices_differ():
 
 def test_uniform_range_and_determinism():
     s = RngStream(2).child("u")
-    m = uniform_matrix(s, 50, 20, -1.0, 1.0)
+    m = s.generator().uniform(-1.0, 1.0, size=(50, 20))
     assert m.min() >= -1.0 and m.max() < 1.0
-    assert np.array_equal(m, uniform_matrix(s, 50, 20, -1.0, 1.0))
-    with pytest.raises(ParameterError):
-        uniform_matrix(s, 2, 2, 1.0, 0.0)
+    assert np.array_equal(m, s.generator().uniform(-1.0, 1.0, size=(50, 20)))
 
 
 def test_spd_solve_identity():

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from acfl.coding import GlobalCodedData, NoiseParams, encode_dataset
+from acfl.coding import GlobalCodedData, NoiseParams, encode_levels
 from acfl.dataset import generate, loss, optimum
 from acfl.errors import NumericError, ParameterError
 from acfl.numerics import RngStream
@@ -28,7 +28,8 @@ X_ID2 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
 def _coded(ds, sigma_sq, stream):
-    return encode_dataset(ds, NoiseParams(sigma_sq, sigma_sq), stream.child("enc"))
+    (coded,) = encode_levels(ds, [NoiseParams(sigma_sq, sigma_sq)], stream.child("enc"))
+    return coded
 
 
 # ---------------------------------------------------------------- stragglers
@@ -335,7 +336,7 @@ def test_train_loss_is_accurate_near_the_optimum(seed):
     ds = generate(10, 20, 3, 3, root.child("dataset", 0))
     facts = optimum(ds)
     noise = sigma_for_epsilon(5.0, 3, 3)
-    gc = encode_dataset(ds, noise, root.child("encode", 0))
+    (gc,) = encode_levels(ds, [noise], root.child("encode", 0))
 
     def run(steps):
         (tr,) = train(
@@ -400,7 +401,7 @@ def test_train_divergence_names_the_iteration(policy, with_still_arm):
     root = RngStream(20)
     ds = generate(100, 100, 10, 10, root.child("data"))
     noise = NoiseParams(0.1, 0.1)
-    gc = encode_dataset(ds, noise, root.child("enc"))
+    (gc,) = encode_levels(ds, [noise], root.child("enc"))
     arms = [Arm(gc, policy, noise)]
     if with_still_arm:
         # The pure coded gradient of all-zero coded sums: this arm never moves.
@@ -424,7 +425,7 @@ def _replicate(seed, n=4, m=9, d=3, o=2, levels=(0.5, 4.0)):
     arms = []
     for level in levels:
         noise = NoiseParams(level, level)
-        gc = encode_dataset(ds, noise, root.child("encode"))
+        (gc,) = encode_levels(ds, [noise], root.child("encode"))
         arms.append(Arm(gc, AdaptiveEstimated(0.3), noise))
     arms[1:1] = [
         Arm(arms[0].coded, FixedWeight(0.4)),
@@ -484,7 +485,7 @@ def test_batched_train_divergence_names_the_replicate():
     for r in range(2):
         ds = generate(100, 100, 10, 10, root.child("data", r))
         noise = NoiseParams(0.1, 0.1)
-        gc = encode_dataset(ds, noise, root.child("enc", r))
+        (gc,) = encode_levels(ds, [noise], root.child("enc", r))
         datasets.append(ds)
         arm_lists.append([Arm(gc, FixedWeight(0.5)), Arm(gc, AdaptiveEstimated(), noise)])
         facts.append(optimum(ds))
@@ -517,7 +518,7 @@ def test_divergence_inside_a_mask_block_names_the_first_bad_row():
     datasets, arm_lists, facts = [], [], []
     for r in range(2):
         ds = generate(6, 12, 3, 2, root.child("data", r))
-        gc = encode_dataset(ds, noise, root.child("enc", r))
+        (gc,) = encode_levels(ds, [noise], root.child("enc", r))
         datasets.append(ds)
         arm_lists.append([Arm(gc, FixedWeight(0.5)), Arm(gc, AdaptiveEstimated(), noise)])
         facts.append(optimum(ds))
@@ -557,7 +558,7 @@ def test_train_reference_setup_loss_drops():
     ds = generate(100, 100, 10, 10, root.child("data"))
     facts = optimum(ds)
     noise = NoiseParams(0.01, 0.01)
-    gc = encode_dataset(ds, noise, root.child("enc"))
+    (gc,) = encode_levels(ds, [noise], root.child("enc"))
     (tr,) = train(
         ds, [Arm(gc, AdaptiveEstimated(), noise)], 0.2, 2000, InverseDecay(1e-4),
         root.child("train"), facts,
