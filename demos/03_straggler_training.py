@@ -56,7 +56,7 @@ results = dict(zip(labels, traces))
 for (sigma_sq, label), trace in results.items():
     print(
         f"sigma^2={sigma_sq:<5g} {label:<9} loss {trace.loss[0]:8.3f} -> "
-        f"{loss(trace.final_w, ds):10.6f}   mean alpha {trace.alpha.mean():.4f}"
+        f"{loss(trace.final_w, ds, facts):10.6f}   mean alpha {trace.alpha.mean():.4f}"
     )
 print()
 print("Both policies see identical data, coding noise, and straggler draws")

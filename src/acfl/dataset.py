@@ -5,17 +5,17 @@ An instance is ``N`` devices, device ``i`` holding features ``X_i``
 
     f(W) = sum_i 0.5 * ||X_i W - Y_i||_F^2 .
 
-The bundled generator draws features uniformly on ``[-1, 1]``, one shared
-true weight matrix uniformly on ``[0, 1/30]``, and noiseless labels
-``Y_i = X_i @ W_true``, so the optimum is the true weights and the optimal
-loss is zero.
+A dataset keeps only each device's Gram pair ``X_i^T X_i``, ``X_i^T Y_i``
+(and two label-noise sums), which is all the objective needs.  The bundled
+generator draws features uniformly on ``[-1, 1]``, one shared true weight
+matrix uniformly on ``[0, 1/30]``, and noiseless labels ``Y_i = X_i @
+W_true``, so the optimum is the true weights and the optimal loss is zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -26,11 +26,13 @@ __all__ = [
     "FederatedDataset",
     "ProblemFacts",
     "generate",
-    "load_csv",
     "loss",
     "optimum",
-    "save_csv",
 ]
+
+# Devices per product when per-device samples or statistics are formed or
+# scanned, which bounds the (devices, .) temporaries at fleet scale.
+DEVICE_CHUNK_ROWS = 512
 
 _RANK_TOL = 1e-10
 
@@ -61,69 +63,61 @@ def _deficient(gram_x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FederatedDataset:
-    """All devices' features and labels as stacks, plus the true weights when known.
+    """All devices' Gram stacks, two label-noise sums, and the true weights when known.
 
-    Device ``i`` holds ``x[i]`` (``m x d``) and ``y[i]`` (``m x o``), so
-    every device has the same sample count.  The stack is checked once:
-    finite entries within ``[-1, 1]``, ``m > d``, and every ``X_i^T X_i`` of
-    full rank by :func:`_deficient`, which names the first device whose
-    smallest eigenvalue is at most ``1e-10``.  This is the only rank check
-    of a drawn or loaded dataset.
+    Device ``i`` is ``gram_x[i] = X_i^T X_i`` and ``gram_xy[i] = X_i^T Y_i``,
+    all that encoding, training and the loss read; samples are not kept.
+    With ``E_i = Y_i - X_i W_true`` (``W_true = 0`` when unknown),
+    ``xe_sum = sum_i X_i^T E_i`` and ``ee_sum = sum_i ||E_i||_F^2``, both
+    exactly zero for noiseless labels.  The constructor checks finite
+    entries, agreeing shapes and, by :func:`_deficient`, that every
+    ``X_i^T X_i`` has full rank, naming the first device whose smallest
+    eigenvalue is at most ``1e-10``: the only rank check of a drawn dataset.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    w_true: np.ndarray | None = None
+    gram_x: np.ndarray
+    gram_xy: np.ndarray
+    w_true: np.ndarray | None
+    xe_sum: np.ndarray
+    ee_sum: float
 
     def __post_init__(self):
-        x = as_matrix(self.x, "x", ndim=3)
-        y = as_matrix(self.y, "y", ndim=3)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        n, m, d = x.shape
-        if y.shape[:2] != (n, m):
+        gram_x = as_matrix(self.gram_x, "gram_x", ndim=3)
+        gram_xy = as_matrix(self.gram_xy, "gram_xy", ndim=3)
+        object.__setattr__(self, "gram_x", gram_x)
+        object.__setattr__(self, "gram_xy", gram_xy)
+        n, d, _ = gram_x.shape
+        if gram_x.shape != (n, d, d) or gram_xy.shape[:2] != (n, d):
             raise ParameterError(
-                f"x and y disagree on device or sample count: {x.shape[:2]} vs {y.shape[:2]}"
+                f"gram_x must be (n, d, d) and gram_xy (n, d, o), "
+                f"got {gram_x.shape} and {gram_xy.shape}"
             )
-        if m <= d:
-            raise ParameterError(
-                f"full column rank unattainable: need more samples than features (m={m}, d={d})"
-            )
-        if float(np.abs(x).max()) > 1.0 or float(np.abs(y).max()) > 1.0:
-            raise ParameterError("all entries of x and y must lie in [-1, 1]")
-        deficient = _deficient(self.gram_x)
+        deficient = _deficient(gram_x)
         if deficient.size:
             raise ParameterError(
                 f"device {deficient[0]}: x is rank deficient "
                 f"(eig_min of X'X below {_RANK_TOL:.0e})"
             )
-        if self.w_true is not None:
-            w = as_matrix(self.w_true, "w_true")
-            if w.shape != (d, self.o):
-                raise ParameterError(f"w_true must be ({d}, {self.o}), got {w.shape}")
-            object.__setattr__(self, "w_true", w)
+        names = ("xe_sum",) if self.w_true is None else ("w_true", "xe_sum")
+        for name in names:
+            a = as_matrix(getattr(self, name), name)
+            if a.shape != (d, self.o):
+                raise ParameterError(f"{name} must be ({d}, {self.o}), got {a.shape}")
+            object.__setattr__(self, name, a)
+        if not (math.isfinite(self.ee_sum) and self.ee_sum >= 0.0):
+            raise ParameterError(f"ee_sum must be finite and nonnegative, got {self.ee_sum}")
 
     @property
     def n_devices(self) -> int:
-        return self.x.shape[0]
+        return self.gram_x.shape[0]
 
     @property
     def d(self) -> int:
-        return self.x.shape[2]
+        return self.gram_x.shape[2]
 
     @property
     def o(self) -> int:
-        return self.y.shape[2]
-
-    @cached_property
-    def gram_x(self) -> np.ndarray:
-        """Every ``X_i^T X_i``, an ``(n, d, d)`` stack computed once."""
-        return _gram(self.x, self.x)
-
-    @cached_property
-    def gram_xy(self) -> np.ndarray:
-        """Every ``X_i^T Y_i``, an ``(n, d, o)`` stack computed once."""
-        return _gram(self.x, self.y)
+        return self.gram_xy.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,20 +150,20 @@ def generate(
     *,
     label_noise_sd: float = 0.0,
 ) -> FederatedDataset:
-    """Draw a fresh instance, noiseless by default.
+    """Draw a fresh instance, noiseless by default, and keep its Gram stacks.
 
     ``X_i ~ U[-1, 1]``, ``W_true ~ U[0, 1/30]``, ``Y_i = X_i @ W_true``
-    (plus optional Gaussian label noise of standard deviation
-    ``label_noise_sd``).  Every draw is one block from one generator on a
-    child of ``stream``: ``W_true`` from ``"w_true"``, all features as one
-    ``(n, m, d)`` block from ``"x"`` and label noise as one ``(n, m, o)``
-    block from ``"y"``, each filled row-major, so device ``i``'s data do not
-    depend on ``n_devices``.  The returned :class:`FederatedDataset` runs
-    the only rank check, and a device whose features fail it raises its
-    :class:`ParameterError`: ``lambda_min(X_i^T X_i) <= 1e-10`` has
-    probability about ``1.4 d 1e-10`` per device at ``m = d + 1`` and far
-    less for larger ``m``.  Label entries stay within ``[-1, 1]`` as long as
-    ``d <= 30`` given the ``1/30`` weight scale and the noise is small enough.
+    plus optional Gaussian label noise of standard deviation
+    ``label_noise_sd``.  ``W_true`` comes from ``stream``'s ``"w_true"``
+    child, features from ``"x"`` and label noise from ``"y"``, one generator
+    each, in chunks of :data:`DEVICE_CHUNK_ROWS` devices: bit-equal to one
+    row-major ``(n, m, .)`` block, so device ``i``'s data do not depend on
+    ``n_devices``.  Each chunk's labels must lie in ``[-1, 1]`` (true for
+    ``d <= 30`` and small noise); its Gram pairs and label-noise sums are
+    kept and its samples dropped.  A device that fails the dataset's rank
+    check (``lambda_min(X_i^T X_i) <= 1e-10``, probability about ``1.4 d
+    1e-10`` at ``m = d + 1`` and far less for larger ``m``) raises its
+    :class:`ParameterError`.
     """
     if d < 1 or o < 1:
         raise ParameterError(f"dimensions must be positive, got d={d}, o={o}")
@@ -180,120 +174,56 @@ def generate(
     if label_noise_sd < 0:
         raise ParameterError(f"label_noise_sd must be nonnegative, got {label_noise_sd}")
     w_true = stream.child("w_true").generator().uniform(0.0, 1.0 / 30.0, size=(d, o))
-    x = stream.child("x").generator().uniform(-1.0, 1.0, size=(n_devices, m, d))
-    y = x @ w_true
-    if label_noise_sd > 0.0:
-        y = y + stream.child("y").generator().normal(0.0, label_noise_sd, size=y.shape)
-    return FederatedDataset(x, y, w_true)
+    x_gen = stream.child("x").generator()
+    y_gen = stream.child("y").generator() if label_noise_sd > 0.0 else None
+    gram_x = np.empty((n_devices, d, d))
+    gram_xy = np.empty((n_devices, d, o))
+    xe_sum = np.zeros((d, o))
+    ee_sum = 0.0
+    for lo in range(0, n_devices, DEVICE_CHUNK_ROWS):
+        hi = min(lo + DEVICE_CHUNK_ROWS, n_devices)
+        x = x_gen.uniform(-1.0, 1.0, size=(hi - lo, m, d))
+        fit = x @ w_true
+        y = fit if y_gen is None else fit + y_gen.normal(0.0, label_noise_sd, size=fit.shape)
+        if float(np.abs(y).max()) > 1.0:
+            raise ParameterError("all label entries must lie in [-1, 1]")
+        e = y - fit
+        gram_x[lo:hi] = _gram(x, x)
+        gram_xy[lo:hi] = _gram(x, y)
+        xe_sum += x.reshape(-1, d).T @ e.reshape(-1, o)
+        ee_sum += float(np.vdot(e, e))
+    return FederatedDataset(gram_x, gram_xy, w_true, xe_sum, ee_sum)
 
 
-def loss(w, ds: FederatedDataset, facts: ProblemFacts | None = None) -> float:
-    """Total objective ``sum_i 0.5 * ||X_i W - Y_i||_F^2``, from one batched residual
-    (and no second temporary for its squares).
+def loss(w, ds: FederatedDataset, facts: ProblemFacts) -> float:
+    """Total objective ``sum_i 0.5 * ||X_i W - Y_i||_F^2`` in its Gram form.
 
-    Given the instance's ``facts``, the Gram form ``loss_at_optimum + <D,
-    (sum_i X_i^T X_i) D> / 2`` with ``D = W - W*`` instead: it forms no
-    residuals and stays accurate near the optimum, where the residual form
-    is dominated by rounding.
+    With the instance's ``facts``, it is ``loss_at_optimum + <D, (sum_i
+    X_i^T X_i) D> / 2`` with ``D = W - W*``: no residuals, and accurate near
+    the optimum, where a residual sum is dominated by rounding.
     """
     w = as_matrix(w, "w")
     if w.shape != (ds.d, ds.o):
         raise ParameterError(f"w must be ({ds.d}, {ds.o}), got {w.shape}")
-    if facts is not None:
-        dev = w - facts.w_star
-        return facts.loss_at_optimum + 0.5 * float(np.sum(dev * (ds.gram_x.sum(axis=0) @ dev)))
-    r = ds.x @ w - ds.y
-    return 0.5 * float(np.vdot(r, r))
+    dev = w - facts.w_star
+    return facts.loss_at_optimum + 0.5 * float(np.sum(dev * (ds.gram_x.sum(axis=0) @ dev)))
 
 
 def optimum(ds: FederatedDataset) -> ProblemFacts:
     """Closed-form least-squares optimum of the instance.
 
     ``w_star`` solves ``(sum_i X_i^T X_i) W = sum_i X_i^T Y_i``; ``lam`` is
-    the smallest eigenvalue of the Gram sum.
+    the smallest eigenvalue of the Gram sum.  The residual at the optimum is
+    ``X_i D - E_i`` with ``D = W* - W_true``, so the loss there is ``<D,
+    (sum_i X_i^T X_i) D> / 2 - <D, sum_i X_i^T E_i> + sum_i ||E_i||^2 / 2``,
+    which for noiseless labels is its first term and does not cancel.
     """
     gram = ds.gram_x.sum(axis=0)
     w_star = spd_solve(gram, ds.gram_xy.sum(axis=0))
-    return ProblemFacts(w_star, eig_min_sym(gram), loss(w_star, ds))
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def save_csv(ds: FederatedDataset, directory) -> list[Path]:
-    """Dump one ``device_NNNN.csv`` per device (columns ``x_1..x_d,y_1..y_o``).
-
-    Also writes ``w_true.csv`` when the true weights are known.  Floats are
-    written with ``repr`` so a round-trip through :func:`load_csv` is exact.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    d, o = ds.d, ds.o
-    header = ",".join([f"x_{j + 1}" for j in range(d)] + [f"y_{k + 1}" for k in range(o)])
-    for i, (x, y) in enumerate(zip(ds.x, ds.y)):
-        path = directory / f"device_{i:04d}.csv"
-        with open(path, "w", newline="") as f:
-            f.write(header + "\n")
-            for row_x, row_y in zip(x, y):
-                f.write(",".join(_fmt(v) for v in (*row_x, *row_y)) + "\n")
-        paths.append(path)
-    if ds.w_true is not None:
-        path = directory / "w_true.csv"
-        with open(path, "w", newline="") as f:
-            f.write(",".join(f"w_{k + 1}" for k in range(o)) + "\n")
-            for row in ds.w_true:
-                f.write(",".join(_fmt(v) for v in row) + "\n")
-        paths.append(path)
-    return paths
-
-
-def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    """Header names and float rows of one CSV file, or a :class:`ParameterError`
-    naming it when it has no rows, a row whose length differs from its
-    header, or a value that is not a number."""
-    with open(path, newline="") as f:
-        names = f.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    if not rows:
-        raise ParameterError(f"{path}: no data rows under the header")
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(names):
-            raise ParameterError(
-                f"{path}: line {i} has {len(row)} values, the header names {len(names)}"
-            )
-    try:
-        return names, np.asarray(rows, dtype=np.float64)
-    except ValueError as e:
-        raise ParameterError(f"{path}: {e}") from None
-
-
-def load_csv(directory) -> FederatedDataset:
-    """Rebuild a dataset saved by :func:`save_csv`.
-
-    Every device file must have the same shape, since the dataset stores
-    stacks.  A file (``w_true.csv`` included) that differs from the first
-    device file, has no rows, has a row whose length differs from its header
-    or a value that is not a number raises a :class:`ParameterError` naming
-    it.
-    """
-    directory = Path(directory)
-    device_paths = sorted(directory.glob("device_*.csv"))
-    if not device_paths:
-        raise ParameterError(f"no device_*.csv files under {directory}")
-    blocks = []
-    for path in device_paths:
-        names, data = _read_csv(path)
-        if blocks and data.shape != blocks[0].shape:
-            raise ParameterError(
-                f"{path}: {data.shape[0]} rows of {data.shape[1]} values, "
-                f"expected {blocks[0].shape[0]} rows of {blocks[0].shape[1]} as in "
-                f"{device_paths[0]}"
-            )
-        blocks.append(data)
-    d = sum(1 for n in names if n.startswith("x_"))
-    stack = np.stack(blocks)
-    w_path = directory / "w_true.csv"
-    w_true = _read_csv(w_path)[1] if w_path.exists() else None
-    return FederatedDataset(stack[:, :, :d], stack[:, :, d:], w_true)
+    dev = w_star if ds.w_true is None else w_star - ds.w_true
+    loss_at_optimum = (
+        0.5 * float(np.sum(dev * (gram @ dev)))
+        - float(np.sum(dev * ds.xe_sum))
+        + 0.5 * ds.ee_sum
+    )
+    return ProblemFacts(w_star, eig_min_sym(gram), loss_at_optimum)

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .coding import GlobalCodedData, NoiseParams
-from .dataset import FederatedDataset, ProblemFacts
+from .dataset import DEVICE_CHUNK_ROWS, FederatedDataset, ProblemFacts
 from .errors import NumericError, ParameterError
 from .numerics import RngStream, as_matrix
 
@@ -311,11 +311,6 @@ _TRACE_COLUMNS = ("alpha", "loss", "dist_sq", "grad_norm_sq", "w_norm_sq", "max_
 # Straggler-mask rows drawn per generator call: each replicate's masks come
 # in (rows, n) blocks of at most this many rows.
 MASK_CHUNK_ROWS = 64
-
-
-# Devices per product when the per-device statistics are built or scanned,
-# which bounds the (devices, .) temporaries at fleet scale.
-DEVICE_CHUNK_ROWS = 512
 
 
 @functools.cache

@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import settings
 
-from acfl import FederatedDataset
+from reference import dataset_from_samples, random_samples
 
 # Property tests draw the same examples on every run (derandomize) and take
 # no per-example deadline: the suite runs on small shared hosts.
@@ -12,15 +11,9 @@ settings.load_profile("acfl")
 
 @pytest.fixture
 def random_instance():
-    """Factory for legal random instances with non-trivial labels."""
+    """Factory for the datasets of :func:`reference.random_samples`."""
 
-    def make(seed: int, n: int = 3, m: int = 10, d: int = 4, o: int = 2) -> FederatedDataset:
-        rng = np.random.default_rng(seed)
-        x = np.empty((n, m, d))
-        y = np.empty((n, m, o))
-        for i in range(n):  # per device: x_i, then y_i
-            x[i] = rng.uniform(-1.0, 1.0, (m, d))
-            y[i] = rng.uniform(-1.0, 1.0, (m, o))
-        return FederatedDataset(x, y)
+    def make(seed: int, n: int = 3, m: int = 10, d: int = 4, o: int = 2):
+        return dataset_from_samples(*random_samples(seed, n, m, d, o))
 
     return make

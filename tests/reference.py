@@ -1,10 +1,52 @@
-"""Naive reference formulas the tests hold the training kernel against.
+"""Naive reference formulas the tests hold the library against.
 
-Plain array functions, no validation: the kernel works on Gram stacks and
-never forms these per-device quantities itself.
+Plain array functions, no validation: the library keeps only Gram stacks
+and never forms these per-device samples, residuals or gradients itself.
 """
 
 import numpy as np
+
+from acfl import FederatedDataset
+
+
+def random_samples(seed, n=3, m=10, d=4, o=2):
+    """Legal random samples ``(x, y)`` with non-trivial labels, both ``U[-1, 1]``,
+    drawn per device: ``x_i``, then ``y_i``."""
+    rng = np.random.default_rng(seed)
+    x = np.empty((n, m, d))
+    y = np.empty((n, m, o))
+    for i in range(n):
+        x[i] = rng.uniform(-1.0, 1.0, (m, d))
+        y[i] = rng.uniform(-1.0, 1.0, (m, o))
+    return x, y
+
+
+def replay_samples(n, m, d, o, stream, label_noise_sd=0.0):
+    """The samples ``(x, y, w_true)`` that ``generate`` draws from ``stream``,
+    each as one block from the same child streams."""
+    w_true = stream.child("w_true").generator().uniform(0.0, 1.0 / 30.0, size=(d, o))
+    x = stream.child("x").generator().uniform(-1.0, 1.0, size=(n, m, d))
+    y = x @ w_true
+    if label_noise_sd > 0.0:
+        y = y + stream.child("y").generator().normal(0.0, label_noise_sd, size=y.shape)
+    return x, y, w_true
+
+
+def residual_loss(x, y, w):
+    """``sum_i 0.5 * ||X_i W - Y_i||_F^2`` from the residuals of an ``(n, m, .)`` stack."""
+    r = x @ w - y
+    return 0.5 * float(np.vdot(r, r))
+
+
+def dataset_from_samples(x, y, w_true=None):
+    """The dataset of ``(n, m, .)`` sample stacks: Gram stacks and the sums of
+    ``X_i^T E_i`` and ``||E_i||^2`` with ``E_i = Y_i - X_i W_true`` (``W_true = 0``
+    when unknown)."""
+    xt = x.transpose(0, 2, 1)
+    e = y if w_true is None else y - x @ w_true
+    return FederatedDataset(
+        xt @ x, xt @ y, w_true, (xt @ e).sum(axis=0), float(np.vdot(e, e))
+    )
 
 
 def device_gradient(x, y, w):

@@ -26,7 +26,7 @@ from acfl.training import (
     schedule_for_strong_convexity,
     train,
 )
-from reference import blend, coded_gradient, device_gradient
+from reference import blend, coded_gradient, device_gradient, replay_samples
 
 REF_INPUTS = BoundInputs(
     p=0.1, n_devices=5, beta_sq=100.0, c_sq=1.0, d=100, o=10,
@@ -108,8 +108,9 @@ def joint_redraws():
     noise = NoiseParams(1.0, 1.0)
     root = RngStream(202)
     ds = generate(n, m, d, o, root.child("data"))
+    xs, ys, _ = replay_samples(n, m, d, o, root.child("data"))
     w = root.child("w").generator().uniform(0.0, 1.0 / 30.0, size=(d, o))
-    grads = np.stack([device_gradient(x, y, w) for x, y in zip(ds.x, ds.y)])
+    grads = np.stack([device_gradient(x, y, w) for x, y in zip(xs, ys)])
     g_true = grads[0].copy()
     for g in grads[1:]:
         g_true += g

@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from acfl import FederatedDataset, dataset
-from acfl.dataset import generate, load_csv, loss, optimum, save_csv
+from acfl.dataset import DEVICE_CHUNK_ROWS, generate, loss, optimum
 from acfl.errors import ParameterError
+from acfl.harness import _dataset_digest
 from acfl.numerics import RngStream
-from reference import device_gradient
+from reference import (
+    dataset_from_samples,
+    device_gradient,
+    random_samples,
+    replay_samples,
+    residual_loss,
+)
 
 # m > d is required, so the identity-feature examples pad a zero row.
 X_ID2 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -14,16 +21,15 @@ X_ID2 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 def test_generate_reference_dimensions():
     ds = generate(100, 100, 10, 10, RngStream(42).child("data"))
     assert ds.n_devices == 100 and ds.d == 10 and ds.o == 10
-    for x, y in zip(ds.x, ds.y):
-        assert x.shape == (100, 10)
-        assert np.abs(x).max() <= 1.0
-        assert np.array_equal(y, x @ ds.w_true)
+    assert ds.gram_x.shape == (100, 10, 10) and ds.gram_xy.shape == (100, 10, 10)
+    # noiseless labels: both label-noise sums are exactly zero
+    assert not ds.xe_sum.any() and ds.ee_sum == 0.0
     assert ds.w_true.min() >= 0.0 and ds.w_true.max() <= 1.0 / 30.0
 
 
 def test_generate_minimal_instance():
     ds = generate(1, 2, 1, 1, RngStream(0))
-    assert ds.x[0].shape == (2, 1)
+    assert ds.gram_x.shape == (1, 1, 1) and ds.gram_xy.shape == (1, 1, 1)
 
 
 def test_generate_rejects_m_le_d():
@@ -34,17 +40,15 @@ def test_generate_rejects_m_le_d():
 def test_generate_deterministic():
     a = generate(4, 9, 3, 2, RngStream(13).child("data"))
     b = generate(4, 9, 3, 2, RngStream(13).child("data"))
-    assert a.w_true.tobytes() == b.w_true.tobytes()
-    for i in range(a.n_devices):
-        assert a.x[i].tobytes() == b.x[i].tobytes()
-        assert a.y[i].tobytes() == b.y[i].tobytes()
+    assert _dataset_digest(a) == _dataset_digest(b)
 
 
 def test_generate_label_noise_changes_labels():
     clean = generate(2, 8, 3, 2, RngStream(5).child("data"))
     noisy = generate(2, 8, 3, 2, RngStream(5).child("data"), label_noise_sd=1e-3)
-    assert np.array_equal(clean.x[0], noisy.x[0])
-    assert not np.array_equal(clean.y[0], noisy.y[0])
+    assert np.array_equal(clean.gram_x, noisy.gram_x)
+    assert not np.array_equal(clean.gram_xy[0], noisy.gram_xy[0])
+    assert noisy.xe_sum.any() and noisy.ee_sum > 0.0
 
 
 def test_optimum_recovers_true_weights():
@@ -57,126 +61,144 @@ def test_optimum_recovers_true_weights():
 
 def test_loss_zero_at_true_weights():
     ds = generate(3, 12, 4, 2, RngStream(21).child("data"))
-    assert loss(ds.w_true, ds) == pytest.approx(0.0, abs=1e-18)
+    assert loss(ds.w_true, ds, optimum(ds)) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_loss_identity_features():
-    ds = FederatedDataset(X_ID2[None], np.zeros((1, 3, 2)))
-    assert loss(np.eye(2), ds) == pytest.approx(1.0, abs=1e-15)
+    ds = dataset_from_samples(X_ID2[None], np.zeros((1, 3, 2)))
+    assert loss(np.eye(2), ds, optimum(ds)) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_loss_matches_bruteforce(random_instance):
-    ds = random_instance(2)
+def test_loss_matches_bruteforce():
+    xs, ys = random_samples(2)
+    ds = dataset_from_samples(xs, ys)
     rng = np.random.default_rng(9)
     w = rng.normal(size=(ds.d, ds.o))
     total = 0.0
-    for x, y in zip(ds.x, ds.y):
+    for x, y in zip(xs, ys):
         for i in range(x.shape[0]):
             for k in range(ds.o):
                 r = sum(x[i, j] * w[j, k] for j in range(ds.d)) - y[i, k]
                 total += 0.5 * r * r
-    assert loss(w, ds) == pytest.approx(total, abs=1e-10)
+    assert loss(w, ds, optimum(ds)) == pytest.approx(total, abs=1e-10)
 
 
-@pytest.mark.parametrize("noise_sd", [0.0, 0.05])
+@pytest.mark.parametrize("noise_sd", [0.0, 0.05, pytest.param(None, id="generic")])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_loss_gram_form_matches_residuals_away_from_the_optimum(seed, noise_sd):
-    # Final losses are reported in the Gram form loss_at_optimum +
-    # <D, (sum_i A_i) D> / 2, which needs no (n, m, o) residuals.  Away from
-    # the optimum, at |W - W*| from 1% to 10x |W*|, the residual form is
-    # accurate too, and the two agree within rtol 1e-10.
-    ds = generate(20, 30, 5, 3, RngStream(seed).child("data"), label_noise_sd=noise_sd)
+    # Losses are the Gram form loss_at_optimum + <D, (sum_i A_i) D> / 2,
+    # which needs no (n, m, o) residuals.  At |W - W*| from 1% to 10x |W*|
+    # the residual form of the samples is accurate too, and the two agree
+    # within rtol 1e-10; so they do at W* itself for noisy or generic
+    # labels (noise_sd None: U[-1, 1] labels, no true weights).  At W* with
+    # noiseless labels both are zero up to rounding.
+    if noise_sd is None:
+        x, y = random_samples(seed, n=20, m=30, d=5, o=3)
+        ds = dataset_from_samples(x, y)
+    else:
+        stream = RngStream(seed).child("data")
+        ds = generate(20, 30, 5, 3, stream, label_noise_sd=noise_sd)
+        x, y, _ = replay_samples(20, 30, 5, 3, stream, noise_sd)
     facts = optimum(ds)
     direction = np.random.default_rng(seed).standard_normal((5, 3))
     direction *= np.linalg.norm(facts.w_star) / np.linalg.norm(direction)
-    for scale in (1e-2, 1e-1, 1.0, 10.0):
+    for scale in (0.0, 1e-2, 1e-1, 1.0, 10.0):
         w = facts.w_star + scale * direction
-        assert loss(w, ds, facts) == pytest.approx(loss(w, ds), rel=1e-10, abs=0.0)
+        gram_form, residual = loss(w, ds, facts), residual_loss(x, y, w)
+        if scale == 0.0 and noise_sd == 0.0:
+            assert gram_form <= 1e-20 and residual <= 1e-20
+        else:
+            assert gram_form == pytest.approx(residual, rel=1e-10, abs=0.0)
 
 
 def test_loss_rejects_shape_mismatch(random_instance):
     ds = random_instance(3)
     with pytest.raises(ParameterError):
-        loss(np.zeros((ds.d + 1, ds.o)), ds)
+        loss(np.zeros((ds.d + 1, ds.o)), ds, optimum(ds))
 
 
 def test_optimum_diagonal_gram():
     # stacked identities give X'X = 2 I, so every eigenvalue is 2
     x = np.vstack([np.eye(3), np.eye(3)])
     y = np.zeros((6, 2))
-    ds = FederatedDataset(x[None], y[None])
+    ds = dataset_from_samples(x[None], y[None])
     facts = optimum(ds)
     assert facts.lam == pytest.approx(2.0, abs=1e-12)
 
 
-def test_optimum_stationarity(random_instance):
-    ds = random_instance(7, n=4, m=14, d=5, o=3)
-    facts = optimum(ds)
-    grad = sum(device_gradient(x, y, facts.w_star) for x, y in zip(ds.x, ds.y))
+def test_optimum_stationarity():
+    xs, ys = random_samples(7, n=4, m=14, d=5, o=3)
+    facts = optimum(dataset_from_samples(xs, ys))
+    grad = sum(device_gradient(x, y, facts.w_star) for x, y in zip(xs, ys))
     assert np.linalg.norm(grad) < 1e-7 * (1.0 + np.linalg.norm(facts.w_star))
 
 
-def test_strong_convexity_certificate(random_instance):
-    ds = random_instance(4, n=3, m=9, d=3, o=2)
+def test_strong_convexity_certificate():
+    xs, ys = random_samples(4, n=3, m=9, d=3, o=2)
+    ds = dataset_from_samples(xs, ys)
     facts = optimum(ds)
     rng = np.random.default_rng(12)
     for _ in range(50):
         w = rng.normal(size=(ds.d, ds.o))
-        gap = loss(w, ds) - facts.loss_at_optimum
+        gap = residual_loss(xs, ys, w) - facts.loss_at_optimum
         dist_sq = float(np.sum((w - facts.w_star) ** 2))
         assert gap >= 0.5 * facts.lam * dist_sq - 1e-9
 
 
-def test_loss_nonnegative_and_optimal(random_instance):
-    ds = random_instance(6, n=2, m=6, d=2, o=1)
+def test_loss_nonnegative_and_optimal():
+    xs, ys = random_samples(6, n=2, m=6, d=2, o=1)
+    ds = dataset_from_samples(xs, ys)
     facts = optimum(ds)
     rng = np.random.default_rng(8)
     for _ in range(1000):
         w = rng.normal(size=(ds.d, ds.o))
-        val = loss(w, ds)
+        val = residual_loss(xs, ys, w)
         assert val >= 0.0
         assert facts.loss_at_optimum <= val + 1e-12
-
-
-def test_csv_roundtrip(tmp_path, random_instance):
-    ds = random_instance(10, n=3, m=7, d=3, o=2)
-    save_csv(ds, tmp_path)
-    back = load_csv(tmp_path)
-    assert back.n_devices == ds.n_devices
-    for i in range(ds.n_devices):
-        assert np.array_equal(ds.x[i], back.x[i])
-        assert np.array_equal(ds.y[i], back.y[i])
-
-
-def test_csv_roundtrip_with_w_true(tmp_path):
-    ds = generate(2, 8, 3, 2, RngStream(17).child("data"))
-    save_csv(ds, tmp_path)
-    back = load_csv(tmp_path)
-    assert np.array_equal(back.w_true, ds.w_true)
 
 
 # ------------------------------------------------------------ stacked layout
 
 
-def test_gram_stacks_match_per_device_products(random_instance):
-    ds = random_instance(3, n=5, m=9, d=4, o=3)
+def test_gram_stacks_match_per_device_products():
+    stream = RngStream(3).child("data")
+    ds = generate(5, 9, 4, 3, stream, label_noise_sd=0.05)
+    x, y, _ = replay_samples(5, 9, 4, 3, stream, 0.05)
     assert ds.gram_x.shape == (5, 4, 4) and ds.gram_xy.shape == (5, 4, 3)
     for i in range(ds.n_devices):
-        assert np.array_equal(ds.gram_x[i], ds.x[i].T @ ds.x[i])
-        assert np.array_equal(ds.gram_xy[i], ds.x[i].T @ ds.y[i])
+        assert np.array_equal(ds.gram_x[i], x[i].T @ x[i])
+        assert np.array_equal(ds.gram_xy[i], x[i].T @ y[i])
+
+
+@pytest.mark.parametrize("noise_sd", [0.0, 0.05])
+def test_generate_chunks_are_bit_equal_to_one_block(noise_sd):
+    # Three chunks, the last of 3 devices: the chunked draws, products and
+    # digest equal those of one (n, m, .) block from the same streams.
+    n = 2 * DEVICE_CHUNK_ROWS + 3
+    stream = RngStream(8).child("data")
+    ds = generate(n, 6, 3, 2, stream, label_noise_sd=noise_sd)
+    x, y, w_true = replay_samples(n, 6, 3, 2, stream, noise_sd)
+    assert np.array_equal(ds.gram_x, dataset._gram(x, x))
+    assert np.array_equal(ds.gram_xy, dataset._gram(x, y))
+    assert _dataset_digest(ds) == _dataset_digest(dataset_from_samples(x, y, w_true))
+    e = y - x @ w_true
+    assert np.allclose(ds.xe_sum, dataset._gram(x, e).sum(axis=0), rtol=1e-12, atol=1e-15)
+    assert ds.ee_sum == pytest.approx(float(np.vdot(e, e)), rel=1e-12, abs=0.0)
 
 
 def test_generate_devices_do_not_depend_on_device_count():
     three = generate(3, 9, 3, 2, RngStream(31).child("data"))
     five = generate(5, 9, 3, 2, RngStream(31).child("data"))
-    assert three.x.tobytes() == five.x[:3].tobytes()
-    assert three.y.tobytes() == five.y[:3].tobytes()
+    assert three.gram_x.tobytes() == five.gram_x[:3].tobytes()
+    assert three.gram_xy.tobytes() == five.gram_xy[:3].tobytes()
+    x, _, _ = replay_samples(5, 9, 3, 2, RngStream(31).child("data"))
     for i in range(5):  # one batched product, bit-equal to the per-device one
-        assert np.array_equal(five.y[i], five.x[i] @ five.w_true)
+        assert np.array_equal(five.gram_xy[i], x[i].T @ (x[i] @ five.w_true))
 
 
 def test_generate_forms_and_checks_the_gram_stack_once(monkeypatch):
-    # The dataset's own batched Cholesky is the only rank check of a draw.
+    # One Gram pair per chunk of devices, and the dataset's own batched
+    # Cholesky is the only rank check of a draw.
     calls = {"_gram": 0, "_deficient": 0}
     for name in calls:
         real = getattr(dataset, name)
@@ -187,7 +209,7 @@ def test_generate_forms_and_checks_the_gram_stack_once(monkeypatch):
 
         monkeypatch.setattr(dataset, name, counted)
     generate(3, 6, 2, 1, RngStream(23).child("data"))
-    assert calls == {"_gram": 1, "_deficient": 1}
+    assert calls == {"_gram": 2, "_deficient": 1}
 
 
 def test_generate_names_a_rank_deficient_device(monkeypatch):
@@ -202,7 +224,7 @@ def test_rank_deficient_stack_names_its_device():
     x = rng.uniform(-1.0, 1.0, (4, 6, 2))
     x[2, :, 1] = x[2, :, 0]
     with pytest.raises(ParameterError, match="device 2: x is rank deficient"):
-        FederatedDataset(x, np.zeros((4, 6, 1)))
+        dataset_from_samples(x, np.zeros((4, 6, 1)))
 
 
 def test_rank_check_falls_back_to_naming_devices_by_eigenvalue():
@@ -222,76 +244,33 @@ def test_rank_check_falls_back_to_naming_devices_by_eigenvalue():
     assert np.linalg.eigvalsh(gram[2])[0] == pytest.approx(5e-10, rel=1e-3)
     assert dataset._deficient(gram).tolist() == [1, 3]
     with pytest.raises(ParameterError, match="device 1: x is rank deficient"):
-        FederatedDataset(x, y)
-    ds = FederatedDataset(x[[0, 2, 4]], y[[0, 2, 4]])
+        dataset_from_samples(x, y)
+    ds = dataset_from_samples(x[[0, 2, 4]], y[[0, 2, 4]])
     assert ds.n_devices == 3
 
 
 def test_dataset_stack_invariants():
-    rng = np.random.default_rng(5)
+    zeros = np.zeros((2, 1))
     with pytest.raises(ParameterError, match="3-D"):
-        FederatedDataset(rng.uniform(-1, 1, (6, 2)), np.zeros((6, 1)))
-    with pytest.raises(ParameterError, match="sample count"):
-        FederatedDataset(rng.uniform(-1, 1, (2, 6, 2)), np.zeros((2, 5, 1)))
-    with pytest.raises(ParameterError, match="more samples than features"):
-        FederatedDataset(rng.uniform(-1, 1, (2, 2, 2)), np.zeros((2, 2, 1)))
-    with pytest.raises(ParameterError, match=r"\[-1, 1\]"):
-        FederatedDataset(rng.uniform(-1, 1, (2, 6, 2)), np.full((2, 6, 1), 1.5))
+        FederatedDataset(np.eye(2), zeros, None, zeros, 0.0)
+    with pytest.raises(ParameterError, match=r"gram_x must be \(n, d, d\)"):
+        FederatedDataset(np.eye(2)[None], np.zeros((2, 2, 1)), None, zeros, 0.0)
     with pytest.raises(ParameterError, match="non-finite"):
-        FederatedDataset(np.full((2, 6, 2), np.nan), np.zeros((2, 6, 1)))
+        FederatedDataset(np.full((2, 2, 2), np.nan), np.zeros((2, 2, 1)), None, zeros, 0.0)
+    with pytest.raises(ParameterError, match="xe_sum must be"):
+        FederatedDataset(np.eye(2)[None], np.zeros((1, 2, 1)), None, np.zeros((2, 2)), 0.0)
+    with pytest.raises(ParameterError, match="ee_sum"):
+        FederatedDataset(np.eye(2)[None], np.zeros((1, 2, 1)), None, zeros, -1.0)
+    # labels are bounded where they are drawn
+    with pytest.raises(ParameterError, match=r"\[-1, 1\]"):
+        generate(3, 6, 2, 1, RngStream(0), label_noise_sd=10)
 
 
 def test_device_data_invariants():
-    # The same checks on a one-device stack.
+    # The rank check on a one-device stack.
     rng = np.random.default_rng(0)
-    with pytest.raises(ParameterError, match="more samples than features"):
-        FederatedDataset(rng.uniform(-1, 1, (1, 3, 3)), rng.uniform(-1, 1, (1, 3, 1)))
-    with pytest.raises(ParameterError, match=r"\[-1, 1\]"):  # an x entry above 1
-        FederatedDataset(2.0 * np.vstack([np.eye(2), np.eye(2)])[None], np.zeros((1, 4, 1)))
     x = np.zeros((1, 5, 2))
     x[0, :, 0] = rng.uniform(-1, 1, 5)
     x[0, :, 1] = x[0, :, 0]
     with pytest.raises(ParameterError, match="device 0: x is rank deficient"):
-        FederatedDataset(x, np.zeros((1, 5, 1)))
-
-
-def test_load_csv_rejects_unequal_row_counts(tmp_path, random_instance):
-    save_csv(random_instance(12, n=3, m=7, d=3, o=2), tmp_path)
-    path = tmp_path / "device_0001.csv"
-    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
-    with pytest.raises(ParameterError, match="device_0001.csv: 6 rows"):
-        load_csv(tmp_path)
-
-
-def test_load_csv_rejects_a_header_only_file(tmp_path, random_instance):
-    save_csv(random_instance(13, n=2, m=7, d=3, o=2), tmp_path)
-    path = tmp_path / "device_0000.csv"
-    path.write_text(path.read_text().splitlines(keepends=True)[0])
-    with pytest.raises(ParameterError, match="device_0000.csv: no data rows"):
-        load_csv(tmp_path)
-
-
-def test_load_csv_rejects_a_short_row(tmp_path, random_instance):
-    save_csv(random_instance(14, n=2, m=7, d=3, o=2), tmp_path)
-    path = tmp_path / "device_0001.csv"
-    lines = path.read_text().splitlines(keepends=True)
-    lines[3] = ",".join(lines[3].split(",")[:-1]) + "\n"
-    path.write_text("".join(lines))
-    with pytest.raises(ParameterError, match="device_0001.csv: line 4 has 4 values, the header names"):
-        load_csv(tmp_path)
-
-
-@pytest.mark.parametrize(
-    "row,message",
-    [("abc,0.5\n", "could not convert"), ("0.5\n", "line 3 has 1 values, the header names 2")],
-    ids=["not-a-number", "short-row"],
-)
-def test_load_csv_names_a_malformed_w_true(tmp_path, row, message):
-    ds = generate(2, 8, 3, 2, RngStream(15).child("data"))
-    save_csv(ds, tmp_path)
-    path = tmp_path / "w_true.csv"
-    lines = path.read_text().splitlines(keepends=True)
-    lines[2] = row
-    path.write_text("".join(lines))
-    with pytest.raises(ParameterError, match=f"w_true.csv: {message}"):
-        load_csv(tmp_path)
+        dataset_from_samples(x, np.zeros((1, 5, 1)))

@@ -7,7 +7,7 @@ import pytest
 
 from acfl import harness
 from acfl.coding import NoiseParams, encode_levels
-from acfl.dataset import generate, loss, optimum
+from acfl.dataset import generate, optimum
 from acfl.errors import ParameterError
 from acfl.harness import (
     ExperimentConfig,
@@ -30,6 +30,7 @@ from acfl.training import (
     alpha_oracle,
     train,
 )
+from reference import replay_samples, residual_loss
 
 
 def small_config(out_dir, **overrides) -> ExperimentConfig:
@@ -270,7 +271,8 @@ def test_compare_rows_and_pairing(tmp_path):
             ds, [Arm(gc, policy, noise)], cfg.straggler_p, cfg.steps, cfg.schedule,
             root.child("train", r), optimum(ds),
         )
-        assert final_loss == pytest.approx(loss(tr.final_w, ds), rel=1e-10, abs=0.0)
+        xs, ys, _ = replay_samples(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
+        assert final_loss == pytest.approx(residual_loss(xs, ys, tr.final_w), rel=1e-10, abs=0.0)
     again = compare_baselines(
         replace(cfg, out_dir=str(tmp_path / "again")), noise_levels=(0.5, 2.0)
     )

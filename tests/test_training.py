@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from acfl.coding import GlobalCodedData, NoiseParams, encode_levels
-from acfl.dataset import generate, loss, optimum
+from acfl.dataset import generate, optimum
 from acfl.errors import NumericError, ParameterError
 from acfl.numerics import RngStream
 from acfl.privacy import sigma_for_epsilon
@@ -22,7 +22,15 @@ from acfl.training import (
     schedule_for_strong_convexity,
     train,
 )
-from reference import blend, coded_gradient, device_gradient
+from reference import (
+    blend,
+    coded_gradient,
+    dataset_from_samples,
+    device_gradient,
+    random_samples,
+    replay_samples,
+    residual_loss,
+)
 
 X_ID2 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
@@ -71,16 +79,15 @@ def test_local_gradient_identity_features():
     assert np.array_equal(device_gradient(X_ID2, np.zeros((3, 2)), np.eye(2)), np.eye(2))
 
 
-def test_local_gradient_zero_at_optimum(random_instance):
-    ds = random_instance(4, n=3, m=12, d=4, o=2)
-    facts = optimum(ds)
-    total = sum(device_gradient(x, y, facts.w_star) for x, y in zip(ds.x, ds.y))
+def test_local_gradient_zero_at_optimum():
+    xs, ys = random_samples(4, n=3, m=12, d=4, o=2)
+    facts = optimum(dataset_from_samples(xs, ys))
+    total = sum(device_gradient(x, y, facts.w_star) for x, y in zip(xs, ys))
     assert np.linalg.norm(total) < 1e-9 * (1 + np.linalg.norm(facts.w_star))
 
 
-def test_local_gradient_matches_finite_differences(random_instance):
-    ds = random_instance(5, n=1, m=12, d=5, o=3)
-    x, y = ds.x[0], ds.y[0]
+def test_local_gradient_matches_finite_differences():
+    x, y = (a[0] for a in random_samples(5, n=1, m=12, d=5, o=3))
     rng = np.random.default_rng(0)
     w = rng.normal(size=(5, 3))
     g = device_gradient(x, y, w)
@@ -97,12 +104,13 @@ def test_local_gradient_matches_finite_differences(random_instance):
     assert np.allclose(fd, g, rtol=1e-4, atol=1e-8)
 
 
-def test_coded_gradient_zero_noise_collapse(random_instance):
-    ds = random_instance(7, n=4, m=10, d=3, o=2)
+def test_coded_gradient_zero_noise_collapse():
+    xs, ys = random_samples(7, n=4, m=10, d=3, o=2)
+    ds = dataset_from_samples(xs, ys)
     gc = _coded(ds, 0.0, RngStream(7))
     rng = np.random.default_rng(1)
     w = rng.normal(size=(3, 2))
-    direct = sum(device_gradient(x, y, w) for x, y in zip(ds.x, ds.y))
+    direct = sum(device_gradient(x, y, w) for x, y in zip(xs, ys))
     assert np.allclose(coded_gradient(gc.h_x_sum, gc.h_y_sum, w), direct, rtol=1e-12, atol=1e-12)
 
 
@@ -112,11 +120,12 @@ def test_coded_gradient_at_zero_weights(random_instance):
     assert np.array_equal(coded_gradient(gc.h_x_sum, gc.h_y_sum, np.zeros((3, 2))), -gc.h_y_sum)
 
 
-def test_coded_gradient_unbiased_over_redraws(random_instance):
-    ds = random_instance(9, n=2, m=6, d=2, o=1)
+def test_coded_gradient_unbiased_over_redraws():
+    xs, ys = random_samples(9, n=2, m=6, d=2, o=1)
+    ds = dataset_from_samples(xs, ys)
     rng = np.random.default_rng(2)
     w = rng.normal(size=(2, 1))
-    g_true = sum(device_gradient(x, y, w) for x, y in zip(ds.x, ds.y))
+    g_true = sum(device_gradient(x, y, w) for x, y in zip(xs, ys))
     root = RngStream(9)
     k = 100_000
     acc = np.zeros((2, 1))
@@ -149,11 +158,11 @@ def test_alpha_oracle_reference_point():
     assert 0.0 <= a < 1.0
 
 
-def test_alpha_estimated_matches_oracle_when_all_present(random_instance):
-    ds = random_instance(10, n=6, m=10, d=4, o=3)
+def test_alpha_estimated_matches_oracle_when_all_present():
+    xs, ys = random_samples(10, n=6, m=10, d=4, o=3)
     rng = np.random.default_rng(3)
     w = rng.normal(size=(4, 3))
-    grads = [device_gradient(x, y, w) for x, y in zip(ds.x, ds.y)]
+    grads = [device_gradient(x, y, w) for x, y in zip(xs, ys)]
     noise = NoiseParams(0.7, 1.3)
     p = 0.25
     beta_sq_hat = float(np.mean([np.sum(g * g) for g in grads]))
@@ -232,16 +241,17 @@ def test_train_zero_steps(random_instance):
         assert np.array_equal(tr.final_w, tr.w0)
 
 
-def _naive_train(ds, gc, policy, p, steps, c, stream, facts, noise, w0):
-    """Reference loop: per-device gradients, sums folded in device order."""
+def _naive_train(xs, ys, gc, policy, p, steps, c, stream, facts, noise, w0):
+    """Reference loop on the samples: per-device gradients, sums folded in
+    device order."""
     d, o = w0.shape
     rng = stream.child("mask").generator()
     w = w0.copy()
     beta_sq = None
     rows = []
     for t in range(steps):
-        mask = rng.random(ds.n_devices) >= p
-        grads = [device_gradient(x, y, w) for x, y in zip(ds.x, ds.y)]
+        mask = rng.random(len(xs)) >= p
+        grads = [device_gradient(x, y, w) for x, y in zip(xs, ys)]
         total = np.zeros((d, o))
         for g, present in zip(grads, mask):
             if present:
@@ -269,7 +279,7 @@ def _naive_train(ds, gc, policy, p, steps, c, stream, facts, noise, w0):
             (
                 alpha,
                 int(mask.sum()),
-                loss(w, ds),
+                residual_loss(xs, ys, w),
                 float(np.sum((w - facts.w_star) ** 2)),
                 float(np.sum(g_all * g_all)),
                 c_sq,
@@ -303,10 +313,11 @@ POLICIES = {
     ],
     ids=["fixed", "oracle", "estimated", "six-arms"],
 )
-def test_train_matches_plain_gradient_descent(random_instance, names, levels, p):
+def test_train_matches_plain_gradient_descent(names, levels, p):
     # The batched step against a per-device loop run once per arm, within
     # rtol 1e-10: the summation order differs, so equality is not required.
-    ds = random_instance(13, n=5, m=10, d=4, o=2)
+    xs, ys = random_samples(13, n=5, m=10, d=4, o=2)
+    ds = dataset_from_samples(xs, ys)
     facts = optimum(ds)
     arms = []
     for level in levels:
@@ -319,7 +330,7 @@ def test_train_matches_plain_gradient_descent(random_instance, names, levels, p)
     assert len(traces) == len(arms)
     for arm, tr in zip(arms, traces):
         rows, w = _naive_train(
-            ds, arm.coded, arm.policy, p, steps, c, stream, facts, arm.noise, w0
+            xs, ys, arm.coded, arm.policy, p, steps, c, stream, facts, arm.noise, w0
         )
         for j, name in enumerate(TRACE_COLUMNS):
             assert np.allclose(getattr(tr, name), rows[:, j], rtol=1e-10, atol=0.0), name
@@ -334,6 +345,7 @@ def test_train_loss_is_accurate_near_the_optimum(seed):
     # cancels, and the recorded value must still match the direct residuals.
     root = RngStream(seed)
     ds = generate(10, 20, 3, 3, root.child("dataset", 0))
+    xs, ys, _ = replay_samples(10, 20, 3, 3, root.child("dataset", 0))
     facts = optimum(ds)
     noise = sigma_for_epsilon(5.0, 3, 3)
     (gc,) = encode_levels(ds, [noise], root.child("encode", 0))
@@ -347,15 +359,16 @@ def test_train_loss_is_accurate_near_the_optimum(seed):
 
     steps = 4000
     assert run(steps + 1).loss[steps] == pytest.approx(
-        loss(run(steps).final_w, ds), rel=1e-9, abs=0.0
+        residual_loss(xs, ys, run(steps).final_w), rel=1e-9, abs=0.0
     )
 
 
-def test_train_estimated_weight_falls_back_then_reuses_last_estimate(random_instance):
+def test_train_estimated_weight_falls_back_then_reuses_last_estimate():
     # With p = 0.9 and two devices many iterations have nobody present: the
     # weight is fallback_alpha until the first report, then reuses the
     # latest report's norm estimate.
-    ds = random_instance(19, n=2, m=8, d=3, o=2)
+    xs, ys = random_samples(19, n=2, m=8, d=3, o=2)
+    ds = dataset_from_samples(xs, ys)
     facts = optimum(ds)
     noise = NoiseParams(1.0, 1.0)
     gc = _coded(ds, 1.0, RngStream(19))
@@ -381,7 +394,7 @@ def test_train_estimated_weight_falls_back_then_reuses_last_estimate(random_inst
     assert reused
     for t in reused:
         w_prev = run(t - 1).final_w
-        grads = [device_gradient(x, y, w_prev) for x, y, m in zip(ds.x, ds.y, masks[t - 1]) if m]
+        grads = [device_gradient(x, y, w_prev) for x, y, m in zip(xs, ys, masks[t - 1]) if m]
         beta_sq = float(np.mean([np.sum(g * g) for g in grads]))
         expect = alpha_estimated(p, 3, 2, noise, beta_sq, tr.w_norm_sq[t])
         assert tr.alpha[t] == pytest.approx(expect, rel=1e-12)
@@ -525,10 +538,11 @@ def test_divergence_inside_a_mask_block_names_the_first_bad_row():
     streams = [root.child("train", r) for r in range(2)]
     p, c, steps = 0.2, 40.0, 300
 
+    xs, ys, _ = replay_samples(6, 12, 3, 2, root.child("data", 1))
     first_bad = []
     for arm in arm_lists[1]:
         rows, _ = _naive_train(
-            datasets[1], arm.coded, arm.policy, p, steps, c, streams[1], facts[1], noise, w0
+            xs, ys, arm.coded, arm.policy, p, steps, c, streams[1], facts[1], noise, w0
         )
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
         losses = rows[: bad[0] + 1, 2]
