@@ -51,7 +51,6 @@ from .training import (
     FixedWeight,
     InverseDecay,
     TrainingTrace,
-    alpha_estimated,
     alpha_oracle,
     sample_stragglers,
     schedule_for_strong_convexity,
@@ -81,7 +80,6 @@ __all__ = [
     "RunResult",
     "TradeoffPoint",
     "TrainingTrace",
-    "alpha_estimated",
     "alpha_oracle",
     "comm_overhead",
     "compare_baselines",

@@ -64,13 +64,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> None:
-    result = run_experiment(load_config(args.config), workers=args.workers)
+    result = run_experiment(load_config(args.config))
     print(result.trace_path)
     print(result.summary_path)
 
 
 def _cmd_compare(args) -> None:
-    result = compare_baselines(load_config(args.config), workers=args.workers)
+    result = compare_baselines(load_config(args.config))
     print(result.path)
     for level in sorted(result.win_rates):
         print(f"win_rate[sigma_sq={level:g}]={result.win_rates[level]}")

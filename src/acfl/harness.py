@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -142,21 +142,23 @@ class ExperimentConfig:
         return sigma_for_epsilon(self.epsilon, self.d, self.o)
 
 
+_JSON_TYPES = {dict: (dict, "an object"), list: ((list, tuple), "a list"), str: (str, "a string")}
+
+
 def coerce(value, kind: type, path: str):
     """``value`` as ``kind``, or a :class:`ParameterError` naming the field ``path``.
 
     ``int`` and ``float`` convert, but refuse a boolean, and ``int`` refuses
     a number with a fractional part rather than truncating it (``1000.0``
     passes); a ``float`` must be finite (JSON configs may spell ``NaN`` and
-    ``Infinity``).  ``dict`` and ``list`` (a JSON object or array, which may
-    also be given as a tuple) only check the type.
+    ``Infinity``).  ``dict``, ``list`` (a JSON object or array, which may
+    also be given as a tuple) and ``str`` only check the type.
     """
-    if kind is dict or kind is list:
-        if isinstance(value, dict if kind is dict else (list, tuple)):
+    if kind in _JSON_TYPES:
+        types, name = _JSON_TYPES[kind]
+        if isinstance(value, types):
             return value
-        raise ParameterError(
-            f"{path}: expected {'an object' if kind is dict else 'a list'}, got {value!r}"
-        )
+        raise ParameterError(f"{path}: expected {name}, got {value!r}")
     try:
         if isinstance(value, bool) or (
             kind is int and isinstance(value, float) and not value.is_integer()
@@ -264,7 +266,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         steps=coerce(raw["steps"], int, "steps"),
         master_seed=coerce(raw["master_seed"], int, "master_seed"),
         replicates=coerce(raw["replicates"], int, "replicates"),
-        out_dir=str(raw["out_dir"]),
+        out_dir=coerce(raw["out_dir"], str, "out_dir"),
         **kwargs,
     )
 
@@ -357,15 +359,21 @@ def load_tradeoff_config(path) -> TradeoffConfig:
     for i, spec in enumerate(policies):
         kind = coerce(spec, dict, f"policies[{i}]").get("kind")
         if kind == "adaptive":
-            curves.append(("adaptive", None))
+            curve = ("adaptive", None)
         elif kind == "fixed":
             if "alpha" not in spec:
                 raise ParameterError(f"policies[{i}].alpha: missing for fixed policy")
             alpha = coerce(spec["alpha"], float, f"policies[{i}].alpha")
-            curves.append((f"fixed_{alpha:g}", alpha))
+            curve = (f"fixed_{alpha:g}", alpha)
         else:
             raise ParameterError(f"policies[{i}].kind: unknown kind {kind!r}")
-    return TradeoffConfig(base, grid, curves, Path(raw["out_dir"]))
+        if curve[0] in (name for name, _ in curves):  # its file would overwrite the other's
+            raise ParameterError(f"policies[{i}]: repeats the curve name {curve[0]!r}")
+        curves.append(curve)
+    out_dir = coerce(raw["out_dir"], str, "out_dir")
+    if not out_dir:
+        raise ParameterError("out_dir: must be a nonempty path")
+    return TradeoffConfig(base, grid, curves, Path(out_dir))
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -566,12 +574,11 @@ def _write_summary(path: Path, records) -> None:
             )
 
 
-def run_experiment(cfg: ExperimentConfig, *, workers: int = 1) -> RunResult:
+def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run all replicates and write ``trace.csv`` and ``summary.csv``.
 
-    Identical configs produce byte-identical files.  ``workers`` is accepted
-    for compatibility and has no effect: replicates advance together in
-    groups instead (see the module docstring).
+    Identical configs produce byte-identical files; replicates advance
+    together in groups (see the module docstring).
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -584,28 +591,20 @@ def run_experiment(cfg: ExperimentConfig, *, workers: int = 1) -> RunResult:
     return RunResult(cfg, policy, records, trace_path, summary_path)
 
 
-def compare_baselines(
-    cfg: ExperimentConfig,
-    noise_levels=None,
-    *,
-    workers: int = 1,
-) -> ComparisonResult:
+def compare_baselines(cfg: ExperimentConfig) -> ComparisonResult:
     """Adaptive method vs. baseline on paired seeds, per noise level.
 
-    For each common variance in ``noise_levels`` both methods run on the
+    For each common variance in ``cfg.noise_levels`` both methods run on the
     same replicate streams, so they see bit-identical datasets, coding
     noise, and straggler masks; only the aggregation weights differ.  Both
     ``cfg.policy`` and ``cfg.baseline`` run as given, except that an
     :class:`OracleAuto` one takes its constants, at each level and with its
     own margin, from one probe call that trains replicate 0 at every level.
     Every arm of a replicate (both methods at every level) trains in one loop,
-    together with the other replicates of its group.  ``workers`` has no
-    effect, as in :func:`run_experiment`.
+    together with the other replicates of its group.
     Writes ``comparison.csv`` and reports, per level, the fraction of seeds
     where the adaptive final loss does not exceed the baseline's.
     """
-    if noise_levels is not None:
-        cfg = replace(cfg, noise_levels=noise_levels)
     levels = cfg.noise_levels
     if len(levels) == 0:
         raise ParameterError("noise_levels: need at least one level")

@@ -37,7 +37,7 @@ import numpy as np
 from .coding import GlobalCodedData, NoiseParams
 from .dataset import DEVICE_CHUNK_ROWS, FederatedDataset, ProblemFacts
 from .errors import NumericError, ParameterError
-from .numerics import RngStream, as_matrix
+from .numerics import RngStream
 
 __all__ = [
     "AdaptiveEstimated",
@@ -47,14 +47,13 @@ __all__ = [
     "FixedWeight",
     "InverseDecay",
     "TrainingTrace",
-    "alpha_estimated",
     "alpha_oracle",
     "sample_stragglers",
     "schedule_for_strong_convexity",
     "train",
 ]
 
-W0_SCALE = 1.0 / 30.0  # default initial iterate: entries uniform on [0, 1/30]
+W0_SCALE = 1.0 / 30.0  # initial iterate: entries uniform on [0, 1/30]
 
 
 def _check_p(p: float) -> None:
@@ -99,7 +98,7 @@ class AdaptiveOracle:
 
 @dataclass(frozen=True)
 class AdaptiveEstimated:
-    """Per-iteration weight from observed norms (:func:`alpha_estimated`).
+    """Per-iteration weight: the :func:`alpha_oracle` formula at the observed norms.
 
     ``fallback_alpha`` applies until any gradient has been received; the
     default 1 trusts the coded gradient while no device has reported.
@@ -136,20 +135,15 @@ def schedule_for_strong_convexity(lam: float) -> InverseDecay:
     return InverseDecay(1.0 / lam)
 
 
-def sample_stragglers(
-    p: float, n: int, rng: np.random.Generator, rows: int | None = None
-) -> np.ndarray:
-    """Boolean presence mask: each device independently present w.p. ``1 - p``.
-
-    Consumes ``n`` uniform draws from ``rng`` per mask, so successive calls
-    on one generator give the rows of one ``(T, n)`` block in order.  With
-    ``rows``, returns the next ``rows`` masks as a ``(rows, n)`` block,
-    filled row-major: bit-equal to ``rows`` successive one-mask calls.
-    """
+def sample_stragglers(p: float, n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """The next ``rows`` presence masks as a boolean ``(rows, n)`` block, each
+    device independently present w.p. ``1 - p``: ``n`` uniform draws from
+    ``rng`` per mask, filled row-major, so successive calls on one generator
+    give the rows of one ``(T, n)`` block in order."""
     _check_p(p)
     if n < 1:
         raise ParameterError(f"need at least one device, got n={n}")
-    return rng.random(n if rows is None else (rows, n)) >= p
+    return rng.random((rows, n)) >= p
 
 
 def alpha_oracle(
@@ -165,58 +159,33 @@ def alpha_oracle(
 
         alpha* = (p N b^2 / (1-p)) / (p N b^2 / (1-p) + N d s1 C^2 + N s2 o d)
 
-    ``N`` cancels, so this is :func:`alpha_estimated` at ``(beta_sq, c_sq)``.
-    Returns 0 when ``p = 0`` (no stragglers, trust the devices fully) and 1
-    when both encoding variances vanish; strictly below 1 otherwise.
+    ``N`` cancels, so this is one entry of :func:`_estimated_weights` at
+    ``(beta_sq, c_sq)``.  Returns 0 when ``p = 0`` (no stragglers, trust the
+    devices fully) and 1 when both encoding variances vanish; strictly below
+    1 otherwise.
     """
     if n_devices < 1 or d < 1 or o < 1:
         raise ParameterError("n_devices, d, o must be positive")
     if not (beta_sq > 0 and c_sq > 0):
         raise ParameterError("beta_sq and c_sq must be positive")
-    return alpha_estimated(p, d, o, noise, beta_sq, c_sq)
-
-
-def alpha_estimated(
-    p: float,
-    d: int,
-    o: int,
-    noise: NoiseParams,
-    beta_sq: float,
-    c_sq: float,
-) -> float:
-    """Adaptive weight from norm estimates.
-
-    ``beta_sq`` estimates the squared Frobenius norm of a device gradient
-    (during training: the mean over the most recent reports) and ``c_sq``
-    the squared norm of the iterate.  The weight is
-
-        alpha = p b^2 / (p b^2 + d s1 c^2 (1-p) + s2 o d (1-p)) ,
-
-    which equals :func:`alpha_oracle` at the same estimates.  A zero
-    ``c_sq`` adds no coded-gradient noise, also when ``d s1`` overflows.
-    """
     _check_p(p)
-    if p == 0.0:
-        return 0.0
-    num = p * beta_sq
-    coded = d * noise.sigma1_sq * c_sq if c_sq != 0.0 else 0.0
-    den = num + coded * (1.0 - p) + noise.sigma2_sq * o * d * (1.0 - p)
-    if den <= 0.0:
-        # Every observed norm is zero and so is the noise: the gradient is
-        # zero regardless of the weight.
-        return 0.0
-    return num / den
+    with np.errstate(all="ignore"):  # overflow gives inf or NaN silently, as float arithmetic does
+        sigma1_sq, sigma2_sq = np.float64(noise.sigma1_sq), np.float64(noise.sigma2_sq)
+        return float(_estimated_weights(p, d, o, sigma1_sq, sigma2_sq)(beta_sq, c_sq))
 
 
 def _estimated_weights(p: float, d: int, o: int, sigma1_sq, sigma2_sq):
-    """:func:`alpha_estimated` as a function of arrays ``(beta_sq, c_sq)``.
+    """The weight formula, as a function of arrays ``(beta_sq, c_sq)``:
 
-    ``sigma1_sq`` and ``sigma2_sq`` hold one variance per weight; the terms
-    that do not depend on the estimates are computed here, once.  The
-    formula, its association order and its branches are the scalar form's,
-    so every entry is bit-equal to :func:`alpha_estimated` at that entry's
-    values, which are nonnegative like the squared norms they estimate
-    (huge finite inputs may raise numpy's overflow warning).
+        alpha = p b^2 / (p b^2 + d s1 c^2 (1-p) + s2 o d (1-p)) ,
+
+    or 0 when ``p = 0`` or every term of the denominator is zero (then the
+    gradient is zero whatever the weight).  ``beta_sq`` estimates a device
+    gradient's squared norm (in training, the mean of the latest reports)
+    and ``c_sq`` the iterate's; both are nonnegative.  ``sigma1_sq`` and
+    ``sigma2_sq`` hold one encoding variance per weight; the terms without
+    the estimates are computed here, once.  Huge finite inputs may raise
+    numpy's overflow warning.
     """
     q = 1.0 - p
     d_sigma1_sq = d * sigma1_sq
@@ -438,20 +407,18 @@ def train(
     schedule: InverseDecay | Sequence[InverseDecay],
     stream: RngStream | Sequence[RngStream],
     facts: ProblemFacts | Sequence[ProblemFacts],
-    *,
-    w0: np.ndarray | Sequence[np.ndarray] | None = None,
 ) -> tuple[TrainingTrace, ...] | tuple[tuple[TrainingTrace, ...], ...]:
     """Run the two-source training loop for ``steps`` iterations on every arm.
 
-    One replicate is a dataset, its arms, schedule, stream, facts and
-    optional ``w0``; its arms share the dataset, the straggler masks and
-    ``w0``, and each has its own coded sums, policy and iterate, and gets
-    its own trace, in order.  Given as sequences, one entry per replicate
-    (``arms`` then holds one arm list per replicate), ``ds``, ``arms``,
-    ``schedule``, ``stream``, ``facts`` and ``w0`` describe R replicates
-    that advance together in one loop; they must share the dataset shape
-    and the number of arms, and the result is one tuple of traces per
-    replicate.  Each replicate's traces are those it gets trained alone.
+    One replicate is a dataset, its arms, schedule, stream and facts; its
+    arms share the dataset, the straggler masks and the initial iterate,
+    and each has its own coded sums, policy and iterate, and gets its own
+    trace, in order.  Given as sequences, one entry per replicate (``arms``
+    then holds one arm list per replicate), ``ds``, ``arms``, ``schedule``,
+    ``stream`` and ``facts`` describe R replicates that advance together in
+    one loop; they must share the dataset shape and the number of arms, and
+    the result is one tuple of traces per replicate.  Each replicate's
+    traces are those it gets trained alone.
 
     Per iteration: take each replicate's presence mask ``b``, pick each
     arm's ``alpha_t`` per its policy, blend the coded gradient ``H_X W -
@@ -475,9 +442,8 @@ def train(
     Deterministic given the streams: a replicate's mask for iteration ``t``
     is row ``t`` of the masks drawn, in blocks of rows, from one generator
     on its ``stream.child("mask")`` (so it does not depend on ``steps``, on
-    the arms or on the other replicates) and, when ``w0`` is omitted, its
-    initial iterate is uniform on ``[0, 1/30]`` drawn from
-    ``stream.child("init")``.
+    the arms or on the other replicates), and its initial iterate, the
+    trace's ``w0``, is uniform on ``[0, 1/30]`` from ``stream.child("init")``.
 
     :class:`AdaptiveEstimated` uses the mean squared norm of the latest
     reports, kept across iterations in which no device reports, and
@@ -492,7 +458,7 @@ def train(
     """
     single = isinstance(ds, FederatedDataset)
     if single:
-        ds, arms, schedule, stream, facts, w0 = [ds], [arms], [schedule], [stream], [facts], [w0]
+        ds, arms, schedule, stream, facts = [ds], [arms], [schedule], [stream], [facts]
     _check_p(straggler_p)
     if steps < 0:
         raise ParameterError(f"steps must be nonnegative, got {steps}")
@@ -500,10 +466,9 @@ def train(
         tuple(ds), tuple(map(tuple, arms)), tuple(schedule), tuple(stream), tuple(facts)
     )
     n_rep = len(datasets)
-    w0s = (None,) * n_rep if w0 is None else tuple(w0)
     if not n_rep:
         raise ParameterError("need at least one replicate to train")
-    if any(len(seq) != n_rep for seq in (arms, schedules, streams, facts, w0s)):
+    if any(len(seq) != n_rep for seq in (arms, schedules, streams, facts)):
         raise ParameterError("give one dataset, arm list, schedule, stream, facts per replicate")
     n, d, o, k = datasets[0].n_devices, datasets[0].d, datasets[0].o, len(arms[0])
     if not k:
@@ -523,13 +488,7 @@ def train(
             raise ParameterError(f"unsupported schedule: {schedules[r]!r}")
         if facts[r].w_star.shape != (d, o):
             raise ParameterError(f"replicate {r}: facts.w_star shape does not match the dataset")
-        if w0s[r] is None:
-            init = streams[r].child("init").generator()
-            inits.append(init.uniform(0.0, W0_SCALE, size=(d, o)))
-        else:
-            inits.append(as_matrix(w0s[r], "w0").copy())
-            if inits[r].shape != (d, o):
-                raise ParameterError(f"w0 must be ({d}, {o}), got {inits[r].shape}")
+        inits.append(streams[r].child("init").generator().uniform(0.0, W0_SCALE, size=(d, o)))
 
     # Per replicate, one row per device: the centred statistics; a block of
     # masks times them (and times the Gram stack) gives every masked sum.

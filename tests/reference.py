@@ -1,7 +1,8 @@
 """Naive reference formulas the tests hold the library against.
 
 Plain array functions, no validation: the library keeps only Gram stacks
-and never forms these per-device samples, residuals or gradients itself.
+and never forms these per-device samples, residuals or gradients itself,
+and computes its aggregation weights only in array form.
 """
 
 import numpy as np
@@ -62,6 +63,31 @@ def coded_gradient(h_x_sum, h_y_sum, w):
 def blend(g_s, grads, mask, alpha, p):
     """``alpha * G_s + (1 - alpha) / (1 - p) * sum_i mask_i G_i`` for an ``(n, d, o)`` stack."""
     return alpha * g_s + ((1.0 - alpha) / (1.0 - p)) * grads[mask].sum(axis=0)
+
+
+def alpha_estimated(p, d, o, noise, beta_sq, c_sq):
+    """Adaptive weight from norm estimates, the scalar form of the
+    library's array kernel.
+
+    ``beta_sq`` estimates the squared Frobenius norm of a device gradient
+    (during training: the mean over the most recent reports) and ``c_sq``
+    the squared norm of the iterate.  The weight is
+
+        alpha = p b^2 / (p b^2 + d s1 c^2 (1-p) + s2 o d (1-p)) ,
+
+    which equals ``alpha_oracle`` at the same estimates.  A zero
+    ``c_sq`` adds no coded-gradient noise, also when ``d s1`` overflows.
+    """
+    if p == 0.0:
+        return 0.0
+    num = p * beta_sq
+    coded = d * noise.sigma1_sq * c_sq if c_sq != 0.0 else 0.0
+    den = num + coded * (1.0 - p) + noise.sigma2_sq * o * d * (1.0 - p)
+    if den <= 0.0:
+        # Every observed norm is zero and so is the noise: the gradient is
+        # zero regardless of the weight.
+        return 0.0
+    return num / den
 
 
 def linear_solve(a, b):

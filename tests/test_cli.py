@@ -202,6 +202,22 @@ def test_tradeoff_missing_field(tmp_path, capsys):
         ),
         ("run", write_run_config, {"steps": True}, "steps: expected int, got True"),
         ("tradeoff", write_tradeoff_config, {"steps": 2.5}, "steps: expected int, got 2.5"),
+        # An out_dir must be a nonempty string, and no two curves may share a file.
+        ("run", write_run_config, {"out_dir": None}, "out_dir: expected a string, got None"),
+        ("tradeoff", write_tradeoff_config, {"out_dir": 5}, "out_dir: expected a string, got 5"),
+        ("tradeoff", write_tradeoff_config, {"out_dir": ""}, "out_dir: must be a nonempty path"),
+        (
+            "tradeoff",
+            write_tradeoff_config,
+            {"policies": [{"kind": "fixed", "alpha": a} for a in (0.1234567, 0.1234568)]},
+            "policies[1]: repeats the curve name 'fixed_0.123457'",
+        ),
+        (
+            "tradeoff",
+            write_tradeoff_config,
+            {"policies": [{"kind": "adaptive"}, {"kind": "fixed", "alpha": 1}] * 2},
+            "policies[2]: repeats the curve name 'adaptive'",
+        ),
     ],
     ids=[
         "run-steps",
@@ -219,6 +235,11 @@ def test_tradeoff_missing_field(tmp_path, capsys):
         "run-fractional-n_devices",
         "run-boolean-steps",
         "tradeoff-fractional-steps",
+        "run-null-out_dir",
+        "tradeoff-number-out_dir",
+        "tradeoff-empty-out_dir",
+        "tradeoff-repeated-fixed-curve",
+        "tradeoff-repeated-adaptive-curve",
     ],
 )
 def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, override, field):

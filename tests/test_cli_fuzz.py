@@ -219,6 +219,10 @@ TINY_RUN = {
     "replicates": 2,
     "out_dir": "out",
 }
+TINY_TRADEOFF = {
+    "p": 0.1, "n_devices": 5, "beta_sq": 100.0, "c_sq": 1.0, "d": 10, "o": 10, "lambda": 1.0,
+    "steps": 1000, "out_dir": "curves",
+}
 
 
 @pytest.mark.parametrize(
@@ -229,8 +233,12 @@ TINY_RUN = {
         ("run", json.dumps({**TINY_RUN, "schedule": {"kind": "inverse", "c": 1e300}})),
         ("run", "[1, 2]"),
         ("tradeoff", '{"p": NaN, "sigma_grid": [Infinity]}'),
+        ("tradeoff", json.dumps({**TINY_TRADEOFF, "out_dir": None})),
     ],
-    ids=["run-oracle", "compare-nan-level", "run-diverges", "run-list", "tradeoff-nan"],
+    ids=[
+        "run-oracle", "compare-nan-level", "run-diverges", "run-list", "tradeoff-nan",
+        "tradeoff-null-out_dir",
+    ],
 )
 def test_cli_process_exits_cleanly(tmp_path, command, text):
     # The same contract seen from outside: a process exit code, no traceback.

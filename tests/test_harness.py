@@ -153,7 +153,7 @@ def test_config_rejects_repeated_noise_levels(tmp_path):
     with pytest.raises(ParameterError, match=r"noise_levels\[2\]: repeats the level 1.0"):
         small_config(tmp_path, noise_levels=(1.0, 0.5, 1.0))
     with pytest.raises(ParameterError, match=r"noise_levels\[1\]"):
-        compare_baselines(small_config(tmp_path), noise_levels=(2.0, 2.0))
+        compare_baselines(replace(small_config(tmp_path), noise_levels=(2.0, 2.0)))
     assert not (tmp_path / "comparison.csv").exists()
 
 
@@ -187,9 +187,9 @@ def test_run_experiment_artifacts(tmp_path):
 
 def test_run_experiment_deterministic_and_parallel_safe(tmp_path):
     digests = []
-    for name, workers in (("a", 1), ("b", 1), ("c", 3)):
+    for name in ("a", "b", "c"):
         cfg = small_config(tmp_path / name, steps=12, replicates=4)
-        result = run_experiment(cfg, workers=workers)
+        result = run_experiment(cfg)
         digests.append(
             (
                 hashlib.sha256(result.trace_path.read_bytes()).hexdigest(),
@@ -246,7 +246,7 @@ def test_resolve_policy_probes_oracle_constants(tmp_path):
 
 def test_compare_rows_and_pairing(tmp_path):
     cfg = small_config(tmp_path / "cmp", replicates=3, steps=10)
-    result = compare_baselines(cfg, noise_levels=(0.5, 2.0))
+    result = compare_baselines(replace(cfg, noise_levels=(0.5, 2.0)))
     lines = result.path.read_text().splitlines()
     assert lines[0] == "noise_sigma_sq,method,seed,final_loss"
     assert len(lines) == 1 + 2 * 2 * 3  # levels x methods x seeds
@@ -274,7 +274,7 @@ def test_compare_rows_and_pairing(tmp_path):
         xs, ys, _ = replay_samples(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
         assert final_loss == pytest.approx(residual_loss(xs, ys, tr.final_w), rel=1e-10, abs=0.0)
     again = compare_baselines(
-        replace(cfg, out_dir=str(tmp_path / "again")), noise_levels=(0.5, 2.0)
+        replace(cfg, out_dir=str(tmp_path / "again"), noise_levels=(0.5, 2.0))
     )
     assert again.path.read_bytes() == result.path.read_bytes()
 
@@ -286,7 +286,7 @@ def test_compare_runs_the_configured_policy(tmp_path, policy):
     # An oracle policy is not swapped for estimated weights: the acfl arm's
     # weight is constant, from the given constants or a per-level probe.
     cfg = small_config(tmp_path / "orc", policy=policy, replicates=2, steps=6)
-    result = compare_baselines(cfg, noise_levels=(0.5, 2.0))
+    result = compare_baselines(replace(cfg, noise_levels=(0.5, 2.0)))
     for level in (0.5, 2.0):
         noise = NoiseParams(level, level)
         oracle = resolve_policy(replace(cfg, noise=noise))
@@ -316,7 +316,7 @@ def test_compare_probes_every_level_in_one_call(tmp_path, monkeypatch):
         tmp_path / "probe", policy=OracleAuto(2.0), baseline=OracleAuto(3.0), replicates=2, steps=6
     )
     levels = (0.5, 2.0)
-    result = compare_baselines(cfg, noise_levels=levels)
+    result = compare_baselines(replace(cfg, noise_levels=levels))
     assert [shape for shape, _ in calls] == [[2], [4, 4]]
     (probe,) = calls[0][1]
     for level, trace in zip(levels, probe):
@@ -368,7 +368,7 @@ def test_compare_encodes_each_replicate_once(tmp_path):
     # Both levels scale one noise draw per replicate; the coded sums equal
     # one-level encode_levels calls on the same stream.
     cfg = small_config(tmp_path / "enc", replicates=2)
-    result = compare_baselines(cfg, noise_levels=(0.5, 2.0))
+    result = compare_baselines(replace(cfg, noise_levels=(0.5, 2.0)))
     root = RngStream(cfg.master_seed)
     for r in range(cfg.replicates):
         ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
@@ -396,7 +396,7 @@ def test_csv_rows_use_the_shortest_round_trip_repr(tmp_path, monkeypatch):
     assert result.summary_path.read_text().splitlines()[3] == "2," + ",".join(
         repr(float(x)) for x in summary[2, 1:]
     )
-    compared = compare_baselines(cfg, noise_levels=(0.5,))
+    compared = compare_baselines(replace(cfg, noise_levels=(0.5,)))
     level, method, seed, final_loss = compared.rows[0]
     assert compared.path.read_text().splitlines()[1] == (
         f"{repr(float(level))},{method},{seed},{repr(float(final_loss))}"
@@ -405,7 +405,7 @@ def test_csv_rows_use_the_shortest_round_trip_repr(tmp_path, monkeypatch):
 
 def test_compare_single_level_single_replicate(tmp_path):
     cfg = small_config(tmp_path / "cmp1", replicates=1, steps=4)
-    result = compare_baselines(cfg, noise_levels=(1.0,))
+    result = compare_baselines(replace(cfg, noise_levels=(1.0,)))
     lines = result.path.read_text().splitlines()
     assert len(lines) == 3  # header + one row per method
 
@@ -413,7 +413,7 @@ def test_compare_single_level_single_replicate(tmp_path):
 def test_compare_rejects_empty_levels(tmp_path):
     cfg = small_config(tmp_path / "cmp2")
     with pytest.raises(ParameterError):
-        compare_baselines(cfg, noise_levels=())
+        compare_baselines(replace(cfg, noise_levels=()))
 
 
 def test_compare_noiseless_sanity(tmp_path):
@@ -429,6 +429,6 @@ def test_compare_noiseless_sanity(tmp_path):
         steps=2000,
         replicates=2,
     )
-    result = compare_baselines(cfg, noise_levels=(0.0,))
+    result = compare_baselines(replace(cfg, noise_levels=(0.0,)))
     for _, _, _, final_loss in result.rows:
         assert final_loss < 1e-6

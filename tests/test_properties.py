@@ -21,8 +21,9 @@ from acfl.training import (
     _estimated_weights,
     _masked_operators,
     _norm_terms,
-    alpha_estimated,
+    alpha_oracle,
 )
+from reference import alpha_estimated
 
 MAX = sys.float_info.max
 EXTREME_P = st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0 - 2**-53, 0.999999])
@@ -48,16 +49,22 @@ ZEROS, HUGE = np.zeros(SHAPE), np.full(SHAPE, MAX)
          c_sq=ZEROS)
 def test_estimated_weights_equal_the_scalar_form(p, d, o, sigma1_sq, sigma2_sq, beta_sq, c_sq):
     # The (R, K) array form the training loop uses agrees bit for bit with
-    # alpha_estimated entry by entry, and every weight is a finite number
-    # in [0, 1], for extreme p, variances and norm estimates.
+    # the scalar reference entry by entry, and so does alpha_oracle wherever
+    # its bounds are positive; every weight is a finite number in [0, 1],
+    # for extreme p, variances and norm estimates.
     weights = _estimated_weights(p, d, o, sigma1_sq, sigma2_sq)(beta_sq, c_sq)
+    entries = list(zip(sigma1_sq.flat, sigma2_sq.flat, beta_sq.flat, c_sq.flat))
     expect = np.array(
-        [
-            alpha_estimated(p, d, o, NoiseParams(s1, s2), b, c)
-            for s1, s2, b, c in zip(sigma1_sq.flat, sigma2_sq.flat, beta_sq.flat, c_sq.flat)
-        ]
+        [alpha_estimated(p, d, o, NoiseParams(s1, s2), b, c) for s1, s2, b, c in entries]
     ).reshape(SHAPE)
     assert np.array_equal(weights, expect)
+    positive = (beta_sq > 0) & (c_sq > 0)
+    oracle = [
+        alpha_oracle(p, 1, b, c, d, o, NoiseParams(s1, s2))
+        for s1, s2, b, c in entries
+        if b > 0 and c > 0
+    ]
+    assert np.array_equal(np.array(oracle).reshape(-1), expect[positive])
     assert np.isfinite(weights).all()
     assert ((weights >= 0.0) & (weights <= 1.0)).all()
 

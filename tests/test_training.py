@@ -16,13 +16,13 @@ from acfl.training import (
     Arm,
     FixedWeight,
     InverseDecay,
-    alpha_estimated,
     alpha_oracle,
     sample_stragglers,
     schedule_for_strong_convexity,
     train,
 )
 from reference import (
+    alpha_estimated,
     blend,
     coded_gradient,
     dataset_from_samples,
@@ -44,7 +44,7 @@ def _coded(ds, sigma_sq, stream):
 
 
 def test_no_stragglers_at_p_zero():
-    mask = sample_stragglers(0.0, 50, RngStream(1).child("m").generator())
+    mask = sample_stragglers(0.0, 50, RngStream(1).child("m").generator(), 1)
     assert mask.all()
 
 
@@ -53,23 +53,23 @@ def test_straggler_frequency():
     present = 0
     iters, n = 10_000, 100
     for _ in range(iters):
-        present += int(sample_stragglers(0.2, n, rng).sum())
+        present += int(sample_stragglers(0.2, n, rng, 1).sum())
     frac = present / (iters * n)
     se = np.sqrt(0.8 * 0.2 / (iters * n))
     assert abs(frac - 0.8) < 4 * se
 
 
 def test_extreme_but_legal_p():
-    mask = sample_stragglers(0.999, 3, RngStream(3).child("m").generator())
-    assert mask.shape == (3,)
+    mask = sample_stragglers(0.999, 3, RngStream(3).child("m").generator(), 1)
+    assert mask.shape == (1, 3)
 
 
 def test_straggler_rejects_bad_p():
     rng = RngStream(0).generator()
     with pytest.raises(ParameterError):
-        sample_stragglers(1.0, 5, rng)
+        sample_stragglers(1.0, 5, rng, 1)
     with pytest.raises(ParameterError):
-        sample_stragglers(-0.1, 5, rng)
+        sample_stragglers(-0.1, 5, rng, 1)
 
 
 # ----------------------------------------------------------------- gradients
@@ -323,14 +323,13 @@ def test_train_matches_plain_gradient_descent(names, levels, p):
     for level in levels:
         gc = _coded(ds, level, RngStream(13))
         arms += [Arm(gc, POLICIES[name], NoiseParams(level, level)) for name in names]
-    w0 = np.full((4, 2), 0.01)
     steps, c = 300, 1e-3
     stream = RngStream(13).child("t")
-    traces = train(ds, arms, p, steps, InverseDecay(c), stream, facts, w0=w0)
+    traces = train(ds, arms, p, steps, InverseDecay(c), stream, facts)
     assert len(traces) == len(arms)
     for arm, tr in zip(arms, traces):
         rows, w = _naive_train(
-            xs, ys, arm.coded, arm.policy, p, steps, c, stream, facts, arm.noise, w0
+            xs, ys, arm.coded, arm.policy, p, steps, c, stream, facts, arm.noise, tr.w0
         )
         for j, name in enumerate(TRACE_COLUMNS):
             assert np.allclose(getattr(tr, name), rows[:, j], rtol=1e-10, atol=0.0), name
@@ -383,7 +382,7 @@ def test_train_estimated_weight_falls_back_then_reuses_last_estimate():
 
     tr = run(steps)
     rng = stream.child("mask").generator()
-    masks = [sample_stragglers(p, 2, rng) for _ in range(steps)]
+    masks = sample_stragglers(p, 2, rng, steps)
     assert [int(m.sum()) for m in masks] == list(tr.n_present)
     first = int(np.flatnonzero(tr.n_present)[0])
     assert first > 0
@@ -527,7 +526,6 @@ def test_divergence_inside_a_mask_block_names_the_first_bad_row():
     # says where.
     root = RngStream(21)
     noise = NoiseParams(0.1, 0.1)
-    w0 = np.full((3, 2), 0.01)
     datasets, arm_lists, facts = [], [], []
     for r in range(2):
         ds = generate(6, 12, 3, 2, root.child("data", r))
@@ -537,6 +535,8 @@ def test_divergence_inside_a_mask_block_names_the_first_bad_row():
         facts.append(optimum(ds))
     streams = [root.child("train", r) for r in range(2)]
     p, c, steps = 0.2, 40.0, 300
+    # A zero-step run reports replicate 1's initial iterate.
+    w0 = train(datasets[1], arm_lists[1], p, 0, InverseDecay(c), streams[1], facts[1])[0].w0
 
     xs, ys, _ = replay_samples(6, 12, 3, 2, root.child("data", 1))
     first_bad = []
@@ -555,7 +555,6 @@ def test_divergence_inside_a_mask_block_names_the_first_bad_row():
     with pytest.raises(NumericError) as err:
         train(
             datasets, arm_lists, p, steps, [InverseDecay(1e-3), InverseDecay(c)], streams, facts,
-            w0=[w0, w0],
         )
     policy = arm_lists[1][j].policy
     match = re.fullmatch(
