@@ -122,7 +122,7 @@ class ExperimentConfig:
             raise ParameterError(f"steps: must be nonnegative, got {self.steps}")
         if self.replicates < 1:
             raise ParameterError(f"replicates: must be positive, got {self.replicates}")
-        if not self.out_dir:
+        if not coerce(self.out_dir, str, "out_dir"):
             raise ParameterError("out_dir: must be a nonempty path")
         levels = coerce(self.noise_levels, list, "noise_levels")
         object.__setattr__(
@@ -377,9 +377,9 @@ def load_tradeoff_config(path) -> TradeoffConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
+    text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
     with open(path, "w", newline="") as f:
-        json.dump(config_to_dict(cfg), f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,12 +435,14 @@ def _coded_digest(gc: GlobalCodedData) -> str:
     return h.hexdigest()
 
 
-def _run_group(cfg: ExperimentConfig, arms, replicates: range) -> list[tuple[ReplicateRecord, ...]]:
+def _run_group(
+    cfg: ExperimentConfig, arms, replicates: range, device_max: bool = False
+) -> list[tuple[ReplicateRecord, ...]]:
     """Replicates ``replicates`` of every ``(noise, policy)`` arm, trained in one loop.
 
     Within a replicate the arms share the dataset, the straggler masks and
     the initial iterate; arms with equal noise share the coded sums.  One
-    tuple of records per replicate, one record per arm, in order.
+    tuple of records per replicate, one per arm, in order (``device_max``: see ``train``).
     """
     root = RngStream(cfg.master_seed)
     noises = list(dict.fromkeys(noise for noise, _ in arms))
@@ -458,6 +460,7 @@ def _run_group(cfg: ExperimentConfig, arms, replicates: range) -> list[tuple[Rep
         [cfg.schedule or schedule_for_strong_convexity(f.lam) for f in facts],
         [root.child("train", r) for r in replicates],
         facts,
+        device_max=device_max,
     )
     records = []
     for r, ds, fact, by_noise, replicate_traces in zip(
@@ -495,7 +498,8 @@ def _probe(cfg: ExperimentConfig, noises) -> tuple[ReplicateRecord, ...]:
     """Replicate 0 with norm-estimating weights at every noise, trained in one call."""
     if cfg.steps < 1:
         raise ParameterError("policy: auto oracle constants need steps >= 1 to probe")
-    (records,) = _run_group(cfg, [(noise, AdaptiveEstimated(1.0)) for noise in noises], range(1))
+    arms = [(noise, AdaptiveEstimated(1.0)) for noise in noises]
+    (records,) = _run_group(cfg, arms, range(1), device_max=True)
     return records
 
 

@@ -255,7 +255,8 @@ class TrainingTrace:
     taken at the start of the iteration (before the update), so row 0 holds
     the initial loss.  ``w_norm_sq`` and ``max_device_grad_sq`` exist to
     check the norm-bound assumptions after the fact and to derive oracle
-    constants from observed runs.
+    constants from observed runs; ``max_device_grad_sq`` is ``None`` unless
+    :func:`train` was asked for it (``device_max=True``).
     """
 
     t: np.ndarray
@@ -265,7 +266,7 @@ class TrainingTrace:
     dist_sq: np.ndarray
     grad_norm_sq: np.ndarray
     w_norm_sq: np.ndarray
-    max_device_grad_sq: np.ndarray
+    max_device_grad_sq: np.ndarray | None
     w0: np.ndarray
     final_w: np.ndarray
     mask_digest: str
@@ -280,6 +281,7 @@ _TRACE_COLUMNS = ("alpha", "loss", "dist_sq", "grad_norm_sq", "w_norm_sq", "max_
 # Straggler-mask rows drawn per generator call: each replicate's masks come
 # in (rows, n) blocks of at most this many rows.
 MASK_CHUNK_ROWS = 64
+STACK_ROWS = 16  # steps whose stacked operators an estimated-weight run holds at a time
 
 
 @functools.cache
@@ -399,6 +401,29 @@ def _masked_operators(
     return side, rr[..., 0].copy()
 
 
+def _estimate_stack(coded_op: np.ndarray, w_star: np.ndarray, rows: int) -> np.ndarray:
+    """``rows`` steps' ``(4d, d + o)`` operators on ``[D; I]`` per arm of ``coded_op``.
+
+    The bands are ``[received / (1-p); coded; fold; [I | 2 W*]]``: this
+    writes the constant ones, :func:`_load_sides` a block's sides.  Times
+    ``[D; I]``, the inner products of ``D`` with the last two are the report
+    sum less ``norm_at_opt`` and ``||W||^2 - ||W*||^2``.
+    """
+    n_rep, k, d, width = coded_op.shape
+    stack = np.empty((rows, n_rep, k, 4 * d, width))
+    stack[..., d : 2 * d, :] = coded_op
+    stack[..., 3 * d :, :d] = np.eye(d)
+    stack[..., 3 * d :, d:] = 2.0 * w_star
+    return stack
+
+
+def _load_sides(stack: np.ndarray, side: np.ndarray) -> None:
+    """Copy :func:`_masked_operators` sides into the first rows of an :func:`_estimate_stack`."""
+    d = side.shape[-2] // 2
+    stack[: len(side), ..., :d, :] = side[..., :d, :]
+    stack[: len(side), ..., 2 * d : 3 * d, :] = side[..., d:, :]
+
+
 def train(
     ds: FederatedDataset | Sequence[FederatedDataset],
     arms: Sequence[Arm] | Sequence[Sequence[Arm]],
@@ -407,6 +432,8 @@ def train(
     schedule: InverseDecay | Sequence[InverseDecay],
     stream: RngStream | Sequence[RngStream],
     facts: ProblemFacts | Sequence[ProblemFacts],
+    *,
+    device_max: bool = False,
 ) -> tuple[TrainingTrace, ...] | tuple[tuple[TrainingTrace, ...], ...]:
     """Run the two-source training loop for ``steps`` iterations on every arm.
 
@@ -435,9 +462,13 @@ def train(
     the sums of ``A_i^2``, ``A_i R_i`` and ``||R_i||^2``, which give the
     present devices' summed squared gradient norms.  Fixed and oracle
     weights fold a whole step into one ``(d, d + o)`` operator per arm.
-    The trace columns are computed after each block from its iterates; the
-    largest device-gradient norm scans every device through the same
-    centred identity, clamped at 0.
+    With an estimated weight, a step is one product of a stacked operator
+    per arm with ``[D; I]`` (:func:`_estimate_stack`): the received sum and
+    the coded gradient to blend, and two quadratic forms in ``D``, the report
+    sum and ``||W||^2``, for the weight.  The trace columns are computed
+    after each block from its iterates.  ``device_max=True`` adds the
+    largest device-gradient norm, a scan of every device through the same
+    centred identity, clamped at 0; otherwise that column is ``None``.
 
     Deterministic given the streams: a replicate's mask for iteration ``t``
     is row ``t`` of the masks drawn, in blocks of rows, from one generator
@@ -528,10 +559,21 @@ def train(
     estimated_weights = _estimated_weights(straggler_p, d, o, sigma1_sq, sigma2_sq)
     beta_sq = np.zeros((n_rep, k))  # mean squared device-gradient norm of the latest report
     reported = np.zeros((1, n_rep, 1), dtype=bool)  # per row: has any device reported yet
+    if any_estimated:
+        stack = _estimate_stack(coded_op, w_star, min(steps, STACK_ROWS))
+        # stack @ [D; I] by band: [received; coded] to blend, and [fold; D + 2W*], whose
+        # inner products with D plus per-row constants are forms = [report sum, ||W||^2].
+        product = np.empty((n_rep, k, 4 * d, o))
+        pair = product.reshape(n_rep, k, 4, d * o)[:, :, :2]
+        halves = product.reshape(n_rep, k, 4, d, o)[:, :, 2:]
+        forms = np.empty((n_rep, k, 2))
+        report_sum, w_sq = forms[..., 0], forms[..., 1]
+        step = np.empty((n_rep, k, d, o))
 
-    # Every trace column of every replicate and arm, by iteration: the
-    # traces keep views of it, so each column is stored once.
-    record = np.zeros((len(_TRACE_COLUMNS), n_rep, k, steps))
+    # Every computed trace column of every replicate and arm, by iteration:
+    # the traces keep views of it, so each column is stored once.
+    names = _TRACE_COLUMNS if device_max else _TRACE_COLUMNS[:-1]
+    record = np.zeros((len(names), n_rep, k, steps))
     n_present = np.zeros((n_rep, steps), dtype=np.int64)
     mask_rngs = [s.child("mask").generator() for s in streams]
     mask_hashes = [hashlib.sha256() for _ in streams]
@@ -540,7 +582,8 @@ def train(
     # block's iteration i, entry 0 carries over from the last block.
     iterates = np.zeros((min(steps, MASK_CHUNK_ROWS) + 1, n_rep, k, d + o, o))
     iterates[..., d:, :] = np.eye(o)
-    iterates[0, ..., :d, :] = np.stack(inits)[:, None] - w_star
+    devs = iterates[..., :d, :]
+    devs[0] = np.stack(inits)[:, None] - w_star
     keep = np.eye(d, d + o)  # [I | 0]
     rows = 0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
@@ -559,27 +602,32 @@ def train(
             )
             eta = rates[start:stop, :, None, None, None]
             if any_estimated:
-                # Per row: which replicates hear a report, what their norm
-                # sums are divided by, and which arms use the estimated weight.
+                # Per row: which replicates hear a report (a mask only if some row hears
+                # none), the report sums' scale, and which arms use the estimated weight.
                 reports = (counts > 0)[:, :, None]
-                divisors = np.maximum(counts, 1)[:, :, None]
                 reported = np.logical_or.accumulate(reports, axis=0) | reported[-1]
                 live = estimated & reported
-                alphas = np.empty((rows, n_rep, k))
+                report_at = (True,) * rows if reports.all() else reports
+                scale = 1.0 / np.maximum(counts, 1)[:, :, None]
+                consts = np.stack(np.broadcast_arrays(norm_at_opt, _sq_norms(w_star)), axis=-1)
+                mix = np.empty((rows, n_rep, k, 1, 2))  # [1 - alpha_t, alpha_t] per arm
+                alphas, rests = mix[..., 0, 1], mix[..., 0, 0]
+                alphas[:] = base_alpha
                 grads = np.empty((rows, n_rep, k, d, o))
+                flat_grads = grads.reshape(rows, n_rep, k, 1, d * o)
                 for i in range(rows):
-                    augmented = iterates[i]
-                    dev = augmented[..., :d, :]
-                    coded = coded_op @ augmented
-                    side = side_op[i] @ augmented
-                    received = side[..., :d, :]
-                    report = np.einsum("rkij,rkij->rk", dev, side[..., d:, :]) + norm_at_opt[i]
-                    np.divide(report, divisors[i], out=beta_sq, where=reports[i])
-                    alphas[i] = alpha = np.where(
-                        live[i], estimated_weights(beta_sq, _sq_norms(dev + w_star)), base_alpha
-                    )
-                    g = np.add(received, alpha[..., None, None] * (coded - received), out=grads[i])
-                    np.subtract(dev, eta[i] * g, out=iterates[i + 1, ..., :d, :])
+                    if i % STACK_ROWS == 0:
+                        _load_sides(stack, side_op[i : i + STACK_ROWS])
+                    dev = devs[i]
+                    np.matmul(stack[i % STACK_ROWS], iterates[i], out=product)
+                    np.einsum("rkij,rkcij->rkc", dev, halves, out=forms)
+                    forms += consts[i]
+                    np.multiply(report_sum, scale[i], out=beta_sq, where=report_at[i])
+                    np.copyto(alphas[i], estimated_weights(beta_sq, w_sq), where=live[i])
+                    np.subtract(1.0, alphas[i], out=rests[i])
+                    np.matmul(mix[i], pair, out=flat_grads[i])
+                    np.multiply(eta[i], grads[i], out=step)
+                    np.subtract(dev, step, out=devs[i + 1])
             else:
                 # The whole step is linear in [D; I]: G_t = [P_t | Q_t] [D; I]
                 # and D <- [I - eta_t P_t | -eta_t Q_t] [D; I].
@@ -587,11 +635,11 @@ def train(
                 step_op = alpha * coded_op + (1.0 - alpha) * side_op[..., :d, :]
                 update = keep - eta * step_op
                 for i in range(rows):
-                    np.matmul(update[i], iterates[i], out=iterates[i + 1, ..., :d, :])
+                    np.matmul(update[i], iterates[i], out=devs[i + 1])
                 alphas = np.broadcast_to(base_alpha, (rows, n_rep, k))
                 grads = step_op @ iterates[:rows]
             del side_op  # the block's columns follow; free what they do not read
-            dev = iterates[:rows, ..., :d, :]
+            dev = devs[:rows]
             columns = (
                 alphas,
                 loss_at_optimum + 0.5 * np.einsum("...ij,...ij->...", dev, a_sum @ dev),
@@ -602,14 +650,15 @@ def train(
             for c, column in enumerate(columns):
                 record[c, ..., start:stop] = column.transpose(1, 2, 0)
             del grads
-            record[-1, ..., start:stop] = _max_device_sq(stats, dev)
+            if device_max:
+                record[-1, ..., start:stop] = _max_device_sq(stats, dev)
             # Every weight a policy yields lies in [0, 1] unless it is NaN.
             bad = ~np.isfinite(record[..., start:stop]).all(axis=(0, 1, 2))
             if bad.any():
                 raise _diverged(start + int(np.argmax(bad)), arms, record)
 
     if steps:
-        w = w_star + iterates[rows, ..., :d, :]
+        w = w_star + devs[rows]
     else:
         w = np.repeat(np.stack(inits)[:, None], k, axis=1)
     t_index = np.arange(steps, dtype=np.int64)
@@ -621,7 +670,7 @@ def train(
                 w0=inits[r],
                 final_w=w[r, j],
                 mask_digest=mask_hashes[r].hexdigest(),
-                **{name: record[c, r, j] for c, name in enumerate(_TRACE_COLUMNS)},
+                **{**dict.fromkeys(_TRACE_COLUMNS), **dict(zip(names, record[:, r, j]))},
             )
             for j in range(k)
         )

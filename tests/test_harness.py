@@ -33,6 +33,10 @@ from acfl.training import (
 from reference import replay_samples, residual_loss
 
 
+# Every trace column but the per-device maximum, which runs compute only on request.
+OTHER_COLUMNS = ("alpha", "loss", "dist_sq", "grad_norm_sq", "w_norm_sq")
+
+
 def small_config(out_dir, **overrides) -> ExperimentConfig:
     base = dict(
         n_devices=3,
@@ -80,6 +84,26 @@ def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "config.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+def test_config_out_dir_must_be_a_string(tmp_path):
+    # A path object used to pass, and save_config then left a truncated file.
+    cfg = small_config(tmp_path / "out")
+    with pytest.raises(ParameterError, match="out_dir: expected a string, got PosixPath"):
+        replace(cfg, out_dir=tmp_path / "out")
+    with pytest.raises(ParameterError, match="out_dir: expected a string, got 5"):
+        replace(cfg, out_dir=5)
+
+
+def test_save_config_writes_nothing_when_serialising_fails(tmp_path, monkeypatch):
+    # The config is serialised before the file is opened: a failure leaves
+    # the file as it was, never a truncated JSON document.
+    path = tmp_path / "config.json"
+    path.write_text("old\n")
+    monkeypatch.setattr(harness, "config_to_dict", lambda cfg: {"out_dir": object()})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_config(small_config(tmp_path / "out"), path)
+    assert path.read_text() == "old\n"
 
 
 def test_config_parses_policy_kinds(tmp_path):
@@ -235,9 +259,20 @@ def test_resolve_policy_probes_oracle_constants(tmp_path):
     assert isinstance(policy, AdaptiveOracle)
     assert policy.beta_sq > 0 and policy.c_sq > 0
     result = run_experiment(cfg)
+    # The run's records do not hold the per-device maximum: retrain the same
+    # replicates asking for it, which changes no other value.
+    audited = harness._run_group(
+        cfg, [(cfg.resolved_noise(), result.policy)], range(cfg.replicates), device_max=True
+    )
+    for rec, (again,) in zip(result.records, audited, strict=True):
+        assert rec.trace.max_device_grad_sq is None
+        for name in ("t", "n_present", *OTHER_COLUMNS, "w0", "final_w"):
+            assert np.array_equal(getattr(rec.trace, name), getattr(again.trace, name)), name
+        assert rec.mask_digest == again.mask_digest
+        assert rec.final_loss == again.final_loss
     # realized norms stay within the probed constants on this config
-    for rec in result.records:
-        assert rec.trace.max_device_grad_sq.max() <= result.policy.beta_sq
+    for rec, (again,) in zip(result.records, audited):
+        assert again.trace.max_device_grad_sq.max() <= result.policy.beta_sq
         assert rec.trace.w_norm_sq.max() <= result.policy.c_sq
 
 

@@ -325,7 +325,7 @@ def test_train_matches_plain_gradient_descent(names, levels, p):
         arms += [Arm(gc, POLICIES[name], NoiseParams(level, level)) for name in names]
     steps, c = 300, 1e-3
     stream = RngStream(13).child("t")
-    traces = train(ds, arms, p, steps, InverseDecay(c), stream, facts)
+    traces = train(ds, arms, p, steps, InverseDecay(c), stream, facts, device_max=True)
     assert len(traces) == len(arms)
     for arm, tr in zip(arms, traces):
         rows, w = _naive_train(
@@ -459,11 +459,11 @@ def test_batched_train_equals_one_replicate_calls(n_rep, k):
     arms = [rep[4][:1] if k == 1 else rep[4] for rep in reps]
     batched = train(
         [rep[0] for rep in reps], arms, p, steps, [rep[2] for rep in reps],
-        [rep[3] for rep in reps], [rep[1] for rep in reps],
+        [rep[3] for rep in reps], [rep[1] for rep in reps], device_max=True,
     )
     assert len(batched) == n_rep
     for (ds, facts, schedule, stream, _), arms_r, traces in zip(reps, arms, batched):
-        alone = train(ds, arms_r, p, steps, schedule, stream, facts)
+        alone = train(ds, arms_r, p, steps, schedule, stream, facts, device_max=True)
         assert len(traces) == len(alone) == k
         assert (alone[0].n_present == 0).any()
         for a, b in zip(traces, alone):
@@ -648,3 +648,63 @@ def test_train_oracle_policy_uses_constant_alpha(random_instance):
     )
     expect = alpha_oracle(0.25, 3, 2.0, 3.0, 3, 2, noise)
     assert np.all(tr.alpha == expect)
+
+
+def test_requesting_the_device_maximum_changes_nothing_else():
+    # The per-device maximum is a column computed only on request; asking
+    # for it must leave every other value of every trace as it is.
+    reps = [_replicate(60 + r) for r in range(2)]  # arms: estimated, fixed, oracle
+    args = (
+        [rep[0] for rep in reps], [rep[4][:3] for rep in reps], 0.5, 150,
+        [rep[2] for rep in reps], [rep[3] for rep in reps], [rep[1] for rep in reps],
+    )
+    plain = train(*args)
+    audited = train(*args, device_max=True)
+    for plain_r, audited_r in zip(plain, audited, strict=True):
+        for a, b in zip(plain_r, audited_r, strict=True):
+            assert a.max_device_grad_sq is None
+            assert b.max_device_grad_sq.shape == (150,)
+            for name in ("t", "n_present", *TRACE_COLUMNS[:-1], "w0", "final_w"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert a.mask_digest == b.mask_digest
+
+
+def test_reports_resolved_per_mask_block_match_the_per_step_loop():
+    # Two devices at p = 0.9: most steps hear no report.  The estimated arms
+    # resolve which steps hear one a mask block at a time, and keep the last
+    # estimate across steps (and blocks) without one; every trace column must
+    # match the per-step reference loop of each replicate.
+    p, steps, c = 0.9, 200, 1e-2
+    samples = [random_samples(70 + r, n=2, m=8, d=3, o=2) for r in range(2)]
+    datasets = [dataset_from_samples(xs, ys) for xs, ys in samples]
+    facts = [optimum(ds) for ds in datasets]
+    streams = [RngStream(70 + r).child("t") for r in range(2)]
+    arm_lists = []
+    noise = NoiseParams(0.5, 0.5)
+    for r, ds in enumerate(datasets):
+        gc = _coded(ds, 0.5, RngStream(70 + r))
+        arm_lists.append([
+            Arm(gc, AdaptiveEstimated(0.2), noise), Arm(gc, FixedWeight(0.3)),
+            Arm(gc, AdaptiveOracle(4.0, 1.0), noise), Arm(gc, AdaptiveEstimated(0.9), noise),
+        ])
+    traces = train(
+        datasets, arm_lists, p, steps, [InverseDecay(c)] * 2, streams, facts, device_max=True
+    )
+    # In some replicate, a run of steps without a report crosses a block
+    # boundary, and some block mixes steps with and without one.
+    silent = [replicate[0].n_present == 0 for replicate in traces]
+    bounds = range(MASK_CHUNK_ROWS, steps, MASK_CHUNK_ROWS)
+    assert any(s[b - 1] and s[b] for s in silent for b in bounds)
+    starts = range(0, steps, MASK_CHUNK_ROWS)
+    blocks = [s[lo : lo + MASK_CHUNK_ROWS] for s in silent for lo in starts]
+    assert any(block.any() and not block.all() for block in blocks)
+    for (xs, ys), ds_facts, stream, arms, replicate in zip(
+        samples, facts, streams, arm_lists, traces
+    ):
+        for arm, tr in zip(arms, replicate):
+            rows, w = _naive_train(
+                xs, ys, arm.coded, arm.policy, p, steps, c, stream, ds_facts, arm.noise, tr.w0
+            )
+            for j, name in enumerate(TRACE_COLUMNS):
+                assert np.allclose(getattr(tr, name), rows[:, j], rtol=1e-10, atol=0.0), name
+            assert np.allclose(tr.final_w, w, rtol=1e-10, atol=0.0)
