@@ -343,6 +343,8 @@ def load_tradeoff_config(path) -> TradeoffConfig:
     if not grid:
         raise ParameterError("sigma_grid: need at least one value")
     policies = coerce(raw.get("policies", [{"kind": "adaptive"}]), list, "policies")
+    if not policies:
+        raise ParameterError("policies: need at least one policy")
     base = BoundInputs(
         p=coerce(raw["p"], float, "p"),
         n_devices=coerce(raw["n_devices"], int, "n_devices"),

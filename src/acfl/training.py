@@ -401,27 +401,32 @@ def _masked_operators(
     return side, rr[..., 0].copy()
 
 
-def _estimate_stack(coded_op: np.ndarray, w_star: np.ndarray, rows: int) -> np.ndarray:
-    """``rows`` steps' ``(4d, d + o)`` operators on ``[D; I]`` per arm of ``coded_op``.
+def _estimate_stack(w_star: np.ndarray, rows: int, k: int) -> np.ndarray:
+    """``rows`` steps' ``(5d, d + o)`` operators on ``[D; I]`` for each of ``k`` arms.
 
-    The bands are ``[received / (1-p); coded; fold; [I | 2 W*]]``: this
-    writes the constant ones, :func:`_load_sides` a block's sides.  Times
-    ``[D; I]``, the inner products of ``D`` with the last two are the report
-    sum less ``norm_at_opt`` and ``||W||^2 - ||W*||^2``.
+    With ``S`` the received sum over ``1 - p`` and ``C`` an arm's coded
+    gradient, the bands are ``[[I | 0]; C - S; S; fold / count; [I | 2 W*]]``:
+    this writes the first and last, :func:`_load_sides` the others.  Times
+    ``[D; I]``, the first three give ``[D; C - S; S]``, which the update
+    reads, and the inner products of ``D`` with the others the mean report
+    less ``norm_at_opt / count`` and ``||W||^2 - ||W*||^2``.
     """
-    n_rep, k, d, width = coded_op.shape
-    stack = np.empty((rows, n_rep, k, 4 * d, width))
-    stack[..., d : 2 * d, :] = coded_op
-    stack[..., 3 * d :, :d] = np.eye(d)
-    stack[..., 3 * d :, d:] = 2.0 * w_star
+    n_rep, _, d, o = w_star.shape
+    stack = np.zeros((rows, n_rep, k, 5 * d, d + o))
+    stack[..., :d, :d] = np.eye(d)
+    stack[..., 4 * d :, :d] = np.eye(d)
+    stack[..., 4 * d :, d:] = 2.0 * w_star
     return stack
 
 
-def _load_sides(stack: np.ndarray, side: np.ndarray) -> None:
-    """Copy :func:`_masked_operators` sides into the first rows of an :func:`_estimate_stack`."""
+def _load_sides(stack: np.ndarray, side: np.ndarray, coded_op: np.ndarray) -> None:
+    """Write rows' :func:`_masked_operators` sides, each fold already over its
+    row's report count, into the first rows of an :func:`_estimate_stack`:
+    the bands ``S`` and ``fold / count`` as given, ``C - S`` from ``coded_op``."""
     d = side.shape[-2] // 2
-    stack[: len(side), ..., :d, :] = side[..., :d, :]
-    stack[: len(side), ..., 2 * d : 3 * d, :] = side[..., d:, :]
+    rows = stack[: len(side)]  # bands [[I | 0]; C - S; S; fold / count; [I | 2 W*]]
+    rows[..., 2 * d : 4 * d, :] = side
+    np.subtract(coded_op, side[..., :d, :], out=rows[..., d : 2 * d, :])
 
 
 def train(
@@ -462,11 +467,13 @@ def train(
     the sums of ``A_i^2``, ``A_i R_i`` and ``||R_i||^2``, which give the
     present devices' summed squared gradient norms.  Fixed and oracle
     weights fold a whole step into one ``(d, d + o)`` operator per arm.
-    With an estimated weight, a step is one product of a stacked operator
-    per arm with ``[D; I]`` (:func:`_estimate_stack`): the received sum and
-    the coded gradient to blend, and two quadratic forms in ``D``, the report
-    sum and ``||W||^2``, for the weight.  The trace columns are computed
-    after each block from its iterates.  ``device_max=True`` adds the
+    With an estimated weight, every arm steps along ``S + alpha (C - S)``
+    (``S`` the received sum over ``1 - p``, ``C`` the coded gradient): a
+    stacked operator per arm times ``[D; I]`` (:func:`_estimate_stack`)
+    gives ``[D; C - S; S]``, a second product the mean report and
+    ``||W||^2`` for the weight, a third the update ``[1, -eta_t alpha_t,
+    -eta_t] [D; C - S; S]``.  Row buffers and their views are made once per
+    call; the trace columns, after each block.  ``device_max=True`` adds the
     largest device-gradient norm, a scan of every device through the same
     centred identity, clamped at 0; otherwise that column is ``None``.
 
@@ -541,8 +548,7 @@ def train(
     # other arms' unit placeholders are never read out).
     base_alpha = np.empty((n_rep, k))
     estimated = np.zeros((n_rep, k), dtype=bool)
-    sigma1_sq = np.ones((n_rep, k))
-    sigma2_sq = np.ones((n_rep, k))
+    sigma1_sq, sigma2_sq = np.ones((2, n_rep, k))
     for r, row in enumerate(arms):
         for j, arm in enumerate(row):
             if isinstance(arm.policy, FixedWeight):
@@ -557,18 +563,6 @@ def train(
                 sigma1_sq[r, j], sigma2_sq[r, j] = arm.noise.sigma1_sq, arm.noise.sigma2_sq
     any_estimated = bool(estimated.any())
     estimated_weights = _estimated_weights(straggler_p, d, o, sigma1_sq, sigma2_sq)
-    beta_sq = np.zeros((n_rep, k))  # mean squared device-gradient norm of the latest report
-    reported = np.zeros((1, n_rep, 1), dtype=bool)  # per row: has any device reported yet
-    if any_estimated:
-        stack = _estimate_stack(coded_op, w_star, min(steps, STACK_ROWS))
-        # stack @ [D; I] by band: [received; coded] to blend, and [fold; D + 2W*], whose
-        # inner products with D plus per-row constants are forms = [report sum, ||W||^2].
-        product = np.empty((n_rep, k, 4 * d, o))
-        pair = product.reshape(n_rep, k, 4, d * o)[:, :, :2]
-        halves = product.reshape(n_rep, k, 4, d, o)[:, :, 2:]
-        forms = np.empty((n_rep, k, 2))
-        report_sum, w_sq = forms[..., 0], forms[..., 1]
-        step = np.empty((n_rep, k, d, o))
 
     # Every computed trace column of every replicate and arm, by iteration:
     # the traces keep views of it, so each column is stored once.
@@ -580,10 +574,40 @@ def train(
 
     # The iterates of a block, augmented as [D; I]: entry i is D at the
     # block's iteration i, entry 0 carries over from the last block.
-    iterates = np.zeros((min(steps, MASK_CHUNK_ROWS) + 1, n_rep, k, d + o, o))
+    block = min(steps, MASK_CHUNK_ROWS)
+    iterates = np.zeros((block + 1, n_rep, k, d + o, o))
     iterates[..., d:, :] = np.eye(o)
     devs = iterates[..., :d, :]
     devs[0] = np.stack(inits)[:, None] - w_star
+    masks = np.empty((block, n_rep, n), dtype=bool)
+    if any_estimated:
+        # A stack row's product with [D; I] holds, by band, [D; C - S; S] for
+        # the update and [fold / count; D + 2W*], whose inner products with D
+        # plus the row's constants are forms = [mean report, ||W||^2].
+        stack = _estimate_stack(w_star, min(steps, STACK_ROWS), k)
+        products = np.empty((*stack.shape[:-1], o))
+        bands = products.reshape(*stack.shape[:3], 5, d * o)
+        halves = bands[..., 3:, :].swapaxes(-1, -2)
+        by_stack_row = list(zip(stack, products, bands[..., :3, :], halves))
+        mix = np.ones((block, n_rep, k, 1, 2))  # [alpha_t, 1] per arm
+        etas = np.empty((block, n_rep, 1, 1, 1))  # -eta_t
+        consts = np.empty((block, n_rep, 1, 1, 2))  # [norm_at_opt / count, ||W*||^2]
+        consts[..., 1] = _sq_norms(w_star)[..., None]
+        live = np.empty((block, n_rep, k), dtype=bool)  # arms that use the estimate
+        reports = np.empty((block, n_rep, 1), dtype=bool)  # replicates that hear a report
+        flat = devs.reshape(block + 1, n_rep, k, 1, d * o)
+        per_row = zip(iterates, flat, flat[1:], consts, mix, mix[..., 0, 0], etas, live, reports)
+        row_views = [(*by_stack_row[i % STACK_ROWS], *views) for i, views in enumerate(per_row)]
+        grad_sq = np.empty((block, n_rep, k))
+        forms = np.empty((n_rep, k, 1, 2))
+        report_mean, w_sq = forms[..., 0, 0], forms[..., 0, 1]
+        beta_sq = np.zeros((n_rep, k))  # the mean report of the latest row that heard one
+        reported = np.zeros((n_rep, 1), dtype=bool)  # has any device reported yet
+        coef = np.ones((n_rep, k, 1, 3))  # [1, -eta_t alpha_t, -eta_t]
+        coef_tail = coef[..., 1:]
+    else:
+        updates = np.empty((block, n_rep, k, d, d + o))
+        row_views = list(zip(updates, iterates, devs[1:]))
     keep = np.eye(d, d + o)  # [I | 0]
     rows = 0
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
@@ -591,65 +615,67 @@ def train(
             iterates[0] = iterates[rows]
             rows = min(MASK_CHUNK_ROWS, steps - start)
             stop = start + rows
-            masks = np.empty((rows, n_rep, n), dtype=bool)
             for r, (rng, mask_hash) in enumerate(zip(mask_rngs, mask_hashes)):
-                masks[:, r] = block = sample_stragglers(straggler_p, n, rng, rows)
-                mask_hash.update(block.tobytes())
-            counts = np.count_nonzero(masks, axis=2)
+                masks[:rows, r] = drawn = sample_stragglers(straggler_p, n, rng, rows)
+                mask_hash.update(drawn.tobytes())
+            counts = np.count_nonzero(masks[:rows], axis=2)
             n_present[:, start:stop] = counts.T
             side_op, norm_at_opt = _masked_operators(
-                masks.astype(np.float64), grams, stats, d, o, straggler_p
+                masks[:rows].astype(np.float64), grams, stats, d, o, straggler_p
             )
             eta = rates[start:stop, :, None, None, None]
             if any_estimated:
-                # Per row: which replicates hear a report (a mask only if some row hears
-                # none), the report sums' scale, and which arms use the estimated weight.
-                reports = (counts > 0)[:, :, None]
-                reported = np.logical_or.accumulate(reports, axis=0) | reported[-1]
-                live = estimated & reported
-                report_at = (True,) * rows if reports.all() else reports
+                # A row that hears no report keeps the latest estimate (copied per step).
+                np.greater(counts[..., None], 0, out=reports[:rows])
+                heard = np.logical_or.accumulate(reports[:rows], axis=0) | reported
+                np.logical_and(estimated, heard, out=live[:rows])
+                reported = heard[-1]
+                beta = report_mean if reports[:rows].all() else beta_sq
                 scale = 1.0 / np.maximum(counts, 1)[:, :, None]
-                consts = np.stack(np.broadcast_arrays(norm_at_opt, _sq_norms(w_star)), axis=-1)
-                mix = np.empty((rows, n_rep, k, 1, 2))  # [1 - alpha_t, alpha_t] per arm
-                alphas, rests = mix[..., 0, 1], mix[..., 0, 0]
-                alphas[:] = base_alpha
-                grads = np.empty((rows, n_rep, k, d, o))
-                flat_grads = grads.reshape(rows, n_rep, k, 1, d * o)
-                for i in range(rows):
-                    if i % STACK_ROWS == 0:
-                        _load_sides(stack, side_op[i : i + STACK_ROWS])
-                    dev = devs[i]
-                    np.matmul(stack[i % STACK_ROWS], iterates[i], out=product)
-                    np.einsum("rkij,rkcij->rkc", dev, halves, out=forms)
-                    forms += consts[i]
-                    np.multiply(report_sum, scale[i], out=beta_sq, where=report_at[i])
-                    np.copyto(alphas[i], estimated_weights(beta_sq, w_sq), where=live[i])
-                    np.subtract(1.0, alphas[i], out=rests[i])
-                    np.matmul(mix[i], pair, out=flat_grads[i])
-                    np.multiply(eta[i], grads[i], out=step)
-                    np.subtract(dev, step, out=devs[i + 1])
+                side_op[..., d:, :] *= scale[..., None, None]
+                np.multiply(norm_at_opt, scale, out=consts[:rows, ..., 0, 0])
+                np.negative(eta, out=etas[:rows])
+                mix[:rows, ..., 0, 0] = base_alpha
+                for lo in range(0, rows, STACK_ROWS):
+                    hi = min(lo + STACK_ROWS, rows)
+                    _load_sides(stack, side_op[lo:hi], coded_op)
+                    for (
+                        op, prod, pair, half, aug, dev, nxt, const, mix_t, alpha_t, eta_t, live_t,
+                        report_t,
+                    ) in row_views[lo:hi]:
+                        np.matmul(op, aug, out=prod)
+                        np.matmul(dev, half, out=forms)
+                        np.add(forms, const, out=forms)
+                        if beta is beta_sq:
+                            np.copyto(beta_sq, report_mean, where=report_t)
+                        np.copyto(alpha_t, estimated_weights(beta, w_sq), where=live_t)
+                        np.multiply(eta_t, mix_t, out=coef_tail)
+                        np.matmul(coef, pair, out=nxt)
+                    # These rows' gradients, [alpha_t, 1] [C - S; S], from their products.
+                    grad_sq[lo:hi] = _sq_norms(mix[lo:hi] @ bands[: hi - lo, ..., 1:3, :])
+                np.copyto(beta_sq, beta)  # the latest estimate, into the next block
+                alpha_column, grad_column = mix[:rows, ..., 0, 0], grad_sq[:rows]
             else:
                 # The whole step is linear in [D; I]: G_t = [P_t | Q_t] [D; I]
                 # and D <- [I - eta_t P_t | -eta_t Q_t] [D; I].
                 alpha = base_alpha[..., None, None]
                 step_op = alpha * coded_op + (1.0 - alpha) * side_op[..., :d, :]
-                update = keep - eta * step_op
-                for i in range(rows):
-                    np.matmul(update[i], iterates[i], out=devs[i + 1])
-                alphas = np.broadcast_to(base_alpha, (rows, n_rep, k))
-                grads = step_op @ iterates[:rows]
+                np.subtract(keep, eta * step_op, out=updates[:rows])
+                for update, aug, nxt in row_views[:rows]:
+                    np.matmul(update, aug, out=nxt)
+                alpha_column = np.broadcast_to(base_alpha, (rows, n_rep, k))
+                grad_column = _sq_norms(step_op @ iterates[:rows])
             del side_op  # the block's columns follow; free what they do not read
             dev = devs[:rows]
             columns = (
-                alphas,
+                alpha_column,
                 loss_at_optimum + 0.5 * np.einsum("...ij,...ij->...", dev, a_sum @ dev),
                 _sq_norms(dev),
-                _sq_norms(grads),
+                grad_column,
                 _sq_norms(dev + w_star),
             )
             for c, column in enumerate(columns):
                 record[c, ..., start:stop] = column.transpose(1, 2, 0)
-            del grads
             if device_max:
                 record[-1, ..., start:stop] = _max_device_sq(stats, dev)
             # Every weight a policy yields lies in [0, 1] unless it is NaN.
@@ -657,10 +683,7 @@ def train(
             if bad.any():
                 raise _diverged(start + int(np.argmax(bad)), arms, record)
 
-    if steps:
-        w = w_star + devs[rows]
-    else:
-        w = np.repeat(np.stack(inits)[:, None], k, axis=1)
+    w = w_star + devs[rows] if steps else np.repeat(np.stack(inits)[:, None], k, axis=1)
     t_index = np.arange(steps, dtype=np.int64)
     traces = tuple(
         tuple(

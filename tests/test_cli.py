@@ -218,6 +218,12 @@ def test_tradeoff_missing_field(tmp_path, capsys):
             {"policies": [{"kind": "adaptive"}, {"kind": "fixed", "alpha": 1}] * 2},
             "policies[2]: repeats the curve name 'adaptive'",
         ),
+        (
+            "tradeoff",
+            write_tradeoff_config,
+            {"policies": []},
+            "policies: need at least one policy",
+        ),
     ],
     ids=[
         "run-steps",
@@ -240,6 +246,7 @@ def test_tradeoff_missing_field(tmp_path, capsys):
         "tradeoff-empty-out_dir",
         "tradeoff-repeated-fixed-curve",
         "tradeoff-repeated-adaptive-curve",
+        "tradeoff-empty-policies",
     ],
 )
 def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, override, field):

@@ -186,19 +186,23 @@ def test_centred_statistics_match_direct_norms(seed, n, d, o, extra, case, expon
 )
 def test_stacked_operator_forms_match_direct_norms(seed, n, d, o, k, noisy, exponent, present, p):
     # An estimated-weight step reads both inputs of its weight off one
-    # product of the stacked operator [received / (1-p); coded; fold;
-    # [I | 2W*]] with [D; I], one D per arm: <D, fold [D; I]> plus
-    # norm_at_opt is the present devices' summed squared gradient norm
-    # sum_i b_i ||A_i D + R_i||^2, and <D, D + 2W*> plus ||W*||^2 is
-    # ||W||^2 = ||D + W*||^2.  Against both exact on the float inputs, the
-    # first must stay within the masked sum of the centred-identity atol_i
-    # above, and the second within
+    # product of the stacked operator [[I | 0]; C - S; S; fold / count;
+    # [I | 2W*]] with [D; I], one D per arm, whose first band is D exactly
+    # (the update reads it as is): <D, (fold / count) [D; I]> plus
+    # norm_at_opt / count is the present devices' mean squared gradient
+    # norm sum_i b_i ||A_i D + R_i||^2 / count, and <D, D + 2W*> plus
+    # ||W*||^2 is ||W||^2 = ||D + W*||^2.  Against both exact on the float
+    # inputs, the first must stay within the masked sum of the
+    # centred-identity atol_i above over the count, and the second within
     #
     #   atol_w = 2 (d o + 2) eps (|D| + |W*|)^2 ,
     #
     # the rounding of D + 2W* and of the two inner products, each a sum of
-    # d o terms, relative to the terms' magnitudes.  On 3,000 seeded draws
-    # of these cases the errors stayed below 0.06 atol and 0.17 atol_w.
+    # d o terms, relative to the terms' magnitudes.  Scaling the fold and
+    # norm_at_opt by 1 / count rounds every term of the mean once more, by
+    # at most eps/2 of a term no larger than (|A_i| |D| + |R_i|)^2, which
+    # the c eps >= 12 eps of atol_i covers.  On 3,000 seeded draws of these
+    # cases the errors stayed below 0.09 atol and 0.17 atol_w.
     root = RngStream(seed)
     ds = generate(n, d + 2, d, o, root.child("dataset"), label_noise_sd=0.05 if noisy else 0.0)
     w_star = optimum(ds).w_star
@@ -206,15 +210,19 @@ def test_stacked_operator_forms_match_direct_norms(seed, n, d, o, k, noisy, expo
     devs = 10.0**-exponent * rng.standard_normal((k, d, o))
     stats = _centred_statistics(ds, w_star, np.empty((n, d * (d + 1) // 2 + 2 * d * o + 1)))
     mask = np.array([(present >> i) & 1 for i in range(n)], dtype=np.float64)
+    count = max(mask.sum(), 1.0)
     side, norm_at_opt = _masked_operators(
         mask[None, None], [ds.gram_x.reshape(n, d * d)], stats[None], d, o, p
     )
-    stack = _estimate_stack(rng.standard_normal((1, k, d, d + o)), w_star[None, None], 1)
-    _load_sides(stack, side)
+    side[..., d:, :] *= 1.0 / count
+    stack = _estimate_stack(w_star[None, None], 1, k)
+    _load_sides(stack, side, rng.standard_normal((1, k, d, d + o)))
     augmented = np.concatenate([devs, np.broadcast_to(np.eye(o), (k, o, o))], axis=1)
-    product = (stack[0] @ augmented[None]).reshape(1, k, 4, d, o)
-    forms = np.einsum("rkij,rkcij->rkc", devs[None], product[:, :, 2:])[0]
-    report, w_sq = forms[:, 0] + norm_at_opt[0, 0, 0], forms[:, 1] + np.sum(w_star**2)
+    bands = (stack[0] @ augmented[None]).reshape(1, k, 5, d * o)
+    assert np.array_equal(bands[0, :, 0], devs.reshape(k, d * o))
+    forms = (devs.reshape(1, k, 1, d * o) @ bands[:, :, 3:].swapaxes(-1, -2))[0, :, 0]
+    report = forms[:, 0] + norm_at_opt[0, 0, 0] * (1.0 / count)
+    w_sq = forms[:, 1] + np.sum(w_star**2)
 
     a_norm = np.linalg.norm(ds.gram_x, axis=(1, 2))
     res_norm = np.linalg.norm(ds.gram_x @ w_star - ds.gram_xy, axis=(1, 2))
@@ -224,7 +232,9 @@ def test_stacked_operator_forms_match_direct_norms(seed, n, d, o, k, noisy, expo
     for dev, report_j, w_sq_j in zip(devs, report, w_sq):
         scale = a_norm * np.linalg.norm(dev) + res_norm
         atol = c_eps * (scale**2 + offset * scale) + (c_eps * offset) ** 2
-        assert abs(report_j - mask @ _exact_sq_norms(ds, w_star, dev)) <= mask @ atol
+        exact = _exact_sq_norms(ds, w_star, dev)
+        exact_mean = float(sum(Fraction(x) for x in mask * exact) / Fraction(count))
+        assert abs(report_j - exact_mean) <= mask @ atol / count
         w = [[Fraction(a) + Fraction(b) for a, b in zip(ra, rb)] for ra, rb in zip(w_star, dev)]
         exact_w_sq = float(sum(x * x for row in w for x in row))
         atol_w = 2 * (d * o + 2) * eps * (np.linalg.norm(dev) + np.linalg.norm(w_star)) ** 2

@@ -297,25 +297,38 @@ TRACE_COLUMNS = (
 )
 POLICIES = {
     "fixed": FixedWeight(0.3),
+    "fixed-0": FixedWeight(0.0),
+    "fixed-1": FixedWeight(1.0),
     "oracle": AdaptiveOracle(5.0, 2.0),
     "estimated": AdaptiveEstimated(0.6),
 }
+FOLDED = ("fixed", "fixed-0", "fixed-1", "oracle")
 
 
 @pytest.mark.parametrize("p", [0.0, 0.4])
 @pytest.mark.parametrize(
-    "names, levels",
+    "names, levels, steps",
     [
-        (("fixed",), (0.3,)),
-        (("oracle",), (0.3,)),
-        (("estimated",), (0.3,)),
-        (("fixed", "oracle", "estimated"), (0.3, 3.0)),
+        (("fixed",), (0.3,), 300),
+        (("oracle",), (0.3,), 300),
+        (("estimated",), (0.3,), 300),
+        (("fixed", "oracle", "estimated"), (0.3, 3.0), 300),
+        (("fixed-0", "fixed-1", "estimated"), (0.3, 3.0), 300),
+        ((*FOLDED, "estimated"), (0.3,), 1),
+        ((*FOLDED, "estimated"), (0.3,), 17),
+        (FOLDED, (0.3,), 17),
     ],
-    ids=["fixed", "oracle", "estimated", "six-arms"],
+    ids=[
+        "fixed", "oracle", "estimated", "six-arms", "weight-endpoints", "one-step", "17-steps",
+        "17-steps-folded",
+    ],
 )
-def test_train_matches_plain_gradient_descent(names, levels, p):
+def test_train_matches_plain_gradient_descent(names, levels, steps, p):
     # The batched step against a per-device loop run once per arm, within
     # rtol 1e-10: the summation order differs, so equality is not required.
+    # With an estimated arm every arm steps by S + alpha (C - S), which
+    # rounds unlike the loop's blend also at alpha 0 and 1; 1 and 17 steps
+    # size every per-call buffer below a block, 17 with one stack refill.
     xs, ys = random_samples(13, n=5, m=10, d=4, o=2)
     ds = dataset_from_samples(xs, ys)
     facts = optimum(ds)
@@ -323,7 +336,7 @@ def test_train_matches_plain_gradient_descent(names, levels, p):
     for level in levels:
         gc = _coded(ds, level, RngStream(13))
         arms += [Arm(gc, POLICIES[name], NoiseParams(level, level)) for name in names]
-    steps, c = 300, 1e-3
+    c = 1e-3
     stream = RngStream(13).child("t")
     traces = train(ds, arms, p, steps, InverseDecay(c), stream, facts, device_max=True)
     assert len(traces) == len(arms)
