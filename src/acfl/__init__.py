@@ -39,7 +39,6 @@ from .harness import (
     compare_baselines,
     load_config,
     run_experiment,
-    save_config,
 )
 from .numerics import RngStream, eig_min_sym, spd_solve
 from .privacy import epsilon_of, sigma_for_epsilon
@@ -94,7 +93,6 @@ __all__ = [
     "payload_size",
     "run_experiment",
     "sample_stragglers",
-    "save_config",
     "schedule_for_strong_convexity",
     "sigma_for_epsilon",
     "spd_solve",

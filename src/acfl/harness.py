@@ -52,7 +52,6 @@ __all__ = [
     "load_config",
     "load_tradeoff_config",
     "run_experiment",
-    "save_config",
 ]
 
 TRACE_HEADER = "replicate,t,alpha_t,n_present,loss,dist_sq,grad_norm_sq"
@@ -172,40 +171,54 @@ def coerce(value, kind: type, path: str):
     return out
 
 
-def _policy_from_dict(spec, path: str) -> AggregationPolicy | OracleAuto:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ParameterError(f"{path}: expected an object with a 'kind' field")
-    kind = spec["kind"]
-    if kind == "fixed":
-        if "alpha" not in spec:
-            raise ParameterError(f"{path}.alpha: missing")
-        return FixedWeight(coerce(spec["alpha"], float, f"{path}.alpha"))
-    if kind == "adaptive-estimated":
-        return AdaptiveEstimated(
-            coerce(spec.get("fallback_alpha", 1.0), float, f"{path}.fallback_alpha")
-        )
-    if kind == "adaptive-oracle":
-        if "beta_sq" in spec and "c_sq" in spec:
-            return AdaptiveOracle(
-                coerce(spec["beta_sq"], float, f"{path}.beta_sq"),
-                coerce(spec["c_sq"], float, f"{path}.c_sq"),
-            )
-        if "beta_sq" in spec or "c_sq" in spec:
-            raise ParameterError(f"{path}: give both beta_sq and c_sq, or neither")
-        return OracleAuto(coerce(spec.get("margin", 2.0), float, f"{path}.margin"))
-    raise ParameterError(f"{path}.kind: unknown policy kind {kind!r}")
+_REQUIRED = object()
 
 
-def _policy_to_dict(policy) -> dict:
-    if isinstance(policy, FixedWeight):
-        return {"kind": "fixed", "alpha": policy.alpha}
-    if isinstance(policy, AdaptiveEstimated):
-        return {"kind": "adaptive-estimated", "fallback_alpha": policy.fallback_alpha}
-    if isinstance(policy, AdaptiveOracle):
-        return {"kind": "adaptive-oracle", "beta_sq": policy.beta_sq, "c_sq": policy.c_sq}
-    if isinstance(policy, OracleAuto):
-        return {"kind": "adaptive-oracle", "margin": policy.margin}
-    raise ParameterError(f"policy: unsupported policy object {policy!r}")
+class _Fields:
+    """The fields of one JSON object at ``path`` (empty for a whole config).
+
+    :meth:`read` takes each field at most once: a present one goes through
+    :func:`coerce`, or ``kind(value, path)`` for a parser, or is taken as it
+    is for ``kind`` None; an absent one takes ``default``, and without one is
+    ``<path>: missing``.  Leaving the ``with`` block refuses a field left unread.
+    """
+
+    def __init__(self, raw, path: str = ""):
+        self.left = dict(coerce(raw, dict, path or "config"))
+        self.prefix = f"{path}." if path else ""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, error, *_):
+        if error is None and self.left:
+            raise ParameterError(f"{self.prefix}{next(iter(self.left))}: unknown field")
+
+    def read(self, key: str, kind=None, default=_REQUIRED):
+        path = self.prefix + key
+        if key not in self.left:
+            if default is _REQUIRED:
+                raise ParameterError(f"{path}: missing")
+            return default
+        value = self.left.pop(key)
+        if kind in (int, float, *_JSON_TYPES):
+            return coerce(value, kind, path)
+        return value if kind is None else kind(value, path)
+
+
+def _policy(spec, path: str) -> AggregationPolicy | OracleAuto:
+    with _Fields(spec, path) as fields:
+        kind = fields.read("kind")
+        if kind == "fixed":
+            return FixedWeight(fields.read("alpha", float))
+        if kind == "adaptive-estimated":
+            default = AdaptiveEstimated.fallback_alpha
+            return AdaptiveEstimated(fields.read("fallback_alpha", float, default))
+        if kind == "adaptive-oracle" and ("beta_sq" in fields.left or "c_sq" in fields.left):
+            return AdaptiveOracle(fields.read("beta_sq", float), fields.read("c_sq", float))
+        if kind == "adaptive-oracle":
+            return OracleAuto(fields.read("margin", float, OracleAuto.margin))
+        raise ParameterError(f"{path}.kind: unknown policy kind {kind!r}")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -213,87 +226,35 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     Error messages name the offending field path (for example ``dataset.m``).
     """
-    if not isinstance(raw, dict):
-        raise ParameterError("config: expected a JSON object at top level")
-    if "dataset" not in raw:
-        raise ParameterError("dataset: missing")
-    dataset = coerce(raw["dataset"], dict, "dataset")
-    for key in ("n_devices", "m", "d", "o"):
-        if key not in dataset:
-            raise ParameterError(f"dataset.{key}: missing")
-    noise_spec = raw.get("noise")
-    if not isinstance(noise_spec, dict):
-        raise ParameterError("noise: missing or not an object")
-    if "epsilon" in noise_spec:
-        noise, epsilon = None, coerce(noise_spec["epsilon"], float, "noise.epsilon")
-    elif "sigma1_sq" in noise_spec and "sigma2_sq" in noise_spec:
-        noise = NoiseParams(
-            coerce(noise_spec["sigma1_sq"], float, "noise.sigma1_sq"),
-            coerce(noise_spec["sigma2_sq"], float, "noise.sigma2_sq"),
+    with _Fields(raw) as top:
+        with top.read("dataset", _Fields) as dataset:
+            shape = {key: dataset.read(key, int) for key in ("n_devices", "m", "d", "o")}
+        with top.read("noise", _Fields) as noise:
+            epsilon = noise.read("epsilon", float, None)
+            variances = None
+            if epsilon is None:
+                variances = NoiseParams(
+                    noise.read("sigma1_sq", float), noise.read("sigma2_sq", float)
+                )
+        with top.read("schedule", _Fields) as schedule:
+            kind = schedule.read("kind")
+            if kind not in ("inverse", "strong-convexity"):
+                raise ParameterError(f"schedule.kind: unknown kind {kind!r}")
+            decay = InverseDecay(schedule.read("c", float)) if kind == "inverse" else None
+        return ExperimentConfig(
+            **shape,
+            straggler_p=top.read("straggler_p", float),
+            noise=variances,
+            epsilon=epsilon,
+            policy=top.read("policy", _policy),
+            schedule=decay,
+            steps=top.read("steps", int),
+            master_seed=top.read("master_seed", int),
+            replicates=top.read("replicates", int),
+            out_dir=top.read("out_dir"),
+            noise_levels=top.read("noise_levels", None, ExperimentConfig.noise_levels),
+            baseline=top.read("baseline", _policy, ExperimentConfig.baseline),
         )
-        epsilon = None
-    else:
-        raise ParameterError("noise: give sigma1_sq and sigma2_sq, or epsilon")
-    schedule_spec = raw.get("schedule")
-    if not isinstance(schedule_spec, dict) or "kind" not in schedule_spec:
-        raise ParameterError("schedule: missing or lacks a 'kind' field")
-    if schedule_spec["kind"] == "inverse":
-        if "c" not in schedule_spec:
-            raise ParameterError("schedule.c: missing")
-        schedule = InverseDecay(coerce(schedule_spec["c"], float, "schedule.c"))
-    elif schedule_spec["kind"] == "strong-convexity":
-        schedule = None
-    else:
-        raise ParameterError(f"schedule.kind: unknown kind {schedule_spec['kind']!r}")
-    for key in ("straggler_p", "policy", "steps", "master_seed", "replicates", "out_dir"):
-        if key not in raw:
-            raise ParameterError(f"{key}: missing")
-    kwargs = {}
-    if "noise_levels" in raw:
-        kwargs["noise_levels"] = raw["noise_levels"]
-    if "baseline" in raw:
-        kwargs["baseline"] = _policy_from_dict(raw["baseline"], "baseline")
-    return ExperimentConfig(
-        n_devices=coerce(dataset["n_devices"], int, "dataset.n_devices"),
-        m=coerce(dataset["m"], int, "dataset.m"),
-        d=coerce(dataset["d"], int, "dataset.d"),
-        o=coerce(dataset["o"], int, "dataset.o"),
-        straggler_p=coerce(raw["straggler_p"], float, "straggler_p"),
-        noise=noise,
-        epsilon=epsilon,
-        policy=_policy_from_dict(raw["policy"], "policy"),
-        schedule=schedule,
-        steps=coerce(raw["steps"], int, "steps"),
-        master_seed=coerce(raw["master_seed"], int, "master_seed"),
-        replicates=coerce(raw["replicates"], int, "replicates"),
-        out_dir=coerce(raw["out_dir"], str, "out_dir"),
-        **kwargs,
-    )
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Inverse of :func:`config_from_dict`; the round-trip is lossless."""
-    if cfg.epsilon is not None:
-        noise_spec = {"epsilon": cfg.epsilon}
-    else:
-        noise_spec = {"sigma1_sq": cfg.noise.sigma1_sq, "sigma2_sq": cfg.noise.sigma2_sq}
-    if cfg.schedule is None:
-        schedule_spec = {"kind": "strong-convexity"}
-    else:
-        schedule_spec = {"kind": "inverse", "c": cfg.schedule.c}
-    return {
-        "dataset": {"n_devices": cfg.n_devices, "m": cfg.m, "d": cfg.d, "o": cfg.o},
-        "straggler_p": cfg.straggler_p,
-        "noise": noise_spec,
-        "policy": _policy_to_dict(cfg.policy),
-        "schedule": schedule_spec,
-        "steps": cfg.steps,
-        "master_seed": cfg.master_seed,
-        "replicates": cfg.replicates,
-        "out_dir": cfg.out_dir,
-        "noise_levels": list(cfg.noise_levels),
-        "baseline": _policy_to_dict(cfg.baseline),
-    }
 
 
 def _read_json(path):
@@ -332,56 +293,45 @@ class TradeoffConfig:
 
 def load_tradeoff_config(path) -> TradeoffConfig:
     """Read a ``tradeoff`` JSON config file (schema documented in the README)."""
-    raw = coerce(_read_json(path), dict, "config")
-    for key in ("p", "n_devices", "beta_sq", "c_sq", "d", "o", "lambda", "steps", "out_dir"):
-        if key not in raw:
-            raise ParameterError(f"{key}: missing")
-    grid = [
-        coerce(x, float, f"sigma_grid[{i}]")
-        for i, x in enumerate(coerce(raw.get("sigma_grid", DEFAULT_SIGMA_GRID), list, "sigma_grid"))
-    ]
-    if not grid:
-        raise ParameterError("sigma_grid: need at least one value")
-    policies = coerce(raw.get("policies", [{"kind": "adaptive"}]), list, "policies")
-    if not policies:
-        raise ParameterError("policies: need at least one policy")
-    base = BoundInputs(
-        p=coerce(raw["p"], float, "p"),
-        n_devices=coerce(raw["n_devices"], int, "n_devices"),
-        beta_sq=coerce(raw["beta_sq"], float, "beta_sq"),
-        c_sq=coerce(raw["c_sq"], float, "c_sq"),
-        d=coerce(raw["d"], int, "d"),
-        o=coerce(raw["o"], int, "o"),
-        sigma1_sq=grid[0],
-        sigma2_sq=grid[0],
-        lam=coerce(raw["lambda"], float, "lambda"),
-        steps=coerce(raw["steps"], int, "steps"),
-    )
-    curves = []
-    for i, spec in enumerate(policies):
-        kind = coerce(spec, dict, f"policies[{i}]").get("kind")
-        if kind == "adaptive":
-            curve = ("adaptive", None)
-        elif kind == "fixed":
-            if "alpha" not in spec:
-                raise ParameterError(f"policies[{i}].alpha: missing for fixed policy")
-            alpha = coerce(spec["alpha"], float, f"policies[{i}].alpha")
-            curve = (f"fixed_{alpha:g}", alpha)
-        else:
-            raise ParameterError(f"policies[{i}].kind: unknown kind {kind!r}")
-        if curve[0] in (name for name, _ in curves):  # its file would overwrite the other's
-            raise ParameterError(f"policies[{i}]: repeats the curve name {curve[0]!r}")
-        curves.append(curve)
-    out_dir = coerce(raw["out_dir"], str, "out_dir")
-    if not out_dir:
-        raise ParameterError("out_dir: must be a nonempty path")
-    return TradeoffConfig(base, grid, curves, Path(out_dir))
-
-
-def save_config(cfg: ExperimentConfig, path) -> None:
-    text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
-    with open(path, "w", newline="") as f:
-        f.write(text)
+    with _Fields(_read_json(path)) as top:
+        bound = dict(
+            p=top.read("p", float),
+            n_devices=top.read("n_devices", int),
+            beta_sq=top.read("beta_sq", float),
+            c_sq=top.read("c_sq", float),
+            d=top.read("d", int),
+            o=top.read("o", int),
+            lam=top.read("lambda", float),
+            steps=top.read("steps", int),
+        )
+        grid = [
+            coerce(x, float, f"sigma_grid[{i}]")
+            for i, x in enumerate(top.read("sigma_grid", list, DEFAULT_SIGMA_GRID))
+        ]
+        if not grid:
+            raise ParameterError("sigma_grid: need at least one value")
+        base = BoundInputs(**bound, sigma1_sq=grid[0], sigma2_sq=grid[0])
+        policies = top.read("policies", list, [{"kind": "adaptive"}])
+        if not policies:
+            raise ParameterError("policies: need at least one policy")
+        curves = []
+        for i, spec in enumerate(policies):
+            with _Fields(spec, f"policies[{i}]") as fields:
+                kind = fields.read("kind")
+                if kind == "adaptive":
+                    curve = ("adaptive", None)
+                elif kind == "fixed":
+                    alpha = fields.read("alpha", float)
+                    curve = (f"fixed_{alpha:g}", alpha)
+                else:
+                    raise ParameterError(f"policies[{i}].kind: unknown kind {kind!r}")
+            if curve[0] in (name for name, _ in curves):  # its file would overwrite the other's
+                raise ParameterError(f"policies[{i}]: repeats the curve name {curve[0]!r}")
+            curves.append(curve)
+        out_dir = top.read("out_dir", str)
+        if not out_dir:
+            raise ParameterError("out_dir: must be a nonempty path")
+        return TradeoffConfig(base, grid, curves, Path(out_dir))
 
 
 @dataclass(frozen=True, eq=False)

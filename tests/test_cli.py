@@ -224,6 +224,45 @@ def test_tradeoff_missing_field(tmp_path, capsys):
             {"policies": []},
             "policies: need at least one policy",
         ),
+        # A misspelt or extra key is refused by its path, never read as a default.
+        ("run", write_run_config, {"noise_level": [1.0]}, "noise_level: unknown field"),
+        (
+            "compare",
+            write_run_config,
+            {"basline": {"kind": "fixed", "alpha": 0.2}},
+            "basline: unknown field",
+        ),
+        (
+            "run",
+            write_run_config,
+            {"policy": {"kind": "adaptive-estimated", "fallback_alpa": 0.2}},
+            "policy.fallback_alpa: unknown field",
+        ),
+        ("tradeoff", write_tradeoff_config, {"sigma_grd": [1.0]}, "sigma_grd: unknown field"),
+        (
+            "run",
+            write_run_config,
+            {"noise": {"epsilon": 2, "sigma1_sq": 0.5, "sigma2_sq": 0.5}},
+            "noise.sigma1_sq: unknown field",
+        ),
+        (
+            "run",
+            write_run_config,
+            {"policy": {"kind": "adaptive-oracle", "beta_sq": 1.0, "c_sq": 1.0, "margin": 2.0}},
+            "policy.margin: unknown field",
+        ),
+        (
+            "run",
+            write_run_config,
+            {"schedule": {"kind": "strong-convexity", "c": 0.1}},
+            "schedule.c: unknown field",
+        ),
+        (
+            "tradeoff",
+            write_tradeoff_config,
+            {"policies": [{"kind": "adaptive", "alpha": 0.5}]},
+            "policies[0].alpha: unknown field",
+        ),
     ],
     ids=[
         "run-steps",
@@ -247,6 +286,14 @@ def test_tradeoff_missing_field(tmp_path, capsys):
         "tradeoff-repeated-fixed-curve",
         "tradeoff-repeated-adaptive-curve",
         "tradeoff-empty-policies",
+        "run-unknown-noise_level",
+        "compare-unknown-basline",
+        "run-unknown-policy-field",
+        "tradeoff-unknown-sigma_grd",
+        "run-noise-both-forms",
+        "run-oracle-constants-and-margin",
+        "run-unknown-schedule-field",
+        "tradeoff-unknown-policies-field",
     ],
 )
 def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, override, field):

@@ -1,4 +1,7 @@
+import copy
 import hashlib
+import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,11 +17,10 @@ from acfl.harness import (
     OracleAuto,
     compare_baselines,
     config_from_dict,
-    config_to_dict,
     load_config,
+    load_tradeoff_config,
     resolve_policy,
     run_experiment,
-    save_config,
 )
 from acfl.numerics import RngStream
 from acfl.training import (
@@ -74,20 +76,58 @@ def raw_config_dict(out_dir) -> dict:
 # ------------------------------------------------------------------- config
 
 
-def test_config_dict_roundtrip(tmp_path):
-    cfg = small_config(tmp_path, epsilon=2.5, noise=None, schedule=None, baseline=FixedWeight(0.25))
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+def raw_tradeoff_dict(out_dir) -> dict:
+    return {
+        "p": 0.1,
+        "n_devices": 5,
+        "beta_sq": 100.0,
+        "c_sq": 1.0,
+        "d": 10,
+        "o": 10,
+        "lambda": 1.0,
+        "steps": 1000,
+        "sigma_grid": [0.5, 1.0],
+        "policies": [{"kind": "adaptive"}, {"kind": "fixed", "alpha": 0.5}],
+        "out_dir": str(out_dir),
+    }
 
 
-def test_config_file_roundtrip(tmp_path):
-    cfg = small_config(tmp_path / "out", noise_levels=(0.25, 4.0))
+def epsilon_config(tmp_path) -> tuple[dict, ExperimentConfig]:
+    """A raw config with epsilon noise, a strong-convexity schedule, a baseline and
+    noise levels, and the config it must read to."""
+    raw = raw_config_dict(tmp_path)
+    raw["noise"] = {"epsilon": 2.5}
+    raw["schedule"] = {"kind": "strong-convexity"}
+    raw["baseline"] = {"kind": "fixed", "alpha": 0.25}
+    raw["noise_levels"] = [0.25, 4.0]
+    cfg = small_config(
+        tmp_path,
+        noise=None,
+        epsilon=2.5,
+        schedule=None,
+        baseline=FixedWeight(0.25),
+        noise_levels=(0.25, 4.0),
+    )
+    return raw, cfg
+
+
+def test_config_dict_parses_to_config(tmp_path):
+    raw, cfg = epsilon_config(tmp_path)
+    before = copy.deepcopy(raw)
+    assert config_from_dict(raw) == cfg
+    assert raw == before  # every object is read from a copy
+
+
+def test_config_file_parses_to_config(tmp_path):
+    raw, cfg = epsilon_config(tmp_path)
     path = tmp_path / "config.json"
-    save_config(cfg, path)
+    path.write_text(json.dumps(raw))
     assert load_config(path) == cfg
 
 
 def test_config_out_dir_must_be_a_string(tmp_path):
-    # A path object used to pass, and save_config then left a truncated file.
+    # A config file gives out_dir as a JSON string; a library caller's path
+    # object or number is refused rather than kept as given.
     cfg = small_config(tmp_path / "out")
     with pytest.raises(ParameterError, match="out_dir: expected a string, got PosixPath"):
         replace(cfg, out_dir=tmp_path / "out")
@@ -95,15 +135,71 @@ def test_config_out_dir_must_be_a_string(tmp_path):
         replace(cfg, out_dir=5)
 
 
-def test_save_config_writes_nothing_when_serialising_fails(tmp_path, monkeypatch):
-    # The config is serialised before the file is opened: a failure leaves
-    # the file as it was, never a truncated JSON document.
-    path = tmp_path / "config.json"
-    path.write_text("old\n")
-    monkeypatch.setattr(harness, "config_to_dict", lambda cfg: {"out_dir": object()})
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        save_config(small_config(tmp_path / "out"), path)
-    assert path.read_text() == "old\n"
+REQUIRED_FIELDS = [
+    *(
+        (load_config, path)
+        for path in (
+            "dataset",
+            "dataset.n_devices",
+            "dataset.m",
+            "dataset.d",
+            "dataset.o",
+            "straggler_p",
+            "noise",
+            "noise.sigma1_sq",
+            "noise.sigma2_sq",
+            "policy",
+            "policy.kind",
+            "schedule",
+            "schedule.kind",
+            "schedule.c",
+            "steps",
+            "master_seed",
+            "replicates",
+            "out_dir",
+        )
+    ),
+    *(
+        (load_tradeoff_config, path)
+        for path in (
+            "p",
+            "n_devices",
+            "beta_sq",
+            "c_sq",
+            "d",
+            "o",
+            "lambda",
+            "steps",
+            "policies[0].kind",
+            "policies[1].alpha",
+            "out_dir",
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "load,path", REQUIRED_FIELDS, ids=[f"{load.__name__}-{path}" for load, path in REQUIRED_FIELDS]
+)
+def test_config_names_each_missing_field(tmp_path, load, path):
+    raw = (raw_config_dict if load is load_config else raw_tradeoff_dict)(tmp_path / "out")
+    *parents, last = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    parent = raw
+    for key in parents:
+        parent = parent[key]
+    del parent[last]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    with pytest.raises(ParameterError, match=f"^{re.escape(path)}: missing$"):
+        load(config)
+
+
+@pytest.mark.parametrize("load", [load_config, load_tradeoff_config])
+def test_both_config_kinds_refuse_a_non_object(tmp_path, load):
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")
+    with pytest.raises(ParameterError, match=re.escape("config: expected an object, got [1, 2]")):
+        load(config)
 
 
 def test_config_parses_policy_kinds(tmp_path):

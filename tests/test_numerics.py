@@ -1,14 +1,25 @@
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import acfl
 from acfl import *  # noqa: F403 -- fails at import if __all__ names a missing attribute
 from acfl.errors import NumericError, ParameterError
 from acfl.numerics import RngStream, _cholesky, as_matrix, eig_min_sym, spd_solve
 from reference import linear_solve
+
+
+SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(acfl.__path__))
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_every_submodule_star_imports(module):
+    # A star import fails if the module's __all__ names a missing attribute.
+    exec(f"from acfl.{module} import *", {})
 
 
 def test_gaussian_moments():
