@@ -10,9 +10,10 @@ The encoded payload is ``d^2 + o*d`` reals regardless of how many samples a
 device holds, and the sums carry exactly the information needed to form a
 full-batch gradient on the server side.
 
-:func:`encode_levels` simulates every device's upload and the server's sum
-at once, over the dataset's Gram stacks, at one or more noise levels from one
-noise draw; one device's upload is the sum of a one-device dataset.
+:func:`encode_levels` draws the server's sums: a sum of ``n`` i.i.d.
+``N(0, sigma^2)`` entries is exactly ``N(0, n sigma^2)``, so one draw scaled
+by ``sqrt(n)`` stands for all devices' noise.  The privacy accountant and
+:func:`payload_size` stay per device and do not read the draw.
 """
 
 from __future__ import annotations
@@ -71,25 +72,26 @@ class GlobalCodedData:
 def encode_levels(
     ds: FederatedDataset, noises: Sequence[NoiseParams], stream: RngStream
 ) -> tuple[GlobalCodedData, ...]:
-    """Encode every device with fresh noise from ``stream`` and sum the uploads,
-    once per noise in ``noises``.
+    """The server's sums of every device's upload, encoded with fresh noise
+    from ``stream``, once per noise in ``noises``.
 
-    The noise is one standard-normal ``(n, d, d + o)`` block drawn row-major
-    from one generator on ``stream``: device ``i``'s ``N1`` is
-    ``sqrt(sigma1_sq)`` times the first ``d`` columns of row ``i`` and its
-    ``N2`` is ``sqrt(sigma2_sq)`` times the last ``o``, so a device's noise
-    does not depend on how many devices there are.  The block is drawn once
-    and scaled per noise, so entry ``j`` is bit-equal to encoding with
-    ``noises[j]`` alone on the same stream.  The sums over devices fold in
-    device order, bit-equal to adding the uploads one by one.  One level
+    The summed noise is one standard-normal ``(d, d + o)`` block ``z`` from
+    one generator on ``stream``: the sums are ``sum_i X_i^T X_i + sqrt(n)
+    sqrt(sigma1_sq) z[:, :d]`` and ``sum_i X_i^T Y_i + sqrt(n)
+    sqrt(sigma2_sq) z[:, d:]``, distributed as the sums of ``n`` uploads
+    with i.i.d. ``N(0, sigma1_sq)`` and ``N(0, sigma2_sq)`` noise (two roots
+    keep any finite variance's scale finite).  The Gram sums are taken once,
+    so zero noise gives them exactly, and the block is scaled per noise:
+    entry ``j`` is bit-equal to encoding with ``noises[j]`` alone.  One level
     reads ``(coded,) = encode_levels(ds, [noise], stream)``.
     """
-    d = ds.d
-    z = stream.generator().standard_normal((ds.n_devices, d, d + ds.o))
+    d, root_n = ds.d, math.sqrt(ds.n_devices)
+    z = stream.generator().standard_normal((d, d + ds.o))
+    gram_x, gram_xy = ds.gram_x.sum(axis=0), ds.gram_xy.sum(axis=0)
     return tuple(
         GlobalCodedData(
-            (ds.gram_x + math.sqrt(noise.sigma1_sq) * z[:, :, :d]).sum(axis=0),
-            (ds.gram_xy + math.sqrt(noise.sigma2_sq) * z[:, :, d:]).sum(axis=0),
+            gram_x + root_n * math.sqrt(noise.sigma1_sq) * z[:, :d],
+            gram_xy + root_n * math.sqrt(noise.sigma2_sq) * z[:, d:],
         )
         for noise in noises
     )

@@ -187,11 +187,12 @@ def generate(
         y = fit if y_gen is None else fit + y_gen.normal(0.0, label_noise_sd, size=fit.shape)
         if float(np.abs(y).max()) > 1.0:
             raise ParameterError("all label entries must lie in [-1, 1]")
-        e = y - fit
         gram_x[lo:hi] = _gram(x, x)
         gram_xy[lo:hi] = _gram(x, y)
-        xe_sum += x.reshape(-1, d).T @ e.reshape(-1, o)
-        ee_sum += float(np.vdot(e, e))
+        if y_gen is not None:  # noiseless labels leave both sums exactly zero
+            e = y - fit
+            xe_sum += x.reshape(-1, d).T @ e.reshape(-1, o)
+            ee_sum += float(np.vdot(e, e))
     return FederatedDataset(gram_x, gram_xy, w_true, xe_sum, ee_sum)
 
 

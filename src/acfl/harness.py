@@ -2,14 +2,14 @@
 and deterministic CSV artifacts.
 
 Every replicate ``r`` derives its randomness from the master seed alone
-(dataset from ``("dataset", r)``, the encoding noise of all devices as one
-block from ``("encode", r)``, drawn once and scaled per noise level,
-training masks and the initial iterate from ``("train", r)``), so two runs
-of the same config produce byte-identical files however the replicates are
-grouped, and two methods run on the same seed consume bit-identical
-datasets, coding noise, and straggler draws.  Replicates train in groups,
-one :func:`~acfl.training.train` call per group, in index order; a group
-holds as many replicates as fit their summed Gram stacks in
+(dataset from ``("dataset", r)``, the summed encoding noise of all devices
+as one ``(d, d + o)`` block from ``("encode", r)``, drawn once and scaled
+per noise level, training masks and the initial iterate from ``("train",
+r)``), so two runs of the same config produce byte-identical files however
+the replicates are grouped, and two methods run on the same seed consume
+bit-identical datasets, coding noise, and straggler draws.  Replicates
+train in groups, one :func:`~acfl.training.train` call per group, in index
+order; a group holds as many replicates as fit their summed Gram stacks in
 :data:`GROUP_GRAM_BYTES`, and at least one.
 """
 
@@ -370,21 +370,21 @@ class ComparisonResult:
     path: Path
 
 
+def _digest(*arrays: np.ndarray) -> str:
+    """SHA-256 of the arrays' C-order bytes, hashed in place when contiguous."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a))
+    return h.hexdigest()
+
+
 def _dataset_digest(ds: FederatedDataset) -> str:
     """SHA-256 of the Gram stacks (all that training reads) and the true weights."""
-    h = hashlib.sha256()
-    h.update(ds.gram_x.tobytes())
-    h.update(ds.gram_xy.tobytes())
-    if ds.w_true is not None:
-        h.update(ds.w_true.tobytes())
-    return h.hexdigest()
+    return _digest(ds.gram_x, ds.gram_xy, *(() if ds.w_true is None else (ds.w_true,)))
 
 
 def _coded_digest(gc: GlobalCodedData) -> str:
-    h = hashlib.sha256()
-    h.update(gc.h_x_sum.tobytes())
-    h.update(gc.h_y_sum.tobytes())
-    return h.hexdigest()
+    return _digest(gc.h_x_sum, gc.h_y_sum)
 
 
 def _run_group(

@@ -310,11 +310,12 @@ def _centred_statistics(ds: FederatedDataset, w_star: np.ndarray, out: np.ndarra
 
         ||A_i D + R_i||^2 = <A_i^2, D D'> + 2 <A_i R_i, D> + ||R_i||^2 .
 
-    Row ``i`` of the ``(n, F)`` array ``out`` is ``[upper triangle of A_i^2 |
-    A_i R_i | ||R_i||^2 | R_i]``, each block row-major; its first three
-    blocks dotted with :func:`_norm_terms` of ``D`` give that squared norm.
-    With noise-free labels every ``R_i`` is near zero, so the terms shrink
-    together as ``D`` does instead of cancelling near the optimum.
+    Row ``i`` of the ``(n, F)`` array ``out`` is ``[R_i | upper triangle of
+    A_i^2 | A_i R_i | ||R_i||^2]``, each block row-major (only ``R_i`` if
+    ``F = d o``); the last three dotted with :func:`_norm_terms` of ``D``
+    give that squared norm.  With noise-free labels every ``R_i`` is near
+    zero, so the terms shrink together as ``D`` does instead of cancelling
+    near the optimum.
     """
     n, d, o = ds.n_devices, ds.d, ds.o
     rows, cols, _ = _triangle(d)
@@ -323,18 +324,19 @@ def _centred_statistics(ds: FederatedDataset, w_star: np.ndarray, out: np.ndarra
         gram = ds.gram_x[lo : lo + DEVICE_CHUNK_ROWS]
         res = gram @ w_star - ds.gram_xy[lo : lo + DEVICE_CHUNK_ROWS]
         block = out[lo : lo + DEVICE_CHUNK_ROWS]
-        block[:, :n_tri] = (gram @ gram)[:, rows, cols]
-        block[:, n_tri : n_tri + d * o] = (gram @ res).reshape(len(gram), d * o)
-        block[:, n_tri + d * o] = _sq_norms(res)
-        block[:, n_tri + d * o + 1 :] = res.reshape(len(gram), d * o)
+        block[:, : d * o] = res.reshape(len(gram), d * o)
+        if out.shape[1] > d * o:
+            block[:, d * o : d * o + n_tri] = (gram @ gram)[:, rows, cols]
+            block[:, d * o + n_tri : -1] = (gram @ res).reshape(len(gram), d * o)
+            block[:, -1] = _sq_norms(res)
     return out
 
 
 def _norm_terms(dev: np.ndarray) -> np.ndarray:
     """``[weighted upper triangle of D D' | 2 D | 1]`` for every ``D`` of a ``(..., d, o)`` stack.
 
-    The dot product of a row of :func:`_centred_statistics` with these terms
-    is that device's squared gradient norm at ``W* + D``.
+    The dot product of the last blocks of a row of :func:`_centred_statistics`
+    with these terms is that device's squared gradient norm at ``W* + D``.
     """
     *lead, d, o = dev.shape
     rows, cols, weight = _triangle(d)
@@ -361,7 +363,7 @@ def _max_device_sq(stats: np.ndarray, dev: np.ndarray) -> np.ndarray:
     for r in range(n_rep):
         terms_r = terms[:, r].reshape(rows * k, -1).T
         for lo in range(0, stats.shape[1], DEVICE_CHUNK_ROWS):
-            chunk = stats[r, lo : lo + DEVICE_CHUNK_ROWS, : len(terms_r)] @ terms_r
+            chunk = stats[r, lo : lo + DEVICE_CHUNK_ROWS, -len(terms_r) :] @ terms_r
             np.maximum(best[r], chunk.max(axis=0), out=best[r])
     return np.maximum(best, 0.0).reshape(n_rep, rows, k).transpose(0, 2, 1)
 
@@ -379,7 +381,8 @@ def _masked_operators(
     ``(M_t D + sum_i b_i R_i) / (1 - p)``, on ``sum_i b_i A_i^2 D + 2 sum_i
     b_i A_i R_i``, whose inner product with ``D``, plus ``norm_at_opt =
     sum_i b_i ||R_i||^2``, is the present devices' summed squared gradient
-    norm.  One product per replicate gives every row's sums.
+    norm; the ``R_i`` alone give only ``side``'s first ``d`` rows and ``None``.
+    Per replicate, a product each for ``A_i``, ``R_i`` and the rest.
     """
     rows, n_rep, _ = presence.shape
     tri_rows, tri_cols, _ = _triangle(d)
@@ -387,14 +390,19 @@ def _masked_operators(
     sums = np.empty((rows, n_rep, 1, d * d + stats.shape[2]))  # [M_t | masked statistics]
     for r in range(n_rep):
         np.matmul(presence[:, r], grams[r], out=sums[:, r, 0, : d * d])
-        np.matmul(presence[:, r], stats[r], out=sums[:, r, 0, d * d :])
-    sq, ar, rr, res = np.split(
-        sums[..., d * d :], [n_tri, n_tri + d * o, n_tri + d * o + 1], axis=-1
+        # The R_i apart: BLAS may order a column's sum by the product's shape.
+        for cols in (slice(0, d * o), slice(d * o, None)):
+            np.matmul(presence[:, r], stats[r, :, cols], out=sums[:, r, 0, d * d :][:, cols])
+    res, sq, ar, rr = np.split(
+        sums[..., d * d :], [d * o, d * o + n_tri, d * o + n_tri + d * o], axis=-1
     )
-    side = np.empty((rows, n_rep, 1, 2 * d, d + o))
+    lean = stats.shape[2] == d * o  # the R_i alone
+    side = np.empty((rows, n_rep, 1, d if lean else 2 * d, d + o))
     side[..., :d, :d] = sums[..., : d * d].reshape(rows, n_rep, 1, d, d)
     side[..., :d, d:] = res.reshape(rows, n_rep, 1, d, o)
     side[..., :d, :] /= 1.0 - p
+    if lean:
+        return side, None
     fold = side[..., d:, :d]
     fold[..., tri_rows, tri_cols] = fold[..., tri_cols, tri_rows] = sq
     side[..., d:, d:] = 2.0 * ar.reshape(rows, n_rep, 1, d, o)
@@ -465,8 +473,10 @@ def train(
     with them gives every step's masked sums: ``M_t = sum_i b_i A_i`` and
     ``sum_i b_i R_i``, so the received sum is ``M_t D + sum_i b_i R_i``, and
     the sums of ``A_i^2``, ``A_i R_i`` and ``||R_i||^2``, which give the
-    present devices' summed squared gradient norms.  Fixed and oracle
-    weights fold a whole step into one ``(d, d + o)`` operator per arm.
+    present devices' summed squared gradient norms; only an estimated
+    weight or ``device_max`` reads these, so a call with neither builds the
+    ``R_i`` alone.  Fixed and oracle weights fold a whole step into one ``(d, d
+    + o)`` operator per arm.
     With an estimated weight, every arm steps along ``S + alpha (C - S)``
     (``S`` the received sum over ``1 - p``, ``C`` the coded gradient): a
     stacked operator per arm times ``[D; I]`` (:func:`_estimate_stack`)
@@ -528,11 +538,6 @@ def train(
             raise ParameterError(f"replicate {r}: facts.w_star shape does not match the dataset")
         inits.append(streams[r].child("init").generator().uniform(0.0, W0_SCALE, size=(d, o)))
 
-    # Per replicate, one row per device: the centred statistics; a block of
-    # masks times them (and times the Gram stack) gives every masked sum.
-    stats = np.empty((n_rep, n, d * (d + 1) // 2 + 2 * d * o + 1))
-    for r, (x, f) in enumerate(zip(datasets, facts)):
-        _centred_statistics(x, f.w_star, stats[r])
     grams = [x.gram_x.reshape(n, d * d) for x in datasets]
     a_sum = np.stack([x.gram_x.sum(axis=0) for x in datasets])[:, None]  # (R, 1, d, d)
     w_star = np.stack([f.w_star for f in facts])[:, None]  # (R, 1, d, o)
@@ -563,6 +568,13 @@ def train(
                 sigma1_sq[r, j], sigma2_sq[r, j] = arm.noise.sigma1_sq, arm.noise.sigma2_sq
     any_estimated = bool(estimated.any())
     estimated_weights = _estimated_weights(straggler_p, d, o, sigma1_sq, sigma2_sq)
+
+    # Per replicate, one row per device: the centred statistics (R_i alone if no
+    # norm is read); a block of masks times them and the Grams gives every sum.
+    width = d * (d + 1) // 2 + 2 * d * o + 1 if any_estimated or device_max else d * o
+    stats = np.empty((n_rep, n, width))
+    for r, (x, f) in enumerate(zip(datasets, facts)):
+        _centred_statistics(x, f.w_star, stats[r])
 
     # Every computed trace column of every replicate and arm, by iteration:
     # the traces keep views of it, so each column is stored once.
@@ -617,7 +629,7 @@ def train(
             stop = start + rows
             for r, (rng, mask_hash) in enumerate(zip(mask_rngs, mask_hashes)):
                 masks[:rows, r] = drawn = sample_stragglers(straggler_p, n, rng, rows)
-                mask_hash.update(drawn.tobytes())
+                mask_hash.update(drawn)  # fresh, so contiguous: hashed in place
             counts = np.count_nonzero(masks[:rows], axis=2)
             n_present[:, start:stop] = counts.T
             side_op, norm_at_opt = _masked_operators(

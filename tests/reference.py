@@ -5,6 +5,8 @@ and never forms these per-device samples, residuals or gradients itself,
 and computes its aggregation weights only in array form.
 """
 
+import math
+
 import numpy as np
 
 from acfl import FederatedDataset
@@ -63,6 +65,19 @@ def coded_gradient(h_x_sum, h_y_sum, w):
 def blend(g_s, grads, mask, alpha, p):
     """``alpha * G_s + (1 - alpha) / (1 - p) * sum_i mask_i G_i`` for an ``(n, d, o)`` stack."""
     return alpha * g_s + ((1.0 - alpha) / (1.0 - p)) * grads[mask].sum(axis=0)
+
+
+def coded_sums(ds, noise, stream):
+    """The server's sums ``(H_X, H_Y)`` of ``ds`` encoded with ``noise``: the
+    Gram sums plus one standard-normal ``(d, d + o)`` block from ``stream``,
+    scaled by ``sqrt(n) * sqrt(sigma_sq)``, the entry deviation of ``n``
+    i.i.d. ``N(0, sigma_sq)`` noises summed."""
+    d = ds.d
+    z = stream.generator().standard_normal((d, d + ds.o))
+    root_n = math.sqrt(ds.n_devices)
+    h_x = ds.gram_x.sum(axis=0) + root_n * math.sqrt(noise.sigma1_sq) * z[:, :d]
+    h_y = ds.gram_xy.sum(axis=0) + root_n * math.sqrt(noise.sigma2_sq) * z[:, d:]
+    return h_x, h_y
 
 
 def alpha_estimated(p, d, o, noise, beta_sq, c_sq):

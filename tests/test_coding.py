@@ -7,6 +7,7 @@ from acfl.coding import NoiseParams, encode_levels, payload_size
 from acfl.dataset import generate
 from acfl.errors import ParameterError
 from acfl.numerics import RngStream
+from reference import coded_sums
 
 
 def test_noise_params_validation():
@@ -58,24 +59,22 @@ def test_noise_moments_over_reencodings():
     assert abs(devs1.var() - 4.0) < 0.1 * 4.0
 
 
-def test_aggregate_matches_bruteforce_entry_loop():
-    # The server's sums equal a scalar loop over the uploads, entry by entry.
-    ds = generate(5, 8, 3, 2, RngStream(6).child("data"))
-    noise = NoiseParams(1.0, 1.0)
-    stream = RngStream(6).child("enc")
-    (total,) = encode_levels(ds, [noise], stream)
-    z = stream.generator().standard_normal((5, 3, 5))
-    uploads = [(ds.gram_x[i] + z[i, :, :3], ds.gram_xy[i] + z[i, :, 3:]) for i in range(5)]
-    for idx in np.ndindex(3, 3):
-        acc = 0.0
-        for h_x, _ in uploads:
-            acc += h_x[idx]
-        assert acc == total.h_x_sum[idx]  # same fold order: exactly equal
-    for idx in np.ndindex(3, 2):
-        acc = 0.0
-        for _, h_y in uploads:
-            acc += h_y[idx]
-        assert acc == total.h_y_sum[idx]
+def test_noise_variance_scales_with_device_count():
+    # The summed noise of n devices has entry variance n * sigma^2: at n = 40
+    # with unequal variances, a missing sqrt(n) or swapped blocks fails.
+    n, s1, s2 = 40, 4.0, 1.0
+    ds = generate(n, 6, 3, 2, RngStream(5).child("data"))
+    gram_x, gram_xy = ds.gram_x.sum(axis=0), ds.gram_xy.sum(axis=0)
+    root = RngStream(5)
+    k = 10_000
+    devs_x = np.empty((k, 3, 3))
+    devs_y = np.empty((k, 3, 2))
+    for r in range(k):
+        (coded,) = encode_levels(ds, [NoiseParams(s1, s2)], root.child("mc", r))
+        devs_x[r] = coded.h_x_sum - gram_x
+        devs_y[r] = coded.h_y_sum - gram_xy
+    for devs, var in ((devs_x, n * s1), (devs_y, n * s2)):
+        assert np.all(np.abs(devs.var(axis=0) - var) < 0.1 * var)
 
 
 def test_coded_sum_unbiased():
@@ -94,36 +93,15 @@ def test_coded_sum_unbiased():
     assert np.all(np.abs(mean - gram_sum) <= 4.0 * se)
 
 
-def _fold_of_noise_rows(ds, noise, stream):
-    """Per-device uploads ``gram + noise row i``, added one by one in device order."""
-    d = ds.d
-    z = stream.generator().standard_normal((ds.n_devices, d, d + ds.o))
-    h_x = ds.gram_x[0] + math.sqrt(noise.sigma1_sq) * z[0, :, :d]
-    h_y = ds.gram_xy[0] + math.sqrt(noise.sigma2_sq) * z[0, :, d:]
-    for i in range(1, ds.n_devices):
-        h_x += ds.gram_x[i] + math.sqrt(noise.sigma1_sq) * z[i, :, :d]
-        h_y += ds.gram_xy[i] + math.sqrt(noise.sigma2_sq) * z[i, :, d:]
-    return h_x, h_y
-
-
-@pytest.mark.parametrize("n", [1, 3, 5, 40])
-def test_encode_dataset_equals_a_per_device_fold(n):
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_encode_levels_equals_the_one_block_reference(n):
     ds = generate(n, 8, 3, 2, RngStream(8).child("data"))
     noise = NoiseParams(2.0, 0.5)
     stream = RngStream(8).child("encode", 0)
     (coded,) = encode_levels(ds, [noise], stream)
-    h_x, h_y = _fold_of_noise_rows(ds, noise, stream)
+    h_x, h_y = coded_sums(ds, noise, stream)
     assert np.array_equal(coded.h_x_sum, h_x)
     assert np.array_equal(coded.h_y_sum, h_y)
-
-
-def test_noise_rows_do_not_depend_on_device_count():
-    # The block the encoder draws fills row-major, so with the fold test above
-    # device i's noise is the same for any number of devices.
-    stream = RngStream(9).child("encode", 0)
-    three = stream.generator().standard_normal((3, 3, 5))
-    five = stream.generator().standard_normal((5, 3, 5))
-    assert three.tobytes() == five[:3].tobytes()
 
 
 def test_encode_levels_equals_one_encode_per_level():

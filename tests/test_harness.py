@@ -503,8 +503,13 @@ def test_compare_encodes_each_replicate_once(tmp_path):
     root = RngStream(cfg.master_seed)
     for r in range(cfg.replicates):
         ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
+        # Digests hash the arrays in place: the bytes are their C-order copies'.
+        stacks = ds.gram_x.tobytes() + ds.gram_xy.tobytes() + ds.w_true.tobytes()
+        assert result.records[(0.5, "acfl")][r].dataset_digest == hashlib.sha256(stacks).hexdigest()
         for level in (0.5, 2.0):
             (gc,) = encode_levels(ds, [NoiseParams(level, level)], root.child("encode", r))
+            sums = gc.h_x_sum.tobytes() + gc.h_y_sum.tobytes()
+            assert harness._coded_digest(gc) == hashlib.sha256(sums).hexdigest()
             for method in ("acfl", "na"):
                 assert result.records[(level, method)][r].coded_digest == harness._coded_digest(gc)
 

@@ -154,7 +154,7 @@ def test_centred_statistics_match_direct_norms(seed, n, d, o, extra, case, expon
     else:
         dev = 10.0**-exponent * root.child("dev").generator().standard_normal((d, o))
     stats = _centred_statistics(ds, w_star, np.empty((n, d * (d + 1) // 2 + 2 * d * o + 1)))
-    per_device = stats[:, : -d * o] @ _norm_terms(dev)
+    per_device = stats[:, d * o :] @ _norm_terms(dev)  # the blocks after R_i
     mask = np.array([(present >> i) & 1 for i in range(n)], dtype=np.float64)
     side, norm_at_opt = _masked_operators(
         mask[None, None], [ds.gram_x.reshape(n, d * d)], stats[None], d, o, 0.0

@@ -682,6 +682,37 @@ def test_requesting_the_device_maximum_changes_nothing_else():
             assert a.mask_digest == b.mask_digest
 
 
+@pytest.mark.parametrize("p", [0.0, 0.4])
+@pytest.mark.parametrize("n, d, o", [(30, 3, 2), (600, 5, 3)])
+def test_residual_only_statistics_change_no_bit(n, d, o, p):
+    # With no estimated arm and no device maximum, train builds and sums only
+    # the R_i columns of the statistics; every value must equal the call that
+    # builds them all (device_max=True), bit for bit.  Label noise keeps the
+    # R_i away from zero; 150 steps cross the mask block boundaries.  At the
+    # second shape, BLAS sums the R_i columns of one product over every
+    # statistic in another order than a product over the R_i alone.
+    reps = []
+    for r in range(2):
+        root = RngStream(80 + r)
+        ds = generate(n, d + 6, d, o, root.child("dataset"), label_noise_sd=0.05)
+        facts = optimum(ds)
+        noise = NoiseParams(0.5, 0.5)
+        (gc,) = encode_levels(ds, [noise], root.child("encode"))
+        arms = [Arm(gc, FixedWeight(0.4)), Arm(gc, AdaptiveOracle(3.0, 2.0), noise)]
+        schedule = schedule_for_strong_convexity(facts.lam)
+        reps.append((ds, arms, schedule, root.child("train"), facts))
+    datasets, arms, schedules, streams, facts = map(list, zip(*reps))
+    args = (datasets, arms, p, 150, schedules, streams, facts)
+    lean = train(*args)
+    full = train(*args, device_max=True)
+    for lean_r, full_r in zip(lean, full, strict=True):
+        for a, b in zip(lean_r, full_r, strict=True):
+            assert a.max_device_grad_sq is None
+            for name in ("t", *TRACE_COLUMNS[:-1], "w0", "final_w"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert a.mask_digest == b.mask_digest
+
+
 def test_reports_resolved_per_mask_block_match_the_per_step_loop():
     # Two devices at p = 0.9: most steps hear no report.  The estimated arms
     # resolve which steps hear one a mask block at a time, and keep the last
