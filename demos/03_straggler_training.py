@@ -50,8 +50,9 @@ for sigma_sq in (0.1, 10.0):
     for label, policy in (("adaptive", AdaptiveEstimated()), ("fixed 0.5", FixedWeight(0.5))):
         arms.append(Arm(coded, policy, noise))
         labels.append((sigma_sq, label))
-# One loop advances all four runs on the same straggler masks.
-traces = train(ds, arms, P, STEPS, InverseDecay(1e-3), root.child("train"), facts)
+# train takes a group of replicates, here one.  One loop advances all four
+# arms on the same straggler masks.
+(traces,) = train([ds], [arms], P, STEPS, [InverseDecay(1e-3)], [root.child("train")], [facts])
 results = dict(zip(labels, traces))
 for (sigma_sq, label), trace in results.items():
     print(

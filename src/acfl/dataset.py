@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import RngStream, as_matrix, eig_min_sym, spd_solve
+from .numerics import RngStream, as_matrix, check_entries, eig_min_sym, spd_solve
 
 __all__ = [
     "FederatedDataset",
@@ -63,7 +63,7 @@ def _deficient(gram_x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FederatedDataset:
-    """All devices' Gram stacks, two label-noise sums, and the true weights when known.
+    """All devices' Gram stacks, two label-noise sums, and the true weights.
 
     Device ``i`` is ``gram_x[i] = X_i^T X_i`` and ``gram_xy[i] = X_i^T Y_i``,
     all that encoding, training and the loss read; samples are not kept.
@@ -77,7 +77,7 @@ class FederatedDataset:
 
     gram_x: np.ndarray
     gram_xy: np.ndarray
-    w_true: np.ndarray | None
+    w_true: np.ndarray
     xe_sum: np.ndarray
     ee_sum: float
 
@@ -98,8 +98,7 @@ class FederatedDataset:
                 f"device {deficient[0]}: x is rank deficient "
                 f"(eig_min of X'X below {_RANK_TOL:.0e})"
             )
-        names = ("xe_sum",) if self.w_true is None else ("w_true", "xe_sum")
-        for name in names:
+        for name in ("w_true", "xe_sum"):
             a = as_matrix(getattr(self, name), name)
             if a.shape != (d, self.o):
                 raise ParameterError(f"{name} must be ({d}, {self.o}), got {a.shape}")
@@ -173,6 +172,8 @@ def generate(
         raise ParameterError(f"n_devices must be positive, got {n_devices}")
     if label_noise_sd < 0:
         raise ParameterError(f"label_noise_sd must be nonnegative, got {label_noise_sd}")
+    check_entries(n_devices * d * (d + o), f"n_devices={n_devices}, d={d}, o={o}: Gram stacks")
+    check_entries(min(n_devices, DEVICE_CHUNK_ROWS) * m * (d + o), f"m={m}: a sample chunk")
     w_true = stream.child("w_true").generator().uniform(0.0, 1.0 / 30.0, size=(d, o))
     x_gen = stream.child("x").generator()
     y_gen = stream.child("y").generator() if label_noise_sd > 0.0 else None
@@ -221,7 +222,7 @@ def optimum(ds: FederatedDataset) -> ProblemFacts:
     """
     gram = ds.gram_x.sum(axis=0)
     w_star = spd_solve(gram, ds.gram_xy.sum(axis=0))
-    dev = w_star if ds.w_true is None else w_star - ds.w_true
+    dev = w_star - ds.w_true
     loss_at_optimum = (
         0.5 * float(np.sum(dev * (gram @ dev)))
         - float(np.sum(dev * ds.xe_sum))

@@ -57,8 +57,9 @@ __all__ = [
 TRACE_HEADER = "replicate,t,alpha_t,n_present,loss,dist_sq,grad_norm_sq"
 SUMMARY_HEADER = "t,mean_loss,stderr_loss,mean_dist_sq,stderr_dist_sq"
 COMPARISON_HEADER = "noise_sigma_sq,method,seed,final_loss"
-METHOD_ADAPTIVE = "acfl"
-METHOD_BASELINE = "na"
+# The methods of a comparison, in ``comparison.csv``'s names: the adaptive
+# ``policy``, then the ``baseline``.
+METHODS = ("acfl", "na")
 # Per train call: the summed (n, d, d + o) Gram stacks of the replicates it
 # advances together stay within this many bytes, unless one replicate alone
 # exceeds it.
@@ -380,7 +381,7 @@ def _digest(*arrays: np.ndarray) -> str:
 
 def _dataset_digest(ds: FederatedDataset) -> str:
     """SHA-256 of the Gram stacks (all that training reads) and the true weights."""
-    return _digest(ds.gram_x, ds.gram_xy, *(() if ds.w_true is None else (ds.w_true,)))
+    return _digest(ds.gram_x, ds.gram_xy, ds.w_true)
 
 
 def _coded_digest(gc: GlobalCodedData) -> str:
@@ -446,32 +447,34 @@ def _run_replicates(cfg: ExperimentConfig, arms) -> tuple[tuple[ReplicateRecord,
     return tuple(zip(*per_replicate))
 
 
-def _probe(cfg: ExperimentConfig, noises) -> tuple[ReplicateRecord, ...]:
-    """Replicate 0 with norm-estimating weights at every noise, trained in one call."""
-    if cfg.steps < 1:
-        raise ParameterError("policy: auto oracle constants need steps >= 1 to probe")
-    arms = [(noise, AdaptiveEstimated(1.0)) for noise in noises]
-    (records,) = _run_group(cfg, arms, range(1), device_max=True)
-    return records
+def resolve_policy(
+    cfg: ExperimentConfig, noises, specs
+) -> list[tuple[NoiseParams, AggregationPolicy]]:
+    """The arms ``(noise, policy)`` of every spec at every noise, by noise, then by spec.
 
-
-def _concrete(policy, probe: ReplicateRecord | None) -> AggregationPolicy:
-    """``policy`` itself, or an :class:`OracleAuto` one resolved from a probe record."""
-    if not isinstance(policy, OracleAuto):
-        return policy
-    beta_sq = float(probe.trace.max_device_grad_sq.max()) * policy.margin
-    c_sq = float(probe.trace.w_norm_sq.max()) * policy.margin
-    if not (beta_sq > 0 and c_sq > 0):
-        raise NumericError("probe run observed zero norms; supply oracle constants explicitly")
-    return AdaptiveOracle(beta_sq, c_sq)
-
-
-def resolve_policy(cfg: ExperimentConfig) -> AggregationPolicy:
-    """Concrete policy for a config, probing for oracle constants if needed."""
-    if not isinstance(cfg.policy, OracleAuto):
-        return cfg.policy
-    (probe,) = _probe(cfg, [cfg.resolved_noise()])
-    return _concrete(cfg.policy, probe)
+    A spec runs as given, except that an :class:`OracleAuto` one takes its
+    constants, at its noise and with its own margin, from one probe call
+    that trains replicate 0 with norm-estimating weights at every noise.
+    """
+    probes = [None] * len(noises)
+    if any(isinstance(spec, OracleAuto) for spec in specs):
+        if cfg.steps < 1:
+            raise ParameterError("steps: auto oracle constants need steps >= 1 to probe")
+        probe_arms = [(noise, AdaptiveEstimated(1.0)) for noise in noises]
+        (probes,) = _run_group(cfg, probe_arms, range(1), device_max=True)
+    arms = []
+    for noise, probe in zip(noises, probes):
+        for policy in specs:
+            if isinstance(policy, OracleAuto):
+                beta_sq = float(probe.trace.max_device_grad_sq.max()) * policy.margin
+                c_sq = float(probe.trace.w_norm_sq.max()) * policy.margin
+                if not (beta_sq > 0 and c_sq > 0):
+                    raise NumericError(
+                        "probe run observed zero norms; supply oracle constants explicitly"
+                    )
+                policy = AdaptiveOracle(beta_sq, c_sq)
+            arms.append((noise, policy))
+    return arms
 
 
 # Floats are written as ``repr`` of Python floats (``.tolist()`` values): the
@@ -533,13 +536,14 @@ def _write_summary(path: Path, records) -> None:
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run all replicates and write ``trace.csv`` and ``summary.csv``.
 
+    The policy is resolved at the config's noise by :func:`resolve_policy`.
     Identical configs produce byte-identical files; replicates advance
     together in groups (see the module docstring).
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    policy = resolve_policy(cfg)
-    (records,) = _run_replicates(cfg, [(cfg.resolved_noise(), policy)])
+    [(noise, policy)] = resolve_policy(cfg, [cfg.resolved_noise()], [cfg.policy])
+    (records,) = _run_replicates(cfg, [(noise, policy)])
     trace_path = out_dir / "trace.csv"
     summary_path = out_dir / "summary.csv"
     _write_trace(trace_path, records)
@@ -552,10 +556,9 @@ def compare_baselines(cfg: ExperimentConfig) -> ComparisonResult:
 
     For each common variance in ``cfg.noise_levels`` both methods run on the
     same replicate streams, so they see bit-identical datasets, coding
-    noise, and straggler masks; only the aggregation weights differ.  Both
-    ``cfg.policy`` and ``cfg.baseline`` run as given, except that an
-    :class:`OracleAuto` one takes its constants, at each level and with its
-    own margin, from one probe call that trains replicate 0 at every level.
+    noise, and straggler masks; only the aggregation weights differ.  The
+    methods of :data:`METHODS` are ``cfg.policy`` and ``cfg.baseline``, whose
+    arms at every level :func:`resolve_policy` gives, with at most one probe.
     Every arm of a replicate (both methods at every level) trains in one loop,
     together with the other replicates of its group.
     Writes ``comparison.csv`` and reports, per level, the fraction of seeds
@@ -565,29 +568,19 @@ def compare_baselines(cfg: ExperimentConfig) -> ComparisonResult:
     if len(levels) == 0:
         raise ParameterError("noise_levels: need at least one level")
     noises = [NoiseParams(level, level) for level in levels]
-    probes = [None] * len(noises)
-    if isinstance(cfg.policy, OracleAuto) or isinstance(cfg.baseline, OracleAuto):
-        probes = _probe(cfg, noises)
-    arms = []
-    for noise, probe in zip(noises, probes):
-        arms.append((noise, _concrete(cfg.policy, probe)))
-        arms.append((noise, _concrete(cfg.baseline, probe)))
-    per_arm = _run_replicates(cfg, arms)
-    rows = []
-    records: dict[tuple[float, str], tuple[ReplicateRecord, ...]] = {}
+    per_arm = _run_replicates(cfg, resolve_policy(cfg, noises, [cfg.policy, cfg.baseline]))
+    keys = [(level, method) for level in levels for method in METHODS]
+    records: dict[tuple[float, str], tuple[ReplicateRecord, ...]] = dict(zip(keys, per_arm))
+    rows = [
+        (level, method, rec.replicate, rec.final_loss)
+        for (level, method), recs in records.items()
+        for rec in recs
+    ]
     win_rates: dict[float, float] = {}
-    for i, level in enumerate(levels):
-        recs_a, recs_b = per_arm[2 * i], per_arm[2 * i + 1]
-        records[(level, METHOD_ADAPTIVE)] = recs_a
-        records[(level, METHOD_BASELINE)] = recs_b
-        for rec in recs_a:
-            rows.append((level, METHOD_ADAPTIVE, rec.replicate, rec.final_loss))
-        for rec in recs_b:
-            rows.append((level, METHOD_BASELINE, rec.replicate, rec.final_loss))
-        wins = sum(
-            1 for a, b in zip(recs_a, recs_b) if a.final_loss <= b.final_loss
-        )
-        win_rates[level] = wins / len(recs_a)
+    for level in levels:
+        adaptive, baseline = (records[(level, method)] for method in METHODS)
+        wins = sum(1 for a, b in zip(adaptive, baseline) if a.final_loss <= b.final_loss)
+        win_rates[level] = wins / len(adaptive)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "comparison.csv"

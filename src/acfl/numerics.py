@@ -24,11 +24,19 @@ from .errors import NumericError, ParameterError
 __all__ = [
     "RngStream",
     "as_matrix",
+    "check_entries",
     "eig_min_sym",
     "spd_solve",
 ]
 
 _SYM_TOL = 1e-10
+
+
+def check_entries(count: int, what: str) -> None:
+    """Refuse, naming ``what``, float64 arrays of ``count`` entries (a Python int)
+    whose byte count numpy cannot index, which it would refuse with a bare ValueError."""
+    if count > np.iinfo(np.intp).max // 8:
+        raise ParameterError(f"{what}: {count} entries, more than an array can hold")
 
 
 def as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 from .coding import GlobalCodedData, NoiseParams
 from .dataset import DEVICE_CHUNK_ROWS, FederatedDataset, ProblemFacts
 from .errors import NumericError, ParameterError
-from .numerics import RngStream
+from .numerics import RngStream, check_entries
 
 __all__ = [
     "AdaptiveEstimated",
@@ -438,27 +438,26 @@ def _load_sides(stack: np.ndarray, side: np.ndarray, coded_op: np.ndarray) -> No
 
 
 def train(
-    ds: FederatedDataset | Sequence[FederatedDataset],
-    arms: Sequence[Arm] | Sequence[Sequence[Arm]],
+    ds: Sequence[FederatedDataset],
+    arms: Sequence[Sequence[Arm]],
     straggler_p: float,
     steps: int,
-    schedule: InverseDecay | Sequence[InverseDecay],
-    stream: RngStream | Sequence[RngStream],
-    facts: ProblemFacts | Sequence[ProblemFacts],
+    schedule: Sequence[InverseDecay],
+    stream: Sequence[RngStream],
+    facts: Sequence[ProblemFacts],
     *,
     device_max: bool = False,
-) -> tuple[TrainingTrace, ...] | tuple[tuple[TrainingTrace, ...], ...]:
-    """Run the two-source training loop for ``steps`` iterations on every arm.
+) -> tuple[tuple[TrainingTrace, ...], ...]:
+    """Run the two-source training loop for ``steps`` iterations on every arm
+    of R replicates, which advance together in one loop.
 
-    One replicate is a dataset, its arms, schedule, stream and facts; its
-    arms share the dataset, the straggler masks and the initial iterate,
-    and each has its own coded sums, policy and iterate, and gets its own
-    trace, in order.  Given as sequences, one entry per replicate (``arms``
-    then holds one arm list per replicate), ``ds``, ``arms``, ``schedule``,
-    ``stream`` and ``facts`` describe R replicates that advance together in
-    one loop; they must share the dataset shape and the number of arms, and
-    the result is one tuple of traces per replicate.  Each replicate's
-    traces are those it gets trained alone.
+    Replicate ``r`` is the dataset ``ds[r]``, the arm list ``arms[r]``,
+    ``schedule[r]``, ``stream[r]`` and ``facts[r]``; the replicates share
+    the dataset shape and the number of arms.  A replicate's arms share its
+    dataset, straggler masks and initial iterate, and each has its own coded
+    sums, policy and iterate.  Returns one tuple of traces per replicate,
+    one trace per arm, in order; each replicate's traces are those it gets
+    trained alone.
 
     Per iteration: take each replicate's presence mask ``b``, pick each
     arm's ``alpha_t`` per its policy, blend the coded gradient ``H_X W -
@@ -504,9 +503,6 @@ def train(
     trace row (loss, weight or a norm) is not finite; rows are checked a
     block at a time, and the first bad row is named.
     """
-    single = isinstance(ds, FederatedDataset)
-    if single:
-        ds, arms, schedule, stream, facts = [ds], [arms], [schedule], [stream], [facts]
     _check_p(straggler_p)
     if steps < 0:
         raise ParameterError(f"steps must be nonnegative, got {steps}")
@@ -537,6 +533,7 @@ def train(
         if facts[r].w_star.shape != (d, o):
             raise ParameterError(f"replicate {r}: facts.w_star shape does not match the dataset")
         inits.append(streams[r].child("init").generator().uniform(0.0, W0_SCALE, size=(d, o)))
+    check_entries(len(_TRACE_COLUMNS) * n_rep * k * steps, f"steps={steps}: the trace record")
 
     grams = [x.gram_x.reshape(n, d * d) for x in datasets]
     a_sum = np.stack([x.gram_x.sum(axis=0) for x in datasets])[:, None]  # (R, 1, d, d)
@@ -572,6 +569,7 @@ def train(
     # Per replicate, one row per device: the centred statistics (R_i alone if no
     # norm is read); a block of masks times them and the Grams gives every sum.
     width = d * (d + 1) // 2 + 2 * d * o + 1 if any_estimated or device_max else d * o
+    check_entries(n_rep * n * width, f"n_devices={n}, d={d}, o={o}: device statistics")
     stats = np.empty((n_rep, n, width))
     for r, (x, f) in enumerate(zip(datasets, facts)):
         _centred_statistics(x, f.w_star, stats[r])
@@ -697,7 +695,7 @@ def train(
 
     w = w_star + devs[rows] if steps else np.repeat(np.stack(inits)[:, None], k, axis=1)
     t_index = np.arange(steps, dtype=np.int64)
-    traces = tuple(
+    return tuple(
         tuple(
             TrainingTrace(
                 t=t_index,
@@ -711,4 +709,3 @@ def train(
         )
         for r in range(n_rep)
     )
-    return traces[0] if single else traces

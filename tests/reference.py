@@ -44,9 +44,11 @@ def residual_loss(x, y, w):
 def dataset_from_samples(x, y, w_true=None):
     """The dataset of ``(n, m, .)`` sample stacks: Gram stacks and the sums of
     ``X_i^T E_i`` and ``||E_i||^2`` with ``E_i = Y_i - X_i W_true`` (``W_true = 0``
-    when unknown)."""
+    when not given)."""
+    if w_true is None:
+        w_true = np.zeros((x.shape[2], y.shape[2]))
     xt = x.transpose(0, 2, 1)
-    e = y if w_true is None else y - x @ w_true
+    e = y - x @ w_true
     return FederatedDataset(
         xt @ x, xt @ y, w_true, (xt @ e).sum(axis=0), float(np.vdot(e, e))
     )

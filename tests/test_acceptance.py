@@ -213,9 +213,9 @@ def test_c07_distance_bound_after_t_steps():
 
     def run(policy, s):
         (coded,) = encode_levels(ds, [noise], root.child("enc", s))
-        (trace,) = train(
-            ds, [Arm(coded, policy, noise)], p, 1000, schedule, root.child("train", s), facts,
-            device_max=True,
+        ((trace,),) = train(
+            [ds], [[Arm(coded, policy, noise)]], p, 1000, [schedule], [root.child("train", s)],
+            [facts], device_max=True,
         )
         return trace
 

@@ -167,6 +167,10 @@ def test_tradeoff_missing_field(tmp_path, capsys):
     assert cli_main(["tradeoff", str(path)]) == 2
 
 
+# An auto-oracle spec, as policy or as baseline, cannot be probed without steps.
+PROBE = "steps: auto oracle constants need steps >= 1 to probe"
+
+
 @pytest.mark.parametrize(
     "command,writer,override,field",
     [
@@ -263,6 +267,31 @@ def test_tradeoff_missing_field(tmp_path, capsys):
             {"policies": [{"kind": "adaptive", "alpha": 0.5}]},
             "policies[0].alpha: unknown field",
         ),
+        ("run", write_run_config, {"policy": {"kind": "adaptive-oracle"}, "steps": 0}, PROBE),
+        ("compare", write_run_config, {"policy": {"kind": "adaptive-oracle"}, "steps": 0}, PROBE),
+        (
+            "compare",
+            write_run_config,
+            {
+                "policy": {"kind": "fixed", "alpha": 0.5},
+                "baseline": {"kind": "adaptive-oracle"},
+                "steps": 0,
+            },
+            PROBE,
+        ),
+        (
+            "run",
+            write_run_config,
+            {"dataset": {"n_devices": 10**30, "m": 8, "d": 3, "o": 2}},
+            f"n_devices={10**30}, d=3, o=2: Gram stacks: ",
+        ),
+        (
+            "run",
+            write_run_config,
+            {"dataset": {"n_devices": 3, "m": 8, "d": 3, "o": 2**62}},
+            f"n_devices=3, d=3, o={2**62}: Gram stacks: ",
+        ),
+        ("run", write_run_config, {"steps": 10**30}, f"steps={10**30}: the trace record: "),
     ],
     ids=[
         "run-steps",
@@ -294,6 +323,12 @@ def test_tradeoff_missing_field(tmp_path, capsys):
         "run-oracle-constants-and-margin",
         "run-unknown-schedule-field",
         "tradeoff-unknown-policies-field",
+        "run-auto-oracle-policy-zero-steps",
+        "compare-auto-oracle-policy-zero-steps",
+        "compare-auto-oracle-baseline-zero-steps",
+        "run-n_devices-past-numpy-sizes",
+        "run-o-past-numpy-sizes",
+        "run-steps-past-numpy-sizes",
     ],
 )
 def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, override, field):

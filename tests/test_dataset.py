@@ -252,15 +252,15 @@ def test_rank_check_falls_back_to_naming_devices_by_eigenvalue():
 def test_dataset_stack_invariants():
     zeros = np.zeros((2, 1))
     with pytest.raises(ParameterError, match="3-D"):
-        FederatedDataset(np.eye(2), zeros, None, zeros, 0.0)
+        FederatedDataset(np.eye(2), zeros, zeros, zeros, 0.0)
     with pytest.raises(ParameterError, match=r"gram_x must be \(n, d, d\)"):
-        FederatedDataset(np.eye(2)[None], np.zeros((2, 2, 1)), None, zeros, 0.0)
+        FederatedDataset(np.eye(2)[None], np.zeros((2, 2, 1)), zeros, zeros, 0.0)
     with pytest.raises(ParameterError, match="non-finite"):
-        FederatedDataset(np.full((2, 2, 2), np.nan), np.zeros((2, 2, 1)), None, zeros, 0.0)
+        FederatedDataset(np.full((2, 2, 2), np.nan), np.zeros((2, 2, 1)), zeros, zeros, 0.0)
     with pytest.raises(ParameterError, match="xe_sum must be"):
-        FederatedDataset(np.eye(2)[None], np.zeros((1, 2, 1)), None, np.zeros((2, 2)), 0.0)
+        FederatedDataset(np.eye(2)[None], np.zeros((1, 2, 1)), zeros, np.zeros((2, 2)), 0.0)
     with pytest.raises(ParameterError, match="ee_sum"):
-        FederatedDataset(np.eye(2)[None], np.zeros((1, 2, 1)), None, zeros, -1.0)
+        FederatedDataset(np.eye(2)[None], np.zeros((1, 2, 1)), zeros, zeros, -1.0)
     # labels are bounded where they are drawn
     with pytest.raises(ParameterError, match=r"\[-1, 1\]"):
         generate(3, 6, 2, 1, RngStream(0), label_noise_sd=10)

@@ -351,7 +351,8 @@ def test_summary_recomputable_from_trace(tmp_path):
 
 def test_resolve_policy_probes_oracle_constants(tmp_path):
     cfg = small_config(tmp_path / "auto", policy=OracleAuto(margin=2.0), steps=20)
-    policy = resolve_policy(cfg)
+    ((noise, policy),) = resolve_policy(cfg, [cfg.resolved_noise()], [cfg.policy])
+    assert noise == cfg.resolved_noise()
     assert isinstance(policy, AdaptiveOracle)
     assert policy.beta_sq > 0 and policy.c_sq > 0
     result = run_experiment(cfg)
@@ -398,9 +399,9 @@ def test_compare_rows_and_pairing(tmp_path):
         noise = NoiseParams(level, level)
         (gc,) = encode_levels(ds, [noise], root.child("encode", r))
         policy = cfg.policy if method == "acfl" else cfg.baseline
-        (tr,) = train(
-            ds, [Arm(gc, policy, noise)], cfg.straggler_p, cfg.steps, cfg.schedule,
-            root.child("train", r), optimum(ds),
+        ((tr,),) = train(
+            [ds], [[Arm(gc, policy, noise)]], cfg.straggler_p, cfg.steps, [cfg.schedule],
+            [root.child("train", r)], [optimum(ds)],
         )
         xs, ys, _ = replay_samples(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
         assert final_loss == pytest.approx(residual_loss(xs, ys, tr.final_w), rel=1e-10, abs=0.0)
@@ -420,7 +421,7 @@ def test_compare_runs_the_configured_policy(tmp_path, policy):
     result = compare_baselines(replace(cfg, noise_levels=(0.5, 2.0)))
     for level in (0.5, 2.0):
         noise = NoiseParams(level, level)
-        oracle = resolve_policy(replace(cfg, noise=noise))
+        ((_, oracle),) = resolve_policy(cfg, [noise], [policy])
         expect = alpha_oracle(
             cfg.straggler_p, cfg.n_devices, oracle.beta_sq, oracle.c_sq, cfg.d, cfg.o, noise
         )

@@ -233,7 +233,9 @@ def test_train_zero_steps(random_instance):
     arms = [
         Arm(gc, FixedWeight(0.5)), Arm(gc, AdaptiveEstimated(), noise), Arm(gc, FixedWeight(0.1)),
     ]
-    traces = train(ds, arms, 0.2, 0, InverseDecay(1e-3), RngStream(12).child("t"), facts)
+    (traces,) = train(
+        [ds], [arms], 0.2, 0, [InverseDecay(1e-3)], [RngStream(12).child("t")], [facts]
+    )
     assert len(traces) == len(arms)
     for tr in traces:
         assert tr.steps == 0
@@ -338,7 +340,7 @@ def test_train_matches_plain_gradient_descent(names, levels, steps, p):
         arms += [Arm(gc, POLICIES[name], NoiseParams(level, level)) for name in names]
     c = 1e-3
     stream = RngStream(13).child("t")
-    traces = train(ds, arms, p, steps, InverseDecay(c), stream, facts, device_max=True)
+    (traces,) = train([ds], [arms], p, steps, [InverseDecay(c)], [stream], [facts], device_max=True)
     assert len(traces) == len(arms)
     for arm, tr in zip(arms, traces):
         rows, w = _naive_train(
@@ -363,9 +365,9 @@ def test_train_loss_is_accurate_near_the_optimum(seed):
     (gc,) = encode_levels(ds, [noise], root.child("encode", 0))
 
     def run(steps):
-        (tr,) = train(
-            ds, [Arm(gc, AdaptiveEstimated(), noise)], 0.4, steps,
-            schedule_for_strong_convexity(facts.lam), root.child("train", 0), facts,
+        ((tr,),) = train(
+            [ds], [[Arm(gc, AdaptiveEstimated(), noise)]], 0.4, steps,
+            [schedule_for_strong_convexity(facts.lam)], [root.child("train", 0)], [facts],
         )
         return tr
 
@@ -387,9 +389,9 @@ def test_train_estimated_weight_falls_back_then_reuses_last_estimate():
     p, steps, stream = 0.9, 40, RngStream(19).child("t")
 
     def run(steps):
-        (tr,) = train(
-            ds, [Arm(gc, AdaptiveEstimated(0.25), noise)], p, steps, InverseDecay(1e-3),
-            stream, facts,
+        ((tr,),) = train(
+            [ds], [[Arm(gc, AdaptiveEstimated(0.25), noise)]], p, steps, [InverseDecay(1e-3)],
+            [stream], [facts],
         )
         return tr
 
@@ -437,7 +439,7 @@ def test_train_divergence_names_the_iteration(policy, with_still_arm):
         NumericError,
         match=rf"iteration \d+ in arm {arm} \({re.escape(repr(policy))}\).*last finite loss: \d",
     ):
-        train(ds, arms, 0.2, 300, InverseDecay(1.0), root.child("train"), optimum(ds))
+        train([ds], [arms], 0.2, 300, [InverseDecay(1.0)], [root.child("train")], [optimum(ds)])
 
 
 def _replicate(seed, n=4, m=9, d=3, o=2, levels=(0.5, 4.0)):
@@ -476,7 +478,7 @@ def test_batched_train_equals_one_replicate_calls(n_rep, k):
     )
     assert len(batched) == n_rep
     for (ds, facts, schedule, stream, _), arms_r, traces in zip(reps, arms, batched):
-        alone = train(ds, arms_r, p, steps, schedule, stream, facts, device_max=True)
+        (alone,) = train([ds], [arms_r], p, steps, [schedule], [stream], [facts], device_max=True)
         assert len(traces) == len(alone) == k
         assert (alone[0].n_present == 0).any()
         for a, b in zip(traces, alone):
@@ -516,7 +518,9 @@ def test_batched_train_divergence_names_the_replicate():
         facts.append(optimum(ds))
     streams = [root.child("train", r) for r in range(2)]
     with pytest.raises(NumericError) as alone:
-        train(datasets[1], arm_lists[1], 0.2, 300, InverseDecay(1.0), streams[1], facts[1])
+        train(
+            datasets[1:], arm_lists[1:], 0.2, 300, [InverseDecay(1.0)], streams[1:], facts[1:]
+        )
     t, j = re.search(r"iteration (\d+) in arm (\d+)", str(alone.value)).groups()
     policy = arm_lists[1][int(j)].policy
     with pytest.raises(
@@ -549,7 +553,10 @@ def test_divergence_inside_a_mask_block_names_the_first_bad_row():
     streams = [root.child("train", r) for r in range(2)]
     p, c, steps = 0.2, 40.0, 300
     # A zero-step run reports replicate 1's initial iterate.
-    w0 = train(datasets[1], arm_lists[1], p, 0, InverseDecay(c), streams[1], facts[1])[0].w0
+    ((first, _),) = train(
+        datasets[1:], arm_lists[1:], p, 0, [InverseDecay(c)], streams[1:], facts[1:]
+    )
+    w0 = first.w0
 
     xs, ys, _ = replay_samples(6, 12, 3, 2, root.child("data", 1))
     first_bad = []
@@ -585,9 +592,9 @@ def test_train_reference_setup_loss_drops():
     facts = optimum(ds)
     noise = NoiseParams(0.01, 0.01)
     (gc,) = encode_levels(ds, [noise], root.child("enc"))
-    (tr,) = train(
-        ds, [Arm(gc, AdaptiveEstimated(), noise)], 0.2, 2000, InverseDecay(1e-4),
-        root.child("train"), facts,
+    ((tr,),) = train(
+        [ds], [[Arm(gc, AdaptiveEstimated(), noise)]], 0.2, 2000, [InverseDecay(1e-4)],
+        [root.child("train")], [facts],
     )
     assert tr.loss[-1] < tr.loss[0] / 10.0
     assert np.all((tr.alpha >= 0.0) & (tr.alpha <= 1.0))
@@ -600,9 +607,9 @@ def test_train_trace_is_deterministic(random_instance):
     noise = NoiseParams(1.0, 1.0)
 
     def run():
-        (tr,) = train(
-            ds, [Arm(gc, AdaptiveEstimated(), noise)], 0.3, 60, InverseDecay(1e-3),
-            RngStream(15).child("t"), facts,
+        ((tr,),) = train(
+            [ds], [[Arm(gc, AdaptiveEstimated(), noise)]], 0.3, 60, [InverseDecay(1e-3)],
+            [RngStream(15).child("t")], [facts],
         )
         return tr
 
@@ -623,9 +630,9 @@ def test_train_alpha_in_unit_interval_for_all_policies(random_instance):
         AdaptiveOracle(5.0, 5.0),
         AdaptiveEstimated(0.7),
     ]
-    traces = train(
-        ds, [Arm(gc, policy, noise) for policy in policies], 0.4, 40, InverseDecay(1e-3),
-        RngStream(16).child("t"), facts,
+    (traces,) = train(
+        [ds], [[Arm(gc, policy, noise) for policy in policies]], 0.4, 40, [InverseDecay(1e-3)],
+        [RngStream(16).child("t")], [facts],
     )
     for tr in traces:
         assert np.all((tr.alpha >= 0.0) & (tr.alpha <= 1.0))
@@ -640,12 +647,12 @@ def test_train_requires_noise_for_adaptive(random_instance):
     with pytest.raises(ParameterError, match="policy"):
         Arm(gc, "adaptive")
     with pytest.raises(ParameterError, match="arm"):
-        train(ds, [], 0.2, 5, InverseDecay(1e-3), RngStream(17).child("t"), facts)
+        train([ds], [[]], 0.2, 5, [InverseDecay(1e-3)], [RngStream(17).child("t")], [facts])
     with pytest.raises(ParameterError, match="arm 1"):
         wrong = GlobalCodedData(np.zeros((2, 2)), np.zeros((2, 2)))
         train(
-            ds, [Arm(gc, FixedWeight(0.5)), Arm(wrong, FixedWeight(0.5))], 0.2, 5,
-            InverseDecay(1e-3), RngStream(17).child("t"), facts,
+            [ds], [[Arm(gc, FixedWeight(0.5)), Arm(wrong, FixedWeight(0.5))]], 0.2, 5,
+            [InverseDecay(1e-3)], [RngStream(17).child("t")], [facts],
         )
 
 
@@ -655,9 +662,9 @@ def test_train_oracle_policy_uses_constant_alpha(random_instance):
     noise = NoiseParams(1.5, 0.5)
     gc = _coded(ds, 1.5, RngStream(18))
     policy = AdaptiveOracle(2.0, 3.0)
-    (tr,) = train(
-        ds, [Arm(gc, policy, noise)], 0.25, 30, InverseDecay(1e-3),
-        RngStream(18).child("t"), facts,
+    ((tr,),) = train(
+        [ds], [[Arm(gc, policy, noise)]], 0.25, 30, [InverseDecay(1e-3)],
+        [RngStream(18).child("t")], [facts],
     )
     expect = alpha_oracle(0.25, 3, 2.0, 3.0, 3, 2, noise)
     assert np.all(tr.alpha == expect)
