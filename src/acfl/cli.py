@@ -12,10 +12,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import comm_overhead, tradeoff_curve
+from .analysis import comm_overhead
 from .coding import NoiseParams
 from .errors import NumericError, ParameterError
-from .harness import compare_baselines, load_config, load_tradeoff_config, run_experiment
+from .harness import (
+    compare_baselines,
+    load_config,
+    load_tradeoff_config,
+    run_experiment,
+    write_tradeoff_curves,
+)
 from .privacy import epsilon_of, sigma_for_epsilon
 
 
@@ -86,16 +92,7 @@ def _cmd_privacy(args) -> None:
 
 
 def _cmd_tradeoff(args) -> None:
-    cfg = load_tradeoff_config(args.config)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    for name, alpha in cfg.curves:
-        path = cfg.out_dir / f"tradeoff_{name}.csv"
-        with open(path, "w", newline="") as f:
-            f.write("sigma_sq,epsilon_nats,alpha,u,bound\n")
-            for pt in tradeoff_curve(cfg.base, cfg.sigma_grid, alpha):
-                f.write(
-                    f"{pt.sigma_sq!r},{pt.epsilon!r},{pt.alpha!r},{pt.u!r},{pt.bound!r}\n"
-                )
+    for path in write_tradeoff_curves(load_tradeoff_config(args.config)):
         print(path)
 
 

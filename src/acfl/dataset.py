@@ -140,29 +140,20 @@ class ProblemFacts:
             raise ParameterError("loss_at_optimum must be nonnegative")
 
 
-def generate(
-    n_devices: int,
-    m: int,
-    d: int,
-    o: int,
-    stream: RngStream,
-    *,
-    label_noise_sd: float = 0.0,
-) -> FederatedDataset:
-    """Draw a fresh instance, noiseless by default, and keep its Gram stacks.
+def generate(n_devices: int, m: int, d: int, o: int, stream: RngStream) -> FederatedDataset:
+    """Draw a fresh noiseless instance and keep its Gram stacks.
 
-    ``X_i ~ U[-1, 1]``, ``W_true ~ U[0, 1/30]``, ``Y_i = X_i @ W_true``
-    plus optional Gaussian label noise of standard deviation
-    ``label_noise_sd``.  ``W_true`` comes from ``stream``'s ``"w_true"``
-    child, features from ``"x"`` and label noise from ``"y"``, one generator
-    each, in chunks of :data:`DEVICE_CHUNK_ROWS` devices: bit-equal to one
-    row-major ``(n, m, .)`` block, so device ``i``'s data do not depend on
-    ``n_devices``.  Each chunk's labels must lie in ``[-1, 1]`` (true for
-    ``d <= 30`` and small noise); its Gram pairs and label-noise sums are
-    kept and its samples dropped.  A device that fails the dataset's rank
-    check (``lambda_min(X_i^T X_i) <= 1e-10``, probability about ``1.4 d
-    1e-10`` at ``m = d + 1`` and far less for larger ``m``) raises its
-    :class:`ParameterError`.
+    ``X_i ~ U[-1, 1]``, ``W_true ~ U[0, 1/30]`` and ``Y_i = X_i @ W_true``.
+    ``W_true`` comes from one call on a generator from ``stream``'s
+    ``"w_true"`` child; features come in chunks of :data:`DEVICE_CHUNK_ROWS`
+    devices, by successive calls on one generator from its ``"x"`` child:
+    bit-equal to one row-major ``(n, m, d)`` block, so device ``i``'s data
+    do not depend on ``n_devices``.  Each chunk's labels must lie in ``[-1,
+    1]`` (true for ``d <= 30``); its Gram pairs are kept and its samples
+    dropped, and both label-noise sums are zero.  A device that fails the
+    dataset's rank check (``lambda_min(X_i^T X_i) <= 1e-10``, probability
+    about ``1.4 d 1e-10`` at ``m = d + 1`` and far less for larger ``m``)
+    raises its :class:`ParameterError`.
     """
     if d < 1 or o < 1:
         raise ParameterError(f"dimensions must be positive, got d={d}, o={o}")
@@ -170,31 +161,20 @@ def generate(
         raise ParameterError(f"full column rank unattainable with m={m} <= d={d}")
     if n_devices < 1:
         raise ParameterError(f"n_devices must be positive, got {n_devices}")
-    if label_noise_sd < 0:
-        raise ParameterError(f"label_noise_sd must be nonnegative, got {label_noise_sd}")
     check_entries(n_devices * d * (d + o), f"n_devices={n_devices}, d={d}, o={o}: Gram stacks")
     check_entries(min(n_devices, DEVICE_CHUNK_ROWS) * m * (d + o), f"m={m}: a sample chunk")
     w_true = stream.child("w_true").generator().uniform(0.0, 1.0 / 30.0, size=(d, o))
     x_gen = stream.child("x").generator()
-    y_gen = stream.child("y").generator() if label_noise_sd > 0.0 else None
     gram_x = np.empty((n_devices, d, d))
     gram_xy = np.empty((n_devices, d, o))
-    xe_sum = np.zeros((d, o))
-    ee_sum = 0.0
     for lo in range(0, n_devices, DEVICE_CHUNK_ROWS):
-        hi = min(lo + DEVICE_CHUNK_ROWS, n_devices)
-        x = x_gen.uniform(-1.0, 1.0, size=(hi - lo, m, d))
-        fit = x @ w_true
-        y = fit if y_gen is None else fit + y_gen.normal(0.0, label_noise_sd, size=fit.shape)
+        x = x_gen.uniform(-1.0, 1.0, size=(min(DEVICE_CHUNK_ROWS, n_devices - lo), m, d))
+        y = x @ w_true
         if float(np.abs(y).max()) > 1.0:
             raise ParameterError("all label entries must lie in [-1, 1]")
-        gram_x[lo:hi] = _gram(x, x)
-        gram_xy[lo:hi] = _gram(x, y)
-        if y_gen is not None:  # noiseless labels leave both sums exactly zero
-            e = y - fit
-            xe_sum += x.reshape(-1, d).T @ e.reshape(-1, o)
-            ee_sum += float(np.vdot(e, e))
-    return FederatedDataset(gram_x, gram_xy, w_true, xe_sum, ee_sum)
+        gram_x[lo : lo + len(x)] = _gram(x, x)
+        gram_xy[lo : lo + len(x)] = _gram(x, y)
+    return FederatedDataset(gram_x, gram_xy, w_true, np.zeros((d, o)), 0.0)
 
 
 def loss(w, ds: FederatedDataset, facts: ProblemFacts) -> float:

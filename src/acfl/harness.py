@@ -18,16 +18,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import BoundInputs
+from .analysis import BoundInputs, tradeoff_curve
 from .coding import GlobalCodedData, NoiseParams, encode_levels
 from .dataset import FederatedDataset, generate, loss, optimum
 from .errors import NumericError, ParameterError
-from .numerics import RngStream
+from .numerics import MAX_ENTRIES, RngStream, check_entries
 from .privacy import sigma_for_epsilon
 from .training import (
     AdaptiveEstimated,
@@ -52,11 +52,13 @@ __all__ = [
     "load_config",
     "load_tradeoff_config",
     "run_experiment",
+    "write_tradeoff_curves",
 ]
 
 TRACE_HEADER = "replicate,t,alpha_t,n_present,loss,dist_sq,grad_norm_sq"
 SUMMARY_HEADER = "t,mean_loss,stderr_loss,mean_dist_sq,stderr_dist_sq"
 COMPARISON_HEADER = "noise_sigma_sq,method,seed,final_loss"
+TRADEOFF_HEADER = "sigma_sq,epsilon_nats,alpha,u,bound"
 # The methods of a comparison, in ``comparison.csv``'s names: the adaptive
 # ``policy``, then the ``baseline``.
 METHODS = ("acfl", "na")
@@ -436,7 +438,16 @@ def _run_group(
 
 
 def _run_replicates(cfg: ExperimentConfig, arms) -> tuple[tuple[ReplicateRecord, ...], ...]:
-    """Every replicate of every arm: one tuple of records per arm, by replicate."""
+    """Every replicate of every arm: one tuple of records per arm, by replicate.
+
+    Before any group trains, refuses a run whose records (five trace columns
+    per step, ``w0`` and ``final_w``, per replicate and arm) no array could
+    hold, unless one replicate's alone could not: its group then refuses
+    them, naming the steps or the shape.
+    """
+    kept = len(arms) * (5 * cfg.steps + 2 * cfg.d * cfg.o)  # entries, per replicate
+    if kept <= MAX_ENTRIES:
+        check_entries(cfg.replicates * kept, f"replicates={cfg.replicates}: the records of the run")
     gram_bytes = cfg.n_devices * cfg.d * (cfg.d + cfg.o) * 8
     size = max(1, GROUP_GRAM_BYTES // gram_bytes)
     per_replicate = [
@@ -477,29 +488,24 @@ def resolve_policy(
     return arms
 
 
-# Floats are written as ``repr`` of Python floats (``.tolist()`` values): the
-# shortest string that reads back to the same double.  Rows are converted in
-# blocks of this many, so the Python objects of one block are alive at a time.
+# Cells are written with ``%s``, as ``str`` of Python scalars (``.tolist()``
+# values), so a float is the shortest string that reads back to the same
+# double; ``%`` formats a row as fast as an f-string, ``str.format`` slower.
+# Rows are converted in blocks of this many, so the Python objects of one
+# block are alive at a time.
 CSV_BLOCK_ROWS = 1024
 
 
-def _blocks(columns):
-    """The rows of equal-length array ``columns`` as tuples of Python scalars, in blocks."""
-    for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        yield zip(*(column[lo : lo + CSV_BLOCK_ROWS].tolist() for column in columns))
-
-
-def _write_trace(path: Path, records) -> None:
+def _write_csv(path: Path, header: str, tables) -> None:
+    """Write ``header``, then the rows of every table, each a sequence of
+    equal-length array columns, to ``path``."""
     with open(path, "w", newline="") as f:
-        f.write(TRACE_HEADER + "\n")
-        for rec in records:
-            tr = rec.trace
-            columns = (tr.t, tr.alpha, tr.n_present, tr.loss, tr.dist_sq, tr.grad_norm_sq)
-            for rows in _blocks(columns):
-                f.writelines(
-                    f"{rec.replicate},{t},{alpha!r},{n},{loss_t!r},{dist_sq!r},{grad_sq!r}\n"
-                    for t, alpha, n, loss_t, dist_sq, grad_sq in rows
-                )
+        f.write(header + "\n")
+        for columns in tables:
+            line = ",".join(["%s"] * len(columns)) + "\n"
+            for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+                block = [column[lo : lo + CSV_BLOCK_ROWS].tolist() for column in columns]
+                f.writelines(line % row for row in zip(*block))
 
 
 def summarize(records) -> np.ndarray:
@@ -522,17 +528,6 @@ def summarize(records) -> np.ndarray:
     return out
 
 
-def _write_summary(path: Path, records) -> None:
-    summary = summarize(records)
-    with open(path, "w", newline="") as f:
-        f.write(SUMMARY_HEADER + "\n")
-        for rows in _blocks(summary.T):
-            f.writelines(
-                f"{int(t)},{mean_loss!r},{se_loss!r},{mean_dist!r},{se_dist!r}\n"
-                for t, mean_loss, se_loss, mean_dist, se_dist in rows
-            )
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run all replicates and write ``trace.csv`` and ``summary.csv``.
 
@@ -546,9 +541,28 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     (records,) = _run_replicates(cfg, [(noise, policy)])
     trace_path = out_dir / "trace.csv"
     summary_path = out_dir / "summary.csv"
-    _write_trace(trace_path, records)
-    _write_summary(summary_path, records)
+    tables = []
+    for rec in records:
+        tr = rec.trace
+        replicate = np.full(tr.steps, rec.replicate)
+        tables.append((replicate, tr.t, tr.alpha, tr.n_present, tr.loss, tr.dist_sq, tr.grad_norm_sq))
+    _write_csv(trace_path, TRACE_HEADER, tables)
+    summary = summarize(records)
+    _write_csv(summary_path, SUMMARY_HEADER, [(np.arange(len(summary)), *summary.T[1:])])
     return RunResult(cfg, policy, records, trace_path, summary_path)
+
+
+def write_tradeoff_curves(cfg: TradeoffConfig) -> list[Path]:
+    """Write each curve of ``cfg`` to ``tradeoff_<name>.csv`` in its ``out_dir``;
+    returns the paths, in the curves' order."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, alpha in cfg.curves:
+        path = cfg.out_dir / f"tradeoff_{name}.csv"
+        points = tradeoff_curve(cfg.base, cfg.sigma_grid, alpha)
+        _write_csv(path, TRADEOFF_HEADER, [np.array([astuple(pt) for pt in points]).T])
+        paths.append(path)
+    return paths
 
 
 def compare_baselines(cfg: ExperimentConfig) -> ComparisonResult:
@@ -584,8 +598,5 @@ def compare_baselines(cfg: ExperimentConfig) -> ComparisonResult:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "comparison.csv"
-    with open(path, "w", newline="") as f:
-        f.write(COMPARISON_HEADER + "\n")
-        for level, method, seed, final_loss in rows:
-            f.write(f"{level!r},{method},{seed},{final_loss!r}\n")
+    _write_csv(path, COMPARISON_HEADER, [[np.array(column) for column in zip(*rows)]])
     return ComparisonResult(tuple(rows), win_rates, records, path)

@@ -8,8 +8,11 @@ Randomness goes through :class:`RngStream`, a counter-based scheme keyed by
 ``(master_seed, purpose_tag, indices)``: equal key triples reproduce the
 exact same draws on any machine, distinct tags or indices give independent
 sequences, and derivation is pure (no shared state), so parallel replicas
-stay byte-reproducible.  Every draw is one call on a fresh generator,
-``stream.child(tag).generator().<distribution>(..., size=...)``.
+stay byte-reproducible.  A draw is one call on a fresh generator,
+``stream.child(tag).generator().<distribution>(..., size=...)``, except
+that straggler masks (``training.train``) and features
+(``dataset.generate``) come in blocks, by successive calls on one
+generator, bit-equal to one call for the whole array.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from .errors import NumericError, ParameterError
 
 __all__ = [
+    "MAX_ENTRIES",
     "RngStream",
     "as_matrix",
     "check_entries",
@@ -32,10 +36,14 @@ __all__ = [
 _SYM_TOL = 1e-10
 
 
+# The most float64 entries whose byte count numpy can index.
+MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
+
 def check_entries(count: int, what: str) -> None:
-    """Refuse, naming ``what``, float64 arrays of ``count`` entries (a Python int)
-    whose byte count numpy cannot index, which it would refuse with a bare ValueError."""
-    if count > np.iinfo(np.intp).max // 8:
+    """Refuse, naming ``what``, float64 arrays of more than :data:`MAX_ENTRIES`
+    entries (``count``, a Python int), which numpy would refuse with a bare ValueError."""
+    if count > MAX_ENTRIES:
         raise ParameterError(f"{what}: {count} entries, more than an array can hold")
 
 

@@ -26,7 +26,6 @@ the iterate, so one step costs the same for any number of devices.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -284,19 +283,6 @@ MASK_CHUNK_ROWS = 64
 STACK_ROWS = 16  # steps whose stacked operators an estimated-weight run holds at a time
 
 
-@functools.cache
-def _triangle(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row and column indices of the upper triangle of a ``d x d`` matrix, and
-    the weight (1 on the diagonal, 2 off it) that turns the triangle of a
-    symmetric matrix into its Frobenius inner product with another.  Cached,
-    so the arrays are read-only."""
-    rows, cols = np.triu_indices(d)
-    arrays = rows, cols, np.where(rows == cols, 1.0, 2.0)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def _sq_norms(x: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of every matrix of a stack."""
     return np.einsum("...ij,...ij->...", x, x)
@@ -308,44 +294,43 @@ def _centred_statistics(ds: FederatedDataset, w_star: np.ndarray, out: np.ndarra
     With ``R_i = A_i W* - B_i``, device ``i``'s gradient at ``W = W* + D`` is
     ``A_i D + R_i``, and (``A_i`` symmetric)
 
-        ||A_i D + R_i||^2 = <A_i^2, D D'> + 2 <A_i R_i, D> + ||R_i||^2 .
+        ||A_i D + R_i||^2 = <[A_i^2 | 2 A_i R_i], [D D' | D]> + ||R_i||^2 .
 
-    Row ``i`` of the ``(n, F)`` array ``out`` is ``[R_i | upper triangle of
-    A_i^2 | A_i R_i | ||R_i||^2]``, each block row-major (only ``R_i`` if
-    ``F = d o``); the last three dotted with :func:`_norm_terms` of ``D``
-    give that squared norm.  With noise-free labels every ``R_i`` is near
-    zero, so the terms shrink together as ``D`` does instead of cancelling
-    near the optimum.
+    Row ``i`` of the ``(n, F)`` array ``out`` is ``[R_i | [A_i^2 | 2 A_i
+    R_i] | ||R_i||^2]``, each block row-major, the middle one a ``d x (d +
+    o)`` matrix (only ``R_i`` if ``F = d o``).  The last two blocks dotted
+    with :func:`_norm_terms` of ``D`` give that squared norm, and a mask's
+    sum of the middle block is the band of :func:`_masked_operators` whose
+    product with ``[D; I]`` those norms read.  With noise-free labels every
+    ``R_i`` is near zero, so the terms shrink together as ``D`` does instead
+    of cancelling near the optimum.
     """
     n, d, o = ds.n_devices, ds.d, ds.o
-    rows, cols, _ = _triangle(d)
-    n_tri = len(rows)
     for lo in range(0, n, DEVICE_CHUNK_ROWS):
         gram = ds.gram_x[lo : lo + DEVICE_CHUNK_ROWS]
         res = gram @ w_star - ds.gram_xy[lo : lo + DEVICE_CHUNK_ROWS]
         block = out[lo : lo + DEVICE_CHUNK_ROWS]
         block[:, : d * o] = res.reshape(len(gram), d * o)
         if out.shape[1] > d * o:
-            block[:, d * o : d * o + n_tri] = (gram @ gram)[:, rows, cols]
-            block[:, d * o + n_tri : -1] = (gram @ res).reshape(len(gram), d * o)
+            band = block[:, d * o : -1].reshape(len(gram), d, d + o)
+            band[..., :d] = gram @ gram
+            band[..., d:] = 2.0 * (gram @ res)
             block[:, -1] = _sq_norms(res)
     return out
 
 
 def _norm_terms(dev: np.ndarray) -> np.ndarray:
-    """``[weighted upper triangle of D D' | 2 D | 1]`` for every ``D`` of a ``(..., d, o)`` stack.
+    """``[D D' | D]`` row-major, then 1, for every ``D`` of a ``(..., d, o)`` stack.
 
-    The dot product of the last blocks of a row of :func:`_centred_statistics`
-    with these terms is that device's squared gradient norm at ``W* + D``.
+    The dot product of the last two blocks of a row of
+    :func:`_centred_statistics` with these terms is that device's squared
+    gradient norm at ``W* + D``.
     """
     *lead, d, o = dev.shape
-    rows, cols, weight = _triangle(d)
-    n_tri = len(rows)
-    terms = np.empty((*lead, n_tri + d * o + 1))
-    outer = (dev @ dev.swapaxes(-1, -2)).reshape(*lead, d * d)
-    np.take(outer, rows * d + cols, axis=-1, out=terms[..., :n_tri], mode="clip")
-    terms[..., :n_tri] *= weight
-    np.multiply(dev, 2.0, out=terms[..., n_tri:-1].reshape(*lead, d, o))
+    terms = np.empty((*lead, d * (d + o) + 1))
+    band = terms[..., :-1].reshape(*lead, d, d + o)
+    band[..., :d] = dev @ dev.swapaxes(-1, -2)
+    band[..., d:] = dev
     terms[..., -1] = 1.0
     return terms
 
@@ -381,31 +366,27 @@ def _masked_operators(
     ``(M_t D + sum_i b_i R_i) / (1 - p)``, on ``sum_i b_i A_i^2 D + 2 sum_i
     b_i A_i R_i``, whose inner product with ``D``, plus ``norm_at_opt =
     sum_i b_i ||R_i||^2``, is the present devices' summed squared gradient
-    norm; the ``R_i`` alone give only ``side``'s first ``d`` rows and ``None``.
-    Per replicate, a product each for ``A_i``, ``R_i`` and the rest.
+    norm.  That lower band is the masked sum of the statistics' middle
+    block, reshaped; the ``R_i`` alone give only ``side``'s first ``d`` rows
+    and ``None``.  Per replicate, a product each for ``A_i``, ``R_i`` and
+    the rest.
     """
     rows, n_rep, _ = presence.shape
-    tri_rows, tri_cols, _ = _triangle(d)
-    n_tri = len(tri_rows)
     sums = np.empty((rows, n_rep, 1, d * d + stats.shape[2]))  # [M_t | masked statistics]
     for r in range(n_rep):
         np.matmul(presence[:, r], grams[r], out=sums[:, r, 0, : d * d])
         # The R_i apart: BLAS may order a column's sum by the product's shape.
         for cols in (slice(0, d * o), slice(d * o, None)):
             np.matmul(presence[:, r], stats[r, :, cols], out=sums[:, r, 0, d * d :][:, cols])
-    res, sq, ar, rr = np.split(
-        sums[..., d * d :], [d * o, d * o + n_tri, d * o + n_tri + d * o], axis=-1
-    )
     lean = stats.shape[2] == d * o  # the R_i alone
     side = np.empty((rows, n_rep, 1, d if lean else 2 * d, d + o))
     side[..., :d, :d] = sums[..., : d * d].reshape(rows, n_rep, 1, d, d)
+    res, fold, rr = np.split(sums[..., d * d :], [d * o, d * o + d * (d + o)], axis=-1)
     side[..., :d, d:] = res.reshape(rows, n_rep, 1, d, o)
     side[..., :d, :] /= 1.0 - p
     if lean:
         return side, None
-    fold = side[..., d:, :d]
-    fold[..., tri_rows, tri_cols] = fold[..., tri_cols, tri_rows] = sq
-    side[..., d:, d:] = 2.0 * ar.reshape(rows, n_rep, 1, d, o)
+    side[..., d:, :] = fold.reshape(rows, n_rep, 1, d, d + o)
     return side, rr[..., 0].copy()
 
 
@@ -568,7 +549,7 @@ def train(
 
     # Per replicate, one row per device: the centred statistics (R_i alone if no
     # norm is read); a block of masks times them and the Grams gives every sum.
-    width = d * (d + 1) // 2 + 2 * d * o + 1 if any_estimated or device_max else d * o
+    width = d * d + 2 * d * o + 1 if any_estimated or device_max else d * o
     check_entries(n_rep * n * width, f"n_devices={n}, d={d}, o={o}: device statistics")
     stats = np.empty((n_rep, n, width))
     for r, (x, f) in enumerate(zip(datasets, facts)):

@@ -65,8 +65,10 @@ def coded_gradient(h_x_sum, h_y_sum, w):
 
 
 def blend(g_s, grads, mask, alpha, p):
-    """``alpha * G_s + (1 - alpha) / (1 - p) * sum_i mask_i G_i`` for an ``(n, d, o)`` stack."""
-    return alpha * g_s + ((1.0 - alpha) / (1.0 - p)) * grads[mask].sum(axis=0)
+    """``alpha * G_s + (1 - alpha) / (1 - p) * sum_i mask_i G_i`` for an ``(n, d, o)``
+    stack, per boolean mask of a ``(..., n)`` stack of masks, each with its ``G_s``."""
+    received = np.where(mask[..., None, None], grads, 0.0).sum(axis=-3)
+    return alpha * g_s + ((1.0 - alpha) / (1.0 - p)) * received
 
 
 def coded_sums(ds, noise, stream):

@@ -102,7 +102,8 @@ def joint_redraws():
 
     Per redraw, the real encoder sums every device's upload (one batched
     encoding); the coded gradient and its blend with the drawn mask's device
-    gradients, stacked once, are the naive formulas of ``reference``.
+    gradients, stacked once, are the naive formulas of ``reference``, applied
+    to the coded sums of a chunk of redraws at a time.
     """
     n, d, o, m, p = 5, 4, 2, 8, 0.3
     alpha = 0.5
@@ -115,17 +116,20 @@ def joint_redraws():
     g_true = grads[0].copy()
     for g in grads[1:]:
         g_true += g
-    k = 200_000
+    k, chunk = 200_000, 10_000
     masks = root.child("masks").generator().random((k, n)) >= p
     acc = np.zeros((d, o))
     acc_sq = np.zeros((d, o))
     norm_acc = 0.0
-    for r in range(k):
-        (coded,) = encode_levels(ds, [noise], root.child("enc", r))
-        g_all = blend(coded_gradient(coded.h_x_sum, coded.h_y_sum, w), grads, masks[r], alpha, p)
+    h_x, h_y = np.empty((chunk, d, d)), np.empty((chunk, d, o))
+    for lo in range(0, k, chunk):
+        for i in range(chunk):
+            (coded,) = encode_levels(ds, [noise], root.child("enc", lo + i))
+            h_x[i], h_y[i] = coded.h_x_sum, coded.h_y_sum
+        g_all = blend(coded_gradient(h_x, h_y, w), grads, masks[lo : lo + chunk], alpha, p)
         sq = g_all * g_all
-        acc += g_all
-        acc_sq += sq
+        acc += g_all.sum(axis=0)
+        acc_sq += sq.sum(axis=0)
         norm_acc += float(np.sum(sq))
     mean = acc / k
     se = np.sqrt((acc_sq / k - mean**2) / k)

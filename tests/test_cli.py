@@ -169,6 +169,7 @@ def test_tradeoff_missing_field(tmp_path, capsys):
 
 # An auto-oracle spec, as policy or as baseline, cannot be probed without steps.
 PROBE = "steps: auto oracle constants need steps >= 1 to probe"
+REPLICATES_PAST_SIZES = f"replicates={10**30}: the records of the run: "
 
 
 @pytest.mark.parametrize(
@@ -292,6 +293,8 @@ PROBE = "steps: auto oracle constants need steps >= 1 to probe"
             f"n_devices=3, d=3, o={2**62}: Gram stacks: ",
         ),
         ("run", write_run_config, {"steps": 10**30}, f"steps={10**30}: the trace record: "),
+        ("run", write_run_config, {"replicates": 10**30}, REPLICATES_PAST_SIZES),
+        ("compare", write_run_config, {"replicates": 10**30}, REPLICATES_PAST_SIZES),
     ],
     ids=[
         "run-steps",
@@ -329,6 +332,8 @@ PROBE = "steps: auto oracle constants need steps >= 1 to probe"
         "run-n_devices-past-numpy-sizes",
         "run-o-past-numpy-sizes",
         "run-steps-past-numpy-sizes",
+        "run-replicates-past-numpy-sizes",
+        "compare-replicates-past-numpy-sizes",
     ],
 )
 def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, override, field):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from acfl.coding import NoiseParams
-from acfl.dataset import _RANK_TOL, _deficient, generate, optimum
+from acfl.dataset import _RANK_TOL, _deficient, optimum
 from acfl.errors import ParameterError
 from acfl.numerics import RngStream
 from acfl.privacy import epsilon_of, sigma_for_epsilon
@@ -26,7 +26,7 @@ from acfl.training import (
     _norm_terms,
     alpha_oracle,
 )
-from reference import alpha_estimated
+from reference import alpha_estimated, dataset_from_samples, replay_samples
 
 MAX = sys.float_info.max
 EXTREME_P = st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0 - 2**-53, 0.999999])
@@ -146,14 +146,14 @@ def test_centred_statistics_match_direct_norms(seed, n, d, o, extra, case, expon
     # device's centred terms cancel to about zero.
     root = RngStream(seed)
     noise_sd = 0.05 if case == "label-noise" else 0.0
-    ds = generate(n, d + extra, d, o, root.child("dataset"), label_noise_sd=noise_sd)
+    ds = dataset_from_samples(*replay_samples(n, d + extra, d, o, root.child("dataset"), noise_sd))
     w_star = optimum(ds).w_star
     if case == "local-optimum":
         j = seed % n
         dev = np.linalg.solve(ds.gram_x[j], ds.gram_xy[j]) - w_star
     else:
         dev = 10.0**-exponent * root.child("dev").generator().standard_normal((d, o))
-    stats = _centred_statistics(ds, w_star, np.empty((n, d * (d + 1) // 2 + 2 * d * o + 1)))
+    stats = _centred_statistics(ds, w_star, np.empty((n, d * d + 2 * d * o + 1)))
     per_device = stats[:, d * o :] @ _norm_terms(dev)  # the blocks after R_i
     mask = np.array([(present >> i) & 1 for i in range(n)], dtype=np.float64)
     side, norm_at_opt = _masked_operators(
@@ -204,11 +204,12 @@ def test_stacked_operator_forms_match_direct_norms(seed, n, d, o, k, noisy, expo
     # the c eps >= 12 eps of atol_i covers.  On 3,000 seeded draws of these
     # cases the errors stayed below 0.09 atol and 0.17 atol_w.
     root = RngStream(seed)
-    ds = generate(n, d + 2, d, o, root.child("dataset"), label_noise_sd=0.05 if noisy else 0.0)
+    noise_sd = 0.05 if noisy else 0.0
+    ds = dataset_from_samples(*replay_samples(n, d + 2, d, o, root.child("dataset"), noise_sd))
     w_star = optimum(ds).w_star
     rng = root.child("dev").generator()
     devs = 10.0**-exponent * rng.standard_normal((k, d, o))
-    stats = _centred_statistics(ds, w_star, np.empty((n, d * (d + 1) // 2 + 2 * d * o + 1)))
+    stats = _centred_statistics(ds, w_star, np.empty((n, d * d + 2 * d * o + 1)))
     mask = np.array([(present >> i) & 1 for i in range(n)], dtype=np.float64)
     count = max(mask.sum(), 1.0)
     side, norm_at_opt = _masked_operators(

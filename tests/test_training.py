@@ -701,7 +701,7 @@ def test_residual_only_statistics_change_no_bit(n, d, o, p):
     reps = []
     for r in range(2):
         root = RngStream(80 + r)
-        ds = generate(n, d + 6, d, o, root.child("dataset"), label_noise_sd=0.05)
+        ds = dataset_from_samples(*replay_samples(n, d + 6, d, o, root.child("dataset"), 0.05))
         facts = optimum(ds)
         noise = NoiseParams(0.5, 0.5)
         (gc,) = encode_levels(ds, [noise], root.child("encode"))
