@@ -48,7 +48,7 @@ for sigma_sq in (0.1, 10.0):
     noise = NoiseParams(sigma_sq, sigma_sq)
     (coded,) = encode_levels(ds, [noise], root.child("encode"))
     for label, policy in (("adaptive", AdaptiveEstimated()), ("fixed 0.5", FixedWeight(0.5))):
-        arms.append(Arm(coded, policy, noise))
+        arms.append(Arm(coded, policy))
         labels.append((sigma_sq, label))
 # train takes a group of replicates, here one.  One loop advances all four
 # arms on the same straggler masks.

@@ -57,8 +57,11 @@ class GlobalCodedData:
 
     h_x_sum: np.ndarray
     h_y_sum: np.ndarray
+    noise: NoiseParams  # the entry variances each device's upload carried
 
     def __post_init__(self):
+        if not isinstance(self.noise, NoiseParams):
+            raise ParameterError(f"noise: expected NoiseParams, got {self.noise!r}")
         h_x = as_matrix(self.h_x_sum, "h_x_sum")
         h_y = as_matrix(self.h_y_sum, "h_y_sum")
         if h_x.shape[0] != h_x.shape[1]:
@@ -82,8 +85,8 @@ def encode_levels(
     with i.i.d. ``N(0, sigma1_sq)`` and ``N(0, sigma2_sq)`` noise (two roots
     keep any finite variance's scale finite).  The Gram sums are taken once,
     so zero noise gives them exactly, and the block is scaled per noise:
-    entry ``j`` is bit-equal to encoding with ``noises[j]`` alone.  One level
-    reads ``(coded,) = encode_levels(ds, [noise], stream)``.
+    entry ``j`` carries ``noises[j]`` and is bit-equal to encoding with it
+    alone.  One level reads ``(coded,) = encode_levels(ds, [noise], stream)``.
     """
     d, root_n = ds.d, math.sqrt(ds.n_devices)
     z = stream.generator().standard_normal((d, d + ds.o))
@@ -92,6 +95,7 @@ def encode_levels(
         GlobalCodedData(
             gram_x + root_n * math.sqrt(noise.sigma1_sq) * z[:, :d],
             gram_xy + root_n * math.sqrt(noise.sigma2_sq) * z[:, d:],
+            noise,
         )
         for noise in noises
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .analysis import BoundInputs, tradeoff_curve
 from .coding import GlobalCodedData, NoiseParams, encode_levels
 from .dataset import FederatedDataset, generate, loss, optimum
 from .errors import NumericError, ParameterError
-from .numerics import MAX_ENTRIES, RngStream, check_entries
+from .numerics import MAX_ENTRIES, RngStream
 from .privacy import sigma_for_epsilon
 from .training import (
     AdaptiveEstimated,
@@ -96,8 +97,7 @@ class ExperimentConfig:
     d: int
     o: int
     straggler_p: float
-    noise: NoiseParams | None
-    epsilon: float | None
+    noise: NoiseParams
     policy: AggregationPolicy | OracleAuto
     schedule: InverseDecay | None  # None: per-replicate 1/(lam t)
     steps: int
@@ -116,10 +116,8 @@ class ExperimentConfig:
             raise ParameterError(f"dataset.m: need m > d, got m={self.m}, d={self.d}")
         if not 0.0 <= self.straggler_p < 1.0:
             raise ParameterError(f"straggler_p: must lie in [0, 1), got {self.straggler_p}")
-        if (self.noise is None) == (self.epsilon is None):
-            raise ParameterError("noise: give exactly one of (sigma1_sq, sigma2_sq) or epsilon")
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ParameterError(f"noise.epsilon: must be positive, got {self.epsilon}")
+        if not isinstance(self.noise, NoiseParams):
+            raise ParameterError(f"noise: expected NoiseParams, got {self.noise!r}")
         if self.steps < 0:
             raise ParameterError(f"steps: must be nonnegative, got {self.steps}")
         if self.replicates < 1:
@@ -137,11 +135,6 @@ class ExperimentConfig:
                 raise ParameterError(f"noise_levels[{i}]: must be nonnegative, got {x}")
             if x in self.noise_levels[:i]:
                 raise ParameterError(f"noise_levels[{i}]: repeats the level {x}")
-
-    def resolved_noise(self) -> NoiseParams:
-        if self.noise is not None:
-            return self.noise
-        return sigma_for_epsilon(self.epsilon, self.d, self.o)
 
 
 _JSON_TYPES = {dict: (dict, "an object"), list: ((list, tuple), "a list"), str: (str, "a string")}
@@ -228,14 +221,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and validate a config from its nested-dict form.
 
     Error messages name the offending field path (for example ``dataset.m``).
+    An epsilon ``noise`` is calibrated here, at the dataset's ``d`` and ``o``.
     """
     with _Fields(raw) as top:
         with top.read("dataset", _Fields) as dataset:
             shape = {key: dataset.read(key, int) for key in ("n_devices", "m", "d", "o")}
         with top.read("noise", _Fields) as noise:
-            epsilon = noise.read("epsilon", float, None)
-            variances = None
-            if epsilon is None:
+            if "epsilon" in noise.left:
+                epsilon = noise.read("epsilon", float)
+                try:
+                    variances = sigma_for_epsilon(epsilon, shape["d"], shape["o"])
+                except ParameterError as e:
+                    raise ParameterError(f"noise.epsilon: {e}") from None
+            else:
                 variances = NoiseParams(
                     noise.read("sigma1_sq", float), noise.read("sigma2_sq", float)
                 )
@@ -248,7 +246,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             **shape,
             straggler_p=top.read("straggler_p", float),
             noise=variances,
-            epsilon=epsilon,
             policy=top.read("policy", _policy),
             schedule=decay,
             steps=top.read("steps", int),
@@ -294,25 +291,29 @@ class TradeoffConfig:
     out_dir: Path
 
 
+def _require(ok: bool, path: str, rule: str, value) -> None:
+    if not ok:
+        raise ParameterError(f"{path}: must {rule}, got {value!r}")
+
+
 def load_tradeoff_config(path) -> TradeoffConfig:
     """Read a ``tradeoff`` JSON config file (schema documented in the README)."""
     with _Fields(_read_json(path)) as top:
-        bound = dict(
-            p=top.read("p", float),
-            n_devices=top.read("n_devices", int),
-            beta_sq=top.read("beta_sq", float),
-            c_sq=top.read("c_sq", float),
-            d=top.read("d", int),
-            o=top.read("o", int),
-            lam=top.read("lambda", float),
-            steps=top.read("steps", int),
-        )
+        numbers = [("p", float), ("n_devices", int), ("beta_sq", float), ("c_sq", float),
+                   ("d", int), ("o", int), ("lambda", float), ("steps", int)]
+        bound = {key: top.read(key, kind) for key, kind in numbers}
+        for key, value in bound.items():
+            rule, ok = ("lie in [0, 1)", 0 <= value < 1) if key == "p" else ("be positive", value > 0)
+            _require(ok, key, rule, value)
+        bound["lam"] = bound.pop("lambda")
         grid = [
             coerce(x, float, f"sigma_grid[{i}]")
             for i, x in enumerate(top.read("sigma_grid", list, DEFAULT_SIGMA_GRID))
         ]
         if not grid:
             raise ParameterError("sigma_grid: need at least one value")
+        for i, x in enumerate(grid):
+            _require(x > 0, f"sigma_grid[{i}]", "be positive", x)
         base = BoundInputs(**bound, sigma1_sq=grid[0], sigma2_sq=grid[0])
         policies = top.read("policies", list, [{"kind": "adaptive"}])
         if not policies:
@@ -325,6 +326,7 @@ def load_tradeoff_config(path) -> TradeoffConfig:
                     curve = ("adaptive", None)
                 elif kind == "fixed":
                     alpha = fields.read("alpha", float)
+                    _require(0.0 <= alpha <= 1.0, f"policies[{i}].alpha", "lie in [0, 1]", alpha)
                     curve = (f"fixed_{alpha:g}", alpha)
                 else:
                     raise ParameterError(f"policies[{i}].kind: unknown kind {kind!r}")
@@ -409,7 +411,7 @@ def _run_group(
         coded.append(dict(zip(noises, encode_levels(ds, noises, root.child("encode", r)))))
     traces = train(
         datasets,
-        [[Arm(by_noise[noise], policy, noise) for noise, policy in arms] for by_noise in coded],
+        [[Arm(by_noise[noise], policy) for noise, policy in arms] for by_noise in coded],
         cfg.straggler_p,
         cfg.steps,
         [cfg.schedule or schedule_for_strong_convexity(f.lam) for f in facts],
@@ -441,13 +443,23 @@ def _run_replicates(cfg: ExperimentConfig, arms) -> tuple[tuple[ReplicateRecord,
     """Every replicate of every arm: one tuple of records per arm, by replicate.
 
     Before any group trains, refuses a run whose records (five trace columns
-    per step, ``w0`` and ``final_w``, per replicate and arm) no array could
-    hold, unless one replicate's alone could not: its group then refuses
-    them, naming the steps or the shape.
+    per step, ``w0`` and ``final_w``, per replicate and arm, all alive until
+    the CSVs are written) exceed physical memory, unless one replicate's
+    alone do: its group then refuses them, naming the steps or the shape, or
+    numpy cannot allocate them.  Where ``os.sysconf`` cannot tell the
+    memory, the bound is the most bytes an array can hold.
     """
-    kept = len(arms) * (5 * cfg.steps + 2 * cfg.d * cfg.o)  # entries, per replicate
-    if kept <= MAX_ENTRIES:
-        check_entries(cfg.replicates * kept, f"replicates={cfg.replicates}: the records of the run")
+    kept = len(arms) * (5 * cfg.steps + 2 * cfg.d * cfg.o) * 8  # bytes, per replicate
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        memory = -1
+    memory = memory if memory > 0 else MAX_ENTRIES * 8
+    if kept <= memory < cfg.replicates * kept:
+        raise ParameterError(
+            f"replicates={cfg.replicates}: the records of the run: {cfg.replicates * kept} "
+            f"bytes, more than fit in memory ({memory} bytes)"
+        )
     gram_bytes = cfg.n_devices * cfg.d * (cfg.d + cfg.o) * 8
     size = max(1, GROUP_GRAM_BYTES // gram_bytes)
     per_replicate = [
@@ -537,7 +549,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    [(noise, policy)] = resolve_policy(cfg, [cfg.resolved_noise()], [cfg.policy])
+    [(noise, policy)] = resolve_policy(cfg, [cfg.noise], [cfg.policy])
     (records,) = _run_replicates(cfg, [(noise, policy)])
     trace_path = out_dir / "trace.csv"
     summary_path = out_dir / "summary.csv"
@@ -554,15 +566,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
 def write_tradeoff_curves(cfg: TradeoffConfig) -> list[Path]:
     """Write each curve of ``cfg`` to ``tradeoff_<name>.csv`` in its ``out_dir``;
-    returns the paths, in the curves' order."""
+    returns the paths, in the curves' order.  Every curve is computed before
+    anything is written."""
+    curves = {
+        cfg.out_dir / f"tradeoff_{name}.csv": tradeoff_curve(cfg.base, cfg.sigma_grid, alpha)
+        for name, alpha in cfg.curves
+    }
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, alpha in cfg.curves:
-        path = cfg.out_dir / f"tradeoff_{name}.csv"
-        points = tradeoff_curve(cfg.base, cfg.sigma_grid, alpha)
+    for path, points in curves.items():
         _write_csv(path, TRADEOFF_HEADER, [np.array([astuple(pt) for pt in points]).T])
-        paths.append(path)
-    return paths
+    return list(curves)
 
 
 def compare_baselines(cfg: ExperimentConfig) -> ComparisonResult:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -218,20 +218,17 @@ def _estimated_weights(p: float, d: int, o: int, sigma1_sq, sigma2_sq):
 class Arm:
     """One of the runs :func:`train` advances together on one dataset.
 
-    An arm is the server's coded sums, the policy that weighs them against
-    the device gradients, and the encoding variances behind those sums;
-    the adaptive policies need ``noise`` to weigh the coded gradient's noise.
+    An arm is the server's coded sums and the policy that weighs them
+    against the device gradients; the adaptive policies weigh the coded
+    gradient's noise by the variances the sums carry (``coded.noise``).
     """
 
     coded: GlobalCodedData
     policy: AggregationPolicy
-    noise: NoiseParams | None = None
 
     def __post_init__(self):
         if not isinstance(self.policy, (FixedWeight, AdaptiveOracle, AdaptiveEstimated)):
             raise ParameterError(f"unsupported policy: {self.policy!r}")
-        if not isinstance(self.policy, FixedWeight) and self.noise is None:
-            raise ParameterError("adaptive policies need the encoding noise parameters")
 
 
 def _diverged(t: int, arms, record: np.ndarray) -> NumericError:
@@ -527,8 +524,8 @@ def train(
     coded_op = np.concatenate([h_x, h_x @ w_star - h_y], axis=-1)
 
     # Every arm's constant weight (an estimated arm's fallback) and, for the
-    # estimated arms, the encoding variances their weight formula reads (the
-    # other arms' unit placeholders are never read out).
+    # estimated arms, the encoding variances their coded sums carry, which the
+    # weight formula reads (the other arms' unit placeholders are never read out).
     base_alpha = np.empty((n_rep, k))
     estimated = np.zeros((n_rep, k), dtype=bool)
     sigma1_sq, sigma2_sq = np.ones((2, n_rep, k))
@@ -538,12 +535,12 @@ def train(
                 base_alpha[r, j] = arm.policy.alpha
             elif isinstance(arm.policy, AdaptiveOracle):
                 base_alpha[r, j] = alpha_oracle(
-                    straggler_p, n, arm.policy.beta_sq, arm.policy.c_sq, d, o, arm.noise
+                    straggler_p, n, arm.policy.beta_sq, arm.policy.c_sq, d, o, arm.coded.noise
                 )
             else:
                 base_alpha[r, j] = arm.policy.fallback_alpha
                 estimated[r, j] = True
-                sigma1_sq[r, j], sigma2_sq[r, j] = arm.noise.sigma1_sq, arm.noise.sigma2_sq
+                sigma1_sq[r, j], sigma2_sq[r, j] = astuple(arm.coded.noise)
     any_estimated = bool(estimated.any())
     estimated_weights = _estimated_weights(straggler_p, d, o, sigma1_sq, sigma2_sq)
 

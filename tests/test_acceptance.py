@@ -218,7 +218,7 @@ def test_c07_distance_bound_after_t_steps():
     def run(policy, s):
         (coded,) = encode_levels(ds, [noise], root.child("enc", s))
         ((trace,),) = train(
-            [ds], [[Arm(coded, policy, noise)]], p, 1000, [schedule], [root.child("train", s)],
+            [ds], [[Arm(coded, policy)]], p, 1000, [schedule], [root.child("train", s)],
             [facts], device_max=True,
         )
         return trace
@@ -281,7 +281,7 @@ def test_c09_training_comparison_reference_setup(tmp_path):
     for p in (0.2, 0.4):
         cfg = ExperimentConfig(
             n_devices=100, m=100, d=10, o=10, straggler_p=p,
-            noise=NoiseParams(low, low), epsilon=None,
+            noise=NoiseParams(low, low),
             policy=AdaptiveEstimated(), schedule=InverseDecay(1e-4),
             steps=2000, master_seed=109, replicates=20,
             out_dir=str(tmp_path / f"p{p}"),
@@ -325,7 +325,7 @@ def test_c11_byte_identical_artifacts(tmp_path):
     def digest(name):
         cfg = ExperimentConfig(
             n_devices=4, m=10, d=3, o=2, straggler_p=0.3,
-            noise=NoiseParams(0.5, 0.5), epsilon=None,
+            noise=NoiseParams(0.5, 0.5),
             policy=AdaptiveEstimated(), schedule=InverseDecay(1e-3),
             steps=40, master_seed=111, replicates=4,
             out_dir=str(tmp_path / name),

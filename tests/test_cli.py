@@ -170,6 +170,8 @@ def test_tradeoff_missing_field(tmp_path, capsys):
 # An auto-oracle spec, as policy or as baseline, cannot be probed without steps.
 PROBE = "steps: auto oracle constants need steps >= 1 to probe"
 REPLICATES_PAST_SIZES = f"replicates={10**30}: the records of the run: "
+REPLICATES_PAST_MEMORY = f"replicates={10**12}: the records of the run: "
+EPSILON_TOO_SMALL = "noise.epsilon: target epsilon 1e-320 is too small: "
 
 
 @pytest.mark.parametrize(
@@ -295,6 +297,40 @@ REPLICATES_PAST_SIZES = f"replicates={10**30}: the records of the run: "
         ("run", write_run_config, {"steps": 10**30}, f"steps={10**30}: the trace record: "),
         ("run", write_run_config, {"replicates": 10**30}, REPLICATES_PAST_SIZES),
         ("compare", write_run_config, {"replicates": 10**30}, REPLICATES_PAST_SIZES),
+        # Records that numpy could index but no memory holds.
+        ("run", write_run_config, {"replicates": 10**12}, REPLICATES_PAST_MEMORY),
+        ("compare", write_run_config, {"replicates": 10**12}, REPLICATES_PAST_MEMORY),
+        # An epsilon is calibrated as the file is read, for both commands.
+        ("run", write_run_config, {"noise": {"epsilon": 1e-320}}, EPSILON_TOO_SMALL),
+        ("compare", write_run_config, {"noise": {"epsilon": 1e-320}}, EPSILON_TOO_SMALL),
+        (
+            "run",
+            write_run_config,
+            {"noise": {"epsilon": -1}},
+            "noise.epsilon: target epsilon must be positive, got -1.0",
+        ),
+        (
+            "run",
+            write_run_config,
+            {"dataset": {"n_devices": 3, "m": 8, "d": 0, "o": 2}, "noise": {"epsilon": 2.0}},
+            "noise.epsilon: dimensions must be positive integers, got d=0, o=2",
+        ),
+        # A trade-off value that would stop a curve is refused as it is read.
+        (
+            "tradeoff",
+            write_tradeoff_config,
+            {"policies": [{"kind": "adaptive"}, {"kind": "fixed", "alpha": 1.5}]},
+            "policies[1].alpha: must lie in [0, 1], got 1.5",
+        ),
+        ("tradeoff", write_tradeoff_config, {"n_devices": 0}, "n_devices: must be positive, got 0"),
+        ("tradeoff", write_tradeoff_config, {"p": 1.0}, "p: must lie in [0, 1), got 1.0"),
+        ("tradeoff", write_tradeoff_config, {"lambda": 0}, "lambda: must be positive, got 0.0"),
+        (
+            "tradeoff",
+            write_tradeoff_config,
+            {"sigma_grid": [1.0, -1.0]},
+            "sigma_grid[1]: must be positive, got -1.0",
+        ),
     ],
     ids=[
         "run-steps",
@@ -334,6 +370,17 @@ REPLICATES_PAST_SIZES = f"replicates={10**30}: the records of the run: "
         "run-steps-past-numpy-sizes",
         "run-replicates-past-numpy-sizes",
         "compare-replicates-past-numpy-sizes",
+        "run-replicates-past-memory",
+        "compare-replicates-past-memory",
+        "run-epsilon-too-small",
+        "compare-epsilon-too-small",
+        "run-negative-epsilon",
+        "run-epsilon-zero-d",
+        "tradeoff-alpha-above-one",
+        "tradeoff-zero-n_devices",
+        "tradeoff-p-one",
+        "tradeoff-zero-lambda",
+        "tradeoff-negative-grid-variance",
     ],
 )
 def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, override, field):
@@ -341,6 +388,7 @@ def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, o
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"acfl: error: {field}" in proc.stderr
+    assert not list(tmp_path.rglob("*.csv"))  # no artifact, not even a first curve
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "tradeoff"])

@@ -113,3 +113,4 @@ def test_encode_levels_equals_one_encode_per_level():
         (alone,) = encode_levels(ds, [noise], stream)
         assert np.array_equal(coded.h_x_sum, alone.h_x_sum)
         assert np.array_equal(coded.h_y_sum, alone.h_y_sum)
+        assert coded.noise == alone.noise == noise

@@ -23,6 +23,7 @@ from acfl.harness import (
     run_experiment,
 )
 from acfl.numerics import RngStream
+from acfl.privacy import sigma_for_epsilon
 from acfl.training import (
     AdaptiveEstimated,
     AdaptiveOracle,
@@ -47,7 +48,6 @@ def small_config(out_dir, **overrides) -> ExperimentConfig:
         o=2,
         straggler_p=0.3,
         noise=NoiseParams(0.5, 0.5),
-        epsilon=None,
         policy=AdaptiveEstimated(),
         schedule=InverseDecay(1e-3),
         steps=5,
@@ -102,8 +102,7 @@ def epsilon_config(tmp_path) -> tuple[dict, ExperimentConfig]:
     raw["noise_levels"] = [0.25, 4.0]
     cfg = small_config(
         tmp_path,
-        noise=None,
-        epsilon=2.5,
+        noise=sigma_for_epsilon(2.5, 3, 2),
         schedule=None,
         baseline=FixedWeight(0.25),
         noise_levels=(0.25, 4.0),
@@ -254,11 +253,6 @@ def test_config_accepts_integral_floats_for_int_fields(tmp_path):
     assert cfg.n_devices == 3 and type(cfg.n_devices) is int
 
 
-def test_config_rejects_noise_and_epsilon_together(tmp_path):
-    with pytest.raises(ParameterError, match="noise"):
-        small_config(tmp_path, epsilon=1.0)
-
-
 def test_config_noise_levels_errors_name_the_entry(tmp_path):
     with pytest.raises(ParameterError, match=r"noise_levels\[1\]: expected float, got 'a'"):
         small_config(tmp_path, noise_levels=(0.5, "a"))
@@ -285,8 +279,10 @@ def test_config_invalid_json(tmp_path):
 
 
 def test_config_resolves_noise_from_epsilon(tmp_path):
-    cfg = small_config(tmp_path, noise=None, epsilon=2.0)
-    noise = cfg.resolved_noise()
+    raw = raw_config_dict(tmp_path)
+    raw["noise"] = {"epsilon": 2.0}
+    noise = config_from_dict(raw).noise
+    assert noise == sigma_for_epsilon(2.0, 3, 2)
     assert noise.sigma1_sq == noise.sigma2_sq > 0
 
 
@@ -351,15 +347,15 @@ def test_summary_recomputable_from_trace(tmp_path):
 
 def test_resolve_policy_probes_oracle_constants(tmp_path):
     cfg = small_config(tmp_path / "auto", policy=OracleAuto(margin=2.0), steps=20)
-    ((noise, policy),) = resolve_policy(cfg, [cfg.resolved_noise()], [cfg.policy])
-    assert noise == cfg.resolved_noise()
+    ((noise, policy),) = resolve_policy(cfg, [cfg.noise], [cfg.policy])
+    assert noise == cfg.noise
     assert isinstance(policy, AdaptiveOracle)
     assert policy.beta_sq > 0 and policy.c_sq > 0
     result = run_experiment(cfg)
     # The run's records do not hold the per-device maximum: retrain the same
     # replicates asking for it, which changes no other value.
     audited = harness._run_group(
-        cfg, [(cfg.resolved_noise(), result.policy)], range(cfg.replicates), device_max=True
+        cfg, [(cfg.noise, result.policy)], range(cfg.replicates), device_max=True
     )
     for rec, (again,) in zip(result.records, audited, strict=True):
         assert rec.trace.max_device_grad_sq is None
@@ -400,7 +396,7 @@ def test_compare_rows_and_pairing(tmp_path):
         (gc,) = encode_levels(ds, [noise], root.child("encode", r))
         policy = cfg.policy if method == "acfl" else cfg.baseline
         ((tr,),) = train(
-            [ds], [[Arm(gc, policy, noise)]], cfg.straggler_p, cfg.steps, [cfg.schedule],
+            [ds], [[Arm(gc, policy)]], cfg.straggler_p, cfg.steps, [cfg.schedule],
             [root.child("train", r)], [optimum(ds)],
         )
         xs, ys, _ = replay_samples(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))

@@ -228,10 +228,9 @@ def test_schedule_values_and_validation():
 def test_train_zero_steps(random_instance):
     ds = random_instance(12, n=3, m=9, d=3, o=2)
     facts = optimum(ds)
-    noise = NoiseParams(0.5, 0.5)
     gc = _coded(ds, 0.5, RngStream(12))
     arms = [
-        Arm(gc, FixedWeight(0.5)), Arm(gc, AdaptiveEstimated(), noise), Arm(gc, FixedWeight(0.1)),
+        Arm(gc, FixedWeight(0.5)), Arm(gc, AdaptiveEstimated()), Arm(gc, FixedWeight(0.1)),
     ]
     (traces,) = train(
         [ds], [arms], 0.2, 0, [InverseDecay(1e-3)], [RngStream(12).child("t")], [facts]
@@ -337,14 +336,14 @@ def test_train_matches_plain_gradient_descent(names, levels, steps, p):
     arms = []
     for level in levels:
         gc = _coded(ds, level, RngStream(13))
-        arms += [Arm(gc, POLICIES[name], NoiseParams(level, level)) for name in names]
+        arms += [Arm(gc, POLICIES[name]) for name in names]
     c = 1e-3
     stream = RngStream(13).child("t")
     (traces,) = train([ds], [arms], p, steps, [InverseDecay(c)], [stream], [facts], device_max=True)
     assert len(traces) == len(arms)
     for arm, tr in zip(arms, traces):
         rows, w = _naive_train(
-            xs, ys, arm.coded, arm.policy, p, steps, c, stream, facts, arm.noise, tr.w0
+            xs, ys, arm.coded, arm.policy, p, steps, c, stream, facts, arm.coded.noise, tr.w0
         )
         for j, name in enumerate(TRACE_COLUMNS):
             assert np.allclose(getattr(tr, name), rows[:, j], rtol=1e-10, atol=0.0), name
@@ -366,7 +365,7 @@ def test_train_loss_is_accurate_near_the_optimum(seed):
 
     def run(steps):
         ((tr,),) = train(
-            [ds], [[Arm(gc, AdaptiveEstimated(), noise)]], 0.4, steps,
+            [ds], [[Arm(gc, AdaptiveEstimated())]], 0.4, steps,
             [schedule_for_strong_convexity(facts.lam)], [root.child("train", 0)], [facts],
         )
         return tr
@@ -384,13 +383,12 @@ def test_train_estimated_weight_falls_back_then_reuses_last_estimate():
     xs, ys = random_samples(19, n=2, m=8, d=3, o=2)
     ds = dataset_from_samples(xs, ys)
     facts = optimum(ds)
-    noise = NoiseParams(1.0, 1.0)
     gc = _coded(ds, 1.0, RngStream(19))
     p, steps, stream = 0.9, 40, RngStream(19).child("t")
 
     def run(steps):
         ((tr,),) = train(
-            [ds], [[Arm(gc, AdaptiveEstimated(0.25), noise)]], p, steps, [InverseDecay(1e-3)],
+            [ds], [[Arm(gc, AdaptiveEstimated(0.25))]], p, steps, [InverseDecay(1e-3)],
             [stream], [facts],
         )
         return tr
@@ -410,7 +408,7 @@ def test_train_estimated_weight_falls_back_then_reuses_last_estimate():
         w_prev = run(t - 1).final_w
         grads = [device_gradient(x, y, w_prev) for x, y, m in zip(xs, ys, masks[t - 1]) if m]
         beta_sq = float(np.mean([np.sum(g * g) for g in grads]))
-        expect = alpha_estimated(p, 3, 2, noise, beta_sq, tr.w_norm_sq[t])
+        expect = alpha_estimated(p, 3, 2, gc.noise, beta_sq, tr.w_norm_sq[t])
         assert tr.alpha[t] == pytest.approx(expect, rel=1e-12)
         assert tr.alpha[t] != tr.alpha[t - 1]
 
@@ -429,10 +427,10 @@ def test_train_divergence_names_the_iteration(policy, with_still_arm):
     ds = generate(100, 100, 10, 10, root.child("data"))
     noise = NoiseParams(0.1, 0.1)
     (gc,) = encode_levels(ds, [noise], root.child("enc"))
-    arms = [Arm(gc, policy, noise)]
+    arms = [Arm(gc, policy)]
     if with_still_arm:
         # The pure coded gradient of all-zero coded sums: this arm never moves.
-        zeros = GlobalCodedData(np.zeros((10, 10)), np.zeros((10, 10)))
+        zeros = GlobalCodedData(np.zeros((10, 10)), np.zeros((10, 10)), noise)
         arms.insert(0, Arm(zeros, FixedWeight(1.0)))
     arm = len(arms) - 1
     with pytest.raises(
@@ -453,10 +451,10 @@ def _replicate(seed, n=4, m=9, d=3, o=2, levels=(0.5, 4.0)):
     for level in levels:
         noise = NoiseParams(level, level)
         (gc,) = encode_levels(ds, [noise], root.child("encode"))
-        arms.append(Arm(gc, AdaptiveEstimated(0.3), noise))
+        arms.append(Arm(gc, AdaptiveEstimated(0.3)))
     arms[1:1] = [
         Arm(arms[0].coded, FixedWeight(0.4)),
-        Arm(arms[0].coded, AdaptiveOracle(3.0, 2.0), arms[0].noise),
+        Arm(arms[0].coded, AdaptiveOracle(3.0, 2.0)),
     ]
     return ds, facts, schedule_for_strong_convexity(facts.lam), root.child("train"), arms
 
@@ -514,7 +512,7 @@ def test_batched_train_divergence_names_the_replicate():
         noise = NoiseParams(0.1, 0.1)
         (gc,) = encode_levels(ds, [noise], root.child("enc", r))
         datasets.append(ds)
-        arm_lists.append([Arm(gc, FixedWeight(0.5)), Arm(gc, AdaptiveEstimated(), noise)])
+        arm_lists.append([Arm(gc, FixedWeight(0.5)), Arm(gc, AdaptiveEstimated())])
         facts.append(optimum(ds))
     streams = [root.child("train", r) for r in range(2)]
     with pytest.raises(NumericError) as alone:
@@ -548,7 +546,7 @@ def test_divergence_inside_a_mask_block_names_the_first_bad_row():
         ds = generate(6, 12, 3, 2, root.child("data", r))
         (gc,) = encode_levels(ds, [noise], root.child("enc", r))
         datasets.append(ds)
-        arm_lists.append([Arm(gc, FixedWeight(0.5)), Arm(gc, AdaptiveEstimated(), noise)])
+        arm_lists.append([Arm(gc, FixedWeight(0.5)), Arm(gc, AdaptiveEstimated())])
         facts.append(optimum(ds))
     streams = [root.child("train", r) for r in range(2)]
     p, c, steps = 0.2, 40.0, 300
@@ -593,7 +591,7 @@ def test_train_reference_setup_loss_drops():
     noise = NoiseParams(0.01, 0.01)
     (gc,) = encode_levels(ds, [noise], root.child("enc"))
     ((tr,),) = train(
-        [ds], [[Arm(gc, AdaptiveEstimated(), noise)]], 0.2, 2000, [InverseDecay(1e-4)],
+        [ds], [[Arm(gc, AdaptiveEstimated())]], 0.2, 2000, [InverseDecay(1e-4)],
         [root.child("train")], [facts],
     )
     assert tr.loss[-1] < tr.loss[0] / 10.0
@@ -604,11 +602,10 @@ def test_train_trace_is_deterministic(random_instance):
     ds = random_instance(15, n=4, m=9, d=3, o=2)
     facts = optimum(ds)
     gc = _coded(ds, 1.0, RngStream(15))
-    noise = NoiseParams(1.0, 1.0)
 
     def run():
         ((tr,),) = train(
-            [ds], [[Arm(gc, AdaptiveEstimated(), noise)]], 0.3, 60, [InverseDecay(1e-3)],
+            [ds], [[Arm(gc, AdaptiveEstimated())]], 0.3, 60, [InverseDecay(1e-3)],
             [RngStream(15).child("t")], [facts],
         )
         return tr
@@ -624,14 +621,13 @@ def test_train_alpha_in_unit_interval_for_all_policies(random_instance):
     ds = random_instance(16, n=4, m=9, d=3, o=2)
     facts = optimum(ds)
     gc = _coded(ds, 2.0, RngStream(16))
-    noise = NoiseParams(2.0, 2.0)
     policies = [
         FixedWeight(0.5),
         AdaptiveOracle(5.0, 5.0),
         AdaptiveEstimated(0.7),
     ]
     (traces,) = train(
-        [ds], [[Arm(gc, policy, noise) for policy in policies]], 0.4, 40, [InverseDecay(1e-3)],
+        [ds], [[Arm(gc, policy) for policy in policies]], 0.4, 40, [InverseDecay(1e-3)],
         [RngStream(16).child("t")], [facts],
     )
     for tr in traces:
@@ -642,14 +638,14 @@ def test_train_requires_noise_for_adaptive(random_instance):
     ds = random_instance(17, n=2, m=8, d=3, o=2)
     facts = optimum(ds)
     gc = _coded(ds, 1.0, RngStream(17))
-    with pytest.raises(ParameterError):
-        Arm(gc, AdaptiveEstimated())
+    with pytest.raises(ParameterError, match="noise"):
+        GlobalCodedData(gc.h_x_sum, gc.h_y_sum, None)
     with pytest.raises(ParameterError, match="policy"):
         Arm(gc, "adaptive")
     with pytest.raises(ParameterError, match="arm"):
         train([ds], [[]], 0.2, 5, [InverseDecay(1e-3)], [RngStream(17).child("t")], [facts])
     with pytest.raises(ParameterError, match="arm 1"):
-        wrong = GlobalCodedData(np.zeros((2, 2)), np.zeros((2, 2)))
+        wrong = GlobalCodedData(np.zeros((2, 2)), np.zeros((2, 2)), gc.noise)
         train(
             [ds], [[Arm(gc, FixedWeight(0.5)), Arm(wrong, FixedWeight(0.5))]], 0.2, 5,
             [InverseDecay(1e-3)], [RngStream(17).child("t")], [facts],
@@ -660,14 +656,31 @@ def test_train_oracle_policy_uses_constant_alpha(random_instance):
     ds = random_instance(18, n=3, m=9, d=3, o=2)
     facts = optimum(ds)
     noise = NoiseParams(1.5, 0.5)
-    gc = _coded(ds, 1.5, RngStream(18))
+    (gc,) = encode_levels(ds, [noise], RngStream(18).child("enc"))
     policy = AdaptiveOracle(2.0, 3.0)
     ((tr,),) = train(
-        [ds], [[Arm(gc, policy, noise)]], 0.25, 30, [InverseDecay(1e-3)],
+        [ds], [[Arm(gc, policy)]], 0.25, 30, [InverseDecay(1e-3)],
         [RngStream(18).child("t")], [facts],
     )
     expect = alpha_oracle(0.25, 3, 2.0, 3.0, 3, 2, noise)
     assert np.all(tr.alpha == expect)
+
+
+def test_oracle_weight_reads_each_arms_coded_noise(random_instance):
+    # One oracle policy on one dataset's sums at two noises: each arm's
+    # weight is the oracle's at the noise its own sums were encoded with.
+    ds = random_instance(18, n=3, m=9, d=3, o=2)
+    noises = [NoiseParams(0.2, 0.2), NoiseParams(5.0, 1.0)]
+    coded = encode_levels(ds, noises, RngStream(18).child("enc"))
+    policy = AdaptiveOracle(2.0, 3.0)
+    (traces,) = train(
+        [ds], [[Arm(gc, policy) for gc in coded]], 0.25, 30, [InverseDecay(1e-3)],
+        [RngStream(18).child("t")], [optimum(ds)],
+    )
+    alphas = [alpha_oracle(0.25, 3, 2.0, 3.0, 3, 2, noise) for noise in noises]
+    assert alphas[0] != alphas[1]
+    for tr, expect in zip(traces, alphas, strict=True):
+        assert np.all(tr.alpha == expect)
 
 
 def test_requesting_the_device_maximum_changes_nothing_else():
@@ -705,7 +718,7 @@ def test_residual_only_statistics_change_no_bit(n, d, o, p):
         facts = optimum(ds)
         noise = NoiseParams(0.5, 0.5)
         (gc,) = encode_levels(ds, [noise], root.child("encode"))
-        arms = [Arm(gc, FixedWeight(0.4)), Arm(gc, AdaptiveOracle(3.0, 2.0), noise)]
+        arms = [Arm(gc, FixedWeight(0.4)), Arm(gc, AdaptiveOracle(3.0, 2.0))]
         schedule = schedule_for_strong_convexity(facts.lam)
         reps.append((ds, arms, schedule, root.child("train"), facts))
     datasets, arms, schedules, streams, facts = map(list, zip(*reps))
@@ -731,12 +744,11 @@ def test_reports_resolved_per_mask_block_match_the_per_step_loop():
     facts = [optimum(ds) for ds in datasets]
     streams = [RngStream(70 + r).child("t") for r in range(2)]
     arm_lists = []
-    noise = NoiseParams(0.5, 0.5)
     for r, ds in enumerate(datasets):
         gc = _coded(ds, 0.5, RngStream(70 + r))
         arm_lists.append([
-            Arm(gc, AdaptiveEstimated(0.2), noise), Arm(gc, FixedWeight(0.3)),
-            Arm(gc, AdaptiveOracle(4.0, 1.0), noise), Arm(gc, AdaptiveEstimated(0.9), noise),
+            Arm(gc, AdaptiveEstimated(0.2)), Arm(gc, FixedWeight(0.3)),
+            Arm(gc, AdaptiveOracle(4.0, 1.0)), Arm(gc, AdaptiveEstimated(0.9)),
         ])
     traces = train(
         datasets, arm_lists, p, steps, [InverseDecay(c)] * 2, streams, facts, device_max=True
@@ -754,7 +766,7 @@ def test_reports_resolved_per_mask_block_match_the_per_step_loop():
     ):
         for arm, tr in zip(arms, replicate):
             rows, w = _naive_train(
-                xs, ys, arm.coded, arm.policy, p, steps, c, stream, ds_facts, arm.noise, tr.w0
+                xs, ys, arm.coded, arm.policy, p, steps, c, stream, ds_facts, arm.coded.noise, tr.w0
             )
             for j, name in enumerate(TRACE_COLUMNS):
                 assert np.allclose(getattr(tr, name), rows[:, j], rtol=1e-10, atol=0.0), name
