@@ -40,7 +40,7 @@ from .harness import (
     load_config,
     run_experiment,
 )
-from .numerics import RngStream, eig_min_sym, spd_solve
+from .numerics import RngStream, eig_min_sym
 from .privacy import epsilon_of, sigma_for_epsilon
 from .training import (
     AdaptiveEstimated,
@@ -95,7 +95,6 @@ __all__ = [
     "sample_stragglers",
     "schedule_for_strong_convexity",
     "sigma_for_epsilon",
-    "spd_solve",
     "tradeoff_curve",
     "train",
     "u_of",

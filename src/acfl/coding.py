@@ -44,11 +44,9 @@ class NoiseParams:
     sigma2_sq: float
 
     def __post_init__(self):
-        if not (0.0 <= self.sigma1_sq < math.inf and 0.0 <= self.sigma2_sq < math.inf):
-            raise ParameterError(
-                f"noise variances must be finite and nonnegative, got "
-                f"({self.sigma1_sq}, {self.sigma2_sq})"
-            )
+        for name, value in (("sigma1_sq", self.sigma1_sq), ("sigma2_sq", self.sigma2_sq)):
+            if not 0.0 <= value < math.inf:
+                raise ParameterError(f"{name}: must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import RngStream, as_matrix, check_entries, eig_min_sym, spd_solve
+from .numerics import RngStream, as_matrix, check_entries, eig_min_sym
 
 __all__ = [
     "FederatedDataset",
@@ -194,14 +194,15 @@ def loss(w, ds: FederatedDataset, facts: ProblemFacts) -> float:
 def optimum(ds: FederatedDataset) -> ProblemFacts:
     """Closed-form least-squares optimum of the instance.
 
-    ``w_star`` solves ``(sum_i X_i^T X_i) W = sum_i X_i^T Y_i``; ``lam`` is
-    the smallest eigenvalue of the Gram sum.  The residual at the optimum is
-    ``X_i D - E_i`` with ``D = W* - W_true``, so the loss there is ``<D,
-    (sum_i X_i^T X_i) D> / 2 - <D, sum_i X_i^T E_i> + sum_i ||E_i||^2 / 2``,
-    which for noiseless labels is its first term and does not cancel.
+    ``w_star`` solves ``(sum_i X_i^T X_i) W = sum_i X_i^T Y_i``, whose Gram
+    sum is positive definite (every ``X_i^T X_i`` is rank-checked); ``lam`` is
+    its smallest eigenvalue.  The residual at the optimum is ``X_i D - E_i``
+    with ``D = W* - W_true``, so the loss there is ``<D, (sum_i X_i^T X_i) D>
+    / 2 - <D, sum_i X_i^T E_i> + sum_i ||E_i||^2 / 2``, which for noiseless
+    labels is its first term and does not cancel.
     """
     gram = ds.gram_x.sum(axis=0)
-    w_star = spd_solve(gram, ds.gram_xy.sum(axis=0))
+    w_star = np.linalg.solve(gram, ds.gram_xy.sum(axis=0))
     dev = w_star - ds.w_true
     loss_at_optimum = (
         0.5 * float(np.sum(dev * (gram @ dev)))

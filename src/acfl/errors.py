@@ -6,9 +6,4 @@ class ParameterError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A numerical routine failed (non-SPD matrix, singular system, ...)."""
-
-    def __init__(self, message: str, *, pivot_index: int | None = None):
-        super().__init__(message)
-        # For Cholesky breakdowns: 1-based order of the offending leading minor.
-        self.pivot_index = pivot_index
+    """A numerical run failed (a diverged iterate, a probe that saw only zero norms)."""

@@ -85,7 +85,7 @@ class OracleAuto:
 
     def __post_init__(self):
         if not self.margin >= 1.0:
-            raise ParameterError(f"margin must be at least 1, got {self.margin}")
+            raise ParameterError(f"margin: must be at least 1, got {self.margin}")
 
 
 @dataclass(frozen=True)
@@ -176,19 +176,26 @@ class _Fields:
     :meth:`read` takes each field at most once: a present one goes through
     :func:`coerce`, or ``kind(value, path)`` for a parser, or is taken as it
     is for ``kind`` None; an absent one takes ``default``, and without one is
-    ``<path>: missing``.  Leaving the ``with`` block refuses a field left unread.
+    ``<path>: missing``.  Leaving the ``with`` block refuses a field left unread,
+    and prefixes ``path`` onto a :class:`ParameterError` raised inside it that
+    names one of the object's keys first, as the library types' range checks
+    (``alpha: must lie in [0, 1], ...``) do.
     """
 
     def __init__(self, raw, path: str = ""):
         self.left = dict(coerce(raw, dict, path or "config"))
+        self.keys = tuple(self.left)
         self.prefix = f"{path}." if path else ""
 
     def __enter__(self):
         return self
 
-    def __exit__(self, error, *_):
+    def __exit__(self, kind, error, _):
         if error is None and self.left:
             raise ParameterError(f"{self.prefix}{next(iter(self.left))}: unknown field")
+        if self.prefix and isinstance(error, ParameterError):
+            if str(error).partition(":")[0] in self.keys:
+                raise ParameterError(self.prefix + str(error)) from None
 
     def read(self, key: str, kind=None, default=_REQUIRED):
         path = self.prefix + key
@@ -545,12 +552,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     The policy is resolved at the config's noise by :func:`resolve_policy`.
     Identical configs produce byte-identical files; replicates advance
-    together in groups (see the module docstring).
+    together in groups (see the module docstring).  ``out_dir`` is created
+    after training, so a refused config leaves none.
     """
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     [(noise, policy)] = resolve_policy(cfg, [cfg.noise], [cfg.policy])
     (records,) = _run_replicates(cfg, [(noise, policy)])
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.csv"
     summary_path = out_dir / "summary.csv"
     tables = []

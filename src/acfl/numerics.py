@@ -1,9 +1,7 @@
 """Deterministic dense linear algebra and the random-stream keys of all other modules.
 
 Values are plain float64 numpy arrays, and numpy is the only third-party
-import: the Cholesky solve factors with ``np.linalg.cholesky`` and
-substitutes row by row itself, since importing ``scipy.linalg`` for its
-triangular solver took longer than the reference experiment runs.
+import.
 Randomness goes through :class:`RngStream`, a counter-based scheme keyed by
 ``(master_seed, purpose_tag, indices)``: equal key triples reproduce the
 exact same draws on any machine, distinct tags or indices give independent
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "MAX_ENTRIES",
@@ -30,7 +28,6 @@ __all__ = [
     "as_matrix",
     "check_entries",
     "eig_min_sym",
-    "spd_solve",
 ]
 
 _SYM_TOL = 1e-10
@@ -101,51 +98,6 @@ def _require_symmetric(a: np.ndarray, name: str) -> None:
         raise ParameterError(
             f"{name} is not symmetric: max off-diagonal mismatch {mismatch:.3e} > {_SYM_TOL:.0e}"
         )
-
-
-def spd_solve(a, b) -> np.ndarray:
-    """Solve ``A Z = B`` for symmetric positive-definite ``A`` via Cholesky.
-
-    ``A = L L^T`` is factored by ``np.linalg.cholesky``; ``Z`` then follows by
-    forward substitution with ``L`` and back substitution with ``L^T``, one
-    row of ``Z`` per step, all columns of ``B`` at once.  Raises
-    :class:`NumericError` carrying the 1-based failing pivot index when the
-    factorization breaks down (``A`` not positive definite).
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[0] != a.shape[1]:
-        raise ParameterError(f"a must be square, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise ParameterError(f"shape mismatch: a is {a.shape}, b is {b.shape}")
-    _require_symmetric(a, "a")
-    chol = _cholesky(a)
-    z = np.empty_like(b)
-    for i in range(a.shape[0]):
-        z[i] = (b[i] - chol[i, :i] @ z[:i]) / chol[i, i]
-    for i in reversed(range(a.shape[0])):
-        z[i] = (z[i] - chol[i + 1 :, i] @ z[i + 1 :]) / chol[i, i]
-    return z
-
-
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``a``, or :class:`NumericError` naming the
-    order of the smallest leading minor that is not positive definite."""
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        pass
-    order = a.shape[0]
-    for k in range(1, order):
-        try:
-            np.linalg.cholesky(a[:k, :k])
-        except np.linalg.LinAlgError:
-            order = k
-            break
-    raise NumericError(
-        f"matrix is not positive definite: leading minor of order {order} failed",
-        pivot_index=order,
-    )
 
 
 def eig_min_sym(a) -> float:

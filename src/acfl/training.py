@@ -62,7 +62,7 @@ def _check_p(p: float) -> None:
 
 def _check_alpha(alpha: float, name: str = "alpha") -> None:
     if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"{name} must lie in [0, 1], got {alpha}")
+        raise ParameterError(f"{name}: must lie in [0, 1], got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,9 @@ class AdaptiveOracle:
     c_sq: float
 
     def __post_init__(self):
-        if not (self.beta_sq > 0 and self.c_sq > 0):
-            raise ParameterError(
-                f"oracle constants must be positive, got beta_sq={self.beta_sq}, c_sq={self.c_sq}"
-            )
+        for name, value in (("beta_sq", self.beta_sq), ("c_sq", self.c_sq)):
+            if not value > 0:
+                raise ParameterError(f"{name}: must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ class InverseDecay:
 
     def __post_init__(self):
         if not 0.0 < self.c < math.inf:
-            raise ParameterError(f"schedule constant must be finite and positive, got {self.c}")
+            raise ParameterError(f"c: must be finite and positive, got {self.c}")
 
     def rates(self, steps: int) -> np.ndarray:
         """``eta_t`` for ``t = 1 .. steps``."""

@@ -108,8 +108,3 @@ def alpha_estimated(p, d, o, noise, beta_sq, c_sq):
         return 0.0
     return num / den
 
-
-def linear_solve(a, b):
-    """``A^{-1} B`` by LU with partial pivoting (``np.linalg.solve``), for
-    holding the Cholesky solve against an independent factorization."""
-    return np.linalg.solve(a, b)

@@ -331,6 +331,49 @@ EPSILON_TOO_SMALL = "noise.epsilon: target epsilon 1e-320 is too small: "
             {"sigma_grid": [1.0, -1.0]},
             "sigma_grid[1]: must be positive, got -1.0",
         ),
+        # A library type's own range check names the field by its dotted path.
+        (
+            "run",
+            write_run_config,
+            {"noise": {"sigma1_sq": -1, "sigma2_sq": 0.5}},
+            "noise.sigma1_sq: must be finite and nonnegative, got -1.0",
+        ),
+        (
+            "run",
+            write_run_config,
+            {"schedule": {"kind": "inverse", "c": -1}},
+            "schedule.c: must be finite and positive, got -1.0",
+        ),
+        (
+            "run",
+            write_run_config,
+            {"policy": {"kind": "fixed", "alpha": 1.5}},
+            "policy.alpha: must lie in [0, 1], got 1.5",
+        ),
+        (
+            "compare",
+            write_run_config,
+            {"baseline": {"kind": "fixed", "alpha": -0.1}},
+            "baseline.alpha: must lie in [0, 1], got -0.1",
+        ),
+        (
+            "run",
+            write_run_config,
+            {"policy": {"kind": "adaptive-oracle", "beta_sq": -1, "c_sq": 1.0}},
+            "policy.beta_sq: must be positive, got -1.0",
+        ),
+        (
+            "run",
+            write_run_config,
+            {"policy": {"kind": "adaptive-oracle", "margin": 0.5}},
+            "policy.margin: must be at least 1, got 0.5",
+        ),
+        (
+            "run",
+            write_run_config,
+            {"policy": {"kind": "adaptive-estimated", "fallback_alpha": 2}},
+            "policy.fallback_alpha: must lie in [0, 1], got 2.0",
+        ),
     ],
     ids=[
         "run-steps",
@@ -381,6 +424,13 @@ EPSILON_TOO_SMALL = "noise.epsilon: target epsilon 1e-320 is too small: "
         "tradeoff-p-one",
         "tradeoff-zero-lambda",
         "tradeoff-negative-grid-variance",
+        "run-negative-sigma1_sq",
+        "run-negative-schedule-c",
+        "run-policy-alpha-above-one",
+        "compare-negative-baseline-alpha",
+        "run-negative-beta_sq",
+        "run-margin-below-one",
+        "run-fallback_alpha-above-one",
     ],
 )
 def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, override, field):
@@ -389,6 +439,7 @@ def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, o
     assert "Traceback" not in proc.stderr
     assert f"acfl: error: {field}" in proc.stderr
     assert not list(tmp_path.rglob("*.csv"))  # no artifact, not even a first curve
+    assert not (tmp_path / "out").exists()  # nor the run's output directory
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "tradeoff"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from acfl import FederatedDataset, dataset
 from acfl.dataset import DEVICE_CHUNK_ROWS, generate, loss, optimum
@@ -122,6 +124,41 @@ def test_optimum_stationarity():
     facts = optimum(dataset_from_samples(xs, ys))
     grad = sum(device_gradient(x, y, facts.w_star) for x, y in zip(xs, ys))
     assert np.linalg.norm(grad) < 1e-7 * (1.0 + np.linalg.norm(facts.w_star))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 12),
+    o=st.integers(1, 12),
+    extra=st.integers(1, 12),
+    log_cond=st.floats(0.0, 8.0),
+    log_scale=st.floats(-3.0, 3.0),
+)
+def test_optimum_accuracy_across_conditioning(seed, d, o, extra, log_cond, log_scale):
+    """Each column of ``w_star`` is within ``8 d eps cond(A)`` of the true
+    weights, relatively, for ``A = X'X`` of condition number up to ``1e8``.
+
+    One device with ``m = d + extra`` rows ``X = s^(1/2) U diag(lam^(1/2))
+    Q'`` (orthonormal ``U``, orthogonal ``Q``), so ``X'X = s Q diag(lam) Q'``
+    with ``lam`` log-uniform in ``[1, 10^log_cond]`` (both ends taken when
+    ``d > 1``) and scale ``s`` in ``[1e-3, 1e3]``; labels ``Y = X W_true``
+    without noise.  Forming the Gram sums and solving are both backward
+    stable, so the error is a small multiple of ``d eps cond(A)``: on
+    70,000 seeded draws of this construction the largest ratio was 2.9,
+    at ``d = 1``, where the ``m``-term Gram sums carry most of it.
+    """
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** rng.uniform(0.0, log_cond, d)
+    if d > 1:
+        lam[0], lam[-1] = 1.0, 10.0**log_cond
+    u = np.linalg.qr(rng.standard_normal((d + extra, d)))[0]
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    x = (u * np.sqrt(10.0**log_scale * lam)) @ q.T
+    w_true = rng.standard_normal((d, o))
+    ds = dataset_from_samples(x[None], (x @ w_true)[None], w_true)
+    err = np.linalg.norm(optimum(ds).w_star - w_true, axis=0) / np.linalg.norm(w_true, axis=0)
+    cond = np.linalg.cond(ds.gram_x.sum(axis=0))
+    assert np.all(err <= 8 * d * np.finfo(float).eps * cond)
 
 
 def test_strong_convexity_certificate():
