@@ -11,13 +11,13 @@ the ``1/(lam t)`` schedule.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
-from .coding import NoiseParams
+from .coding import NoiseParams, payload_size
 from .errors import ParameterError
 from .privacy import epsilon_of
-from .training import alpha_oracle
+from .training import _check_alpha, alpha_oracle
 
 __all__ = [
     "BoundInputs",
@@ -32,7 +32,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Everything the second-moment and distance bounds depend on."""
+    """Everything the second-moment and distance bounds depend on.  A range
+    error names its field, ``lam`` (the paper's lambda) as ``lambda``."""
 
     p: float
     n_devices: int
@@ -46,18 +47,17 @@ class BoundInputs:
     steps: int
 
     def __post_init__(self):
-        if not 0.0 <= self.p < 1.0:
-            raise ParameterError(f"p must lie in [0, 1), got {self.p}")
-        if self.n_devices < 1 or self.d < 1 or self.o < 1:
-            raise ParameterError("n_devices, d, o must be positive")
-        if not (self.beta_sq > 0 and self.c_sq > 0):
-            raise ParameterError("beta_sq and c_sq must be positive")
-        if self.sigma1_sq < 0 or self.sigma2_sq < 0:
-            raise ParameterError("noise variances must be nonnegative")
-        if not self.lam > 0:
-            raise ParameterError(f"lam must be positive, got {self.lam}")
-        if self.steps < 1:
-            raise ParameterError(f"steps must be at least 1, got {self.steps}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "p":
+                rule, ok = "lie in [0, 1)", 0.0 <= value < 1.0
+            elif f.name in ("sigma1_sq", "sigma2_sq"):
+                rule, ok = "be nonnegative", value >= 0
+            else:
+                rule, ok = "be positive", value > 0
+            if not ok:
+                name = "lambda" if f.name == "lam" else f.name
+                raise ParameterError(f"{name}: must {rule}, got {value}")
 
     def noise(self) -> NoiseParams:
         return NoiseParams(self.sigma1_sq, self.sigma2_sq)
@@ -69,8 +69,7 @@ def u_of(inputs: BoundInputs, alpha: float) -> float:
         u = [a^2 p + (1-p)(a + (1-a)/(1-p))^2 + N - 1] * N b^2
             + a^2 N d s1 C^2 + a^2 N s2 o d .
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     p, n = inputs.p, inputs.n_devices
     bracket = (
         alpha * alpha * p
@@ -133,11 +132,11 @@ def tradeoff_curve(
     ``None``, the adaptive optimum at each variance.
     """
     if len(sigma_grid) == 0:
-        raise ParameterError("sigma_grid must be nonempty")
+        raise ParameterError("sigma_grid: need at least one value")
     points = []
-    for sigma_sq in sigma_grid:
+    for i, sigma_sq in enumerate(sigma_grid):
         if not sigma_sq > 0:
-            raise ParameterError(f"grid variances must be positive, got {sigma_sq}")
+            raise ParameterError(f"sigma_grid[{i}]: must be positive, got {sigma_sq}")
         inputs = replace(base, sigma1_sq=sigma_sq, sigma2_sq=sigma_sq)
         eps = epsilon_of(inputs.noise(), base.d, base.o)
         if alpha is None:
@@ -179,6 +178,6 @@ def comm_overhead(
         raise ParameterError("phi_bits, d, o, n_devices must be positive")
     if steps < 0:
         raise ParameterError(f"steps must be nonnegative, got {steps}")
-    psi1 = phi_bits * (d * d + o * d) * n_devices
+    psi1 = phi_bits * payload_size(d, o) * n_devices
     psi2 = phi_bits * steps * o * d * n_devices
     return psi1, psi2, psi1 + psi2

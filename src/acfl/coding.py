@@ -88,11 +88,10 @@ def encode_levels(
     """
     d, root_n = ds.d, math.sqrt(ds.n_devices)
     z = stream.generator().standard_normal((d, d + ds.o))
-    gram_x, gram_xy = ds.gram_x.sum(axis=0), ds.gram_xy.sum(axis=0)
     return tuple(
         GlobalCodedData(
-            gram_x + root_n * math.sqrt(noise.sigma1_sq) * z[:, :d],
-            gram_xy + root_n * math.sqrt(noise.sigma2_sq) * z[:, d:],
+            ds.gram_x_sum + root_n * math.sqrt(noise.sigma1_sq) * z[:, :d],
+            ds.gram_xy_sum + root_n * math.sqrt(noise.sigma2_sq) * z[:, d:],
             noise,
         )
         for noise in noises

@@ -15,7 +15,7 @@ W_true``, so the optimum is the true weights and the optimal loss is zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,8 +69,9 @@ class FederatedDataset:
     all that encoding, training and the loss read; samples are not kept.
     With ``E_i = Y_i - X_i W_true`` (``W_true = 0`` when unknown),
     ``xe_sum = sum_i X_i^T E_i`` and ``ee_sum = sum_i ||E_i||_F^2``, both
-    exactly zero for noiseless labels.  The constructor checks finite
-    entries, agreeing shapes and, by :func:`_deficient`, that every
+    exactly zero for noiseless labels; ``gram_x_sum`` and ``gram_xy_sum``,
+    the stacks summed over devices, are taken once.  The constructor checks
+    finite entries, agreeing shapes and, by :func:`_deficient`, that every
     ``X_i^T X_i`` has full rank, naming the first device whose smallest
     eigenvalue is at most ``1e-10``: the only rank check of a drawn dataset.
     """
@@ -80,6 +81,8 @@ class FederatedDataset:
     w_true: np.ndarray
     xe_sum: np.ndarray
     ee_sum: float
+    gram_x_sum: np.ndarray = field(init=False)
+    gram_xy_sum: np.ndarray = field(init=False)
 
     def __post_init__(self):
         gram_x = as_matrix(self.gram_x, "gram_x", ndim=3)
@@ -105,6 +108,8 @@ class FederatedDataset:
             object.__setattr__(self, name, a)
         if not (math.isfinite(self.ee_sum) and self.ee_sum >= 0.0):
             raise ParameterError(f"ee_sum must be finite and nonnegative, got {self.ee_sum}")
+        object.__setattr__(self, "gram_x_sum", gram_x.sum(axis=0))
+        object.__setattr__(self, "gram_xy_sum", gram_xy.sum(axis=0))
 
     @property
     def n_devices(self) -> int:
@@ -188,7 +193,7 @@ def loss(w, ds: FederatedDataset, facts: ProblemFacts) -> float:
     if w.shape != (ds.d, ds.o):
         raise ParameterError(f"w must be ({ds.d}, {ds.o}), got {w.shape}")
     dev = w - facts.w_star
-    return facts.loss_at_optimum + 0.5 * float(np.sum(dev * (ds.gram_x.sum(axis=0) @ dev)))
+    return facts.loss_at_optimum + 0.5 * float(np.sum(dev * (ds.gram_x_sum @ dev)))
 
 
 def optimum(ds: FederatedDataset) -> ProblemFacts:
@@ -201,8 +206,8 @@ def optimum(ds: FederatedDataset) -> ProblemFacts:
     / 2 - <D, sum_i X_i^T E_i> + sum_i ||E_i||^2 / 2``, which for noiseless
     labels is its first term and does not cancel.
     """
-    gram = ds.gram_x.sum(axis=0)
-    w_star = np.linalg.solve(gram, ds.gram_xy.sum(axis=0))
+    gram = ds.gram_x_sum
+    w_star = np.linalg.solve(gram, ds.gram_xy_sum)
     dev = w_star - ds.w_true
     loss_at_optimum = (
         0.5 * float(np.sum(dev * (gram @ dev)))

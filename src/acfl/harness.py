@@ -287,9 +287,10 @@ def load_config(path) -> ExperimentConfig:
 class TradeoffConfig:
     """A parsed ``tradeoff`` config.
 
-    ``base`` holds the bound inputs at the first grid variance; ``curves``
-    holds one ``(name, alpha)`` per curve, ``alpha`` None for the adaptive
-    weight.
+    ``base`` holds the bound inputs with both variances 0.0, which
+    :func:`~acfl.analysis.tradeoff_curve` checks and sets at every grid
+    point; ``curves`` holds one ``(name, alpha)`` per curve, ``alpha`` None
+    for the adaptive weight.
     """
 
     base: BoundInputs
@@ -298,30 +299,18 @@ class TradeoffConfig:
     out_dir: Path
 
 
-def _require(ok: bool, path: str, rule: str, value) -> None:
-    if not ok:
-        raise ParameterError(f"{path}: must {rule}, got {value!r}")
-
-
 def load_tradeoff_config(path) -> TradeoffConfig:
     """Read a ``tradeoff`` JSON config file (schema documented in the README)."""
     with _Fields(_read_json(path)) as top:
         numbers = [("p", float), ("n_devices", int), ("beta_sq", float), ("c_sq", float),
                    ("d", int), ("o", int), ("lambda", float), ("steps", int)]
         bound = {key: top.read(key, kind) for key, kind in numbers}
-        for key, value in bound.items():
-            rule, ok = ("lie in [0, 1)", 0 <= value < 1) if key == "p" else ("be positive", value > 0)
-            _require(ok, key, rule, value)
         bound["lam"] = bound.pop("lambda")
+        base = BoundInputs(**bound, sigma1_sq=0.0, sigma2_sq=0.0)
         grid = [
             coerce(x, float, f"sigma_grid[{i}]")
             for i, x in enumerate(top.read("sigma_grid", list, DEFAULT_SIGMA_GRID))
         ]
-        if not grid:
-            raise ParameterError("sigma_grid: need at least one value")
-        for i, x in enumerate(grid):
-            _require(x > 0, f"sigma_grid[{i}]", "be positive", x)
-        base = BoundInputs(**bound, sigma1_sq=grid[0], sigma2_sq=grid[0])
         policies = top.read("policies", list, [{"kind": "adaptive"}])
         if not policies:
             raise ParameterError("policies: need at least one policy")
@@ -332,8 +321,7 @@ def load_tradeoff_config(path) -> TradeoffConfig:
                 if kind == "adaptive":
                     curve = ("adaptive", None)
                 elif kind == "fixed":
-                    alpha = fields.read("alpha", float)
-                    _require(0.0 <= alpha <= 1.0, f"policies[{i}].alpha", "lie in [0, 1]", alpha)
+                    alpha = FixedWeight(fields.read("alpha", float)).alpha
                     curve = (f"fixed_{alpha:g}", alpha)
                 else:
                     raise ParameterError(f"policies[{i}].kind: unknown kind {kind!r}")

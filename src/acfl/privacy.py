@@ -28,14 +28,18 @@ def _check_dims(d: int, o: int) -> None:
         raise ParameterError(f"dimensions must be positive integers, got d={d}, o={o}")
 
 
+def _log1p_inv(s: float) -> float:
+    """``ln(1 + 1/s)`` for ``s > 0``, finite also where ``1/s`` overflows."""
+    inv = 1.0 / s
+    return math.log1p(inv) if math.isfinite(inv) else math.log1p(s) - math.log(s)
+
+
 def epsilon_of(noise: NoiseParams, d: int, o: int) -> float:
     """Privacy level (nats) of one device's coded upload."""
     _check_dims(d, o)
     if noise.sigma1_sq <= 0 or noise.sigma2_sq <= 0:
         raise ParameterError("epsilon is unbounded at zero noise: both variances must be positive")
-    return (d - 0.5) * math.log1p(1.0 / noise.sigma1_sq) + (o / 2.0) * math.log1p(
-        1.0 / noise.sigma2_sq
-    )
+    return (d - 0.5) * _log1p_inv(noise.sigma1_sq) + (o / 2.0) * _log1p_inv(noise.sigma2_sq)
 
 
 def sigma_for_epsilon(epsilon: float, d: int, o: int) -> NoiseParams:

@@ -513,7 +513,7 @@ def train(
     check_entries(len(_TRACE_COLUMNS) * n_rep * k * steps, f"steps={steps}: the trace record")
 
     grams = [x.gram_x.reshape(n, d * d) for x in datasets]
-    a_sum = np.stack([x.gram_x.sum(axis=0) for x in datasets])[:, None]  # (R, 1, d, d)
+    a_sum = np.stack([x.gram_x_sum for x in datasets])[:, None]  # (R, 1, d, d)
     w_star = np.stack([f.w_star for f in facts])[:, None]  # (R, 1, d, o)
     loss_at_optimum = np.array([[f.loss_at_optimum] for f in facts])
     rates = np.stack([s.rates(steps) for s in schedules], axis=1)  # (T, R)

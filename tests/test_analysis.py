@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,12 +167,16 @@ def test_tradeoff_high_noise_limit():
 
 
 def test_tradeoff_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^sigma_grid: need at least one value$"):
         tradeoff_curve(REF_INPUTS, [])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^sigma_grid\[0\]: must be positive, got 0.0$"):
         tradeoff_curve(REF_INPUTS, [0.0])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^sigma_grid\[1\]: must be positive, got -1.0$"):
+        tradeoff_curve(REF_INPUTS, [1.0, -1.0])
+    with pytest.raises(ParameterError, match=r"^alpha: must lie in \[0, 1\], got 1.5$"):
         tradeoff_curve(REF_INPUTS, [1.0], 1.5)
+    with pytest.raises(ParameterError, match=r"^alpha: must lie in \[0, 1\], got 1.5$"):
+        u_of(REF_INPUTS, 1.5)
 
 
 def test_comm_overhead_reference_values():
@@ -204,18 +209,15 @@ def test_comm_overhead_rejects_non_integers():
 
 
 def test_bound_inputs_validation():
-    with pytest.raises(ParameterError):
-        BoundInputs(
-            p=1.0, n_devices=5, beta_sq=1.0, c_sq=1.0, d=2, o=2,
-            sigma1_sq=1.0, sigma2_sq=1.0, lam=1.0, steps=10,
-        )
-    with pytest.raises(ParameterError):
-        BoundInputs(
-            p=0.1, n_devices=5, beta_sq=0.0, c_sq=1.0, d=2, o=2,
-            sigma1_sq=1.0, sigma2_sq=1.0, lam=1.0, steps=10,
-        )
-    with pytest.raises(ParameterError):
-        BoundInputs(
-            p=0.1, n_devices=5, beta_sq=1.0, c_sq=1.0, d=2, o=2,
-            sigma1_sq=1.0, sigma2_sq=1.0, lam=1.0, steps=0,
-        )
+    # Each out-of-range field is refused by a message that names it; ``lam``
+    # is named ``lambda``, as in a trade-off config.
+    bad = [
+        ("p", 1.0), ("p", -0.1), ("p", math.nan), ("n_devices", 0), ("d", 0), ("o", -1),
+        ("beta_sq", 0.0), ("c_sq", -1.0), ("sigma1_sq", -1e-3), ("sigma2_sq", math.nan),
+        ("lam", 0.0), ("steps", 0),
+    ]
+    for field, value in bad:
+        name = "lambda" if field == "lam" else field
+        with pytest.raises(ParameterError, match=rf"^{name}: must "):
+            replace(REF_INPUTS, **{field: value})
+    assert replace(REF_INPUTS, p=0.0, sigma1_sq=0.0, sigma2_sq=0.0).p == 0.0

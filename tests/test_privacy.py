@@ -33,6 +33,15 @@ def test_additive_split():
     assert split == pytest.approx(together, abs=1e-12)
 
 
+def test_finite_below_the_reciprocal_overflow():
+    # 1/s overflows for s < 1/DBL_MAX; ln(1 + 1/s) is then ln(1 + s) - ln(s).
+    for s in (5e-324, 1e-320):
+        term = math.log1p(s) - math.log(s)
+        eps = epsilon_of(NoiseParams(s, s), 3, 2)
+        assert math.isfinite(eps)
+        assert eps == (3 - 0.5) * term + (2 / 2.0) * term
+
+
 def test_monotone_decreasing_in_each_variance():
     grid = np.geomspace(1e-3, 1e3, 50)
     eps1 = [epsilon_of(NoiseParams(s, 1.0), 10, 10) for s in grid]
