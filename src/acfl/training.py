@@ -157,10 +157,10 @@ def alpha_oracle(
 
         alpha* = (p N b^2 / (1-p)) / (p N b^2 / (1-p) + N d s1 C^2 + N s2 o d)
 
-    ``N`` cancels, so this is one entry of :func:`_estimated_weights` at
-    ``(beta_sq, c_sq)``.  Returns 0 when ``p = 0`` (no stragglers, trust the
-    devices fully) and 1 when both encoding variances vanish; strictly below
-    1 otherwise.
+    ``N`` cancels, so this is :func:`_estimated_weights` at ``(beta_sq,
+    c_sq)``.  Returns 0 when ``p = 0`` (no stragglers, trust the devices
+    fully) and 1 when both encoding variances vanish; strictly below 1
+    otherwise.
     """
     if n_devices < 1 or d < 1 or o < 1:
         raise ParameterError("n_devices, d, o must be positive")
@@ -169,48 +169,39 @@ def alpha_oracle(
     _check_p(p)
     with np.errstate(all="ignore"):  # overflow gives inf or NaN silently, as float arithmetic does
         sigma1_sq, sigma2_sq = np.float64(noise.sigma1_sq), np.float64(noise.sigma2_sq)
-        return float(_estimated_weights(p, d, o, sigma1_sq, sigma2_sq)(beta_sq, c_sq))
+        return float(_estimated_weights(p, d, o, sigma1_sq, sigma2_sq, beta_sq, c_sq))
 
 
-def _estimated_weights(p: float, d: int, o: int, sigma1_sq, sigma2_sq):
-    """The weight formula, as a function of arrays ``(beta_sq, c_sq)``:
+def _weight_terms(p: float, d: int, o: int, sigma1_sq, sigma2_sq):
+    """The terms of :func:`_estimated_weights` that do not read the norm
+    estimates, ``(d s1, 1 - p, s2 o d (1-p))``, one entry per variance pair."""
+    q = 1.0 - p
+    return d * sigma1_sq, q, sigma2_sq * o * d * q
+
+
+def _coded_term(d_sigma1_sq, q, c_sq):
+    """The weight's coded-gradient term ``d s1 c^2 (1-p)``; a zero ``c_sq``
+    adds zero, also where ``d s1`` overflowed to inf."""
+    return np.where(c_sq != 0.0, d_sigma1_sq * c_sq, 0.0) * q
+
+
+def _estimated_weights(p: float, d: int, o: int, sigma1_sq, sigma2_sq, beta_sq, c_sq):
+    """The weight formula at arrays of variances and norm estimates:
 
         alpha = p b^2 / (p b^2 + d s1 c^2 (1-p) + s2 o d (1-p)) ,
 
     or 0 when ``p = 0`` or every term of the denominator is zero (then the
     gradient is zero whatever the weight).  ``beta_sq`` estimates a device
-    gradient's squared norm (in training, the mean of the latest reports)
-    and ``c_sq`` the iterate's; both are nonnegative.  ``sigma1_sq`` and
-    ``sigma2_sq`` hold one encoding variance per weight; the terms without
-    the estimates are computed here, once.  Huge finite inputs may raise
-    numpy's overflow warning.
+    gradient's squared norm and ``c_sq`` the iterate's; both are
+    nonnegative.  Huge finite inputs, and a zero denominator, may raise
+    numpy's floating-point warnings.
     """
-    q = 1.0 - p
-    d_sigma1_sq = d * sigma1_sq
-    floor = sigma2_sq * o * d * q
-    # Only a variance near the largest double overflows d * s1; a zero c_sq
-    # must then still add zero, not inf * 0.
-    overflowed = bool(np.isinf(d_sigma1_sq).any())
-    # With every floor positive, nonnegative estimates keep den positive (or
-    # NaN), and the den <= 0 branch cannot fire.
-    may_vanish = not bool((floor > 0.0).all())
-
-    def weights(beta_sq, c_sq) -> np.ndarray:
-        num = p * beta_sq
-        coded = d_sigma1_sq * c_sq
-        if overflowed:
-            coded = np.where(c_sq != 0.0, coded, 0.0)
-        den = num + coded * q + floor
-        if p == 0.0:
-            return np.zeros_like(den)
-        if may_vanish:
-            zero = den <= 0.0
-            if zero.any():
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return np.where(zero, 0.0, num / den)
-        return num / den
-
-    return weights
+    d_sigma1_sq, q, floor = _weight_terms(p, d, o, sigma1_sq, sigma2_sq)
+    num = p * beta_sq
+    den = num + _coded_term(d_sigma1_sq, q, c_sq) + floor
+    if p == 0.0:
+        return np.zeros_like(den)
+    return np.where(den <= 0.0, 0.0, num / den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,30 +377,33 @@ def _masked_operators(
     return side, rr[..., 0].copy()
 
 
-def _estimate_stack(w_star: np.ndarray, rows: int, k: int) -> np.ndarray:
-    """``rows`` steps' ``(5d, d + o)`` operators on ``[D; I]`` for each of ``k`` arms.
+def _estimate_stack(w_star: np.ndarray, scale: np.ndarray, rows: int) -> np.ndarray:
+    """``rows`` steps' ``(5d, d + o)`` operators on ``[D; I]`` for each arm.
 
-    With ``S`` the received sum over ``1 - p`` and ``C`` an arm's coded
-    gradient, the bands are ``[[I | 0]; C - S; S; fold / count; [I | 2 W*]]``:
-    this writes the first and last, :func:`_load_sides` the others.  Times
-    ``[D; I]``, the first three give ``[D; C - S; S]``, which the update
-    reads, and the inner products of ``D`` with the others the mean report
-    less ``norm_at_opt / count`` and ``||W||^2 - ||W*||^2``.
+    With ``S`` the received sum over ``1 - p``, ``C`` an arm's coded
+    gradient and ``c`` its entry of the ``(R, K)`` array ``scale``, the
+    bands are ``[[I | 0]; C - S; S; p fold / count; c [I | 2 W*]]``: this
+    writes the first and last, :func:`_load_sides` the others.  Times ``[D;
+    I]``, the first three give ``[D; C - S; S]``, which the update reads,
+    and the inner products of ``D`` with the others ``p`` times the mean
+    report less ``p norm_at_opt / count``, and ``c (||W||^2 - ||W*||^2)``.
     """
-    n_rep, _, d, o = w_star.shape
-    stack = np.zeros((rows, n_rep, k, 5 * d, d + o))
+    d, o = w_star.shape[-2:]
+    stack = np.zeros((rows, *scale.shape, 5 * d, d + o))
     stack[..., :d, :d] = np.eye(d)
-    stack[..., 4 * d :, :d] = np.eye(d)
-    stack[..., 4 * d :, d:] = 2.0 * w_star
+    scale = scale[..., None, None]
+    stack[..., 4 * d :, :d] = scale * np.eye(d)
+    stack[..., 4 * d :, d:] = scale * (2.0 * w_star)
     return stack
 
 
 def _load_sides(stack: np.ndarray, side: np.ndarray, coded_op: np.ndarray) -> None:
-    """Write rows' :func:`_masked_operators` sides, each fold already over its
-    row's report count, into the first rows of an :func:`_estimate_stack`:
-    the bands ``S`` and ``fold / count`` as given, ``C - S`` from ``coded_op``."""
+    """Write rows' :func:`_masked_operators` sides, each fold already times
+    ``p`` over its row's report count, into the first rows of an
+    :func:`_estimate_stack`: the bands ``S`` and ``p fold / count`` as
+    given, ``C - S`` from ``coded_op``."""
     d = side.shape[-2] // 2
-    rows = stack[: len(side)]  # bands [[I | 0]; C - S; S; fold / count; [I | 2 W*]]
+    rows = stack[: len(side)]  # bands [[I | 0]; C - S; S; p fold / count; c [I | 2 W*]]
     rows[..., 2 * d : 4 * d, :] = side
     np.subtract(coded_op, side[..., :d, :], out=rows[..., d : 2 * d, :])
 
@@ -456,12 +450,15 @@ def train(
     With an estimated weight, every arm steps along ``S + alpha (C - S)``
     (``S`` the received sum over ``1 - p``, ``C`` the coded gradient): a
     stacked operator per arm times ``[D; I]`` (:func:`_estimate_stack`)
-    gives ``[D; C - S; S]``, a second product the mean report and
-    ``||W||^2`` for the weight, a third the update ``[1, -eta_t alpha_t,
-    -eta_t] [D; C - S; S]``.  Row buffers and their views are made once per
-    call; the trace columns, after each block.  ``device_max=True`` adds the
-    largest device-gradient norm, a scan of every device through the same
-    centred identity, clamped at 0; otherwise that column is ``None``.
+    gives ``[D; C - S; S]``, and a second product, plus per-row constants,
+    the weight's numerator ``p b^2`` (``b^2`` the mean report) and the rest
+    of its denominator, ``c ||W||^2 + floor`` with ``c = d s1 (1-p)`` and
+    ``floor = s2 o d (1-p)``; one add and one divide give ``alpha_t``, and a
+    third product the update ``[1, -eta_t alpha_t, -eta_t] [D; C - S; S]``.
+    Row buffers and their views are made once per call; the trace columns,
+    after each block.  ``device_max=True`` adds the largest device-gradient
+    norm, a scan of every device through the same centred identity, clamped
+    at 0; otherwise that column is ``None``.
 
     Deterministic given the streams: a replicate's mask for iteration ``t``
     is row ``t`` of the masks drawn, in blocks of rows, from one generator
@@ -471,9 +468,10 @@ def train(
 
     :class:`AdaptiveEstimated` uses the mean squared norm of the latest
     reports, kept across iterations in which no device reports, and
-    ``fallback_alpha`` before the first report.  The recorded loss is
-    ``loss_at_optimum + <D, (sum_i A_i) D> / 2``, which stays accurate near
-    the optimum.
+    ``fallback_alpha`` before the first report; at ``p = 0`` every device
+    reports at every step, and the weight is 0 throughout, folded like a
+    fixed one.  The recorded loss is ``loss_at_optimum + <D, (sum_i A_i) D>
+    / 2``, which stays accurate near the optimum.
 
     Raises :class:`NumericError` naming the first iteration, arm and
     replicate (its position in the call) at which a value of that arm's
@@ -525,6 +523,7 @@ def train(
     # Every arm's constant weight (an estimated arm's fallback) and, for the
     # estimated arms, the encoding variances their coded sums carry, which the
     # weight formula reads (the other arms' unit placeholders are never read out).
+    # At p = 0 an estimated weight is 0 from the first step, which hears every device.
     base_alpha = np.empty((n_rep, k))
     estimated = np.zeros((n_rep, k), dtype=bool)
     sigma1_sq, sigma2_sq = np.ones((2, n_rep, k))
@@ -536,12 +535,13 @@ def train(
                 base_alpha[r, j] = alpha_oracle(
                     straggler_p, n, arm.policy.beta_sq, arm.policy.c_sq, d, o, arm.coded.noise
                 )
+            elif straggler_p == 0.0:
+                base_alpha[r, j] = 0.0
             else:
                 base_alpha[r, j] = arm.policy.fallback_alpha
                 estimated[r, j] = True
                 sigma1_sq[r, j], sigma2_sq[r, j] = astuple(arm.coded.noise)
     any_estimated = bool(estimated.any())
-    estimated_weights = _estimated_weights(straggler_p, d, o, sigma1_sq, sigma2_sq)
 
     # Per replicate, one row per device: the centred statistics (R_i alone if no
     # norm is read); a block of masks times them and the Grams gives every sum.
@@ -568,18 +568,32 @@ def train(
     devs[0] = np.stack(inits)[:, None] - w_star
     masks = np.empty((block, n_rep, n), dtype=bool)
     if any_estimated:
-        # A stack row's product with [D; I] holds, by band, [D; C - S; S] for
-        # the update and [fold / count; D + 2W*], whose inner products with D
-        # plus the row's constants are forms = [mean report, ||W||^2].
-        stack = _estimate_stack(w_star, min(steps, STACK_ROWS), k)
+        # The weight is num / (num + rest), num = p b^2 with b^2 the mean
+        # report and rest = c ||W||^2 + floor with c = d s1 (1-p).  A stack
+        # row's product with [D; I] holds, by band, [D; C - S; S] for the
+        # update and [p fold / count; c (D + 2W*)], whose inner products with
+        # D plus the row's constants are forms = [num, rest].  A c past
+        # sqrt(MAX) (~1.3e154) could overflow c (D + 2W*) while ||W||^2 is
+        # finite; there the band keeps c = 1, so rest reads ||W||^2, and the
+        # step adds the coded term and floor itself.
+        with np.errstate(over="ignore"):  # an infinite term is handled as such
+            d_sigma1_sq, q, floor = _weight_terms(straggler_p, d, o, sigma1_sq, sigma2_sq)
+            scale = d_sigma1_sq * q
+        huge = estimated & (scale > math.sqrt(np.finfo(float).max))
+        any_huge = bool(huge.any())
+        scale[huge] = 1.0
+        # Nonnegative estimates over a positive floor keep den positive (or
+        # NaN); only a zero floor needs the den <= 0 rule, a zero weight.
+        may_vanish = not bool((floor[estimated] > 0.0).all())
+        stack = _estimate_stack(w_star, scale, min(steps, STACK_ROWS))
         products = np.empty((*stack.shape[:-1], o))
         bands = products.reshape(*stack.shape[:3], 5, d * o)
         halves = bands[..., 3:, :].swapaxes(-1, -2)
         by_stack_row = list(zip(stack, products, bands[..., :3, :], halves))
         mix = np.ones((block, n_rep, k, 1, 2))  # [alpha_t, 1] per arm
         etas = np.empty((block, n_rep, 1, 1, 1))  # -eta_t
-        consts = np.empty((block, n_rep, 1, 1, 2))  # [norm_at_opt / count, ||W*||^2]
-        consts[..., 1] = _sq_norms(w_star)[..., None]
+        consts = np.empty((block, n_rep, k, 1, 2))  # [p norm_at_opt / count, c ||W*||^2 + floor]
+        consts[..., 0, 1] = np.where(huge, 0.0, floor) + scale * _sq_norms(w_star)
         live = np.empty((block, n_rep, k), dtype=bool)  # arms that use the estimate
         reports = np.empty((block, n_rep, 1), dtype=bool)  # replicates that hear a report
         flat = devs.reshape(block + 1, n_rep, k, 1, d * o)
@@ -587,8 +601,9 @@ def train(
         row_views = [(*by_stack_row[i % STACK_ROWS], *views) for i, views in enumerate(per_row)]
         grad_sq = np.empty((block, n_rep, k))
         forms = np.empty((n_rep, k, 1, 2))
-        report_mean, w_sq = forms[..., 0, 0], forms[..., 0, 1]
-        beta_sq = np.zeros((n_rep, k))  # the mean report of the latest row that heard one
+        fresh, rest = forms[..., 0, 0], forms[..., 0, 1]
+        den = np.empty((n_rep, k))
+        kept = np.zeros((n_rep, k))  # num of the latest row that heard a report
         reported = np.zeros((n_rep, 1), dtype=bool)  # has any device reported yet
         coef = np.ones((n_rep, k, 1, 3))  # [1, -eta_t alpha_t, -eta_t]
         coef_tail = coef[..., 1:]
@@ -597,7 +612,7 @@ def train(
         row_views = list(zip(updates, iterates, devs[1:]))
     keep = np.eye(d, d + o)  # [I | 0]
     rows = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
+    with np.errstate(all="ignore"):  # non-finite rows raise below
         for start in range(0, steps, MASK_CHUNK_ROWS):
             iterates[0] = iterates[rows]
             rows = min(MASK_CHUNK_ROWS, steps - start)
@@ -612,15 +627,15 @@ def train(
             )
             eta = rates[start:stop, :, None, None, None]
             if any_estimated:
-                # A row that hears no report keeps the latest estimate (copied per step).
+                # A row that hears no report keeps the latest num (copied per step).
                 np.greater(counts[..., None], 0, out=reports[:rows])
                 heard = np.logical_or.accumulate(reports[:rows], axis=0) | reported
                 np.logical_and(estimated, heard, out=live[:rows])
                 reported = heard[-1]
-                beta = report_mean if reports[:rows].all() else beta_sq
-                scale = 1.0 / np.maximum(counts, 1)[:, :, None]
-                side_op[..., d:, :] *= scale[..., None, None]
-                np.multiply(norm_at_opt, scale, out=consts[:rows, ..., 0, 0])
+                num = fresh if reports[:rows].all() else kept
+                p_over_count = straggler_p / np.maximum(counts, 1)[:, :, None]
+                side_op[..., d:, :] *= p_over_count[..., None, None]
+                np.multiply(norm_at_opt, p_over_count, out=consts[:rows, ..., 0, 0])
                 np.negative(eta, out=etas[:rows])
                 mix[:rows, ..., 0, 0] = base_alpha
                 for lo in range(0, rows, STACK_ROWS):
@@ -633,14 +648,19 @@ def train(
                         np.matmul(op, aug, out=prod)
                         np.matmul(dev, half, out=forms)
                         np.add(forms, const, out=forms)
-                        if beta is beta_sq:
-                            np.copyto(beta_sq, report_mean, where=report_t)
-                        np.copyto(alpha_t, estimated_weights(beta, w_sq), where=live_t)
+                        if num is kept:
+                            np.copyto(kept, fresh, where=report_t)
+                        if any_huge:  # rest holds ||W||^2 there
+                            np.copyto(rest, _coded_term(d_sigma1_sq, q, rest) + floor, where=huge)
+                        np.add(num, rest, out=den)
+                        np.divide(num, den, out=alpha_t, where=live_t)
+                        if may_vanish:
+                            np.copyto(alpha_t, 0.0, where=live_t & (den <= 0.0))
                         np.multiply(eta_t, mix_t, out=coef_tail)
                         np.matmul(coef, pair, out=nxt)
                     # These rows' gradients, [alpha_t, 1] [C - S; S], from their products.
                     grad_sq[lo:hi] = _sq_norms(mix[lo:hi] @ bands[: hi - lo, ..., 1:3, :])
-                np.copyto(beta_sq, beta)  # the latest estimate, into the next block
+                np.copyto(kept, num)  # the latest num, into the next block
                 alpha_column, grad_column = mix[:rows, ..., 0, 0], grad_sq[:rows]
             else:
                 # The whole step is linear in [D; I]: G_t = [P_t | Q_t] [D; I]

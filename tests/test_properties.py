@@ -24,6 +24,7 @@ from acfl.training import (
     _load_sides,
     _masked_operators,
     _norm_terms,
+    _weight_terms,
     alpha_oracle,
 )
 from reference import alpha_estimated, dataset_from_samples, replay_samples
@@ -51,11 +52,12 @@ ZEROS, HUGE = np.zeros(SHAPE), np.full(SHAPE, MAX)
 @example(p=1.0 - 2**-53, d=1000, o=1000, sigma1_sq=HUGE, sigma2_sq=HUGE, beta_sq=HUGE,
          c_sq=ZEROS)
 def test_estimated_weights_equal_the_scalar_form(p, d, o, sigma1_sq, sigma2_sq, beta_sq, c_sq):
-    # The (R, K) array form the training loop uses agrees bit for bit with
-    # the scalar reference entry by entry, and so does alpha_oracle wherever
-    # its bounds are positive; every weight is a finite number in [0, 1],
-    # for extreme p, variances and norm estimates.
-    weights = _estimated_weights(p, d, o, sigma1_sq, sigma2_sq)(beta_sq, c_sq)
+    # The array form that alpha_oracle calls agrees bit for bit with the
+    # scalar reference entry by entry, and so does alpha_oracle wherever its
+    # bounds are positive; every weight is a finite number in [0, 1], for
+    # extreme p, variances and norm estimates.  Training reads the same
+    # weight terms (_weight_terms) off its stacked operator instead.
+    weights = _estimated_weights(p, d, o, sigma1_sq, sigma2_sq, beta_sq, c_sq)
     entries = list(zip(sigma1_sq.flat, sigma2_sq.flat, beta_sq.flat, c_sq.flat))
     expect = np.array(
         [alpha_estimated(p, d, o, NoiseParams(s1, s2), b, c) for s1, s2, b, c in entries]
@@ -183,26 +185,37 @@ def test_centred_statistics_match_direct_norms(seed, n, d, o, extra, case, expon
     exponent=st.integers(0, 14),
     present=st.integers(0, 15),
     p=st.sampled_from([0.0, 0.4, 0.9]),
+    level=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
 )
-def test_stacked_operator_forms_match_direct_norms(seed, n, d, o, k, noisy, exponent, present, p):
-    # An estimated-weight step reads both inputs of its weight off one
-    # product of the stacked operator [[I | 0]; C - S; S; fold / count;
-    # [I | 2W*]] with [D; I], one D per arm, whose first band is D exactly
-    # (the update reads it as is): <D, (fold / count) [D; I]> plus
-    # norm_at_opt / count is the present devices' mean squared gradient
-    # norm sum_i b_i ||A_i D + R_i||^2 / count, and <D, D + 2W*> plus
-    # ||W*||^2 is ||W||^2 = ||D + W*||^2.  Against both exact on the float
-    # inputs, the first must stay within the masked sum of the
+def test_stacked_operator_forms_match_direct_norms(
+    seed, n, d, o, k, noisy, exponent, present, p, level
+):
+    # An estimated-weight step reads both sides of its weight off one
+    # product of the stacked operator [[I | 0]; C - S; S; p fold / count;
+    # c [I | 2W*]] with [D; I], one D and one c = d s1 (1-p) per arm, whose
+    # first band is D exactly (the update reads it as is): <D, (p fold /
+    # count) [D; I]> plus p norm_at_opt / count is p times the present
+    # devices' mean squared gradient norm sum_i b_i ||A_i D + R_i||^2 /
+    # count, the weight's numerator, and c <D, D + 2W*> plus c ||W*||^2 +
+    # floor, floor = s2 o d (1-p), is c ||W||^2 + floor, the rest of its
+    # denominator.  Against both exact on the float inputs (c and floor as
+    # computed), the first must stay within p times the masked sum of the
     # centred-identity atol_i above over the count, and the second within
     #
-    #   atol_w = 2 (d o + 2) eps (|D| + |W*|)^2 ,
+    #   atol_r = 2 (d o + 3) eps c (|D| + |W*|)^2 + 2 eps floor .
     #
-    # the rounding of D + 2W* and of the two inner products, each a sum of
-    # d o terms, relative to the terms' magnitudes.  Scaling the fold and
-    # norm_at_opt by 1 / count rounds every term of the mean once more, by
-    # at most eps/2 of a term no larger than (|A_i| |D| + |R_i|)^2, which
-    # the c eps >= 12 eps of atol_i covers.  On 3,000 seeded draws of these
-    # cases the errors stayed below 0.09 atol and 0.17 atol_w.
+    # Here 2 (d o + 2) eps (|D| + |W*|)^2 bounds the rounding of ||W||^2 =
+    # <D, D + 2W*> + ||W*||^2 (of D + 2W* and of the two inner products,
+    # each a sum of d o terms, relative to the terms' magnitudes), which c
+    # scales; forming c 2W*, c D and c ||W*||^2 rounds three terms no larger
+    # than c (|D| + |W*|)^2 once more, by eps/2 each; adding the floor
+    # (two roundings) and rounding the exact value once move the result by
+    # at most 1.5 eps floor.  Scaling the fold and norm_at_opt by p / count
+    # rounds every term of the mean as scaling by 1 / count does, by at most
+    # eps/2 twice of a term no larger than (|A_i| |D| + |R_i|)^2, which the
+    # c eps >= 12 eps of atol_i covers.  On 3,000 seeded draws of these
+    # cases the errors stayed below 0.07 of the first bound and 0.5 atol_r,
+    # one ulp of a value the floor dominates.
     root = RngStream(seed)
     noise_sd = 0.05 if noisy else 0.0
     ds = dataset_from_samples(*replay_samples(n, d + 2, d, o, root.child("dataset"), noise_sd))
@@ -212,34 +225,39 @@ def test_stacked_operator_forms_match_direct_norms(seed, n, d, o, k, noisy, expo
     stats = _centred_statistics(ds, w_star, np.empty((n, d * d + 2 * d * o + 1)))
     mask = np.array([(present >> i) & 1 for i in range(n)], dtype=np.float64)
     count = max(mask.sum(), 1.0)
+    arms = np.arange(1.0, k + 1)
+    d_sigma1_sq, q, floor = _weight_terms(p, d, o, level * arms, level / arms)
+    scale = d_sigma1_sq * q
     side, norm_at_opt = _masked_operators(
         mask[None, None], [ds.gram_x.reshape(n, d * d)], stats[None], d, o, p
     )
-    side[..., d:, :] *= 1.0 / count
-    stack = _estimate_stack(w_star[None, None], 1, k)
+    p_over_count = p / count
+    side[..., d:, :] *= p_over_count
+    stack = _estimate_stack(w_star[None, None], scale[None], 1)
     _load_sides(stack, side, rng.standard_normal((1, k, d, d + o)))
     augmented = np.concatenate([devs, np.broadcast_to(np.eye(o), (k, o, o))], axis=1)
     bands = (stack[0] @ augmented[None]).reshape(1, k, 5, d * o)
     assert np.array_equal(bands[0, :, 0], devs.reshape(k, d * o))
     forms = (devs.reshape(1, k, 1, d * o) @ bands[:, :, 3:].swapaxes(-1, -2))[0, :, 0]
-    report = forms[:, 0] + norm_at_opt[0, 0, 0] * (1.0 / count)
-    w_sq = forms[:, 1] + np.sum(w_star**2)
+    num = forms[:, 0] + norm_at_opt[0, 0, 0] * p_over_count
+    rest = forms[:, 1] + (floor + scale * np.sum(w_star**2))
 
     a_norm = np.linalg.norm(ds.gram_x, axis=(1, 2))
     res_norm = np.linalg.norm(ds.gram_x @ w_star - ds.gram_xy, axis=(1, 2))
     offset = a_norm * np.linalg.norm(w_star) + np.linalg.norm(ds.gram_xy, axis=(1, 2))
     c_eps = 4 * (d * o + d * d + n) * np.finfo(float).eps
     eps = np.finfo(float).eps
-    for dev, report_j, w_sq_j in zip(devs, report, w_sq):
-        scale = a_norm * np.linalg.norm(dev) + res_norm
-        atol = c_eps * (scale**2 + offset * scale) + (c_eps * offset) ** 2
+    for dev, num_j, rest_j, c, f in zip(devs, num, rest, scale, floor):
+        scale_j = a_norm * np.linalg.norm(dev) + res_norm
+        atol = c_eps * (scale_j**2 + offset * scale_j) + (c_eps * offset) ** 2
         exact = _exact_sq_norms(ds, w_star, dev)
-        exact_mean = float(sum(Fraction(x) for x in mask * exact) / Fraction(count))
-        assert abs(report_j - exact_mean) <= mask @ atol / count
+        exact_num = float(Fraction(p) * sum(Fraction(x) for x in mask * exact) / Fraction(count))
+        assert abs(num_j - exact_num) <= p * (mask @ atol) / count
         w = [[Fraction(a) + Fraction(b) for a, b in zip(ra, rb)] for ra, rb in zip(w_star, dev)]
-        exact_w_sq = float(sum(x * x for row in w for x in row))
-        atol_w = 2 * (d * o + 2) * eps * (np.linalg.norm(dev) + np.linalg.norm(w_star)) ** 2
-        assert abs(w_sq_j - exact_w_sq) <= atol_w
+        exact_rest = float(Fraction(c) * sum(x * x for row in w for x in row) + Fraction(f))
+        norms_sq = (np.linalg.norm(dev) + np.linalg.norm(w_star)) ** 2
+        atol_r = 2 * (d * o + 3) * eps * c * norms_sq + 2 * eps * f
+        assert abs(rest_j - exact_rest) <= atol_r
 
 
 @given(

@@ -313,6 +313,7 @@ FOLDED = ("fixed", "fixed-0", "fixed-1", "oracle")
         (("fixed",), (0.3,), 300),
         (("oracle",), (0.3,), 300),
         (("estimated",), (0.3,), 300),
+        (("estimated",), (0.0, 0.3), 300),
         (("fixed", "oracle", "estimated"), (0.3, 3.0), 300),
         (("fixed-0", "fixed-1", "estimated"), (0.3, 3.0), 300),
         ((*FOLDED, "estimated"), (0.3,), 1),
@@ -320,8 +321,8 @@ FOLDED = ("fixed", "fixed-0", "fixed-1", "oracle")
         (FOLDED, (0.3,), 17),
     ],
     ids=[
-        "fixed", "oracle", "estimated", "six-arms", "weight-endpoints", "one-step", "17-steps",
-        "17-steps-folded",
+        "fixed", "oracle", "estimated", "zero-noise", "six-arms", "weight-endpoints", "one-step",
+        "17-steps", "17-steps-folded",
     ],
 )
 def test_train_matches_plain_gradient_descent(names, levels, steps, p):
@@ -330,6 +331,8 @@ def test_train_matches_plain_gradient_descent(names, levels, steps, p):
     # With an estimated arm every arm steps by S + alpha (C - S), which
     # rounds unlike the loop's blend also at alpha 0 and 1; 1 and 17 steps
     # size every per-call buffer below a block, 17 with one stack refill.
+    # A zero-noise estimated arm has a zero floor (the weight is 1 once a
+    # device reports, p b^2 / p b^2) and, at p = 0, a zero weight throughout.
     xs, ys = random_samples(13, n=5, m=10, d=4, o=2)
     ds = dataset_from_samples(xs, ys)
     facts = optimum(ds)
@@ -411,6 +414,47 @@ def test_train_estimated_weight_falls_back_then_reuses_last_estimate():
         expect = alpha_estimated(p, 3, 2, gc.noise, beta_sq, tr.w_norm_sq[t])
         assert tr.alpha[t] == pytest.approx(expect, rel=1e-12)
         assert tr.alpha[t] != tr.alpha[t - 1]
+
+
+@pytest.mark.parametrize(
+    "sigma1_sq, sigma2_sq",
+    [
+        pytest.param(1e308, 1e308, id="both-overflow"),
+        pytest.param(1e308, 1.0, id="coded-term-overflows"),
+        pytest.param(1e160, 1.0, id="coded-scale-past-sqrt-max"),
+    ],
+)
+def test_train_estimated_weight_survives_huge_coded_noise(sigma1_sq, sigma2_sq):
+    # The coded term's scale d s1 (1-p) overflows, or passes sqrt(MAX), where
+    # its product with D + 2W* could: the run must stay finite and, after
+    # the first report, the weight must follow the scalar formula.  Fallback
+    # 0 keeps the huge coded gradient out of the iterate until then.
+    xs, ys = random_samples(23, n=5, m=10, d=4, o=2)
+    ds = dataset_from_samples(xs, ys)
+    facts = optimum(ds)
+    noise = NoiseParams(sigma1_sq, sigma2_sq)
+    (gc,) = encode_levels(ds, [noise], RngStream(23).child("enc"))
+    p, steps, stream = 0.4, 300, RngStream(23).child("t")
+
+    def run(steps):
+        ((tr,),) = train(
+            [ds], [[Arm(gc, AdaptiveEstimated(0.0))]], p, steps, [InverseDecay(1e-3)],
+            [stream], [facts],
+        )
+        return tr
+
+    tr = run(steps)
+    masks = sample_stragglers(p, 5, stream.child("mask").generator(), steps)
+    first = int(np.flatnonzero(tr.n_present)[0])
+    assert np.all(tr.alpha[:first] == 0.0)
+    checked = [t for t in [*range(first, steps, 23), steps - 1] if tr.n_present[t]]
+    assert len(checked) > 10
+    for t in checked:
+        w = run(t).final_w
+        grads = [device_gradient(x, y, w) for x, y, m in zip(xs, ys, masks[t]) if m]
+        beta_sq = float(np.mean([np.sum(g * g) for g in grads]))
+        expect = alpha_estimated(p, 4, 2, noise, beta_sq, tr.w_norm_sq[t])
+        assert tr.alpha[t] == pytest.approx(expect, rel=1e-12, abs=0.0), t
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
