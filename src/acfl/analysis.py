@@ -140,9 +140,7 @@ def tradeoff_curve(
         inputs = replace(base, sigma1_sq=sigma_sq, sigma2_sq=sigma_sq)
         eps = epsilon_of(inputs.noise(), base.d, base.o)
         if alpha is None:
-            a = alpha_oracle(
-                base.p, base.n_devices, base.beta_sq, base.c_sq, base.d, base.o, inputs.noise()
-            )
+            a = alpha_oracle(base.p, base.beta_sq, base.c_sq, base.d, base.o, inputs.noise())
             u = u_tilde(inputs)
         else:
             a = alpha

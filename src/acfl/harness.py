@@ -86,6 +86,8 @@ class OracleAuto:
     def __post_init__(self):
         if not self.margin >= 1.0:
             raise ParameterError(f"margin: must be at least 1, got {self.margin}")
+        if self.margin == math.inf:
+            raise ParameterError(f"margin: must be finite, got {self.margin}")
 
 
 @dataclass(frozen=True)
@@ -434,29 +436,38 @@ def _run_group(
     return records
 
 
+def _record_bytes(cfg: ExperimentConfig, n_arms: int, replicates: int, size: int) -> int:
+    """Bytes the records of ``replicates`` replicates keep, trained in groups
+    of ``size``: per replicate, five trace columns and ``final_w`` per arm and
+    the shared ``n_present`` and ``w0``; per group, one ``t`` index."""
+    groups = -(-replicates // size)
+    per_replicate = n_arms * (5 * cfg.steps + cfg.d * cfg.o) + cfg.steps + cfg.d * cfg.o
+    return (replicates * per_replicate + groups * cfg.steps) * 8
+
+
 def _run_replicates(cfg: ExperimentConfig, arms) -> tuple[tuple[ReplicateRecord, ...], ...]:
     """Every replicate of every arm: one tuple of records per arm, by replicate.
 
-    Before any group trains, refuses a run whose records (five trace columns
-    per step, ``w0`` and ``final_w``, per replicate and arm, all alive until
-    the CSVs are written) exceed physical memory, unless one replicate's
-    alone do: its group then refuses them, naming the steps or the shape, or
-    numpy cannot allocate them.  Where ``os.sysconf`` cannot tell the
-    memory, the bound is the most bytes an array can hold.
+    Before any group trains, refuses a run whose records
+    (:func:`_record_bytes`, all alive until the CSVs are written) exceed
+    physical memory, unless one replicate's alone do: its group then
+    refuses them, naming the steps or the shape, or numpy cannot allocate
+    them.  Where ``os.sysconf`` cannot tell the memory, the bound is the
+    most bytes an array can hold.
     """
-    kept = len(arms) * (5 * cfg.steps + 2 * cfg.d * cfg.o) * 8  # bytes, per replicate
+    gram_bytes = cfg.n_devices * cfg.d * (cfg.d + cfg.o) * 8
+    size = max(1, GROUP_GRAM_BYTES // gram_bytes)
+    kept = _record_bytes(cfg, len(arms), cfg.replicates, size)
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         memory = -1
     memory = memory if memory > 0 else MAX_ENTRIES * 8
-    if kept <= memory < cfg.replicates * kept:
+    if _record_bytes(cfg, len(arms), 1, 1) <= memory < kept:
         raise ParameterError(
-            f"replicates={cfg.replicates}: the records of the run: {cfg.replicates * kept} "
+            f"replicates={cfg.replicates}: the records of the run: {kept} "
             f"bytes, more than fit in memory ({memory} bytes)"
         )
-    gram_bytes = cfg.n_devices * cfg.d * (cfg.d + cfg.o) * 8
-    size = max(1, GROUP_GRAM_BYTES // gram_bytes)
     per_replicate = [
         records
         for start in range(0, cfg.replicates, size)

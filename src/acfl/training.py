@@ -65,6 +65,15 @@ def _check_alpha(alpha: float, name: str = "alpha") -> None:
         raise ParameterError(f"{name}: must lie in [0, 1], got {alpha}")
 
 
+def _check_bound(name: str, value: float) -> float:
+    """An oracle norm bound as a float: positive and finite."""
+    if not value > 0:
+        raise ParameterError(f"{name}: must be positive, got {value}")
+    if value == math.inf:
+        raise ParameterError(f"{name}: must be finite, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class FixedWeight:
     """Constant aggregation weight across all iterations."""
@@ -89,9 +98,8 @@ class AdaptiveOracle:
     c_sq: float
 
     def __post_init__(self):
-        for name, value in (("beta_sq", self.beta_sq), ("c_sq", self.c_sq)):
-            if not value > 0:
-                raise ParameterError(f"{name}: must be positive, got {value}")
+        _check_bound("beta_sq", self.beta_sq)
+        _check_bound("c_sq", self.c_sq)
 
 
 @dataclass(frozen=True)
@@ -144,37 +152,29 @@ def sample_stragglers(p: float, n: int, rng: np.random.Generator, rows: int) -> 
     return rng.random((rows, n)) >= p
 
 
-def alpha_oracle(
-    p: float,
-    n_devices: int,
-    beta_sq: float,
-    c_sq: float,
-    d: int,
-    o: int,
-    noise: NoiseParams,
-) -> float:
+def alpha_oracle(p: float, beta_sq: float, c_sq: float, d: int, o: int, noise: NoiseParams) -> float:
     """Variance-minimizing weight given true norm bounds.
 
-        alpha* = (p N b^2 / (1-p)) / (p N b^2 / (1-p) + N d s1 C^2 + N s2 o d)
+        alpha* = p b^2 / (p b^2 + d s1 C^2 (1-p) + s2 o d (1-p)) ,
 
-    ``N`` cancels, so this is :func:`_estimated_weights` at ``(beta_sq,
-    c_sq)``.  Returns 0 when ``p = 0`` (no stragglers, trust the devices
-    fully) and 1 when both encoding variances vanish; strictly below 1
-    otherwise.
+    which minimizes the second-moment bound; the number of devices cancels
+    out of it.  Returns 0 when ``p = 0`` (no stragglers, trust the devices
+    fully) or at a zero denominator, and 1 when both encoding variances
+    vanish; strictly below 1 otherwise.
     """
-    if n_devices < 1 or d < 1 or o < 1:
-        raise ParameterError("n_devices, d, o must be positive")
-    if not (beta_sq > 0 and c_sq > 0):
-        raise ParameterError("beta_sq and c_sq must be positive")
+    if d < 1 or o < 1:
+        raise ParameterError("d, o must be positive")
+    p, beta_sq, c_sq = float(p), _check_bound("beta_sq", beta_sq), _check_bound("c_sq", c_sq)
     _check_p(p)
-    with np.errstate(all="ignore"):  # overflow gives inf or NaN silently, as float arithmetic does
-        sigma1_sq, sigma2_sq = np.float64(noise.sigma1_sq), np.float64(noise.sigma2_sq)
-        return float(_estimated_weights(p, d, o, sigma1_sq, sigma2_sq, beta_sq, c_sq))
+    d_sigma1_sq, q, floor = _weight_terms(p, d, o, float(noise.sigma1_sq), float(noise.sigma2_sq))
+    num = p * beta_sq
+    den = num + d_sigma1_sq * c_sq * q + floor
+    return num / den if den > 0.0 else 0.0
 
 
 def _weight_terms(p: float, d: int, o: int, sigma1_sq, sigma2_sq):
-    """The terms of :func:`_estimated_weights` that do not read the norm
-    estimates, ``(d s1, 1 - p, s2 o d (1-p))``, one entry per variance pair."""
+    """The terms of the weight formula that do not read the norm estimates,
+    ``(d s1, 1 - p, s2 o d (1-p))``, as scalars or one entry per variance pair."""
     q = 1.0 - p
     return d * sigma1_sq, q, sigma2_sq * o * d * q
 
@@ -183,25 +183,6 @@ def _coded_term(d_sigma1_sq, q, c_sq):
     """The weight's coded-gradient term ``d s1 c^2 (1-p)``; a zero ``c_sq``
     adds zero, also where ``d s1`` overflowed to inf."""
     return np.where(c_sq != 0.0, d_sigma1_sq * c_sq, 0.0) * q
-
-
-def _estimated_weights(p: float, d: int, o: int, sigma1_sq, sigma2_sq, beta_sq, c_sq):
-    """The weight formula at arrays of variances and norm estimates:
-
-        alpha = p b^2 / (p b^2 + d s1 c^2 (1-p) + s2 o d (1-p)) ,
-
-    or 0 when ``p = 0`` or every term of the denominator is zero (then the
-    gradient is zero whatever the weight).  ``beta_sq`` estimates a device
-    gradient's squared norm and ``c_sq`` the iterate's; both are
-    nonnegative.  Huge finite inputs, and a zero denominator, may raise
-    numpy's floating-point warnings.
-    """
-    d_sigma1_sq, q, floor = _weight_terms(p, d, o, sigma1_sq, sigma2_sq)
-    num = p * beta_sq
-    den = num + _coded_term(d_sigma1_sq, q, c_sq) + floor
-    if p == 0.0:
-        return np.zeros_like(den)
-    return np.where(den <= 0.0, 0.0, num / den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,7 +514,7 @@ def train(
                 base_alpha[r, j] = arm.policy.alpha
             elif isinstance(arm.policy, AdaptiveOracle):
                 base_alpha[r, j] = alpha_oracle(
-                    straggler_p, n, arm.policy.beta_sq, arm.policy.c_sq, d, o, arm.coded.noise
+                    straggler_p, arm.policy.beta_sq, arm.policy.c_sq, d, o, arm.coded.noise
                 )
             elif straggler_p == 0.0:
                 base_alpha[r, j] = 0.0

@@ -2,7 +2,7 @@
 
 Plain array functions, no validation: the library keeps only Gram stacks
 and never forms these per-device samples, residuals or gradients itself,
-and computes its aggregation weights only in array form.
+and its training step reads its aggregation weights off stacked products.
 """
 
 import math
@@ -85,8 +85,8 @@ def coded_sums(ds, noise, stream):
 
 
 def alpha_estimated(p, d, o, noise, beta_sq, c_sq):
-    """Adaptive weight from norm estimates, the scalar form of the
-    library's array kernel.
+    """Adaptive weight from norm estimates, the scalar form that the
+    library's training step reads off its stacked operator.
 
     ``beta_sq`` estimates the squared Frobenius norm of a device gradient
     (during training: the mean over the most recent reports) and ``c_sq``

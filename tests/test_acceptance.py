@@ -189,14 +189,13 @@ def test_c06_oracle_weight_optimality():
             steps=1,
         )
         alpha = alpha_oracle(
-            inputs.p, inputs.n_devices, inputs.beta_sq, inputs.c_sq,
-            inputs.d, inputs.o, inputs.noise(),
+            inputs.p, inputs.beta_sq, inputs.c_sq, inputs.d, inputs.o, inputs.noise()
         )
         u_star = u_of(inputs, alpha)
         values = np.array([u_of(inputs, float(a)) for a in grid])
         assert u_star <= float(values.min()) + 1e-12
         assert u_star == pytest.approx(u_tilde(inputs), rel=1e-9)
-    spot_alpha = alpha_oracle(0.1, 5, 100.0, 1.0, 100, 10, NoiseParams(1.0, 1.0))
+    spot_alpha = alpha_oracle(0.1, 100.0, 1.0, 100, 10, NoiseParams(1.0, 1.0))
     assert spot_alpha == pytest.approx(0.01, abs=1e-12)
     assert u_tilde(REF_INPUTS) == pytest.approx(2555.0, abs=1e-6)
     print("criterion 6 PASS: grid minimum matches closed form on 200 draws; spot values exact")
@@ -237,7 +236,7 @@ def test_c07_distance_bound_after_t_steps():
     else:
         pytest.fail("norm bounds did not stabilize")
 
-    alpha = alpha_oracle(p, n, beta_sq, c_sq, d, o, noise)
+    alpha = alpha_oracle(p, beta_sq, c_sq, d, o, noise)
     for tr in traces:
         assert np.all(tr.alpha == alpha)
     for steps in (100, 1000):

@@ -74,8 +74,7 @@ def test_u_tilde_equals_u_at_oracle_weight():
     for _ in range(100):
         inputs = _random_inputs(rng)
         alpha = alpha_oracle(
-            inputs.p, inputs.n_devices, inputs.beta_sq, inputs.c_sq,
-            inputs.d, inputs.o, inputs.noise(),
+            inputs.p, inputs.beta_sq, inputs.c_sq, inputs.d, inputs.o, inputs.noise()
         )
         assert u_tilde(inputs) == pytest.approx(u_of(inputs, alpha), rel=1e-9)
 
@@ -86,8 +85,7 @@ def test_oracle_weight_minimizes_u_on_grid():
     for _ in range(50):
         inputs = _random_inputs(rng)
         alpha = alpha_oracle(
-            inputs.p, inputs.n_devices, inputs.beta_sq, inputs.c_sq,
-            inputs.d, inputs.o, inputs.noise(),
+            inputs.p, inputs.beta_sq, inputs.c_sq, inputs.d, inputs.o, inputs.noise()
         )
         u_star = u_of(inputs, alpha)
         values = [u_of(inputs, float(a)) for a in grid]

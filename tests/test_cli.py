@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -104,6 +105,22 @@ def test_overhead_values(capsys):
         ["overhead", "--phi", "32", "--d", "10", "--o", "10", "--n", "100", "--t", "1000"]
     )
     assert code == 0
+    assert capsys.readouterr().out.strip() == "psi1=640000 psi2=320000000 psi_total=320640000"
+
+
+def test_console_script_entry_point(monkeypatch, capsys):
+    # The installed ``acfl`` command calls the target that pyproject.toml
+    # names; it exits with cli_main's status.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["acfl"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    argv = ["overhead", "--phi", "32", "--d", "10", "--o", "10", "--n", "100", "--t", "1000"]
+    monkeypatch.setattr(sys, "argv", ["acfl", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        entry()
+    assert exit_info.value.code == 0
     assert capsys.readouterr().out.strip() == "psi1=640000 psi2=320000000 psi_total=320640000"
 
 

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -418,9 +419,7 @@ def test_compare_runs_the_configured_policy(tmp_path, policy):
     for level in (0.5, 2.0):
         noise = NoiseParams(level, level)
         ((_, oracle),) = resolve_policy(cfg, [noise], [policy])
-        expect = alpha_oracle(
-            cfg.straggler_p, cfg.n_devices, oracle.beta_sq, oracle.c_sq, cfg.d, cfg.o, noise
-        )
+        expect = alpha_oracle(cfg.straggler_p, oracle.beta_sq, oracle.c_sq, cfg.d, cfg.o, noise)
         for rec in result.records[(level, "acfl")]:
             assert np.all(rec.trace.alpha == expect)
         for rec in result.records[(level, "na")]:
@@ -451,7 +450,7 @@ def test_compare_probes_every_level_in_one_call(tmp_path, monkeypatch):
         noise = NoiseParams(level, level)
         for method, margin in (("acfl", 2.0), ("na", 3.0)):
             expect = alpha_oracle(
-                cfg.straggler_p, cfg.n_devices,
+                cfg.straggler_p,
                 float(trace.max_device_grad_sq.max()) * margin,
                 float(trace.w_norm_sq.max()) * margin,
                 cfg.d, cfg.o, noise,
@@ -490,6 +489,34 @@ def test_replicate_groups_do_not_change_artifacts(tmp_path, monkeypatch, per_gro
     assert calls == [1, *groups, 1, *groups]
     assert _artifacts(tmp_path / "split") == _artifacts(tmp_path / "whole")
     assert len(_artifacts(tmp_path / "whole")) == 3
+
+
+@pytest.mark.parametrize("per_group", [1, 3])
+def test_memory_refusal_counts_the_bytes_the_records_keep(tmp_path, monkeypatch, per_group):
+    # The count the refusal reads equals the bytes of the distinct arrays the
+    # records reach: per arm the trace columns and final_w, per replicate
+    # n_present and w0, per train call the t index.
+    cfg = small_config(tmp_path, replicates=3, steps=50)
+    gram_bytes = cfg.n_devices * cfg.d * (cfg.d + cfg.o) * 8
+    monkeypatch.setattr(harness, "GROUP_GRAM_BYTES", per_group * gram_bytes)
+    arms = [(cfg.noise, AdaptiveEstimated()), (cfg.noise, FixedWeight(0.5))]
+    bases = {}
+    for records in harness._run_replicates(cfg, arms):
+        for rec in records:
+            for value in vars(rec.trace).values():
+                if isinstance(value, np.ndarray):
+                    while value.base is not None:
+                        value = value.base
+                    bases[id(value)] = value
+    held = sum(a.nbytes for a in bases.values())
+    assert held == harness._record_bytes(cfg, len(arms), cfg.replicates, per_group)
+    if per_group == 3:
+        assert held == 14_032
+
+
+def test_auto_oracle_margin_must_be_finite():
+    with pytest.raises(ParameterError, match=r"^margin: must be finite, got inf$"):
+        OracleAuto(margin=math.inf)
 
 
 def test_compare_encodes_each_replicate_once(tmp_path):

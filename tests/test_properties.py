@@ -1,4 +1,4 @@
-"""Property tests: the batched weight formula, the centred statistics of the
+"""Property tests: the scalar weight formula, the centred statistics of the
 training kernel and its stacked estimated-weight operator, the privacy
 calibration, and the rank check's verdict."""
 
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from acfl.coding import NoiseParams
 from acfl.dataset import _RANK_TOL, _deficient, optimum
@@ -20,7 +19,6 @@ from acfl.privacy import epsilon_of, sigma_for_epsilon
 from acfl.training import (
     _centred_statistics,
     _estimate_stack,
-    _estimated_weights,
     _load_sides,
     _masked_operators,
     _norm_terms,
@@ -35,43 +33,33 @@ P = EXTREME_P | st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 NONNEGATIVE = st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300, MAX]) | st.floats(
     min_value=0.0, max_value=MAX
 )
-SHAPE = (2, 3)  # (replicates, arms)
-ARRAYS = hnp.arrays(np.float64, SHAPE, elements=NONNEGATIVE)
-ZEROS, HUGE = np.zeros(SHAPE), np.full(SHAPE, MAX)
+POSITIVE = NONNEGATIVE.filter(lambda x: x > 0.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@given(p=P, d=st.integers(1, 1000), o=st.integers(1, 1000), sigma1_sq=ARRAYS,
-       sigma2_sq=ARRAYS, beta_sq=ARRAYS, c_sq=ARRAYS)
-# d * sigma1_sq overflows while the iterate norm is zero.
-@example(p=5e-324, d=2, o=1, sigma1_sq=HUGE, sigma2_sq=ZEROS, beta_sq=HUGE, c_sq=ZEROS)
-# Every term is zero: the den <= 0 branch.
-@example(p=0.5, d=3, o=2, sigma1_sq=ZEROS, sigma2_sq=ZEROS, beta_sq=ZEROS, c_sq=HUGE)
+@given(p=P, d=st.integers(1, 1000), o=st.integers(1, 1000), sigma1_sq=NONNEGATIVE,
+       sigma2_sq=NONNEGATIVE, beta_sq=POSITIVE, c_sq=POSITIVE,
+       kind=st.sampled_from([float, np.float64]))
+# d * sigma1_sq overflows, and so does the floor.
+@example(p=0.5, d=2, o=1000, sigma1_sq=MAX, sigma2_sq=MAX, beta_sq=MAX, c_sq=MAX, kind=np.float64)
+# The numerator underflows over a zero floor: the den <= 0 branch.
+@example(p=5e-324, d=3, o=2, sigma1_sq=0.0, sigma2_sq=0.0, beta_sq=5e-324, c_sq=MAX, kind=float)
 # No stragglers, and a straggler probability one ulp below 1.
-@example(p=0.0, d=3, o=2, sigma1_sq=HUGE, sigma2_sq=HUGE, beta_sq=HUGE, c_sq=HUGE)
-@example(p=1.0 - 2**-53, d=1000, o=1000, sigma1_sq=HUGE, sigma2_sq=HUGE, beta_sq=HUGE,
-         c_sq=ZEROS)
-def test_estimated_weights_equal_the_scalar_form(p, d, o, sigma1_sq, sigma2_sq, beta_sq, c_sq):
-    # The array form that alpha_oracle calls agrees bit for bit with the
-    # scalar reference entry by entry, and so does alpha_oracle wherever its
-    # bounds are positive; every weight is a finite number in [0, 1], for
-    # extreme p, variances and norm estimates.  Training reads the same
-    # weight terms (_weight_terms) off its stacked operator instead.
-    weights = _estimated_weights(p, d, o, sigma1_sq, sigma2_sq, beta_sq, c_sq)
-    entries = list(zip(sigma1_sq.flat, sigma2_sq.flat, beta_sq.flat, c_sq.flat))
-    expect = np.array(
-        [alpha_estimated(p, d, o, NoiseParams(s1, s2), b, c) for s1, s2, b, c in entries]
-    ).reshape(SHAPE)
-    assert np.array_equal(weights, expect)
-    positive = (beta_sq > 0) & (c_sq > 0)
-    oracle = [
-        alpha_oracle(p, 1, b, c, d, o, NoiseParams(s1, s2))
-        for s1, s2, b, c in entries
-        if b > 0 and c > 0
-    ]
-    assert np.array_equal(np.array(oracle).reshape(-1), expect[positive])
-    assert np.isfinite(weights).all()
-    assert ((weights >= 0.0) & (weights <= 1.0)).all()
+@example(p=0.0, d=3, o=2, sigma1_sq=MAX, sigma2_sq=MAX, beta_sq=MAX, c_sq=MAX, kind=np.float64)
+@example(p=1.0 - 2**-53, d=1000, o=1000, sigma1_sq=MAX, sigma2_sq=MAX, beta_sq=MAX,
+         c_sq=5e-324, kind=np.float64)
+def test_estimated_weights_equal_the_scalar_form(p, d, o, sigma1_sq, sigma2_sq, beta_sq, c_sq,
+                                                 kind):
+    # alpha_oracle agrees bit for bit with the scalar reference, and is a
+    # float in [0, 1], for extreme p, variances and bounds, whether its inputs
+    # are Python floats or numpy doubles, and without a floating-point
+    # warning.  Training reads the same weight terms (_weight_terms) off its
+    # stacked operator instead.
+    noise = NoiseParams(kind(sigma1_sq), kind(sigma2_sq))
+    alpha = alpha_oracle(kind(p), kind(beta_sq), kind(c_sq), d, o, noise)
+    expect = alpha_estimated(p, d, o, NoiseParams(sigma1_sq, sigma2_sq), beta_sq, c_sq)
+    assert type(alpha) is float
+    assert alpha.hex() == expect.hex()
+    assert 0.0 <= alpha <= 1.0
 
 
 EPSILON = st.sampled_from(

@@ -144,18 +144,29 @@ def test_coded_gradient_unbiased_over_redraws():
 
 
 def test_alpha_oracle_no_stragglers():
-    assert alpha_oracle(0.0, 5, 1.0, 1.0, 3, 2, NoiseParams(1.0, 1.0)) == 0.0
+    assert alpha_oracle(0.0, 1.0, 1.0, 3, 2, NoiseParams(1.0, 1.0)) == 0.0
 
 
 def test_alpha_oracle_zero_noise():
-    assert alpha_oracle(0.3, 5, 1.0, 1.0, 3, 2, NoiseParams(0.0, 0.0)) == 1.0
+    assert alpha_oracle(0.3, 1.0, 1.0, 3, 2, NoiseParams(0.0, 0.0)) == 1.0
 
 
 def test_alpha_oracle_reference_point():
-    # (0.1*5*100/0.9) / (0.1*5*100/0.9 + 5*100*1 + 5*1*10*100) = 0.01
-    a = alpha_oracle(0.1, 5, 100.0, 1.0, 100, 10, NoiseParams(1.0, 1.0))
+    # (0.1*100) / (0.1*100 + 100*1*1*0.9 + 1*10*100*0.9) = 0.01
+    a = alpha_oracle(0.1, 100.0, 1.0, 100, 10, NoiseParams(1.0, 1.0))
     assert a == pytest.approx(0.01, abs=1e-12)
     assert 0.0 <= a < 1.0
+
+
+@pytest.mark.parametrize("name", ["beta_sq", "c_sq"])
+def test_oracle_bounds_must_be_finite(name):
+    # An infinite bound would make the weight inf / inf, and training would
+    # report the NaN as a divergence at iteration 0.
+    bounds = {"beta_sq": 1.0, "c_sq": 1.0, name: math.inf}
+    with pytest.raises(ParameterError, match=f"^{name}: must be finite, got inf$"):
+        AdaptiveOracle(**bounds)
+    with pytest.raises(ParameterError, match=f"^{name}: must be finite, got inf$"):
+        alpha_oracle(0.3, d=3, o=2, noise=NoiseParams(1.0, 1.0), **bounds)
 
 
 def test_alpha_estimated_matches_oracle_when_all_present():
@@ -168,7 +179,7 @@ def test_alpha_estimated_matches_oracle_when_all_present():
     beta_sq_hat = float(np.mean([np.sum(g * g) for g in grads]))
     c_sq_hat = float(np.sum(w * w))
     est = alpha_estimated(p, 4, 3, noise, beta_sq_hat, c_sq_hat)
-    orc = alpha_oracle(p, 6, beta_sq_hat, c_sq_hat, 4, 3, noise)
+    orc = alpha_oracle(p, beta_sq_hat, c_sq_hat, 4, 3, noise)
     expect = p * beta_sq_hat / (
         p * beta_sq_hat + 4 * 0.7 * c_sq_hat * (1 - p) + 1.3 * 3 * 4 * (1 - p)
     )
@@ -706,7 +717,7 @@ def test_train_oracle_policy_uses_constant_alpha(random_instance):
         [ds], [[Arm(gc, policy)]], 0.25, 30, [InverseDecay(1e-3)],
         [RngStream(18).child("t")], [facts],
     )
-    expect = alpha_oracle(0.25, 3, 2.0, 3.0, 3, 2, noise)
+    expect = alpha_oracle(0.25, 2.0, 3.0, 3, 2, noise)
     assert np.all(tr.alpha == expect)
 
 
@@ -721,7 +732,7 @@ def test_oracle_weight_reads_each_arms_coded_noise(random_instance):
         [ds], [[Arm(gc, policy) for gc in coded]], 0.25, 30, [InverseDecay(1e-3)],
         [RngStream(18).child("t")], [optimum(ds)],
     )
-    alphas = [alpha_oracle(0.25, 3, 2.0, 3.0, 3, 2, noise) for noise in noises]
+    alphas = [alpha_oracle(0.25, 2.0, 3.0, 3, 2, noise) for noise in noises]
     assert alphas[0] != alphas[1]
     for tr, expect in zip(traces, alphas, strict=True):
         assert np.all(tr.alpha == expect)
