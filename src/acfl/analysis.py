@@ -15,9 +15,9 @@ from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 from .coding import NoiseParams, payload_size
-from .errors import ParameterError
+from .errors import ParameterError, check
 from .privacy import epsilon_of
-from .training import _check_alpha, alpha_oracle
+from .training import alpha_oracle
 
 __all__ = [
     "BoundInputs",
@@ -30,10 +30,19 @@ __all__ = [
 ]
 
 
+_BOUND_RULES = {
+    "p": "lie in [0, 1)",
+    "sigma1_sq": "be finite and nonnegative",
+    "sigma2_sq": "be finite and nonnegative",
+}
+
+
 @dataclass(frozen=True)
 class BoundInputs:
-    """Everything the second-moment and distance bounds depend on.  A range
-    error names its field, ``lam`` (the paper's lambda) as ``lambda``."""
+    """Everything the second-moment and distance bounds depend on: ``p`` lies
+    in ``[0, 1)``, the variances are finite and nonnegative and every other
+    field is finite and positive.  A range error names its field, ``lam``
+    (the paper's lambda) as ``lambda``."""
 
     p: float
     n_devices: int
@@ -48,16 +57,8 @@ class BoundInputs:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "p":
-                rule, ok = "lie in [0, 1)", 0.0 <= value < 1.0
-            elif f.name in ("sigma1_sq", "sigma2_sq"):
-                rule, ok = "be nonnegative", value >= 0
-            else:
-                rule, ok = "be positive", value > 0
-            if not ok:
-                name = "lambda" if f.name == "lam" else f.name
-                raise ParameterError(f"{name}: must {rule}, got {value}")
+            rule = _BOUND_RULES.get(f.name, "be finite and positive")
+            check("lambda" if f.name == "lam" else f.name, getattr(self, f.name), rule)
 
     def noise(self) -> NoiseParams:
         return NoiseParams(self.sigma1_sq, self.sigma2_sq)
@@ -69,7 +70,7 @@ def u_of(inputs: BoundInputs, alpha: float) -> float:
         u = [a^2 p + (1-p)(a + (1-a)/(1-p))^2 + N - 1] * N b^2
             + a^2 N d s1 C^2 + a^2 N s2 o d .
     """
-    _check_alpha(alpha)
+    check("alpha", alpha, "lie in [0, 1]")
     p, n = inputs.p, inputs.n_devices
     bracket = (
         alpha * alpha * p
@@ -104,8 +105,7 @@ def convergence_bound(inputs: BoundInputs, u_sup: float) -> float:
 
         E ||W_T - W*||_F^2 <= 4 * u_sup / (lam^2 T) .
     """
-    if not u_sup > 0:
-        raise ParameterError(f"u_sup must be positive, got {u_sup}")
+    check("u_sup", u_sup, "be positive")
     return 4.0 * u_sup / (inputs.lam * inputs.lam * inputs.steps)
 
 
@@ -135,8 +135,7 @@ def tradeoff_curve(
         raise ParameterError("sigma_grid: need at least one value")
     points = []
     for i, sigma_sq in enumerate(sigma_grid):
-        if not sigma_sq > 0:
-            raise ParameterError(f"sigma_grid[{i}]: must be positive, got {sigma_sq}")
+        check(f"sigma_grid[{i}]", sigma_sq, "be positive")
         inputs = replace(base, sigma1_sq=sigma_sq, sigma2_sq=sigma_sq)
         eps = epsilon_of(inputs.noise(), base.d, base.o)
         if alpha is None:
@@ -167,15 +166,11 @@ def comm_overhead(
     precision, so the arithmetic cannot overflow.  For ``T >> d`` the
     one-time term is negligible: ``psi2/psi1 = T o / (d + o)``.
     """
-    phi_bits = _as_int(phi_bits, "phi_bits")
-    d = _as_int(d, "d")
-    o = _as_int(o, "o")
-    n_devices = _as_int(n_devices, "n_devices")
-    steps = _as_int(steps, "steps")
-    if phi_bits < 1 or d < 1 or o < 1 or n_devices < 1:
-        raise ParameterError("phi_bits, d, o, n_devices must be positive")
-    if steps < 0:
-        raise ParameterError(f"steps must be nonnegative, got {steps}")
+    phi_bits, d, o, n_devices = (
+        check(name, _as_int(value, name), "be positive")
+        for name, value in (("phi_bits", phi_bits), ("d", d), ("o", o), ("n_devices", n_devices))
+    )
+    steps = check("steps", _as_int(steps, "steps"), "be nonnegative")
     psi1 = phi_bits * payload_size(d, o) * n_devices
     psi2 = phi_bits * steps * o * d * n_devices
     return psi1, psi2, psi1 + psi2

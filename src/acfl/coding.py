@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import FederatedDataset
-from .errors import ParameterError
+from .errors import ParameterError, check
 from .numerics import RngStream, as_matrix
 
 __all__ = [
@@ -44,9 +44,8 @@ class NoiseParams:
     sigma2_sq: float
 
     def __post_init__(self):
-        for name, value in (("sigma1_sq", self.sigma1_sq), ("sigma2_sq", self.sigma2_sq)):
-            if not 0.0 <= value < math.inf:
-                raise ParameterError(f"{name}: must be finite and nonnegative, got {value}")
+        check("sigma1_sq", self.sigma1_sq, "be finite and nonnegative")
+        check("sigma2_sq", self.sigma2_sq, "be finite and nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +99,7 @@ def encode_levels(
 
 def payload_size(d: int, o: int) -> int:
     """Reals per encoded upload: ``d^2 + o*d``, independent of sample count."""
-    if d < 1 or o < 1:
-        raise ParameterError(f"dimensions must be positive, got d={d}, o={o}")
+    check("d", d, "be positive")
+    check("o", o, "be positive")
     return d * d + o * d
 

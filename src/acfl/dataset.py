@@ -14,17 +14,17 @@ W_true``, so the optimum is the true weights and the optimal loss is zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check
 from .numerics import RngStream, as_matrix, check_entries, eig_min_sym
 
 __all__ = [
     "FederatedDataset",
     "ProblemFacts",
+    "check_shape",
     "generate",
     "loss",
     "optimum",
@@ -106,8 +106,7 @@ class FederatedDataset:
             if a.shape != (d, self.o):
                 raise ParameterError(f"{name} must be ({d}, {self.o}), got {a.shape}")
             object.__setattr__(self, name, a)
-        if not (math.isfinite(self.ee_sum) and self.ee_sum >= 0.0):
-            raise ParameterError(f"ee_sum must be finite and nonnegative, got {self.ee_sum}")
+        check("ee_sum", self.ee_sum, "be finite and nonnegative")
         object.__setattr__(self, "gram_x_sum", gram_x.sum(axis=0))
         object.__setattr__(self, "gram_xy_sum", gram_xy.sum(axis=0))
 
@@ -139,10 +138,17 @@ class ProblemFacts:
 
     def __post_init__(self):
         object.__setattr__(self, "w_star", as_matrix(self.w_star, "w_star"))
-        if not self.lam > 0:
-            raise ParameterError(f"lam must be positive, got {self.lam}")
-        if self.loss_at_optimum < 0:
-            raise ParameterError("loss_at_optimum must be nonnegative")
+        check("lam", self.lam, "be finite and positive")
+        check("loss_at_optimum", self.loss_at_optimum, "be nonnegative")
+
+
+def check_shape(n_devices: int, m: int, d: int, o: int) -> None:
+    """Refuse a dataset shape: every size positive, and ``m > d`` samples per
+    device, without which no ``X_i`` has full column rank."""
+    for name, value in (("n_devices", n_devices), ("d", d), ("o", o)):
+        check(name, value, "be positive")
+    if m <= d:
+        raise ParameterError(f"m: full column rank needs m > d, got m={m}, d={d}")
 
 
 def generate(n_devices: int, m: int, d: int, o: int, stream: RngStream) -> FederatedDataset:
@@ -160,12 +166,7 @@ def generate(n_devices: int, m: int, d: int, o: int, stream: RngStream) -> Feder
     about ``1.4 d 1e-10`` at ``m = d + 1`` and far less for larger ``m``)
     raises its :class:`ParameterError`.
     """
-    if d < 1 or o < 1:
-        raise ParameterError(f"dimensions must be positive, got d={d}, o={o}")
-    if m <= d:
-        raise ParameterError(f"full column rank unattainable with m={m} <= d={d}")
-    if n_devices < 1:
-        raise ParameterError(f"n_devices must be positive, got {n_devices}")
+    check_shape(n_devices, m, d, o)
     check_entries(n_devices * d * (d + o), f"n_devices={n_devices}, d={d}, o={o}: Gram stacks")
     check_entries(min(n_devices, DEVICE_CHUNK_ROWS) * m * (d + o), f"m={m}: a sample chunk")
     w_true = stream.child("w_true").generator().uniform(0.0, 1.0 / 30.0, size=(d, o))

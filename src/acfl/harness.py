@@ -26,8 +26,8 @@ import numpy as np
 
 from .analysis import BoundInputs, tradeoff_curve
 from .coding import GlobalCodedData, NoiseParams, encode_levels
-from .dataset import FederatedDataset, generate, loss, optimum
-from .errors import NumericError, ParameterError
+from .dataset import FederatedDataset, check_shape, generate, loss, optimum
+from .errors import NumericError, ParameterError, check
 from .numerics import MAX_ENTRIES, RngStream
 from .privacy import sigma_for_epsilon
 from .training import (
@@ -110,20 +110,12 @@ class ExperimentConfig:
     baseline: AggregationPolicy | OracleAuto = FixedWeight(0.5)
 
     def __post_init__(self):
-        if self.n_devices < 1:
-            raise ParameterError(f"dataset.n_devices: must be positive, got {self.n_devices}")
-        if self.d < 1 or self.o < 1:
-            raise ParameterError(f"dataset.d/dataset.o: must be positive, got {self.d}, {self.o}")
-        if self.m <= self.d:
-            raise ParameterError(f"dataset.m: need m > d, got m={self.m}, d={self.d}")
-        if not 0.0 <= self.straggler_p < 1.0:
-            raise ParameterError(f"straggler_p: must lie in [0, 1), got {self.straggler_p}")
+        check_shape(self.n_devices, self.m, self.d, self.o)
+        check("straggler_p", self.straggler_p, "lie in [0, 1)")
         if not isinstance(self.noise, NoiseParams):
             raise ParameterError(f"noise: expected NoiseParams, got {self.noise!r}")
-        if self.steps < 0:
-            raise ParameterError(f"steps: must be nonnegative, got {self.steps}")
-        if self.replicates < 1:
-            raise ParameterError(f"replicates: must be positive, got {self.replicates}")
+        check("steps", self.steps, "be nonnegative")
+        check("replicates", self.replicates, "be positive")
         if not coerce(self.out_dir, str, "out_dir"):
             raise ParameterError("out_dir: must be a nonempty path")
         levels = coerce(self.noise_levels, list, "noise_levels")
@@ -133,8 +125,7 @@ class ExperimentConfig:
             tuple(coerce(x, float, f"noise_levels[{i}]") for i, x in enumerate(levels)),
         )
         for i, x in enumerate(self.noise_levels):
-            if x < 0:
-                raise ParameterError(f"noise_levels[{i}]: must be nonnegative, got {x}")
+            check(f"noise_levels[{i}]", x, "be finite and nonnegative")
             if x in self.noise_levels[:i]:
                 raise ParameterError(f"noise_levels[{i}]: repeats the level {x}")
 
@@ -235,13 +226,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     with _Fields(raw) as top:
         with top.read("dataset", _Fields) as dataset:
             shape = {key: dataset.read(key, int) for key in ("n_devices", "m", "d", "o")}
+            check_shape(**shape)
         with top.read("noise", _Fields) as noise:
             if "epsilon" in noise.left:
-                epsilon = noise.read("epsilon", float)
-                try:
-                    variances = sigma_for_epsilon(epsilon, shape["d"], shape["o"])
-                except ParameterError as e:
-                    raise ParameterError(f"noise.epsilon: {e}") from None
+                variances = sigma_for_epsilon(noise.read("epsilon", float), shape["d"], shape["o"])
             else:
                 variances = NoiseParams(
                     noise.read("sigma1_sq", float), noise.read("sigma2_sq", float)

@@ -18,14 +18,9 @@ import math
 import sys
 
 from .coding import NoiseParams
-from .errors import ParameterError
+from .errors import ParameterError, check
 
 __all__ = ["epsilon_of", "sigma_for_epsilon"]
-
-
-def _check_dims(d: int, o: int) -> None:
-    if d < 1 or o < 1:
-        raise ParameterError(f"dimensions must be positive integers, got d={d}, o={o}")
 
 
 def _log1p_inv(s: float) -> float:
@@ -36,7 +31,8 @@ def _log1p_inv(s: float) -> float:
 
 def epsilon_of(noise: NoiseParams, d: int, o: int) -> float:
     """Privacy level (nats) of one device's coded upload."""
-    _check_dims(d, o)
+    check("d", d, "be positive")
+    check("o", o, "be positive")
     if noise.sigma1_sq <= 0 or noise.sigma2_sq <= 0:
         raise ParameterError("epsilon is unbounded at zero noise: both variances must be positive")
     return (d - 0.5) * _log1p_inv(noise.sigma1_sq) + (o / 2.0) * _log1p_inv(noise.sigma2_sq)
@@ -52,13 +48,10 @@ def sigma_for_epsilon(epsilon: float, d: int, o: int) -> NoiseParams:
     whose exponent is below the smallest normal double, where the variance
     would overflow, is refused with :class:`ParameterError`.
     """
-    _check_dims(d, o)
-    if not epsilon > 0:
-        raise ParameterError(f"target epsilon must be positive, got {epsilon}")
-    ratio = epsilon / (d - 0.5 + o / 2.0)
+    check("d", d, "be positive")
+    check("o", o, "be positive")
+    ratio = check("epsilon", epsilon, "be positive") / (d - 0.5 + o / 2.0)
     if ratio < sys.float_info.min:
-        raise ParameterError(
-            f"target epsilon {epsilon!r} is too small: its noise variance overflows doubles"
-        )
+        raise ParameterError(f"epsilon: {epsilon!r} is too small: its variance overflows doubles")
     sigma_sq = 0.0 if ratio > 700.0 else 1.0 / math.expm1(ratio)
     return NoiseParams(sigma_sq, sigma_sq)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .coding import GlobalCodedData, NoiseParams
 from .dataset import DEVICE_CHUNK_ROWS, FederatedDataset, ProblemFacts
-from .errors import NumericError, ParameterError
+from .errors import NumericError, ParameterError, check
 from .numerics import RngStream, check_entries
 
 __all__ = [
@@ -55,25 +55,6 @@ __all__ = [
 W0_SCALE = 1.0 / 30.0  # initial iterate: entries uniform on [0, 1/30]
 
 
-def _check_p(p: float) -> None:
-    if not 0.0 <= p < 1.0:
-        raise ParameterError(f"straggler probability must lie in [0, 1), got {p}")
-
-
-def _check_alpha(alpha: float, name: str = "alpha") -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"{name}: must lie in [0, 1], got {alpha}")
-
-
-def _check_bound(name: str, value: float) -> float:
-    """An oracle norm bound as a float: positive and finite."""
-    if not value > 0:
-        raise ParameterError(f"{name}: must be positive, got {value}")
-    if value == math.inf:
-        raise ParameterError(f"{name}: must be finite, got {value}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class FixedWeight:
     """Constant aggregation weight across all iterations."""
@@ -81,7 +62,7 @@ class FixedWeight:
     alpha: float
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        check("alpha", self.alpha, "lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -98,8 +79,8 @@ class AdaptiveOracle:
     c_sq: float
 
     def __post_init__(self):
-        _check_bound("beta_sq", self.beta_sq)
-        _check_bound("c_sq", self.c_sq)
+        check("beta_sq", self.beta_sq, "be finite and positive")
+        check("c_sq", self.c_sq, "be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -113,7 +94,7 @@ class AdaptiveEstimated:
     fallback_alpha: float = 1.0
 
     def __post_init__(self):
-        _check_alpha(self.fallback_alpha, "fallback_alpha")
+        check("fallback_alpha", self.fallback_alpha, "lie in [0, 1]")
 
 
 AggregationPolicy = FixedWeight | AdaptiveOracle | AdaptiveEstimated
@@ -126,8 +107,7 @@ class InverseDecay:
     c: float
 
     def __post_init__(self):
-        if not 0.0 < self.c < math.inf:
-            raise ParameterError(f"c: must be finite and positive, got {self.c}")
+        check("c", self.c, "be finite and positive")
 
     def rates(self, steps: int) -> np.ndarray:
         """``eta_t`` for ``t = 1 .. steps``."""
@@ -136,9 +116,7 @@ class InverseDecay:
 
 def schedule_for_strong_convexity(lam: float) -> InverseDecay:
     """The ``1/(lam t)`` schedule matching a strong-convexity constant."""
-    if not lam > 0:
-        raise ParameterError(f"lam must be positive, got {lam}")
-    return InverseDecay(1.0 / lam)
+    return InverseDecay(1.0 / check("lam", lam, "be finite and positive"))
 
 
 def sample_stragglers(p: float, n: int, rng: np.random.Generator, rows: int) -> np.ndarray:
@@ -146,9 +124,8 @@ def sample_stragglers(p: float, n: int, rng: np.random.Generator, rows: int) -> 
     device independently present w.p. ``1 - p``: ``n`` uniform draws from
     ``rng`` per mask, filled row-major, so successive calls on one generator
     give the rows of one ``(T, n)`` block in order."""
-    _check_p(p)
-    if n < 1:
-        raise ParameterError(f"need at least one device, got n={n}")
+    check("p", p, "lie in [0, 1)")
+    check("n", n, "be positive")
     return rng.random((rows, n)) >= p
 
 
@@ -162,10 +139,11 @@ def alpha_oracle(p: float, beta_sq: float, c_sq: float, d: int, o: int, noise: N
     fully) or at a zero denominator, and 1 when both encoding variances
     vanish; strictly below 1 otherwise.
     """
-    if d < 1 or o < 1:
-        raise ParameterError("d, o must be positive")
-    p, beta_sq, c_sq = float(p), _check_bound("beta_sq", beta_sq), _check_bound("c_sq", c_sq)
-    _check_p(p)
+    check("d", d, "be positive")
+    check("o", o, "be positive")
+    beta_sq = float(check("beta_sq", beta_sq, "be finite and positive"))
+    c_sq = float(check("c_sq", c_sq, "be finite and positive"))
+    p = float(check("p", p, "lie in [0, 1)"))
     d_sigma1_sq, q, floor = _weight_terms(p, d, o, float(noise.sigma1_sq), float(noise.sigma2_sq))
     num = p * beta_sq
     den = num + d_sigma1_sq * c_sq * q + floor
@@ -459,9 +437,8 @@ def train(
     trace row (loss, weight or a norm) is not finite; rows are checked a
     block at a time, and the first bad row is named.
     """
-    _check_p(straggler_p)
-    if steps < 0:
-        raise ParameterError(f"steps must be nonnegative, got {steps}")
+    check("straggler_p", straggler_p, "lie in [0, 1)")
+    check("steps", steps, "be nonnegative")
     datasets, arms, schedules, streams, facts = (
         tuple(ds), tuple(map(tuple, arms)), tuple(schedule), tuple(stream), tuple(facts)
     )

@@ -219,3 +219,15 @@ def test_bound_inputs_validation():
         with pytest.raises(ParameterError, match=rf"^{name}: must "):
             replace(REF_INPUTS, **{field: value})
     assert replace(REF_INPUTS, p=0.0, sigma1_sq=0.0, sigma2_sq=0.0).p == 0.0
+
+
+@pytest.mark.parametrize(
+    "field", ["n_devices", "beta_sq", "c_sq", "d", "o", "sigma1_sq", "sigma2_sq", "lam", "steps"]
+)
+def test_bound_inputs_refuse_infinity(field):
+    # An infinite bound input made u or the distance bound inf, or the
+    # bound 0.0 for an infinite lambda or T, with no error.
+    name = "lambda" if field == "lam" else field
+    rule = "be finite and nonnegative" if field.startswith("sigma") else "be finite and positive"
+    with pytest.raises(ParameterError, match=rf"^{name}: must {rule}, got inf$"):
+        replace(REF_INPUTS, **{field: math.inf})

@@ -188,7 +188,7 @@ def test_tradeoff_missing_field(tmp_path, capsys):
 PROBE = "steps: auto oracle constants need steps >= 1 to probe"
 REPLICATES_PAST_SIZES = f"replicates={10**30}: the records of the run: "
 REPLICATES_PAST_MEMORY = f"replicates={10**12}: the records of the run: "
-EPSILON_TOO_SMALL = "noise.epsilon: target epsilon 1e-320 is too small: "
+EPSILON_TOO_SMALL = "noise.epsilon: 1e-320 is too small: "
 
 
 @pytest.mark.parametrize(
@@ -324,13 +324,13 @@ EPSILON_TOO_SMALL = "noise.epsilon: target epsilon 1e-320 is too small: "
             "run",
             write_run_config,
             {"noise": {"epsilon": -1}},
-            "noise.epsilon: target epsilon must be positive, got -1.0",
+            "noise.epsilon: must be positive, got -1.0",
         ),
         (
             "run",
             write_run_config,
             {"dataset": {"n_devices": 3, "m": 8, "d": 0, "o": 2}, "noise": {"epsilon": 2.0}},
-            "noise.epsilon: dimensions must be positive integers, got d=0, o=2",
+            "dataset.d: must be positive, got 0",
         ),
         # A trade-off value that would stop a curve is refused as it is read.
         (
@@ -339,9 +339,19 @@ EPSILON_TOO_SMALL = "noise.epsilon: target epsilon 1e-320 is too small: "
             {"policies": [{"kind": "adaptive"}, {"kind": "fixed", "alpha": 1.5}]},
             "policies[1].alpha: must lie in [0, 1], got 1.5",
         ),
-        ("tradeoff", write_tradeoff_config, {"n_devices": 0}, "n_devices: must be positive, got 0"),
+        (
+            "tradeoff",
+            write_tradeoff_config,
+            {"n_devices": 0},
+            "n_devices: must be finite and positive, got 0",
+        ),
         ("tradeoff", write_tradeoff_config, {"p": 1.0}, "p: must lie in [0, 1), got 1.0"),
-        ("tradeoff", write_tradeoff_config, {"lambda": 0}, "lambda: must be positive, got 0.0"),
+        (
+            "tradeoff",
+            write_tradeoff_config,
+            {"lambda": 0},
+            "lambda: must be finite and positive, got 0.0",
+        ),
         (
             "tradeoff",
             write_tradeoff_config,
@@ -377,7 +387,7 @@ EPSILON_TOO_SMALL = "noise.epsilon: target epsilon 1e-320 is too small: "
             "run",
             write_run_config,
             {"policy": {"kind": "adaptive-oracle", "beta_sq": -1, "c_sq": 1.0}},
-            "policy.beta_sq: must be positive, got -1.0",
+            "policy.beta_sq: must be finite and positive, got -1.0",
         ),
         (
             "run",

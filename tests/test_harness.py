@@ -125,6 +125,26 @@ def test_config_file_parses_to_config(tmp_path):
     assert load_config(path) == cfg
 
 
+@pytest.mark.parametrize(
+    "shape,needle",
+    [
+        ({"d": 0}, "d: must be positive, got 0"),
+        ({"n_devices": 0}, "n_devices: must be positive, got 0"),
+        ({"m": 3}, "m: full column rank needs m > d, got m=3, d=3"),
+    ],
+    ids=["d", "n_devices", "m"],
+)
+def test_shape_is_checked_before_epsilon(tmp_path, shape, needle):
+    # The reader checks the shape in its dataset block, before an epsilon is
+    # calibrated at that shape; a config built in Python names its own field.
+    raw, _ = epsilon_config(tmp_path)
+    raw["dataset"].update(shape)
+    with pytest.raises(ParameterError, match=f"^{re.escape('dataset.' + needle)}$"):
+        config_from_dict(raw)
+    with pytest.raises(ParameterError, match=f"^{re.escape(needle)}$"):
+        small_config(tmp_path, **shape)
+
+
 def test_config_out_dir_must_be_a_string(tmp_path):
     # A config file gives out_dir as a JSON string; a library caller's path
     # object or number is refused rather than kept as given.

@@ -163,9 +163,9 @@ def test_oracle_bounds_must_be_finite(name):
     # An infinite bound would make the weight inf / inf, and training would
     # report the NaN as a divergence at iteration 0.
     bounds = {"beta_sq": 1.0, "c_sq": 1.0, name: math.inf}
-    with pytest.raises(ParameterError, match=f"^{name}: must be finite, got inf$"):
+    with pytest.raises(ParameterError, match=f"^{name}: must be finite and positive, got inf$"):
         AdaptiveOracle(**bounds)
-    with pytest.raises(ParameterError, match=f"^{name}: must be finite, got inf$"):
+    with pytest.raises(ParameterError, match=f"^{name}: must be finite and positive, got inf$"):
         alpha_oracle(0.3, d=3, o=2, noise=NoiseParams(1.0, 1.0), **bounds)
 
 
@@ -231,6 +231,12 @@ def test_schedule_values_and_validation():
             InverseDecay(c)
     assert sched.rates(0).shape == (0,)
     assert schedule_for_strong_convexity(4.0).rates(1)[0] == 0.25
+
+
+def test_strong_convexity_schedule_names_lam():
+    # An infinite lam once built InverseDecay(0.0), whose error named c.
+    with pytest.raises(ParameterError, match=r"^lam: must be finite and positive, got inf$"):
+        schedule_for_strong_convexity(math.inf)
 
 
 # --------------------------------------------------------------------- train
