@@ -135,7 +135,7 @@ def tradeoff_curve(
         raise ParameterError("sigma_grid: need at least one value")
     points = []
     for i, sigma_sq in enumerate(sigma_grid):
-        check(f"sigma_grid[{i}]", sigma_sq, "be positive")
+        check(f"sigma_grid[{i}]", sigma_sq, "be finite and positive")
         inputs = replace(base, sigma1_sq=sigma_sq, sigma2_sq=sigma_sq)
         eps = epsilon_of(inputs.noise(), base.d, base.o)
         if alpha is None:

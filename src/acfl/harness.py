@@ -39,6 +39,7 @@ from .training import (
     InverseDecay,
     TrainingTrace,
     schedule_for_strong_convexity,
+    trace_bytes,
     train,
 )
 
@@ -334,10 +335,6 @@ class ReplicateRecord:
     dataset_digest: str
     coded_digest: str
 
-    @property
-    def mask_digest(self) -> str:
-        return self.trace.mask_digest
-
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
@@ -424,38 +421,29 @@ def _run_group(
     return records
 
 
-def _record_bytes(cfg: ExperimentConfig, n_arms: int, replicates: int, size: int) -> int:
-    """Bytes the records of ``replicates`` replicates keep, trained in groups
-    of ``size``: per replicate, five trace columns and ``final_w`` per arm and
-    the shared ``n_present`` and ``w0``; per group, one ``t`` index."""
-    groups = -(-replicates // size)
-    per_replicate = n_arms * (5 * cfg.steps + cfg.d * cfg.o) + cfg.steps + cfg.d * cfg.o
-    return (replicates * per_replicate + groups * cfg.steps) * 8
-
-
 def _run_replicates(cfg: ExperimentConfig, arms) -> tuple[tuple[ReplicateRecord, ...], ...]:
     """Every replicate of every arm: one tuple of records per arm, by replicate.
 
-    Before any group trains, refuses a run whose records
-    (:func:`_record_bytes`, all alive until the CSVs are written) exceed
-    physical memory, unless one replicate's alone do: its group then
-    refuses them, naming the steps or the shape, or numpy cannot allocate
-    them.  Where ``os.sysconf`` cannot tell the memory, the bound is the
-    most bytes an array can hold.
+    Before any group trains, refuses a run whose records (``replicates``
+    times :func:`~acfl.training.trace_bytes`, all alive until the CSVs are
+    written) exceed physical memory, unless one replicate's alone do: its
+    group then refuses them, naming the steps or the shape, or numpy cannot
+    allocate them.  Where ``os.sysconf`` cannot tell the memory, the bound
+    is the most bytes an array can hold.
     """
-    gram_bytes = cfg.n_devices * cfg.d * (cfg.d + cfg.o) * 8
-    size = max(1, GROUP_GRAM_BYTES // gram_bytes)
-    kept = _record_bytes(cfg, len(arms), cfg.replicates, size)
+    one = trace_bytes(len(arms), cfg.steps, cfg.d, cfg.o)
+    kept = cfg.replicates * one
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         memory = -1
     memory = memory if memory > 0 else MAX_ENTRIES * 8
-    if _record_bytes(cfg, len(arms), 1, 1) <= memory < kept:
+    if one <= memory < kept:
         raise ParameterError(
             f"replicates={cfg.replicates}: the records of the run: {kept} "
             f"bytes, more than fit in memory ({memory} bytes)"
         )
+    size = max(1, GROUP_GRAM_BYTES // (cfg.n_devices * cfg.d * (cfg.d + cfg.o) * 8))
     per_replicate = [
         records
         for start in range(0, cfg.replicates, size)
@@ -517,20 +505,20 @@ def _write_csv(path: Path, header: str, tables) -> None:
 def summarize(records) -> np.ndarray:
     """Per-iteration aggregates across replicates.
 
-    Returns an array of rows ``(t, mean_loss, stderr_loss, mean_dist_sq,
-    stderr_dist_sq)``; the standard error is the ddof-1 standard deviation
-    over replicates divided by ``sqrt(R)`` (zero when ``R == 1``).
+    Returns an array whose row ``t`` is ``(mean_loss, stderr_loss,
+    mean_dist_sq, stderr_dist_sq)`` at iteration ``t``; the standard error
+    is the ddof-1 standard deviation over replicates divided by ``sqrt(R)``
+    (zero when ``R == 1``).
     """
     losses = np.stack([rec.trace.loss for rec in records])
     dists = np.stack([rec.trace.dist_sq for rec in records])
     n_rep, steps = losses.shape
-    out = np.zeros((steps, 5))
-    out[:, 0] = np.arange(steps)
-    out[:, 1] = losses.mean(axis=0)
-    out[:, 3] = dists.mean(axis=0)
+    out = np.zeros((steps, 4))
+    out[:, 0] = losses.mean(axis=0)
+    out[:, 2] = dists.mean(axis=0)
     if n_rep > 1:
-        out[:, 2] = losses.std(axis=0, ddof=1) / np.sqrt(n_rep)
-        out[:, 4] = dists.std(axis=0, ddof=1) / np.sqrt(n_rep)
+        out[:, 1] = losses.std(axis=0, ddof=1) / np.sqrt(n_rep)
+        out[:, 3] = dists.std(axis=0, ddof=1) / np.sqrt(n_rep)
     return out
 
 
@@ -551,11 +539,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     tables = []
     for rec in records:
         tr = rec.trace
-        replicate = np.full(tr.steps, rec.replicate)
-        tables.append((replicate, tr.t, tr.alpha, tr.n_present, tr.loss, tr.dist_sq, tr.grad_norm_sq))
+        index = (np.full(tr.steps, rec.replicate), np.arange(tr.steps))
+        tables.append((*index, tr.alpha, tr.n_present, tr.loss, tr.dist_sq, tr.grad_norm_sq))
     _write_csv(trace_path, TRACE_HEADER, tables)
     summary = summarize(records)
-    _write_csv(summary_path, SUMMARY_HEADER, [(np.arange(len(summary)), *summary.T[1:])])
+    _write_csv(summary_path, SUMMARY_HEADER, [(np.arange(len(summary)), *summary.T)])
     return RunResult(cfg, policy, records, trace_path, summary_path)
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "alpha_oracle",
     "sample_stragglers",
     "schedule_for_strong_convexity",
+    "trace_bytes",
     "train",
 ]
 
@@ -176,7 +177,7 @@ class Arm:
     policy: AggregationPolicy
 
     def __post_init__(self):
-        if not isinstance(self.policy, (FixedWeight, AdaptiveOracle, AdaptiveEstimated)):
+        if not isinstance(self.policy, AggregationPolicy):
             raise ParameterError(f"unsupported policy: {self.policy!r}")
 
 
@@ -196,15 +197,14 @@ def _diverged(t: int, arms, record: np.ndarray) -> NumericError:
 class TrainingTrace:
     """Per-iteration instrumentation plus the initial and final iterates.
 
-    One record per iteration ``0 .. T-1``; the per-iteration values are
-    taken at the start of the iteration (before the update), so row 0 holds
-    the initial loss.  ``w_norm_sq`` and ``max_device_grad_sq`` exist to
+    Entry ``t`` of a column is iteration ``t`` of ``0 .. T-1``, taken at the
+    start of the iteration (before the update), so entry 0 holds the
+    initial loss.  ``w_norm_sq`` and ``max_device_grad_sq`` exist to
     check the norm-bound assumptions after the fact and to derive oracle
     constants from observed runs; ``max_device_grad_sq`` is ``None`` unless
     :func:`train` was asked for it (``device_max=True``).
     """
 
-    t: np.ndarray
     alpha: np.ndarray
     n_present: np.ndarray
     loss: np.ndarray
@@ -218,10 +218,19 @@ class TrainingTrace:
 
     @property
     def steps(self) -> int:
-        return len(self.t)
+        return len(self.alpha)
 
 
 _TRACE_COLUMNS = ("alpha", "loss", "dist_sq", "grad_norm_sq", "w_norm_sq", "max_device_grad_sq")
+
+
+def trace_bytes(n_arms: int, steps: int, d: int, o: int) -> int:
+    """Bytes one replicate's traces from :func:`train` keep (``device_max``
+    off): per arm, every trace column but ``max_device_grad_sq`` and
+    ``final_w``; per replicate, ``n_present`` and ``w0``."""
+    per_arm = (len(_TRACE_COLUMNS) - 1) * steps + d * o
+    return (n_arms * per_arm + steps + d * o) * 8
+
 
 # Straggler-mask rows drawn per generator call: each replicate's masks come
 # in (rows, n) blocks of at most this many rows.
@@ -466,7 +475,8 @@ def train(
         if facts[r].w_star.shape != (d, o):
             raise ParameterError(f"replicate {r}: facts.w_star shape does not match the dataset")
         inits.append(streams[r].child("init").generator().uniform(0.0, W0_SCALE, size=(d, o)))
-    check_entries(len(_TRACE_COLUMNS) * n_rep * k * steps, f"steps={steps}: the trace record")
+    names = _TRACE_COLUMNS if device_max else _TRACE_COLUMNS[:-1]
+    check_entries(len(names) * n_rep * k * steps, f"steps={steps}: the trace record")
 
     grams = [x.gram_x.reshape(n, d * d) for x in datasets]
     a_sum = np.stack([x.gram_x_sum for x in datasets])[:, None]  # (R, 1, d, d)
@@ -511,7 +521,6 @@ def train(
 
     # Every computed trace column of every replicate and arm, by iteration:
     # the traces keep views of it, so each column is stored once.
-    names = _TRACE_COLUMNS if device_max else _TRACE_COLUMNS[:-1]
     record = np.zeros((len(names), n_rep, k, steps))
     n_present = np.zeros((n_rep, steps), dtype=np.int64)
     mask_rngs = [s.child("mask").generator() for s in streams]
@@ -649,11 +658,9 @@ def train(
                 raise _diverged(start + int(np.argmax(bad)), arms, record)
 
     w = w_star + devs[rows] if steps else np.repeat(np.stack(inits)[:, None], k, axis=1)
-    t_index = np.arange(steps, dtype=np.int64)
     return tuple(
         tuple(
             TrainingTrace(
-                t=t_index,
                 n_present=n_present[r],
                 w0=inits[r],
                 final_w=w[r, j],

@@ -167,10 +167,15 @@ def test_tradeoff_high_noise_limit():
 def test_tradeoff_validation():
     with pytest.raises(ParameterError, match=r"^sigma_grid: need at least one value$"):
         tradeoff_curve(REF_INPUTS, [])
-    with pytest.raises(ParameterError, match=r"^sigma_grid\[0\]: must be positive, got 0.0$"):
+    with pytest.raises(
+        ParameterError, match=r"^sigma_grid\[0\]: must be finite and positive, got 0.0$"
+    ):
         tradeoff_curve(REF_INPUTS, [0.0])
-    with pytest.raises(ParameterError, match=r"^sigma_grid\[1\]: must be positive, got -1.0$"):
-        tradeoff_curve(REF_INPUTS, [1.0, -1.0])
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(
+            ParameterError, match=rf"^sigma_grid\[1\]: must be finite and positive, got {bad}$"
+        ):
+            tradeoff_curve(REF_INPUTS, [1.0, bad])
     with pytest.raises(ParameterError, match=r"^alpha: must lie in \[0, 1\], got 1.5$"):
         tradeoff_curve(REF_INPUTS, [1.0], 1.5)
     with pytest.raises(ParameterError, match=r"^alpha: must lie in \[0, 1\], got 1.5$"):

@@ -356,7 +356,7 @@ EPSILON_TOO_SMALL = "noise.epsilon: 1e-320 is too small: "
             "tradeoff",
             write_tradeoff_config,
             {"sigma_grid": [1.0, -1.0]},
-            "sigma_grid[1]: must be positive, got -1.0",
+            "sigma_grid[1]: must be finite and positive, got -1.0",
         ),
         # A library type's own range check names the field by its dotted path.
         (

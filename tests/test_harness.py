@@ -32,6 +32,7 @@ from acfl.training import (
     FixedWeight,
     InverseDecay,
     alpha_oracle,
+    trace_bytes,
     train,
 )
 from reference import replay_samples, residual_loss
@@ -380,9 +381,9 @@ def test_resolve_policy_probes_oracle_constants(tmp_path):
     )
     for rec, (again,) in zip(result.records, audited, strict=True):
         assert rec.trace.max_device_grad_sq is None
-        for name in ("t", "n_present", *OTHER_COLUMNS, "w0", "final_w"):
+        for name in ("n_present", *OTHER_COLUMNS, "w0", "final_w"):
             assert np.array_equal(getattr(rec.trace, name), getattr(again.trace, name)), name
-        assert rec.mask_digest == again.mask_digest
+        assert rec.trace.mask_digest == again.trace.mask_digest
         assert rec.final_loss == again.final_loss
     # realized norms stay within the probed constants on this config
     for rec, (again,) in zip(result.records, audited):
@@ -405,7 +406,7 @@ def test_compare_rows_and_pairing(tmp_path):
         for ra, rb in zip(recs_a, recs_b):
             assert ra.dataset_digest == rb.dataset_digest
             assert ra.coded_digest == rb.coded_digest
-            assert ra.mask_digest == rb.mask_digest
+            assert ra.trace.mask_digest == rb.trace.mask_digest
             assert np.array_equal(ra.trace.w0, rb.trace.w0)
         assert 0.0 <= result.win_rates[level] <= 1.0
     # Every arm of a replicate trains in one loop; each row must equal a
@@ -513,9 +514,10 @@ def test_replicate_groups_do_not_change_artifacts(tmp_path, monkeypatch, per_gro
 
 @pytest.mark.parametrize("per_group", [1, 3])
 def test_memory_refusal_counts_the_bytes_the_records_keep(tmp_path, monkeypatch, per_group):
-    # The count the refusal reads equals the bytes of the distinct arrays the
-    # records reach: per arm the trace columns and final_w, per replicate
-    # n_present and w0, per train call the t index.
+    # The count the refusal reads, replicates times trace_bytes, equals the
+    # bytes of the distinct arrays the records reach (per arm the trace
+    # columns and final_w, per replicate n_present and w0), and is the same
+    # however the replicates are grouped into train calls.
     cfg = small_config(tmp_path, replicates=3, steps=50)
     gram_bytes = cfg.n_devices * cfg.d * (cfg.d + cfg.o) * 8
     monkeypatch.setattr(harness, "GROUP_GRAM_BYTES", per_group * gram_bytes)
@@ -529,9 +531,7 @@ def test_memory_refusal_counts_the_bytes_the_records_keep(tmp_path, monkeypatch,
                         value = value.base
                     bases[id(value)] = value
     held = sum(a.nbytes for a in bases.values())
-    assert held == harness._record_bytes(cfg, len(arms), cfg.replicates, per_group)
-    if per_group == 3:
-        assert held == 14_032
+    assert held == cfg.replicates * trace_bytes(len(arms), cfg.steps, cfg.d, cfg.o) == 13_632
 
 
 def test_auto_oracle_margin_must_be_finite():
@@ -574,7 +574,7 @@ def test_csv_rows_use_the_shortest_round_trip_repr(tmp_path, monkeypatch):
     )
     summary = harness.summarize(result.records)
     assert result.summary_path.read_text().splitlines()[3] == "2," + ",".join(
-        repr(float(x)) for x in summary[2, 1:]
+        repr(float(x)) for x in summary[2]
     )
     compared = compare_baselines(replace(cfg, noise_levels=(0.5,)))
     level, method, seed, final_loss = compared.rows[0]

@@ -541,7 +541,7 @@ def test_batched_train_equals_one_replicate_calls(n_rep, k):
         assert len(traces) == len(alone) == k
         assert (alone[0].n_present == 0).any()
         for a, b in zip(traces, alone):
-            for name in ("t", "n_present", *TRACE_COLUMNS[1:], "alpha", "w0", "final_w"):
+            for name in ("n_present", *TRACE_COLUMNS[1:], "alpha", "w0", "final_w"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
             assert a.mask_digest == b.mask_digest
 
@@ -758,7 +758,7 @@ def test_requesting_the_device_maximum_changes_nothing_else():
         for a, b in zip(plain_r, audited_r, strict=True):
             assert a.max_device_grad_sq is None
             assert b.max_device_grad_sq.shape == (150,)
-            for name in ("t", "n_present", *TRACE_COLUMNS[:-1], "w0", "final_w"):
+            for name in ("n_present", *TRACE_COLUMNS[:-1], "w0", "final_w"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
             assert a.mask_digest == b.mask_digest
 
@@ -789,7 +789,7 @@ def test_residual_only_statistics_change_no_bit(n, d, o, p):
     for lean_r, full_r in zip(lean, full, strict=True):
         for a, b in zip(lean_r, full_r, strict=True):
             assert a.max_device_grad_sq is None
-            for name in ("t", *TRACE_COLUMNS[:-1], "w0", "final_w"):
+            for name in (*TRACE_COLUMNS[:-1], "w0", "final_w"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
             assert a.mask_digest == b.mask_digest
 
