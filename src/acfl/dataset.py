@@ -44,21 +44,27 @@ def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _deficient(gram_x: np.ndarray) -> np.ndarray:
     """Indices of the matrices of a symmetric ``(n, d, d)`` stack whose smallest
-    eigenvalue is at most ``_RANK_TOL``.
+    eigenvalue is at most ``_RANK_TOL``, in increasing order.
 
-    One batched Cholesky of ``A_i - _RANK_TOL * I`` decides the whole stack:
-    it succeeds exactly when every ``lambda_min(A_i) > _RANK_TOL``, up to
-    rounding, so it agrees with the eigenvalue criterion unless some
-    ``lambda_min(A_i)`` lies within ``4 * d * eps * ||A_i||_2`` of the
-    threshold.  Only when it fails (a measure-zero event for drawn features)
-    does a batched eigensolve name the failing matrices by the eigenvalue
-    criterion itself.
+    The stack is checked in slices of :data:`DEVICE_CHUNK_ROWS` matrices, so
+    its temporaries are bounded by one slice, not the stack.  One batched
+    Cholesky of ``A_i - _RANK_TOL * I`` decides a slice: it succeeds exactly
+    when every ``lambda_min(A_i) > _RANK_TOL``, up to rounding, so it agrees
+    with the eigenvalue criterion unless some ``lambda_min(A_i)`` lies within
+    ``4 * d * eps * ||A_i||_2`` of the threshold.  Only when it fails (a
+    measure-zero event for drawn features) does a batched eigensolve name
+    that slice's failing matrices by the eigenvalue criterion itself; the
+    scan then goes on to the next slice.
     """
-    try:
-        np.linalg.cholesky(gram_x - _RANK_TOL * np.eye(gram_x.shape[-1]))
-    except np.linalg.LinAlgError:
-        return np.flatnonzero(np.linalg.eigvalsh(gram_x)[:, 0] <= _RANK_TOL)
-    return np.empty(0, dtype=np.intp)
+    shift = _RANK_TOL * np.eye(gram_x.shape[-1])
+    failing = [np.empty(0, dtype=np.intp)]
+    for lo in range(0, len(gram_x), DEVICE_CHUNK_ROWS):
+        chunk = gram_x[lo : lo + DEVICE_CHUNK_ROWS]
+        try:
+            np.linalg.cholesky(chunk - shift)
+        except np.linalg.LinAlgError:
+            failing.append(lo + np.flatnonzero(np.linalg.eigvalsh(chunk)[:, 0] <= _RANK_TOL))
+    return np.concatenate(failing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +80,8 @@ class FederatedDataset:
     finite entries, agreeing shapes and, by :func:`_deficient`, that every
     ``X_i^T X_i`` has full rank, naming the first device whose smallest
     eigenvalue is at most ``1e-10``: the only rank check of a drawn dataset.
+    It runs per slice of :data:`DEVICE_CHUNK_ROWS` devices, so its
+    temporaries are bounded by one slice, not the stack.
     """
 
     gram_x: np.ndarray

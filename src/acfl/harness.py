@@ -15,7 +15,6 @@ order; a group holds as many replicates as fit their summed Gram stacks in
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -25,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import BoundInputs, tradeoff_curve
-from .coding import GlobalCodedData, NoiseParams, encode_levels
-from .dataset import FederatedDataset, check_shape, generate, loss, optimum
+from .coding import NoiseParams, encode_levels
+from .dataset import check_shape, generate, loss, optimum
 from .errors import NumericError, ParameterError, check
 from .numerics import MAX_ENTRIES, RngStream
 from .privacy import sigma_for_epsilon
@@ -327,13 +326,11 @@ def load_tradeoff_config(path) -> TradeoffConfig:
 
 @dataclass(frozen=True, eq=False)
 class ReplicateRecord:
-    """One replicate's trace plus content digests for pairing checks."""
+    """One replicate's trace and its final loss."""
 
     replicate: int
     trace: TrainingTrace
     final_loss: float
-    dataset_digest: str
-    coded_digest: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,23 +352,6 @@ class ComparisonResult:
     win_rates: dict[float, float]
     records: dict[tuple[float, str], tuple[ReplicateRecord, ...]]
     path: Path
-
-
-def _digest(*arrays: np.ndarray) -> str:
-    """SHA-256 of the arrays' C-order bytes, hashed in place when contiguous."""
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a))
-    return h.hexdigest()
-
-
-def _dataset_digest(ds: FederatedDataset) -> str:
-    """SHA-256 of the Gram stacks (all that training reads) and the true weights."""
-    return _digest(ds.gram_x, ds.gram_xy, ds.w_true)
-
-
-def _coded_digest(gc: GlobalCodedData) -> str:
-    return _digest(gc.h_x_sum, gc.h_y_sum)
 
 
 def _run_group(
@@ -401,24 +381,10 @@ def _run_group(
         facts,
         device_max=device_max,
     )
-    records = []
-    for r, ds, fact, by_noise, replicate_traces in zip(
-        replicates, datasets, facts, coded, traces
-    ):
-        dataset_digest = _dataset_digest(ds)
-        records.append(
-            tuple(
-                ReplicateRecord(
-                    replicate=r,
-                    trace=trace,
-                    final_loss=loss(trace.final_w, ds, fact),
-                    dataset_digest=dataset_digest,
-                    coded_digest=_coded_digest(by_noise[noise]),
-                )
-                for (noise, _), trace in zip(arms, replicate_traces)
-            )
-        )
-    return records
+    return [
+        tuple(ReplicateRecord(r, tr, loss(tr.final_w, ds, fact)) for tr in replicate_traces)
+        for r, ds, fact, replicate_traces in zip(replicates, datasets, facts, traces)
+    ]
 
 
 def _run_replicates(cfg: ExperimentConfig, arms) -> tuple[tuple[ReplicateRecord, ...], ...]:

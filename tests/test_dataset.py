@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from acfl import FederatedDataset, dataset
 from acfl.dataset import DEVICE_CHUNK_ROWS, generate, loss, optimum
 from acfl.errors import ParameterError
-from acfl.harness import _dataset_digest
 from acfl.numerics import RngStream
 from reference import (
     dataset_from_samples,
@@ -18,6 +19,12 @@ from reference import (
 
 # m > d is required, so the identity-feature examples pad a zero row.
 X_ID2 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+
+def assert_same_bytes(a: FederatedDataset, b: FederatedDataset) -> None:
+    """The Gram stacks (all that training reads) and the true weights agree bit for bit."""
+    for name in ("gram_x", "gram_xy", "w_true"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 def test_generate_reference_dimensions():
@@ -42,7 +49,7 @@ def test_generate_rejects_m_le_d():
 def test_generate_deterministic():
     a = generate(4, 9, 3, 2, RngStream(13).child("data"))
     b = generate(4, 9, 3, 2, RngStream(13).child("data"))
-    assert _dataset_digest(a) == _dataset_digest(b)
+    assert_same_bytes(a, b)
 
 
 def test_optimum_recovers_true_weights():
@@ -199,15 +206,15 @@ def test_gram_stacks_match_per_device_products():
 
 
 def test_generate_chunks_are_bit_equal_to_one_block():
-    # Three chunks, the last of 3 devices: the chunked draws, products and
-    # digest equal those of one (n, m, .) block from the same streams.
+    # Three chunks, the last of 3 devices: the chunked draws and products
+    # equal those of one (n, m, .) block from the same streams, bit for bit.
     n = 2 * DEVICE_CHUNK_ROWS + 3
     stream = RngStream(8).child("data")
     ds = generate(n, 6, 3, 2, stream)
     x, y, w_true = replay_samples(n, 6, 3, 2, stream)
     assert np.array_equal(ds.gram_x, dataset._gram(x, x))
     assert np.array_equal(ds.gram_xy, dataset._gram(x, y))
-    assert _dataset_digest(ds) == _dataset_digest(dataset_from_samples(x, y, w_true))
+    assert_same_bytes(ds, dataset_from_samples(x, y, w_true))
     assert not ds.xe_sum.any() and ds.ee_sum == 0.0
 
 
@@ -272,6 +279,74 @@ def test_rank_check_falls_back_to_naming_devices_by_eigenvalue():
         dataset_from_samples(x, y)
     ds = dataset_from_samples(x[[0, 2, 4]], y[[0, 2, 4]])
     assert ds.n_devices == 3
+
+
+def chunked_stack(deficient=()):
+    """Gram stacks of ``2 * DEVICE_CHUNK_ROWS + 3`` devices (three rank-check
+    slices, the last of 3), the ``deficient`` devices repeating a column."""
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-1.0, 1.0, (2 * DEVICE_CHUNK_ROWS + 3, 6, 2))
+    x[list(deficient), :, 1] = x[list(deficient), :, 0]
+    n, _, d = x.shape
+    return dataset._gram(x, x), (np.zeros((n, d, 1)), np.zeros((d, 1)), np.zeros((d, 1)), 0.0)
+
+
+def test_rank_check_names_devices_by_their_global_index():
+    late = DEVICE_CHUNK_ROWS + 7  # in the second slice
+    gram, rest = chunked_stack([late])
+    with pytest.raises(ParameterError, match=f"^device {late}: x is rank deficient"):
+        FederatedDataset(gram, *rest)
+    last = 2 * DEVICE_CHUNK_ROWS + 1  # in the third slice
+    gram, rest = chunked_stack([last, late])
+    assert dataset._deficient(gram).tolist() == [late, last]
+    with pytest.raises(ParameterError, match=f"^device {late}: x is rank deficient"):
+        FederatedDataset(gram, *rest)
+
+
+def flaky_cholesky(monkeypatch) -> list:
+    """Make the first batched Cholesky fail as a false alarm; count the calls."""
+    real, calls = np.linalg.cholesky, []
+
+    def flaky(a):
+        calls.append(len(a))
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("false alarm")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", flaky)
+    return calls
+
+
+def test_a_cholesky_false_alarm_does_not_end_the_scan(monkeypatch):
+    # The eigenvalue criterion clears the first slice, and the scan goes on:
+    # one Cholesky per slice, and a deficient device in a later one is named.
+    last = 2 * DEVICE_CHUNK_ROWS + 1
+    gram, rest = chunked_stack([last])
+    calls = flaky_cholesky(monkeypatch)
+    with pytest.raises(ParameterError, match=f"^device {last}: x is rank deficient"):
+        FederatedDataset(gram, *rest)
+    assert calls == [DEVICE_CHUNK_ROWS, DEVICE_CHUNK_ROWS, 3]
+    gram, rest = chunked_stack()
+    calls = flaky_cholesky(monkeypatch)
+    assert FederatedDataset(gram, *rest).n_devices == len(gram)
+    assert calls == [DEVICE_CHUNK_ROWS, DEVICE_CHUNK_ROWS, 3]
+
+
+def test_rank_check_temporaries_are_bounded_by_one_slice():
+    # numpy reports its buffers to tracemalloc: checking the whole stack at
+    # once would take two stack-sized temporaries (the shifted stack and its
+    # Cholesky factor).
+    rng = np.random.default_rng(2)
+    n, m, d = 4 * DEVICE_CHUNK_ROWS, 12, 10
+    x = rng.uniform(-1.0, 1.0, (n, m, d))
+    gram_x, gram_xy = dataset._gram(x, x), np.zeros((n, d, 1))
+    tracemalloc.start()
+    try:
+        FederatedDataset(gram_x, gram_xy, np.zeros((d, 1)), np.zeros((d, 1)), 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < gram_x.nbytes
 
 
 def test_dataset_stack_invariants():

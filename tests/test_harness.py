@@ -404,13 +404,12 @@ def test_compare_rows_and_pairing(tmp_path):
         recs_a = result.records[(level, "acfl")]
         recs_b = result.records[(level, "na")]
         for ra, rb in zip(recs_a, recs_b):
-            assert ra.dataset_digest == rb.dataset_digest
-            assert ra.coded_digest == rb.coded_digest
             assert ra.trace.mask_digest == rb.trace.mask_digest
             assert np.array_equal(ra.trace.w0, rb.trace.w0)
         assert 0.0 <= result.win_rates[level] <= 1.0
     # Every arm of a replicate trains in one loop; each row must equal a
-    # single-arm run on the same streams.
+    # single-arm run on the same streams, whose dataset and coded sums both
+    # methods of a level share.
     root = RngStream(cfg.master_seed)
     for level, method, r, final_loss in result.rows:
         ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
@@ -540,22 +539,29 @@ def test_auto_oracle_margin_must_be_finite():
 
 
 def test_compare_encodes_each_replicate_once(tmp_path):
-    # Both levels scale one noise draw per replicate; the coded sums equal
-    # one-level encode_levels calls on the same stream.
+    # Both levels scale one noise draw per replicate: every arm's trace
+    # equals, bit for bit, one train call on the same arm list whose coded
+    # sums come from one-level encode_levels calls on the same stream.
     cfg = small_config(tmp_path / "enc", replicates=2)
-    result = compare_baselines(replace(cfg, noise_levels=(0.5, 2.0)))
+    levels = (0.5, 2.0)
+    result = compare_baselines(replace(cfg, noise_levels=levels))
+    noises = [NoiseParams(level, level) for level in levels]
+    arms = resolve_policy(cfg, noises, [cfg.policy, cfg.baseline])
+    keys = [(level, method) for level in levels for method in harness.METHODS]
     root = RngStream(cfg.master_seed)
     for r in range(cfg.replicates):
         ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
-        # Digests hash the arrays in place: the bytes are their C-order copies'.
-        stacks = ds.gram_x.tobytes() + ds.gram_xy.tobytes() + ds.w_true.tobytes()
-        assert result.records[(0.5, "acfl")][r].dataset_digest == hashlib.sha256(stacks).hexdigest()
-        for level in (0.5, 2.0):
-            (gc,) = encode_levels(ds, [NoiseParams(level, level)], root.child("encode", r))
-            sums = gc.h_x_sum.tobytes() + gc.h_y_sum.tobytes()
-            assert harness._coded_digest(gc) == hashlib.sha256(sums).hexdigest()
-            for method in ("acfl", "na"):
-                assert result.records[(level, method)][r].coded_digest == harness._coded_digest(gc)
+        coded = {
+            noise: encode_levels(ds, [noise], root.child("encode", r))[0] for noise in noises
+        }
+        ((*traces,),) = train(
+            [ds], [[Arm(coded[noise], policy) for noise, policy in arms]], cfg.straggler_p,
+            cfg.steps, [cfg.schedule], [root.child("train", r)], [optimum(ds)],
+        )
+        for key, tr in zip(keys, traces, strict=True):
+            kept = result.records[key][r].trace
+            for name in ("n_present", *OTHER_COLUMNS, "w0", "final_w"):
+                assert getattr(tr, name).tobytes() == getattr(kept, name).tobytes(), name
 
 
 def test_csv_rows_use_the_shortest_round_trip_repr(tmp_path, monkeypatch):
