@@ -456,16 +456,35 @@ def resolve_policy(
 CSV_BLOCK_ROWS = 1024
 
 
+def _constant_cell(column: np.ndarray) -> str | None:
+    """The cell of a numeric column of 8-byte entries that are all bitwise
+    identical (so ``0.0`` and ``-0.0`` differ, and NaN goes by its bits), else
+    ``None``."""
+    if not len(column) or column.dtype.itemsize != 8 or column.dtype.kind not in "fiu":
+        return None
+    bits = column.view(np.uint64)
+    if (bits != bits[0]).any():
+        return None
+    return "%s" % column[0].item()
+
+
 def _write_csv(path: Path, header: str, tables) -> None:
     """Write ``header``, then the rows of every table, each a sequence of
-    equal-length array columns, to ``path``."""
+    equal-length array columns, to ``path``.  A column of one repeated value
+    is formatted once, into the row template."""
     with open(path, "w", newline="") as f:
         f.write(header + "\n")
         for columns in tables:
-            line = ",".join(["%s"] * len(columns)) + "\n"
-            for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-                block = [column[lo : lo + CSV_BLOCK_ROWS].tolist() for column in columns]
-                f.writelines(line % row for row in zip(*block))
+            rows = len(columns[0])
+            cells = [_constant_cell(column) for column in columns]
+            line = ",".join("%s" if cell is None else cell for cell in cells) + "\n"
+            varying = [column for column, cell in zip(columns, cells) if cell is None]
+            for lo in range(0, rows, CSV_BLOCK_ROWS):
+                block = [column[lo : lo + CSV_BLOCK_ROWS].tolist() for column in varying]
+                if block:
+                    f.writelines(line % row for row in zip(*block))
+                else:
+                    f.write(line * min(CSV_BLOCK_ROWS, rows - lo))
 
 
 def summarize(records) -> np.ndarray:

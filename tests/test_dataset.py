@@ -195,43 +195,55 @@ def test_loss_nonnegative_and_optimal():
 # ------------------------------------------------------------ stacked layout
 
 
+def assert_within_label_bound(gram_xy, x, y, w_true) -> None:
+    """``gram_xy`` lies within ``(m + d) eps (|X_i|^T |X_i| |W_true|)`` of the
+    sample-based ``X_i^T Y_i``, elementwise."""
+    m, d = x.shape[1:]
+    bound = (m + d) * np.finfo(float).eps * (dataset._gram(abs(x), abs(x)) @ abs(w_true))
+    assert np.all(abs(gram_xy - dataset._gram(x, y)) <= bound)
+
+
 def test_gram_stacks_match_per_device_products():
     stream = RngStream(3).child("data")
     ds = generate(5, 9, 4, 3, stream)
-    x, y, _ = replay_samples(5, 9, 4, 3, stream)
+    x, y, w_true = replay_samples(5, 9, 4, 3, stream)
     assert ds.gram_x.shape == (5, 4, 4) and ds.gram_xy.shape == (5, 4, 3)
+    assert ds.w_true.tobytes() == w_true.tobytes()
     for i in range(ds.n_devices):
         assert np.array_equal(ds.gram_x[i], x[i].T @ x[i])
-        assert np.array_equal(ds.gram_xy[i], x[i].T @ y[i])
+        assert np.array_equal(ds.gram_xy[i], ds.gram_x[i] @ w_true)
+    assert_within_label_bound(ds.gram_xy, x, y, w_true)
 
 
 def test_generate_chunks_are_bit_equal_to_one_block():
     # Three chunks, the last of 3 devices: the chunked draws and products
-    # equal those of one (n, m, .) block from the same streams, bit for bit.
+    # equal those of one (n, m, .) block from the same streams, bit for bit,
+    # and B_i = A_i W_true is one batched product over the whole stack.
     n = 2 * DEVICE_CHUNK_ROWS + 3
     stream = RngStream(8).child("data")
     ds = generate(n, 6, 3, 2, stream)
     x, y, w_true = replay_samples(n, 6, 3, 2, stream)
     assert np.array_equal(ds.gram_x, dataset._gram(x, x))
-    assert np.array_equal(ds.gram_xy, dataset._gram(x, y))
-    assert_same_bytes(ds, dataset_from_samples(x, y, w_true))
+    assert np.array_equal(ds.gram_xy, dataset._gram(x, x) @ w_true)
+    assert ds.w_true.tobytes() == w_true.tobytes()
+    assert_within_label_bound(ds.gram_xy, x, y, w_true)
     assert not ds.xe_sum.any() and ds.ee_sum == 0.0
 
 
-def test_generate_devices_do_not_depend_on_device_count():
+def test_generate_devices_do_not_depend_on_device_count(monkeypatch):
     three = generate(3, 9, 3, 2, RngStream(31).child("data"))
     five = generate(5, 9, 3, 2, RngStream(31).child("data"))
-    assert three.gram_x.tobytes() == five.gram_x[:3].tobytes()
-    assert three.gram_xy.tobytes() == five.gram_xy[:3].tobytes()
-    x, _, _ = replay_samples(5, 9, 3, 2, RngStream(31).child("data"))
+    for name in ("gram_x", "gram_xy"):
+        assert getattr(three, name).tobytes() == getattr(five, name)[:3].tobytes(), name
+    monkeypatch.setattr(dataset, "DEVICE_CHUNK_ROWS", 2)
+    assert_same_bytes(five, generate(5, 9, 3, 2, RngStream(31).child("data")))
     for i in range(5):  # one batched product, bit-equal to the per-device one
-        assert np.array_equal(five.gram_xy[i], x[i].T @ (x[i] @ five.w_true))
+        assert np.array_equal(five.gram_xy[i], five.gram_x[i] @ five.w_true)
 
 
-def test_generate_forms_and_checks_the_gram_stack_once(monkeypatch):
-    # One Gram pair per chunk of devices, and the dataset's own batched
-    # Cholesky is the only rank check of a draw.
-    calls = {"_gram": 0, "_deficient": 0}
+def count_calls(monkeypatch, names) -> dict:
+    """Count the calls of the named ``dataset`` functions from now on."""
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         real = getattr(dataset, name)
 
@@ -240,8 +252,37 @@ def test_generate_forms_and_checks_the_gram_stack_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(dataset, name, counted)
+    return calls
+
+
+def test_generate_forms_and_checks_the_gram_stack_once(monkeypatch):
+    # One X_i'X_i product per chunk of devices, and the dataset's own
+    # batched Cholesky is the only rank check of a draw.
+    monkeypatch.setattr(dataset, "DEVICE_CHUNK_ROWS", 2)
+    calls = count_calls(monkeypatch, ["_gram", "_deficient"])
     generate(3, 6, 2, 1, RngStream(23).child("data"))
     assert calls == {"_gram": 2, "_deficient": 1}
+
+
+def test_generate_forms_labels_only_past_the_bound(monkeypatch):
+    # With |x| <= 1, labels stay in [-1, 1] while every column of |W_true|
+    # sums to at most 1 (always at d <= 30); only past that bound is each
+    # chunk's X_i W_true formed and checked.
+    monkeypatch.setattr(dataset, "DEVICE_CHUNK_ROWS", 2)
+    calls = count_calls(monkeypatch, ["_check_labels"])
+    ds = generate(3, 11, 10, 10, RngStream(5).child("data"))
+    assert ds.w_true.sum(axis=0).max() <= 1.0 and calls["_check_labels"] == 0
+    ds = generate(3, 65, 64, 1, RngStream(5).child("data"))
+    assert ds.w_true.sum(axis=0).max() > 1.0 and calls["_check_labels"] == 2
+    with pytest.raises(ParameterError, match=r"all label entries must lie in \[-1, 1\]"):
+        generate(1, 801, 800, 1, RngStream(0))
+
+
+def test_generate_sizes_a_chunk_by_its_features(monkeypatch):
+    counts = {}
+    monkeypatch.setattr(dataset, "check_entries", lambda count, what: counts.setdefault(what, count))
+    generate(3, 7, 2, 5, RngStream(1))
+    assert counts["m=7: a sample chunk"] == 3 * 7 * 2
 
 
 def test_generate_names_a_rank_deficient_device(monkeypatch):
@@ -361,9 +402,6 @@ def test_dataset_stack_invariants():
         FederatedDataset(np.eye(2)[None], np.zeros((1, 2, 1)), zeros, np.zeros((2, 2)), 0.0)
     with pytest.raises(ParameterError, match="ee_sum"):
         FederatedDataset(np.eye(2)[None], np.zeros((1, 2, 1)), zeros, zeros, -1.0)
-    # labels are bounded where they are drawn
-    with pytest.raises(ParameterError, match=r"\[-1, 1\]"):
-        generate(1, 801, 800, 1, RngStream(0))
 
 
 def test_device_data_invariants():

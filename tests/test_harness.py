@@ -589,6 +589,25 @@ def test_csv_rows_use_the_shortest_round_trip_repr(tmp_path, monkeypatch):
     )
 
 
+def test_csv_constant_columns_write_the_per_cell_repr(tmp_path, monkeypatch):
+    # A column of bitwise-identical values is formatted once; 0.0 and -0.0
+    # differ in bits and stay apart, and a one-row table has no varying column.
+    monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 2)
+    n = 5
+    columns = (
+        np.arange(n), np.full(n, 0.1), np.array([0.0, -0.0] * 2 + [0.0]),
+        np.full(n, np.nan), np.linspace(-1.0, 1.0, n), np.full(n, 3),
+    )
+    tables = [columns, tuple(column[:1] for column in columns)]
+    harness._write_csv(tmp_path / "t.csv", "h", tables)
+    expected = ["h"] + [
+        ",".join(repr(column[i].item()) for column in table)
+        for table in tables for i in range(len(table[0]))
+    ]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+    assert expected[2] == "1,0.1,-0.0,nan,-0.5,3"
+
+
 def test_compare_single_level_single_replicate(tmp_path):
     cfg = small_config(tmp_path / "cmp1", replicates=1, steps=4)
     result = compare_baselines(replace(cfg, noise_levels=(1.0,)))
