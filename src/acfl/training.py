@@ -235,7 +235,7 @@ def trace_bytes(n_arms: int, steps: int, d: int, o: int) -> int:
 # Straggler-mask rows drawn per generator call: each replicate's masks come
 # in (rows, n) blocks of at most this many rows.
 MASK_CHUNK_ROWS = 64
-STACK_ROWS = 16  # steps whose stacked operators an estimated-weight run holds at a time
+STACK_ROWS = 16  # steps whose stacked operators the estimated arms hold at a time
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -346,10 +346,10 @@ def _masked_operators(
 
 
 def _estimate_stack(w_star: np.ndarray, scale: np.ndarray, rows: int) -> np.ndarray:
-    """``rows`` steps' ``(5d, d + o)`` operators on ``[D; I]`` for each arm.
+    """``rows`` steps' ``(5d, d + o)`` operators on ``[D; I]`` for each estimated arm.
 
     With ``S`` the received sum over ``1 - p``, ``C`` an arm's coded
-    gradient and ``c`` its entry of the ``(R, K)`` array ``scale``, the
+    gradient and ``c`` its entry of the ``(R, K_e)`` array ``scale``, the
     bands are ``[[I | 0]; C - S; S; p fold / count; c [I | 2 W*]]``: this
     writes the first and last, :func:`_load_sides` the others.  Times ``[D;
     I]``, the first three give ``[D; C - S; S]``, which the update reads,
@@ -392,11 +392,11 @@ def train(
 
     Replicate ``r`` is the dataset ``ds[r]``, the arm list ``arms[r]``,
     ``schedule[r]``, ``stream[r]`` and ``facts[r]``; the replicates share
-    the dataset shape and the number of arms.  A replicate's arms share its
-    dataset, straggler masks and initial iterate, and each has its own coded
-    sums, policy and iterate.  Returns one tuple of traces per replicate,
-    one trace per arm, in order; each replicate's traces are those it gets
-    trained alone.
+    the dataset shape, the number of arms and each arm's kind, constant or
+    estimated.  A replicate's arms share its dataset, straggler masks and
+    initial iterate, and each has its own coded sums, policy and iterate.
+    Returns one tuple of traces per replicate, one trace per arm, in order;
+    each replicate's traces, and each arm's, are those it gets trained alone.
 
     Per iteration: take each replicate's presence mask ``b``, pick each
     arm's ``alpha_t`` per its policy, blend the coded gradient ``H_X W -
@@ -413,16 +413,16 @@ def train(
     the sums of ``A_i^2``, ``A_i R_i`` and ``||R_i||^2``, which give the
     present devices' summed squared gradient norms; only an estimated
     weight or ``device_max`` reads these, so a call with neither builds the
-    ``R_i`` alone.  Fixed and oracle weights fold a whole step into one ``(d, d
-    + o)`` operator per arm.
-    With an estimated weight, every arm steps along ``S + alpha (C - S)``
-    (``S`` the received sum over ``1 - p``, ``C`` the coded gradient): a
-    stacked operator per arm times ``[D; I]`` (:func:`_estimate_stack`)
-    gives ``[D; C - S; S]``, and a second product, plus per-row constants,
-    the weight's numerator ``p b^2`` (``b^2`` the mean report) and the rest
-    of its denominator, ``c ||W||^2 + floor`` with ``c = d s1 (1-p)`` and
-    ``floor = s2 o d (1-p)``; one add and one divide give ``alpha_t``, and a
-    third product the update ``[1, -eta_t alpha_t, -eta_t] [D; C - S; S]``.
+    ``R_i`` alone.  A constant weight (fixed, oracle, or estimated at ``p =
+    0``) folds a whole step into one ``(d, d + o)`` operator per arm; an
+    estimated arm steps along ``S + alpha (C - S)`` (``S`` the received sum
+    over ``1 - p``, ``C`` the coded gradient): a stacked operator per arm
+    times ``[D; I]`` (:func:`_estimate_stack`) gives ``[D; C - S; S]``, and
+    a second product, plus per-row constants, the weight's numerator
+    ``p b^2`` (``b^2`` the mean report) and the rest of its denominator,
+    ``c ||W||^2 + floor`` with ``c = d s1 (1-p)`` and ``floor = s2 o d
+    (1-p)``; one add and one divide give ``alpha_t``, and a third product
+    the update ``[1, -eta_t alpha_t, -eta_t] [D; C - S; S]``.
     Row buffers and their views are made once per call; the trace columns,
     after each block.  ``device_max=True`` adds the largest device-gradient
     norm, a scan of every device through the same centred identity, clamped
@@ -437,9 +437,9 @@ def train(
     :class:`AdaptiveEstimated` uses the mean squared norm of the latest
     reports, kept across iterations in which no device reports, and
     ``fallback_alpha`` before the first report; at ``p = 0`` every device
-    reports at every step, and the weight is 0 throughout, folded like a
-    fixed one.  The recorded loss is ``loss_at_optimum + <D, (sum_i A_i) D>
-    / 2``, which stays accurate near the optimum.
+    reports at every step, and the weight is 0 throughout.  The recorded
+    loss is ``loss_at_optimum + <D, (sum_i A_i) D> / 2``, which stays
+    accurate near the optimum.
 
     Raises :class:`NumericError` naming the first iteration, arm and
     replicate (its position in the call) at which a value of that arm's
@@ -488,13 +488,10 @@ def train(
     h_y = np.array([[arm.coded.h_y_sum for arm in row] for row in arms])
     coded_op = np.concatenate([h_x, h_x @ w_star - h_y], axis=-1)
 
-    # Every arm's constant weight (an estimated arm's fallback) and, for the
-    # estimated arms, the encoding variances their coded sums carry, which the
-    # weight formula reads (the other arms' unit placeholders are never read out).
-    # At p = 0 an estimated weight is 0 from the first step, which hears every device.
+    # Every arm's constant weight (an estimated arm's fallback).  At p = 0 an
+    # estimated weight is 0 from the first step, which hears every device.
     base_alpha = np.empty((n_rep, k))
     estimated = np.zeros((n_rep, k), dtype=bool)
-    sigma1_sq, sigma2_sq = np.ones((2, n_rep, k))
     for r, row in enumerate(arms):
         for j, arm in enumerate(row):
             if isinstance(arm.policy, FixedWeight):
@@ -508,12 +505,21 @@ def train(
             else:
                 base_alpha[r, j] = arm.policy.fallback_alpha
                 estimated[r, j] = True
-                sigma1_sq[r, j], sigma2_sq[r, j] = astuple(arm.coded.noise)
-    any_estimated = bool(estimated.any())
+    if (estimated != estimated[0]).any():
+        r, j = np.argwhere(estimated != estimated[0])[0]
+        raise ParameterError(
+            f"arm {j} of replicate {r}: {'an estimated' if estimated[r, j] else 'a constant'} "
+            "weight, unlike replicate 0's; every replicate needs the same kinds of arms"
+        )
+    # The arm axis, constant arms first: each kind is a slice of it, and the
+    # caller's arm j is entry by_arm[j].
+    order = np.argsort(estimated[0], kind="stable")
+    by_arm, kc = np.argsort(order), k - int(estimated[0].sum())
+    base_alpha, coded_op = base_alpha[:, order], coded_op[:, order]
 
     # Per replicate, one row per device: the centred statistics (R_i alone if no
     # norm is read); a block of masks times them and the Grams gives every sum.
-    width = d * d + 2 * d * o + 1 if any_estimated or device_max else d * o
+    width = d * d + 2 * d * o + 1 if kc < k or device_max else d * o
     check_entries(n_rep * n * width, f"n_devices={n}, d={d}, o={o}: device statistics")
     stats = np.empty((n_rep, n, width))
     for r, (x, f) in enumerate(zip(datasets, facts)):
@@ -534,50 +540,54 @@ def train(
     devs = iterates[..., :d, :]
     devs[0] = np.stack(inits)[:, None] - w_star
     masks = np.empty((block, n_rep, n), dtype=bool)
-    if any_estimated:
-        # The weight is num / (num + rest), num = p b^2 with b^2 the mean
-        # report and rest = c ||W||^2 + floor with c = d s1 (1-p).  A stack
-        # row's product with [D; I] holds, by band, [D; C - S; S] for the
-        # update and [p fold / count; c (D + 2W*)], whose inner products with
-        # D plus the row's constants are forms = [num, rest].  A c past
-        # sqrt(MAX) (~1.3e154) could overflow c (D + 2W*) while ||W||^2 is
-        # finite; there the band keeps c = 1, so rest reads ||W||^2, and the
-        # step adds the coded term and floor itself.
+    alphas = np.repeat(base_alpha[None], block, axis=0)  # a block's weight column
+    grad_sq = np.empty((block, n_rep, k))
+    # A constant weight's step is linear in [D; I]: G_t = [P_t | Q_t] [D; I]
+    # and D <- [I - eta_t P_t | -eta_t Q_t] [D; I].
+    step_ops, updates = np.empty((2, block, n_rep, kc, d, d + o))
+    fold_views = list(zip(updates, iterates[:, :, :kc], devs[1:, :, :kc]))
+    keep = np.eye(d, d + o)  # [I | 0]
+    if kc < k:
+        # The estimated arms' weight is num / (num + rest), num = p b^2 with
+        # b^2 the mean report and rest = c ||W||^2 + floor with c = d s1
+        # (1-p).  A stack row's product with [D; I] holds, by band, [D; C - S;
+        # S] for the update and [p fold / count; c (D + 2W*)], whose inner
+        # products with D plus the row's constants are forms = [num, rest].  A
+        # c past sqrt(MAX) (~1.3e154) could overflow c (D + 2W*) while ||W||^2
+        # is finite; there the band keeps c = 1, so rest reads ||W||^2, and
+        # the step adds the coded term and floor itself.
+        ke = k - kc
+        noise = np.array([[astuple(a.coded.noise) for a in row] for row in arms])[:, order[kc:]]
         with np.errstate(over="ignore"):  # an infinite term is handled as such
-            d_sigma1_sq, q, floor = _weight_terms(straggler_p, d, o, sigma1_sq, sigma2_sq)
+            d_sigma1_sq, q, floor = _weight_terms(straggler_p, d, o, noise[..., 0], noise[..., 1])
             scale = d_sigma1_sq * q
-        huge = estimated & (scale > math.sqrt(np.finfo(float).max))
+        huge = scale > math.sqrt(np.finfo(float).max)
         any_huge = bool(huge.any())
         scale[huge] = 1.0
         # Nonnegative estimates over a positive floor keep den positive (or
         # NaN); only a zero floor needs the den <= 0 rule, a zero weight.
-        may_vanish = not bool((floor[estimated] > 0.0).all())
+        may_vanish = not bool((floor > 0.0).all())
         stack = _estimate_stack(w_star, scale, min(steps, STACK_ROWS))
         products = np.empty((*stack.shape[:-1], o))
         bands = products.reshape(*stack.shape[:3], 5, d * o)
         halves = bands[..., 3:, :].swapaxes(-1, -2)
         by_stack_row = list(zip(stack, products, bands[..., :3, :], halves))
-        mix = np.ones((block, n_rep, k, 1, 2))  # [alpha_t, 1] per arm
+        mix = np.ones((block, n_rep, ke, 1, 2))  # [alpha_t, 1] per arm
         etas = np.empty((block, n_rep, 1, 1, 1))  # -eta_t
-        consts = np.empty((block, n_rep, k, 1, 2))  # [p norm_at_opt / count, c ||W*||^2 + floor]
+        consts = np.empty((block, n_rep, ke, 1, 2))  # [p norm_at_opt / count, c ||W*||^2 + floor]
         consts[..., 0, 1] = np.where(huge, 0.0, floor) + scale * _sq_norms(w_star)
-        live = np.empty((block, n_rep, k), dtype=bool)  # arms that use the estimate
+        live = np.empty((block, n_rep, 1), dtype=bool)  # replicates that have heard a report
         reports = np.empty((block, n_rep, 1), dtype=bool)  # replicates that hear a report
-        flat = devs.reshape(block + 1, n_rep, k, 1, d * o)
-        per_row = zip(iterates, flat, flat[1:], consts, mix, mix[..., 0, 0], etas, live, reports)
+        augs, flat = iterates[:, :, kc:], devs.reshape(block + 1, n_rep, k, 1, d * o)[:, :, kc:]
+        per_row = zip(augs, flat, flat[1:], consts, mix, mix[..., 0, 0], etas, live, reports)
         row_views = [(*by_stack_row[i % STACK_ROWS], *views) for i, views in enumerate(per_row)]
-        grad_sq = np.empty((block, n_rep, k))
-        forms = np.empty((n_rep, k, 1, 2))
+        forms = np.empty((n_rep, ke, 1, 2))
         fresh, rest = forms[..., 0, 0], forms[..., 0, 1]
-        den = np.empty((n_rep, k))
-        kept = np.zeros((n_rep, k))  # num of the latest row that heard a report
+        den = np.empty((n_rep, ke))
+        kept = np.zeros((n_rep, ke))  # num of the latest row that heard a report
         reported = np.zeros((n_rep, 1), dtype=bool)  # has any device reported yet
-        coef = np.ones((n_rep, k, 1, 3))  # [1, -eta_t alpha_t, -eta_t]
+        coef = np.ones((n_rep, ke, 1, 3))  # [1, -eta_t alpha_t, -eta_t]
         coef_tail = coef[..., 1:]
-    else:
-        updates = np.empty((block, n_rep, k, d, d + o))
-        row_views = list(zip(updates, iterates, devs[1:]))
-    keep = np.eye(d, d + o)  # [I | 0]
     rows = 0
     with np.errstate(all="ignore"):  # non-finite rows raise below
         for start in range(0, steps, MASK_CHUNK_ROWS):
@@ -593,21 +603,30 @@ def train(
                 masks[:rows].astype(np.float64), grams, stats, d, o, straggler_p
             )
             eta = rates[start:stop, :, None, None, None]
-            if any_estimated:
+            if kc:
+                alpha = base_alpha[:, :kc, None, None]
+                step_op, update_op = step_ops[:rows], updates[:rows]
+                # [P_t | Q_t] = alpha C + (1 - alpha) S, built in the two buffers.
+                np.multiply(alpha, coded_op[:, :kc], out=step_op)
+                step_op += np.multiply(1.0 - alpha, side_op[..., :d, :], out=update_op)
+                np.subtract(keep, np.multiply(eta, step_op, out=update_op), out=update_op)
+                for update, aug, nxt in fold_views[:rows]:
+                    np.matmul(update, aug, out=nxt)
+                grad_sq[:rows, :, :kc] = _sq_norms(step_op @ iterates[:rows, :, :kc])
+            if kc < k:
                 # A row that hears no report keeps the latest num (copied per step).
                 np.greater(counts[..., None], 0, out=reports[:rows])
-                heard = np.logical_or.accumulate(reports[:rows], axis=0) | reported
-                np.logical_and(estimated, heard, out=live[:rows])
-                reported = heard[-1]
+                np.logical_or.accumulate(reports[:rows] | reported, axis=0, out=live[:rows])
+                reported = live[rows - 1].copy()
                 num = fresh if reports[:rows].all() else kept
                 p_over_count = straggler_p / np.maximum(counts, 1)[:, :, None]
                 side_op[..., d:, :] *= p_over_count[..., None, None]
                 np.multiply(norm_at_opt, p_over_count, out=consts[:rows, ..., 0, 0])
                 np.negative(eta, out=etas[:rows])
-                mix[:rows, ..., 0, 0] = base_alpha
+                mix[:rows, ..., 0, 0] = base_alpha[:, kc:]
                 for lo in range(0, rows, STACK_ROWS):
                     hi = min(lo + STACK_ROWS, rows)
-                    _load_sides(stack, side_op[lo:hi], coded_op)
+                    _load_sides(stack, side_op[lo:hi], coded_op[:, kc:])
                     for (
                         op, prod, pair, half, aug, dev, nxt, const, mix_t, alpha_t, eta_t, live_t,
                         report_t,
@@ -626,26 +645,16 @@ def train(
                         np.multiply(eta_t, mix_t, out=coef_tail)
                         np.matmul(coef, pair, out=nxt)
                     # These rows' gradients, [alpha_t, 1] [C - S; S], from their products.
-                    grad_sq[lo:hi] = _sq_norms(mix[lo:hi] @ bands[: hi - lo, ..., 1:3, :])
+                    grad_sq[lo:hi, :, kc:] = _sq_norms(mix[lo:hi] @ bands[: hi - lo, ..., 1:3, :])
                 np.copyto(kept, num)  # the latest num, into the next block
-                alpha_column, grad_column = mix[:rows, ..., 0, 0], grad_sq[:rows]
-            else:
-                # The whole step is linear in [D; I]: G_t = [P_t | Q_t] [D; I]
-                # and D <- [I - eta_t P_t | -eta_t Q_t] [D; I].
-                alpha = base_alpha[..., None, None]
-                step_op = alpha * coded_op + (1.0 - alpha) * side_op[..., :d, :]
-                np.subtract(keep, eta * step_op, out=updates[:rows])
-                for update, aug, nxt in row_views[:rows]:
-                    np.matmul(update, aug, out=nxt)
-                alpha_column = np.broadcast_to(base_alpha, (rows, n_rep, k))
-                grad_column = _sq_norms(step_op @ iterates[:rows])
+                alphas[:rows, :, kc:] = mix[:rows, ..., 0, 0]
             del side_op  # the block's columns follow; free what they do not read
             dev = devs[:rows]
             columns = (
-                alpha_column,
+                alphas[:rows],
                 loss_at_optimum + 0.5 * np.einsum("...ij,...ij->...", dev, a_sum @ dev),
                 _sq_norms(dev),
-                grad_column,
+                grad_sq[:rows],
                 _sq_norms(dev + w_star),
             )
             for c, column in enumerate(columns):
@@ -655,7 +664,8 @@ def train(
             # Every weight a policy yields lies in [0, 1] unless it is NaN.
             bad = ~np.isfinite(record[..., start:stop]).all(axis=(0, 1, 2))
             if bad.any():
-                raise _diverged(start + int(np.argmax(bad)), arms, record)
+                t = start + int(np.argmax(bad))
+                raise _diverged(t, arms, record[:, :, by_arm, : t + 1])
 
     w = w_star + devs[rows] if steps else np.repeat(np.stack(inits)[:, None], k, axis=1)
     return tuple(
@@ -663,11 +673,11 @@ def train(
             TrainingTrace(
                 n_present=n_present[r],
                 w0=inits[r],
-                final_w=w[r, j],
+                final_w=w[r, i],
                 mask_digest=mask_hashes[r].hexdigest(),
-                **{**dict.fromkeys(_TRACE_COLUMNS), **dict(zip(names, record[:, r, j]))},
+                **{**dict.fromkeys(_TRACE_COLUMNS), **dict(zip(names, record[:, r, i]))},
             )
-            for j in range(k)
+            for i in by_arm
         )
         for r in range(n_rep)
     )

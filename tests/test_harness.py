@@ -409,9 +409,12 @@ def test_compare_rows_and_pairing(tmp_path):
         assert 0.0 <= result.win_rates[level] <= 1.0
     # Every arm of a replicate trains in one loop; each row must equal a
     # single-arm run on the same streams, whose dataset and coded sums both
-    # methods of a level share.
+    # methods of a level share: the final iterate bit for bit, the loss
+    # (computed from the samples here) within rtol.
     root = RngStream(cfg.master_seed)
     for level, method, r, final_loss in result.rows:
+        record = result.records[(level, method)][r]
+        assert record.replicate == r
         ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
         noise = NoiseParams(level, level)
         (gc,) = encode_levels(ds, [noise], root.child("encode", r))
@@ -420,6 +423,7 @@ def test_compare_rows_and_pairing(tmp_path):
             [ds], [[Arm(gc, policy)]], cfg.straggler_p, cfg.steps, [cfg.schedule],
             [root.child("train", r)], [optimum(ds)],
         )
+        assert np.array_equal(record.trace.final_w, tr.final_w), (level, method, r)
         xs, ys, _ = replay_samples(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
         assert final_loss == pytest.approx(residual_loss(xs, ys, tr.final_w), rel=1e-10, abs=0.0)
     again = compare_baselines(

@@ -345,9 +345,9 @@ FOLDED = ("fixed", "fixed-0", "fixed-1", "oracle")
 def test_train_matches_plain_gradient_descent(names, levels, steps, p):
     # The batched step against a per-device loop run once per arm, within
     # rtol 1e-10: the summation order differs, so equality is not required.
-    # With an estimated arm every arm steps by S + alpha (C - S), which
-    # rounds unlike the loop's blend also at alpha 0 and 1; 1 and 17 steps
-    # size every per-call buffer below a block, 17 with one stack refill.
+    # An estimated arm steps by S + alpha (C - S), which rounds unlike the
+    # loop's blend also at alpha 0 and 1; 1 and 17 steps size every per-call
+    # buffer below a block, 17 with one stack refill.
     # A zero-noise estimated arm has a zero floor (the weight is 1 once a
     # device reports, p b^2 / p b^2) and, at p = 0, a zero weight throughout.
     xs, ys = random_samples(13, n=5, m=10, d=4, o=2)
@@ -476,27 +476,29 @@ def test_train_estimated_weight_survives_huge_coded_noise(sigma1_sq, sigma2_sq):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
-    "policy, with_still_arm",
+    "policy, layout",
     [
-        pytest.param(FixedWeight(0.5), False, id="fixed"),
-        pytest.param(AdaptiveEstimated(), False, id="estimated"),
-        pytest.param(AdaptiveEstimated(), True, id="two-arms"),
+        pytest.param(FixedWeight(0.5), "x", id="fixed"),
+        pytest.param(AdaptiveEstimated(), "x", id="estimated"),
+        pytest.param(AdaptiveEstimated(), "sx", id="two-arms"),
+        pytest.param(AdaptiveEstimated(), "sxs", id="interleaved-kinds"),
     ],
 )
-def test_train_divergence_names_the_iteration(policy, with_still_arm):
+def test_train_divergence_names_the_iteration(policy, layout):
+    # The diverging arm x among still fixed arms s: the error names it by its
+    # position in the caller's list, also when an estimated arm sits between
+    # constant ones.
     root = RngStream(20)
     ds = generate(100, 100, 10, 10, root.child("data"))
     noise = NoiseParams(0.1, 0.1)
     (gc,) = encode_levels(ds, [noise], root.child("enc"))
-    arms = [Arm(gc, policy)]
-    if with_still_arm:
-        # The pure coded gradient of all-zero coded sums: this arm never moves.
-        zeros = GlobalCodedData(np.zeros((10, 10)), np.zeros((10, 10)), noise)
-        arms.insert(0, Arm(zeros, FixedWeight(1.0)))
-    arm = len(arms) - 1
+    # The pure coded gradient of all-zero coded sums: a still arm never moves.
+    zeros = GlobalCodedData(np.zeros((10, 10)), np.zeros((10, 10)), noise)
+    arms = [Arm(gc, policy) if c == "x" else Arm(zeros, FixedWeight(1.0)) for c in layout]
     with pytest.raises(
         NumericError,
-        match=rf"iteration \d+ in arm {arm} \({re.escape(repr(policy))}\).*last finite loss: \d",
+        match=rf"iteration \d+ in arm {layout.index('x')} \({re.escape(repr(policy))}\)"
+        r".*last finite loss: \d",
     ):
         train([ds], [arms], 0.2, 300, [InverseDecay(1.0)], [root.child("train")], [optimum(ds)])
 
@@ -546,6 +548,39 @@ def test_batched_train_equals_one_replicate_calls(n_rep, k):
             assert a.mask_digest == b.mask_digest
 
 
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_an_arms_trace_does_not_depend_on_the_arms_beside_it(p):
+    # A fixed or oracle arm takes one step path whatever shares its call:
+    # alone, before or after an estimated arm, beside the other constant arm
+    # and as replicate 0 of two, its trace is the same bit for bit.  An
+    # estimated arm is likewise unchanged by constant neighbours; at p = 0 its
+    # weight is 0 and it folds like a fixed one.  The steps cross a mask block.
+    steps = MASK_CHUNK_ROWS + 36
+    reps = [_replicate(90 + r) for r in range(2)]
+    est, fixed, oracle, est_b = reps[0][4]
+    est_1, fixed_1 = reps[1][4][:2]
+
+    def run(*arm_lists):
+        ds, facts, schedules, streams, _ = zip(*reps[: len(arm_lists)])
+        return train(ds, arm_lists, p, steps, schedules, streams, facts, device_max=True)
+
+    def check(got, expect):
+        for name in ("n_present", *TRACE_COLUMNS, "w0", "final_w"):
+            assert np.array_equal(getattr(got, name), getattr(expect, name)), name
+        assert got.mask_digest == expect.mask_digest
+
+    for arm, other in ((fixed, oracle), (oracle, fixed)):
+        ((alone,),) = run([arm])
+        check(run([arm, est])[0][0], alone)
+        check(run([est, arm])[0][1], alone)
+        check(run([est, arm, est_b])[0][1], alone)
+        check(run([other, arm])[0][1], alone)
+        check(run([arm, est], [fixed_1, est_1])[0][0], alone)
+    ((alone,),) = run([est])
+    check(run([fixed, est, oracle])[0][1], alone)
+    check(run([est, fixed])[0][0], alone)
+
+
 def test_batched_train_checks_each_replicate():
     reps = [_replicate(50), _replicate(51)]
     args = dict(
@@ -560,6 +595,12 @@ def test_batched_train_checks_each_replicate():
     other = _replicate(52, n=5)
     with pytest.raises(ParameterError, match="replicate 1: dataset shape"):
         train([datasets[0], other[0]], [rep[4] for rep in reps], **args)
+    # Arm 2 is an oracle in replicate 0 and an estimated one in replicate 1.
+    swapped = [reps[1][4][0], reps[1][4][1], reps[1][4][3], reps[1][4][2]]
+    with pytest.raises(
+        ParameterError, match="^arm 2 of replicate 1: an estimated weight, unlike replicate 0's"
+    ):
+        train(datasets, [reps[0][4], swapped], **args)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
