@@ -67,6 +67,11 @@ METHODS = ("acfl", "na")
 # advances together stay within this many bytes, unless one replicate alone
 # exceeds it.
 GROUP_GRAM_BYTES = 4 << 20
+# The trace columns each output reads (see ``training.train``): ``trace.csv``
+# and ``summary.csv`` read these; ``comparison.csv`` reads the final iterates
+# alone; an :class:`OracleAuto` probe reads the two norms it sets constants from.
+RUN_COLUMNS = ("alpha", "loss", "dist_sq", "grad_norm_sq")
+PROBE_COLUMNS = ("w_norm_sq", "max_device_grad_sq")
 # The variances of a trade-off config that gives no ``sigma_grid``.
 DEFAULT_SIGMA_GRID = tuple(np.geomspace(1e-2, 1e4, 49))
 
@@ -78,7 +83,8 @@ class OracleAuto:
     The probe trains once (replicate 0, norm-estimating weights) and sets
     ``beta_sq``/``c_sq`` to the largest observed device-gradient and iterate
     squared norms times ``margin``.  A heuristic: the realized norms of the
-    oracle run itself are reported in its trace and should be re-checked.
+    oracle run itself should be re-checked, by training it again with the
+    :data:`PROBE_COLUMNS` (a run's records do not keep them).
     """
 
     margin: float = 2.0
@@ -355,13 +361,14 @@ class ComparisonResult:
 
 
 def _run_group(
-    cfg: ExperimentConfig, arms, replicates: range, device_max: bool = False
+    cfg: ExperimentConfig, arms, replicates: range, columns
 ) -> list[tuple[ReplicateRecord, ...]]:
     """Replicates ``replicates`` of every ``(noise, policy)`` arm, trained in one loop.
 
     Within a replicate the arms share the dataset, the straggler masks and
     the initial iterate; arms with equal noise share the coded sums.  One
-    tuple of records per replicate, one per arm, in order (``device_max``: see ``train``).
+    tuple of records per replicate, one per arm, in order, whose traces hold
+    the trace ``columns`` (see ``train``).
     """
     root = RngStream(cfg.master_seed)
     noises = list(dict.fromkeys(noise for noise, _ in arms))
@@ -379,7 +386,7 @@ def _run_group(
         [cfg.schedule or schedule_for_strong_convexity(f.lam) for f in facts],
         [root.child("train", r) for r in replicates],
         facts,
-        device_max=device_max,
+        columns=columns,
     )
     return [
         tuple(ReplicateRecord(r, tr, loss(tr.final_w, ds, fact)) for tr in replicate_traces)
@@ -387,8 +394,11 @@ def _run_group(
     ]
 
 
-def _run_replicates(cfg: ExperimentConfig, arms) -> tuple[tuple[ReplicateRecord, ...], ...]:
-    """Every replicate of every arm: one tuple of records per arm, by replicate.
+def _run_replicates(
+    cfg: ExperimentConfig, arms, columns
+) -> tuple[tuple[ReplicateRecord, ...], ...]:
+    """Every replicate of every arm: one tuple of records per arm, by replicate,
+    whose traces hold the trace ``columns``.
 
     Before any group trains, refuses a run whose records (``replicates``
     times :func:`~acfl.training.trace_bytes`, all alive until the CSVs are
@@ -397,7 +407,7 @@ def _run_replicates(cfg: ExperimentConfig, arms) -> tuple[tuple[ReplicateRecord,
     allocate them.  Where ``os.sysconf`` cannot tell the memory, the bound
     is the most bytes an array can hold.
     """
-    one = trace_bytes(len(arms), cfg.steps, cfg.d, cfg.o)
+    one = trace_bytes(len(arms), cfg.steps, cfg.d, cfg.o, columns)
     kept = cfg.replicates * one
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -413,7 +423,9 @@ def _run_replicates(cfg: ExperimentConfig, arms) -> tuple[tuple[ReplicateRecord,
     per_replicate = [
         records
         for start in range(0, cfg.replicates, size)
-        for records in _run_group(cfg, arms, range(start, min(start + size, cfg.replicates)))
+        for records in _run_group(
+            cfg, arms, range(start, min(start + size, cfg.replicates)), columns
+        )
     ]
     return tuple(zip(*per_replicate))
 
@@ -432,7 +444,7 @@ def resolve_policy(
         if cfg.steps < 1:
             raise ParameterError("steps: auto oracle constants need steps >= 1 to probe")
         probe_arms = [(noise, AdaptiveEstimated(1.0)) for noise in noises]
-        (probes,) = _run_group(cfg, probe_arms, range(1), device_max=True)
+        (probes,) = _run_group(cfg, probe_arms, range(1), PROBE_COLUMNS)
     arms = []
     for noise, probe in zip(noises, probes):
         for policy in specs:
@@ -516,7 +528,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     after training, so a refused config leaves none.
     """
     [(noise, policy)] = resolve_policy(cfg, [cfg.noise], [cfg.policy])
-    (records,) = _run_replicates(cfg, [(noise, policy)])
+    (records,) = _run_replicates(cfg, [(noise, policy)], RUN_COLUMNS)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "trace.csv"
@@ -557,13 +569,15 @@ def compare_baselines(cfg: ExperimentConfig) -> ComparisonResult:
     Every arm of a replicate (both methods at every level) trains in one loop,
     together with the other replicates of its group.
     Writes ``comparison.csv`` and reports, per level, the fraction of seeds
-    where the adaptive final loss does not exceed the baseline's.
+    where the adaptive final loss does not exceed the baseline's.  Training
+    records no trace column, so the records hold each arm's final iterate
+    and loss, and each replicate's ``n_present`` and ``w0``.
     """
     levels = cfg.noise_levels
     if len(levels) == 0:
         raise ParameterError("noise_levels: need at least one level")
     noises = [NoiseParams(level, level) for level in levels]
-    per_arm = _run_replicates(cfg, resolve_policy(cfg, noises, [cfg.policy, cfg.baseline]))
+    per_arm = _run_replicates(cfg, resolve_policy(cfg, noises, [cfg.policy, cfg.baseline]), ())
     keys = [(level, method) for level in levels for method in METHODS]
     records: dict[tuple[float, str], tuple[ReplicateRecord, ...]] = dict(zip(keys, per_arm))
     rows = [

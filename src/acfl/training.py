@@ -45,6 +45,7 @@ __all__ = [
     "Arm",
     "FixedWeight",
     "InverseDecay",
+    "TRACE_COLUMNS",
     "TrainingTrace",
     "alpha_oracle",
     "sample_stragglers",
@@ -181,36 +182,26 @@ class Arm:
             raise ParameterError(f"unsupported policy: {self.policy!r}")
 
 
-def _diverged(t: int, arms, record: np.ndarray) -> NumericError:
-    """The error naming iteration ``t`` and the first (replicate, arm) whose row is not finite."""
-    r, j = (int(i) for i in np.argwhere(~np.isfinite(record[..., t]).all(axis=0))[0])
-    losses = record[_TRACE_COLUMNS.index("loss"), r, j, : t + 1]
-    finite = losses[np.isfinite(losses)]
-    last_loss = float(finite[-1]) if len(finite) else None
-    return NumericError(
-        f"training diverged at iteration {t} in arm {j} ({arms[r][j].policy!r}) of replicate "
-        f"{r}: a non-finite loss, weight or norm (last finite loss: {last_loss!r})"
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class TrainingTrace:
     """Per-iteration instrumentation plus the initial and final iterates.
 
     Entry ``t`` of a column is iteration ``t`` of ``0 .. T-1``, taken at the
     start of the iteration (before the update), so entry 0 holds the
-    initial loss.  ``w_norm_sq`` and ``max_device_grad_sq`` exist to
-    check the norm-bound assumptions after the fact and to derive oracle
-    constants from observed runs; ``max_device_grad_sq`` is ``None`` unless
-    :func:`train` was asked for it (``device_max=True``).
+    initial loss.  A column of :data:`TRACE_COLUMNS` is ``None`` unless
+    :func:`train` was asked to record it (its ``columns``); ``n_present``,
+    ``w0``, ``final_w`` and ``mask_digest`` are always kept.
+    ``w_norm_sq`` and ``max_device_grad_sq`` exist to check the norm-bound
+    assumptions after the fact and to derive oracle constants from observed
+    runs.
     """
 
-    alpha: np.ndarray
+    alpha: np.ndarray | None
     n_present: np.ndarray
-    loss: np.ndarray
-    dist_sq: np.ndarray
-    grad_norm_sq: np.ndarray
-    w_norm_sq: np.ndarray
+    loss: np.ndarray | None
+    dist_sq: np.ndarray | None
+    grad_norm_sq: np.ndarray | None
+    w_norm_sq: np.ndarray | None
     max_device_grad_sq: np.ndarray | None
     w0: np.ndarray
     final_w: np.ndarray
@@ -218,18 +209,27 @@ class TrainingTrace:
 
     @property
     def steps(self) -> int:
-        return len(self.alpha)
+        return len(self.n_present)
 
 
-_TRACE_COLUMNS = ("alpha", "loss", "dist_sq", "grad_norm_sq", "w_norm_sq", "max_device_grad_sq")
+# The per-iteration columns :func:`train` can record, in the order it stores them.
+TRACE_COLUMNS = ("alpha", "loss", "dist_sq", "grad_norm_sq", "w_norm_sq", "max_device_grad_sq")
 
 
-def trace_bytes(n_arms: int, steps: int, d: int, o: int) -> int:
-    """Bytes one replicate's traces from :func:`train` keep (``device_max``
-    off): per arm, every trace column but ``max_device_grad_sq`` and
-    ``final_w``; per replicate, ``n_present`` and ``w0``."""
-    per_arm = (len(_TRACE_COLUMNS) - 1) * steps + d * o
+def trace_bytes(n_arms: int, steps: int, d: int, o: int, columns: Sequence[str]) -> int:
+    """Bytes one replicate's traces from :func:`train` keep when it records
+    ``columns``: per arm, those columns and ``final_w``; per replicate,
+    ``n_present`` and ``w0``."""
+    per_arm = len(_recorded(columns)) * steps + d * o
     return (n_arms * per_arm + steps + d * o) * 8
+
+
+def _recorded(columns: Sequence[str]) -> tuple[str, ...]:
+    """The names of :data:`TRACE_COLUMNS` in ``columns``, in that order."""
+    unknown = [name for name in columns if name not in TRACE_COLUMNS]
+    if unknown:
+        raise ParameterError(f"columns: unknown trace column {unknown[0]!r}")
+    return tuple(name for name in TRACE_COLUMNS if name in columns)
 
 
 # Straggler-mask rows drawn per generator call: each replicate's masks come
@@ -292,7 +292,7 @@ def _norm_terms(dev: np.ndarray) -> np.ndarray:
 
 def _max_device_sq(stats: np.ndarray, dev: np.ndarray) -> np.ndarray:
     """The largest squared device-gradient norm at every ``W* + D`` of a
-    ``(rows, R, K, d, o)`` block, clamped at 0, as an ``(R, K, rows)`` array.
+    ``(rows, R, K, d, o)`` block, clamped at 0, as a ``(rows, R, K)`` array.
 
     ``stats`` holds the replicates' :func:`_centred_statistics`; devices are
     scanned in chunks of :data:`DEVICE_CHUNK_ROWS`.  A NaN stays NaN.
@@ -305,7 +305,7 @@ def _max_device_sq(stats: np.ndarray, dev: np.ndarray) -> np.ndarray:
         for lo in range(0, stats.shape[1], DEVICE_CHUNK_ROWS):
             chunk = stats[r, lo : lo + DEVICE_CHUNK_ROWS, -len(terms_r) :] @ terms_r
             np.maximum(best[r], chunk.max(axis=0), out=best[r])
-    return np.maximum(best, 0.0).reshape(n_rep, rows, k).transpose(0, 2, 1)
+    return np.maximum(best, 0.0).reshape(n_rep, rows, k).transpose(1, 0, 2)
 
 
 def _masked_operators(
@@ -385,7 +385,7 @@ def train(
     stream: Sequence[RngStream],
     facts: Sequence[ProblemFacts],
     *,
-    device_max: bool = False,
+    columns: Sequence[str] = TRACE_COLUMNS[:-1],
 ) -> tuple[tuple[TrainingTrace, ...], ...]:
     """Run the two-source training loop for ``steps`` iterations on every arm
     of R replicates, which advance together in one loop.
@@ -397,6 +397,10 @@ def train(
     initial iterate, and each has its own coded sums, policy and iterate.
     Returns one tuple of traces per replicate, one trace per arm, in order;
     each replicate's traces, and each arm's, are those it gets trained alone.
+    A trace holds the columns of :data:`TRACE_COLUMNS` named in ``columns``
+    (by default all but ``max_device_grad_sq``), the others ``None``; a
+    column not asked for is not computed, and no recorded value depends on
+    which others are.
 
     Per iteration: take each replicate's presence mask ``b``, pick each
     arm's ``alpha_t`` per its policy, blend the coded gradient ``H_X W -
@@ -412,21 +416,21 @@ def train(
     ``sum_i b_i R_i``, so the received sum is ``M_t D + sum_i b_i R_i``, and
     the sums of ``A_i^2``, ``A_i R_i`` and ``||R_i||^2``, which give the
     present devices' summed squared gradient norms; only an estimated
-    weight or ``device_max`` reads these, so a call with neither builds the
-    ``R_i`` alone.  A constant weight (fixed, oracle, or estimated at ``p =
-    0``) folds a whole step into one ``(d, d + o)`` operator per arm; an
-    estimated arm steps along ``S + alpha (C - S)`` (``S`` the received sum
-    over ``1 - p``, ``C`` the coded gradient): a stacked operator per arm
-    times ``[D; I]`` (:func:`_estimate_stack`) gives ``[D; C - S; S]``, and
-    a second product, plus per-row constants, the weight's numerator
-    ``p b^2`` (``b^2`` the mean report) and the rest of its denominator,
-    ``c ||W||^2 + floor`` with ``c = d s1 (1-p)`` and ``floor = s2 o d
-    (1-p)``; one add and one divide give ``alpha_t``, and a third product
-    the update ``[1, -eta_t alpha_t, -eta_t] [D; C - S; S]``.
-    Row buffers and their views are made once per call; the trace columns,
-    after each block.  ``device_max=True`` adds the largest device-gradient
-    norm, a scan of every device through the same centred identity, clamped
-    at 0; otherwise that column is ``None``.
+    weight or ``max_device_grad_sq`` reads these, so a call with neither
+    builds the ``R_i`` alone.  A constant weight (fixed, oracle, or
+    estimated at ``p = 0``) folds a whole step into one ``(d, d + o)``
+    operator per arm; an estimated arm steps along ``S + alpha (C - S)``
+    (``S`` the received sum over ``1 - p``, ``C`` the coded gradient): a
+    stacked operator per arm times ``[D; I]`` (:func:`_estimate_stack`)
+    gives ``[D; C - S; S]``, and a second product, plus per-row constants,
+    the weight's numerator ``p b^2`` (``b^2`` the mean report) and the rest
+    of its denominator, ``c ||W||^2 + floor`` with ``c = d s1 (1-p)`` and
+    ``floor = s2 o d (1-p)``; one add and one divide give ``alpha_t``, and a
+    third product the update ``[1, -eta_t alpha_t, -eta_t] [D; C - S; S]``.
+    Row buffers and their views are made once per call; the recorded trace
+    columns, after each block.  ``max_device_grad_sq`` is the largest
+    device-gradient norm, a scan of every device through the same centred
+    identity, clamped at 0.
 
     Deterministic given the streams: a replicate's mask for iteration ``t``
     is row ``t`` of the masks drawn, in blocks of rows, from one generator
@@ -442,12 +446,16 @@ def train(
     accurate near the optimum.
 
     Raises :class:`NumericError` naming the first iteration, arm and
-    replicate (its position in the call) at which a value of that arm's
-    trace row (loss, weight or a norm) is not finite; rows are checked a
-    block at a time, and the first bad row is named.
+    replicate (its position in the call) at which a recorded value of that
+    arm's trace row, its weight or ``||D_t||^2`` is not finite, or, as
+    iteration ``steps``, an arm whose final iterate has a non-finite
+    ``||D_T||^2`` or loss; rows are checked a block at a time, and the first
+    bad row is named, with the arm's last finite loss (of the rows held,
+    where the loss is not recorded: the block's and the one before it).
     """
     check("straggler_p", straggler_p, "lie in [0, 1)")
     check("steps", steps, "be nonnegative")
+    names = _recorded(columns)
     datasets, arms, schedules, streams, facts = (
         tuple(ds), tuple(map(tuple, arms)), tuple(schedule), tuple(stream), tuple(facts)
     )
@@ -475,8 +483,8 @@ def train(
         if facts[r].w_star.shape != (d, o):
             raise ParameterError(f"replicate {r}: facts.w_star shape does not match the dataset")
         inits.append(streams[r].child("init").generator().uniform(0.0, W0_SCALE, size=(d, o)))
-    names = _TRACE_COLUMNS if device_max else _TRACE_COLUMNS[:-1]
-    check_entries(len(names) * n_rep * k * steps, f"steps={steps}: the trace record")
+    # The recorded columns of every arm and each replicate's n_present.
+    check_entries((len(names) * k + 1) * n_rep * steps, f"steps={steps}: the trace record")
 
     grams = [x.gram_x.reshape(n, d * d) for x in datasets]
     a_sum = np.stack([x.gram_x_sum for x in datasets])[:, None]  # (R, 1, d, d)
@@ -519,15 +527,16 @@ def train(
 
     # Per replicate, one row per device: the centred statistics (R_i alone if no
     # norm is read); a block of masks times them and the Grams gives every sum.
-    width = d * d + 2 * d * o + 1 if kc < k or device_max else d * o
+    width = d * d + 2 * d * o + 1 if kc < k or "max_device_grad_sq" in names else d * o
     check_entries(n_rep * n * width, f"n_devices={n}, d={d}, o={o}: device statistics")
     stats = np.empty((n_rep, n, width))
     for r, (x, f) in enumerate(zip(datasets, facts)):
         _centred_statistics(x, f.w_star, stats[r])
 
-    # Every computed trace column of every replicate and arm, by iteration:
+    # Every recorded trace column of every replicate and arm, by iteration:
     # the traces keep views of it, so each column is stored once.
     record = np.zeros((len(names), n_rep, k, steps))
+    want_grad = "grad_norm_sq" in names
     n_present = np.zeros((n_rep, steps), dtype=np.int64)
     mask_rngs = [s.child("mask").generator() for s in streams]
     mask_hashes = [hashlib.sha256() for _ in streams]
@@ -588,9 +597,43 @@ def train(
         reported = np.zeros((n_rep, 1), dtype=bool)  # has any device reported yet
         coef = np.ones((n_rep, ke, 1, 3))  # [1, -eta_t alpha_t, -eta_t]
         coef_tail = coef[..., 1:]
-    rows = 0
+
+    def loss_of(dev: np.ndarray) -> np.ndarray:
+        """The loss at every ``W* + D`` of a ``(..., R, K, d, o)`` stack."""
+        return loss_at_optimum + 0.5 * np.einsum("...ij,...ij->...", dev, a_sum @ dev)
+
+    # Each other column of TRACE_COLUMNS at a block's iterates, as a (rows, R,
+    # K) array; every block computes dist_sq, which it checks.
+    column_of = {
+        "alpha": lambda dev: alphas[: len(dev)],
+        "loss": loss_of,
+        "grad_norm_sq": lambda dev: grad_sq[: len(dev)],
+        "w_norm_sq": lambda dev: _sq_norms(dev + w_star),
+        "max_device_grad_sq": lambda dev: _max_device_sq(stats, dev),
+    }
+
+    def diverged(t: int, i: int, bad: np.ndarray) -> NumericError:
+        """The error naming iteration ``t``, row ``i`` of the block, and the
+        first (replicate, arm) of the ``(R, K)`` mask ``bad`` (sorted arm
+        order), with the last finite loss of that arm's rows held."""
+        r, j = (int(x) for x in np.argwhere(bad[:, by_arm])[0])
+        jj = by_arm[j]  # the arm's entry on the sorted axis
+        losses = loss_of(devs[: i + 1])[:, r, jj]
+        if "loss" in names:  # and the earlier blocks' losses
+            losses = np.concatenate([record[names.index("loss"), r, jj, : t - i], losses])
+        elif before is not None:  # and the loss just before the block
+            losses = np.concatenate([[loss_of(before)[r, jj]], losses])
+        finite = losses[np.isfinite(losses)]
+        last_loss = float(finite[-1]) if len(finite) else None
+        return NumericError(
+            f"training diverged at iteration {t} in arm {j} ({arms[r][j].policy!r}) of replicate "
+            f"{r}: a non-finite loss, weight or norm (last finite loss: {last_loss!r})"
+        )
+
+    rows, before = 0, None
     with np.errstate(all="ignore"):  # non-finite rows raise below
         for start in range(0, steps, MASK_CHUNK_ROWS):
+            before = devs[rows - 1].copy() if start else None  # the last block's last iterate
             iterates[0] = iterates[rows]
             rows = min(MASK_CHUNK_ROWS, steps - start)
             stop = start + rows
@@ -612,7 +655,8 @@ def train(
                 np.subtract(keep, np.multiply(eta, step_op, out=update_op), out=update_op)
                 for update, aug, nxt in fold_views[:rows]:
                     np.matmul(update, aug, out=nxt)
-                grad_sq[:rows, :, :kc] = _sq_norms(step_op @ iterates[:rows, :, :kc])
+                if want_grad:
+                    grad_sq[:rows, :, :kc] = _sq_norms(step_op @ iterates[:rows, :, :kc])
             if kc < k:
                 # A row that hears no report keeps the latest num (copied per step).
                 np.greater(counts[..., None], 0, out=reports[:rows])
@@ -644,28 +688,31 @@ def train(
                             np.copyto(alpha_t, 0.0, where=live_t & (den <= 0.0))
                         np.multiply(eta_t, mix_t, out=coef_tail)
                         np.matmul(coef, pair, out=nxt)
-                    # These rows' gradients, [alpha_t, 1] [C - S; S], from their products.
-                    grad_sq[lo:hi, :, kc:] = _sq_norms(mix[lo:hi] @ bands[: hi - lo, ..., 1:3, :])
+                    if want_grad:  # these rows' gradients, [alpha_t, 1] [C - S; S]
+                        pairs = bands[: hi - lo, ..., 1:3, :]
+                        grad_sq[lo:hi, :, kc:] = _sq_norms(mix[lo:hi] @ pairs)
                 np.copyto(kept, num)  # the latest num, into the next block
                 alphas[:rows, :, kc:] = mix[:rows, ..., 0, 0]
             del side_op  # the block's columns follow; free what they do not read
             dev = devs[:rows]
-            columns = (
-                alphas[:rows],
-                loss_at_optimum + 0.5 * np.einsum("...ij,...ij->...", dev, a_sum @ dev),
-                _sq_norms(dev),
-                grad_sq[:rows],
-                _sq_norms(dev + w_star),
-            )
-            for c, column in enumerate(columns):
-                record[c, ..., start:stop] = column.transpose(1, 2, 0)
-            if device_max:
-                record[-1, ..., start:stop] = _max_device_sq(stats, dev)
-            # Every weight a policy yields lies in [0, 1] unless it is NaN.
-            bad = ~np.isfinite(record[..., start:stop]).all(axis=(0, 1, 2))
+            dist = _sq_norms(dev)
+            for c, name in enumerate(names):
+                value = dist if name == "dist_sq" else column_of[name](dev)
+                record[c, ..., start:stop] = value.transpose(1, 2, 0)
+            # Every recorded value, ||D_t||^2 and the weight must be finite; a
+            # weight lies in [0, 1] unless it is NaN, so their sum is finite
+            # exactly where both are.
+            bad = ~np.isfinite(dist + alphas[:rows])
+            if names:
+                bad |= ~np.isfinite(record[..., start:stop]).all(axis=0).transpose(2, 0, 1)
             if bad.any():
-                t = start + int(np.argmax(bad))
-                raise _diverged(t, arms, record[:, :, by_arm, : t + 1])
+                i = int(np.argmax(bad.any(axis=(1, 2))))
+                raise diverged(start + i, i, bad[i])
+        # The final iterate, checked like a row: iteration `steps`.
+        final = devs[rows]
+        bad = ~(np.isfinite(_sq_norms(final)) & np.isfinite(loss_of(final)))
+        if bad.any():
+            raise diverged(steps, rows, bad)
 
     w = w_star + devs[rows] if steps else np.repeat(np.stack(inits)[:, None], k, axis=1)
     return tuple(
@@ -675,7 +722,7 @@ def train(
                 w0=inits[r],
                 final_w=w[r, i],
                 mask_digest=mask_hashes[r].hexdigest(),
-                **{**dict.fromkeys(_TRACE_COLUMNS), **dict(zip(names, record[:, r, i]))},
+                **{**dict.fromkeys(TRACE_COLUMNS), **dict(zip(names, record[:, r, i]))},
             )
             for i in by_arm
         )

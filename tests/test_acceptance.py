@@ -14,11 +14,12 @@ import pytest
 
 from acfl.analysis import BoundInputs, comm_overhead, convergence_bound, tradeoff_curve, u_of, u_tilde
 from acfl.coding import NoiseParams, encode_levels
-from acfl.dataset import generate, optimum
+from acfl.dataset import generate, loss, optimum
 from acfl.harness import ExperimentConfig, compare_baselines, run_experiment
 from acfl.numerics import RngStream
 from acfl.privacy import epsilon_of, sigma_for_epsilon
 from acfl.training import (
+    TRACE_COLUMNS,
     AdaptiveEstimated,
     AdaptiveOracle,
     Arm,
@@ -218,7 +219,7 @@ def test_c07_distance_bound_after_t_steps():
         (coded,) = encode_levels(ds, [noise], root.child("enc", s))
         ((trace,),) = train(
             [ds], [[Arm(coded, policy)]], p, 1000, [schedule], [root.child("train", s)],
-            [facts], device_max=True,
+            [facts], columns=TRACE_COLUMNS,
         )
         return trace
 
@@ -277,6 +278,11 @@ def test_c08_adaptive_tradeoff_dominates_fixed_weights():
 def test_c09_training_comparison_reference_setup(tmp_path):
     """Reference-scale paired comparison: trends, win rate, noise resilience."""
     low, high = 0.1, 10.0
+    # compare keeps each run's initial and final iterates, not its trace:
+    # every arm of replicate r starts from w0 on the dataset of ("dataset", r).
+    root = RngStream(109)
+    datasets = [generate(100, 100, 10, 10, root.child("dataset", r)) for r in range(20)]
+    problems = [(ds, optimum(ds)) for ds in datasets]
     for p in (0.2, 0.4):
         cfg = ExperimentConfig(
             n_devices=100, m=100, d=10, o=10, straggler_p=p,
@@ -290,9 +296,9 @@ def test_c09_training_comparison_reference_setup(tmp_path):
         for level in (low, high):
             for method in ("acfl", "na"):
                 recs = result.records[(level, method)]
-                mean_curve = np.mean(np.stack([r.trace.loss for r in recs]), axis=0)
-                assert mean_curve[-1] < mean_curve[0], (p, level, method)
+                initial = np.mean([loss(r.trace.w0, *problems[r.replicate]) for r in recs])
                 finals[(level, method)] = float(np.mean([r.final_loss for r in recs]))
+                assert finals[(level, method)] < initial, (p, level, method)
         assert result.win_rates[high] >= 0.9, (p, result.win_rates)
         ratio_acfl = finals[(high, "acfl")] / finals[(low, "acfl")]
         ratio_na = finals[(high, "na")] / finals[(low, "na")]

@@ -142,6 +142,25 @@ def test_compare_subcommand(tmp_path, capsys):
     assert "win_rate[sigma_sq=2]=" in out
 
 
+@pytest.mark.parametrize("c", [1e300, 1e308])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_non_finite_final_iterate_exits_2_naming_its_iteration(tmp_path, capsys, command, c):
+    # One step of size c leaves a final iterate that no trace row holds and
+    # whose loss overflows (at 1e308 the iterate itself is infinite).  train
+    # checks it like a row, as iteration `steps`, before the harness takes a
+    # loss of it: exit 2, no warning (the suite makes one an error), no files.
+    path = write_run_config(
+        tmp_path, dataset={"n_devices": 5, "m": 8, "d": 3, "o": 2}, straggler_p=0.2,
+        schedule={"kind": "inverse", "c": c}, steps=1, master_seed=3, replicates=1,
+        noise_levels=[0.1, 10.0],
+    )
+    assert cli_main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("acfl: error: training diverged at iteration 1 in arm 0 "), err
+    assert "last finite loss: " in err and "Warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_workers_flag_is_accepted_and_changes_no_byte(tmp_path, capsys, command):
     # The bench passes --workers 1 to every run; the flag must keep parsing.

@@ -12,8 +12,10 @@ import pytest
 from acfl import harness
 from acfl.coding import NoiseParams, encode_levels
 from acfl.dataset import generate, optimum
-from acfl.errors import ParameterError
+from acfl.errors import NumericError, ParameterError
 from acfl.harness import (
+    PROBE_COLUMNS,
+    RUN_COLUMNS,
     ExperimentConfig,
     OracleAuto,
     compare_baselines,
@@ -26,20 +28,17 @@ from acfl.harness import (
 from acfl.numerics import RngStream
 from acfl.privacy import sigma_for_epsilon
 from acfl.training import (
+    MASK_CHUNK_ROWS,
+    TRACE_COLUMNS,
     AdaptiveEstimated,
     AdaptiveOracle,
     Arm,
     FixedWeight,
     InverseDecay,
-    alpha_oracle,
     trace_bytes,
     train,
 )
 from reference import replay_samples, residual_loss
-
-
-# Every trace column but the per-device maximum, which runs compute only on request.
-OTHER_COLUMNS = ("alpha", "loss", "dist_sq", "grad_norm_sq", "w_norm_sq")
 
 
 def small_config(out_dir, **overrides) -> ExperimentConfig:
@@ -374,21 +373,21 @@ def test_resolve_policy_probes_oracle_constants(tmp_path):
     assert isinstance(policy, AdaptiveOracle)
     assert policy.beta_sq > 0 and policy.c_sq > 0
     result = run_experiment(cfg)
-    # The run's records do not hold the per-device maximum: retrain the same
-    # replicates asking for it, which changes no other value.
+    # The run's records hold only the columns its CSVs read: retrain the same
+    # replicates recording every column, which changes no other value.
     audited = harness._run_group(
-        cfg, [(cfg.noise, result.policy)], range(cfg.replicates), device_max=True
+        cfg, [(cfg.noise, result.policy)], range(cfg.replicates), TRACE_COLUMNS
     )
     for rec, (again,) in zip(result.records, audited, strict=True):
-        assert rec.trace.max_device_grad_sq is None
-        for name in ("n_present", *OTHER_COLUMNS, "w0", "final_w"):
+        assert rec.trace.max_device_grad_sq is None and rec.trace.w_norm_sq is None
+        for name in ("n_present", *RUN_COLUMNS, "w0", "final_w"):
             assert np.array_equal(getattr(rec.trace, name), getattr(again.trace, name)), name
         assert rec.trace.mask_digest == again.trace.mask_digest
         assert rec.final_loss == again.final_loss
     # realized norms stay within the probed constants on this config
-    for rec, (again,) in zip(result.records, audited):
+    for (again,) in audited:
         assert again.trace.max_device_grad_sq.max() <= result.policy.beta_sq
-        assert rec.trace.w_norm_sq.max() <= result.policy.c_sq
+        assert again.trace.w_norm_sq.max() <= result.policy.c_sq
 
 
 # ------------------------------------------------------------------ compare
@@ -432,55 +431,110 @@ def test_compare_rows_and_pairing(tmp_path):
     assert again.path.read_bytes() == result.path.read_bytes()
 
 
+def _policies_trained(monkeypatch) -> list:
+    """Patch ``harness.train`` to record, per call, the ``(noise, policy)`` of
+    each replicate's arms, and the traces."""
+    calls = []
+    real_train = harness.train
+
+    def recording_train(ds, arms, *args, **kwargs):
+        traces = real_train(ds, arms, *args, **kwargs)
+        calls.append(([[(arm.coded.noise, arm.policy) for arm in row] for row in arms], traces))
+        return traces
+
+    monkeypatch.setattr(harness, "train", recording_train)
+    return calls
+
+
 @pytest.mark.parametrize(
     "policy", [AdaptiveOracle(4.0, 2.0), OracleAuto(2.0)], ids=["given", "auto"]
 )
-def test_compare_runs_the_configured_policy(tmp_path, policy):
-    # An oracle policy is not swapped for estimated weights: the acfl arm's
-    # weight is constant, from the given constants or a per-level probe.
+def test_compare_runs_the_configured_policy(tmp_path, monkeypatch, policy):
+    # An oracle policy is not swapped for estimated weights: the acfl arm
+    # trains with oracle constants, given or from a per-level probe, and the
+    # na arm with the fixed baseline.
+    calls = _policies_trained(monkeypatch)
     cfg = small_config(tmp_path / "orc", policy=policy, replicates=2, steps=6)
-    result = compare_baselines(replace(cfg, noise_levels=(0.5, 2.0)))
-    for level in (0.5, 2.0):
+    levels = (0.5, 2.0)
+    compare_baselines(replace(cfg, noise_levels=levels))
+    trained = calls[-1][0]  # the oracle probes below train too
+    expect = []
+    for level in levels:
         noise = NoiseParams(level, level)
         ((_, oracle),) = resolve_policy(cfg, [noise], [policy])
-        expect = alpha_oracle(cfg.straggler_p, oracle.beta_sq, oracle.c_sq, cfg.d, cfg.o, noise)
-        for rec in result.records[(level, "acfl")]:
-            assert np.all(rec.trace.alpha == expect)
-        for rec in result.records[(level, "na")]:
-            assert np.all(rec.trace.alpha == 0.5)
+        if isinstance(policy, AdaptiveOracle):
+            assert oracle == policy
+        expect += [(noise, oracle), (noise, FixedWeight(0.5))]
+    assert trained == [expect] * cfg.replicates
 
 
 def test_compare_probes_every_level_in_one_call(tmp_path, monkeypatch):
     # With both methods auto-oracle, one probe call trains replicate 0 at
     # every level; each method takes its constants from it with its own margin.
     # Then one call trains both replicates, four arms each.
-    calls = []
-    real_train = harness.train
-
-    def counting_train(ds, arms, *args, **kwargs):
-        traces = real_train(ds, arms, *args, **kwargs)
-        calls.append(([len(row) for row in arms], traces))
-        return traces
-
-    monkeypatch.setattr(harness, "train", counting_train)
+    calls = _policies_trained(monkeypatch)
     cfg = small_config(
         tmp_path / "probe", policy=OracleAuto(2.0), baseline=OracleAuto(3.0), replicates=2, steps=6
     )
     levels = (0.5, 2.0)
-    result = compare_baselines(replace(cfg, noise_levels=levels))
-    assert [shape for shape, _ in calls] == [[2], [4, 4]]
+    compare_baselines(replace(cfg, noise_levels=levels))
+    assert [[len(row) for row in arms] for arms, _ in calls] == [[2], [4, 4]]
     (probe,) = calls[0][1]
-    for level, trace in zip(levels, probe):
-        noise = NoiseParams(level, level)
-        for method, margin in (("acfl", 2.0), ("na", 3.0)):
-            expect = alpha_oracle(
-                cfg.straggler_p,
+    expect = [
+        (
+            NoiseParams(level, level),
+            AdaptiveOracle(
                 float(trace.max_device_grad_sq.max()) * margin,
                 float(trace.w_norm_sq.max()) * margin,
-                cfg.d, cfg.o, noise,
-            )
-            for rec in result.records[(level, method)]:
-                assert np.all(rec.trace.alpha == expect)
+            ),
+        )
+        for level, trace in zip(levels, probe)
+        for margin in (2.0, 3.0)
+    ]
+    assert calls[1][0] == [expect] * cfg.replicates
+    assert all(trace.alpha is None for replicate in calls[1][1] for trace in replicate)
+
+
+def test_a_diverging_compare_names_its_iteration(tmp_path):
+    # compare records no trace column, yet still checks each block's weights
+    # and ||D_t||^2: it names the first iteration (and its arm and replicate)
+    # at which an arm trained alone, recording those two columns, has a
+    # non-finite one, and warns of nothing (the suite makes a warning an
+    # error).  Steps of 40 / t diverge inside the second mask block.
+    cfg = small_config(
+        tmp_path / "div", n_devices=6, m=12, d=3, o=2, straggler_p=0.2,
+        schedule=InverseDecay(40.0), steps=300, replicates=2, noise_levels=(0.1, 1.0),
+    )
+    with pytest.raises(NumericError) as err:
+        compare_baselines(cfg)
+    match = re.fullmatch(
+        r"training diverged at iteration (\d+) in arm (\d+) \(.*\) of replicate (\d+): "
+        r"a non-finite loss, weight or norm \(last finite loss: (.+)\)",
+        str(err.value),
+    )
+    assert match, str(err.value)
+    named = tuple(int(x) for x in match.groups()[:3])
+    assert math.isfinite(float(match.group(4)))
+    assert not (tmp_path / "div").exists()
+    noises = [NoiseParams(level, level) for level in cfg.noise_levels]
+    arms = resolve_policy(cfg, noises, [cfg.policy, cfg.baseline])
+    root = RngStream(cfg.master_seed)
+    first = []
+    for r in range(cfg.replicates):
+        ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
+        coded = dict(zip(noises, encode_levels(ds, noises, root.child("encode", r))))
+        for j, (noise, policy) in enumerate(arms):
+            with pytest.raises(NumericError) as alone:
+                train(
+                    [ds], [[Arm(coded[noise], policy)]], cfg.straggler_p, cfg.steps,
+                    [cfg.schedule], [root.child("train", r)], [optimum(ds)],
+                    columns=("alpha", "dist_sq"),
+                )
+            t = int(re.search(r"iteration (\d+) in arm 0 ", str(alone.value)).group(1))
+            first.append((t, r, j))
+    t, r, j = min(first)
+    assert named == (t, j, r)
+    assert MASK_CHUNK_ROWS < t < cfg.steps
 
 
 def _artifacts(out_dir) -> dict[str, bytes]:
@@ -518,23 +572,28 @@ def test_replicate_groups_do_not_change_artifacts(tmp_path, monkeypatch, per_gro
 @pytest.mark.parametrize("per_group", [1, 3])
 def test_memory_refusal_counts_the_bytes_the_records_keep(tmp_path, monkeypatch, per_group):
     # The count the refusal reads, replicates times trace_bytes, equals the
-    # bytes of the distinct arrays the records reach (per arm the trace
-    # columns and final_w, per replicate n_present and w0), and is the same
-    # however the replicates are grouped into train calls.
+    # bytes of the distinct arrays the records reach (per arm the recorded
+    # trace columns and final_w, per replicate n_present and w0), for each
+    # set of columns a command records, however the replicates are grouped
+    # into train calls.
     cfg = small_config(tmp_path, replicates=3, steps=50)
     gram_bytes = cfg.n_devices * cfg.d * (cfg.d + cfg.o) * 8
     monkeypatch.setattr(harness, "GROUP_GRAM_BYTES", per_group * gram_bytes)
     arms = [(cfg.noise, AdaptiveEstimated()), (cfg.noise, FixedWeight(0.5))]
-    bases = {}
-    for records in harness._run_replicates(cfg, arms):
-        for rec in records:
-            for value in vars(rec.trace).values():
-                if isinstance(value, np.ndarray):
-                    while value.base is not None:
-                        value = value.base
-                    bases[id(value)] = value
-    held = sum(a.nbytes for a in bases.values())
-    assert held == cfg.replicates * trace_bytes(len(arms), cfg.steps, cfg.d, cfg.o) == 13_632
+    for columns, expect in (
+        (TRACE_COLUMNS[:-1], 13_632), (RUN_COLUMNS, 11_232), (PROBE_COLUMNS, 6_432), ((), 1_632)
+    ):
+        bases = {}
+        for records in harness._run_replicates(cfg, arms, columns):
+            for rec in records:
+                for value in vars(rec.trace).values():
+                    if isinstance(value, np.ndarray):
+                        while value.base is not None:
+                            value = value.base
+                        bases[id(value)] = value
+        held = sum(a.nbytes for a in bases.values())
+        count = cfg.replicates * trace_bytes(len(arms), cfg.steps, cfg.d, cfg.o, columns)
+        assert held == count == expect, columns
 
 
 def test_auto_oracle_margin_must_be_finite():
@@ -564,7 +623,7 @@ def test_compare_encodes_each_replicate_once(tmp_path):
         )
         for key, tr in zip(keys, traces, strict=True):
             kept = result.records[key][r].trace
-            for name in ("n_present", *OTHER_COLUMNS, "w0", "final_w"):
+            for name in ("n_present", "w0", "final_w"):  # compare records no trace column
                 assert getattr(tr, name).tobytes() == getattr(kept, name).tobytes(), name
 
 

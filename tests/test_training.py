@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from acfl.coding import GlobalCodedData, NoiseParams, encode_levels
-from acfl.dataset import generate, optimum
+from acfl.dataset import generate, loss, optimum
 from acfl.errors import NumericError, ParameterError
+from acfl.harness import PROBE_COLUMNS, RUN_COLUMNS
 from acfl.numerics import RngStream
 from acfl.privacy import sigma_for_epsilon
 from acfl.training import (
     MASK_CHUNK_ROWS,
+    TRACE_COLUMNS as EVERY_COLUMN,
     AdaptiveEstimated,
     AdaptiveOracle,
     Arm,
@@ -359,7 +361,9 @@ def test_train_matches_plain_gradient_descent(names, levels, steps, p):
         arms += [Arm(gc, POLICIES[name]) for name in names]
     c = 1e-3
     stream = RngStream(13).child("t")
-    (traces,) = train([ds], [arms], p, steps, [InverseDecay(c)], [stream], [facts], device_max=True)
+    (traces,) = train(
+        [ds], [arms], p, steps, [InverseDecay(c)], [stream], [facts], columns=EVERY_COLUMN
+    )
     assert len(traces) == len(arms)
     for arm, tr in zip(arms, traces):
         rows, w = _naive_train(
@@ -535,11 +539,13 @@ def test_batched_train_equals_one_replicate_calls(n_rep, k):
     arms = [rep[4][:1] if k == 1 else rep[4] for rep in reps]
     batched = train(
         [rep[0] for rep in reps], arms, p, steps, [rep[2] for rep in reps],
-        [rep[3] for rep in reps], [rep[1] for rep in reps], device_max=True,
+        [rep[3] for rep in reps], [rep[1] for rep in reps], columns=EVERY_COLUMN,
     )
     assert len(batched) == n_rep
     for (ds, facts, schedule, stream, _), arms_r, traces in zip(reps, arms, batched):
-        (alone,) = train([ds], [arms_r], p, steps, [schedule], [stream], [facts], device_max=True)
+        (alone,) = train(
+            [ds], [arms_r], p, steps, [schedule], [stream], [facts], columns=EVERY_COLUMN
+        )
         assert len(traces) == len(alone) == k
         assert (alone[0].n_present == 0).any()
         for a, b in zip(traces, alone):
@@ -562,7 +568,7 @@ def test_an_arms_trace_does_not_depend_on_the_arms_beside_it(p):
 
     def run(*arm_lists):
         ds, facts, schedules, streams, _ = zip(*reps[: len(arm_lists)])
-        return train(ds, arm_lists, p, steps, schedules, streams, facts, device_max=True)
+        return train(ds, arm_lists, p, steps, schedules, streams, facts, columns=EVERY_COLUMN)
 
     def check(got, expect):
         for name in ("n_present", *TRACE_COLUMNS, "w0", "final_w"):
@@ -786,22 +792,39 @@ def test_oracle_weight_reads_each_arms_coded_noise(random_instance):
 
 
 def test_requesting_the_device_maximum_changes_nothing_else():
-    # The per-device maximum is a column computed only on request; asking
-    # for it must leave every other value of every trace as it is.
+    # A column is computed only on request; whichever are asked for (the
+    # default, and the sets that run, the OracleAuto probe and compare
+    # record), every recorded value, the final iterate, n_present and the
+    # masks must equal the call that records every column, bit for bit.
     reps = [_replicate(60 + r) for r in range(2)]  # arms: estimated, fixed, oracle
     args = (
         [rep[0] for rep in reps], [rep[4][:3] for rep in reps], 0.5, 150,
         [rep[2] for rep in reps], [rep[3] for rep in reps], [rep[1] for rep in reps],
     )
-    plain = train(*args)
-    audited = train(*args, device_max=True)
-    for plain_r, audited_r in zip(plain, audited, strict=True):
-        for a, b in zip(plain_r, audited_r, strict=True):
-            assert a.max_device_grad_sq is None
-            assert b.max_device_grad_sq.shape == (150,)
-            for name in ("n_present", *TRACE_COLUMNS[:-1], "w0", "final_w"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
-            assert a.mask_digest == b.mask_digest
+    full = train(*args, columns=EVERY_COLUMN)
+    for columns in (None, RUN_COLUMNS, PROBE_COLUMNS, ()):
+        lean = train(*args) if columns is None else train(*args, columns=columns)
+        recorded = EVERY_COLUMN[:-1] if columns is None else columns
+        for lean_r, full_r in zip(lean, full, strict=True):
+            for a, b in zip(lean_r, full_r, strict=True):
+                assert b.max_device_grad_sq.shape == (150,)
+                for name in EVERY_COLUMN:
+                    if name not in recorded:
+                        assert getattr(a, name) is None, (columns, name)
+                for name in ("n_present", *recorded, "w0", "final_w"):
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), (columns, name)
+                assert a.mask_digest == b.mask_digest
+                assert a.steps == 150
+
+
+def test_train_refuses_an_unknown_column(random_instance):
+    ds = random_instance(12, n=3, m=9, d=3, o=2)
+    gc = _coded(ds, 0.5, RngStream(12))
+    with pytest.raises(ParameterError, match=r"^columns: unknown trace column 'n_present'$"):
+        train(
+            [ds], [[Arm(gc, FixedWeight(0.5))]], 0.2, 3, [InverseDecay(1e-3)],
+            [RngStream(12).child("t")], [optimum(ds)], columns=("loss", "n_present"),
+        )
 
 
 @pytest.mark.parametrize("p", [0.0, 0.4])
@@ -809,8 +832,8 @@ def test_requesting_the_device_maximum_changes_nothing_else():
 def test_residual_only_statistics_change_no_bit(n, d, o, p):
     # With no estimated arm and no device maximum, train builds and sums only
     # the R_i columns of the statistics; every value must equal the call that
-    # builds them all (device_max=True), bit for bit.  Label noise keeps the
-    # R_i away from zero; 150 steps cross the mask block boundaries.  At the
+    # builds them all (every column recorded), bit for bit.  Label noise keeps
+    # the R_i away from zero; 150 steps cross the mask block boundaries.  At the
     # second shape, BLAS sums the R_i columns of one product over every
     # statistic in another order than a product over the R_i alone.
     reps = []
@@ -826,7 +849,7 @@ def test_residual_only_statistics_change_no_bit(n, d, o, p):
     datasets, arms, schedules, streams, facts = map(list, zip(*reps))
     args = (datasets, arms, p, 150, schedules, streams, facts)
     lean = train(*args)
-    full = train(*args, device_max=True)
+    full = train(*args, columns=EVERY_COLUMN)
     for lean_r, full_r in zip(lean, full, strict=True):
         for a, b in zip(lean_r, full_r, strict=True):
             assert a.max_device_grad_sq is None
@@ -853,7 +876,8 @@ def test_reports_resolved_per_mask_block_match_the_per_step_loop():
             Arm(gc, AdaptiveOracle(4.0, 1.0)), Arm(gc, AdaptiveEstimated(0.9)),
         ])
     traces = train(
-        datasets, arm_lists, p, steps, [InverseDecay(c)] * 2, streams, facts, device_max=True
+        datasets, arm_lists, p, steps, [InverseDecay(c)] * 2, streams, facts,
+        columns=EVERY_COLUMN,
     )
     # In some replicate, a run of steps without a report crosses a block
     # boundary, and some block mixes steps with and without one.
@@ -873,3 +897,26 @@ def test_reports_resolved_per_mask_block_match_the_per_step_loop():
             for j, name in enumerate(TRACE_COLUMNS):
                 assert np.allclose(getattr(tr, name), rows[:, j], rtol=1e-10, atol=0.0), name
             assert np.allclose(tr.final_w, w, rtol=1e-10, atol=0.0)
+
+
+def test_divergence_at_a_block_start_without_a_recorded_loss_reports_the_loss_before_it():
+    # With no loss recorded, the error computes the losses it reports from the
+    # iterates it still holds: the block's and the last one of the block
+    # before.  Here ||D_t||^2 first overflows at iteration 128, the first row
+    # of the third mask block, where the loss is infinite too; the reported
+    # loss is that of iteration 127, the final iterate of a 127-step run.
+    root = RngStream(21)
+    ds = generate(6, 12, 3, 2, root.child("data", 0))
+    facts = optimum(ds)
+    (gc,) = encode_levels(ds, [NoiseParams(0.1, 0.1)], root.child("enc", 0))
+    arms, stream = [Arm(gc, AdaptiveEstimated())], root.child("train", 0)
+
+    def run(steps):
+        return train([ds], [arms], 0.2, steps, [InverseDecay(26.7)], [stream], [facts], columns=())
+
+    with pytest.raises(NumericError) as err:
+        run(300)
+    match = re.search(r"iteration (\d+) in arm 0 .*last finite loss: (.+)\)$", str(err.value))
+    assert match and int(match.group(1)) == 2 * MASK_CHUNK_ROWS, str(err.value)
+    ((before,),) = run(2 * MASK_CHUNK_ROWS - 1)
+    assert float(match.group(2)) == pytest.approx(loss(before.final_w, ds, facts), rel=1e-9)
