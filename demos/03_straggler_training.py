@@ -11,7 +11,6 @@ import numpy as np
 
 from acfl import (
     AdaptiveEstimated,
-    Arm,
     FixedWeight,
     InverseDecay,
     NoiseParams,
@@ -43,16 +42,20 @@ print()
 print("=" * 64)
 print("2. one-time encoding at two noise levels")
 print("=" * 64)
-arms, labels = [], []
+coded, policies, labels = [], [], []
 for sigma_sq in (0.1, 10.0):
     noise = NoiseParams(sigma_sq, sigma_sq)
-    (coded,) = encode_levels(ds, [noise], root.child("encode"))
+    (sums,) = encode_levels(ds, [noise], root.child("encode"))
     for label, policy in (("adaptive", AdaptiveEstimated()), ("fixed 0.5", FixedWeight(0.5))):
-        arms.append(Arm(coded, policy))
+        coded.append(sums)
+        policies.append(policy)
         labels.append((sigma_sq, label))
-# train takes a group of replicates, here one.  One loop advances all four
-# arms on the same straggler masks.
-(traces,) = train([ds], [arms], P, STEPS, [InverseDecay(1e-3)], [root.child("train")], [facts])
+# train takes a group of replicates, here one: each arm's coded sums per
+# replicate, and one policy per arm for them all.  One loop advances all
+# four arms on the same straggler masks.
+(traces,) = train(
+    [ds], [coded], policies, P, STEPS, [InverseDecay(1e-3)], [root.child("train")], [facts]
+)
 results = dict(zip(labels, traces))
 for (sigma_sq, label), trace in results.items():
     print(

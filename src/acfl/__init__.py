@@ -46,7 +46,6 @@ from .training import (
     AdaptiveEstimated,
     AdaptiveOracle,
     AggregationPolicy,
-    Arm,
     FixedWeight,
     InverseDecay,
     TrainingTrace,
@@ -62,7 +61,6 @@ __all__ = [
     "AdaptiveEstimated",
     "AdaptiveOracle",
     "AggregationPolicy",
-    "Arm",
     "BoundInputs",
     "ComparisonResult",
     "ExperimentConfig",

@@ -10,6 +10,7 @@ the ``1/(lam t)`` schedule.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
@@ -89,15 +90,23 @@ def u_tilde(inputs: BoundInputs) -> float:
     """Minimum of ``u`` over ``alpha`` in ``[0, 1]`` (closed form):
 
         u~ = -(p N b^2/(1-p))^2 / (p N b^2/(1-p) + N d s1 C^2 + N s2 o d)
-             + N b^2/(1-p) + N b^2 (N - 1) .
+             + N b^2/(1-p) + N b^2 (N - 1) ,
+
+    evaluated, with ``num = p N b^2/(1-p)``, ``rest = N d s1 C^2 + N s2 o d``
+    and ``den = num + rest``, as the sum of nonnegative terms
+
+        u~ = N b^2 (num/den + (rest/den)/(1-p) + N - 1) ,
+
+    which neither cancels nor squares ``num``.
     """
-    p, n = inputs.p, inputs.n_devices
+    p, n, d = inputs.p, inputs.n_devices, inputs.d
     num = p * n * inputs.beta_sq / (1.0 - p)
-    den = num + n * inputs.d * inputs.sigma1_sq * inputs.c_sq + n * inputs.sigma2_sq * inputs.o * inputs.d
+    rest = n * d * inputs.sigma1_sq * inputs.c_sq + n * inputs.sigma2_sq * inputs.o * d
+    den = num + rest
     if den == 0.0:
         # p = 0 with zero noise: u is minimized at alpha = 0.
         return u_of(inputs, 0.0)
-    return -num * num / den + n * inputs.beta_sq / (1.0 - p) + n * inputs.beta_sq * (n - 1.0)
+    return n * inputs.beta_sq * (num / den + rest / den / (1.0 - p) + n - 1.0)
 
 
 def convergence_bound(inputs: BoundInputs, u_sup: float) -> float:
@@ -106,7 +115,7 @@ def convergence_bound(inputs: BoundInputs, u_sup: float) -> float:
         E ||W_T - W*||_F^2 <= 4 * u_sup / (lam^2 T) .
     """
     check("u_sup", u_sup, "be positive")
-    return 4.0 * u_sup / (inputs.lam * inputs.lam * inputs.steps)
+    return 4.0 * u_sup / inputs.lam / inputs.lam / inputs.steps  # lam^2 T may leave float range
 
 
 @dataclass(frozen=True)
@@ -129,7 +138,8 @@ def tradeoff_curve(
 
     Each point pairs the privacy level of that variance with the distance
     bound it implies, using the given fixed ``alpha`` or, when ``alpha`` is
-    ``None``, the adaptive optimum at each variance.
+    ``None``, the adaptive optimum at each variance.  A variance at which
+    ``u`` or the bound is not finite is refused with :class:`ParameterError`.
     """
     if len(sigma_grid) == 0:
         raise ParameterError("sigma_grid: need at least one value")
@@ -144,7 +154,13 @@ def tradeoff_curve(
         else:
             a = alpha
             u = u_of(inputs, alpha)
-        points.append(TradeoffPoint(float(sigma_sq), eps, a, u, convergence_bound(inputs, u)))
+        bound = math.nan if math.isnan(u) else convergence_bound(inputs, u)
+        if not math.isfinite(bound):
+            raise ParameterError(
+                f"sigma_grid[{i}]: the bounds at {sigma_sq} are not finite "
+                f"(u = {u}, bound = {bound})"
+            )
+        points.append(TradeoffPoint(float(sigma_sq), eps, a, u, bound))
     return points
 
 

@@ -33,7 +33,6 @@ from .training import (
     AdaptiveEstimated,
     AdaptiveOracle,
     AggregationPolicy,
-    Arm,
     FixedWeight,
     InverseDecay,
     TrainingTrace,
@@ -380,7 +379,8 @@ def _run_group(
         coded.append(dict(zip(noises, encode_levels(ds, noises, root.child("encode", r)))))
     traces = train(
         datasets,
-        [[Arm(by_noise[noise], policy) for noise, policy in arms] for by_noise in coded],
+        [[by_noise[noise] for noise, _ in arms] for by_noise in coded],
+        [policy for _, policy in arms],
         cfg.straggler_p,
         cfg.steps,
         [cfg.schedule or schedule_for_strong_convexity(f.lam) for f in facts],

@@ -42,7 +42,6 @@ __all__ = [
     "AdaptiveEstimated",
     "AdaptiveOracle",
     "AggregationPolicy",
-    "Arm",
     "FixedWeight",
     "InverseDecay",
     "TRACE_COLUMNS",
@@ -163,23 +162,6 @@ def _coded_term(d_sigma1_sq, q, c_sq):
     """The weight's coded-gradient term ``d s1 c^2 (1-p)``; a zero ``c_sq``
     adds zero, also where ``d s1`` overflowed to inf."""
     return np.where(c_sq != 0.0, d_sigma1_sq * c_sq, 0.0) * q
-
-
-@dataclass(frozen=True, eq=False)
-class Arm:
-    """One of the runs :func:`train` advances together on one dataset.
-
-    An arm is the server's coded sums and the policy that weighs them
-    against the device gradients; the adaptive policies weigh the coded
-    gradient's noise by the variances the sums carry (``coded.noise``).
-    """
-
-    coded: GlobalCodedData
-    policy: AggregationPolicy
-
-    def __post_init__(self):
-        if not isinstance(self.policy, AggregationPolicy):
-            raise ParameterError(f"unsupported policy: {self.policy!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,7 +360,8 @@ def _load_sides(stack: np.ndarray, side: np.ndarray, coded_op: np.ndarray) -> No
 
 def train(
     ds: Sequence[FederatedDataset],
-    arms: Sequence[Sequence[Arm]],
+    coded: Sequence[Sequence[GlobalCodedData]],
+    policies: Sequence[AggregationPolicy],
     straggler_p: float,
     steps: int,
     schedule: Sequence[InverseDecay],
@@ -390,13 +373,16 @@ def train(
     """Run the two-source training loop for ``steps`` iterations on every arm
     of R replicates, which advance together in one loop.
 
-    Replicate ``r`` is the dataset ``ds[r]``, the arm list ``arms[r]``,
-    ``schedule[r]``, ``stream[r]`` and ``facts[r]``; the replicates share
-    the dataset shape, the number of arms and each arm's kind, constant or
-    estimated.  A replicate's arms share its dataset, straggler masks and
-    initial iterate, and each has its own coded sums, policy and iterate.
-    Returns one tuple of traces per replicate, one trace per arm, in order;
-    each replicate's traces, and each arm's, are those it gets trained alone.
+    Replicate ``r`` is the dataset ``ds[r]``, ``schedule[r]``,
+    ``stream[r]`` and ``facts[r]``, and arm ``j`` weighs its coded sums
+    ``coded[r][j]`` against the device gradients by ``policies[j]`` in
+    every replicate; the adaptive policies weigh the coded gradient's noise
+    by the variances the sums carry (``coded[r][j].noise``).  The replicates
+    share the dataset shape.  A replicate's arms share its dataset,
+    straggler masks and initial iterate, and each has its own coded sums
+    and iterate.  Returns one tuple of traces per replicate, one trace per
+    arm, in order; each replicate's traces, and each arm's, are those it
+    gets trained alone.
     A trace holds the columns of :data:`TRACE_COLUMNS` named in ``columns``
     (by default all but ``max_device_grad_sq``), the others ``None``; a
     column not asked for is not computed, and no recorded value depends on
@@ -456,25 +442,29 @@ def train(
     check("straggler_p", straggler_p, "lie in [0, 1)")
     check("steps", steps, "be nonnegative")
     names = _recorded(columns)
-    datasets, arms, schedules, streams, facts = (
-        tuple(ds), tuple(map(tuple, arms)), tuple(schedule), tuple(stream), tuple(facts)
+    datasets, coded, policies, schedules, streams, facts = (
+        tuple(ds), tuple(map(tuple, coded)), tuple(policies), tuple(schedule), tuple(stream),
+        tuple(facts),
     )
-    n_rep = len(datasets)
+    for policy in policies:
+        if not isinstance(policy, AggregationPolicy):
+            raise ParameterError(f"unsupported policy: {policy!r}")
+    n_rep, k = len(datasets), len(policies)
     if not n_rep:
         raise ParameterError("need at least one replicate to train")
-    if any(len(seq) != n_rep for seq in (arms, schedules, streams, facts)):
-        raise ParameterError("give one dataset, arm list, schedule, stream, facts per replicate")
-    n, d, o, k = datasets[0].n_devices, datasets[0].d, datasets[0].o, len(arms[0])
+    if any(len(seq) != n_rep for seq in (coded, schedules, streams, facts)):
+        raise ParameterError("give one dataset, coded list, schedule, stream, facts per replicate")
     if not k:
         raise ParameterError("need at least one arm to train")
+    n, d, o = datasets[0].n_devices, datasets[0].d, datasets[0].o
     inits = []
     for r in range(n_rep):
         if (datasets[r].n_devices, datasets[r].d, datasets[r].o) != (n, d, o):
             raise ParameterError(f"replicate {r}: dataset shape differs from replicate 0's")
-        if len(arms[r]) != k:
-            raise ParameterError(f"replicate {r}: {len(arms[r])} arms, replicate 0 has {k}")
-        for j, arm in enumerate(arms[r]):
-            if arm.coded.h_x_sum.shape != (d, d) or arm.coded.h_y_sum.shape != (d, o):
+        if len(coded[r]) != k:
+            raise ParameterError(f"replicate {r}: {len(coded[r])} coded sums for {k} policies")
+        for j, sums in enumerate(coded[r]):
+            if sums.h_x_sum.shape != (d, d) or sums.h_y_sum.shape != (d, o):
                 raise ParameterError(
                     f"arm {j} of replicate {r}: coded data shapes do not match the dataset"
                 )
@@ -492,37 +482,28 @@ def train(
     loss_at_optimum = np.array([[f.loss_at_optimum] for f in facts])
     rates = np.stack([s.rates(steps) for s in schedules], axis=1)  # (T, R)
     # [H_X | H_X W* - H_Y] times [D; I] is the coded gradient H_X W - H_Y.
-    h_x = np.array([[arm.coded.h_x_sum for arm in row] for row in arms])  # (R, K, d, d)
-    h_y = np.array([[arm.coded.h_y_sum for arm in row] for row in arms])
+    h_x = np.array([[sums.h_x_sum for sums in row] for row in coded])  # (R, K, d, d)
+    h_y = np.array([[sums.h_y_sum for sums in row] for row in coded])
     coded_op = np.concatenate([h_x, h_x @ w_star - h_y], axis=-1)
 
     # Every arm's constant weight (an estimated arm's fallback).  At p = 0 an
     # estimated weight is 0 from the first step, which hears every device.
     base_alpha = np.empty((n_rep, k))
-    estimated = np.zeros((n_rep, k), dtype=bool)
-    for r, row in enumerate(arms):
-        for j, arm in enumerate(row):
-            if isinstance(arm.policy, FixedWeight):
-                base_alpha[r, j] = arm.policy.alpha
-            elif isinstance(arm.policy, AdaptiveOracle):
-                base_alpha[r, j] = alpha_oracle(
-                    straggler_p, arm.policy.beta_sq, arm.policy.c_sq, d, o, arm.coded.noise
-                )
-            elif straggler_p == 0.0:
-                base_alpha[r, j] = 0.0
-            else:
-                base_alpha[r, j] = arm.policy.fallback_alpha
-                estimated[r, j] = True
-    if (estimated != estimated[0]).any():
-        r, j = np.argwhere(estimated != estimated[0])[0]
-        raise ParameterError(
-            f"arm {j} of replicate {r}: {'an estimated' if estimated[r, j] else 'a constant'} "
-            "weight, unlike replicate 0's; every replicate needs the same kinds of arms"
-        )
+    estimated = np.array([isinstance(x, AdaptiveEstimated) and straggler_p > 0.0 for x in policies])
+    for j, policy in enumerate(policies):
+        if isinstance(policy, FixedWeight):
+            base_alpha[:, j] = policy.alpha
+        elif isinstance(policy, AdaptiveOracle):
+            base_alpha[:, j] = [
+                alpha_oracle(straggler_p, policy.beta_sq, policy.c_sq, d, o, row[j].noise)
+                for row in coded
+            ]
+        else:
+            base_alpha[:, j] = policy.fallback_alpha if estimated[j] else 0.0
     # The arm axis, constant arms first: each kind is a slice of it, and the
     # caller's arm j is entry by_arm[j].
-    order = np.argsort(estimated[0], kind="stable")
-    by_arm, kc = np.argsort(order), k - int(estimated[0].sum())
+    order = np.argsort(estimated, kind="stable")
+    by_arm, kc = np.argsort(order), k - int(estimated.sum())
     base_alpha, coded_op = base_alpha[:, order], coded_op[:, order]
 
     # Per replicate, one row per device: the centred statistics (R_i alone if no
@@ -566,7 +547,7 @@ def train(
         # is finite; there the band keeps c = 1, so rest reads ||W||^2, and
         # the step adds the coded term and floor itself.
         ke = k - kc
-        noise = np.array([[astuple(a.coded.noise) for a in row] for row in arms])[:, order[kc:]]
+        noise = np.array([[astuple(sums.noise) for sums in row] for row in coded])[:, order[kc:]]
         with np.errstate(over="ignore"):  # an infinite term is handled as such
             d_sigma1_sq, q, floor = _weight_terms(straggler_p, d, o, noise[..., 0], noise[..., 1])
             scale = d_sigma1_sq * q
@@ -626,7 +607,7 @@ def train(
         finite = losses[np.isfinite(losses)]
         last_loss = float(finite[-1]) if len(finite) else None
         return NumericError(
-            f"training diverged at iteration {t} in arm {j} ({arms[r][j].policy!r}) of replicate "
+            f"training diverged at iteration {t} in arm {j} ({policies[j]!r}) of replicate "
             f"{r}: a non-finite loss, weight or norm (last finite loss: {last_loss!r})"
         )
 

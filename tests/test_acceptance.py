@@ -22,7 +22,6 @@ from acfl.training import (
     TRACE_COLUMNS,
     AdaptiveEstimated,
     AdaptiveOracle,
-    Arm,
     InverseDecay,
     alpha_oracle,
     schedule_for_strong_convexity,
@@ -218,7 +217,7 @@ def test_c07_distance_bound_after_t_steps():
     def run(policy, s):
         (coded,) = encode_levels(ds, [noise], root.child("enc", s))
         ((trace,),) = train(
-            [ds], [[Arm(coded, policy)]], p, 1000, [schedule], [root.child("train", s)],
+            [ds], [[coded]], [policy], p, 1000, [schedule], [root.child("train", s)],
             [facts], columns=TRACE_COLUMNS,
         )
         return trace

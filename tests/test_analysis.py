@@ -71,8 +71,12 @@ def test_u_tilde_reference_point():
 
 def test_u_tilde_equals_u_at_oracle_weight():
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        inputs = _random_inputs(rng)
+    # Near p = 1 with a huge b^2, squaring p N b^2 / (1-p) would overflow.
+    extreme = BoundInputs(
+        p=0.999999, n_devices=1, beta_sq=1e300, c_sq=1.0, d=2, o=2,
+        sigma1_sq=1.0, sigma2_sq=1.0, lam=1e300, steps=10**18,
+    )
+    for inputs in [extreme, *(_random_inputs(rng) for _ in range(100))]:
         alpha = alpha_oracle(
             inputs.p, inputs.beta_sq, inputs.c_sq, inputs.d, inputs.o, inputs.noise()
         )
@@ -137,6 +141,12 @@ def test_convergence_bound_values():
     )
     assert convergence_bound(doubled, 1000.0) == pytest.approx(5.0, rel=1e-12)
     assert convergence_bound(REF_INPUTS, u_tilde(REF_INPUTS)) == pytest.approx(10.22, abs=1e-6)
+    # lam^2 T underflows to 0 where the bound is past float range, and
+    # overflows to inf where the bound is representable.
+    tiny = replace(REF_INPUTS, lam=1e-200, steps=100)
+    assert convergence_bound(tiny, 100.0) == math.inf
+    huge = replace(REF_INPUTS, lam=1e300, steps=100)
+    assert convergence_bound(huge, 1e300) == pytest.approx(4e-302, rel=1e-12)
 
 
 def test_tradeoff_single_point():

@@ -51,10 +51,13 @@ def write_tradeoff_config(tmp_path, **overrides):
 
 
 def _run_python(*args):
+    """Run ``python -W error`` with ``args``: a warning in the child fails it, as
+    pyproject's ``filterwarnings`` makes one fail a test in this process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-W", "error", *args], capture_output=True, text=True, env=env,
+        timeout=120,
     )
 
 
@@ -182,6 +185,52 @@ def test_run_invalid_config_is_runtime_error(tmp_path, capsys):
     path = write_run_config(tmp_path, straggler_p=1.5)
     assert cli_main(["run", str(path)]) == 2
     assert "straggler_p" in capsys.readouterr().err
+
+
+# Extreme finite trade-off inputs: lam^2 T underflows to 0; the closed form
+# of u~ would square a term near float max; u overflows.  The first and last
+# exit 2 naming the grid point, the second writes its representable result.
+EXTREME_TRADEOFFS = {
+    "lambda-underflows": (
+        {"p": 0.2, "n_devices": 10, "beta_sq": 1.0, "c_sq": 1.0, "lambda": 1e-200, "steps": 100},
+        "sigma_grid[0]",
+    ),
+    "huge-beta-near-one-p": (
+        {
+            "p": 0.999999, "n_devices": 1, "beta_sq": 1e300, "c_sq": 1.0, "lambda": 1e300,
+            "steps": 1e18, "sigma_grid": [1.0],
+        },
+        None,
+    ),
+    "u-overflows": (
+        {
+            "p": 0.0, "n_devices": 1000000, "beta_sq": 1.7e308, "c_sq": 1.0, "lambda": 1.0,
+            "steps": 1, "sigma_grid": [1.0],
+        },
+        "sigma_grid[0]",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "raw, field", EXTREME_TRADEOFFS.values(), ids=EXTREME_TRADEOFFS.keys()
+)
+def test_tradeoff_extreme_finite_inputs(tmp_path, raw, field):
+    path = tmp_path / "tradeoff.json"
+    path.write_text(json.dumps({**raw, "d": 2, "o": 2, "out_dir": str(tmp_path / "curves")}))
+    proc = _run_cli_process("tradeoff", path)
+    assert "Traceback" not in proc.stderr
+    if field is not None:
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"acfl: error: {field}: "), proc.stderr
+        assert "not finite" in proc.stderr
+        assert not (tmp_path / "curves").exists()
+        return
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "curves" / "tradeoff_adaptive.csv").read_text().splitlines()
+    sigma_sq, _, _, u, bound = map(float, rows[1].split(","))
+    assert (sigma_sq, u) == (1.0, 1e300)
+    assert bound == pytest.approx(4e-318, rel=1e-5)
 
 
 def test_tradeoff_subcommand(tmp_path, capsys):

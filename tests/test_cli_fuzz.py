@@ -246,7 +246,7 @@ def test_cli_process_exits_cleanly(tmp_path, command, text):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "acfl.cli", command, "config.json"],
+        [sys.executable, "-W", "error", "-m", "acfl.cli", command, "config.json"],
         capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path,
     )
     assert proc.returncode in (0, 2), proc.stderr

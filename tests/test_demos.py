@@ -15,7 +15,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-W", "error", str(demo)], capture_output=True, text=True, env=env,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr

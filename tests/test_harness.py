@@ -32,7 +32,6 @@ from acfl.training import (
     TRACE_COLUMNS,
     AdaptiveEstimated,
     AdaptiveOracle,
-    Arm,
     FixedWeight,
     InverseDecay,
     trace_bytes,
@@ -419,7 +418,7 @@ def test_compare_rows_and_pairing(tmp_path):
         (gc,) = encode_levels(ds, [noise], root.child("encode", r))
         policy = cfg.policy if method == "acfl" else cfg.baseline
         ((tr,),) = train(
-            [ds], [[Arm(gc, policy)]], cfg.straggler_p, cfg.steps, [cfg.schedule],
+            [ds], [[gc]], [policy], cfg.straggler_p, cfg.steps, [cfg.schedule],
             [root.child("train", r)], [optimum(ds)],
         )
         assert np.array_equal(record.trace.final_w, tr.final_w), (level, method, r)
@@ -437,9 +436,9 @@ def _policies_trained(monkeypatch) -> list:
     calls = []
     real_train = harness.train
 
-    def recording_train(ds, arms, *args, **kwargs):
-        traces = real_train(ds, arms, *args, **kwargs)
-        calls.append(([[(arm.coded.noise, arm.policy) for arm in row] for row in arms], traces))
+    def recording_train(ds, coded, policies, *args, **kwargs):
+        traces = real_train(ds, coded, policies, *args, **kwargs)
+        calls.append(([[(c.noise, p) for c, p in zip(row, policies)] for row in coded], traces))
         return traces
 
     monkeypatch.setattr(harness, "train", recording_train)
@@ -526,7 +525,7 @@ def test_a_diverging_compare_names_its_iteration(tmp_path):
         for j, (noise, policy) in enumerate(arms):
             with pytest.raises(NumericError) as alone:
                 train(
-                    [ds], [[Arm(coded[noise], policy)]], cfg.straggler_p, cfg.steps,
+                    [ds], [[coded[noise]]], [policy], cfg.straggler_p, cfg.steps,
                     [cfg.schedule], [root.child("train", r)], [optimum(ds)],
                     columns=("alpha", "dist_sq"),
                 )
@@ -548,9 +547,9 @@ def test_replicate_groups_do_not_change_artifacts(tmp_path, monkeypatch, per_gro
     calls = []
     real_train = harness.train
 
-    def counting_train(ds, arms, *args, **kwargs):
+    def counting_train(ds, *args, **kwargs):
         calls.append(len(ds))
-        return real_train(ds, arms, *args, **kwargs)
+        return real_train(ds, *args, **kwargs)
 
     monkeypatch.setattr(harness, "train", counting_train)
     cfg = small_config(tmp_path / "whole", replicates=3, steps=30, policy=OracleAuto())
@@ -618,8 +617,8 @@ def test_compare_encodes_each_replicate_once(tmp_path):
             noise: encode_levels(ds, [noise], root.child("encode", r))[0] for noise in noises
         }
         ((*traces,),) = train(
-            [ds], [[Arm(coded[noise], policy) for noise, policy in arms]], cfg.straggler_p,
-            cfg.steps, [cfg.schedule], [root.child("train", r)], [optimum(ds)],
+            [ds], [[coded[noise] for noise, _ in arms]], [policy for _, policy in arms],
+            cfg.straggler_p, cfg.steps, [cfg.schedule], [root.child("train", r)], [optimum(ds)],
         )
         for key, tr in zip(keys, traces, strict=True):
             kept = result.records[key][r].trace

@@ -7,7 +7,7 @@ import pytest
 from acfl.coding import GlobalCodedData, NoiseParams, encode_levels
 from acfl.dataset import generate, loss, optimum
 from acfl.errors import NumericError, ParameterError
-from acfl.harness import PROBE_COLUMNS, RUN_COLUMNS
+from acfl.harness import PROBE_COLUMNS, RUN_COLUMNS, OracleAuto
 from acfl.numerics import RngStream
 from acfl.privacy import sigma_for_epsilon
 from acfl.training import (
@@ -15,7 +15,6 @@ from acfl.training import (
     TRACE_COLUMNS as EVERY_COLUMN,
     AdaptiveEstimated,
     AdaptiveOracle,
-    Arm,
     FixedWeight,
     InverseDecay,
     alpha_oracle,
@@ -248,13 +247,12 @@ def test_train_zero_steps(random_instance):
     ds = random_instance(12, n=3, m=9, d=3, o=2)
     facts = optimum(ds)
     gc = _coded(ds, 0.5, RngStream(12))
-    arms = [
-        Arm(gc, FixedWeight(0.5)), Arm(gc, AdaptiveEstimated()), Arm(gc, FixedWeight(0.1)),
-    ]
+    policies = [FixedWeight(0.5), AdaptiveEstimated(), FixedWeight(0.1)]
     (traces,) = train(
-        [ds], [arms], 0.2, 0, [InverseDecay(1e-3)], [RngStream(12).child("t")], [facts]
+        [ds], [[gc] * 3], policies, 0.2, 0, [InverseDecay(1e-3)], [RngStream(12).child("t")],
+        [facts],
     )
-    assert len(traces) == len(arms)
+    assert len(traces) == len(policies)
     for tr in traces:
         assert tr.steps == 0
         assert tr.loss.shape == (0,)
@@ -355,20 +353,19 @@ def test_train_matches_plain_gradient_descent(names, levels, steps, p):
     xs, ys = random_samples(13, n=5, m=10, d=4, o=2)
     ds = dataset_from_samples(xs, ys)
     facts = optimum(ds)
-    arms = []
+    coded, policies = [], []
     for level in levels:
-        gc = _coded(ds, level, RngStream(13))
-        arms += [Arm(gc, POLICIES[name]) for name in names]
+        coded += [_coded(ds, level, RngStream(13))] * len(names)
+        policies += [POLICIES[name] for name in names]
     c = 1e-3
     stream = RngStream(13).child("t")
     (traces,) = train(
-        [ds], [arms], p, steps, [InverseDecay(c)], [stream], [facts], columns=EVERY_COLUMN
+        [ds], [coded], policies, p, steps, [InverseDecay(c)], [stream], [facts],
+        columns=EVERY_COLUMN,
     )
-    assert len(traces) == len(arms)
-    for arm, tr in zip(arms, traces):
-        rows, w = _naive_train(
-            xs, ys, arm.coded, arm.policy, p, steps, c, stream, facts, arm.coded.noise, tr.w0
-        )
+    assert len(traces) == len(policies)
+    for gc, policy, tr in zip(coded, policies, traces):
+        rows, w = _naive_train(xs, ys, gc, policy, p, steps, c, stream, facts, gc.noise, tr.w0)
         for j, name in enumerate(TRACE_COLUMNS):
             assert np.allclose(getattr(tr, name), rows[:, j], rtol=1e-10, atol=0.0), name
         assert np.allclose(tr.final_w, w, rtol=1e-10, atol=0.0)
@@ -389,7 +386,7 @@ def test_train_loss_is_accurate_near_the_optimum(seed):
 
     def run(steps):
         ((tr,),) = train(
-            [ds], [[Arm(gc, AdaptiveEstimated())]], 0.4, steps,
+            [ds], [[gc]], [AdaptiveEstimated()], 0.4, steps,
             [schedule_for_strong_convexity(facts.lam)], [root.child("train", 0)], [facts],
         )
         return tr
@@ -412,7 +409,7 @@ def test_train_estimated_weight_falls_back_then_reuses_last_estimate():
 
     def run(steps):
         ((tr,),) = train(
-            [ds], [[Arm(gc, AdaptiveEstimated(0.25))]], p, steps, [InverseDecay(1e-3)],
+            [ds], [[gc]], [AdaptiveEstimated(0.25)], p, steps, [InverseDecay(1e-3)],
             [stream], [facts],
         )
         return tr
@@ -459,7 +456,7 @@ def test_train_estimated_weight_survives_huge_coded_noise(sigma1_sq, sigma2_sq):
 
     def run(steps):
         ((tr,),) = train(
-            [ds], [[Arm(gc, AdaptiveEstimated(0.0))]], p, steps, [InverseDecay(1e-3)],
+            [ds], [[gc]], [AdaptiveEstimated(0.0)], p, steps, [InverseDecay(1e-3)],
             [stream], [facts],
         )
         return tr
@@ -498,32 +495,38 @@ def test_train_divergence_names_the_iteration(policy, layout):
     (gc,) = encode_levels(ds, [noise], root.child("enc"))
     # The pure coded gradient of all-zero coded sums: a still arm never moves.
     zeros = GlobalCodedData(np.zeros((10, 10)), np.zeros((10, 10)), noise)
-    arms = [Arm(gc, policy) if c == "x" else Arm(zeros, FixedWeight(1.0)) for c in layout]
+    coded = [gc if c == "x" else zeros for c in layout]
+    policies = [policy if c == "x" else FixedWeight(1.0) for c in layout]
     with pytest.raises(
         NumericError,
         match=rf"iteration \d+ in arm {layout.index('x')} \({re.escape(repr(policy))}\)"
         r".*last finite loss: \d",
     ):
-        train([ds], [arms], 0.2, 300, [InverseDecay(1.0)], [root.child("train")], [optimum(ds)])
+        train(
+            [ds], [coded], policies, 0.2, 300, [InverseDecay(1.0)], [root.child("train")],
+            [optimum(ds)],
+        )
+
+
+# The arms of every _replicate: two estimated ones (one per level) around a
+# fixed and an oracle one on the first level's sums.
+REPLICATE_POLICIES = (
+    AdaptiveEstimated(0.3), FixedWeight(0.4), AdaptiveOracle(3.0, 2.0), AdaptiveEstimated(0.3),
+)
 
 
 def _replicate(seed, n=4, m=9, d=3, o=2, levels=(0.5, 4.0)):
-    """One replicate's dataset, facts, strong-convexity schedule, stream and arms.
-
-    The arms are a fixed, an oracle and two estimated ones (one per level)."""
+    """One replicate's dataset, facts, strong-convexity schedule, stream and
+    the coded sums of each of :data:`REPLICATE_POLICIES`."""
     root = RngStream(seed)
     ds = generate(n, m, d, o, root.child("dataset"))
     facts = optimum(ds)
-    arms = []
-    for level in levels:
-        noise = NoiseParams(level, level)
-        (gc,) = encode_levels(ds, [noise], root.child("encode"))
-        arms.append(Arm(gc, AdaptiveEstimated(0.3)))
-    arms[1:1] = [
-        Arm(arms[0].coded, FixedWeight(0.4)),
-        Arm(arms[0].coded, AdaptiveOracle(3.0, 2.0)),
+    coded = [
+        encode_levels(ds, [NoiseParams(level, level)], root.child("encode"))[0]
+        for level in levels
     ]
-    return ds, facts, schedule_for_strong_convexity(facts.lam), root.child("train"), arms
+    coded[1:1] = [coded[0]] * 2
+    return ds, facts, schedule_for_strong_convexity(facts.lam), root.child("train"), coded
 
 
 @pytest.mark.parametrize("k", [1, 4])
@@ -536,15 +539,16 @@ def test_batched_train_equals_one_replicate_calls(n_rep, k):
     # cross the mask block boundaries.
     p, steps = 0.9, 600
     reps = [_replicate(40 + r) for r in range(n_rep)]
-    arms = [rep[4][:1] if k == 1 else rep[4] for rep in reps]
+    coded, policies = [rep[4][:k] for rep in reps], REPLICATE_POLICIES[:k]
     batched = train(
-        [rep[0] for rep in reps], arms, p, steps, [rep[2] for rep in reps],
+        [rep[0] for rep in reps], coded, policies, p, steps, [rep[2] for rep in reps],
         [rep[3] for rep in reps], [rep[1] for rep in reps], columns=EVERY_COLUMN,
     )
     assert len(batched) == n_rep
-    for (ds, facts, schedule, stream, _), arms_r, traces in zip(reps, arms, batched):
+    for (ds, facts, schedule, stream, _), coded_r, traces in zip(reps, coded, batched):
         (alone,) = train(
-            [ds], [arms_r], p, steps, [schedule], [stream], [facts], columns=EVERY_COLUMN
+            [ds], [coded_r], policies, p, steps, [schedule], [stream], [facts],
+            columns=EVERY_COLUMN,
         )
         assert len(traces) == len(alone) == k
         assert (alone[0].n_present == 0).any()
@@ -563,12 +567,14 @@ def test_an_arms_trace_does_not_depend_on_the_arms_beside_it(p):
     # weight is 0 and it folds like a fixed one.  The steps cross a mask block.
     steps = MASK_CHUNK_ROWS + 36
     reps = [_replicate(90 + r) for r in range(2)]
-    est, fixed, oracle, est_b = reps[0][4]
-    est_1, fixed_1 = reps[1][4][:2]
+    est, fixed, oracle, est_b = range(4)  # each replicate's arms, as REPLICATE_POLICIES
 
-    def run(*arm_lists):
-        ds, facts, schedules, streams, _ = zip(*reps[: len(arm_lists)])
-        return train(ds, arm_lists, p, steps, schedules, streams, facts, columns=EVERY_COLUMN)
+    def run(arms, n_rep=1):
+        ds, facts, schedules, streams, coded = zip(*reps[:n_rep])
+        return train(
+            ds, [[row[j] for j in arms] for row in coded], [REPLICATE_POLICIES[j] for j in arms],
+            p, steps, schedules, streams, facts, columns=EVERY_COLUMN,
+        )
 
     def check(got, expect):
         for name in ("n_present", *TRACE_COLUMNS, "w0", "final_w"):
@@ -581,7 +587,7 @@ def test_an_arms_trace_does_not_depend_on_the_arms_beside_it(p):
         check(run([est, arm])[0][1], alone)
         check(run([est, arm, est_b])[0][1], alone)
         check(run([other, arm])[0][1], alone)
-        check(run([arm, est], [fixed_1, est_1])[0][0], alone)
+        check(run([arm, est], n_rep=2)[0][0], alone)
     ((alone,),) = run([est])
     check(run([fixed, est, oracle])[0][1], alone)
     check(run([est, fixed])[0][0], alone)
@@ -590,23 +596,17 @@ def test_an_arms_trace_does_not_depend_on_the_arms_beside_it(p):
 def test_batched_train_checks_each_replicate():
     reps = [_replicate(50), _replicate(51)]
     args = dict(
-        straggler_p=0.3, steps=5, schedule=[rep[2] for rep in reps],
+        policies=REPLICATE_POLICIES, straggler_p=0.3, steps=5, schedule=[rep[2] for rep in reps],
         stream=[rep[3] for rep in reps], facts=[rep[1] for rep in reps],
     )
     datasets = [rep[0] for rep in reps]
-    with pytest.raises(ParameterError, match="replicate 1: 3 arms"):
+    with pytest.raises(ParameterError, match="^replicate 1: 3 coded sums for 4 policies$"):
         train(datasets, [reps[0][4], reps[1][4][:3]], **args)
     with pytest.raises(ParameterError, match="per replicate"):
         train(datasets[:1], [rep[4] for rep in reps], **args)
     other = _replicate(52, n=5)
     with pytest.raises(ParameterError, match="replicate 1: dataset shape"):
         train([datasets[0], other[0]], [rep[4] for rep in reps], **args)
-    # Arm 2 is an oracle in replicate 0 and an estimated one in replicate 1.
-    swapped = [reps[1][4][0], reps[1][4][1], reps[1][4][3], reps[1][4][2]]
-    with pytest.raises(
-        ParameterError, match="^arm 2 of replicate 1: an estimated weight, unlike replicate 0's"
-    ):
-        train(datasets, [reps[0][4], swapped], **args)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -614,28 +614,31 @@ def test_batched_train_divergence_names_the_replicate():
     # Replicate 0 takes small steps and stays finite; replicate 1 takes
     # InverseDecay(1.0) steps and diverges at the iteration it does alone.
     root = RngStream(20)
-    datasets, arm_lists, facts = [], [], []
+    datasets, coded, facts = [], [], []
+    policies = [FixedWeight(0.5), AdaptiveEstimated()]
     for r in range(2):
         ds = generate(100, 100, 10, 10, root.child("data", r))
         noise = NoiseParams(0.1, 0.1)
         (gc,) = encode_levels(ds, [noise], root.child("enc", r))
         datasets.append(ds)
-        arm_lists.append([Arm(gc, FixedWeight(0.5)), Arm(gc, AdaptiveEstimated())])
+        coded.append([gc, gc])
         facts.append(optimum(ds))
     streams = [root.child("train", r) for r in range(2)]
     with pytest.raises(NumericError) as alone:
         train(
-            datasets[1:], arm_lists[1:], 0.2, 300, [InverseDecay(1.0)], streams[1:], facts[1:]
+            datasets[1:], coded[1:], policies, 0.2, 300, [InverseDecay(1.0)], streams[1:],
+            facts[1:],
         )
     t, j = re.search(r"iteration (\d+) in arm (\d+)", str(alone.value)).groups()
-    policy = arm_lists[1][int(j)].policy
+    policy = policies[int(j)]
     with pytest.raises(
         NumericError,
         match=rf"training diverged at iteration {t} in arm {j} "
         rf"\({re.escape(repr(policy))}\) of replicate 1: .*last finite loss: \d",
     ):
         train(
-            datasets, arm_lists, 0.2, 300, [InverseDecay(1e-4), InverseDecay(1.0)], streams, facts
+            datasets, coded, policies, 0.2, 300, [InverseDecay(1e-4), InverseDecay(1.0)],
+            streams, facts,
         )
 
 
@@ -649,27 +652,26 @@ def test_divergence_inside_a_mask_block_names_the_first_bad_row():
     # says where.
     root = RngStream(21)
     noise = NoiseParams(0.1, 0.1)
-    datasets, arm_lists, facts = [], [], []
+    datasets, coded, facts = [], [], []
+    policies = [FixedWeight(0.5), AdaptiveEstimated()]
     for r in range(2):
         ds = generate(6, 12, 3, 2, root.child("data", r))
         (gc,) = encode_levels(ds, [noise], root.child("enc", r))
         datasets.append(ds)
-        arm_lists.append([Arm(gc, FixedWeight(0.5)), Arm(gc, AdaptiveEstimated())])
+        coded.append([gc, gc])
         facts.append(optimum(ds))
     streams = [root.child("train", r) for r in range(2)]
     p, c, steps = 0.2, 40.0, 300
     # A zero-step run reports replicate 1's initial iterate.
     ((first, _),) = train(
-        datasets[1:], arm_lists[1:], p, 0, [InverseDecay(c)], streams[1:], facts[1:]
+        datasets[1:], coded[1:], policies, p, 0, [InverseDecay(c)], streams[1:], facts[1:]
     )
     w0 = first.w0
 
     xs, ys, _ = replay_samples(6, 12, 3, 2, root.child("data", 1))
     first_bad = []
-    for arm in arm_lists[1]:
-        rows, _ = _naive_train(
-            xs, ys, arm.coded, arm.policy, p, steps, c, streams[1], facts[1], noise, w0
-        )
+    for gc, policy in zip(coded[1], policies):
+        rows, _ = _naive_train(xs, ys, gc, policy, p, steps, c, streams[1], facts[1], noise, w0)
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
         losses = rows[: bad[0] + 1, 2]
         first_bad.append((int(bad[0]), losses[np.isfinite(losses)][-1]))
@@ -680,9 +682,10 @@ def test_divergence_inside_a_mask_block_names_the_first_bad_row():
 
     with pytest.raises(NumericError) as err:
         train(
-            datasets, arm_lists, p, steps, [InverseDecay(1e-3), InverseDecay(c)], streams, facts,
+            datasets, coded, policies, p, steps, [InverseDecay(1e-3), InverseDecay(c)], streams,
+            facts,
         )
-    policy = arm_lists[1][j].policy
+    policy = policies[j]
     match = re.fullmatch(
         rf"training diverged at iteration {t} in arm {j} \({re.escape(repr(policy))}\) of "
         r"replicate 1: a non-finite loss, weight or norm \(last finite loss: (.+)\)",
@@ -699,7 +702,7 @@ def test_train_reference_setup_loss_drops():
     noise = NoiseParams(0.01, 0.01)
     (gc,) = encode_levels(ds, [noise], root.child("enc"))
     ((tr,),) = train(
-        [ds], [[Arm(gc, AdaptiveEstimated())]], 0.2, 2000, [InverseDecay(1e-4)],
+        [ds], [[gc]], [AdaptiveEstimated()], 0.2, 2000, [InverseDecay(1e-4)],
         [root.child("train")], [facts],
     )
     assert tr.loss[-1] < tr.loss[0] / 10.0
@@ -713,7 +716,7 @@ def test_train_trace_is_deterministic(random_instance):
 
     def run():
         ((tr,),) = train(
-            [ds], [[Arm(gc, AdaptiveEstimated())]], 0.3, 60, [InverseDecay(1e-3)],
+            [ds], [[gc]], [AdaptiveEstimated()], 0.3, 60, [InverseDecay(1e-3)],
             [RngStream(15).child("t")], [facts],
         )
         return tr
@@ -735,7 +738,7 @@ def test_train_alpha_in_unit_interval_for_all_policies(random_instance):
         AdaptiveEstimated(0.7),
     ]
     (traces,) = train(
-        [ds], [[Arm(gc, policy) for policy in policies]], 0.4, 40, [InverseDecay(1e-3)],
+        [ds], [[gc] * len(policies)], policies, 0.4, 40, [InverseDecay(1e-3)],
         [RngStream(16).child("t")], [facts],
     )
     for tr in traces:
@@ -748,15 +751,26 @@ def test_train_requires_noise_for_adaptive(random_instance):
     gc = _coded(ds, 1.0, RngStream(17))
     with pytest.raises(ParameterError, match="noise"):
         GlobalCodedData(gc.h_x_sum, gc.h_y_sum, None)
-    with pytest.raises(ParameterError, match="policy"):
-        Arm(gc, "adaptive")
     with pytest.raises(ParameterError, match="arm"):
-        train([ds], [[]], 0.2, 5, [InverseDecay(1e-3)], [RngStream(17).child("t")], [facts])
+        train([ds], [[]], [], 0.2, 5, [InverseDecay(1e-3)], [RngStream(17).child("t")], [facts])
     with pytest.raises(ParameterError, match="arm 1"):
         wrong = GlobalCodedData(np.zeros((2, 2)), np.zeros((2, 2)), gc.noise)
         train(
-            [ds], [[Arm(gc, FixedWeight(0.5)), Arm(wrong, FixedWeight(0.5))]], 0.2, 5,
-            [InverseDecay(1e-3)], [RngStream(17).child("t")], [facts],
+            [ds], [[gc, wrong]], [FixedWeight(0.5)] * 2, 0.2, 5, [InverseDecay(1e-3)],
+            [RngStream(17).child("t")], [facts],
+        )
+
+
+@pytest.mark.parametrize("policy", [OracleAuto(), None, "adaptive"], ids=repr)
+def test_train_refuses_a_non_policy(random_instance, policy):
+    # OracleAuto is a config's request for an oracle, not a policy: the
+    # harness resolves it first.
+    ds = random_instance(17, n=2, m=8, d=3, o=2)
+    gc = _coded(ds, 1.0, RngStream(17))
+    with pytest.raises(ParameterError, match=rf"^unsupported policy: {re.escape(repr(policy))}$"):
+        train(
+            [ds], [[gc, gc]], [FixedWeight(0.5), policy], 0.2, 5, [InverseDecay(1e-3)],
+            [RngStream(17).child("t")], [optimum(ds)],
         )
 
 
@@ -767,7 +781,7 @@ def test_train_oracle_policy_uses_constant_alpha(random_instance):
     (gc,) = encode_levels(ds, [noise], RngStream(18).child("enc"))
     policy = AdaptiveOracle(2.0, 3.0)
     ((tr,),) = train(
-        [ds], [[Arm(gc, policy)]], 0.25, 30, [InverseDecay(1e-3)],
+        [ds], [[gc]], [policy], 0.25, 30, [InverseDecay(1e-3)],
         [RngStream(18).child("t")], [facts],
     )
     expect = alpha_oracle(0.25, 2.0, 3.0, 3, 2, noise)
@@ -782,7 +796,7 @@ def test_oracle_weight_reads_each_arms_coded_noise(random_instance):
     coded = encode_levels(ds, noises, RngStream(18).child("enc"))
     policy = AdaptiveOracle(2.0, 3.0)
     (traces,) = train(
-        [ds], [[Arm(gc, policy) for gc in coded]], 0.25, 30, [InverseDecay(1e-3)],
+        [ds], [coded], [policy] * len(coded), 0.25, 30, [InverseDecay(1e-3)],
         [RngStream(18).child("t")], [optimum(ds)],
     )
     alphas = [alpha_oracle(0.25, 2.0, 3.0, 3, 2, noise) for noise in noises]
@@ -798,7 +812,7 @@ def test_requesting_the_device_maximum_changes_nothing_else():
     # masks must equal the call that records every column, bit for bit.
     reps = [_replicate(60 + r) for r in range(2)]  # arms: estimated, fixed, oracle
     args = (
-        [rep[0] for rep in reps], [rep[4][:3] for rep in reps], 0.5, 150,
+        [rep[0] for rep in reps], [rep[4][:3] for rep in reps], REPLICATE_POLICIES[:3], 0.5, 150,
         [rep[2] for rep in reps], [rep[3] for rep in reps], [rep[1] for rep in reps],
     )
     full = train(*args, columns=EVERY_COLUMN)
@@ -822,7 +836,7 @@ def test_train_refuses_an_unknown_column(random_instance):
     gc = _coded(ds, 0.5, RngStream(12))
     with pytest.raises(ParameterError, match=r"^columns: unknown trace column 'n_present'$"):
         train(
-            [ds], [[Arm(gc, FixedWeight(0.5))]], 0.2, 3, [InverseDecay(1e-3)],
+            [ds], [[gc]], [FixedWeight(0.5)], 0.2, 3, [InverseDecay(1e-3)],
             [RngStream(12).child("t")], [optimum(ds)], columns=("loss", "n_present"),
         )
 
@@ -843,11 +857,11 @@ def test_residual_only_statistics_change_no_bit(n, d, o, p):
         facts = optimum(ds)
         noise = NoiseParams(0.5, 0.5)
         (gc,) = encode_levels(ds, [noise], root.child("encode"))
-        arms = [Arm(gc, FixedWeight(0.4)), Arm(gc, AdaptiveOracle(3.0, 2.0))]
         schedule = schedule_for_strong_convexity(facts.lam)
-        reps.append((ds, arms, schedule, root.child("train"), facts))
-    datasets, arms, schedules, streams, facts = map(list, zip(*reps))
-    args = (datasets, arms, p, 150, schedules, streams, facts)
+        reps.append((ds, [gc, gc], schedule, root.child("train"), facts))
+    datasets, coded, schedules, streams, facts = map(list, zip(*reps))
+    policies = [FixedWeight(0.4), AdaptiveOracle(3.0, 2.0)]
+    args = (datasets, coded, policies, p, 150, schedules, streams, facts)
     lean = train(*args)
     full = train(*args, columns=EVERY_COLUMN)
     for lean_r, full_r in zip(lean, full, strict=True):
@@ -868,15 +882,12 @@ def test_reports_resolved_per_mask_block_match_the_per_step_loop():
     datasets = [dataset_from_samples(xs, ys) for xs, ys in samples]
     facts = [optimum(ds) for ds in datasets]
     streams = [RngStream(70 + r).child("t") for r in range(2)]
-    arm_lists = []
-    for r, ds in enumerate(datasets):
-        gc = _coded(ds, 0.5, RngStream(70 + r))
-        arm_lists.append([
-            Arm(gc, AdaptiveEstimated(0.2)), Arm(gc, FixedWeight(0.3)),
-            Arm(gc, AdaptiveOracle(4.0, 1.0)), Arm(gc, AdaptiveEstimated(0.9)),
-        ])
+    policies = [
+        AdaptiveEstimated(0.2), FixedWeight(0.3), AdaptiveOracle(4.0, 1.0), AdaptiveEstimated(0.9),
+    ]
+    coded = [[_coded(ds, 0.5, RngStream(70 + r))] * 4 for r, ds in enumerate(datasets)]
     traces = train(
-        datasets, arm_lists, p, steps, [InverseDecay(c)] * 2, streams, facts,
+        datasets, coded, policies, p, steps, [InverseDecay(c)] * 2, streams, facts,
         columns=EVERY_COLUMN,
     )
     # In some replicate, a run of steps without a report crosses a block
@@ -887,12 +898,12 @@ def test_reports_resolved_per_mask_block_match_the_per_step_loop():
     starts = range(0, steps, MASK_CHUNK_ROWS)
     blocks = [s[lo : lo + MASK_CHUNK_ROWS] for s in silent for lo in starts]
     assert any(block.any() and not block.all() for block in blocks)
-    for (xs, ys), ds_facts, stream, arms, replicate in zip(
-        samples, facts, streams, arm_lists, traces
+    for (xs, ys), ds_facts, stream, coded_r, replicate in zip(
+        samples, facts, streams, coded, traces
     ):
-        for arm, tr in zip(arms, replicate):
+        for gc, policy, tr in zip(coded_r, policies, replicate):
             rows, w = _naive_train(
-                xs, ys, arm.coded, arm.policy, p, steps, c, stream, ds_facts, arm.coded.noise, tr.w0
+                xs, ys, gc, policy, p, steps, c, stream, ds_facts, gc.noise, tr.w0
             )
             for j, name in enumerate(TRACE_COLUMNS):
                 assert np.allclose(getattr(tr, name), rows[:, j], rtol=1e-10, atol=0.0), name
@@ -909,10 +920,13 @@ def test_divergence_at_a_block_start_without_a_recorded_loss_reports_the_loss_be
     ds = generate(6, 12, 3, 2, root.child("data", 0))
     facts = optimum(ds)
     (gc,) = encode_levels(ds, [NoiseParams(0.1, 0.1)], root.child("enc", 0))
-    arms, stream = [Arm(gc, AdaptiveEstimated())], root.child("train", 0)
+    stream = root.child("train", 0)
 
     def run(steps):
-        return train([ds], [arms], 0.2, steps, [InverseDecay(26.7)], [stream], [facts], columns=())
+        return train(
+            [ds], [[gc]], [AdaptiveEstimated()], 0.2, steps, [InverseDecay(26.7)], [stream],
+            [facts], columns=(),
+        )
 
     with pytest.raises(NumericError) as err:
         run(300)
