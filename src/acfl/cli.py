@@ -36,6 +36,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 WORKERS_HELP = "accepted for compatibility; no effect (replicates train together in groups)"
+_PRIVACY_DESCRIPTION = (
+    "Convert between the encoding noise variance and epsilon (nats).  Epsilon bounds what one "
+    "device's one-time coded upload (X'X + N1, X'Y + N2) reveals about each data entry, to a "
+    "party that sees only the uploads or their coded sums.  It does not cover the exact "
+    "gradients a present device reports to the server at every iteration, from which "
+    "ceil(d/o) + 1 reports recover X'X and X'Y."
+)
 
 
 def _build_parser() -> _Parser:
@@ -50,7 +57,9 @@ def _build_parser() -> _Parser:
     p_cmp.add_argument("config", help="JSON config file")
     p_cmp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
 
-    p_priv = sub.add_parser("privacy", help="noise variance <-> epsilon (nats)")
+    p_priv = sub.add_parser(
+        "privacy", help="noise variance <-> epsilon (nats)", description=_PRIVACY_DESCRIPTION
+    )
     p_priv.add_argument("--d", type=int, required=True, help="feature dimension")
     p_priv.add_argument("--o", type=int, required=True, help="label dimension")
     group = p_priv.add_mutually_exclusive_group(required=True)

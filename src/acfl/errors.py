@@ -5,10 +5,11 @@ A single-value range check is ``check(name, value, rule)``: it returns
 the message, and otherwise raises ``ParameterError("<name>: must <rule>, got
 <value>")``.  NaN meets no rule.  The config reader prefixes the dotted path
 of the object a field sits in (``noise.sigma1_sq: must be finite and
-nonnegative, got -1.0``).
+nonnegative, got -1.0``).  Finite means in float range, so an int past the
+largest double is refused too.
 """
 
-import math
+import sys
 
 
 class ParameterError(ValueError):
@@ -22,8 +23,8 @@ class NumericError(ArithmeticError):
 RULES = {
     "be positive": lambda x: x > 0,
     "be nonnegative": lambda x: x >= 0,
-    "be finite and positive": lambda x: 0 < x < math.inf,
-    "be finite and nonnegative": lambda x: 0 <= x < math.inf,
+    "be finite and positive": lambda x: 0 < x <= sys.float_info.max,
+    "be finite and nonnegative": lambda x: 0 <= x <= sys.float_info.max,
     "lie in [0, 1)": lambda x: 0 <= x < 1,
     "lie in [0, 1]": lambda x: 0 <= x <= 1,
 }

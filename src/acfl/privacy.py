@@ -10,6 +10,13 @@ Epsilon is measured in nats throughout (natural logarithms; multiply by
 assuming all data entries lie in ``[-1, 1]``.  Epsilon is strictly
 decreasing in each variance and vanishes as both grow without bound, so any
 target level can be met by calibrating the noise.
+
+What epsilon protects: the record is one data entry, and epsilon bounds what
+one device's one-time coded upload reveals about it to a party that sees only
+the uploads or their coded sums (wherever the global coded dataset is kept or
+shared).  It does not cover the exact gradients ``X^T X W_t - X^T Y`` that a
+present device reports to the server at every iteration: ``ceil(d/o) + 1`` of
+them give ``X^T X`` by one linear solve, and then ``X^T Y``.
 """
 
 from __future__ import annotations

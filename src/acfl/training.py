@@ -158,12 +158,6 @@ def _weight_terms(p: float, d: int, o: int, sigma1_sq, sigma2_sq):
     return d * sigma1_sq, q, sigma2_sq * o * d * q
 
 
-def _coded_term(d_sigma1_sq, q, c_sq):
-    """The weight's coded-gradient term ``d s1 c^2 (1-p)``; a zero ``c_sq``
-    adds zero, also where ``d s1`` overflowed to inf."""
-    return np.where(c_sq != 0.0, d_sigma1_sq * c_sq, 0.0) * q
-
-
 @dataclass(frozen=True, eq=False)
 class TrainingTrace:
     """Per-iteration instrumentation plus the initial and final iterates.
@@ -328,16 +322,9 @@ def _masked_operators(
 
 
 def _estimate_stack(w_star: np.ndarray, scale: np.ndarray, rows: int) -> np.ndarray:
-    """``rows`` steps' ``(5d, d + o)`` operators on ``[D; I]`` for each estimated arm.
-
-    With ``S`` the received sum over ``1 - p``, ``C`` an arm's coded
-    gradient and ``c`` its entry of the ``(R, K_e)`` array ``scale``, the
-    bands are ``[[I | 0]; C - S; S; p fold / count; c [I | 2 W*]]``: this
-    writes the first and last, :func:`_load_sides` the others.  Times ``[D;
-    I]``, the first three give ``[D; C - S; S]``, which the update reads,
-    and the inner products of ``D`` with the others ``p`` times the mean
-    report less ``p norm_at_opt / count``, and ``c (||W||^2 - ||W*||^2)``.
-    """
+    """``rows`` steps' ``(5d, d + o)`` operators on ``[D; I]`` per estimated arm, ``c``
+    its entry of the ``(R, K_e)`` array ``scale``: the bands of :func:`_estimated_kernel`,
+    of which this writes the first and last, :func:`_load_sides` the others."""
     d, o = w_star.shape[-2:]
     stack = np.zeros((rows, *scale.shape, 5 * d, d + o))
     stack[..., :d, :d] = np.eye(d)
@@ -348,14 +335,135 @@ def _estimate_stack(w_star: np.ndarray, scale: np.ndarray, rows: int) -> np.ndar
 
 
 def _load_sides(stack: np.ndarray, side: np.ndarray, coded_op: np.ndarray) -> None:
-    """Write rows' :func:`_masked_operators` sides, each fold already times
-    ``p`` over its row's report count, into the first rows of an
-    :func:`_estimate_stack`: the bands ``S`` and ``p fold / count`` as
-    given, ``C - S`` from ``coded_op``."""
+    """Write rows' :func:`_masked_operators` sides, each fold already times ``p``
+    over its row's report count, into the first rows of an :func:`_estimate_stack`:
+    the bands ``S`` and ``p fold / count`` as given, ``C - S`` from ``coded_op``."""
     d = side.shape[-2] // 2
-    rows = stack[: len(side)]  # bands [[I | 0]; C - S; S; p fold / count; c [I | 2 W*]]
+    rows = stack[: len(side)]
     rows[..., 2 * d : 4 * d, :] = side
     np.subtract(coded_op, side[..., :d, :], out=rows[..., d : 2 * d, :])
+
+
+def _fold_kernel(alpha, coded_op, iterates, weights, grad_sq):
+    """The step of the constant-weight arms: fixed, oracle, and estimated at ``p = 0``.
+
+    Its arguments are their slices of :func:`train`'s arm axis: the ``(R, K_c)``
+    weights, the coded gradients ``C = [H_X | H_X W* - H_Y]`` as operators on
+    ``[D; I]``, a block's ``[D; I]``, and a block's weights and ``grad_norm_sq``
+    (``None`` if not recorded).  With ``S`` the received sum over ``1 - p``, a
+    step ``G_t = [P_t | Q_t] [D; I] = alpha C + (1 - alpha) S`` folds into one
+    operator per arm: ``D <- [I - eta_t P_t | -eta_t Q_t] [D; I]``.
+    """
+    weights[...] = alpha
+    block, d = len(iterates) - 1, coded_op.shape[-2]
+    alpha = alpha[..., None, None]
+    step_ops, updates = np.empty((2, block, *coded_op.shape))
+    keep = np.eye(d, coded_op.shape[-1])  # [I | 0]
+    views = list(zip(updates, iterates, iterates[1:, ..., :d, :]))
+
+    def step(rows, side_op, norm_at_opt, counts, eta):
+        step_op, update_op = step_ops[:rows], updates[:rows]
+        # [P_t | Q_t] = alpha C + (1 - alpha) S, built in the two buffers.
+        np.multiply(alpha, coded_op, out=step_op)
+        step_op += np.multiply(1.0 - alpha, side_op[..., :d, :], out=update_op)
+        np.subtract(keep, np.multiply(eta, step_op, out=update_op), out=update_op)
+        for update, aug, nxt in views[:rows]:
+            np.matmul(update, aug, out=nxt)
+        if grad_sq is not None:
+            grad_sq[:rows] = _sq_norms(step_op @ iterates[:rows])
+
+    return step
+
+
+def _estimated_kernel(p, noise, w_star, fallback, coded_op, iterates, weights, grad_sq):
+    """The step of the :class:`AdaptiveEstimated` arms at ``p > 0``.
+
+    Arguments as for :func:`_fold_kernel` (the weights are the fallbacks),
+    plus the ``(R, K_e, 2)`` encoding variances and the ``(R, 1, d, o)``
+    optima.  An arm steps along ``S + alpha_t (C - S)`` with ``alpha_t = num
+    / (num + rest)``: ``num = p b^2``, ``b^2`` the mean report of the latest
+    row that heard one, and ``rest = c ||W||^2 + floor``, ``c = d s1 (1-p)``,
+    ``floor = s2 o d (1-p)``.  A row's operator per arm (:func:`_estimate_stack`,
+    :func:`_load_sides`) holds the ``(5d, d + o)`` bands ``[[I | 0]; C - S; S;
+    p fold / count; c [I | 2 W*]]``, ``fold`` the norm band of
+    :func:`_masked_operators`.  Times ``[D; I]``, the first three give ``[D;
+    C - S; S]``; the inner products of ``D`` with the others, plus the row's
+    constants ``[p norm_at_opt / count, c ||W*||^2 + floor]``, give ``[num,
+    rest]``, and a third product the update ``[1, -eta_t alpha_t, -eta_t]
+    [D; C - S; S]``.  A ``c`` past ``sqrt(MAX)`` (~1.3e154) could overflow
+    ``c (D + 2W*)`` while ``||W||^2`` is finite; there the band keeps ``c =
+    1`` and the step adds the coded term (zero at a zero norm, also where
+    ``d s1`` is inf) and floor itself.  A positive floor keeps ``num +
+    rest`` positive (or NaN); only a zero floor needs the rule that a zero
+    denominator gives a zero weight.
+    """
+    block, n_rep, ke, d, o = len(iterates) - 1, *iterates.shape[1:3], *w_star.shape[-2:]
+    with np.errstate(over="ignore"):  # an infinite term is handled as such
+        d_sigma1_sq, q, floor = _weight_terms(p, d, o, noise[..., 0], noise[..., 1])
+        scale = d_sigma1_sq * q
+    huge = scale > math.sqrt(np.finfo(float).max)
+    any_huge = bool(huge.any())
+    scale[huge] = 1.0
+    may_vanish = not bool((floor > 0.0).all())
+    stack = _estimate_stack(w_star, scale, min(block, STACK_ROWS))
+    products = np.empty((*stack.shape[:-1], o))
+    bands = products.reshape(*stack.shape[:3], 5, d * o)
+    halves = bands[..., 3:, :].swapaxes(-1, -2)
+    by_stack_row = list(zip(stack, products, bands[..., :3, :], halves))
+    mix = np.ones((block, n_rep, ke, 1, 2))  # [alpha_t, 1] per arm
+    etas = np.empty((block, n_rep, 1, 1, 1))  # -eta_t
+    consts = np.empty((block, n_rep, ke, 1, 2))  # [p norm_at_opt / count, c ||W*||^2 + floor]
+    consts[..., 0, 1] = np.where(huge, 0.0, floor) + scale * _sq_norms(w_star)
+    live = np.empty((block, n_rep, 1), dtype=bool)  # replicates that have heard a report
+    reports = np.empty((block, n_rep, 1), dtype=bool)  # replicates that hear a report
+    flat = iterates[..., :d, :].reshape(block + 1, n_rep, ke, 1, d * o)
+    per_row = zip(iterates, flat, flat[1:], consts, mix, mix[..., 0, 0], etas, live, reports)
+    row_views = [(*by_stack_row[i % STACK_ROWS], *views) for i, views in enumerate(per_row)]
+    forms = np.empty((n_rep, ke, 1, 2))
+    fresh, rest = forms[..., 0, 0], forms[..., 0, 1]
+    den = np.empty((n_rep, ke))
+    kept = np.zeros((n_rep, ke))  # num of the latest row that heard a report
+    reported = np.zeros((n_rep, 1), dtype=bool)  # has any device reported yet
+    coef = np.ones((n_rep, ke, 1, 3))  # [1, -eta_t alpha_t, -eta_t]
+    coef_tail = coef[..., 1:]
+
+    def step(rows, side_op, norm_at_opt, counts, eta):
+        # A row that hears no report keeps the latest num (copied per step).
+        np.greater(counts[..., None], 0, out=reports[:rows])
+        np.logical_or.accumulate(reports[:rows] | reported, axis=0, out=live[:rows])
+        reported[...] = live[rows - 1]
+        num = fresh if reports[:rows].all() else kept
+        p_over_count = p / np.maximum(counts, 1)[:, :, None]
+        side_op[..., d:, :] *= p_over_count[..., None, None]
+        np.multiply(norm_at_opt, p_over_count, out=consts[:rows, ..., 0, 0])
+        np.negative(eta, out=etas[:rows])
+        mix[:rows, ..., 0, 0] = fallback
+        for lo in range(0, rows, STACK_ROWS):
+            hi = min(lo + STACK_ROWS, rows)
+            _load_sides(stack, side_op[lo:hi], coded_op)
+            for (
+                op, prod, pair, half, aug, dev, nxt, const, mix_t, alpha_t, eta_t, live_t, report_t,
+            ) in row_views[lo:hi]:
+                np.matmul(op, aug, out=prod)
+                np.matmul(dev, half, out=forms)
+                np.add(forms, const, out=forms)
+                if num is kept:
+                    np.copyto(kept, fresh, where=report_t)
+                if any_huge:  # rest holds ||W||^2 there
+                    coded_term = np.where(rest != 0.0, d_sigma1_sq * rest, 0.0) * q
+                    np.copyto(rest, coded_term + floor, where=huge)
+                np.add(num, rest, out=den)
+                np.divide(num, den, out=alpha_t, where=live_t)
+                if may_vanish:
+                    np.copyto(alpha_t, 0.0, where=live_t & (den <= 0.0))
+                np.multiply(eta_t, mix_t, out=coef_tail)
+                np.matmul(coef, pair, out=nxt)
+            if grad_sq is not None:  # these rows' gradients, [alpha_t, 1] [C - S; S]
+                grad_sq[lo:hi] = _sq_norms(mix[lo:hi] @ bands[: hi - lo, ..., 1:3, :])
+        np.copyto(kept, num)  # the latest num, into the next block
+        weights[:rows] = mix[:rows, ..., 0, 0]
+
+    return step
 
 
 def train(
@@ -398,25 +506,15 @@ def train(
     Once per call, every device's statistics are centred at the optimum
     (:func:`_centred_statistics`, with ``R_i = A_i W* - B_i``).  Once per
     block of :data:`MASK_CHUNK_ROWS` masks, one product of the block's masks
-    with them gives every step's masked sums: ``M_t = sum_i b_i A_i`` and
-    ``sum_i b_i R_i``, so the received sum is ``M_t D + sum_i b_i R_i``, and
-    the sums of ``A_i^2``, ``A_i R_i`` and ``||R_i||^2``, which give the
-    present devices' summed squared gradient norms; only an estimated
-    weight or ``max_device_grad_sq`` reads these, so a call with neither
-    builds the ``R_i`` alone.  A constant weight (fixed, oracle, or
-    estimated at ``p = 0``) folds a whole step into one ``(d, d + o)``
-    operator per arm; an estimated arm steps along ``S + alpha (C - S)``
-    (``S`` the received sum over ``1 - p``, ``C`` the coded gradient): a
-    stacked operator per arm times ``[D; I]`` (:func:`_estimate_stack`)
-    gives ``[D; C - S; S]``, and a second product, plus per-row constants,
-    the weight's numerator ``p b^2`` (``b^2`` the mean report) and the rest
-    of its denominator, ``c ||W||^2 + floor`` with ``c = d s1 (1-p)`` and
-    ``floor = s2 o d (1-p)``; one add and one divide give ``alpha_t``, and a
-    third product the update ``[1, -eta_t alpha_t, -eta_t] [D; C - S; S]``.
-    Row buffers and their views are made once per call; the recorded trace
-    columns, after each block.  ``max_device_grad_sq`` is the largest
-    device-gradient norm, a scan of every device through the same centred
-    identity, clamped at 0.
+    with them gives every step's masked sums (:func:`_masked_operators`),
+    whose norm band only an estimated weight or ``max_device_grad_sq`` reads
+    (a call with neither builds the ``R_i`` alone).  The arm axis is sorted
+    by kind, and each kind's slice has a kernel, built once per call:
+    :func:`_fold_kernel` for a constant weight (fixed, oracle, or estimated
+    at ``p = 0``), :func:`_estimated_kernel` for an estimated one.  Its
+    ``step(rows, side_op, norm_at_opt, counts, eta)`` advances its slice of
+    the iterates by a block of ``rows`` steps and fills its weights and, if
+    recorded, its ``grad_norm_sq``; the other columns follow each block.
 
     Deterministic given the streams: a replicate's mask for iteration ``t``
     is row ``t`` of the masks drawn, in blocks of rows, from one generator
@@ -437,15 +535,14 @@ def train(
     iteration ``steps``, an arm whose final iterate has a non-finite
     ``||D_T||^2`` or loss; rows are checked a block at a time, and the first
     bad row is named, with the arm's last finite loss (of the rows held,
-    where the loss is not recorded: the block's and the one before it).
+    where the loss is not recorded: the block's and the one before it;
+    ``not recorded`` if none of them is finite).
     """
     check("straggler_p", straggler_p, "lie in [0, 1)")
     check("steps", steps, "be nonnegative")
     names = _recorded(columns)
-    datasets, coded, policies, schedules, streams, facts = (
-        tuple(ds), tuple(map(tuple, coded)), tuple(policies), tuple(schedule), tuple(stream),
-        tuple(facts),
-    )
+    datasets, coded, policies = tuple(ds), tuple(map(tuple, coded)), tuple(policies)
+    schedules, streams, facts = tuple(schedule), tuple(stream), tuple(facts)
     for policy in policies:
         if not isinstance(policy, AggregationPolicy):
             raise ParameterError(f"unsupported policy: {policy!r}")
@@ -494,10 +591,8 @@ def train(
         if isinstance(policy, FixedWeight):
             base_alpha[:, j] = policy.alpha
         elif isinstance(policy, AdaptiveOracle):
-            base_alpha[:, j] = [
-                alpha_oracle(straggler_p, policy.beta_sq, policy.c_sq, d, o, row[j].noise)
-                for row in coded
-            ]
+            bounds = (straggler_p, policy.beta_sq, policy.c_sq, d, o)
+            base_alpha[:, j] = [alpha_oracle(*bounds, row[j].noise) for row in coded]
         else:
             base_alpha[:, j] = policy.fallback_alpha if estimated[j] else 0.0
     # The arm axis, constant arms first: each kind is a slice of it, and the
@@ -517,7 +612,6 @@ def train(
     # Every recorded trace column of every replicate and arm, by iteration:
     # the traces keep views of it, so each column is stored once.
     record = np.zeros((len(names), n_rep, k, steps))
-    want_grad = "grad_norm_sq" in names
     n_present = np.zeros((n_rep, steps), dtype=np.int64)
     mask_rngs = [s.child("mask").generator() for s in streams]
     mask_hashes = [hashlib.sha256() for _ in streams]
@@ -530,54 +624,20 @@ def train(
     devs = iterates[..., :d, :]
     devs[0] = np.stack(inits)[:, None] - w_star
     masks = np.empty((block, n_rep, n), dtype=bool)
-    alphas = np.repeat(base_alpha[None], block, axis=0)  # a block's weight column
-    grad_sq = np.empty((block, n_rep, k))
-    # A constant weight's step is linear in [D; I]: G_t = [P_t | Q_t] [D; I]
-    # and D <- [I - eta_t P_t | -eta_t Q_t] [D; I].
-    step_ops, updates = np.empty((2, block, n_rep, kc, d, d + o))
-    fold_views = list(zip(updates, iterates[:, :, :kc], devs[1:, :, :kc]))
-    keep = np.eye(d, d + o)  # [I | 0]
+    alphas = np.empty((block, n_rep, k))  # a block's weight column
+    grad_sq = np.empty((block, n_rep, k)) if "grad_norm_sq" in names else None
+
+    def part(arms: slice) -> tuple:
+        """A kind's slices of the arm axis: weights, coded operators, iterates, trace rows."""
+        trace_rows = (alphas[..., arms], None if grad_sq is None else grad_sq[..., arms])
+        return base_alpha[:, arms], coded_op[:, arms], iterates[:, :, arms], *trace_rows
+
+    # Each kernel scales only the bands of a block's side_op that it alone
+    # reads, so the order in which they run does not matter.
+    kernels = [_fold_kernel(*part(slice(0, kc)))] if kc else []
     if kc < k:
-        # The estimated arms' weight is num / (num + rest), num = p b^2 with
-        # b^2 the mean report and rest = c ||W||^2 + floor with c = d s1
-        # (1-p).  A stack row's product with [D; I] holds, by band, [D; C - S;
-        # S] for the update and [p fold / count; c (D + 2W*)], whose inner
-        # products with D plus the row's constants are forms = [num, rest].  A
-        # c past sqrt(MAX) (~1.3e154) could overflow c (D + 2W*) while ||W||^2
-        # is finite; there the band keeps c = 1, so rest reads ||W||^2, and
-        # the step adds the coded term and floor itself.
-        ke = k - kc
         noise = np.array([[astuple(sums.noise) for sums in row] for row in coded])[:, order[kc:]]
-        with np.errstate(over="ignore"):  # an infinite term is handled as such
-            d_sigma1_sq, q, floor = _weight_terms(straggler_p, d, o, noise[..., 0], noise[..., 1])
-            scale = d_sigma1_sq * q
-        huge = scale > math.sqrt(np.finfo(float).max)
-        any_huge = bool(huge.any())
-        scale[huge] = 1.0
-        # Nonnegative estimates over a positive floor keep den positive (or
-        # NaN); only a zero floor needs the den <= 0 rule, a zero weight.
-        may_vanish = not bool((floor > 0.0).all())
-        stack = _estimate_stack(w_star, scale, min(steps, STACK_ROWS))
-        products = np.empty((*stack.shape[:-1], o))
-        bands = products.reshape(*stack.shape[:3], 5, d * o)
-        halves = bands[..., 3:, :].swapaxes(-1, -2)
-        by_stack_row = list(zip(stack, products, bands[..., :3, :], halves))
-        mix = np.ones((block, n_rep, ke, 1, 2))  # [alpha_t, 1] per arm
-        etas = np.empty((block, n_rep, 1, 1, 1))  # -eta_t
-        consts = np.empty((block, n_rep, ke, 1, 2))  # [p norm_at_opt / count, c ||W*||^2 + floor]
-        consts[..., 0, 1] = np.where(huge, 0.0, floor) + scale * _sq_norms(w_star)
-        live = np.empty((block, n_rep, 1), dtype=bool)  # replicates that have heard a report
-        reports = np.empty((block, n_rep, 1), dtype=bool)  # replicates that hear a report
-        augs, flat = iterates[:, :, kc:], devs.reshape(block + 1, n_rep, k, 1, d * o)[:, :, kc:]
-        per_row = zip(augs, flat, flat[1:], consts, mix, mix[..., 0, 0], etas, live, reports)
-        row_views = [(*by_stack_row[i % STACK_ROWS], *views) for i, views in enumerate(per_row)]
-        forms = np.empty((n_rep, ke, 1, 2))
-        fresh, rest = forms[..., 0, 0], forms[..., 0, 1]
-        den = np.empty((n_rep, ke))
-        kept = np.zeros((n_rep, ke))  # num of the latest row that heard a report
-        reported = np.zeros((n_rep, 1), dtype=bool)  # has any device reported yet
-        coef = np.ones((n_rep, ke, 1, 3))  # [1, -eta_t alpha_t, -eta_t]
-        coef_tail = coef[..., 1:]
+        kernels.append(_estimated_kernel(straggler_p, noise, w_star, *part(slice(kc, k))))
 
     def loss_of(dev: np.ndarray) -> np.ndarray:
         """The loss at every ``W* + D`` of a ``(..., R, K, d, o)`` stack."""
@@ -605,10 +665,10 @@ def train(
         elif before is not None:  # and the loss just before the block
             losses = np.concatenate([[loss_of(before)[r, jj]], losses])
         finite = losses[np.isfinite(losses)]
-        last_loss = float(finite[-1]) if len(finite) else None
+        last_loss = repr(float(finite[-1])) if len(finite) else "not recorded"
         return NumericError(
             f"training diverged at iteration {t} in arm {j} ({policies[j]!r}) of replicate "
-            f"{r}: a non-finite loss, weight or norm (last finite loss: {last_loss!r})"
+            f"{r}: a non-finite loss, weight or norm (last finite loss: {last_loss})"
         )
 
     rows, before = 0, None
@@ -626,54 +686,8 @@ def train(
             side_op, norm_at_opt = _masked_operators(
                 masks[:rows].astype(np.float64), grams, stats, d, o, straggler_p
             )
-            eta = rates[start:stop, :, None, None, None]
-            if kc:
-                alpha = base_alpha[:, :kc, None, None]
-                step_op, update_op = step_ops[:rows], updates[:rows]
-                # [P_t | Q_t] = alpha C + (1 - alpha) S, built in the two buffers.
-                np.multiply(alpha, coded_op[:, :kc], out=step_op)
-                step_op += np.multiply(1.0 - alpha, side_op[..., :d, :], out=update_op)
-                np.subtract(keep, np.multiply(eta, step_op, out=update_op), out=update_op)
-                for update, aug, nxt in fold_views[:rows]:
-                    np.matmul(update, aug, out=nxt)
-                if want_grad:
-                    grad_sq[:rows, :, :kc] = _sq_norms(step_op @ iterates[:rows, :, :kc])
-            if kc < k:
-                # A row that hears no report keeps the latest num (copied per step).
-                np.greater(counts[..., None], 0, out=reports[:rows])
-                np.logical_or.accumulate(reports[:rows] | reported, axis=0, out=live[:rows])
-                reported = live[rows - 1].copy()
-                num = fresh if reports[:rows].all() else kept
-                p_over_count = straggler_p / np.maximum(counts, 1)[:, :, None]
-                side_op[..., d:, :] *= p_over_count[..., None, None]
-                np.multiply(norm_at_opt, p_over_count, out=consts[:rows, ..., 0, 0])
-                np.negative(eta, out=etas[:rows])
-                mix[:rows, ..., 0, 0] = base_alpha[:, kc:]
-                for lo in range(0, rows, STACK_ROWS):
-                    hi = min(lo + STACK_ROWS, rows)
-                    _load_sides(stack, side_op[lo:hi], coded_op[:, kc:])
-                    for (
-                        op, prod, pair, half, aug, dev, nxt, const, mix_t, alpha_t, eta_t, live_t,
-                        report_t,
-                    ) in row_views[lo:hi]:
-                        np.matmul(op, aug, out=prod)
-                        np.matmul(dev, half, out=forms)
-                        np.add(forms, const, out=forms)
-                        if num is kept:
-                            np.copyto(kept, fresh, where=report_t)
-                        if any_huge:  # rest holds ||W||^2 there
-                            np.copyto(rest, _coded_term(d_sigma1_sq, q, rest) + floor, where=huge)
-                        np.add(num, rest, out=den)
-                        np.divide(num, den, out=alpha_t, where=live_t)
-                        if may_vanish:
-                            np.copyto(alpha_t, 0.0, where=live_t & (den <= 0.0))
-                        np.multiply(eta_t, mix_t, out=coef_tail)
-                        np.matmul(coef, pair, out=nxt)
-                    if want_grad:  # these rows' gradients, [alpha_t, 1] [C - S; S]
-                        pairs = bands[: hi - lo, ..., 1:3, :]
-                        grad_sq[lo:hi, :, kc:] = _sq_norms(mix[lo:hi] @ pairs)
-                np.copyto(kept, num)  # the latest num, into the next block
-                alphas[:rows, :, kc:] = mix[:rows, ..., 0, 0]
+            for step in kernels:
+                step(rows, side_op, norm_at_opt, counts, rates[start:stop, :, None, None, None])
             del side_op  # the block's columns follow; free what they do not read
             dev = devs[:rows]
             dist = _sq_norms(dev)

@@ -103,6 +103,14 @@ def test_privacy_rejects_zero_sigma(capsys):
     assert cli_main(["privacy", "--d", "10", "--o", "10", "--sigma-sq", "0"]) == 2
 
 
+def test_privacy_help_states_what_epsilon_covers():
+    proc = _run_python("-m", "acfl.cli", "privacy", "--help")
+    assert proc.returncode == 0, proc.stderr
+    text = " ".join(proc.stdout.split())
+    assert "one-time coded upload" in text and "each data entry" in text
+    assert "does not cover the exact gradients" in text
+
+
 def test_overhead_values(capsys):
     code = cli_main(
         ["overhead", "--phi", "32", "--d", "10", "--o", "10", "--n", "100", "--t", "1000"]
@@ -231,6 +239,18 @@ def test_tradeoff_extreme_finite_inputs(tmp_path, raw, field):
     sigma_sq, _, _, u, bound = map(float, rows[1].split(","))
     assert (sigma_sq, u) == (1.0, 1e300)
     assert bound == pytest.approx(4e-318, rel=1e-5)
+
+
+@pytest.mark.parametrize("field", ["n_devices", "steps", "d", "o"])
+def test_tradeoff_refuses_an_integer_past_float_range(tmp_path, field):
+    # A JSON integer is read exactly, so 10**400 reaches the bounds as an int,
+    # which no float can hold: it is refused by name, not converted.
+    path = write_tradeoff_config(tmp_path, **{field: 10**400})
+    proc = _run_cli_process("tradeoff", path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"acfl: error: {field}: "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "curves").exists()
 
 
 def test_tradeoff_subcommand(tmp_path, capsys):

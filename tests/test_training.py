@@ -934,3 +934,23 @@ def test_divergence_at_a_block_start_without_a_recorded_loss_reports_the_loss_be
     assert match and int(match.group(1)) == 2 * MASK_CHUNK_ROWS, str(err.value)
     ((before,),) = run(2 * MASK_CHUNK_ROWS - 1)
     assert float(match.group(2)) == pytest.approx(loss(before.final_w, ds, facts), rel=1e-9)
+
+
+def test_divergence_with_no_finite_loss_held_says_the_loss_was_not_recorded():
+    # With no loss recorded, the error path holds only the block's iterates
+    # and the one before it.  Here the loss overflows more than a row before
+    # ||D_t||^2 does, so none of those losses is finite: the message says the
+    # loss was not recorded rather than printing None, and still names the
+    # iteration where ||D_t||^2 overflowed, the first of the third block.
+    root = RngStream(21)
+    ds = generate(6, 12, 3, 2, root.child("data", 0))
+    (gc,) = encode_levels(ds, [NoiseParams(0.1, 0.1)], root.child("enc", 0))
+    with pytest.raises(NumericError) as err:
+        train(
+            [ds], [[gc]], [FixedWeight(0.5)], 0.2, 300, [InverseDecay(26.3)],
+            [root.child("train", 0)], [optimum(ds)], columns=(),
+        )
+    message = str(err.value)
+    assert "None" not in message
+    match = re.search(r"iteration (\d+) in arm 0 .*\(last finite loss: not recorded\)$", message)
+    assert match and int(match.group(1)) == 2 * MASK_CHUNK_ROWS, message
