@@ -6,7 +6,7 @@ the message, and otherwise raises ``ParameterError("<name>: must <rule>, got
 <value>")``.  NaN meets no rule.  The config reader prefixes the dotted path
 of the object a field sits in (``noise.sigma1_sq: must be finite and
 nonnegative, got -1.0``).  Finite means in float range, so an int past the
-largest double is refused too.
+largest double is refused too; one too long to print shows its bit length.
 """
 
 import sys
@@ -33,5 +33,9 @@ RULES = {
 def check(name: str, value, rule: str):
     """``value`` if it meets ``rule``; otherwise a :class:`ParameterError` naming ``name``."""
     if not RULES[rule](value):
-        raise ParameterError(f"{name}: must {rule}, got {value}")
+        try:
+            shown = f"{value}"
+        except ValueError:  # an int past the interpreter's digit limit for str
+            shown = f"an integer of {value.bit_length()} bits"
+        raise ParameterError(f"{name}: must {rule}, got {shown}")
     return value

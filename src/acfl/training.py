@@ -344,18 +344,25 @@ def _load_sides(stack: np.ndarray, side: np.ndarray, coded_op: np.ndarray) -> No
     np.subtract(coded_op, side[..., :d, :], out=rows[..., d : 2 * d, :])
 
 
-def _fold_kernel(alpha, coded_op, iterates, weights, grad_sq):
-    """The step of the constant-weight arms: fixed, oracle, and estimated at ``p = 0``.
+def _fold_kernel(p, policies, noise, w_star, coded_op, iterates, weights, grad_sq):
+    """The step of the fixed and oracle arms, at the fixed or :func:`alpha_oracle` weight.
 
-    Its arguments are their slices of :func:`train`'s arm axis: the ``(R, K_c)``
-    weights, the coded gradients ``C = [H_X | H_X W* - H_Y]`` as operators on
-    ``[D; I]``, a block's ``[D; I]``, and a block's weights and ``grad_norm_sq``
-    (``None`` if not recorded).  With ``S`` the received sum over ``1 - p``, a
-    step ``G_t = [P_t | Q_t] [D; I] = alpha C + (1 - alpha) S`` folds into one
-    operator per arm: ``D <- [I - eta_t P_t | -eta_t Q_t] [D; I]``.
+    Its arguments are ``p``, the arms' policies and their slices of
+    :func:`train`'s arm axis: the ``(R, K, 2)`` encoding variances, the
+    ``(R, 1, d, o)`` optima, the coded gradients ``C = [H_X | H_X W* -
+    H_Y]`` as operators on ``[D; I]``, a block's ``[D; I]``, and a block's
+    weights and ``grad_norm_sq`` (``None`` if not recorded).  With ``S`` the
+    received sum over ``1 - p``, a step ``G_t = [P_t | Q_t] [D; I] = alpha C
+    + (1 - alpha) S`` folds into one operator per arm: ``D <- [I - eta_t P_t
+    | -eta_t Q_t] [D; I]``.
     """
+    block, (d, o) = len(iterates) - 1, w_star.shape[-2:]
+    alpha = np.empty(coded_op.shape[:2])
+    for j, x in enumerate(policies):
+        alpha[:, j] = x.alpha if isinstance(x, FixedWeight) else [
+            alpha_oracle(p, x.beta_sq, x.c_sq, d, o, NoiseParams(*pair)) for pair in noise[:, j]
+        ]
     weights[...] = alpha
-    block, d = len(iterates) - 1, coded_op.shape[-2]
     alpha = alpha[..., None, None]
     step_ops, updates = np.empty((2, block, *coded_op.shape))
     keep = np.eye(d, coded_op.shape[-1])  # [I | 0]
@@ -375,27 +382,27 @@ def _fold_kernel(alpha, coded_op, iterates, weights, grad_sq):
     return step
 
 
-def _estimated_kernel(p, noise, w_star, fallback, coded_op, iterates, weights, grad_sq):
-    """The step of the :class:`AdaptiveEstimated` arms at ``p > 0``.
+def _estimated_kernel(p, policies, noise, w_star, coded_op, iterates, weights, grad_sq):
+    """The step of the :class:`AdaptiveEstimated` arms.
 
-    Arguments as for :func:`_fold_kernel` (the weights are the fallbacks),
-    plus the ``(R, K_e, 2)`` encoding variances and the ``(R, 1, d, o)``
-    optima.  An arm steps along ``S + alpha_t (C - S)`` with ``alpha_t = num
-    / (num + rest)``: ``num = p b^2``, ``b^2`` the mean report of the latest
-    row that heard one, and ``rest = c ||W||^2 + floor``, ``c = d s1 (1-p)``,
-    ``floor = s2 o d (1-p)``.  A row's operator per arm (:func:`_estimate_stack`,
-    :func:`_load_sides`) holds the ``(5d, d + o)`` bands ``[[I | 0]; C - S; S;
-    p fold / count; c [I | 2 W*]]``, ``fold`` the norm band of
-    :func:`_masked_operators`.  Times ``[D; I]``, the first three give ``[D;
-    C - S; S]``; the inner products of ``D`` with the others, plus the row's
-    constants ``[p norm_at_opt / count, c ||W*||^2 + floor]``, give ``[num,
-    rest]``, and a third product the update ``[1, -eta_t alpha_t, -eta_t]
-    [D; C - S; S]``.  A ``c`` past ``sqrt(MAX)`` (~1.3e154) could overflow
-    ``c (D + 2W*)`` while ``||W||^2`` is finite; there the band keeps ``c =
-    1`` and the step adds the coded term (zero at a zero norm, also where
-    ``d s1`` is inf) and floor itself.  A positive floor keeps ``num +
-    rest`` positive (or NaN); only a zero floor needs the rule that a zero
-    denominator gives a zero weight.
+    Arguments as for :func:`_fold_kernel`; the weights start at the policies'
+    ``fallback_alpha``.  An arm steps along ``S + alpha_t (C - S)`` with
+    ``alpha_t = num / (num + rest)``: ``num = p b^2``, ``b^2`` the mean
+    report of the latest row that heard one, and ``rest = c ||W||^2 +
+    floor``, ``c = d s1 (1-p)``, ``floor = s2 o d (1-p)``.  At ``p = 0`` every
+    device reports from the first step, and ``num = 0`` gives weight 0.  A
+    row's operator per arm (:func:`_estimate_stack`, :func:`_load_sides`)
+    holds the ``(5d, d + o)`` bands ``[[I | 0]; C - S; S; p fold / count; c [I
+    | 2 W*]]``, ``fold`` the norm band of :func:`_masked_operators`.  Times
+    ``[D; I]``, the first three give ``[D; C - S; S]``; the inner products of
+    ``D`` with the others, plus the row's constants ``[p norm_at_opt / count,
+    c ||W*||^2 + floor]``, give ``[num, rest]``, and a third product the
+    update ``[1, -eta_t alpha_t, -eta_t] [D; C - S; S]``.  A ``c`` past
+    ``sqrt(MAX)`` (~1.3e154) could overflow ``c (D + 2W*)`` while ``||W||^2``
+    is finite; there the band keeps ``c = 1`` and the step adds the coded term
+    (zero at a zero norm, also where ``d s1`` is inf) and floor itself.  A
+    positive floor keeps ``num + rest`` positive (or NaN); only a zero floor
+    needs the rule that a zero denominator gives a zero weight.
     """
     block, n_rep, ke, d, o = len(iterates) - 1, *iterates.shape[1:3], *w_star.shape[-2:]
     with np.errstate(over="ignore"):  # an infinite term is handled as such
@@ -437,7 +444,7 @@ def _estimated_kernel(p, noise, w_star, fallback, coded_op, iterates, weights, g
         side_op[..., d:, :] *= p_over_count[..., None, None]
         np.multiply(norm_at_opt, p_over_count, out=consts[:rows, ..., 0, 0])
         np.negative(eta, out=etas[:rows])
-        mix[:rows, ..., 0, 0] = fallback
+        mix[:rows, ..., 0, 0] = [x.fallback_alpha for x in policies]
         for lo in range(0, rows, STACK_ROWS):
             hi = min(lo + STACK_ROWS, rows)
             _load_sides(stack, side_op[lo:hi], coded_op)
@@ -508,13 +515,14 @@ def train(
     block of :data:`MASK_CHUNK_ROWS` masks, one product of the block's masks
     with them gives every step's masked sums (:func:`_masked_operators`),
     whose norm band only an estimated weight or ``max_device_grad_sq`` reads
-    (a call with neither builds the ``R_i`` alone).  The arm axis is sorted
-    by kind, and each kind's slice has a kernel, built once per call:
-    :func:`_fold_kernel` for a constant weight (fixed, oracle, or estimated
-    at ``p = 0``), :func:`_estimated_kernel` for an estimated one.  Its
-    ``step(rows, side_op, norm_at_opt, counts, eta)`` advances its slice of
-    the iterates by a block of ``rows`` steps and fills its weights and, if
-    recorded, its ``grad_norm_sq``; the other columns follow each block.
+    (a call with neither builds the ``R_i`` alone).  An arm's kernel follows
+    its policy type alone and derives its arms' weights: :func:`_fold_kernel`
+    for fixed and oracle arms, :func:`_estimated_kernel` for estimated ones; a
+    new kind is one kernel and one dispatch entry.  Built once per call from
+    its slice of the arm axis (sorted by kernel), a kernel's ``step(rows,
+    side_op, norm_at_opt, counts, eta)`` advances the slice's iterates by a
+    block of ``rows`` steps and fills its weights and, if recorded, its
+    ``grad_norm_sq``; the other columns follow each block.
 
     Deterministic given the streams: a replicate's mask for iteration ``t``
     is row ``t`` of the masks drawn, in blocks of rows, from one generator
@@ -524,10 +532,9 @@ def train(
 
     :class:`AdaptiveEstimated` uses the mean squared norm of the latest
     reports, kept across iterations in which no device reports, and
-    ``fallback_alpha`` before the first report; at ``p = 0`` every device
-    reports at every step, and the weight is 0 throughout.  The recorded
-    loss is ``loss_at_optimum + <D, (sum_i A_i) D> / 2``, which stays
-    accurate near the optimum.
+    ``fallback_alpha`` before the first report.  The recorded loss is
+    ``loss_at_optimum + <D, (sum_i A_i) D> / 2``, which stays accurate near
+    the optimum.
 
     Raises :class:`NumericError` naming the first iteration, arm and
     replicate (its position in the call) at which a recorded value of that
@@ -543,9 +550,11 @@ def train(
     names = _recorded(columns)
     datasets, coded, policies = tuple(ds), tuple(map(tuple, coded)), tuple(policies)
     schedules, streams, facts = tuple(schedule), tuple(stream), tuple(facts)
-    for policy in policies:
-        if not isinstance(policy, AggregationPolicy):
-            raise ParameterError(f"unsupported policy: {policy!r}")
+    # The step kernel of each policy type: a new kind is one kernel and one entry.
+    dispatch = {(FixedWeight, AdaptiveOracle): _fold_kernel, AdaptiveEstimated: _estimated_kernel}
+    kinds = [next((i for i, t in enumerate(dispatch) if isinstance(x, t)), -1) for x in policies]
+    if -1 in kinds:
+        raise ParameterError(f"unsupported policy: {policies[kinds.index(-1)]!r}")
     n_rep, k = len(datasets), len(policies)
     if not n_rep:
         raise ParameterError("need at least one replicate to train")
@@ -583,27 +592,17 @@ def train(
     h_y = np.array([[sums.h_y_sum for sums in row] for row in coded])
     coded_op = np.concatenate([h_x, h_x @ w_star - h_y], axis=-1)
 
-    # Every arm's constant weight (an estimated arm's fallback).  At p = 0 an
-    # estimated weight is 0 from the first step, which hears every device.
-    base_alpha = np.empty((n_rep, k))
-    estimated = np.array([isinstance(x, AdaptiveEstimated) and straggler_p > 0.0 for x in policies])
-    for j, policy in enumerate(policies):
-        if isinstance(policy, FixedWeight):
-            base_alpha[:, j] = policy.alpha
-        elif isinstance(policy, AdaptiveOracle):
-            bounds = (straggler_p, policy.beta_sq, policy.c_sq, d, o)
-            base_alpha[:, j] = [alpha_oracle(*bounds, row[j].noise) for row in coded]
-        else:
-            base_alpha[:, j] = policy.fallback_alpha if estimated[j] else 0.0
-    # The arm axis, constant arms first: each kind is a slice of it, and the
-    # caller's arm j is entry by_arm[j].
-    order = np.argsort(estimated, kind="stable")
-    by_arm, kc = np.argsort(order), k - int(estimated.sum())
-    base_alpha, coded_op = base_alpha[:, order], coded_op[:, order]
+    # The arm axis, sorted by kernel into slices; the caller's arm j is entry by_arm[j].
+    order = np.argsort(kinds, kind="stable")
+    by_arm, coded_op = np.argsort(order), coded_op[:, order]
+    noise = np.array([[astuple(sums.noise) for sums in row] for row in coded])[:, order]
+    cuts = np.searchsorted(np.sort(kinds), range(len(dispatch) + 1))
+    arms_of = {f: slice(lo, hi) for f, lo, hi in zip(dispatch.values(), cuts, cuts[1:]) if lo < hi}
 
     # Per replicate, one row per device: the centred statistics (R_i alone if no
     # norm is read); a block of masks times them and the Grams gives every sum.
-    width = d * d + 2 * d * o + 1 if kc < k or "max_device_grad_sq" in names else d * o
+    reads_norms = _estimated_kernel in arms_of or "max_device_grad_sq" in names
+    width = d * d + 2 * d * o + 1 if reads_norms else d * o
     check_entries(n_rep * n * width, f"n_devices={n}, d={d}, o={o}: device statistics")
     stats = np.empty((n_rep, n, width))
     for r, (x, f) in enumerate(zip(datasets, facts)):
@@ -627,17 +626,13 @@ def train(
     alphas = np.empty((block, n_rep, k))  # a block's weight column
     grad_sq = np.empty((block, n_rep, k)) if "grad_norm_sq" in names else None
 
-    def part(arms: slice) -> tuple:
-        """A kind's slices of the arm axis: weights, coded operators, iterates, trace rows."""
-        trace_rows = (alphas[..., arms], None if grad_sq is None else grad_sq[..., arms])
-        return base_alpha[:, arms], coded_op[:, arms], iterates[:, :, arms], *trace_rows
-
     # Each kernel scales only the bands of a block's side_op that it alone
     # reads, so the order in which they run does not matter.
-    kernels = [_fold_kernel(*part(slice(0, kc)))] if kc else []
-    if kc < k:
-        noise = np.array([[astuple(sums.noise) for sums in row] for row in coded])[:, order[kc:]]
-        kernels.append(_estimated_kernel(straggler_p, noise, w_star, *part(slice(kc, k))))
+    kernels = []
+    for kernel, arms in arms_of.items():
+        own = ([policies[j] for j in order[arms]], noise[:, arms], w_star, coded_op[:, arms])
+        trace_rows = (alphas[..., arms], None if grad_sq is None else grad_sq[..., arms])
+        kernels.append(kernel(straggler_p, *own, iterates[:, :, arms], *trace_rows))
 
     def loss_of(dev: np.ndarray) -> np.ndarray:
         """The loss at every ``W* + D`` of a ``(..., R, K, d, o)`` stack."""

@@ -14,7 +14,9 @@ A change that alters an artifact's bytes on purpose regenerates the file::
 
     PYTHONPATH=src python tests/pin_artifacts.py
 
-and says so where it states its changes, since the file is test data.
+and says so where it states its changes, since the file is test data.  The
+script prints, per pinned run, the largest relative change of its pinned
+values against the file it replaces (0 where nothing moved).
 """
 
 from __future__ import annotations
@@ -114,13 +116,34 @@ def produce(workload, seed: int, out_dir: Path) -> dict:
     return {"sha256": digests, "values": values}
 
 
+def largest_change(old: dict | None, new: dict) -> float | None:
+    """The largest relative change of a run's pinned values from ``old`` to
+    ``new`` (``inf`` where a zero moved); ``None`` if ``old`` is missing or
+    pins other values."""
+    if old is None or sorted(old["values"]) != sorted(new["values"]):
+        return None
+    change = 0.0
+    for key, value in new["values"].items():
+        before, after = np.asarray(old["values"][key], float), np.asarray(value, float)
+        moved = np.abs(after - before)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is masked
+            rel = np.where(moved == 0.0, 0.0, moved / np.abs(before))
+        change = max(change, float(rel.max(initial=0.0)))
+    return change
+
+
 def main() -> None:
+    old = json.loads(PINNED.read_text())["runs"] if PINNED.exists() else {}
     pinned = {"fingerprint": fingerprint(), "rtol": RTOL, "runs": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for name, workload in workloads().items():
             for seed in SEEDS:
                 out_dir = Path(tmp, f"{name}-{seed}")
-                pinned["runs"][f"{name}@{seed}"] = produce(workload, seed, out_dir)
+                key = f"{name}@{seed}"
+                pinned["runs"][key] = run = produce(workload, seed, out_dir)
+                change = largest_change(old.get(key), run)
+                shown = "not pinned before" if change is None else f"{change:.3g}"
+                print(f"{key}: largest relative change of the pinned values {shown}")
     PINNED.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
     print(PINNED)
 

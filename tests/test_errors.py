@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +68,17 @@ SITES = {
     ),
     "train-steps": (
         lambda v: train([], [], [], 0.2, v, [], [], []), -1, "steps: must be nonnegative, got -1"
+    ),
+    # Ints past the interpreter's 4300-digit limit for str are shown by bit length.
+    "check-huge-int": (
+        lambda v: check("alpha", v, "lie in [0, 1]"),
+        10**5000,
+        "alpha: must lie in [0, 1], got an integer of 16610 bits",
+    ),
+    "BoundInputs-huge-int": (
+        lambda v: replace(INPUTS, n_devices=v),
+        10**5000,
+        "n_devices: must be finite and positive, got an integer of 16610 bits",
     ),
 }
 

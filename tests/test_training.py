@@ -325,24 +325,25 @@ FOLDED = ("fixed", "fixed-0", "fixed-1", "oracle")
 
 @pytest.mark.parametrize("p", [0.0, 0.4])
 @pytest.mark.parametrize(
-    "names, levels, steps",
+    "names, levels, steps, n",
     [
-        (("fixed",), (0.3,), 300),
-        (("oracle",), (0.3,), 300),
-        (("estimated",), (0.3,), 300),
-        (("estimated",), (0.0, 0.3), 300),
-        (("fixed", "oracle", "estimated"), (0.3, 3.0), 300),
-        (("fixed-0", "fixed-1", "estimated"), (0.3, 3.0), 300),
-        ((*FOLDED, "estimated"), (0.3,), 1),
-        ((*FOLDED, "estimated"), (0.3,), 17),
-        (FOLDED, (0.3,), 17),
+        (("fixed",), (0.3,), 300, 5),
+        (("oracle",), (0.3,), 300, 5),
+        (("estimated",), (0.3,), 300, 5),
+        (("estimated",), (0.0, 0.3), 300, 5),
+        (("fixed", "oracle", "estimated"), (0.3, 3.0), 300, 5),
+        (("fixed-0", "fixed-1", "estimated"), (0.3, 3.0), 300, 5),
+        ((*FOLDED, "estimated"), (0.3,), 1, 5),
+        ((*FOLDED, "estimated"), (0.3,), 17, 5),
+        (FOLDED, (0.3,), 17, 5),
+        (("estimated", "fixed"), (0.3,), 70, 600),
     ],
     ids=[
         "fixed", "oracle", "estimated", "zero-noise", "six-arms", "weight-endpoints", "one-step",
-        "17-steps", "17-steps-folded",
+        "17-steps", "17-steps-folded", "600-devices",
     ],
 )
-def test_train_matches_plain_gradient_descent(names, levels, steps, p):
+def test_train_matches_plain_gradient_descent(names, levels, steps, n, p):
     # The batched step against a per-device loop run once per arm, within
     # rtol 1e-10: the summation order differs, so equality is not required.
     # An estimated arm steps by S + alpha (C - S), which rounds unlike the
@@ -350,7 +351,9 @@ def test_train_matches_plain_gradient_descent(names, levels, steps, p):
     # buffer below a block, 17 with one stack refill.
     # A zero-noise estimated arm has a zero floor (the weight is 1 once a
     # device reports, p b^2 / p b^2) and, at p = 0, a zero weight throughout.
-    xs, ys = random_samples(13, n=5, m=10, d=4, o=2)
+    # 600 devices span two DEVICE_CHUNK_ROWS chunks of the statistics and of
+    # the device-maximum scan, and 70 steps two mask blocks.
+    xs, ys = random_samples(13, n=n, m=10, d=4, o=2)
     ds = dataset_from_samples(xs, ys)
     facts = optimum(ds)
     coded, policies = [], []
