@@ -51,11 +51,10 @@ for sigma_sq in (0.1, 10.0):
         policies.append(policy)
         labels.append((sigma_sq, label))
 # train takes a group of replicates, here one: each arm's coded sums per
-# replicate, and one policy per arm for them all.  One loop advances all
-# four arms on the same straggler masks.
-(traces,) = train(
-    [ds], [coded], policies, P, STEPS, [InverseDecay(1e-3)], [root.child("train")], [facts]
-)
+# replicate, and one policy per arm for them all.  It works out each
+# replicate's optimum itself.  One loop advances all four arms on the same
+# straggler masks.
+(traces,) = train([ds], [coded], policies, P, STEPS, [InverseDecay(1e-3)], [root.child("train")])
 results = dict(zip(labels, traces))
 for (sigma_sq, label), trace in results.items():
     print(

@@ -385,7 +385,6 @@ def _run_group(
         cfg.steps,
         [cfg.schedule or schedule_for_strong_convexity(f.lam) for f in facts],
         [root.child("train", r) for r in replicates],
-        facts,
         columns=columns,
     )
     return [
@@ -451,6 +450,8 @@ def resolve_policy(
             if isinstance(policy, OracleAuto):
                 beta_sq = float(probe.trace.max_device_grad_sq.max()) * policy.margin
                 c_sq = float(probe.trace.w_norm_sq.max()) * policy.margin
+                if math.inf in (beta_sq, c_sq):
+                    raise ParameterError(f"margin: {policy.margin} times a probed norm overflows")
                 if not (beta_sq > 0 and c_sq > 0):
                     raise NumericError(
                         "probe run observed zero norms; supply oracle constants explicitly"

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .coding import GlobalCodedData, NoiseParams
-from .dataset import DEVICE_CHUNK_ROWS, FederatedDataset, ProblemFacts
+from .dataset import DEVICE_CHUNK_ROWS, FederatedDataset, optimum
 from .errors import NumericError, ParameterError, check
 from .numerics import RngStream, check_entries
 
@@ -481,23 +481,21 @@ def train(
     steps: int,
     schedule: Sequence[InverseDecay],
     stream: Sequence[RngStream],
-    facts: Sequence[ProblemFacts],
     *,
     columns: Sequence[str] = TRACE_COLUMNS[:-1],
 ) -> tuple[tuple[TrainingTrace, ...], ...]:
     """Run the two-source training loop for ``steps`` iterations on every arm
     of R replicates, which advance together in one loop.
 
-    Replicate ``r`` is the dataset ``ds[r]``, ``schedule[r]``,
-    ``stream[r]`` and ``facts[r]``, and arm ``j`` weighs its coded sums
-    ``coded[r][j]`` against the device gradients by ``policies[j]`` in
-    every replicate; the adaptive policies weigh the coded gradient's noise
-    by the variances the sums carry (``coded[r][j].noise``).  The replicates
-    share the dataset shape.  A replicate's arms share its dataset,
-    straggler masks and initial iterate, and each has its own coded sums
-    and iterate.  Returns one tuple of traces per replicate, one trace per
-    arm, in order; each replicate's traces, and each arm's, are those it
-    gets trained alone.
+    Replicate ``r`` is the dataset ``ds[r]``, ``schedule[r]`` and
+    ``stream[r]``, and arm ``j`` weighs its coded sums ``coded[r][j]``
+    against the device gradients by ``policies[j]`` in every replicate; the
+    adaptive policies weigh the coded gradient's noise by the variances the
+    sums carry (``coded[r][j].noise``).  The replicates share the dataset
+    shape.  A replicate's arms share its dataset, straggler masks and
+    initial iterate, and each has its own coded sums and iterate.  Returns
+    one tuple of traces per replicate, one trace per arm, in order; each
+    replicate's traces, and each arm's, are those it gets trained alone.
     A trace holds the columns of :data:`TRACE_COLUMNS` named in ``columns``
     (by default all but ``max_device_grad_sq``), the others ``None``; a
     column not asked for is not computed, and no recorded value depends on
@@ -510,12 +508,13 @@ def train(
 
     The loop never touches a device: it iterates ``D = W - W*`` on ``(R, K,
     d, o)`` arrays, so a step costs the same for any number of devices.
-    Once per call, every device's statistics are centred at the optimum
-    (:func:`_centred_statistics`, with ``R_i = A_i W* - B_i``).  Once per
-    block of :data:`MASK_CHUNK_ROWS` masks, one product of the block's masks
-    with them gives every step's masked sums (:func:`_masked_operators`),
-    whose norm band only an estimated weight or ``max_device_grad_sq`` reads
-    (a call with neither builds the ``R_i`` alone).  An arm's kernel follows
+    Once per call, every device's statistics are centred at ``W* =
+    optimum(ds[r]).w_star`` (:func:`_centred_statistics`, with ``R_i = A_i
+    W* - B_i``), which :func:`train` works out itself.  Once per block of
+    :data:`MASK_CHUNK_ROWS` masks, one product of the block's masks with
+    them gives every step's masked sums (:func:`_masked_operators`), whose
+    norm band only an estimated weight or ``max_device_grad_sq`` reads (a
+    call with neither builds the ``R_i`` alone).  An arm's kernel follows
     its policy type alone and derives its arms' weights: :func:`_fold_kernel`
     for fixed and oracle arms, :func:`_estimated_kernel` for estimated ones; a
     new kind is one kernel and one dispatch entry.  Built once per call from
@@ -549,7 +548,7 @@ def train(
     check("steps", steps, "be nonnegative")
     names = _recorded(columns)
     datasets, coded, policies = tuple(ds), tuple(map(tuple, coded)), tuple(policies)
-    schedules, streams, facts = tuple(schedule), tuple(stream), tuple(facts)
+    schedules, streams = tuple(schedule), tuple(stream)
     # The step kernel of each policy type: a new kind is one kernel and one entry.
     dispatch = {(FixedWeight, AdaptiveOracle): _fold_kernel, AdaptiveEstimated: _estimated_kernel}
     kinds = [next((i for i, t in enumerate(dispatch) if isinstance(x, t)), -1) for x in policies]
@@ -558,8 +557,8 @@ def train(
     n_rep, k = len(datasets), len(policies)
     if not n_rep:
         raise ParameterError("need at least one replicate to train")
-    if any(len(seq) != n_rep for seq in (coded, schedules, streams, facts)):
-        raise ParameterError("give one dataset, coded list, schedule, stream, facts per replicate")
+    if any(len(seq) != n_rep for seq in (coded, schedules, streams)):
+        raise ParameterError("give one dataset, coded list, schedule and stream per replicate")
     if not k:
         raise ParameterError("need at least one arm to train")
     n, d, o = datasets[0].n_devices, datasets[0].d, datasets[0].o
@@ -576,14 +575,13 @@ def train(
                 )
         if not isinstance(schedules[r], InverseDecay):
             raise ParameterError(f"unsupported schedule: {schedules[r]!r}")
-        if facts[r].w_star.shape != (d, o):
-            raise ParameterError(f"replicate {r}: facts.w_star shape does not match the dataset")
         inits.append(streams[r].child("init").generator().uniform(0.0, W0_SCALE, size=(d, o)))
-    # The recorded columns of every arm and each replicate's n_present.
-    check_entries((len(names) * k + 1) * n_rep * steps, f"steps={steps}: the trace record")
+    entries = n_rep * trace_bytes(k, steps, d, o, names) // 8  # what the traces keep
+    check_entries(entries, f"steps={steps}: the trace record")
 
     grams = [x.gram_x.reshape(n, d * d) for x in datasets]
     a_sum = np.stack([x.gram_x_sum for x in datasets])[:, None]  # (R, 1, d, d)
+    facts = [optimum(x) for x in datasets]
     w_star = np.stack([f.w_star for f in facts])[:, None]  # (R, 1, d, o)
     loss_at_optimum = np.array([[f.loss_at_optimum] for f in facts])
     rates = np.stack([s.rates(steps) for s in schedules], axis=1)  # (T, R)

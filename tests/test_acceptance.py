@@ -218,7 +218,7 @@ def test_c07_distance_bound_after_t_steps():
         (coded,) = encode_levels(ds, [noise], root.child("enc", s))
         ((trace,),) = train(
             [ds], [[coded]], [policy], p, 1000, [schedule], [root.child("train", s)],
-            [facts], columns=TRACE_COLUMNS,
+            columns=TRACE_COLUMNS,
         )
         return trace
 

@@ -63,6 +63,9 @@ def test_u_tilde_zero_noise():
         sigma1_sq=0.0, sigma2_sq=0.0, lam=1.0, steps=10,
     )
     assert u_tilde(inputs) == pytest.approx(5**2 * 7.0, rel=1e-12)
+    # At p = 0 too the weight formula's denominator vanishes: u is least at alpha = 0.
+    no_stragglers = replace(inputs, p=0.0)
+    assert u_tilde(no_stragglers) == u_of(no_stragglers, 0.0) == 5**2 * 7.0
 
 
 def test_u_tilde_reference_point():

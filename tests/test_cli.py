@@ -483,6 +483,20 @@ EPSILON_TOO_SMALL = "noise.epsilon: 1e-320 is too small: "
             {"policy": {"kind": "adaptive-oracle", "margin": 0.5}},
             "policy.margin: must be at least 1, got 0.5",
         ),
+        # A margin that overflows a probed norm's bound is refused by its name.
+        (
+            "run",
+            write_run_config,
+            {
+                "dataset": {"n_devices": 5, "m": 2000, "d": 3, "o": 2},
+                "noise": {"sigma1_sq": 0.1, "sigma2_sq": 0.1},
+                "policy": {"kind": "adaptive-oracle", "margin": 1e308},
+                "steps": 20,
+                "master_seed": 7,
+                "replicates": 1,
+            },
+            "margin: 1e+308 times a probed norm overflows",
+        ),
         (
             "run",
             write_run_config,
@@ -545,6 +559,7 @@ EPSILON_TOO_SMALL = "noise.epsilon: 1e-320 is too small: "
         "compare-negative-baseline-alpha",
         "run-negative-beta_sq",
         "run-margin-below-one",
+        "run-margin-overflows-a-bound",
         "run-fallback_alpha-above-one",
     ],
 )

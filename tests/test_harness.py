@@ -11,7 +11,7 @@ import pytest
 
 from acfl import harness
 from acfl.coding import NoiseParams, encode_levels
-from acfl.dataset import generate, optimum
+from acfl.dataset import generate
 from acfl.errors import NumericError, ParameterError
 from acfl.harness import (
     PROBE_COLUMNS,
@@ -419,7 +419,7 @@ def test_compare_rows_and_pairing(tmp_path):
         policy = cfg.policy if method == "acfl" else cfg.baseline
         ((tr,),) = train(
             [ds], [[gc]], [policy], cfg.straggler_p, cfg.steps, [cfg.schedule],
-            [root.child("train", r)], [optimum(ds)],
+            [root.child("train", r)],
         )
         assert np.array_equal(record.trace.final_w, tr.final_w), (level, method, r)
         xs, ys, _ = replay_samples(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
@@ -526,7 +526,7 @@ def test_a_diverging_compare_names_its_iteration(tmp_path):
             with pytest.raises(NumericError) as alone:
                 train(
                     [ds], [[coded[noise]]], [policy], cfg.straggler_p, cfg.steps,
-                    [cfg.schedule], [root.child("train", r)], [optimum(ds)],
+                    [cfg.schedule], [root.child("train", r)],
                     columns=("alpha", "dist_sq"),
                 )
             t = int(re.search(r"iteration (\d+) in arm 0 ", str(alone.value)).group(1))
@@ -618,7 +618,7 @@ def test_compare_encodes_each_replicate_once(tmp_path):
         }
         ((*traces,),) = train(
             [ds], [[coded[noise] for noise, _ in arms]], [policy for _, policy in arms],
-            cfg.straggler_p, cfg.steps, [cfg.schedule], [root.child("train", r)], [optimum(ds)],
+            cfg.straggler_p, cfg.steps, [cfg.schedule], [root.child("train", r)],
         )
         for key, tr in zip(keys, traces, strict=True):
             kept = result.records[key][r].trace

@@ -88,6 +88,8 @@ def test_eig_min_matches_char_poly_roots():
 def test_eig_min_rejects_asymmetric():
     with pytest.raises(ParameterError):
         eig_min_sym(np.array([[1.0, 1e-6], [0.0, 1.0]]))
+    with pytest.raises(ParameterError, match=r"^a must be square, got shape \(2, 3\)$"):
+        eig_min_sym(np.zeros((2, 3)))
 
 
 def test_frobenius_identities():

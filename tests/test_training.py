@@ -245,12 +245,10 @@ def test_strong_convexity_schedule_names_lam():
 
 def test_train_zero_steps(random_instance):
     ds = random_instance(12, n=3, m=9, d=3, o=2)
-    facts = optimum(ds)
     gc = _coded(ds, 0.5, RngStream(12))
     policies = [FixedWeight(0.5), AdaptiveEstimated(), FixedWeight(0.1)]
     (traces,) = train(
         [ds], [[gc] * 3], policies, 0.2, 0, [InverseDecay(1e-3)], [RngStream(12).child("t")],
-        [facts],
     )
     assert len(traces) == len(policies)
     for tr in traces:
@@ -363,7 +361,7 @@ def test_train_matches_plain_gradient_descent(names, levels, steps, n, p):
     c = 1e-3
     stream = RngStream(13).child("t")
     (traces,) = train(
-        [ds], [coded], policies, p, steps, [InverseDecay(c)], [stream], [facts],
+        [ds], [coded], policies, p, steps, [InverseDecay(c)], [stream],
         columns=EVERY_COLUMN,
     )
     assert len(traces) == len(policies)
@@ -390,7 +388,7 @@ def test_train_loss_is_accurate_near_the_optimum(seed):
     def run(steps):
         ((tr,),) = train(
             [ds], [[gc]], [AdaptiveEstimated()], 0.4, steps,
-            [schedule_for_strong_convexity(facts.lam)], [root.child("train", 0)], [facts],
+            [schedule_for_strong_convexity(facts.lam)], [root.child("train", 0)],
         )
         return tr
 
@@ -406,14 +404,13 @@ def test_train_estimated_weight_falls_back_then_reuses_last_estimate():
     # latest report's norm estimate.
     xs, ys = random_samples(19, n=2, m=8, d=3, o=2)
     ds = dataset_from_samples(xs, ys)
-    facts = optimum(ds)
     gc = _coded(ds, 1.0, RngStream(19))
     p, steps, stream = 0.9, 40, RngStream(19).child("t")
 
     def run(steps):
         ((tr,),) = train(
             [ds], [[gc]], [AdaptiveEstimated(0.25)], p, steps, [InverseDecay(1e-3)],
-            [stream], [facts],
+            [stream],
         )
         return tr
 
@@ -452,7 +449,6 @@ def test_train_estimated_weight_survives_huge_coded_noise(sigma1_sq, sigma2_sq):
     # 0 keeps the huge coded gradient out of the iterate until then.
     xs, ys = random_samples(23, n=5, m=10, d=4, o=2)
     ds = dataset_from_samples(xs, ys)
-    facts = optimum(ds)
     noise = NoiseParams(sigma1_sq, sigma2_sq)
     (gc,) = encode_levels(ds, [noise], RngStream(23).child("enc"))
     p, steps, stream = 0.4, 300, RngStream(23).child("t")
@@ -460,7 +456,7 @@ def test_train_estimated_weight_survives_huge_coded_noise(sigma1_sq, sigma2_sq):
     def run(steps):
         ((tr,),) = train(
             [ds], [[gc]], [AdaptiveEstimated(0.0)], p, steps, [InverseDecay(1e-3)],
-            [stream], [facts],
+            [stream],
         )
         return tr
 
@@ -507,7 +503,6 @@ def test_train_divergence_names_the_iteration(policy, layout):
     ):
         train(
             [ds], [coded], policies, 0.2, 300, [InverseDecay(1.0)], [root.child("train")],
-            [optimum(ds)],
         )
 
 
@@ -545,12 +540,12 @@ def test_batched_train_equals_one_replicate_calls(n_rep, k):
     coded, policies = [rep[4][:k] for rep in reps], REPLICATE_POLICIES[:k]
     batched = train(
         [rep[0] for rep in reps], coded, policies, p, steps, [rep[2] for rep in reps],
-        [rep[3] for rep in reps], [rep[1] for rep in reps], columns=EVERY_COLUMN,
+        [rep[3] for rep in reps], columns=EVERY_COLUMN,
     )
     assert len(batched) == n_rep
-    for (ds, facts, schedule, stream, _), coded_r, traces in zip(reps, coded, batched):
+    for (ds, _, schedule, stream, _), coded_r, traces in zip(reps, coded, batched):
         (alone,) = train(
-            [ds], [coded_r], policies, p, steps, [schedule], [stream], [facts],
+            [ds], [coded_r], policies, p, steps, [schedule], [stream],
             columns=EVERY_COLUMN,
         )
         assert len(traces) == len(alone) == k
@@ -573,10 +568,10 @@ def test_an_arms_trace_does_not_depend_on_the_arms_beside_it(p):
     est, fixed, oracle, est_b = range(4)  # each replicate's arms, as REPLICATE_POLICIES
 
     def run(arms, n_rep=1):
-        ds, facts, schedules, streams, coded = zip(*reps[:n_rep])
+        ds, _, schedules, streams, coded = zip(*reps[:n_rep])
         return train(
             ds, [[row[j] for j in arms] for row in coded], [REPLICATE_POLICIES[j] for j in arms],
-            p, steps, schedules, streams, facts, columns=EVERY_COLUMN,
+            p, steps, schedules, streams, columns=EVERY_COLUMN,
         )
 
     def check(got, expect):
@@ -600,13 +595,17 @@ def test_batched_train_checks_each_replicate():
     reps = [_replicate(50), _replicate(51)]
     args = dict(
         policies=REPLICATE_POLICIES, straggler_p=0.3, steps=5, schedule=[rep[2] for rep in reps],
-        stream=[rep[3] for rep in reps], facts=[rep[1] for rep in reps],
+        stream=[rep[3] for rep in reps],
     )
     datasets = [rep[0] for rep in reps]
     with pytest.raises(ParameterError, match="^replicate 1: 3 coded sums for 4 policies$"):
         train(datasets, [reps[0][4], reps[1][4][:3]], **args)
     with pytest.raises(ParameterError, match="per replicate"):
         train(datasets[:1], [rep[4] for rep in reps], **args)
+    with pytest.raises(ParameterError, match="^need at least one replicate to train$"):
+        train([], [], **args)
+    with pytest.raises(ParameterError, match="^unsupported schedule: 0.001$"):
+        train(datasets, [rep[4] for rep in reps], **{**args, "schedule": [reps[0][2], 1e-3]})
     other = _replicate(52, n=5)
     with pytest.raises(ParameterError, match="replicate 1: dataset shape"):
         train([datasets[0], other[0]], [rep[4] for rep in reps], **args)
@@ -617,7 +616,7 @@ def test_batched_train_divergence_names_the_replicate():
     # Replicate 0 takes small steps and stays finite; replicate 1 takes
     # InverseDecay(1.0) steps and diverges at the iteration it does alone.
     root = RngStream(20)
-    datasets, coded, facts = [], [], []
+    datasets, coded = [], []
     policies = [FixedWeight(0.5), AdaptiveEstimated()]
     for r in range(2):
         ds = generate(100, 100, 10, 10, root.child("data", r))
@@ -625,12 +624,10 @@ def test_batched_train_divergence_names_the_replicate():
         (gc,) = encode_levels(ds, [noise], root.child("enc", r))
         datasets.append(ds)
         coded.append([gc, gc])
-        facts.append(optimum(ds))
     streams = [root.child("train", r) for r in range(2)]
     with pytest.raises(NumericError) as alone:
         train(
             datasets[1:], coded[1:], policies, 0.2, 300, [InverseDecay(1.0)], streams[1:],
-            facts[1:],
         )
     t, j = re.search(r"iteration (\d+) in arm (\d+)", str(alone.value)).groups()
     policy = policies[int(j)]
@@ -641,7 +638,7 @@ def test_batched_train_divergence_names_the_replicate():
     ):
         train(
             datasets, coded, policies, 0.2, 300, [InverseDecay(1e-4), InverseDecay(1.0)],
-            streams, facts,
+            streams,
         )
 
 
@@ -666,9 +663,7 @@ def test_divergence_inside_a_mask_block_names_the_first_bad_row():
     streams = [root.child("train", r) for r in range(2)]
     p, c, steps = 0.2, 40.0, 300
     # A zero-step run reports replicate 1's initial iterate.
-    ((first, _),) = train(
-        datasets[1:], coded[1:], policies, p, 0, [InverseDecay(c)], streams[1:], facts[1:]
-    )
+    ((first, _),) = train(datasets[1:], coded[1:], policies, p, 0, [InverseDecay(c)], streams[1:])
     w0 = first.w0
 
     xs, ys, _ = replay_samples(6, 12, 3, 2, root.child("data", 1))
@@ -686,7 +681,6 @@ def test_divergence_inside_a_mask_block_names_the_first_bad_row():
     with pytest.raises(NumericError) as err:
         train(
             datasets, coded, policies, p, steps, [InverseDecay(1e-3), InverseDecay(c)], streams,
-            facts,
         )
     policy = policies[j]
     match = re.fullmatch(
@@ -701,12 +695,11 @@ def test_divergence_inside_a_mask_block_names_the_first_bad_row():
 def test_train_reference_setup_loss_drops():
     root = RngStream(14)
     ds = generate(100, 100, 10, 10, root.child("data"))
-    facts = optimum(ds)
     noise = NoiseParams(0.01, 0.01)
     (gc,) = encode_levels(ds, [noise], root.child("enc"))
     ((tr,),) = train(
         [ds], [[gc]], [AdaptiveEstimated()], 0.2, 2000, [InverseDecay(1e-4)],
-        [root.child("train")], [facts],
+        [root.child("train")],
     )
     assert tr.loss[-1] < tr.loss[0] / 10.0
     assert np.all((tr.alpha >= 0.0) & (tr.alpha <= 1.0))
@@ -714,13 +707,12 @@ def test_train_reference_setup_loss_drops():
 
 def test_train_trace_is_deterministic(random_instance):
     ds = random_instance(15, n=4, m=9, d=3, o=2)
-    facts = optimum(ds)
     gc = _coded(ds, 1.0, RngStream(15))
 
     def run():
         ((tr,),) = train(
             [ds], [[gc]], [AdaptiveEstimated()], 0.3, 60, [InverseDecay(1e-3)],
-            [RngStream(15).child("t")], [facts],
+            [RngStream(15).child("t")],
         )
         return tr
 
@@ -733,7 +725,6 @@ def test_train_trace_is_deterministic(random_instance):
 
 def test_train_alpha_in_unit_interval_for_all_policies(random_instance):
     ds = random_instance(16, n=4, m=9, d=3, o=2)
-    facts = optimum(ds)
     gc = _coded(ds, 2.0, RngStream(16))
     policies = [
         FixedWeight(0.5),
@@ -742,7 +733,7 @@ def test_train_alpha_in_unit_interval_for_all_policies(random_instance):
     ]
     (traces,) = train(
         [ds], [[gc] * len(policies)], policies, 0.4, 40, [InverseDecay(1e-3)],
-        [RngStream(16).child("t")], [facts],
+        [RngStream(16).child("t")],
     )
     for tr in traces:
         assert np.all((tr.alpha >= 0.0) & (tr.alpha <= 1.0))
@@ -750,17 +741,20 @@ def test_train_alpha_in_unit_interval_for_all_policies(random_instance):
 
 def test_train_requires_noise_for_adaptive(random_instance):
     ds = random_instance(17, n=2, m=8, d=3, o=2)
-    facts = optimum(ds)
     gc = _coded(ds, 1.0, RngStream(17))
     with pytest.raises(ParameterError, match="noise"):
         GlobalCodedData(gc.h_x_sum, gc.h_y_sum, None)
+    with pytest.raises(ParameterError, match=r"^h_x_sum must be square, got \(2, 3\)$"):
+        GlobalCodedData(np.zeros((2, 3)), np.zeros((2, 2)), gc.noise)
+    with pytest.raises(ParameterError, match="^h_y_sum rows must match h_x_sum, got "):
+        GlobalCodedData(np.zeros((2, 2)), np.zeros((3, 2)), gc.noise)
     with pytest.raises(ParameterError, match="arm"):
-        train([ds], [[]], [], 0.2, 5, [InverseDecay(1e-3)], [RngStream(17).child("t")], [facts])
+        train([ds], [[]], [], 0.2, 5, [InverseDecay(1e-3)], [RngStream(17).child("t")])
     with pytest.raises(ParameterError, match="arm 1"):
         wrong = GlobalCodedData(np.zeros((2, 2)), np.zeros((2, 2)), gc.noise)
         train(
             [ds], [[gc, wrong]], [FixedWeight(0.5)] * 2, 0.2, 5, [InverseDecay(1e-3)],
-            [RngStream(17).child("t")], [facts],
+            [RngStream(17).child("t")],
         )
 
 
@@ -773,19 +767,18 @@ def test_train_refuses_a_non_policy(random_instance, policy):
     with pytest.raises(ParameterError, match=rf"^unsupported policy: {re.escape(repr(policy))}$"):
         train(
             [ds], [[gc, gc]], [FixedWeight(0.5), policy], 0.2, 5, [InverseDecay(1e-3)],
-            [RngStream(17).child("t")], [optimum(ds)],
+            [RngStream(17).child("t")],
         )
 
 
 def test_train_oracle_policy_uses_constant_alpha(random_instance):
     ds = random_instance(18, n=3, m=9, d=3, o=2)
-    facts = optimum(ds)
     noise = NoiseParams(1.5, 0.5)
     (gc,) = encode_levels(ds, [noise], RngStream(18).child("enc"))
     policy = AdaptiveOracle(2.0, 3.0)
     ((tr,),) = train(
         [ds], [[gc]], [policy], 0.25, 30, [InverseDecay(1e-3)],
-        [RngStream(18).child("t")], [facts],
+        [RngStream(18).child("t")],
     )
     expect = alpha_oracle(0.25, 2.0, 3.0, 3, 2, noise)
     assert np.all(tr.alpha == expect)
@@ -800,7 +793,7 @@ def test_oracle_weight_reads_each_arms_coded_noise(random_instance):
     policy = AdaptiveOracle(2.0, 3.0)
     (traces,) = train(
         [ds], [coded], [policy] * len(coded), 0.25, 30, [InverseDecay(1e-3)],
-        [RngStream(18).child("t")], [optimum(ds)],
+        [RngStream(18).child("t")],
     )
     alphas = [alpha_oracle(0.25, 2.0, 3.0, 3, 2, noise) for noise in noises]
     assert alphas[0] != alphas[1]
@@ -816,7 +809,7 @@ def test_requesting_the_device_maximum_changes_nothing_else():
     reps = [_replicate(60 + r) for r in range(2)]  # arms: estimated, fixed, oracle
     args = (
         [rep[0] for rep in reps], [rep[4][:3] for rep in reps], REPLICATE_POLICIES[:3], 0.5, 150,
-        [rep[2] for rep in reps], [rep[3] for rep in reps], [rep[1] for rep in reps],
+        [rep[2] for rep in reps], [rep[3] for rep in reps],
     )
     full = train(*args, columns=EVERY_COLUMN)
     for columns in (None, RUN_COLUMNS, PROBE_COLUMNS, ()):
@@ -840,7 +833,7 @@ def test_train_refuses_an_unknown_column(random_instance):
     with pytest.raises(ParameterError, match=r"^columns: unknown trace column 'n_present'$"):
         train(
             [ds], [[gc]], [FixedWeight(0.5)], 0.2, 3, [InverseDecay(1e-3)],
-            [RngStream(12).child("t")], [optimum(ds)], columns=("loss", "n_present"),
+            [RngStream(12).child("t")], columns=("loss", "n_present"),
         )
 
 
@@ -861,10 +854,10 @@ def test_residual_only_statistics_change_no_bit(n, d, o, p):
         noise = NoiseParams(0.5, 0.5)
         (gc,) = encode_levels(ds, [noise], root.child("encode"))
         schedule = schedule_for_strong_convexity(facts.lam)
-        reps.append((ds, [gc, gc], schedule, root.child("train"), facts))
-    datasets, coded, schedules, streams, facts = map(list, zip(*reps))
+        reps.append((ds, [gc, gc], schedule, root.child("train")))
+    datasets, coded, schedules, streams = map(list, zip(*reps))
     policies = [FixedWeight(0.4), AdaptiveOracle(3.0, 2.0)]
-    args = (datasets, coded, policies, p, 150, schedules, streams, facts)
+    args = (datasets, coded, policies, p, 150, schedules, streams)
     lean = train(*args)
     full = train(*args, columns=EVERY_COLUMN)
     for lean_r, full_r in zip(lean, full, strict=True):
@@ -890,7 +883,7 @@ def test_reports_resolved_per_mask_block_match_the_per_step_loop():
     ]
     coded = [[_coded(ds, 0.5, RngStream(70 + r))] * 4 for r, ds in enumerate(datasets)]
     traces = train(
-        datasets, coded, policies, p, steps, [InverseDecay(c)] * 2, streams, facts,
+        datasets, coded, policies, p, steps, [InverseDecay(c)] * 2, streams,
         columns=EVERY_COLUMN,
     )
     # In some replicate, a run of steps without a report crosses a block
@@ -928,7 +921,7 @@ def test_divergence_at_a_block_start_without_a_recorded_loss_reports_the_loss_be
     def run(steps):
         return train(
             [ds], [[gc]], [AdaptiveEstimated()], 0.2, steps, [InverseDecay(26.7)], [stream],
-            [facts], columns=(),
+            columns=(),
         )
 
     with pytest.raises(NumericError) as err:
@@ -951,7 +944,7 @@ def test_divergence_with_no_finite_loss_held_says_the_loss_was_not_recorded():
     with pytest.raises(NumericError) as err:
         train(
             [ds], [[gc]], [FixedWeight(0.5)], 0.2, 300, [InverseDecay(26.3)],
-            [root.child("train", 0)], [optimum(ds)], columns=(),
+            [root.child("train", 0)], columns=(),
         )
     message = str(err.value)
     assert "None" not in message
