@@ -17,7 +17,6 @@ from acfl import (
     RngStream,
     encode_levels,
     generate,
-    loss,
     optimum,
     payload_size,
     train,
@@ -52,14 +51,14 @@ for sigma_sq in (0.1, 10.0):
         labels.append((sigma_sq, label))
 # train takes a group of replicates, here one: each arm's coded sums per
 # replicate, and one policy per arm for them all.  It works out each
-# replicate's optimum itself.  One loop advances all four arms on the same
-# straggler masks.
-(traces,) = train([ds], [coded], policies, P, STEPS, [InverseDecay(1e-3)], [root.child("train")])
+# replicate's optimum itself, and each trace's final loss from it.  One loop
+# advances all four arms on the same straggler masks.
+(traces,) = train([ds], [coded], policies, P, STEPS, InverseDecay(1e-3), [root.child("train")])
 results = dict(zip(labels, traces))
 for (sigma_sq, label), trace in results.items():
     print(
         f"sigma^2={sigma_sq:<5g} {label:<9} loss {trace.loss[0]:8.3f} -> "
-        f"{loss(trace.final_w, ds, facts):10.6f}   mean alpha {trace.alpha.mean():.4f}"
+        f"{trace.final_loss:10.6f}   mean alpha {trace.alpha.mean():.4f}"
     )
 print()
 print("Both policies see identical data, coding noise, and straggler draws")

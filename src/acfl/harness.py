@@ -10,7 +10,9 @@ the replicates are grouped, and two methods run on the same seed consume
 bit-identical datasets, coding noise, and straggler draws.  Replicates
 train in groups, one :func:`~acfl.training.train` call per group, in index
 order; a group holds as many replicates as fit their summed Gram stacks in
-:data:`GROUP_GRAM_BYTES`, and at least one.
+:data:`GROUP_GRAM_BYTES`, and at least one.  A run keeps the traces
+``train`` returns, final losses included; a trace's replicate is its
+position.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .analysis import BoundInputs, tradeoff_curve
 from .coding import NoiseParams, encode_levels
-from .dataset import check_shape, generate, loss, optimum
+from .dataset import check_shape, generate
 from .errors import NumericError, ParameterError, check
 from .numerics import MAX_ENTRIES, RngStream
 from .privacy import sigma_for_epsilon
@@ -36,7 +38,6 @@ from .training import (
     FixedWeight,
     InverseDecay,
     TrainingTrace,
-    schedule_for_strong_convexity,
     trace_bytes,
     train,
 )
@@ -45,7 +46,6 @@ __all__ = [
     "ComparisonResult",
     "ExperimentConfig",
     "OracleAuto",
-    "ReplicateRecord",
     "RunResult",
     "TradeoffConfig",
     "compare_baselines",
@@ -83,7 +83,7 @@ class OracleAuto:
     ``beta_sq``/``c_sq`` to the largest observed device-gradient and iterate
     squared norms times ``margin``.  A heuristic: the realized norms of the
     oracle run itself should be re-checked, by training it again with the
-    :data:`PROBE_COLUMNS` (a run's records do not keep them).
+    :data:`PROBE_COLUMNS` (a run's traces do not keep them).
     """
 
     margin: float = 2.0
@@ -330,76 +330,63 @@ def load_tradeoff_config(path) -> TradeoffConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class ReplicateRecord:
-    """One replicate's trace and its final loss."""
-
-    replicate: int
-    trace: TrainingTrace
-    final_loss: float
-
-
-@dataclass(frozen=True, eq=False)
 class RunResult:
-    """All replicates of one experiment plus where the artifacts went."""
+    """One experiment's traces, by replicate, and where the artifacts went."""
 
     config: ExperimentConfig
     policy: AggregationPolicy
-    records: tuple[ReplicateRecord, ...]
+    records: tuple[TrainingTrace, ...]
     trace_path: Path
     summary_path: Path
 
 
 @dataclass(frozen=True, eq=False)
 class ComparisonResult:
-    """Paired-seed comparison of the adaptive method against a baseline."""
+    """Paired-seed comparison of the adaptive method against a baseline; its
+    ``records`` hold each ``(level, method)``'s traces, by replicate."""
 
     rows: tuple[tuple[float, str, int, float], ...]
     win_rates: dict[float, float]
-    records: dict[tuple[float, str], tuple[ReplicateRecord, ...]]
+    records: dict[tuple[float, str], tuple[TrainingTrace, ...]]
     path: Path
 
 
 def _run_group(
     cfg: ExperimentConfig, arms, replicates: range, columns
-) -> list[tuple[ReplicateRecord, ...]]:
+) -> tuple[tuple[TrainingTrace, ...], ...]:
     """Replicates ``replicates`` of every ``(noise, policy)`` arm, trained in one loop.
 
     Within a replicate the arms share the dataset, the straggler masks and
     the initial iterate; arms with equal noise share the coded sums.  One
-    tuple of records per replicate, one per arm, in order, whose traces hold
-    the trace ``columns`` (see ``train``).
+    tuple of traces per replicate, one per arm, in order, holding the trace
+    ``columns`` (see ``train``).
     """
     root = RngStream(cfg.master_seed)
     noises = list(dict.fromkeys(noise for noise, _ in arms))
-    datasets, facts, coded = [], [], []
+    datasets, coded = [], []
     for r in replicates:
         ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
         datasets.append(ds)
-        facts.append(optimum(ds))
         coded.append(dict(zip(noises, encode_levels(ds, noises, root.child("encode", r)))))
-    traces = train(
+    return train(
         datasets,
         [[by_noise[noise] for noise, _ in arms] for by_noise in coded],
         [policy for _, policy in arms],
         cfg.straggler_p,
         cfg.steps,
-        [cfg.schedule or schedule_for_strong_convexity(f.lam) for f in facts],
+        cfg.schedule,
         [root.child("train", r) for r in replicates],
         columns=columns,
     )
-    return [
-        tuple(ReplicateRecord(r, tr, loss(tr.final_w, ds, fact)) for tr in replicate_traces)
-        for r, ds, fact, replicate_traces in zip(replicates, datasets, facts, traces)
-    ]
 
 
 def _run_replicates(
     cfg: ExperimentConfig, arms, columns
-) -> tuple[tuple[ReplicateRecord, ...], ...]:
-    """Every replicate of every arm: one tuple of records per arm, by replicate,
-    whose traces hold the trace ``columns``.
+) -> tuple[tuple[TrainingTrace, ...], ...]:
+    """Every replicate of every arm: one tuple of traces per arm, by replicate,
+    holding the trace ``columns``.
 
-    Before any group trains, refuses a run whose records (``replicates``
+    Before any group trains, refuses a run whose traces (``replicates``
     times :func:`~acfl.training.trace_bytes`, all alive until the CSVs are
     written) exceed physical memory, unless one replicate's alone do: its
     group then refuses them, naming the steps or the shape, or numpy cannot
@@ -420,9 +407,9 @@ def _run_replicates(
         )
     size = max(1, GROUP_GRAM_BYTES // (cfg.n_devices * cfg.d * (cfg.d + cfg.o) * 8))
     per_replicate = [
-        records
+        traces
         for start in range(0, cfg.replicates, size)
-        for records in _run_group(
+        for traces in _run_group(
             cfg, arms, range(start, min(start + size, cfg.replicates)), columns
         )
     ]
@@ -448,8 +435,8 @@ def resolve_policy(
     for noise, probe in zip(noises, probes):
         for policy in specs:
             if isinstance(policy, OracleAuto):
-                beta_sq = float(probe.trace.max_device_grad_sq.max()) * policy.margin
-                c_sq = float(probe.trace.w_norm_sq.max()) * policy.margin
+                beta_sq = float(probe.max_device_grad_sq.max()) * policy.margin
+                c_sq = float(probe.w_norm_sq.max()) * policy.margin
                 if math.inf in (beta_sq, c_sq):
                     raise ParameterError(f"margin: {policy.margin} times a probed norm overflows")
                 if not (beta_sq > 0 and c_sq > 0):
@@ -508,8 +495,8 @@ def summarize(records) -> np.ndarray:
     is the ddof-1 standard deviation over replicates divided by ``sqrt(R)``
     (zero when ``R == 1``).
     """
-    losses = np.stack([rec.trace.loss for rec in records])
-    dists = np.stack([rec.trace.dist_sq for rec in records])
+    losses = np.stack([tr.loss for tr in records])
+    dists = np.stack([tr.dist_sq for tr in records])
     n_rep, steps = losses.shape
     out = np.zeros((steps, 4))
     out[:, 0] = losses.mean(axis=0)
@@ -535,9 +522,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     trace_path = out_dir / "trace.csv"
     summary_path = out_dir / "summary.csv"
     tables = []
-    for rec in records:
-        tr = rec.trace
-        index = (np.full(tr.steps, rec.replicate), np.arange(tr.steps))
+    for r, tr in enumerate(records):
+        index = (np.full(tr.steps, r), np.arange(tr.steps))
         tables.append((*index, tr.alpha, tr.n_present, tr.loss, tr.dist_sq, tr.grad_norm_sq))
     _write_csv(trace_path, TRACE_HEADER, tables)
     summary = summarize(records)
@@ -571,7 +557,7 @@ def compare_baselines(cfg: ExperimentConfig) -> ComparisonResult:
     together with the other replicates of its group.
     Writes ``comparison.csv`` and reports, per level, the fraction of seeds
     where the adaptive final loss does not exceed the baseline's.  Training
-    records no trace column, so the records hold each arm's final iterate
+    records no trace column, so the traces hold each arm's final iterate
     and loss, and each replicate's ``n_present`` and ``w0``.
     """
     levels = cfg.noise_levels
@@ -580,11 +566,11 @@ def compare_baselines(cfg: ExperimentConfig) -> ComparisonResult:
     noises = [NoiseParams(level, level) for level in levels]
     per_arm = _run_replicates(cfg, resolve_policy(cfg, noises, [cfg.policy, cfg.baseline]), ())
     keys = [(level, method) for level in levels for method in METHODS]
-    records: dict[tuple[float, str], tuple[ReplicateRecord, ...]] = dict(zip(keys, per_arm))
+    records: dict[tuple[float, str], tuple[TrainingTrace, ...]] = dict(zip(keys, per_arm))
     rows = [
-        (level, method, rec.replicate, rec.final_loss)
-        for (level, method), recs in records.items()
-        for rec in recs
+        (level, method, r, tr.final_loss)
+        for (level, method), traces in records.items()
+        for r, tr in enumerate(traces)
     ]
     win_rates: dict[float, float] = {}
     for level in levels:

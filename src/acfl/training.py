@@ -166,7 +166,8 @@ class TrainingTrace:
     start of the iteration (before the update), so entry 0 holds the
     initial loss.  A column of :data:`TRACE_COLUMNS` is ``None`` unless
     :func:`train` was asked to record it (its ``columns``); ``n_present``,
-    ``w0``, ``final_w`` and ``mask_digest`` are always kept.
+    ``w0``, ``final_w``, ``final_loss`` (the loss at ``final_w``) and
+    ``mask_digest`` are always kept.
     ``w_norm_sq`` and ``max_device_grad_sq`` exist to check the norm-bound
     assumptions after the fact and to derive oracle constants from observed
     runs.
@@ -181,6 +182,7 @@ class TrainingTrace:
     max_device_grad_sq: np.ndarray | None
     w0: np.ndarray
     final_w: np.ndarray
+    final_loss: float
     mask_digest: str
 
     @property
@@ -479,7 +481,7 @@ def train(
     policies: Sequence[AggregationPolicy],
     straggler_p: float,
     steps: int,
-    schedule: Sequence[InverseDecay],
+    schedule: InverseDecay | None,
     stream: Sequence[RngStream],
     *,
     columns: Sequence[str] = TRACE_COLUMNS[:-1],
@@ -487,19 +489,20 @@ def train(
     """Run the two-source training loop for ``steps`` iterations on every arm
     of R replicates, which advance together in one loop.
 
-    Replicate ``r`` is the dataset ``ds[r]``, ``schedule[r]`` and
-    ``stream[r]``, and arm ``j`` weighs its coded sums ``coded[r][j]``
-    against the device gradients by ``policies[j]`` in every replicate; the
-    adaptive policies weigh the coded gradient's noise by the variances the
-    sums carry (``coded[r][j].noise``).  The replicates share the dataset
-    shape.  A replicate's arms share its dataset, straggler masks and
-    initial iterate, and each has its own coded sums and iterate.  Returns
-    one tuple of traces per replicate, one trace per arm, in order; each
-    replicate's traces, and each arm's, are those it gets trained alone.
-    A trace holds the columns of :data:`TRACE_COLUMNS` named in ``columns``
-    (by default all but ``max_device_grad_sq``), the others ``None``; a
-    column not asked for is not computed, and no recorded value depends on
-    which others are.
+    Replicate ``r`` is the dataset ``ds[r]`` and ``stream[r]`` under the one
+    ``schedule`` (``None``: each replicate's own ``1/(lam t)``,
+    :func:`schedule_for_strong_convexity` of its optimum's ``lam``), and arm
+    ``j`` weighs its coded sums ``coded[r][j]`` against the device gradients
+    by ``policies[j]`` in every replicate; the adaptive policies weigh the
+    coded gradient's noise by the variances the sums carry
+    (``coded[r][j].noise``).  The replicates share the dataset shape.  A
+    replicate's arms share its dataset, straggler masks and initial iterate,
+    and each has its own coded sums and iterate.  Returns one tuple of
+    traces per replicate, one trace per arm, in order; each replicate's
+    traces, and each arm's, are those it gets trained alone.  A trace holds
+    the columns of :data:`TRACE_COLUMNS` named in ``columns`` (by default
+    all but ``max_device_grad_sq``), the others ``None``; a column not asked
+    for is not computed, and no recorded value depends on which others are.
 
     Per iteration: take each replicate's presence mask ``b``, pick each
     arm's ``alpha_t`` per its policy, blend the coded gradient ``H_X W -
@@ -533,7 +536,8 @@ def train(
     reports, kept across iterations in which no device reports, and
     ``fallback_alpha`` before the first report.  The recorded loss is
     ``loss_at_optimum + <D, (sum_i A_i) D> / 2``, which stays accurate near
-    the optimum.
+    the optimum; a trace's ``final_loss`` is that loss at its ``final_w``
+    (``w0`` after zero steps), equal to :func:`~acfl.dataset.loss` there.
 
     Raises :class:`NumericError` naming the first iteration, arm and
     replicate (its position in the call) at which a recorded value of that
@@ -548,7 +552,9 @@ def train(
     check("steps", steps, "be nonnegative")
     names = _recorded(columns)
     datasets, coded, policies = tuple(ds), tuple(map(tuple, coded)), tuple(policies)
-    schedules, streams = tuple(schedule), tuple(stream)
+    streams = tuple(stream)
+    if schedule is not None and not isinstance(schedule, InverseDecay):
+        raise ParameterError(f"unsupported schedule: {schedule!r}")
     # The step kernel of each policy type: a new kind is one kernel and one entry.
     dispatch = {(FixedWeight, AdaptiveOracle): _fold_kernel, AdaptiveEstimated: _estimated_kernel}
     kinds = [next((i for i, t in enumerate(dispatch) if isinstance(x, t)), -1) for x in policies]
@@ -557,8 +563,8 @@ def train(
     n_rep, k = len(datasets), len(policies)
     if not n_rep:
         raise ParameterError("need at least one replicate to train")
-    if any(len(seq) != n_rep for seq in (coded, schedules, streams)):
-        raise ParameterError("give one dataset, coded list, schedule and stream per replicate")
+    if any(len(seq) != n_rep for seq in (coded, streams)):
+        raise ParameterError("give one dataset, coded list and stream per replicate")
     if not k:
         raise ParameterError("need at least one arm to train")
     n, d, o = datasets[0].n_devices, datasets[0].d, datasets[0].o
@@ -573,8 +579,6 @@ def train(
                 raise ParameterError(
                     f"arm {j} of replicate {r}: coded data shapes do not match the dataset"
                 )
-        if not isinstance(schedules[r], InverseDecay):
-            raise ParameterError(f"unsupported schedule: {schedules[r]!r}")
         inits.append(streams[r].child("init").generator().uniform(0.0, W0_SCALE, size=(d, o)))
     entries = n_rep * trace_bytes(k, steps, d, o, names) // 8  # what the traces keep
     check_entries(entries, f"steps={steps}: the trace record")
@@ -584,6 +588,7 @@ def train(
     facts = [optimum(x) for x in datasets]
     w_star = np.stack([f.w_star for f in facts])[:, None]  # (R, 1, d, o)
     loss_at_optimum = np.array([[f.loss_at_optimum] for f in facts])
+    schedules = [schedule or schedule_for_strong_convexity(f.lam) for f in facts]
     rates = np.stack([s.rates(steps) for s in schedules], axis=1)  # (T, R)
     # [H_X | H_X W* - H_Y] times [D; I] is the coded gradient H_X W - H_Y.
     h_x = np.array([[sums.h_x_sum for sums in row] for row in coded])  # (R, K, d, d)
@@ -696,19 +701,21 @@ def train(
             if bad.any():
                 i = int(np.argmax(bad.any(axis=(1, 2))))
                 raise diverged(start + i, i, bad[i])
-        # The final iterate, checked like a row: iteration `steps`.
-        final = devs[rows]
-        bad = ~(np.isfinite(_sq_norms(final)) & np.isfinite(loss_of(final)))
+        # The final iterate and its loss, checked like a row: iteration `steps`.
+        w = w_star + devs[rows] if steps else np.repeat(np.stack(inits)[:, None], k, axis=1)
+        dev = w - w_star
+        final_loss = loss_at_optimum + 0.5 * np.sum(dev * (a_sum @ dev), axis=(-2, -1))
+        bad = ~(np.isfinite(_sq_norms(devs[rows])) & np.isfinite(final_loss))
         if bad.any():
             raise diverged(steps, rows, bad)
 
-    w = w_star + devs[rows] if steps else np.repeat(np.stack(inits)[:, None], k, axis=1)
     return tuple(
         tuple(
             TrainingTrace(
                 n_present=n_present[r],
                 w0=inits[r],
                 final_w=w[r, i],
+                final_loss=float(final_loss[r, i]),
                 mask_digest=mask_hashes[r].hexdigest(),
                 **{**dict.fromkeys(TRACE_COLUMNS), **dict(zip(names, record[:, r, i]))},
             )

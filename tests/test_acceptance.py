@@ -217,7 +217,7 @@ def test_c07_distance_bound_after_t_steps():
     def run(policy, s):
         (coded,) = encode_levels(ds, [noise], root.child("enc", s))
         ((trace,),) = train(
-            [ds], [[coded]], [policy], p, 1000, [schedule], [root.child("train", s)],
+            [ds], [[coded]], [policy], p, 1000, schedule, [root.child("train", s)],
             columns=TRACE_COLUMNS,
         )
         return trace
@@ -294,9 +294,9 @@ def test_c09_training_comparison_reference_setup(tmp_path):
         finals = {}
         for level in (low, high):
             for method in ("acfl", "na"):
-                recs = result.records[(level, method)]
-                initial = np.mean([loss(r.trace.w0, *problems[r.replicate]) for r in recs])
-                finals[(level, method)] = float(np.mean([r.final_loss for r in recs]))
+                traces = result.records[(level, method)]
+                initial = np.mean([loss(tr.w0, *problems[r]) for r, tr in enumerate(traces)])
+                finals[(level, method)] = float(np.mean([tr.final_loss for tr in traces]))
                 assert finals[(level, method)] < initial, (p, level, method)
         assert result.win_rates[high] >= 0.9, (p, result.win_rates)
         ratio_acfl = finals[(high, "acfl")] / finals[(low, "acfl")]

@@ -19,6 +19,8 @@ RETIRED = {
     "coding.aggregate_coded",
     "training.alpha_estimated",
     "training.aggregate",
+    "dataset.optimum",
+    "dataset.loss",
 }
 
 

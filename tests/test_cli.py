@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from acfl import dataset
 from acfl.cli import cli_main
+from acfl.numerics import eig_min_sym
 
 
 def write_run_config(tmp_path, **overrides):
@@ -153,13 +155,33 @@ def test_compare_subcommand(tmp_path, capsys):
     assert "win_rate[sigma_sq=2]=" in out
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_each_replicate_optimum_is_solved_once(tmp_path, capsys, monkeypatch, command):
+    # train's optimum gives a replicate its 1/(lam t) schedule and its final
+    # loss; eig_min_sym, which the optimum calls once, counts the solves: one
+    # per replicate, and one for replicate 0 in the auto oracle's probe.
+    solves = []
+
+    def counting_eig_min_sym(a):
+        solves.append(a.shape)
+        return eig_min_sym(a)
+
+    monkeypatch.setattr(dataset, "eig_min_sym", counting_eig_min_sym)
+    path = write_run_config(
+        tmp_path, policy={"kind": "adaptive-oracle"}, schedule={"kind": "strong-convexity"},
+        replicates=3,
+    )
+    assert cli_main([command, str(path)]) == 0
+    assert solves == [(3, 3)] * (1 + 3)
+
+
 @pytest.mark.parametrize("c", [1e300, 1e308])
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_a_non_finite_final_iterate_exits_2_naming_its_iteration(tmp_path, capsys, command, c):
     # One step of size c leaves a final iterate that no trace row holds and
     # whose loss overflows (at 1e308 the iterate itself is infinite).  train
-    # checks it like a row, as iteration `steps`, before the harness takes a
-    # loss of it: exit 2, no warning (the suite makes one an error), no files.
+    # checks it and its final loss like a row, as iteration `steps`: exit 2,
+    # no warning (the suite makes one an error), no files.
     path = write_run_config(
         tmp_path, dataset={"n_devices": 5, "m": 8, "d": 3, "o": 2}, straggler_p=0.2,
         schedule={"kind": "inverse", "c": c}, steps=1, master_seed=3, replicates=1,

@@ -67,7 +67,7 @@ SITES = {
         _dataset, -1.0, "ee_sum: must be finite and nonnegative, got -1.0"
     ),
     "train-steps": (
-        lambda v: train([], [], [], 0.2, v, [], []), -1, "steps: must be nonnegative, got -1"
+        lambda v: train([], [], [], 0.2, v, None, []), -1, "steps: must be nonnegative, got -1"
     ),
     # Ints past the interpreter's 4300-digit limit for str are shown by bit length.
     "check-huge-int": (

@@ -377,16 +377,16 @@ def test_resolve_policy_probes_oracle_constants(tmp_path):
     audited = harness._run_group(
         cfg, [(cfg.noise, result.policy)], range(cfg.replicates), TRACE_COLUMNS
     )
-    for rec, (again,) in zip(result.records, audited, strict=True):
-        assert rec.trace.max_device_grad_sq is None and rec.trace.w_norm_sq is None
+    for tr, (again,) in zip(result.records, audited, strict=True):
+        assert tr.max_device_grad_sq is None and tr.w_norm_sq is None
         for name in ("n_present", *RUN_COLUMNS, "w0", "final_w"):
-            assert np.array_equal(getattr(rec.trace, name), getattr(again.trace, name)), name
-        assert rec.trace.mask_digest == again.trace.mask_digest
-        assert rec.final_loss == again.final_loss
+            assert np.array_equal(getattr(tr, name), getattr(again, name)), name
+        assert tr.mask_digest == again.mask_digest
+        assert tr.final_loss == again.final_loss
     # realized norms stay within the probed constants on this config
     for (again,) in audited:
-        assert again.trace.max_device_grad_sq.max() <= result.policy.beta_sq
-        assert again.trace.w_norm_sq.max() <= result.policy.c_sq
+        assert again.max_device_grad_sq.max() <= result.policy.beta_sq
+        assert again.w_norm_sq.max() <= result.policy.c_sq
 
 
 # ------------------------------------------------------------------ compare
@@ -402,8 +402,8 @@ def test_compare_rows_and_pairing(tmp_path):
         recs_a = result.records[(level, "acfl")]
         recs_b = result.records[(level, "na")]
         for ra, rb in zip(recs_a, recs_b):
-            assert ra.trace.mask_digest == rb.trace.mask_digest
-            assert np.array_equal(ra.trace.w0, rb.trace.w0)
+            assert ra.mask_digest == rb.mask_digest
+            assert np.array_equal(ra.w0, rb.w0)
         assert 0.0 <= result.win_rates[level] <= 1.0
     # Every arm of a replicate trains in one loop; each row must equal a
     # single-arm run on the same streams, whose dataset and coded sums both
@@ -412,16 +412,16 @@ def test_compare_rows_and_pairing(tmp_path):
     root = RngStream(cfg.master_seed)
     for level, method, r, final_loss in result.rows:
         record = result.records[(level, method)][r]
-        assert record.replicate == r
+        assert record.final_loss == final_loss
         ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
         noise = NoiseParams(level, level)
         (gc,) = encode_levels(ds, [noise], root.child("encode", r))
         policy = cfg.policy if method == "acfl" else cfg.baseline
         ((tr,),) = train(
-            [ds], [[gc]], [policy], cfg.straggler_p, cfg.steps, [cfg.schedule],
+            [ds], [[gc]], [policy], cfg.straggler_p, cfg.steps, cfg.schedule,
             [root.child("train", r)],
         )
-        assert np.array_equal(record.trace.final_w, tr.final_w), (level, method, r)
+        assert np.array_equal(record.final_w, tr.final_w), (level, method, r)
         xs, ys, _ = replay_samples(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
         assert final_loss == pytest.approx(residual_loss(xs, ys, tr.final_w), rel=1e-10, abs=0.0)
     again = compare_baselines(
@@ -526,7 +526,7 @@ def test_a_diverging_compare_names_its_iteration(tmp_path):
             with pytest.raises(NumericError) as alone:
                 train(
                     [ds], [[coded[noise]]], [policy], cfg.straggler_p, cfg.steps,
-                    [cfg.schedule], [root.child("train", r)],
+                    cfg.schedule, [root.child("train", r)],
                     columns=("alpha", "dist_sq"),
                 )
             t = int(re.search(r"iteration (\d+) in arm 0 ", str(alone.value)).group(1))
@@ -583,9 +583,9 @@ def test_memory_refusal_counts_the_bytes_the_records_keep(tmp_path, monkeypatch,
         (TRACE_COLUMNS[:-1], 13_632), (RUN_COLUMNS, 11_232), (PROBE_COLUMNS, 6_432), ((), 1_632)
     ):
         bases = {}
-        for records in harness._run_replicates(cfg, arms, columns):
-            for rec in records:
-                for value in vars(rec.trace).values():
+        for traces in harness._run_replicates(cfg, arms, columns):
+            for tr in traces:
+                for value in vars(tr).values():
                     if isinstance(value, np.ndarray):
                         while value.base is not None:
                             value = value.base
@@ -618,10 +618,10 @@ def test_compare_encodes_each_replicate_once(tmp_path):
         }
         ((*traces,),) = train(
             [ds], [[coded[noise] for noise, _ in arms]], [policy for _, policy in arms],
-            cfg.straggler_p, cfg.steps, [cfg.schedule], [root.child("train", r)],
+            cfg.straggler_p, cfg.steps, cfg.schedule, [root.child("train", r)],
         )
         for key, tr in zip(keys, traces, strict=True):
-            kept = result.records[key][r].trace
+            kept = result.records[key][r]
             for name in ("n_present", "w0", "final_w"):  # compare records no trace column
                 assert getattr(tr, name).tobytes() == getattr(kept, name).tobytes(), name
 
@@ -633,8 +633,7 @@ def test_csv_rows_use_the_shortest_round_trip_repr(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 3)
     run_experiment(replace(cfg, out_dir=str(tmp_path / "blocks")))
     assert _artifacts(tmp_path / "blocks") == _artifacts(tmp_path / "fmt")
-    rec = result.records[1]
-    tr = rec.trace
+    tr = result.records[1]
     lines = result.trace_path.read_text().splitlines()
     assert lines[1 + cfg.steps + 2] == (
         f"1,2,{repr(float(tr.alpha[2]))},{int(tr.n_present[2])},{repr(float(tr.loss[2]))},"

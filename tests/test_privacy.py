@@ -106,7 +106,7 @@ def test_gradient_reports_reveal_what_the_upload_hides(n, m, d, o, rtol):
 
     def final_w(t):
         ((trace,),) = train(
-            [ds], [[gc]], [FixedWeight(0.5)], 0.0, t, [schedule], [root.child("train")],
+            [ds], [[gc]], [FixedWeight(0.5)], 0.0, t, schedule, [root.child("train")],
             columns=(),
         )
         return trace.final_w

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from acfl.coding import GlobalCodedData, NoiseParams, encode_levels
-from acfl.dataset import generate, loss, optimum
+from acfl.dataset import FederatedDataset, generate, loss, optimum
 from acfl.errors import NumericError, ParameterError
 from acfl.harness import PROBE_COLUMNS, RUN_COLUMNS, OracleAuto
 from acfl.numerics import RngStream
@@ -248,7 +248,7 @@ def test_train_zero_steps(random_instance):
     gc = _coded(ds, 0.5, RngStream(12))
     policies = [FixedWeight(0.5), AdaptiveEstimated(), FixedWeight(0.1)]
     (traces,) = train(
-        [ds], [[gc] * 3], policies, 0.2, 0, [InverseDecay(1e-3)], [RngStream(12).child("t")],
+        [ds], [[gc] * 3], policies, 0.2, 0, InverseDecay(1e-3), [RngStream(12).child("t")],
     )
     assert len(traces) == len(policies)
     for tr in traces:
@@ -361,7 +361,7 @@ def test_train_matches_plain_gradient_descent(names, levels, steps, n, p):
     c = 1e-3
     stream = RngStream(13).child("t")
     (traces,) = train(
-        [ds], [coded], policies, p, steps, [InverseDecay(c)], [stream],
+        [ds], [coded], policies, p, steps, InverseDecay(c), [stream],
         columns=EVERY_COLUMN,
     )
     assert len(traces) == len(policies)
@@ -388,7 +388,7 @@ def test_train_loss_is_accurate_near_the_optimum(seed):
     def run(steps):
         ((tr,),) = train(
             [ds], [[gc]], [AdaptiveEstimated()], 0.4, steps,
-            [schedule_for_strong_convexity(facts.lam)], [root.child("train", 0)],
+            schedule_for_strong_convexity(facts.lam), [root.child("train", 0)],
         )
         return tr
 
@@ -409,7 +409,7 @@ def test_train_estimated_weight_falls_back_then_reuses_last_estimate():
 
     def run(steps):
         ((tr,),) = train(
-            [ds], [[gc]], [AdaptiveEstimated(0.25)], p, steps, [InverseDecay(1e-3)],
+            [ds], [[gc]], [AdaptiveEstimated(0.25)], p, steps, InverseDecay(1e-3),
             [stream],
         )
         return tr
@@ -455,7 +455,7 @@ def test_train_estimated_weight_survives_huge_coded_noise(sigma1_sq, sigma2_sq):
 
     def run(steps):
         ((tr,),) = train(
-            [ds], [[gc]], [AdaptiveEstimated(0.0)], p, steps, [InverseDecay(1e-3)],
+            [ds], [[gc]], [AdaptiveEstimated(0.0)], p, steps, InverseDecay(1e-3),
             [stream],
         )
         return tr
@@ -502,7 +502,7 @@ def test_train_divergence_names_the_iteration(policy, layout):
         r".*last finite loss: \d",
     ):
         train(
-            [ds], [coded], policies, 0.2, 300, [InverseDecay(1.0)], [root.child("train")],
+            [ds], [coded], policies, 0.2, 300, InverseDecay(1.0), [root.child("train")],
         )
 
 
@@ -532,20 +532,20 @@ def _replicate(seed, n=4, m=9, d=3, o=2, levels=(0.5, 4.0)):
 def test_batched_train_equals_one_replicate_calls(n_rep, k):
     # Replicates advanced together on a leading axis give, bit for bit, the
     # traces each gets trained alone: distinct datasets, schedules (one
-    # strong-convexity constant each) and streams; p = 0.9 on 4 devices
-    # leaves some steps with no report for the estimated arms; 600 steps
-    # cross the mask block boundaries.
+    # strong-convexity constant each: None batched, given alone) and streams;
+    # p = 0.9 on 4 devices leaves some steps with no report for the estimated
+    # arms; 600 steps cross the mask block boundaries.
     p, steps = 0.9, 600
     reps = [_replicate(40 + r) for r in range(n_rep)]
     coded, policies = [rep[4][:k] for rep in reps], REPLICATE_POLICIES[:k]
     batched = train(
-        [rep[0] for rep in reps], coded, policies, p, steps, [rep[2] for rep in reps],
+        [rep[0] for rep in reps], coded, policies, p, steps, None,
         [rep[3] for rep in reps], columns=EVERY_COLUMN,
     )
     assert len(batched) == n_rep
     for (ds, _, schedule, stream, _), coded_r, traces in zip(reps, coded, batched):
         (alone,) = train(
-            [ds], [coded_r], policies, p, steps, [schedule], [stream],
+            [ds], [coded_r], policies, p, steps, schedule, [stream],
             columns=EVERY_COLUMN,
         )
         assert len(traces) == len(alone) == k
@@ -554,6 +554,24 @@ def test_batched_train_equals_one_replicate_calls(n_rep, k):
             for name in ("n_present", *TRACE_COLUMNS[1:], "alpha", "w0", "final_w"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
             assert a.mask_digest == b.mask_digest
+
+
+@pytest.mark.parametrize("steps", [0, MASK_CHUNK_ROWS + 36])
+def test_final_loss_is_the_loss_at_the_final_iterate(steps):
+    # Each trace's final_loss is dataset.loss at its final_w, bit for bit, for
+    # every arm of every replicate; after zero steps that is the loss at w0.
+    reps = [_replicate(60 + r) for r in range(3)]
+    datasets = [rep[0] for rep in reps]
+    traces = train(
+        datasets, [rep[4] for rep in reps], REPLICATE_POLICIES, 0.3, steps, None,
+        [rep[3] for rep in reps],
+    )
+    for ds, replicate in zip(datasets, traces, strict=True):
+        assert len(replicate) == len(REPLICATE_POLICIES)
+        for tr in replicate:
+            assert tr.final_loss == loss(tr.final_w, ds, optimum(ds))
+            if not steps:
+                assert np.array_equal(tr.final_w, tr.w0)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3])
@@ -568,10 +586,10 @@ def test_an_arms_trace_does_not_depend_on_the_arms_beside_it(p):
     est, fixed, oracle, est_b = range(4)  # each replicate's arms, as REPLICATE_POLICIES
 
     def run(arms, n_rep=1):
-        ds, _, schedules, streams, coded = zip(*reps[:n_rep])
+        ds, _, _, streams, coded = zip(*reps[:n_rep])
         return train(
             ds, [[row[j] for j in arms] for row in coded], [REPLICATE_POLICIES[j] for j in arms],
-            p, steps, schedules, streams, columns=EVERY_COLUMN,
+            p, steps, None, streams, columns=EVERY_COLUMN,
         )
 
     def check(got, expect):
@@ -594,7 +612,7 @@ def test_an_arms_trace_does_not_depend_on_the_arms_beside_it(p):
 def test_batched_train_checks_each_replicate():
     reps = [_replicate(50), _replicate(51)]
     args = dict(
-        policies=REPLICATE_POLICIES, straggler_p=0.3, steps=5, schedule=[rep[2] for rep in reps],
+        policies=REPLICATE_POLICIES, straggler_p=0.3, steps=5, schedule=None,
         stream=[rep[3] for rep in reps],
     )
     datasets = [rep[0] for rep in reps]
@@ -605,16 +623,27 @@ def test_batched_train_checks_each_replicate():
     with pytest.raises(ParameterError, match="^need at least one replicate to train$"):
         train([], [], **args)
     with pytest.raises(ParameterError, match="^unsupported schedule: 0.001$"):
-        train(datasets, [rep[4] for rep in reps], **{**args, "schedule": [reps[0][2], 1e-3]})
+        train(datasets, [rep[4] for rep in reps], **{**args, "schedule": 1e-3})
     other = _replicate(52, n=5)
     with pytest.raises(ParameterError, match="replicate 1: dataset shape"):
         train([datasets[0], other[0]], [rep[4] for rep in reps], **args)
 
 
+def _shrunk(ds, gc, s):
+    """``ds`` and its coded sums ``gc`` with every sample scaled by ``sqrt(s)``:
+    the optimum stays, and every gradient is ``s`` times smaller, so a
+    schedule's steps move it as ``s`` times smaller steps move ``ds``."""
+    shrunk = FederatedDataset(
+        ds.gram_x * s, ds.gram_xy * s, ds.w_true, ds.xe_sum * s, ds.ee_sum * s
+    )
+    return shrunk, GlobalCodedData(gc.h_x_sum * s, gc.h_y_sum * s, gc.noise)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_batched_train_divergence_names_the_replicate():
-    # Replicate 0 takes small steps and stays finite; replicate 1 takes
-    # InverseDecay(1.0) steps and diverges at the iteration it does alone.
+    # Under one InverseDecay(1.0) schedule, replicate 0, whose samples are
+    # shrunk so that its steps are 1e-4 times smaller, stays finite; replicate
+    # 1 diverges at the iteration it does alone.
     root = RngStream(20)
     datasets, coded = [], []
     policies = [FixedWeight(0.5), AdaptiveEstimated()]
@@ -622,12 +651,14 @@ def test_batched_train_divergence_names_the_replicate():
         ds = generate(100, 100, 10, 10, root.child("data", r))
         noise = NoiseParams(0.1, 0.1)
         (gc,) = encode_levels(ds, [noise], root.child("enc", r))
+        if r == 0:
+            ds, gc = _shrunk(ds, gc, 1e-4)
         datasets.append(ds)
         coded.append([gc, gc])
     streams = [root.child("train", r) for r in range(2)]
     with pytest.raises(NumericError) as alone:
         train(
-            datasets[1:], coded[1:], policies, 0.2, 300, [InverseDecay(1.0)], streams[1:],
+            datasets[1:], coded[1:], policies, 0.2, 300, InverseDecay(1.0), streams[1:],
         )
     t, j = re.search(r"iteration (\d+) in arm (\d+)", str(alone.value)).groups()
     policy = policies[int(j)]
@@ -637,8 +668,7 @@ def test_batched_train_divergence_names_the_replicate():
         rf"\({re.escape(repr(policy))}\) of replicate 1: .*last finite loss: \d",
     ):
         train(
-            datasets, coded, policies, 0.2, 300, [InverseDecay(1e-4), InverseDecay(1.0)],
-            streams,
+            datasets, coded, policies, 0.2, 300, InverseDecay(1.0), streams,
         )
 
 
@@ -649,7 +679,8 @@ def test_divergence_inside_a_mask_block_names_the_first_bad_row():
     # must still name the first non-finite iteration, arm and replicate and
     # the last finite loss, as a check after every step would.  Replicate 1
     # of 2 diverges inside its second block; the per-step reference loop
-    # says where.
+    # says where.  Replicate 0's samples are shrunk so that its steps are
+    # 2.5e-5 times smaller, and it stays finite.
     root = RngStream(21)
     noise = NoiseParams(0.1, 0.1)
     datasets, coded, facts = [], [], []
@@ -657,13 +688,15 @@ def test_divergence_inside_a_mask_block_names_the_first_bad_row():
     for r in range(2):
         ds = generate(6, 12, 3, 2, root.child("data", r))
         (gc,) = encode_levels(ds, [noise], root.child("enc", r))
+        if r == 0:
+            ds, gc = _shrunk(ds, gc, 2.5e-5)
         datasets.append(ds)
         coded.append([gc, gc])
         facts.append(optimum(ds))
     streams = [root.child("train", r) for r in range(2)]
     p, c, steps = 0.2, 40.0, 300
     # A zero-step run reports replicate 1's initial iterate.
-    ((first, _),) = train(datasets[1:], coded[1:], policies, p, 0, [InverseDecay(c)], streams[1:])
+    ((first, _),) = train(datasets[1:], coded[1:], policies, p, 0, InverseDecay(c), streams[1:])
     w0 = first.w0
 
     xs, ys, _ = replay_samples(6, 12, 3, 2, root.child("data", 1))
@@ -680,7 +713,7 @@ def test_divergence_inside_a_mask_block_names_the_first_bad_row():
 
     with pytest.raises(NumericError) as err:
         train(
-            datasets, coded, policies, p, steps, [InverseDecay(1e-3), InverseDecay(c)], streams,
+            datasets, coded, policies, p, steps, InverseDecay(c), streams,
         )
     policy = policies[j]
     match = re.fullmatch(
@@ -698,7 +731,7 @@ def test_train_reference_setup_loss_drops():
     noise = NoiseParams(0.01, 0.01)
     (gc,) = encode_levels(ds, [noise], root.child("enc"))
     ((tr,),) = train(
-        [ds], [[gc]], [AdaptiveEstimated()], 0.2, 2000, [InverseDecay(1e-4)],
+        [ds], [[gc]], [AdaptiveEstimated()], 0.2, 2000, InverseDecay(1e-4),
         [root.child("train")],
     )
     assert tr.loss[-1] < tr.loss[0] / 10.0
@@ -711,7 +744,7 @@ def test_train_trace_is_deterministic(random_instance):
 
     def run():
         ((tr,),) = train(
-            [ds], [[gc]], [AdaptiveEstimated()], 0.3, 60, [InverseDecay(1e-3)],
+            [ds], [[gc]], [AdaptiveEstimated()], 0.3, 60, InverseDecay(1e-3),
             [RngStream(15).child("t")],
         )
         return tr
@@ -732,7 +765,7 @@ def test_train_alpha_in_unit_interval_for_all_policies(random_instance):
         AdaptiveEstimated(0.7),
     ]
     (traces,) = train(
-        [ds], [[gc] * len(policies)], policies, 0.4, 40, [InverseDecay(1e-3)],
+        [ds], [[gc] * len(policies)], policies, 0.4, 40, InverseDecay(1e-3),
         [RngStream(16).child("t")],
     )
     for tr in traces:
@@ -749,11 +782,11 @@ def test_train_requires_noise_for_adaptive(random_instance):
     with pytest.raises(ParameterError, match="^h_y_sum rows must match h_x_sum, got "):
         GlobalCodedData(np.zeros((2, 2)), np.zeros((3, 2)), gc.noise)
     with pytest.raises(ParameterError, match="arm"):
-        train([ds], [[]], [], 0.2, 5, [InverseDecay(1e-3)], [RngStream(17).child("t")])
+        train([ds], [[]], [], 0.2, 5, InverseDecay(1e-3), [RngStream(17).child("t")])
     with pytest.raises(ParameterError, match="arm 1"):
         wrong = GlobalCodedData(np.zeros((2, 2)), np.zeros((2, 2)), gc.noise)
         train(
-            [ds], [[gc, wrong]], [FixedWeight(0.5)] * 2, 0.2, 5, [InverseDecay(1e-3)],
+            [ds], [[gc, wrong]], [FixedWeight(0.5)] * 2, 0.2, 5, InverseDecay(1e-3),
             [RngStream(17).child("t")],
         )
 
@@ -766,7 +799,7 @@ def test_train_refuses_a_non_policy(random_instance, policy):
     gc = _coded(ds, 1.0, RngStream(17))
     with pytest.raises(ParameterError, match=rf"^unsupported policy: {re.escape(repr(policy))}$"):
         train(
-            [ds], [[gc, gc]], [FixedWeight(0.5), policy], 0.2, 5, [InverseDecay(1e-3)],
+            [ds], [[gc, gc]], [FixedWeight(0.5), policy], 0.2, 5, InverseDecay(1e-3),
             [RngStream(17).child("t")],
         )
 
@@ -777,7 +810,7 @@ def test_train_oracle_policy_uses_constant_alpha(random_instance):
     (gc,) = encode_levels(ds, [noise], RngStream(18).child("enc"))
     policy = AdaptiveOracle(2.0, 3.0)
     ((tr,),) = train(
-        [ds], [[gc]], [policy], 0.25, 30, [InverseDecay(1e-3)],
+        [ds], [[gc]], [policy], 0.25, 30, InverseDecay(1e-3),
         [RngStream(18).child("t")],
     )
     expect = alpha_oracle(0.25, 2.0, 3.0, 3, 2, noise)
@@ -792,7 +825,7 @@ def test_oracle_weight_reads_each_arms_coded_noise(random_instance):
     coded = encode_levels(ds, noises, RngStream(18).child("enc"))
     policy = AdaptiveOracle(2.0, 3.0)
     (traces,) = train(
-        [ds], [coded], [policy] * len(coded), 0.25, 30, [InverseDecay(1e-3)],
+        [ds], [coded], [policy] * len(coded), 0.25, 30, InverseDecay(1e-3),
         [RngStream(18).child("t")],
     )
     alphas = [alpha_oracle(0.25, 2.0, 3.0, 3, 2, noise) for noise in noises]
@@ -809,7 +842,7 @@ def test_requesting_the_device_maximum_changes_nothing_else():
     reps = [_replicate(60 + r) for r in range(2)]  # arms: estimated, fixed, oracle
     args = (
         [rep[0] for rep in reps], [rep[4][:3] for rep in reps], REPLICATE_POLICIES[:3], 0.5, 150,
-        [rep[2] for rep in reps], [rep[3] for rep in reps],
+        None, [rep[3] for rep in reps],
     )
     full = train(*args, columns=EVERY_COLUMN)
     for columns in (None, RUN_COLUMNS, PROBE_COLUMNS, ()):
@@ -832,7 +865,7 @@ def test_train_refuses_an_unknown_column(random_instance):
     gc = _coded(ds, 0.5, RngStream(12))
     with pytest.raises(ParameterError, match=r"^columns: unknown trace column 'n_present'$"):
         train(
-            [ds], [[gc]], [FixedWeight(0.5)], 0.2, 3, [InverseDecay(1e-3)],
+            [ds], [[gc]], [FixedWeight(0.5)], 0.2, 3, InverseDecay(1e-3),
             [RngStream(12).child("t")], columns=("loss", "n_present"),
         )
 
@@ -850,14 +883,12 @@ def test_residual_only_statistics_change_no_bit(n, d, o, p):
     for r in range(2):
         root = RngStream(80 + r)
         ds = dataset_from_samples(*replay_samples(n, d + 6, d, o, root.child("dataset"), 0.05))
-        facts = optimum(ds)
         noise = NoiseParams(0.5, 0.5)
         (gc,) = encode_levels(ds, [noise], root.child("encode"))
-        schedule = schedule_for_strong_convexity(facts.lam)
-        reps.append((ds, [gc, gc], schedule, root.child("train")))
-    datasets, coded, schedules, streams = map(list, zip(*reps))
+        reps.append((ds, [gc, gc], root.child("train")))
+    datasets, coded, streams = map(list, zip(*reps))
     policies = [FixedWeight(0.4), AdaptiveOracle(3.0, 2.0)]
-    args = (datasets, coded, policies, p, 150, schedules, streams)
+    args = (datasets, coded, policies, p, 150, None, streams)
     lean = train(*args)
     full = train(*args, columns=EVERY_COLUMN)
     for lean_r, full_r in zip(lean, full, strict=True):
@@ -883,7 +914,7 @@ def test_reports_resolved_per_mask_block_match_the_per_step_loop():
     ]
     coded = [[_coded(ds, 0.5, RngStream(70 + r))] * 4 for r, ds in enumerate(datasets)]
     traces = train(
-        datasets, coded, policies, p, steps, [InverseDecay(c)] * 2, streams,
+        datasets, coded, policies, p, steps, InverseDecay(c), streams,
         columns=EVERY_COLUMN,
     )
     # In some replicate, a run of steps without a report crosses a block
@@ -920,7 +951,7 @@ def test_divergence_at_a_block_start_without_a_recorded_loss_reports_the_loss_be
 
     def run(steps):
         return train(
-            [ds], [[gc]], [AdaptiveEstimated()], 0.2, steps, [InverseDecay(26.7)], [stream],
+            [ds], [[gc]], [AdaptiveEstimated()], 0.2, steps, InverseDecay(26.7), [stream],
             columns=(),
         )
 
@@ -943,7 +974,7 @@ def test_divergence_with_no_finite_loss_held_says_the_loss_was_not_recorded():
     (gc,) = encode_levels(ds, [NoiseParams(0.1, 0.1)], root.child("enc", 0))
     with pytest.raises(NumericError) as err:
         train(
-            [ds], [[gc]], [FixedWeight(0.5)], 0.2, 300, [InverseDecay(26.3)],
+            [ds], [[gc]], [FixedWeight(0.5)], 0.2, 300, InverseDecay(26.3),
             [root.child("train", 0)], columns=(),
         )
     message = str(err.value)
