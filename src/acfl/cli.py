@@ -4,7 +4,7 @@ Subcommands: ``run`` and ``compare`` drive config-file experiments,
 ``privacy`` converts between noise variance and epsilon (nats),
 ``tradeoff`` emits privacy/learning trade-off curves as CSV, and
 ``overhead`` prints the exact uplink bit counts.  Exit codes: 0 success,
-1 usage error, 2 runtime error.
+1 usage error (printed under its command's usage), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -25,16 +25,6 @@ from .harness import (
 from .privacy import epsilon_of, sigma_for_epsilon
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; the contract here is 1.
-    def error(self, message):
-        raise _UsageError(message)
-
-
 WORKERS_HELP = "accepted for compatibility; no effect (replicates train together in groups)"
 _PRIVACY_DESCRIPTION = (
     "Convert between the encoding noise variance and epsilon (nats).  Epsilon bounds what one "
@@ -45,8 +35,8 @@ _PRIVACY_DESCRIPTION = (
 )
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="acfl", description=__doc__.splitlines()[0])
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="acfl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
 
     p_run = sub.add_parser("run", help="run a config-file experiment")
@@ -123,12 +113,8 @@ def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as e:
-        parser.print_usage(sys.stderr)
-        print(f"acfl: error: {e}", file=sys.stderr)
-        return 1
-    except SystemExit as e:  # --help
-        return int(e.code or 0)
+    except SystemExit as e:  # argparse exits 2 on bad usage (1 here), 0 after --help
+        return 1 if e.code == 2 else int(e.code or 0)
     if args.command is None:
         parser.print_help(sys.stderr)
         return 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -171,19 +172,22 @@ _REQUIRED = object()
 class _Fields:
     """The fields of one JSON object at ``path`` (empty for a whole config).
 
-    :meth:`read` takes each field at most once: a present one goes through
-    :func:`coerce`, or ``kind(value, path)`` for a parser, or is taken as it
-    is for ``kind`` None; an absent one takes ``default``, and without one is
-    ``<path>: missing``.  Leaving the ``with`` block refuses a field left unread,
-    and prefixes ``path`` onto a :class:`ParameterError` raised inside it that
-    names one of the object's keys first, as the library types' range checks
-    (``alpha: must lie in [0, 1], ...``) do.
+    A key the file gives twice is ``<path>: repeated field``, not its last
+    value.  :meth:`read` takes each field at most once: a present one goes
+    through :func:`coerce`, or ``kind(value, path)`` for a parser, or is taken
+    as it is for ``kind`` None; an absent one takes ``default``, and without
+    one is ``<path>: missing``.  Leaving the ``with`` block refuses a field
+    left unread, and prefixes ``path`` onto a :class:`ParameterError` raised
+    inside it that names one of the object's keys first, as the library types'
+    range checks (``alpha: must lie in [0, 1], ...``) do.
     """
 
     def __init__(self, raw, path: str = ""):
         self.left = dict(coerce(raw, dict, path or "config"))
         self.keys = tuple(self.left)
         self.prefix = f"{path}." if path else ""
+        if getattr(raw, "repeated", None) is not None:
+            raise ParameterError(f"{self.prefix}{raw.repeated}: repeated field")
 
     def __enter__(self):
         return self
@@ -259,10 +263,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         )
 
 
+class _Object(dict):
+    """A JSON object, and as ``repeated`` the first key its text gives twice, if any."""
+
+
+def _object(pairs) -> _Object:
+    obj = _Object(pairs)
+    if len(obj) < len(pairs):
+        obj.repeated = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+    return obj
+
+
 def _read_json(path):
     with open(path, encoding="utf-8") as f:
         try:
-            return json.load(f)
+            return json.load(f, object_pairs_hook=_object)
         except json.JSONDecodeError as e:
             raise ParameterError(f"config: invalid JSON in {path}: {e}") from None
         except UnicodeDecodeError as e:
@@ -356,21 +371,19 @@ def _run_group(
 ) -> tuple[tuple[TrainingTrace, ...], ...]:
     """Replicates ``replicates`` of every ``(noise, policy)`` arm, trained in one loop.
 
-    Within a replicate the arms share the dataset, the straggler masks and
-    the initial iterate; arms with equal noise share the coded sums.  One
-    tuple of traces per replicate, one per arm, in order, holding the trace
-    ``columns`` (see ``train``).
+    Within a replicate the arms share the dataset, the straggler masks, the
+    initial iterate and the one draw of coding noise, so arms with equal
+    noise get bit-equal coded sums.  One tuple of traces per replicate, one
+    per arm, in order, holding the trace ``columns`` (see ``train``).
     """
     root = RngStream(cfg.master_seed)
-    noises = list(dict.fromkeys(noise for noise, _ in arms))
-    datasets, coded = [], []
-    for r in replicates:
-        ds = generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r))
-        datasets.append(ds)
-        coded.append(dict(zip(noises, encode_levels(ds, noises, root.child("encode", r)))))
+    noises = [noise for noise, _ in arms]
+    datasets = [
+        generate(cfg.n_devices, cfg.m, cfg.d, cfg.o, root.child("dataset", r)) for r in replicates
+    ]
     return train(
         datasets,
-        [[by_noise[noise] for noise, _ in arms] for by_noise in coded],
+        [encode_levels(ds, noises, root.child("encode", r)) for ds, r in zip(datasets, replicates)],
         [policy for _, policy in arms],
         cfg.straggler_p,
         cfg.steps,

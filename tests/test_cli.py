@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from acfl import dataset
@@ -85,6 +86,25 @@ def test_no_arguments_is_usage_error(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert cli_main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, usage, error",
+    [
+        (["overhead", "--phi", "32"], "usage: acfl overhead ", "acfl overhead: error: "),
+        (["run"], "usage: acfl run ", "acfl run: error: "),
+        (["run", "c.json", "--workers", "x"], "usage: acfl run ", "acfl run: error: "),
+        (["privacy", "--d", "3", "--o", "2"], "usage: acfl privacy ", "acfl privacy: error: "),
+        (["frobnicate"], "usage: acfl [-h]", "acfl: error: argument command: invalid choice"),
+    ],
+    ids=["overhead-missing-flags", "run-no-config", "run-bad-workers", "privacy-no-noise", "unknown"],
+)
+def test_usage_error_prints_the_usage_of_its_command(capsys, argv, usage, error):
+    # A subcommand's usage line names the flags it needs; the top level's does not.
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(usage), err
+    assert error in err
 
 
 def test_privacy_epsilon_from_sigma(capsys):
@@ -286,6 +306,19 @@ def test_tradeoff_subcommand(tmp_path, capsys):
     assert float(row[2]) == pytest.approx(0.01, abs=1e-12)
     assert float(row[3]) == pytest.approx(2555.0, abs=1e-6)
     assert float(row[4]) == pytest.approx(10.22, abs=1e-6)
+
+
+def test_tradeoff_defaults_to_the_adaptive_curve_on_49_log_spaced_variances(tmp_path, capsys):
+    raw = json.loads(write_tradeoff_config(tmp_path).read_text())
+    del raw["sigma_grid"], raw["policies"]
+    path = tmp_path / "defaults.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main(["tradeoff", str(path)]) == 0
+    assert [p.name for p in (tmp_path / "curves").iterdir()] == ["tradeoff_adaptive.csv"]
+    rows = (tmp_path / "curves" / "tradeoff_adaptive.csv").read_text().splitlines()[1:]
+    assert len(rows) == 49
+    sigma_sq = [float(row.split(",")[0]) for row in rows]
+    assert sigma_sq == np.geomspace(1e-2, 1e4, 49).tolist()
 
 
 def test_tradeoff_missing_field(tmp_path, capsys):
@@ -592,6 +625,38 @@ def test_bad_config_values_exit_2_without_traceback(tmp_path, command, writer, o
     assert f"acfl: error: {field}" in proc.stderr
     assert not list(tmp_path.rglob("*.csv"))  # no artifact, not even a first curve
     assert not (tmp_path / "out").exists()  # nor the run's output directory
+
+
+# Each case repeats one key in the raw text of a valid config: at the top
+# level, in a nested object and in an object of a list.
+REPEATED_KEYS = {
+    "run-top-level": ("run", write_run_config, '"steps": 4', '"steps": 5, "steps": 7', "steps"),
+    "run-nested": ("run", write_run_config, '"m": 8', '"m": 8, "m": 9', "dataset.m"),
+    "compare-nested": (
+        "compare", write_run_config, '"kind": "adaptive-estimated"',
+        '"kind": "adaptive-estimated", "kind": "fixed"', "policy.kind",
+    ),
+    "tradeoff-top-level": (
+        "tradeoff", write_tradeoff_config, '"lambda": 1.0', '"lambda": 1.0, "lambda": 2.0', "lambda",
+    ),
+    "tradeoff-list-item": (
+        "tradeoff", write_tradeoff_config, '"alpha": 0.5', '"alpha": 0.5, "alpha": 0.25',
+        "policies[1].alpha",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, writer, old, new, field", REPEATED_KEYS.values(), ids=REPEATED_KEYS.keys()
+)
+def test_a_repeated_config_key_exits_2_naming_it(tmp_path, capsys, command, writer, old, new, field):
+    path = writer(tmp_path)
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    assert cli_main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"acfl: error: {field}: repeated field\n"
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "tradeoff"])
