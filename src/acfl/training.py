@@ -301,26 +301,25 @@ def _masked_operators(
     sum_i b_i ||R_i||^2``, is the present devices' summed squared gradient
     norm.  That lower band is the masked sum of the statistics' middle
     block, reshaped; the ``R_i`` alone give only ``side``'s first ``d`` rows
-    and ``None``.  Per replicate, a product each for ``A_i``, ``R_i`` and
-    the rest.
+    and ``None``.  Per replicate, a product for ``A_i``, one for ``R_i`` and,
+    unless the ``R_i`` are all there is, one for the rest.
     """
     rows, n_rep, _ = presence.shape
+    lean = stats.shape[2] == d * o  # the R_i alone
     sums = np.empty((rows, n_rep, 1, d * d + stats.shape[2]))  # [M_t | masked statistics]
     for r in range(n_rep):
         np.matmul(presence[:, r], grams[r], out=sums[:, r, 0, : d * d])
         # The R_i apart: BLAS may order a column's sum by the product's shape.
-        for cols in (slice(0, d * o), slice(d * o, None)):
+        for cols in (slice(0, d * o), slice(d * o, None))[: 1 if lean else 2]:
             np.matmul(presence[:, r], stats[r, :, cols], out=sums[:, r, 0, d * d :][:, cols])
-    lean = stats.shape[2] == d * o  # the R_i alone
     side = np.empty((rows, n_rep, 1, d if lean else 2 * d, d + o))
     side[..., :d, :d] = sums[..., : d * d].reshape(rows, n_rep, 1, d, d)
-    res, fold, rr = np.split(sums[..., d * d :], [d * o, d * o + d * (d + o)], axis=-1)
-    side[..., :d, d:] = res.reshape(rows, n_rep, 1, d, o)
+    side[..., :d, d:] = sums[..., d * d : d * (d + o)].reshape(rows, n_rep, 1, d, o)
     side[..., :d, :] /= 1.0 - p
     if lean:
         return side, None
-    side[..., d:, :] = fold.reshape(rows, n_rep, 1, d, d + o)
-    return side, rr[..., 0].copy()
+    side[..., d:, :] = sums[..., d * (d + o) : -1].reshape(rows, n_rep, 1, d, d + o)
+    return side, sums[..., -1].copy()
 
 
 def _estimate_stack(w_star: np.ndarray, scale: np.ndarray, rows: int) -> np.ndarray:
@@ -392,7 +391,8 @@ def _estimated_kernel(p, policies, noise, w_star, coded_op, iterates, weights, g
     ``alpha_t = num / (num + rest)``: ``num = p b^2``, ``b^2`` the mean
     report of the latest row that heard one, and ``rest = c ||W||^2 +
     floor``, ``c = d s1 (1-p)``, ``floor = s2 o d (1-p)``.  At ``p = 0`` every
-    device reports from the first step, and ``num = 0`` gives weight 0.  A
+    device reports from the first step, so ``num = 0`` gives weight 0 and the
+    arms take :func:`_fold_kernel`'s step at ``FixedWeight(0)``.  A
     row's operator per arm (:func:`_estimate_stack`, :func:`_load_sides`)
     holds the ``(5d, d + o)`` bands ``[[I | 0]; C - S; S; p fold / count; c [I
     | 2 W*]]``, ``fold`` the norm band of :func:`_masked_operators`.  Times
@@ -404,8 +404,14 @@ def _estimated_kernel(p, policies, noise, w_star, coded_op, iterates, weights, g
     is finite; there the band keeps ``c = 1`` and the step adds the coded term
     (zero at a zero norm, also where ``d s1`` is inf) and floor itself.  A
     positive floor keeps ``num + rest`` positive (or NaN); only a zero floor
-    needs the rule that a zero denominator gives a zero weight.
+    needs the rule that a zero denominator gives a zero weight.  A slice of
+    one arm of one replicate takes its three products on 2-D views with
+    ``np.dot``, which skips ``np.matmul``'s batched dispatch and gives the
+    same bits.
     """
+    if p == 0.0:  # num = 0 from the first step, which every device hears
+        arms = [FixedWeight(0.0)] * len(policies)
+        return _fold_kernel(p, arms, noise, w_star, coded_op, iterates, weights, grad_sq)
     block, n_rep, ke, d, o = len(iterates) - 1, *iterates.shape[1:3], *w_star.shape[-2:]
     with np.errstate(over="ignore"):  # an infinite term is handled as such
         d_sigma1_sq, q, floor = _weight_terms(p, d, o, noise[..., 0], noise[..., 1])
@@ -418,7 +424,11 @@ def _estimated_kernel(p, policies, noise, w_star, coded_op, iterates, weights, g
     products = np.empty((*stack.shape[:-1], o))
     bands = products.reshape(*stack.shape[:3], 5, d * o)
     halves = bands[..., 3:, :].swapaxes(-1, -2)
-    by_stack_row = list(zip(stack, products, bands[..., :3, :], halves))
+    lone = n_rep * ke == 1  # one arm of one replicate: 2-D views, np.dot products
+    at = (0, 0) if lone else ()  # the views' index on the (R, K_e) axes
+    rows_at = (slice(None), *at)  # and on a per-row array's
+    product = np.dot if lone else np.matmul
+    by_stack_row = list(zip(*(x[rows_at] for x in (stack, products, bands[..., :3, :], halves))))
     mix = np.ones((block, n_rep, ke, 1, 2))  # [alpha_t, 1] per arm
     etas = np.empty((block, n_rep, 1, 1, 1))  # -eta_t
     consts = np.empty((block, n_rep, ke, 1, 2))  # [p norm_at_opt / count, c ||W*||^2 + floor]
@@ -426,7 +436,8 @@ def _estimated_kernel(p, policies, noise, w_star, coded_op, iterates, weights, g
     live = np.empty((block, n_rep, 1), dtype=bool)  # replicates that have heard a report
     reports = np.empty((block, n_rep, 1), dtype=bool)  # replicates that hear a report
     flat = iterates[..., :d, :].reshape(block + 1, n_rep, ke, 1, d * o)
-    per_row = zip(iterates, flat, flat[1:], consts, mix, mix[..., 0, 0], etas, live, reports)
+    augs, devs = iterates[rows_at], flat[rows_at]
+    per_row = zip(augs, devs, devs[1:], consts, mix, mix[..., 0, 0], etas, live, reports)
     row_views = [(*by_stack_row[i % STACK_ROWS], *views) for i, views in enumerate(per_row)]
     forms = np.empty((n_rep, ke, 1, 2))
     fresh, rest = forms[..., 0, 0], forms[..., 0, 1]
@@ -435,6 +446,7 @@ def _estimated_kernel(p, policies, noise, w_star, coded_op, iterates, weights, g
     reported = np.zeros((n_rep, 1), dtype=bool)  # has any device reported yet
     coef = np.ones((n_rep, ke, 1, 3))  # [1, -eta_t alpha_t, -eta_t]
     coef_tail = coef[..., 1:]
+    forms_at, coef_at = forms[at], coef[at]
 
     def step(rows, side_op, norm_at_opt, counts, eta):
         # A row that hears no report keeps the latest num (copied per step).
@@ -442,6 +454,7 @@ def _estimated_kernel(p, policies, noise, w_star, coded_op, iterates, weights, g
         np.logical_or.accumulate(reports[:rows] | reported, axis=0, out=live[:rows])
         reported[...] = live[rows - 1]
         num = fresh if reports[:rows].all() else kept
+        unmasked = bool(live[0].all())  # live only grows down the block
         p_over_count = p / np.maximum(counts, 1)[:, :, None]
         side_op[..., d:, :] *= p_over_count[..., None, None]
         np.multiply(norm_at_opt, p_over_count, out=consts[:rows, ..., 0, 0])
@@ -453,8 +466,8 @@ def _estimated_kernel(p, policies, noise, w_star, coded_op, iterates, weights, g
             for (
                 op, prod, pair, half, aug, dev, nxt, const, mix_t, alpha_t, eta_t, live_t, report_t,
             ) in row_views[lo:hi]:
-                np.matmul(op, aug, out=prod)
-                np.matmul(dev, half, out=forms)
+                product(op, aug, out=prod)
+                product(dev, half, out=forms_at)
                 np.add(forms, const, out=forms)
                 if num is kept:
                     np.copyto(kept, fresh, where=report_t)
@@ -462,11 +475,11 @@ def _estimated_kernel(p, policies, noise, w_star, coded_op, iterates, weights, g
                     coded_term = np.where(rest != 0.0, d_sigma1_sq * rest, 0.0) * q
                     np.copyto(rest, coded_term + floor, where=huge)
                 np.add(num, rest, out=den)
-                np.divide(num, den, out=alpha_t, where=live_t)
+                np.divide(num, den, out=alpha_t, where=True if unmasked else live_t)
                 if may_vanish:
                     np.copyto(alpha_t, 0.0, where=live_t & (den <= 0.0))
                 np.multiply(eta_t, mix_t, out=coef_tail)
-                np.matmul(coef, pair, out=nxt)
+                product(coef_at, pair, out=nxt)
             if grad_sq is not None:  # these rows' gradients, [alpha_t, 1] [C - S; S]
                 grad_sq[lo:hi] = _sq_norms(mix[lo:hi] @ bands[: hi - lo, ..., 1:3, :])
         np.copyto(kept, num)  # the latest num, into the next block
@@ -516,8 +529,8 @@ def train(
     W* - B_i``), which :func:`train` works out itself.  Once per block of
     :data:`MASK_CHUNK_ROWS` masks, one product of the block's masks with
     them gives every step's masked sums (:func:`_masked_operators`), whose
-    norm band only an estimated weight or ``max_device_grad_sq`` reads (a
-    call with neither builds the ``R_i`` alone).  An arm's kernel follows
+    norm band only an estimated weight at ``p > 0`` or ``max_device_grad_sq``
+    reads (a call with neither builds the ``R_i`` alone).  An arm's kernel follows
     its policy type alone and derives its arms' weights: :func:`_fold_kernel`
     for fixed and oracle arms, :func:`_estimated_kernel` for estimated ones; a
     new kind is one kernel and one dispatch entry.  Built once per call from
@@ -603,8 +616,10 @@ def train(
     arms_of = {f: slice(lo, hi) for f, lo, hi in zip(dispatch.values(), cuts, cuts[1:]) if lo < hi}
 
     # Per replicate, one row per device: the centred statistics (R_i alone if no
-    # norm is read); a block of masks times them and the Grams gives every sum.
-    reads_norms = _estimated_kernel in arms_of or "max_device_grad_sq" in names
+    # norm is read, as by estimated arms at p = 0, which fold); a block of masks
+    # times them and the Grams gives every sum.
+    estimates = _estimated_kernel in arms_of and straggler_p > 0.0
+    reads_norms = estimates or "max_device_grad_sq" in names
     width = d * d + 2 * d * o + 1 if reads_norms else d * o
     check_entries(n_rep * n * width, f"n_devices={n}, d={d}, o={o}: device statistics")
     stats = np.empty((n_rep, n, width))

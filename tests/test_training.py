@@ -579,16 +579,18 @@ def test_an_arms_trace_does_not_depend_on_the_arms_beside_it(p):
     # A fixed or oracle arm takes one step path whatever shares its call:
     # alone, before or after an estimated arm, beside the other constant arm
     # and as replicate 0 of two, its trace is the same bit for bit.  An
-    # estimated arm is likewise unchanged by constant neighbours; at p = 0 its
-    # weight is 0 and it folds like a fixed one.  The steps cross a mask block.
+    # estimated arm is likewise unchanged by constant neighbours and by a
+    # second estimated arm (alone it steps on 2-D views, beside it on the
+    # batched ones); at p = 0 its weight is 0 and it folds like a fixed one,
+    # its trace that of FixedWeight(0).  The steps cross a mask block.
     steps = MASK_CHUNK_ROWS + 36
     reps = [_replicate(90 + r) for r in range(2)]
     est, fixed, oracle, est_b = range(4)  # each replicate's arms, as REPLICATE_POLICIES
 
-    def run(arms, n_rep=1):
+    def run(arms, n_rep=1, policies=REPLICATE_POLICIES):
         ds, _, _, streams, coded = zip(*reps[:n_rep])
         return train(
-            ds, [[row[j] for j in arms] for row in coded], [REPLICATE_POLICIES[j] for j in arms],
+            ds, [[row[j] for j in arms] for row in coded], [policies[j] for j in arms],
             p, steps, None, streams, columns=EVERY_COLUMN,
         )
 
@@ -607,6 +609,9 @@ def test_an_arms_trace_does_not_depend_on_the_arms_beside_it(p):
     ((alone,),) = run([est])
     check(run([fixed, est, oracle])[0][1], alone)
     check(run([est, fixed])[0][0], alone)
+    check(run([est, est_b])[0][0], alone)
+    if p == 0.0:
+        check(alone, run([est], policies={est: FixedWeight(0.0)})[0][0])
 
 
 def test_batched_train_checks_each_replicate():
